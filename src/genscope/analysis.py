@@ -11,6 +11,7 @@ golden checks used by the ``reproduce`` subcommand.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -21,7 +22,13 @@ import numpy as np
 
 from . import __version__
 from .annotator import RuleAnnotator
-from .classifier import load_model, predict_score, vectorize_bow, tokenize
+from .classifier import (
+    load_model,
+    predict_score,
+    stack_features,
+    tokenize,
+    vectorize_bow,
+)
 from .corpus import (
     GROUPS,
     PartitionedCorpus,
@@ -186,13 +193,18 @@ def _kw_dict(result) -> dict:
 
 
 def _histogram(scores, bin_width: float) -> list[list[float]]:
-    """(bin left edge, count) rows over [0, 1]; the last bin includes 1.0."""
+    """(bin left edge, count) rows over [0, 1]; the last bin includes 1.0.
+
+    A score bins against the emitted edges themselves, so a score equal
+    to an edge lands in that edge's bin (``int(s / bin_width)`` puts 0.58
+    at width 0.02 one bin low).
+    """
     n_bins = int(round(1.0 / bin_width))
+    edges = [round(i * bin_width, 10) for i in range(n_bins)]
     counts = [0] * n_bins
     for s in scores:
-        idx = min(int(s / bin_width), n_bins - 1)
-        counts[idx] += 1
-    return [[round(i * bin_width, 10), counts[i]] for i in range(n_bins)]
+        counts[max(bisect.bisect_right(edges, s) - 1, 0)] += 1
+    return [[edge, count] for edge, count in zip(edges, counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +224,6 @@ def _score_tweets(parts: PartitionedCorpus, config: AnalysisConfig) -> list[Scor
         model = load_model(config.model)
         if model.feature_kind != "bow" or model.vocab is None:
             raise InputError("analyze needs a bag-of-words model with a vocabulary")
-    annotator = RuleAnnotator()
 
     external = {}
     if config.external_sentiment:
@@ -224,24 +235,24 @@ def _score_tweets(parts: PartitionedCorpus, config: AnalysisConfig) -> list[Scor
     )
     provider = SentimentProvider(external=external, lexicon=valence)
 
-    scored: list[ScoredTweet] = []
-    for group in GROUPS:
-        for tweet in parts.group(group):
-            if model is not None:
-                vec = vectorize_bow(tokenize(tweet.text), model.vocab)
-                score = predict_score(model, vec)
-            else:
-                score = 1.0 if annotator.annotate(tweet.text).is_generic else 0.0
-            scored.append(
-                ScoredTweet(
-                    tweet=tweet,
-                    group=group,
-                    score=score,
-                    generic=score >= config.threshold,
-                    sentiment=provider.label(tweet).value,
-                )
-            )
-    return scored
+    groups = [group for group in GROUPS for _ in parts.group(group)]
+    tweets = [tweet for group in GROUPS for tweet in parts.group(group)]
+    if model is not None:
+        rows = (vectorize_bow(tokenize(t.text), model.vocab) for t in tweets)
+        scores = predict_score(model, stack_features(rows, model.dimension)).tolist()
+    else:
+        annotator = RuleAnnotator()
+        scores = [1.0 if annotator.annotate(t.text).is_generic else 0.0 for t in tweets]
+    return [
+        ScoredTweet(
+            tweet=tweet,
+            group=group,
+            score=score,
+            generic=score >= config.threshold,
+            sentiment=provider.label(tweet).value,
+        )
+        for group, tweet, score in zip(groups, tweets, scores)
+    ]
 
 
 def run_analysis(config: AnalysisConfig) -> dict:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,12 +117,6 @@ class SparseVector:
                 raise InputError("index out of range for dimension")
             last = idx
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dimension)
-        for idx, count in self.pairs:
-            dense[idx] = count
-        return dense
-
 
 def vectorize_bow(tokens, vocab: Vocabulary) -> SparseVector:
     """Count in-vocabulary tokens; out-of-vocabulary tokens are dropped."""
@@ -135,17 +130,84 @@ def vectorize_bow(tokens, vocab: Vocabulary) -> SparseVector:
     )
 
 
-def stack_features(vectors) -> np.ndarray:
-    """Dense (n, d) matrix from SparseVectors or array-likes."""
-    rows = []
+class CsrMatrix:
+    """Compressed sparse row matrix of float features.
+
+    Row ``i`` holds ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    ``indices[indptr[i]:indptr[i + 1]]``; ``rows`` is the row of each
+    nonzero, so both products are one ``np.bincount``. (``np.add.reduceat``
+    would give an empty row the value of the next nonzero.) The structure
+    and the finiteness of ``data`` are checked once, here, so products do
+    not check again. Memory is O(nnz), not O(rows x columns).
+    """
+
+    # ndarray @ CsrMatrix must defer to __rmatmul__, not broadcast over it
+    __array_ufunc__ = None
+
+    def __init__(self, indptr, indices, data, n_cols: int):
+        self.indptr = np.asarray(indptr, dtype=np.intp)
+        self.indices = np.asarray(indices, dtype=np.intp)
+        self.data = np.asarray(data, dtype=float)
+        row_lengths = np.diff(self.indptr)
+        if (
+            self.indptr.ndim != 1
+            or self.indptr.size == 0
+            or self.indptr[0] != 0
+            or np.any(row_lengths < 0)
+            or self.indices.shape != (self.indptr[-1],)
+            or self.data.shape != self.indices.shape
+        ):
+            raise InputError("malformed CSR structure")
+        if self.indices.size and not (
+            0 <= self.indices.min() and self.indices.max() < n_cols
+        ):
+            raise InputError("column index out of range")
+        if not np.all(np.isfinite(self.data)):
+            raise InputError("features contain non-finite values")
+        self.shape = (row_lengths.size, int(n_cols))
+        self.rows = np.repeat(np.arange(row_lengths.size), row_lengths)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.indptr, self.indices, self.data, self.rows))
+
+    def __matmul__(self, w) -> np.ndarray:
+        """x @ w: one value per row."""
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.shape[1],):
+            raise InputError(f"cannot multiply {self.shape} matrix by {w.shape} vector")
+        return np.bincount(
+            self.rows, weights=self.data * w[self.indices], minlength=self.shape[0]
+        )
+
+    def __rmatmul__(self, r) -> np.ndarray:
+        """r @ x (that is, x.T @ r): one value per column."""
+        r = np.asarray(r, dtype=float)
+        if r.shape != (self.shape[0],):
+            raise InputError(f"cannot multiply {r.shape} vector by {self.shape} matrix")
+        return np.bincount(
+            self.indices, weights=self.data * r[self.rows], minlength=self.shape[1]
+        )
+
+
+def stack_features(vectors, dimension: int) -> CsrMatrix:
+    """One CSR row per SparseVector from an iterable; every vector must
+    have ``dimension``. Vectors are copied into flat buffers as they come,
+    so a generator never holds them all."""
+    indptr, indices, data = array("q", [0]), array("q"), array("d")
     for v in vectors:
-        rows.append(v.to_dense() if isinstance(v, SparseVector) else np.asarray(v, dtype=float))
-    if not rows:
-        raise InputError("no feature vectors given")
-    dims = {r.shape[-1] for r in rows}
-    if len(dims) > 1:
-        raise InputError(f"inconsistent feature dimensions: {sorted(dims)}")
-    return np.vstack(rows)
+        if v.dimension != dimension:
+            raise InputError(
+                f"feature dimension {v.dimension} does not match {dimension}"
+            )
+        for idx, count in v.pairs:
+            indices.append(idx)
+            data.append(count)
+        indptr.append(len(indices))
+    return CsrMatrix(indptr, indices, data, dimension)
 
 
 @dataclass
@@ -215,13 +277,14 @@ class BagOfWordsVectorizer(ParamsMixin):
         )
         return self
 
-    def transform(self, texts) -> np.ndarray:
+    def transform(self, texts) -> CsrMatrix:
         check_fitted(self, "vocabulary_")
+        vocab = self.vocabulary_
         return stack_features(
-            vectorize_bow(tokenize(t), self.vocabulary_) for t in texts
+            (vectorize_bow(tokenize(t), vocab) for t in texts), vocab.size
         )
 
-    def fit_transform(self, texts) -> np.ndarray:
+    def fit_transform(self, texts) -> CsrMatrix:
         return self.fit(texts).transform(texts)
 
 

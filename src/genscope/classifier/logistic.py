@@ -22,6 +22,7 @@ from ..base import (
 from ..errors import InputError, TrainingError
 from .features import (
     BagOfWordsVectorizer,
+    CsrMatrix,
     SparseVector,
     Vocabulary,
     stack_features,
@@ -48,9 +49,20 @@ def sigmoid(z):
     return out
 
 
+def _as_features(features):
+    """A CsrMatrix as it is (checked when it was built), else a checked
+    dense 2-D matrix."""
+    if isinstance(features, CsrMatrix):
+        return features
+    return as_feature_matrix(features)
+
+
 def loss_and_gradient(weights, bias, features, labels, l2):
-    """Mean cross-entropy plus (l2/2)*||w||^2, with its exact gradient."""
-    x = as_feature_matrix(features)
+    """Mean cross-entropy plus (l2/2)*||w||^2, with its exact gradient.
+
+    ``features`` is a CsrMatrix or a dense matrix.
+    """
+    x = _as_features(features)
     y = np.asarray(labels, dtype=float)
     w = np.asarray(weights, dtype=float)
     n = x.shape[0]
@@ -59,7 +71,7 @@ def loss_and_gradient(weights, bias, features, labels, l2):
     ce = float(np.mean(y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)))
     loss = ce + 0.5 * l2 * float(w @ w)
     residual = sigmoid(z) - y
-    grad_w = x.T @ residual / n + l2 * w
+    grad_w = residual @ x / n + l2 * w
     grad_b = float(residual.mean())
     return loss, grad_w, grad_b
 
@@ -101,20 +113,17 @@ def train_logistic(
     epochs: int = DEFAULT_EPOCHS,
     seed: int = DEFAULT_SEED,
     threshold: float = DEFAULT_THRESHOLD,
-    batch_policy: str = "full",
     feature_kind: str = "bow",
     vocab: Vocabulary | None = None,
 ) -> GenericityModel:
     """Fit weights by deterministic full-batch gradient descent.
 
-    The learning rate halves whenever a step would increase the loss, so
-    the recorded loss history is non-increasing. Only the "full" batch
-    policy is implemented; it needs no shuffling, so the seed is recorded
-    as provenance only.
+    ``features`` is a CsrMatrix or a dense matrix. The learning rate
+    halves whenever a step would increase the loss, so the recorded loss
+    history is non-increasing. Full batches need no shuffling, so the
+    seed is recorded as provenance only.
     """
-    if batch_policy != "full":
-        raise InputError(f"unsupported batch policy {batch_policy!r}; use 'full'")
-    x = as_feature_matrix(features)
+    x = _as_features(features)
     y = check_binary_labels(labels)
     check_consistent_length(x, y)
     if y.sum() == 0 or y.sum() == y.size:
@@ -163,19 +172,23 @@ def train_logistic(
 def predict_score(model: GenericityModel, features):
     """Genericity score sigma(w.x + b) in [0, 1].
 
-    Accepts one SparseVector or dense vector (returns a float) or a list
-    of SparseVectors / a 2-D matrix (returns an array of scores).
+    Accepts one SparseVector or dense vector (returns a float), or a
+    CsrMatrix, a list of SparseVectors or a 2-D matrix (returns an array
+    with one score per row; an empty list gives an empty array).
     """
-    if isinstance(features, SparseVector):
-        arr = features.to_dense()
-    elif isinstance(features, (list, tuple)) and any(
+    single = isinstance(features, SparseVector)
+    if single:
+        features = [features]
+    if isinstance(features, (list, tuple)) and all(
         isinstance(f, SparseVector) for f in features
     ):
-        arr = stack_features(features)
+        x = stack_features(features, model.dimension)
+    elif isinstance(features, CsrMatrix):
+        x = features
     else:
         arr = np.asarray(features, dtype=float)
-    single = arr.ndim == 1
-    x = as_feature_matrix(arr)
+        single = arr.ndim == 1
+        x = as_feature_matrix(arr)
     if x.shape[1] != model.dimension:
         raise InputError(
             f"feature dimension {x.shape[1]} does not match model "
@@ -221,6 +234,17 @@ class GenericityClassifier(ParamsMixin):
         self.threshold = threshold
 
     def fit(self, texts, labels):
+        self._fit(texts, labels)
+        return self
+
+    def fit_predict_proba(self, texts, labels) -> np.ndarray:
+        """Fit, then score the training texts with the feature matrix that
+        training built, without vectorizing them again."""
+        x = self._fit(texts, labels)
+        return predict_score(self.model_, x)
+
+    def _fit(self, texts, labels) -> CsrMatrix:
+        """Learn ``vectorizer_`` and ``model_``; returns the training matrix."""
         texts = list(texts)
         y = check_binary_labels(labels)
         check_consistent_length(texts, y)
@@ -237,7 +261,7 @@ class GenericityClassifier(ParamsMixin):
             feature_kind="bow",
             vocab=self.vectorizer_.vocabulary_,
         )
-        return self
+        return x
 
     def predict_proba(self, texts) -> np.ndarray:
         check_fitted(self, "model_")

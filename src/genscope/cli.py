@@ -26,11 +26,12 @@ from .classifier import (
     load_model,
     predict_score,
     save_model,
+    stack_features,
     tokenize,
     vectorize_bow,
 )
 from .corpus import ingest, load_query, read_jsonl, write_jsonl
-from .errors import GenscopeError
+from .errors import GenscopeError, SchemaError
 from .labeling import label_session
 from .reporting import emit_report
 
@@ -113,14 +114,16 @@ def build_parser() -> _Parser:
 def _read_labeled(path):
     texts, labels = [], []
     for line_number, obj in read_jsonl(path):
-        text = obj.get("text")
-        label = obj.get("label")
-        if not isinstance(text, str) or label not in (0, 1):
+        if not (
+            isinstance(obj, dict)
+            and isinstance(obj.get("text"), str)
+            and obj.get("label") in (0, 1)
+        ):
             raise GenscopeError(
                 f"{path}:{line_number}: need 'text' and binary 'label'"
             )
-        texts.append(text)
-        labels.append(label)
+        texts.append(obj["text"])
+        labels.append(obj["label"])
     if not texts:
         raise GenscopeError(f"{path}: no labeled examples")
     return texts, labels
@@ -189,9 +192,9 @@ def _cmd_train(args) -> int:
         seed=args.seed if args.seed is not None else 42,
         threshold=args.threshold if args.threshold is not None else 0.5,
     )
-    clf.fit(texts, labels)
+    scores = clf.fit_predict_proba(texts, labels)
     save_model(clf.model_, args.model_out)
-    metrics = evaluate(clf.predict_proba(texts), labels, threshold=clf.threshold)
+    metrics = evaluate(scores, labels, threshold=clf.threshold)
     print(f"trained on {len(texts)} examples, vocab size {clf.model_.vocab.size}")
     print(f"final loss: {clf.model_.loss_history[-1]:.6f}")
     print(f"train {metrics.summary()}")
@@ -202,9 +205,8 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     texts, labels = _read_labeled(args.labeled)
     model = load_model(args.model)
-    scores = [
-        predict_score(model, vectorize_bow(tokenize(t), model.vocab)) for t in texts
-    ]
+    rows = (vectorize_bow(tokenize(t), model.vocab) for t in texts)
+    scores = predict_score(model, stack_features(rows, model.dimension))
     tau = args.threshold if args.threshold is not None else model.threshold
     metrics = evaluate(scores, labels, threshold=tau)
     print(metrics.summary())
@@ -222,16 +224,17 @@ def _cmd_classify(args) -> int:
     out = _out_dir(args)
     path = out / "scores.jsonl"
 
-    def rows():
-        for tweet in report.tweets:
-            score = predict_score(model, vectorize_bow(tokenize(tweet.text), model.vocab))
-            yield {
-                "id": tweet.id,
-                "score": score,
-                "label": "generic" if score >= tau else "non_generic",
-            }
-
-    write_jsonl(rows(), path)
+    rows = (vectorize_bow(tokenize(t.text), model.vocab) for t in report.tweets)
+    scores = predict_score(model, stack_features(rows, model.dimension))
+    records = (
+        {
+            "id": tweet.id,
+            "score": score,
+            "label": "generic" if score >= tau else "non_generic",
+        }
+        for tweet, score in zip(report.tweets, scores.tolist())
+    )
+    write_jsonl(records, path)
     print(f"scored {report.accepted_count} tweets at threshold {tau} -> {path}")
     return EXIT_OK
 
@@ -268,7 +271,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    try:
+        report = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{args.report}:{exc.lineno}: invalid JSON: {exc.msg}") from None
     fmt = args.format or "markdown"
     written = emit_report(report, fmt, args.out or Path(args.report).parent)
     for path in written:
@@ -317,10 +323,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except GenscopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (GenscopeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -183,7 +183,11 @@ def _apply_directives(obj: dict, query: QueryAst, warned: set[str]) -> str | Non
 
 
 def read_jsonl(source):
-    """Yield (line_number, object) pairs from a JSON Lines file or stream."""
+    """Yield (line_number, object) pairs from a JSON Lines file or stream.
+
+    A line that is not valid JSON raises SchemaError naming the file and
+    line.
+    """
     if isinstance(source, (str, Path)):
         stream = open(source, encoding="utf-8")
         close = True
@@ -192,8 +196,14 @@ def read_jsonl(source):
     try:
         for line_number, line in enumerate(stream, start=1):
             line = line.strip()
-            if line:
-                yield line_number, json.loads(line)
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                name = getattr(stream, "name", "<stream>")
+                raise SchemaError(f"{name}:{line_number}: invalid JSON: {exc.msg}") from None
+            yield line_number, obj
     finally:
         if close:
             stream.close()

@@ -8,6 +8,7 @@ import pytest
 
 from genscope.analysis import (
     AnalysisConfig,
+    _histogram,
     load_published_tables,
     recompute_check,
     reproduce_published,
@@ -243,3 +244,15 @@ class TestReproduction:
         path.write_text("key,value\n")
         with pytest.raises(SchemaError, match="missing required rows"):
             reproduce_published(path)
+
+
+class TestHistogram:
+    @pytest.mark.parametrize("width", [0.02, 0.05, 0.1])
+    def test_every_edge_lands_in_its_own_bin(self, width):
+        # 0.58 and 0.94 at width 0.02, or 0.3 at width 0.1, divide to just
+        # under their bin index in floating point
+        n_bins = int(round(1.0 / width))
+        edges = [round(i * width, 10) for i in range(n_bins)]
+        hist = _histogram(edges + [1.0], width)
+        assert [edge for edge, _ in hist] == edges
+        assert [count for _, count in hist] == [1] * (n_bins - 1) + [2]

@@ -2,12 +2,18 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import genscope
 from genscope.analysis import load_published_tables
+from genscope.classifier import GenericityModel, Vocabulary, save_model, sigmoid
 from genscope.cli import main
 from genscope.corpus import write_jsonl
 from genscope.synth import generate_corpus, generate_training_texts
@@ -92,8 +98,79 @@ class TestTrainEvalClassify:
 
     def test_train_rejects_bad_labels(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"text": "x", "label": 2}\n')
-        assert main(["train", "--labeled", str(bad), "--model-out", str(tmp_path / "m")]) == 2
+        for line in ('{"text": "x", "label": 2}', '["x", 1]'):
+            bad.write_text(line + "\n")
+            assert main(["train", "--labeled", str(bad), "--model-out", str(tmp_path / "m")]) == 2
+
+    def _one_word_model(self, tmp_path):
+        """Weight 3.0 on "zebra", bias 0.7: texts without "zebra" score sigmoid(0.7)."""
+        model = GenericityModel(
+            feature_kind="bow",
+            weights=np.array([3.0]),
+            bias=0.7,
+            vocab=Vocabulary(index={"zebra": 0}, min_count=1),
+        )
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        return path
+
+    # the out-of-vocabulary texts come last, so they are trailing empty rows
+    OOV_TEXTS = ["zebra", "cats and dogs", "nothing known here"]
+
+    def test_eval_scores_oov_text_at_sigmoid_bias(self, tmp_path, capsys):
+        labeled = tmp_path / "labeled.jsonl"
+        write_jsonl(
+            ({"text": t, "label": l} for t, l in zip(self.OOV_TEXTS, [1, 0, 1])), labeled
+        )
+        model = self._one_word_model(tmp_path)
+        # sigmoid(0.7) = 0.668 >= 0.6 > 0.5: both OOV texts are called generic
+        # only if their score includes the bias
+        argv = ["eval", "--labeled", str(labeled), "--model", str(model), "--threshold", "0.6"]
+        assert main(argv) == 0
+        assert "confusion: TP=2 FP=1 TN=0 FN=0" in capsys.readouterr().out
+
+    def test_classify_scores_oov_text_at_sigmoid_bias(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        records = list(generate_corpus(n=3, seed=1))
+        for record, text in zip(records, self.OOV_TEXTS):
+            record["text"] = text
+        write_jsonl(records, corpus)
+        out = tmp_path / "scores"
+        model = self._one_word_model(tmp_path)
+        argv = ["classify", "--corpus", str(corpus), "--model", str(model), "--out", str(out)]
+        assert main(argv) == 0
+        rows = [json.loads(l) for l in (out / "scores.jsonl").read_text().splitlines()]
+        expected = sigmoid(np.array([3.7, 0.7, 0.7])).tolist()
+        assert [r["score"] for r in rows] == expected
+
+
+class TestMalformedJson:
+    """Malformed JSON in an input file exits 2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (["train", "--labeled", "{bad}", "--model-out", "m"],
+             '{"text": "fine", "label": 1}\n{"text": oops}\n'),
+            (["eval", "--labeled", "{bad}", "--model", "m"],
+             '{"text": "fine", "label": 1}\n{"text": oops}\n'),
+            (["report", "--report", "{bad}", "--out", "o"], '{\n  "h1": ,\n}\n'),
+        ],
+        ids=["train", "eval", "report"],
+    )
+    def test_exit_2_without_traceback(self, argv, content, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        argv = [str(bad) if a == "{bad}" else a for a in argv]
+        env = dict(os.environ, PYTHONPATH=str(Path(genscope.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "genscope", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"error: {bad}:2: invalid JSON: ")
 
 
 class TestAnalyze:
@@ -142,6 +219,9 @@ class TestReportCommand:
             "--format", "csv", "--out", str(again),
         ]) == 0
         assert (again / "report.csv").exists()
+
+    def test_unreadable_report_is_data_error(self, tmp_path, capsys):
+        assert main(["report", "--report", str(tmp_path)]) == 2  # a directory
 
     def test_json_round_trip_is_exact(self, small_corpus, tmp_path, capsys):
         # re-emitting from report.json must reproduce it byte for byte:

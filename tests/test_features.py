@@ -5,11 +5,13 @@ from genscope.classifier import (
     EMOJI_TOKEN,
     URL_TOKEN,
     BagOfWordsVectorizer,
+    CsrMatrix,
     EmbeddingTable,
     SparseVector,
     build_vocab,
     embed_mean,
     load_embeddings,
+    loss_and_gradient,
     tokenize,
     vectorize_bow,
 )
@@ -94,6 +96,86 @@ class TestBagOfWords:
         assert x.shape == (2, 2)
         v.set_params(min_count=2)
         assert v.get_params() == {"min_count": 2}
+
+    def test_transform_rows_are_vectorize_bow(self):
+        texts = ["b a b", "zzz", "a c", ""]
+        v = BagOfWordsVectorizer(min_count=1).fit(texts)
+        x = v.transform(texts)
+        assert x.shape == (4, v.vocabulary_.size)
+        for i, text in enumerate(texts):
+            row = slice(x.indptr[i], x.indptr[i + 1])
+            pairs = tuple(zip(x.indices[row].tolist(), x.data[row].tolist()))
+            assert pairs == vectorize_bow(tokenize(text), v.vocabulary_).pairs
+
+
+def _csr(dense):
+    """Reference CSR built row by row from a dense matrix."""
+    indptr, indices, data = [0], [], []
+    for row in dense:
+        nonzero = np.flatnonzero(row)
+        indices.extend(nonzero)
+        data.extend(row[nonzero])
+        indptr.append(len(indices))
+    return CsrMatrix(indptr, indices, data, dense.shape[1])
+
+
+def _random_sparse(seed, n=30, d=12):
+    """Sparse rows with empty rows (one trailing) and all-zero columns
+    (one of them the last)."""
+    rng = np.random.RandomState(seed)
+    dense = rng.randn(n, d) * (rng.rand(n, d) < 0.25)
+    dense[[0, 7, n - 2, n - 1]] = 0.0
+    dense[:, [3, d - 1]] = 0.0
+    return rng, dense
+
+
+class TestCsrMatrix:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_products_match_dense(self, seed):
+        rng, dense = _random_sparse(seed)
+        x = _csr(dense)
+        w = rng.randn(dense.shape[1])
+        r = rng.randn(dense.shape[0])
+        assert x.shape == dense.shape
+        np.testing.assert_allclose(x @ w, dense @ w, rtol=0, atol=1e-12)
+        # r is an ndarray: r @ x must reach CsrMatrix.__rmatmul__
+        np.testing.assert_allclose(r @ x, dense.T @ r, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_loss_and_gradient_match_dense(self, seed):
+        rng, dense = _random_sparse(seed)
+        y = (rng.rand(dense.shape[0]) > 0.5).astype(float)
+        w = rng.randn(dense.shape[1])
+        for l2 in (0.0, 1e-2):
+            sparse = loss_and_gradient(w, 0.3, _csr(dense), y, l2)
+            reference = loss_and_gradient(w, 0.3, dense, y, l2)
+            assert sparse[0] == pytest.approx(reference[0], rel=0, abs=1e-12)
+            np.testing.assert_allclose(sparse[1], reference[1], rtol=0, atol=1e-12)
+            assert sparse[2] == pytest.approx(reference[2], rel=0, abs=1e-12)
+
+    def test_nbytes_counts_nonzeros_not_cells(self):
+        x = CsrMatrix([0, 1, 1], [5], [2.0], 1_000_000)
+        assert x.nbytes < 100
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InputError, match="non-finite"):
+            CsrMatrix([0, 2], [0, 1], [1.0, bad], 2)
+
+    @pytest.mark.parametrize(
+        "indptr, indices, data",
+        [
+            ([0, 1], [2], [1.0]),  # column out of range
+            ([0, 1], [-1], [1.0]),
+            ([1, 1], [0], [1.0]),  # indptr must start at 0
+            ([0, 2, 1], [0, 1], [1.0, 1.0]),  # decreasing indptr
+            ([0, 2], [0], [1.0]),  # indptr past the nonzeros
+            ([], [], []),
+        ],
+    )
+    def test_malformed_structure_rejected(self, indptr, indices, data):
+        with pytest.raises(InputError):
+            CsrMatrix(indptr, indices, data, 2)
 
 
 class TestEmbeddings:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from genscope.classifier import (
+    BagOfWordsVectorizer,
+    CsrMatrix,
     GenericityClassifier,
     GenericityModel,
     classify,
@@ -10,6 +12,7 @@ from genscope.classifier import (
     train_logistic,
 )
 from genscope.errors import InputError
+from genscope.synth import generate_training_texts
 
 from oracles import central_difference
 
@@ -61,15 +64,31 @@ class TestTraining:
             train_logistic([[1.0], [2.0]], [1, 2])
 
     def test_inconsistent_dimension_rejected(self):
-        with pytest.raises(InputError):
-            predict_score(
-                GenericityModel(feature_kind="bow", weights=np.zeros(3), bias=0.0),
-                [1.0, 2.0],
-            )
+        from genscope.classifier import SparseVector
 
-    def test_only_full_batch_policy(self):
-        with pytest.raises(InputError, match="batch policy"):
-            train_logistic([[1.0], [-1.0]], [1, 0], batch_policy="minibatch")
+        model = GenericityModel(feature_kind="bow", weights=np.zeros(3), bias=0.0)
+        for features in (
+            [1.0, 2.0],
+            CsrMatrix([0, 1], [1], [1.0], 2),
+            [SparseVector(pairs=((1, 1),), dimension=2)],
+        ):
+            with pytest.raises(InputError, match="dimension"):
+                predict_score(model, features)
+
+    def test_sparse_training_matches_dense(self):
+        texts, labels = generate_training_texts(n=300, seed=11)
+        x = BagOfWordsVectorizer(min_count=2).fit_transform(texts)
+        dense = np.zeros(x.shape)
+        dense[x.rows, x.indices] = x.data
+        sparse_model = train_logistic(x, labels, epochs=100)
+        dense_model = train_logistic(dense, labels, epochs=100)
+        np.testing.assert_allclose(
+            sparse_model.weights, dense_model.weights, rtol=0, atol=1e-12
+        )
+        assert sparse_model.bias == pytest.approx(dense_model.bias, rel=0, abs=1e-12)
+        np.testing.assert_allclose(
+            sparse_model.loss_history, dense_model.loss_history, rtol=0, atol=1e-12
+        )
 
 
 class TestGradient:
@@ -158,6 +177,9 @@ class TestPrediction:
         scores = predict_score(model, batch)
         assert scores.shape == (2,)
         assert scores[1] == 0.5
+        csr = CsrMatrix([0, 2, 2], [0, 2], [2.0, 1.0], 3)
+        assert predict_score(model, csr).tolist() == scores.tolist()
+        assert predict_score(model, []).shape == (0,)
 
 
 class TestEstimatorApi:
