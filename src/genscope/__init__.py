@@ -25,6 +25,7 @@ from .corpus import (
     PartitionedCorpus,
     QueryAst,
     Tweet,
+    compile_terms,
     ingest,
     load_group_lexicon,
     match_groups,
@@ -54,6 +55,7 @@ __all__ = [
     "PartitionedCorpus",
     "QueryAst",
     "Tweet",
+    "compile_terms",
     "ingest",
     "load_group_lexicon",
     "match_groups",

@@ -25,6 +25,7 @@ from .annotator import RuleAnnotator
 from .classifier import (
     load_model,
     predict_score,
+    require_bow_vocab,
     stack_features,
     tokenize,
     vectorize_bow,
@@ -222,8 +223,7 @@ def _score_tweets(parts: PartitionedCorpus, config: AnalysisConfig) -> list[Scor
     model = None
     if config.model:
         model = load_model(config.model)
-        if model.feature_kind != "bow" or model.vocab is None:
-            raise InputError("analyze needs a bag-of-words model with a vocabulary")
+        require_bow_vocab(model, config.model)
 
     external = {}
     if config.external_sentiment:

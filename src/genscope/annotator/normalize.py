@@ -10,9 +10,10 @@ Clause breaks happen at sentence punctuation, newlines, and dashes.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
+
+from ..classifier.features import LEXER_RE
 
 # token kinds
 WORD = "word"
@@ -24,21 +25,7 @@ EQUALS = "="
 COMMA = ","
 QUOTE = '"'
 
-_URL_RE = re.compile(r"https?://\S+|www\.\S+", re.IGNORECASE)
-_EMOJI_RE = re.compile(
-    "["
-    "\U0001F000-\U0001FAFF"
-    "☀-➿"
-    "⬀-⯿"
-    "■-◿"
-    "\U0001F1E6-\U0001F1FF"
-    "]"
-)
-_WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*", re.UNICODE)
-_BLANK_RE = re.compile(r"_{2,}")
-
-_CLAUSE_BREAK = {".", "!", "?", ";", "\n"}
-_QUOTE_CHARS = {'"', "“", "”"}
+_PUNCT = {":": COLON, "=": EQUALS, ",": COMMA}  # the rest are quotes
 
 
 @dataclass(frozen=True)
@@ -88,72 +75,39 @@ def normalize(text: str, abbreviations: dict[str, str] | None = None) -> Normali
             clauses.append(current)
             current = []
 
-    pos = 0
-    n = len(text or "")
-    while pos < n:
-        ch = text[pos]
-
-        url = _URL_RE.match(text, pos)
-        if url:
-            current.append(Token(URL, URL, pos, url.end()))
-            pos = url.end()
-            continue
-        if _EMOJI_RE.match(text, pos):
-            current.append(Token(EMOJI, EMOJI, pos, pos + 1))
-            pos += 1
-            continue
-        blank = _BLANK_RE.match(text, pos)
-        if blank:
-            current.append(Token(BLANK, BLANK, pos, blank.end()))
-            pos = blank.end()
-            continue
-        word = _WORD_RE.match(text, pos)
-        if word:
-            surface = word.group(0).lower().replace("’", "'")
+    text = text or ""
+    for m in LEXER_RE.finditer(text):
+        kind = m.lastgroup
+        start, end = m.span()
+        if kind == "word":
+            surface = m.group().lower().replace("’", "'")
             expansion = abbreviations.get(surface, surface)
             for part in expansion.split():
-                current.append(Token(part, WORD, pos, word.end()))
-            pos = word.end()
-            continue
-
-        if ch in _CLAUSE_BREAK:
+                current.append(Token(part, WORD, start, end))
+        elif kind == "url":
+            current.append(Token(URL, URL, start, end))
+        elif kind == "emoji":
+            current.append(Token(EMOJI, EMOJI, start, end))
+        elif kind == "blank":
+            current.append(Token(BLANK, BLANK, start, end))
+        elif kind == "brk":
             # mark question clauses so the interrogative logic can see them
-            if ch == "?" and current:
-                current.append(Token("?", "?", pos, pos + 1))
+            if text[start] == "?" and current:
+                current.append(Token("?", "?", start, end))
             break_clause()
-            pos += 1
-            continue
-        if ch == "-" or ch == "—" or ch == "–":
-            # a dash run between spaces (or an em dash anywhere) splits clauses
-            em = ch != "-"
-            run_end = pos
-            while run_end < n and text[run_end] in "-—–":
-                run_end += 1
-            before_space = pos == 0 or text[pos - 1].isspace()
-            after_space = run_end >= n or text[run_end].isspace()
+        elif kind == "dash":
+            # a dash run between spaces (or one starting with an em or en
+            # dash) splits clauses
+            em = text[start] != "-"
+            before_space = start == 0 or text[start - 1].isspace()
+            after_space = end == len(text) or text[end].isspace()
             if em or (before_space and after_space):
                 break_clause()
-            pos = run_end
-            continue
-        if ch == ":":
-            current.append(Token(COLON, COLON, pos, pos + 1))
-            pos += 1
-            continue
-        if ch == "=":
-            current.append(Token(EQUALS, EQUALS, pos, pos + 1))
-            pos += 1
-            continue
-        if ch == ",":
-            current.append(Token(COMMA, COMMA, pos, pos + 1))
-            pos += 1
-            continue
-        if ch in _QUOTE_CHARS or ch == "'":
+        else:
             # standalone apostrophes act as quotes; intra-word ones were
             # already absorbed by the word pattern
-            current.append(Token(QUOTE, QUOTE, pos, pos + 1))
-            pos += 1
-            continue
-        pos += 1
+            mark = _PUNCT.get(m.group(), QUOTE)
+            current.append(Token(mark, mark, start, end))
 
     break_clause()
     return NormalizedText(clauses=clauses)

@@ -14,11 +14,9 @@ from ..errors import InputError, SchemaError
 URL_TOKEN = "URL"
 EMOJI_TOKEN = "EMOJI"
 
-_URL_RE = re.compile(r"https?://\S+|www\.\S+", re.IGNORECASE)
-
 # pictographs, emoticons, transport, supplemental symbols, dingbats,
 # misc symbols, geometric shapes (media-player glyphs appear in tweets)
-_EMOJI_RE = re.compile(
+_EMOJI = (
     "["
     "\U0001F000-\U0001FAFF"
     "☀-➿"
@@ -28,30 +26,31 @@ _EMOJI_RE = re.compile(
     "]"
 )
 
-_WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*", re.UNICODE)
+# The one lexer behind ``tokenize`` and the annotator's ``normalize``. At
+# each position the first alternative that matches wins, so their order
+# is the priority; characters no alternative matches are skipped.
+LEXER_RE = re.compile(
+    r"(?P<url>(?i:https?://\S+|www\.\S+))"
+    rf"|(?P<emoji>{_EMOJI})"
+    r"|(?P<blank>_{2,})"
+    r"|(?P<word>[^\W_]+(?:['’][^\W_]+)*)"
+    r"|(?P<brk>[.!?;\n])"
+    r"|(?P<dash>[-—–]+)"
+    r"|(?P<punct>[:=,\"“”'])"
+)
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercased word tokens with URLs and emoji mapped to class tokens."""
     tokens: list[str] = []
-    pos = 0
-    text = text or ""
-    while pos < len(text):
-        url = _URL_RE.match(text, pos)
-        if url:
+    for m in LEXER_RE.finditer(text or ""):
+        kind = m.lastgroup
+        if kind == "word":
+            tokens.append(m.group().lower().replace("’", "'"))
+        elif kind == "url":
             tokens.append(URL_TOKEN)
-            pos = url.end()
-            continue
-        if _EMOJI_RE.match(text, pos):
+        elif kind == "emoji":
             tokens.append(EMOJI_TOKEN)
-            pos += 1
-            continue
-        word = _WORD_RE.match(text, pos)
-        if word:
-            tokens.append(word.group(0).lower().replace("’", "'"))
-            pos = word.end()
-            continue
-        pos += 1
     return tokens
 
 

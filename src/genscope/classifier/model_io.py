@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ModelFormatError
+from ..errors import InputError, ModelFormatError
 from .features import Vocabulary
 from .logistic import GenericityModel
 
@@ -144,3 +144,13 @@ def loads_model(text: str) -> GenericityModel:
 
 def load_model(path) -> GenericityModel:
     return loads_model(Path(path).read_text(encoding="utf-8"))
+
+
+def require_bow_vocab(model: GenericityModel, path) -> None:
+    """Reject a model that cannot turn text into features.
+
+    Only a bag-of-words model with a non-empty ``[vocab]`` section can
+    score text; ``path`` names the model file in the message.
+    """
+    if model.feature_kind != "bow" or model.vocab is None:
+        raise InputError(f"{path}: need a bag-of-words model with a [vocab] section")

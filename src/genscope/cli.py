@@ -25,6 +25,7 @@ from .classifier import (
     evaluate,
     load_model,
     predict_score,
+    require_bow_vocab,
     save_model,
     stack_features,
     tokenize,
@@ -33,7 +34,7 @@ from .classifier import (
 from .corpus import ingest, load_query, read_jsonl, write_jsonl
 from .errors import GenscopeError, SchemaError
 from .labeling import label_session
-from .reporting import emit_report
+from .reporting import REPORT_BLOCKS, emit_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -205,6 +206,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     texts, labels = _read_labeled(args.labeled)
     model = load_model(args.model)
+    require_bow_vocab(model, args.model)
     rows = (vectorize_bow(tokenize(t), model.vocab) for t in texts)
     scores = predict_score(model, stack_features(rows, model.dimension))
     tau = args.threshold if args.threshold is not None else model.threshold
@@ -220,6 +222,7 @@ def _cmd_eval(args) -> int:
 def _cmd_classify(args) -> int:
     report = ingest(args.corpus)
     model = load_model(args.model)
+    require_bow_vocab(model, args.model)
     tau = args.threshold if args.threshold is not None else model.threshold
     out = _out_dir(args)
     path = out / "scores.jsonl"
@@ -275,6 +278,13 @@ def _cmd_report(args) -> int:
         report = json.loads(Path(args.report).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{args.report}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    if not isinstance(report, dict) or any(
+        not isinstance(report.get(block), dict) for block in REPORT_BLOCKS
+    ):
+        raise SchemaError(
+            f"{args.report}: not a genscope report (need a JSON object with "
+            f"the blocks {', '.join(REPORT_BLOCKS)})"
+        )
     fmt = args.format or "markdown"
     written = emit_report(report, fmt, args.out or Path(args.report).parent)
     for path in written:

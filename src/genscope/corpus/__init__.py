@@ -4,6 +4,7 @@ from .groups import (
     GROUPS,
     GroupLexicon,
     PartitionedCorpus,
+    compile_terms,
     load_group_lexicon,
     match_groups,
     partition,
@@ -22,6 +23,7 @@ __all__ = [
     "GROUPS",
     "GroupLexicon",
     "PartitionedCorpus",
+    "compile_terms",
     "load_group_lexicon",
     "match_groups",
     "partition",

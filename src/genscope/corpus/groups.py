@@ -64,24 +64,27 @@ def load_group_lexicon(path) -> GroupLexicon:
     return GroupLexicon(entries=entries)
 
 
-def _contains_phrase(tokens: list[str], phrase: tuple[str, ...]) -> bool:
-    k = len(phrase)
-    target = list(phrase)
-    return any(tokens[i : i + k] == target for i in range(len(tokens) - k + 1))
+# first token -> [(the term's remaining tokens, its group set)]
+TermIndex = dict[str, list[tuple[tuple[str, ...], frozenset[str]]]]
 
 
-def match_groups(ast: QueryAst, lexicon: GroupLexicon, tweet: Tweet) -> set[str]:
+def compile_terms(ast: QueryAst, lexicon: GroupLexicon) -> TermIndex:
+    """Index the query's terms, with their group sets, by first token."""
+    index: TermIndex = {}
+    for term in ast.disjuncts:
+        groups = lexicon.groups_for(" ".join(term))
+        index.setdefault(term[0], []).append((term[1:], groups))
+    return index
+
+
+def match_groups(terms: TermIndex, tweet: Tweet) -> set[str]:
     """Union of the group sets of every query term matching the text."""
     tokens = tokenize(tweet.text)
-    token_set = set(tokens)
     matched: set[str] = set()
-    for term in ast.disjuncts:
-        if len(term) == 1:
-            hit = term[0] in token_set
-        else:
-            hit = _contains_phrase(tokens, term)
-        if hit:
-            matched |= lexicon.groups_for(" ".join(term))
+    for i, token in enumerate(tokens):
+        for rest, groups in terms.get(token, ()):
+            if tuple(tokens[i + 1 : i + 1 + len(rest)]) == rest:
+                matched |= groups
     return matched
 
 
@@ -97,10 +100,6 @@ class PartitionedCorpus:
         if name not in GROUPS:
             raise KeyError(name)
         return getattr(self, name)
-
-    @property
-    def single_group_tweets(self) -> list[Tweet]:
-        return self.political + self.gender + self.ethnic
 
     @property
     def counts(self) -> dict[str, int]:
@@ -129,11 +128,12 @@ def partition(tweets, ast: QueryAst, lexicon: GroupLexicon) -> PartitionedCorpus
     The five buckets partition the input exactly.
     """
     out = PartitionedCorpus()
+    terms = compile_terms(ast, lexicon)
     for tweet in tweets:
         if ast.lang and not _lang_matches(tweet.lang, ast.lang):
             out.unmatched.append(tweet)
             continue
-        groups = match_groups(ast, lexicon, tweet)
+        groups = match_groups(terms, tweet)
         if len(groups) == 1:
             out.group(next(iter(groups))).append(tweet)
         elif len(groups) >= 2:

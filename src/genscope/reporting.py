@@ -15,6 +15,12 @@ from pathlib import Path
 from .corpus import GROUPS
 from .errors import InputError
 
+# the top-level blocks of report.json; each is a JSON object that
+# render_markdown reads
+REPORT_BLOCKS = (
+    "provenance", "ingest", "partition", "descriptives", "h1", "h2", "h3", "h4", "h5",
+)
+
 
 def _fmt(value, digits=6) -> str:
     if isinstance(value, float):

@@ -5,7 +5,9 @@ from the library code paths it checks:
 
 * a high-precision regularized incomplete gamma (Decimal power series),
 * brute-force pair enumeration for Mann-Whitney U and ROC AUC,
-* central finite differences for gradient checks.
+* central finite differences for gradient checks,
+* the character-by-character lexers that ``tokenize`` and ``normalize``
+  replaced with one compiled regex.
 
 Keep this module free of imports from ``genscope`` so the oracles cannot
 accidentally share code with the implementations under test.
@@ -13,6 +15,7 @@ accidentally share code with the implementations under test.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal, getcontext
 
 # 85 digits of pi; enough for 60-digit working precision below.
@@ -124,3 +127,106 @@ def central_difference(f, theta, step=1e-5):
         lo[i] -= step
         grad.append((f(hi) - f(lo)) / (2.0 * step))
     return grad
+
+
+_URL_RE = re.compile(r"https?://\S+|www\.\S+", re.IGNORECASE)
+_EMOJI_RE = re.compile(
+    "["
+    "\U0001F000-\U0001FAFF"
+    "☀-➿"
+    "⬀-⯿"
+    "■-◿"
+    "\U0001F1E6-\U0001F1FF"
+    "]"
+)
+_WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*", re.UNICODE)
+_BLANK_RE = re.compile(r"_{2,}")
+
+
+def tokenize_oracle(text):
+    """Word tokens, URL and EMOJI, by trying each pattern at each position."""
+    tokens = []
+    pos = 0
+    text = text or ""
+    while pos < len(text):
+        url = _URL_RE.match(text, pos)
+        if url:
+            tokens.append("URL")
+            pos = url.end()
+            continue
+        if _EMOJI_RE.match(text, pos):
+            tokens.append("EMOJI")
+            pos += 1
+            continue
+        word = _WORD_RE.match(text, pos)
+        if word:
+            tokens.append(word.group(0).lower().replace("’", "'"))
+            pos = word.end()
+            continue
+        pos += 1
+    return tokens
+
+
+def normalize_oracle(text, abbreviations):
+    """Clauses of ``(norm, kind, start, end)`` tuples, one character at a time."""
+    clauses = []
+    current = []
+
+    def break_clause():
+        nonlocal current
+        if current:
+            clauses.append(current)
+            current = []
+
+    pos = 0
+    n = len(text or "")
+    while pos < n:
+        ch = text[pos]
+        url = _URL_RE.match(text, pos)
+        if url:
+            current.append(("URL", "URL", pos, url.end()))
+            pos = url.end()
+            continue
+        if _EMOJI_RE.match(text, pos):
+            current.append(("EMOJI", "EMOJI", pos, pos + 1))
+            pos += 1
+            continue
+        blank = _BLANK_RE.match(text, pos)
+        if blank:
+            current.append(("BLANK", "BLANK", pos, blank.end()))
+            pos = blank.end()
+            continue
+        word = _WORD_RE.match(text, pos)
+        if word:
+            surface = word.group(0).lower().replace("’", "'")
+            for part in abbreviations.get(surface, surface).split():
+                current.append((part, "word", pos, word.end()))
+            pos = word.end()
+            continue
+        if ch in ".!?;\n":
+            if ch == "?" and current:
+                current.append(("?", "?", pos, pos + 1))
+            break_clause()
+            pos += 1
+            continue
+        if ch in "-—–":
+            run_end = pos
+            while run_end < n and text[run_end] in "-—–":
+                run_end += 1
+            before_space = pos == 0 or text[pos - 1].isspace()
+            after_space = run_end >= n or text[run_end].isspace()
+            if ch != "-" or (before_space and after_space):
+                break_clause()
+            pos = run_end
+            continue
+        if ch in ":=,":
+            current.append((ch, ch, pos, pos + 1))
+            pos += 1
+            continue
+        if ch in '"“”\'':
+            current.append(('"', '"', pos, pos + 1))
+            pos += 1
+            continue
+        pos += 1
+    break_clause()
+    return clauses

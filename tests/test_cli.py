@@ -143,6 +143,26 @@ class TestTrainEvalClassify:
         expected = sigmoid(np.array([3.7, 0.7, 0.7])).tolist()
         assert [r["score"] for r in rows] == expected
 
+    def _no_vocab_model(self, tmp_path):
+        """A CRC-valid bag-of-words model whose [vocab] section is empty."""
+        model = GenericityModel(feature_kind="bow", weights=np.array([3.0]), bias=0.7)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        assert "[vocab]\n[weights]\n" in path.read_text()
+        return path
+
+    def test_eval_rejects_model_without_vocab(self, labeled_file, tmp_path, capsys):
+        model = self._no_vocab_model(tmp_path)
+        assert main(["eval", "--labeled", str(labeled_file), "--model", str(model)]) == 2
+        assert "need a bag-of-words model with a [vocab] section" in capsys.readouterr().err
+
+    def test_classify_rejects_model_without_vocab(self, small_corpus, tmp_path, capsys):
+        model = self._no_vocab_model(tmp_path)
+        argv = ["classify", "--corpus", str(small_corpus), "--model", str(model),
+                "--out", str(tmp_path / "scores")]
+        assert main(argv) == 2
+        assert "need a bag-of-words model with a [vocab] section" in capsys.readouterr().err
+
 
 class TestMalformedJson:
     """Malformed JSON in an input file exits 2 with one error line."""
@@ -160,6 +180,19 @@ class TestMalformedJson:
     )
     def test_exit_2_without_traceback(self, argv, content, tmp_path):
         bad = tmp_path / "bad.json"
+        stderr = self._run_exit_2(argv, bad, content, tmp_path)
+        assert stderr.startswith(f"error: {bad}:2: invalid JSON: ")
+
+    @pytest.mark.parametrize("content", ["[]\n", "{}\n"], ids=["list", "empty"])
+    def test_report_that_is_not_a_report(self, content, tmp_path):
+        bad = tmp_path / "bad.json"
+        argv = ["report", "--report", "{bad}", "--out", "o"]
+        stderr = self._run_exit_2(argv, bad, content, tmp_path)
+        assert stderr.startswith(f"error: {bad}: not a genscope report")
+
+    @staticmethod
+    def _run_exit_2(argv, bad, content, tmp_path):
+        """Run the CLI on ``bad``; it must exit 2 with one error line."""
         bad.write_text(content)
         argv = [str(bad) if a == "{bad}" else a for a in argv]
         env = dict(os.environ, PYTHONPATH=str(Path(genscope.__file__).parents[1]))
@@ -170,7 +203,7 @@ class TestMalformedJson:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
-        assert proc.stderr.startswith(f"error: {bad}:2: invalid JSON: ")
+        return proc.stderr
 
 
 class TestAnalyze:

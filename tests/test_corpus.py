@@ -1,11 +1,14 @@
 import io
 import json
+import random
+from importlib import resources
 
 import pytest
 
 from genscope.corpus import (
     GroupLexicon,
     Tweet,
+    compile_terms,
     ingest,
     load_group_lexicon,
     match_groups,
@@ -45,6 +48,7 @@ LEX = GroupLexicon(
     }
 )
 AST = parse_query("(democrats OR liberals OR trans OR (black people) OR (white men))")
+TERMS = compile_terms(AST, LEX)
 
 
 class TestIngest:
@@ -99,32 +103,87 @@ class TestIngest:
 
 class TestMatchGroups:
     def test_political_keyword(self):
-        got = match_groups(AST, LEX, _tweet("Democrats glorify the killing of the unborn."))
+        got = match_groups(TERMS, _tweet("Democrats glorify the killing of the unborn."))
         assert got == {"political"}
 
     def test_phrase_match(self):
-        got = match_groups(AST, LEX, _tweet("Black people are the best at everything."))
+        got = match_groups(TERMS, _tweet("Black people are the best at everything."))
         assert got == {"ethnic"}
 
     def test_no_match(self):
-        assert match_groups(AST, LEX, _tweet("hello world")) == set()
+        assert match_groups(TERMS, _tweet("hello world")) == set()
 
     def test_case_insensitive(self):
         text = "DEMOCRATS ARE loud"
-        assert match_groups(AST, LEX, _tweet(text)) == match_groups(
-            AST, LEX, _tweet(text.lower())
+        assert match_groups(TERMS, _tweet(text)) == match_groups(
+            TERMS, _tweet(text.lower())
         )
 
     def test_hashtag_matches(self):
-        assert match_groups(AST, LEX, _tweet("#democrats won")) == {"political"}
+        assert match_groups(TERMS, _tweet("#democrats won")) == {"political"}
 
     def test_phrase_respects_token_boundaries(self):
-        assert match_groups(AST, LEX, _tweet("whitewash men everywhere")) == set()
-        assert match_groups(AST, LEX, _tweet("the white menace")) == set()
+        assert match_groups(TERMS, _tweet("whitewash men everywhere")) == set()
+        assert match_groups(TERMS, _tweet("the white menace")) == set()
 
     def test_multi_group_union(self):
-        got = match_groups(AST, LEX, _tweet("trans democrats unite"))
+        got = match_groups(TERMS, _tweet("trans democrats unite"))
         assert got == {"gender", "political"}
+
+
+class TestTermIndex:
+    LEX = GroupLexicon(
+        entries={
+            "white": frozenset({"political"}),
+            "white men": frozenset({"ethnic", "gender"}),
+            "black people": frozenset({"ethnic"}),
+        }
+    )
+    TERMS = compile_terms(parse_query("(white OR (white men) OR (black people))"), LEX)
+
+    def match(self, text):
+        return match_groups(self.TERMS, _tweet(text))
+
+    def test_keyword_that_starts_a_phrase(self):
+        assert self.match("white") == {"political"}
+        assert self.match("white men") == {"political", "ethnic", "gender"}
+        assert self.match("white women") == {"political"}
+
+    def test_repeated_first_token(self):
+        assert self.match("white white men") == {"political", "ethnic", "gender"}
+        assert self.match("black black people") == {"ethnic"}
+
+    def test_phrase_as_last_tokens(self):
+        assert self.match("so many black people") == {"ethnic"}
+
+    def test_phrase_longer_than_text(self):
+        assert self.match("black") == set()
+
+    def test_hashtag_starts_phrase(self):
+        assert self.match("#white men") == {"political", "ethnic", "gender"}
+
+
+def _sliding_window_groups(ast, lexicon, tokens):
+    """Reference: every term checked at every window of the token list."""
+    matched = set()
+    for term in ast.disjuncts:
+        k = len(term)
+        if any(tuple(tokens[i : i + k]) == term for i in range(len(tokens) - k + 1)):
+            matched |= lexicon.groups_for(" ".join(term))
+    return matched
+
+
+def test_index_matches_sliding_window_on_default_query():
+    data = resources.files("genscope.data")
+    ast = parse_query((data / "default_query.txt").read_text(encoding="utf-8"))
+    lexicon = load_group_lexicon(data / "group_lexicon.tsv")
+    terms = compile_terms(ast, lexicon)
+    vocab = sorted({token for term in ast.disjuncts for token in term}) + ["the", "x"]
+    rng = random.Random(0)
+    for _ in range(3000):
+        tokens = [rng.choice(vocab) for _ in range(rng.randint(0, 8))]
+        tweet = _tweet(" ".join(tokens))
+        assert match_groups(terms, tweet) == _sliding_window_groups(ast, lexicon, tokens)
 
 
 class TestPartition:
