@@ -7,7 +7,7 @@ statistics needed to analyze group-level differences in use and impact.
 
 __version__ = "0.1.0"
 
-from .annotator import AnnotatorVerdict, RuleAnnotator, batch_annotate, classify_generic
+from .annotator import AnnotatorVerdict, RuleAnnotator
 from .classifier import (
     BagOfWordsVectorizer,
     GenericityClassifier,
@@ -39,8 +39,6 @@ __all__ = [
     "__version__",
     "AnnotatorVerdict",
     "RuleAnnotator",
-    "batch_annotate",
-    "classify_generic",
     "BagOfWordsVectorizer",
     "GenericityClassifier",
     "GenericityModel",

@@ -7,8 +7,6 @@ from .rules import (
     NON_GENERIC,
     AnnotatorVerdict,
     RuleAnnotator,
-    batch_annotate,
-    classify_generic,
 )
 
 __all__ = [
@@ -22,6 +20,4 @@ __all__ = [
     "NON_GENERIC",
     "AnnotatorVerdict",
     "RuleAnnotator",
-    "batch_annotate",
-    "classify_generic",
 ]

@@ -20,7 +20,6 @@ win, so they fire first.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from ..errors import InputError
@@ -148,6 +147,21 @@ def _is_laughter(token: str) -> bool:
     return letters <= {"a", "h"} or letters <= {"l", "o"} or (
         token.startswith("lma") and letters <= {"l", "m", "a", "o"}
     )
+
+
+def _outside_infinitives(clause: list[Token], start: int):
+    """Token indices from ``start`` on, skipping each to-infinitive
+    (including 'to ADV verb')."""
+    j = start
+    while j < len(clause):
+        if clause[j].norm == INFINITIVE_MARKER:
+            j += 1
+            while j < len(clause) and clause[j].norm in ADVERBS:
+                j += 1
+            j += 1  # the infinitive verb itself is non-finite
+            continue
+        yield j
+        j += 1
 
 
 class RuleAnnotator:
@@ -325,10 +339,6 @@ class RuleAnnotator:
 
         return self._fallback_reason(clauses, state)
 
-    def predict(self, texts) -> list[AnnotatorVerdict]:
-        """Estimator-style batch interface over ``annotate``."""
-        return [self.annotate(t) for t in texts]
-
     # --- screens -----------------------------------------------------------
 
     def _screens(self, clauses: list[list[Token]]) -> AnnotatorVerdict | None:
@@ -458,34 +468,15 @@ class RuleAnnotator:
 
     def _next_verbish(self, clause: list[Token], start: int) -> int | None:
         """Index of the next finite verb, modal, or gerund from ``start``,
-        skipping to-infinitives (including 'to ADV verb')."""
-        j = start
-        while j < len(clause):
-            if clause[j].norm == INFINITIVE_MARKER:
-                j += 1
-                while j < len(clause) and clause[j].norm in ADVERBS:
-                    j += 1
-                j += 1  # the infinitive verb itself is non-finite
-                continue
+        skipping to-infinitives."""
+        for j in _outside_infinitives(clause, start):
             if self._is_finite(clause[j]) or self._is_gerund(clause[j]):
                 return j
-            j += 1
         return None
 
     def _finite_later(self, clause: list[Token], start: int) -> bool:
         """Any finite verb from ``start`` on, skipping to-infinitives."""
-        j = start
-        while j < len(clause):
-            if clause[j].norm == INFINITIVE_MARKER:
-                j += 1
-                while j < len(clause) and clause[j].norm in ADVERBS:
-                    j += 1
-                j += 1  # the infinitive verb itself is non-finite
-                continue
-            if self._is_finite(clause[j]):
-                return True
-            j += 1
-        return False
+        return any(self._is_finite(clause[j]) for j in _outside_infinitives(clause, start))
 
     def _generic(self, kind, rule, clause, np) -> AnnotatorVerdict:
         span = (clause[np.start].start, clause[np.head].end)
@@ -852,28 +843,3 @@ class _ScanState:
             elif annotator._is_past_verb(t):
                 self.past_count += 1
 
-
-def classify_generic(text: str, lexicons: RuleLexicons | None = None) -> AnnotatorVerdict:
-    """One-shot verdict; builds a default RuleAnnotator when none is supplied."""
-    return RuleAnnotator(lexicons).annotate(text)
-
-
-def batch_annotate(items, annotator: RuleAnnotator | None = None):
-    """Annotate tweets (or raw strings); returns verdicts plus count summaries.
-
-    The summary holds one counter over generic kinds and one over
-    exclusion reasons, which is what the labeling workflow reports.
-    """
-    annotator = annotator or RuleAnnotator()
-    verdicts = []
-    kind_counts: Counter[str] = Counter()
-    reason_counts: Counter[str] = Counter()
-    for item in items:
-        text = item if isinstance(item, str) else item.text
-        verdict = annotator.annotate(text)
-        verdicts.append(verdict)
-        if verdict.is_generic:
-            kind_counts[verdict.kind] += 1
-        else:
-            reason_counts[verdict.exclusion_reason] += 1
-    return verdicts, {"kinds": dict(kind_counts), "reasons": dict(reason_counts)}

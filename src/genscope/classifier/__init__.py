@@ -3,13 +3,8 @@
 from .features import (
     BagOfWordsVectorizer,
     CsrMatrix,
-    EmbeddingTable,
-    MeanEmbeddingVectorizer,
-    SparseVector,
     Vocabulary,
     build_vocab,
-    embed_mean,
-    load_embeddings,
     stack_features,
     tokenize,
     vectorize_bow,
@@ -17,11 +12,8 @@ from .features import (
     URL_TOKEN,
 )
 from .logistic import (
-    GENERIC,
-    NON_GENERIC,
     GenericityClassifier,
     GenericityModel,
-    classify,
     loss_and_gradient,
     predict_score,
     sigmoid,
@@ -33,23 +25,15 @@ from .model_io import dumps_model, load_model, loads_model, require_bow_vocab, s
 __all__ = [
     "BagOfWordsVectorizer",
     "CsrMatrix",
-    "EmbeddingTable",
-    "MeanEmbeddingVectorizer",
-    "SparseVector",
     "Vocabulary",
     "build_vocab",
-    "embed_mean",
-    "load_embeddings",
     "stack_features",
     "tokenize",
     "vectorize_bow",
     "EMOJI_TOKEN",
     "URL_TOKEN",
-    "GENERIC",
-    "NON_GENERIC",
     "GenericityClassifier",
     "GenericityModel",
-    "classify",
     "loss_and_gradient",
     "predict_score",
     "sigmoid",

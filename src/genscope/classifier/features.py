@@ -1,15 +1,15 @@
-"""Tokenization and feature extraction: bag of words and mean-pooled embeddings."""
+"""Tokenization and bag-of-words features in a compressed sparse row matrix."""
 
 from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..base import ParamsMixin, check_fitted
-from ..errors import InputError, SchemaError
+from ..errors import InputError
 
 URL_TOKEN = "URL"
 EMOJI_TOKEN = "EMOJI"
@@ -98,35 +98,15 @@ def build_vocab(token_lists, min_count: int = 1) -> Vocabulary:
     )
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """Sorted (index, count) pairs over a fixed dimension."""
-
-    pairs: tuple[tuple[int, int], ...]
-    dimension: int
-
-    def __post_init__(self):
-        last = -1
-        for idx, count in self.pairs:
-            if idx <= last:
-                raise InputError("indices must be strictly increasing")
-            if count <= 0:
-                raise InputError("counts must be > 0")
-            if idx >= self.dimension:
-                raise InputError("index out of range for dimension")
-            last = idx
-
-
-def vectorize_bow(tokens, vocab: Vocabulary) -> SparseVector:
-    """Count in-vocabulary tokens; out-of-vocabulary tokens are dropped."""
+def vectorize_bow(tokens, vocab: Vocabulary) -> list[tuple[int, int]]:
+    """Sorted (index, count) pairs of the in-vocabulary tokens;
+    out-of-vocabulary tokens are dropped."""
     counts: dict[int, int] = {}
     for token in tokens:
         idx = vocab.index.get(token)
         if idx is not None:
             counts[idx] = counts.get(idx, 0) + 1
-    return SparseVector(
-        pairs=tuple(sorted(counts.items())), dimension=vocab.size
-    )
+    return sorted(counts.items())
 
 
 class CsrMatrix:
@@ -192,76 +172,17 @@ class CsrMatrix:
         )
 
 
-def stack_features(vectors, dimension: int) -> CsrMatrix:
-    """One CSR row per SparseVector from an iterable; every vector must
-    have ``dimension``. Vectors are copied into flat buffers as they come,
-    so a generator never holds them all."""
+def stack_features(rows, n_cols: int) -> CsrMatrix:
+    """One CSR row per list of (index, count) pairs from an iterable.
+    Rows are copied into flat buffers as they come, so a generator never
+    holds them all; the CsrMatrix checks the column range once."""
     indptr, indices, data = array("q", [0]), array("q"), array("d")
-    for v in vectors:
-        if v.dimension != dimension:
-            raise InputError(
-                f"feature dimension {v.dimension} does not match {dimension}"
-            )
-        for idx, count in v.pairs:
+    for pairs in rows:
+        for idx, count in pairs:
             indices.append(idx)
             data.append(count)
         indptr.append(len(indices))
-    return CsrMatrix(indptr, indices, data, dimension)
-
-
-@dataclass
-class EmbeddingTable:
-    """Fixed-dimension word vectors with a drop-to-zero OOV policy."""
-
-    vectors: dict[str, np.ndarray]
-    dimension: int
-    oov_policy: str = "zero_vector"
-
-    def __post_init__(self):
-        if self.dimension <= 0:
-            raise InputError("embedding dimension must be > 0")
-        for token, vec in self.vectors.items():
-            if vec.shape != (self.dimension,):
-                raise SchemaError(
-                    f"vector for {token!r} has length {vec.shape[0]}, "
-                    f"expected {self.dimension}"
-                )
-
-
-def load_embeddings(path) -> EmbeddingTable:
-    """Read a text embedding table: header ``d <dim>``, then one
-    ``token v1 .. vd`` line per word."""
-    vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "d":
-            raise SchemaError("embedding file must start with 'd <dim>'")
-        try:
-            dim = int(header[1])
-        except ValueError:
-            raise SchemaError(f"bad embedding dimension {header[1]!r}") from None
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != dim + 1:
-                raise SchemaError(
-                    f"line {lineno}: expected {dim} values, got {len(parts) - 1}"
-                )
-            vectors[parts[0]] = np.array([float(v) for v in parts[1:]])
-    return EmbeddingTable(vectors=vectors, dimension=dim)
-
-
-def embed_mean(tokens, table: EmbeddingTable) -> tuple[np.ndarray, bool]:
-    """Mean of in-table token vectors.
-
-    Returns (vector, all_oov); an all-OOV input yields the zero vector
-    with the flag set.
-    """
-    hits = [table.vectors[t] for t in tokens if t in table.vectors]
-    if not hits:
-        return np.zeros(table.dimension), True
-    return np.mean(hits, axis=0), False
+    return CsrMatrix(indptr, indices, data, n_cols)
 
 
 class BagOfWordsVectorizer(ParamsMixin):
@@ -286,19 +207,3 @@ class BagOfWordsVectorizer(ParamsMixin):
     def fit_transform(self, texts) -> CsrMatrix:
         return self.fit(texts).transform(texts)
 
-
-class MeanEmbeddingVectorizer(ParamsMixin):
-    """Transform texts to mean-pooled word vectors from a loaded table."""
-
-    def __init__(self, table: EmbeddingTable | None = None):
-        self.table = table
-
-    def fit(self, texts=None):
-        if self.table is None:
-            raise InputError("MeanEmbeddingVectorizer needs a loaded table")
-        return self
-
-    def transform(self, texts) -> np.ndarray:
-        if self.table is None:
-            raise InputError("MeanEmbeddingVectorizer needs a loaded table")
-        return np.vstack([embed_mean(tokenize(t), self.table)[0] for t in texts])

@@ -20,16 +20,7 @@ from ..base import (
     check_fitted,
 )
 from ..errors import InputError, TrainingError
-from .features import (
-    BagOfWordsVectorizer,
-    CsrMatrix,
-    SparseVector,
-    Vocabulary,
-    stack_features,
-)
-
-GENERIC = "generic"
-NON_GENERIC = "non_generic"
+from .features import BagOfWordsVectorizer, CsrMatrix, Vocabulary
 
 DEFAULT_LEARNING_RATE = 0.1
 DEFAULT_EPOCHS = 500
@@ -78,9 +69,9 @@ def loss_and_gradient(weights, bias, features, labels, l2):
 
 @dataclass
 class GenericityModel:
-    """Trained scorer: weights, bias, decision threshold, and provenance."""
+    """Trained bag-of-words scorer: weights, bias, decision threshold,
+    and provenance."""
 
-    feature_kind: str  # "bow" or "embedding"
     weights: np.ndarray
     bias: float
     threshold: float = DEFAULT_THRESHOLD
@@ -93,8 +84,6 @@ class GenericityModel:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.feature_kind not in ("bow", "embedding"):
-            raise InputError(f"unknown feature_kind {self.feature_kind!r}")
         if not 0.0 < self.threshold < 1.0:
             raise InputError("threshold must be in (0, 1)")
         if self.vocab is not None and self.vocab.size != self.weights.size:
@@ -113,7 +102,6 @@ def train_logistic(
     epochs: int = DEFAULT_EPOCHS,
     seed: int = DEFAULT_SEED,
     threshold: float = DEFAULT_THRESHOLD,
-    feature_kind: str = "bow",
     vocab: Vocabulary | None = None,
 ) -> GenericityModel:
     """Fit weights by deterministic full-batch gradient descent.
@@ -156,7 +144,6 @@ def train_logistic(
         history.append(loss)
 
     return GenericityModel(
-        feature_kind=feature_kind,
         weights=w,
         bias=b,
         threshold=threshold,
@@ -169,44 +156,16 @@ def train_logistic(
     )
 
 
-def predict_score(model: GenericityModel, features):
-    """Genericity score sigma(w.x + b) in [0, 1].
-
-    Accepts one SparseVector or dense vector (returns a float), or a
-    CsrMatrix, a list of SparseVectors or a 2-D matrix (returns an array
-    with one score per row; an empty list gives an empty array).
-    """
-    single = isinstance(features, SparseVector)
-    if single:
-        features = [features]
-    if isinstance(features, (list, tuple)) and all(
-        isinstance(f, SparseVector) for f in features
-    ):
-        x = stack_features(features, model.dimension)
-    elif isinstance(features, CsrMatrix):
-        x = features
-    else:
-        arr = np.asarray(features, dtype=float)
-        single = arr.ndim == 1
-        x = as_feature_matrix(arr)
+def predict_score(model: GenericityModel, features) -> np.ndarray:
+    """Genericity scores sigma(w.x + b) in [0, 1], one per row of a
+    CsrMatrix or a dense matrix (a dense vector is one row)."""
+    x = _as_features(features)
     if x.shape[1] != model.dimension:
         raise InputError(
             f"feature dimension {x.shape[1]} does not match model "
             f"dimension {model.dimension}"
         )
-    scores = sigmoid(x @ model.weights + model.bias)
-    return float(scores[0]) if single else scores
-
-
-def classify(model: GenericityModel, features, threshold: float | None = None):
-    """Binary decision: generic iff score >= threshold (default: model's)."""
-    tau = model.threshold if threshold is None else threshold
-    if not 0.0 < tau < 1.0:
-        raise InputError("threshold must be in (0, 1)")
-    scores = predict_score(model, features)
-    if isinstance(scores, float):
-        return scores >= tau
-    return scores >= tau
+    return sigmoid(x @ model.weights + model.bias)
 
 
 class GenericityClassifier(ParamsMixin):
@@ -258,7 +217,6 @@ class GenericityClassifier(ParamsMixin):
             epochs=self.epochs,
             seed=self.seed,
             threshold=self.threshold,
-            feature_kind="bow",
             vocab=self.vectorizer_.vocabulary_,
         )
         return x

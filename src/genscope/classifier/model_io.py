@@ -12,7 +12,7 @@ Layout (UTF-8, \\n newlines):
     epochs 500
     bias -0.125
     [vocab]
-    <token> <index>        (bow models only)
+    <token> <index>        (one per weight; empty for a model with no vocabulary)
     [weights]
     <index> <value>        (repr precision, round-trips bit-exactly)
     checksum <crc32 hex of all preceding bytes>
@@ -20,6 +20,7 @@ Layout (UTF-8, \\n newlines):
 
 from __future__ import annotations
 
+import math
 import zlib
 from pathlib import Path
 
@@ -31,12 +32,14 @@ from .logistic import GenericityModel
 
 FORMAT_VERSION = "v1"
 MAGIC = "GENERICITY-MODEL"
+# the only feature kind; written so that files keep their layout
+FEATURE_KIND = "bow"
 
 
 def dumps_model(model: GenericityModel) -> str:
     lines = [
         f"{MAGIC} {FORMAT_VERSION}",
-        f"feature_kind {model.feature_kind}",
+        f"feature_kind {FEATURE_KIND}",
         f"dimension {model.dimension}",
         f"threshold {model.threshold!r}",
         f"lambda {model.l2!r}",
@@ -61,6 +64,27 @@ def save_model(model: GenericityModel, path) -> None:
     Path(path).write_text(dumps_model(model), encoding="utf-8", newline="\n")
 
 
+def _parse(kind, text: str, what: str):
+    """``kind(text)`` for ``int`` or ``float``; a value that does not parse,
+    or a float that is not finite, is a ModelFormatError naming ``what``."""
+    try:
+        value = kind(text)
+    except ValueError:
+        pass
+    else:
+        if kind is int or math.isfinite(value):
+            return value
+    expected = "an integer" if kind is int else "a finite number"
+    raise ModelFormatError(f"{what}: {text!r} is not {expected}")
+
+
+def _check_permutation(indices, dimension: int, section: str) -> None:
+    if sorted(indices) != list(range(dimension)):
+        raise ModelFormatError(
+            f"{section} indices are not each of 0..{dimension - 1} once"
+        )
+
+
 def loads_model(text: str) -> GenericityModel:
     lines = text.splitlines()
     if not lines:
@@ -68,7 +92,7 @@ def loads_model(text: str) -> GenericityModel:
 
     if not lines[-1].startswith("checksum "):
         raise ModelFormatError("missing checksum line (file truncated?)")
-    stated = lines[-1].split()[1]
+    stated = lines[-1].partition(" ")[2].strip()
     body = "\n".join(lines[:-1]) + "\n"
     actual = f"{zlib.crc32(body.encode('utf-8')) & 0xFFFFFFFF:08x}"
     if stated != actual:
@@ -98,59 +122,68 @@ def loads_model(text: str) -> GenericityModel:
     for key in required:
         if key not in fields:
             raise ModelFormatError(f"missing header field {key!r}")
+    if fields["feature_kind"] != FEATURE_KIND:
+        raise ModelFormatError(
+            f"feature_kind: {fields['feature_kind']!r} is not {FEATURE_KIND!r}"
+        )
+    dimension = _parse(int, fields["dimension"], "dimension")
 
     vocab_index: dict[str, int] = {}
     i += 1
     while i < len(lines) and lines[i] != "[weights]":
         token, _, idx = lines[i].rpartition(" ")
-        vocab_index[token] = int(idx)
+        vocab_index[token] = _parse(int, idx, f"vocab line {lines[i]!r}")
         i += 1
     if i == len(lines):
         raise ModelFormatError("missing [weights] section")
 
-    dimension = int(fields["dimension"])
-    weights = np.zeros(dimension)
-    seen = 0
-    for line in lines[i + 1 : -1]:
-        idx_s, _, value = line.partition(" ")
-        idx = int(idx_s)
-        if idx >= dimension:
-            raise ModelFormatError(f"weight index {idx} out of range")
-        weights[idx] = float(value)
-        seen += 1
-    if seen != dimension:
+    # counted before the weights are allocated, so a huge dimension is
+    # rejected without taking its memory
+    weight_lines = lines[i + 1 : -1]
+    if len(weight_lines) != dimension:
         raise ModelFormatError(
-            f"expected {dimension} weights, found {seen}"
+            f"expected {dimension} weights, found {len(weight_lines)}"
         )
+    indices, values = [], []
+    for line in weight_lines:
+        idx, _, value = line.partition(" ")
+        indices.append(_parse(int, idx, f"weight line {line!r}"))
+        values.append(_parse(float, value, f"weight line {line!r}"))
+    _check_permutation(indices, dimension, "[weights]")
+    weights = np.zeros(dimension)
+    weights[np.asarray(indices, dtype=np.intp)] = values
 
     vocab = None
     if vocab_index:
-        if len(vocab_index) != dimension:
-            raise ModelFormatError("vocabulary size does not match dimension")
+        _check_permutation(vocab_index.values(), dimension, "[vocab]")
         vocab = Vocabulary(index=vocab_index, min_count=1)
 
     return GenericityModel(
-        feature_kind=fields["feature_kind"],
         weights=weights,
-        bias=float(fields.get("bias", "0.0")),
-        threshold=float(fields["threshold"]),
-        l2=float(fields["lambda"]),
-        seed=int(fields["seed"]),
-        learning_rate=float(fields.get("learning_rate", "0.1")),
-        epochs=int(fields.get("epochs", "0")),
+        bias=_parse(float, fields.get("bias", "0.0"), "bias"),
+        threshold=_parse(float, fields["threshold"], "threshold"),
+        l2=_parse(float, fields["lambda"], "lambda"),
+        seed=_parse(int, fields["seed"], "seed"),
+        learning_rate=_parse(float, fields.get("learning_rate", "0.1"), "learning_rate"),
+        epochs=_parse(int, fields.get("epochs", "0"), "epochs"),
         vocab=vocab,
     )
 
 
 def load_model(path) -> GenericityModel:
-    return loads_model(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ModelFormatError(f"{path}: not UTF-8 text") from None
+    try:
+        return loads_model(text)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
 
 
 def require_bow_vocab(model: GenericityModel, path) -> None:
-    """Reject a model that cannot turn text into features.
-
-    Only a bag-of-words model with a non-empty ``[vocab]`` section can
-    score text; ``path`` names the model file in the message.
-    """
-    if model.feature_kind != "bow" or model.vocab is None:
+    """Reject a model that cannot turn text into features: one whose
+    ``[vocab]`` section is empty. ``path`` names the model file in the
+    message."""
+    if model.vocab is None:
         raise InputError(f"{path}: need a bag-of-words model with a [vocab] section")

@@ -278,15 +278,21 @@ def _cmd_report(args) -> int:
         report = json.loads(Path(args.report).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{args.report}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    except ValueError as exc:  # not UTF-8, or an integer too long to convert
+        raise SchemaError(f"{args.report}: {exc}") from None
+    not_a_report = SchemaError(
+        f"{args.report}: not a genscope report (need a JSON object with "
+        f"the blocks {', '.join(REPORT_BLOCKS)} and the keys they hold)"
+    )
     if not isinstance(report, dict) or any(
         not isinstance(report.get(block), dict) for block in REPORT_BLOCKS
     ):
-        raise SchemaError(
-            f"{args.report}: not a genscope report (need a JSON object with "
-            f"the blocks {', '.join(REPORT_BLOCKS)})"
-        )
+        raise not_a_report
     fmt = args.format or "markdown"
-    written = emit_report(report, fmt, args.out or Path(args.report).parent)
+    try:
+        written = emit_report(report, fmt, args.out or Path(args.report).parent)
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError):
+        raise not_a_report from None
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

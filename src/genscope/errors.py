@@ -27,7 +27,3 @@ class InputError(GenscopeError):
 
 class TrainingError(GenscopeError):
     """Optimization produced a non-finite loss or otherwise diverged."""
-
-
-class DegenerateDataError(GenscopeError):
-    """A statistic is undefined on the given data (e.g. zero variance)."""

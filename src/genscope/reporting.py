@@ -234,43 +234,41 @@ def render_markdown(report: dict) -> str:
     return "\n".join(out) + "\n"
 
 
-def emit_report(report: dict, fmt: str, out_dir) -> list[Path]:
-    """Write report.json, the table file, and histogram data files."""
-    if fmt not in ("markdown", "csv"):
-        raise InputError("format must be 'markdown' or 'csv'")
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot create output directory: {exc}") from exc
-
-    written: list[Path] = []
-
-    json_path = out / "report.json"
-    json_path.write_text(
-        json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
-    written.append(json_path)
-
+def _render_files(report: dict, fmt: str) -> dict[str, bytes]:
+    """File name -> bytes of every file ``emit_report`` writes."""
+    text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    files = {"report.json": text}
     if fmt == "markdown":
-        table_path = out / "report.md"
-        table_path.write_text(render_markdown(report), encoding="utf-8", newline="\n")
+        files["report.md"] = render_markdown(report)
     else:
-        table_path = out / "report.csv"
-        table_path.write_text(render_csv(report), encoding="utf-8", newline="\n")
-    written.append(table_path)
-
+        files["report.csv"] = render_csv(report)
     hists = report.get("descriptives", {}).get("score_histograms", {})
     for name in sorted(hists):
-        hist_path = out / f"genericity_hist_{name}.csv"
+        if Path(name).name != name or "\0" in name:
+            raise ValueError(f"histogram name {name!r} is not a plain file name part")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["bin_left", "count"])
         for left, count in hists[name]:
             writer.writerow([repr(float(left)), count])
-        hist_path.write_text(buf.getvalue(), encoding="utf-8", newline="\n")
-        written.append(hist_path)
+        files[f"genericity_hist_{name}.csv"] = buf.getvalue()
+    return {file: text.encode("utf-8") for file, text in files.items()}
 
-    return written
+
+def emit_report(report: dict, fmt: str, out_dir) -> list[Path]:
+    """Write report.json, the table file, and histogram data files.
+
+    Every file is rendered before the first one is written, so a report
+    that cannot be rendered leaves ``out_dir`` untouched.
+    """
+    if fmt not in ("markdown", "csv"):
+        raise InputError("format must be 'markdown' or 'csv'")
+    files = _render_files(report, fmt)
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory: {exc}") from exc
+    for name, data in files.items():
+        (out / name).write_bytes(data)
+    return [out / name for name in files]

@@ -6,10 +6,8 @@ from .contingency import (
     OddsRatioResult,
     chi_square_gof,
     chi_square_independence,
-    load_contingency_csv,
     odds_ratio,
 )
-from .normality import KSResult, ks_normality
 from .ranks import rank_with_ties, tie_term
 from .rank_tests import (
     DunnResult,
@@ -22,7 +20,6 @@ from .rank_tests import (
 from .special import (
     chi_square_sf,
     erfc,
-    kolmogorov_sf,
     normal_sf,
     regularized_gamma_p,
     regularized_gamma_q,
@@ -34,10 +31,7 @@ __all__ = [
     "OddsRatioResult",
     "chi_square_gof",
     "chi_square_independence",
-    "load_contingency_csv",
     "odds_ratio",
-    "KSResult",
-    "ks_normality",
     "rank_with_ties",
     "tie_term",
     "DunnResult",
@@ -48,7 +42,6 @@ __all__ = [
     "mann_whitney_u",
     "chi_square_sf",
     "erfc",
-    "kolmogorov_sf",
     "normal_sf",
     "regularized_gamma_p",
     "regularized_gamma_q",

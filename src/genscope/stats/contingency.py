@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InputError, SchemaError
+from ..errors import InputError
 from .special import chi_square_sf
 
 LOW_EXPECTED_THRESHOLD = 5.0
@@ -51,31 +50,6 @@ class ContingencyTable:
     @property
     def col_totals(self) -> np.ndarray:
         return self.counts.sum(axis=0)
-
-
-def load_contingency_csv(path) -> ContingencyTable:
-    """Read a labeled table: header row of column labels (first cell
-    empty or a caption), then one row label plus counts per line."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    if len(rows) < 3:
-        raise SchemaError("contingency CSV needs a header and at least 2 rows")
-    col_labels = tuple(c.strip() for c in rows[0][1:])
-    row_labels = []
-    counts = []
-    for line_number, row in enumerate(rows[1:], start=2):
-        if len(row) != len(col_labels) + 1:
-            raise SchemaError(
-                f"line {line_number}: expected {len(col_labels)} counts"
-            )
-        row_labels.append(row[0].strip())
-        try:
-            counts.append([int(c) for c in row[1:]])
-        except ValueError as exc:
-            raise SchemaError(f"line {line_number}: {exc}") from None
-    return ContingencyTable(
-        np.array(counts), row_labels=tuple(row_labels), col_labels=col_labels
-    )
 
 
 @dataclass

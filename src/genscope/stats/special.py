@@ -113,19 +113,3 @@ def normal_sf(z: float) -> float:
         raise InputError("z must be finite")
     return 0.5 * erfc(z / math.sqrt(2.0))
 
-
-def kolmogorov_sf(t: float) -> float:
-    """Survival function of the Kolmogorov distribution.
-
-    Q(t) = 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 t^2); the alternating series
-    converges after a handful of terms for t of practical size.
-    """
-    if t <= 0.0:
-        return 1.0
-    total = 0.0
-    for j in range(1, 101):
-        term = math.exp(-2.0 * j * j * t * t)
-        total += term if j % 2 == 1 else -term
-        if term < 1e-16:
-            break
-    return min(1.0, max(0.0, 2.0 * total))

@@ -7,8 +7,6 @@ import pytest
 from genscope.annotator import (
     AnnotatorVerdict,
     RuleAnnotator,
-    batch_annotate,
-    classify_generic,
     normalize,
 )
 from genscope.annotator.lexicons import RuleLexicons
@@ -217,25 +215,6 @@ class TestRobustness:
         assert threaded == serial
 
 
-class TestBatchAnnotate:
-    def test_counts(self):
-        verdicts, summary = batch_annotate(
-            [
-                "Democrats glorify the killing of the unborn.",
-                "Men can cook",
-                "Democrats blocked the bill",
-            ]
-        )
-        assert [v.label for v in verdicts] == ["generic", "generic", "non_generic"]
-        assert summary["kinds"] == {"bare": 1, "hedged": 1}
-        assert summary["reasons"] == {"past_tense_only": 1}
-
-    def test_empty_corpus(self):
-        verdicts, summary = batch_annotate([])
-        assert verdicts == []
-        assert summary == {"kinds": {}, "reasons": {}}
-
-
 class TestLexicons:
     def test_default_loads(self):
         lex = RuleLexicons.default()
@@ -255,9 +234,6 @@ class TestLexicons:
                 irregular_pasts=lex.irregular_pasts,
                 interjections=lex.interjections,
             )
-
-    def test_classify_generic_convenience(self):
-        assert classify_generic("Democrats block the bill").is_generic
 
     def test_elliptical_marker_removal_disables_cue(self):
         base = RuleLexicons.default()

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from importlib import resources
 from pathlib import Path
 
@@ -13,9 +14,10 @@ import pytest
 
 import genscope
 from genscope.analysis import load_published_tables
-from genscope.classifier import GenericityModel, Vocabulary, save_model, sigmoid
+from genscope.classifier import GenericityModel, Vocabulary, dumps_model, save_model, sigmoid
 from genscope.cli import main
 from genscope.corpus import write_jsonl
+from genscope.reporting import REPORT_BLOCKS
 from genscope.synth import generate_corpus, generate_training_texts
 
 BUNDLED_CORPUS = str(resources.files("genscope.data") / "synthetic_corpus.jsonl")
@@ -69,6 +71,24 @@ class TestAnnotate:
         assert len(rows) == 120
         assert {"id", "label", "kind", "reason", "rule"} <= set(rows[0])
 
+    def test_prints_verdict_counts(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        texts = [
+            "Democrats glorify the killing of the unborn.",
+            "Men can cook",
+            "Democrats blocked the bill",
+        ]
+        records = list(generate_corpus(n=3, seed=1))
+        for record, text in zip(records, texts):
+            record["text"] = text
+        write_jsonl(records, corpus)
+        argv = ["annotate", "--corpus", str(corpus), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert lines[0] == "kinds:"
+        assert sorted(lines[1:3]) == ["       1  bare", "       1  hedged"]
+        assert lines[3:] == ["exclusion reasons:", "       1  past_tense_only"]
+
 
 class TestTrainEvalClassify:
     def test_full_model_lifecycle(self, labeled_file, small_corpus, tmp_path, capsys):
@@ -105,7 +125,6 @@ class TestTrainEvalClassify:
     def _one_word_model(self, tmp_path):
         """Weight 3.0 on "zebra", bias 0.7: texts without "zebra" score sigmoid(0.7)."""
         model = GenericityModel(
-            feature_kind="bow",
             weights=np.array([3.0]),
             bias=0.7,
             vocab=Vocabulary(index={"zebra": 0}, min_count=1),
@@ -143,9 +162,27 @@ class TestTrainEvalClassify:
         expected = sigmoid(np.array([3.7, 0.7, 0.7])).tolist()
         assert [r["score"] for r in rows] == expected
 
+    def test_classify_score_at_threshold_is_generic(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        records = list(generate_corpus(n=1, seed=1))
+        records[0]["text"] = "cats and dogs"  # out of vocabulary: sigmoid(0.7)
+        write_jsonl(records, corpus)
+        model = self._one_word_model(tmp_path)
+        score = sigmoid(np.array([0.7])).tolist()[0]
+        labels = []
+        for tau in (score, np.nextafter(score, 1.0)):
+            out = tmp_path / "scores"
+            argv = ["classify", "--corpus", str(corpus), "--model", str(model),
+                    "--out", str(out), "--threshold", repr(float(tau))]
+            assert main(argv) == 0
+            (row,) = [json.loads(l) for l in (out / "scores.jsonl").read_text().splitlines()]
+            assert row["score"] == score
+            labels.append(row["label"])
+        assert labels == ["generic", "non_generic"]
+
     def _no_vocab_model(self, tmp_path):
         """A CRC-valid bag-of-words model whose [vocab] section is empty."""
-        model = GenericityModel(feature_kind="bow", weights=np.array([3.0]), bias=0.7)
+        model = GenericityModel(weights=np.array([3.0]), bias=0.7)
         path = tmp_path / "model.txt"
         save_model(model, path)
         assert "[vocab]\n[weights]\n" in path.read_text()
@@ -183,12 +220,27 @@ class TestMalformedJson:
         stderr = self._run_exit_2(argv, bad, content, tmp_path)
         assert stderr.startswith(f"error: {bad}:2: invalid JSON: ")
 
-    @pytest.mark.parametrize("content", ["[]\n", "{}\n"], ids=["list", "empty"])
+    @pytest.mark.parametrize(
+        "content",
+        ["[]\n", "{}\n", json.dumps({block: {} for block in REPORT_BLOCKS})],
+        ids=["list", "empty", "blocks-without-keys"],
+    )
     def test_report_that_is_not_a_report(self, content, tmp_path):
         bad = tmp_path / "bad.json"
         argv = ["report", "--report", "{bad}", "--out", "o"]
         stderr = self._run_exit_2(argv, bad, content, tmp_path)
         assert stderr.startswith(f"error: {bad}: not a genscope report")
+        assert not (tmp_path / "o").exists()
+
+    def test_model_with_malformed_field(self, labeled_file, tmp_path):
+        model = GenericityModel(weights=np.array([3.0]), bias=0.7)
+        text = dumps_model(model).replace("\ndimension 1\n", "\ndimension abc\n")
+        body = text[: text.rindex("checksum ")]
+        content = body + f"checksum {zlib.crc32(body.encode()) & 0xFFFFFFFF:08x}\n"
+        bad = tmp_path / "model.txt"
+        argv = ["eval", "--labeled", str(labeled_file), "--model", "{bad}"]
+        stderr = self._run_exit_2(argv, bad, content, tmp_path)
+        assert stderr.startswith(f"error: {bad}: dimension: 'abc'")
 
     @staticmethod
     def _run_exit_2(argv, bad, content, tmp_path):

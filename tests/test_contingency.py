@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from genscope.errors import InputError, SchemaError
+from genscope.errors import InputError
 from genscope.stats import (
     ContingencyTable,
     chi_square_gof,
     chi_square_independence,
-    load_contingency_csv,
     odds_ratio,
 )
 
@@ -102,34 +101,6 @@ class TestIndependence:
             ContingencyTable(np.array([[1, -2], [3, 4]]))
         with pytest.raises(InputError):
             ContingencyTable(np.array([1, 2, 3]))
-
-
-class TestContingencyCsv:
-    def test_load_labeled_table(self, tmp_path):
-        path = tmp_path / "table.csv"
-        path.write_text(
-            "sentiment,political,gender,ethnic\n"
-            "positive,5027,8920,5786\n"
-            "neutral,23229,6987,11443\n"
-            "negative,116533,15939,45813\n"
-        )
-        table = load_contingency_csv(path)
-        assert table.col_labels == ("political", "gender", "ethnic")
-        assert table.row_labels == ("positive", "neutral", "negative")
-        res = chi_square_independence(table)
-        assert res.chi2 == pytest.approx(23019.12, abs=2.0)
-
-    def test_ragged_rows_rejected(self, tmp_path):
-        path = tmp_path / "table.csv"
-        path.write_text(",a,b\nx,1\ny,2,3\n")
-        with pytest.raises(SchemaError):
-            load_contingency_csv(path)
-
-    def test_non_integer_rejected(self, tmp_path):
-        path = tmp_path / "table.csv"
-        path.write_text(",a,b\nx,1,oops\ny,2,3\n")
-        with pytest.raises(SchemaError):
-            load_contingency_csv(path)
 
 
 class TestOddsRatio:

@@ -1,0 +1,131 @@
+"""Property: on a malformed report or model file, the CLI exits 0, 1, 2 or 3.
+
+``report --report`` gets JSON reports with random values under the report
+blocks, and ``eval --model`` gets model files with one line replaced and
+the checksum recomputed, so the damage reaches the parser. ``main`` runs
+in-process; any exception other than ``SystemExit`` fails the test.
+"""
+
+import copy
+import json
+import zlib
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from genscope.classifier import GenericityClassifier, dumps_model
+from genscope.cli import main
+from genscope.corpus import write_jsonl
+from genscope.reporting import REPORT_BLOCKS
+from genscope.synth import generate_corpus
+
+EXIT_CODES = {0, 1, 2, 3}
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+HEADS = [
+    "feature_kind", "dimension", "threshold", "lambda", "seed", "learning_rate",
+    "epochs", "bias", "good", "thing", "0", "1", "-1", "[vocab]", "[weights]", "",
+]
+VALUES = (
+    st.sampled_from([
+        "abc", "nan", "inf", "-inf", "-1", "0", "1", "2", "1e308", "-1e308",
+        "0.5", "1.5", "bow", "embedding", "", "1 2", "99999999999",
+    ])
+    | st.integers(-5, 10**4).map(str)
+    | st.floats().map(repr)
+    | st.text(max_size=6)
+)
+LINES = st.text(max_size=20) | st.builds("{} {}".format, st.sampled_from(HEADS), VALUES)
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("exit_codes")
+
+
+@pytest.fixture(scope="module")
+def base_report(workdir):
+    corpus = workdir / "corpus.jsonl"
+    write_jsonl(generate_corpus(n=120, seed=3), corpus)
+    assert main(["analyze", "--corpus", str(corpus), "--out", str(workdir / "base")]) == 0
+    return json.loads((workdir / "base" / "report.json").read_text())
+
+
+def _paths(node, prefix=()):
+    """The key path of every value below ``node``."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def damaged_reports(draw, base):
+    """``base`` with one to three values replaced by random JSON or deleted."""
+    report = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        block = draw(st.sampled_from(REPORT_BLOCKS))
+        paths = [p for p in _paths(report) if p[0] == block]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        parent = report
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(JSON)
+        else:
+            del parent[path[-1]]
+    return report
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=st.data(), fmt=st.sampled_from(["markdown", "csv"]))
+def test_report_exit_code(workdir, base_report, data, fmt):
+    report = data.draw(
+        damaged_reports(base_report) | st.dictionaries(st.sampled_from(REPORT_BLOCKS), JSON)
+    )
+    path = workdir / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    argv = ["report", "--report", str(path), "--format", fmt, "--out", str(workdir / "out")]
+    assert exit_code(argv) in EXIT_CODES
+
+
+@pytest.fixture(scope="module")
+def base_model(workdir):
+    texts = ["good thing here", "good stuff here", "bad thing there", "bad stuff there"]
+    labels = [1, 1, 0, 0]
+    write_jsonl(
+        ({"text": t, "label": l} for t, l in zip(texts, labels)), workdir / "labeled.jsonl"
+    )
+    clf = GenericityClassifier(min_count=1, epochs=20).fit(texts, labels)
+    return dumps_model(clf.model_).splitlines()[:-1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=st.data(), line=LINES)
+def test_eval_model_exit_code(workdir, base_model, data, line):
+    lines = list(base_model)
+    lines[data.draw(st.integers(0, len(lines) - 1))] = line
+    body = "\n".join(lines) + "\n"
+    path = workdir / "model.txt"
+    path.write_text(
+        body + f"checksum {zlib.crc32(body.encode()) & 0xFFFFFFFF:08x}\n", encoding="utf-8"
+    )
+    argv = ["eval", "--labeled", str(workdir / "labeled.jsonl"), "--model", str(path)]
+    assert exit_code(argv) in EXIT_CODES

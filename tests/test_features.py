@@ -6,16 +6,12 @@ from genscope.classifier import (
     URL_TOKEN,
     BagOfWordsVectorizer,
     CsrMatrix,
-    EmbeddingTable,
-    SparseVector,
     build_vocab,
-    embed_mean,
-    load_embeddings,
     loss_and_gradient,
     tokenize,
     vectorize_bow,
 )
-from genscope.errors import InputError, SchemaError
+from genscope.errors import InputError
 
 
 class TestTokenize:
@@ -65,29 +61,17 @@ class TestVocabulary:
 class TestBagOfWords:
     def test_counts(self):
         vocab = build_vocab([["a", "b"]], min_count=1)
-        vec = vectorize_bow(["a", "a", "b"], vocab)
-        assert vec.pairs == ((0, 2), (1, 1))
-        assert vec.dimension == 2
+        assert vectorize_bow(["a", "a", "b"], vocab) == [(0, 2), (1, 1)]
 
     def test_oov_dropped(self):
         vocab = build_vocab([["a", "b"]], min_count=1)
-        vec = vectorize_bow(["c"], vocab)
-        assert vec.pairs == ()
-        assert vec.dimension == 2
+        assert vectorize_bow(["c"], vocab) == []
 
     def test_order_invariance(self):
         vocab = build_vocab([["a", "b", "c"]], min_count=1)
         assert vectorize_bow(["a", "b", "c", "a"], vocab) == vectorize_bow(
             ["c", "a", "a", "b"], vocab
         )
-
-    def test_sparse_vector_invariants(self):
-        with pytest.raises(InputError):
-            SparseVector(pairs=((1, 1), (0, 1)), dimension=3)
-        with pytest.raises(InputError):
-            SparseVector(pairs=((0, 0),), dimension=3)
-        with pytest.raises(InputError):
-            SparseVector(pairs=((5, 1),), dimension=3)
 
     def test_vectorizer_estimator_api(self):
         v = BagOfWordsVectorizer(min_count=1)
@@ -104,8 +88,8 @@ class TestBagOfWords:
         assert x.shape == (4, v.vocabulary_.size)
         for i, text in enumerate(texts):
             row = slice(x.indptr[i], x.indptr[i + 1])
-            pairs = tuple(zip(x.indices[row].tolist(), x.data[row].tolist()))
-            assert pairs == vectorize_bow(tokenize(text), v.vocabulary_).pairs
+            pairs = list(zip(x.indices[row].tolist(), x.data[row].tolist()))
+            assert pairs == vectorize_bow(tokenize(text), v.vocabulary_)
 
 
 def _csr(dense):
@@ -177,58 +161,3 @@ class TestCsrMatrix:
         with pytest.raises(InputError):
             CsrMatrix(indptr, indices, data, 2)
 
-
-class TestEmbeddings:
-    def _table(self):
-        return EmbeddingTable(
-            vectors={"up": np.array([1.0, 2.0]), "down": np.array([-1.0, -2.0])},
-            dimension=2,
-        )
-
-    def test_single_token_identity(self):
-        vec, oov = embed_mean(["up"], self._table())
-        assert vec.tolist() == [1.0, 2.0]
-        assert not oov
-
-    def test_opposite_vectors_cancel(self):
-        vec, oov = embed_mean(["up", "down"], self._table())
-        assert vec.tolist() == [0.0, 0.0]
-        assert not oov
-
-    def test_all_oov_flagged(self):
-        vec, oov = embed_mean(["mystery"], self._table())
-        assert vec.tolist() == [0.0, 0.0]
-        assert oov
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(SchemaError):
-            EmbeddingTable(vectors={"x": np.array([1.0])}, dimension=2)
-
-    def test_load_table_file(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("d 3\ncat 1 2 3\ndog 0 0 1\n")
-        table = load_embeddings(path)
-        assert table.dimension == 3
-        assert table.vectors["dog"].tolist() == [0.0, 0.0, 1.0]
-
-    def test_load_corrupt_table(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("d 3\ncat 1 2\n")
-        with pytest.raises(SchemaError):
-            load_embeddings(path)
-
-    def test_mean_embedding_vectorizer(self):
-        from genscope.classifier import MeanEmbeddingVectorizer
-
-        v = MeanEmbeddingVectorizer(table=self._table()).fit()
-        x = v.transform(["up up", "up down", "mystery"])
-        assert x.shape == (3, 2)
-        assert x[0].tolist() == [1.0, 2.0]
-        assert x[1].tolist() == [0.0, 0.0]
-        assert x[2].tolist() == [0.0, 0.0]
-
-    def test_mean_embedding_vectorizer_needs_table(self):
-        from genscope.classifier import MeanEmbeddingVectorizer
-
-        with pytest.raises(InputError):
-            MeanEmbeddingVectorizer().fit()

@@ -6,7 +6,6 @@ from genscope.classifier import (
     CsrMatrix,
     GenericityClassifier,
     GenericityModel,
-    classify,
     loss_and_gradient,
     predict_score,
     train_logistic,
@@ -25,7 +24,7 @@ class TestTraining:
         assert ((scores >= 0.5).astype(int) == [1, 0]).all()
 
     def test_zero_init_scores_half(self):
-        model = GenericityModel(feature_kind="bow", weights=np.zeros(4), bias=0.0)
+        model = GenericityModel(weights=np.zeros(4), bias=0.0)
         assert predict_score(model, [1.0, -2.0, 3.0, 0.5]) == 0.5
 
     def test_loss_non_increasing(self):
@@ -64,14 +63,8 @@ class TestTraining:
             train_logistic([[1.0], [2.0]], [1, 2])
 
     def test_inconsistent_dimension_rejected(self):
-        from genscope.classifier import SparseVector
-
-        model = GenericityModel(feature_kind="bow", weights=np.zeros(3), bias=0.0)
-        for features in (
-            [1.0, 2.0],
-            CsrMatrix([0, 1], [1], [1.0], 2),
-            [SparseVector(pairs=((1, 1),), dimension=2)],
-        ):
+        model = GenericityModel(weights=np.zeros(3), bias=0.0)
+        for features in ([1.0, 2.0], CsrMatrix([0, 1], [1], [1.0], 2)):
             with pytest.raises(InputError, match="dimension"):
                 predict_score(model, features)
 
@@ -117,7 +110,7 @@ class TestGradient:
 
 class TestPrediction:
     def _model(self, w, b=0.0):
-        return GenericityModel(feature_kind="bow", weights=np.array(w, dtype=float), bias=b)
+        return GenericityModel(weights=np.array(w, dtype=float), bias=b)
 
     def test_monotone_in_logit(self):
         model = self._model([2.0])
@@ -132,28 +125,6 @@ class TestPrediction:
             1.0, abs=1e-12
         )
 
-    def test_classify_thresholds(self):
-        # score 0.62 needs logit ln(0.62/0.38)
-        logit = np.log(0.62 / 0.38)
-        model = self._model([logit], b=0.0)
-        assert classify(model, [1.0]) == True  # noqa: E712
-        assert classify(model, [1.0], threshold=0.7) == False  # noqa: E712
-
-    def test_score_at_threshold_is_generic(self):
-        model = self._model([0.0], b=0.0)  # score exactly 0.5
-        assert predict_score(model, [1.0]) == 0.5
-        assert classify(model, [1.0]) == True  # noqa: E712
-
-    def test_threshold_monotonicity(self):
-        rng = np.random.RandomState(4)
-        model = self._model(rng.randn(5))
-        x = rng.randn(200, 5)
-        counts = [
-            int(np.sum(classify(model, x, threshold=t)))
-            for t in (0.1, 0.3, 0.5, 0.7, 0.9)
-        ]
-        assert all(a >= b for a, b in zip(counts, counts[1:]))
-
     def test_permutation_invariance(self):
         rng = np.random.RandomState(5)
         w = rng.randn(6)
@@ -166,20 +137,15 @@ class TestPrediction:
         )
 
     def test_sparse_vector_inputs(self):
-        from genscope.classifier import SparseVector
-
         model = self._model([1.0, -1.0, 0.5])
-        single = SparseVector(pairs=((0, 2), (2, 1)), dimension=3)
-        batch = [single, SparseVector(pairs=(), dimension=3)]
-        assert predict_score(model, single) == pytest.approx(
-            predict_score(model, [2.0, 0.0, 1.0]), abs=0
-        )
-        scores = predict_score(model, batch)
-        assert scores.shape == (2,)
-        assert scores[1] == 0.5
         csr = CsrMatrix([0, 2, 2], [0, 2], [2.0, 1.0], 3)
-        assert predict_score(model, csr).tolist() == scores.tolist()
-        assert predict_score(model, []).shape == (0,)
+        scores = predict_score(model, csr)
+        assert scores.shape == (2,)
+        assert scores[0] == pytest.approx(
+            predict_score(model, [2.0, 0.0, 1.0])[0], abs=0
+        )
+        assert scores[1] == 0.5
+        assert predict_score(model, CsrMatrix([0], [], [], 3)).shape == (0,)
 
 
 class TestEstimatorApi:

@@ -1,8 +1,12 @@
+import zlib
+
 import numpy as np
 import pytest
 
 from genscope.classifier import (
     GenericityClassifier,
+    GenericityModel,
+    Vocabulary,
     dumps_model,
     load_model,
     loads_model,
@@ -61,17 +65,53 @@ def test_missing_checksum_line(tmp_path, trained_model):
         loads_model(truncated)
 
 
-def test_future_version_rejected(trained_model):
-    text = dumps_model(trained_model).replace(
-        "GENERICITY-MODEL v1", "GENERICITY-MODEL v2", 1
-    )
-    # recompute a valid checksum so only the version differs
-    body = "\n".join(text.splitlines()[:-1]) + "\n"
-    import zlib
+def _replace_line(text, old, new):
+    """``text`` with the line ``old`` replaced by ``new`` and a valid
+    checksum, so only that line differs."""
+    lines = text.splitlines()[:-1]
+    lines[lines.index(old)] = new
+    body = "\n".join(lines) + "\n"
+    return body + f"checksum {zlib.crc32(body.encode()) & 0xFFFFFFFF:08x}\n"
 
-    crc = zlib.crc32(body.encode()) & 0xFFFFFFFF
-    text = body + f"checksum {crc:08x}\n"
+
+def test_future_version_rejected(trained_model):
+    text = _replace_line(
+        dumps_model(trained_model), "GENERICITY-MODEL v1", "GENERICITY-MODEL v2"
+    )
     with pytest.raises(ModelFormatError, match="version"):
+        loads_model(text)
+
+
+ONE_WORD = GenericityModel(
+    weights=np.array([3.0]),
+    bias=0.7,
+    vocab=Vocabulary(index={"zebra": 0}, min_count=1),
+)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("feature_kind bow", "feature_kind embedding", "feature_kind"),
+        ("dimension 1", "dimension abc", "dimension"),
+        ("dimension 1", "dimension 99999999999", "expected 99999999999 weights"),
+        ("threshold 0.5", "threshold x", "threshold"),
+        ("lambda 0.0001", "lambda nan", "lambda"),
+        ("seed 42", "seed 4.2", "seed"),
+        ("learning_rate 0.1", "learning_rate ", "learning_rate"),
+        ("epochs 500", "epochs many", "epochs"),
+        ("bias 0.7", "bias inf", "bias"),
+        ("zebra 0", "zebra q", "zebra q"),
+        ("zebra 0", "zebra 5", r"\[vocab\] indices"),
+        ("zebra 0", "zebra -1", r"\[vocab\] indices"),
+        ("0 3.0", "0 w", "0 w"),
+        ("0 3.0", "x 3.0", "x 3.0"),
+        ("0 3.0", "1 3.0", r"\[weights\] indices"),
+    ],
+)
+def test_malformed_field_rejected(old, new, message):
+    text = _replace_line(dumps_model(ONE_WORD), old, new)
+    with pytest.raises(ModelFormatError, match=message):
         loads_model(text)
 
 

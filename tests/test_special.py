@@ -5,7 +5,7 @@ import math
 import pytest
 
 from genscope.errors import InputError
-from genscope.stats import chi_square_sf, erfc, kolmogorov_sf, normal_sf
+from genscope.stats import chi_square_sf, erfc, normal_sf
 from genscope.stats.special import regularized_gamma_p, regularized_gamma_q
 
 from oracles import gamma_q_oracle, normal_sf_oracle
@@ -78,10 +78,3 @@ def test_domain_errors():
         chi_square_sf(1.0, 0)
     with pytest.raises(InputError):
         normal_sf(float("nan"))
-
-
-def test_kolmogorov_sf_bounds_and_known_point():
-    assert kolmogorov_sf(0.0) == 1.0
-    # classic tabled value: Q(1.36) is about 0.049
-    assert kolmogorov_sf(1.36) == pytest.approx(0.049, abs=5e-4)
-    assert kolmogorov_sf(3.0) < 1e-6
