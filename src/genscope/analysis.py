@@ -5,8 +5,8 @@ genericity decision (trained model or rule annotator) and a sentiment
 label to every single-group tweet, and assembles a report dictionary in
 which every statistic sits next to the counts or sample sizes it was
 computed from. ``recompute_check`` re-derives those statistics from the
-embedded inputs, and ``reproduce_published`` runs the published-count
-golden checks used by the ``reproduce`` subcommand.
+embedded inputs, and ``reproduce_published`` rebuilds the H1/H3/H4 blocks
+from the published counts for the ``reproduce`` subcommand's checks.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -56,6 +57,8 @@ from .stats import (
 
 DEFAULT_BIN_WIDTH = 0.02
 DEFAULT_ALPHA = 0.05
+# the row order of the H4 sentiment x group table
+H4_ROWS = ("positive", "neutral", "negative")
 
 _CONFIG_KEYS = {
     "corpus",
@@ -71,6 +74,7 @@ _CONFIG_KEYS = {
     "format",
     "histogram_bin_width",
 }
+_CONFIG_NUMBERS = {"threshold": float, "alpha": float, "histogram_bin_width": float, "seed": int}
 
 
 def _bundled(name: str):
@@ -105,7 +109,7 @@ class AnalysisConfig:
     @classmethod
     def from_file(cls, path, **overrides) -> "AnalysisConfig":
         """Parse ``key = value`` lines; unknown keys are errors."""
-        values: dict[str, str] = {}
+        values: dict[str, object] = {}
         for line_number, raw in enumerate(
             Path(path).read_text(encoding="utf-8").splitlines(), start=1
         ):
@@ -115,15 +119,17 @@ class AnalysisConfig:
             if "=" not in line:
                 raise SchemaError(f"config line {line_number}: expected 'key = value'")
             key, _, value = line.partition("=")
-            key = key.strip()
+            key, value = key.strip(), value.strip()
             if key not in _CONFIG_KEYS:
                 raise SchemaError(f"config line {line_number}: unknown key {key!r}")
-            values[key] = value.strip()
-        for key in ("threshold", "alpha", "histogram_bin_width"):
-            if key in values:
-                values[key] = float(values[key])
-        if "seed" in values:
-            values["seed"] = int(values["seed"])
+            kind = _CONFIG_NUMBERS.get(key, str)
+            try:
+                values[key] = kind(value)
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise SchemaError(
+                    f"config line {line_number}: {key} must be {what}, not {value!r}"
+                ) from None
         values.update({k: v for k, v in overrides.items() if v is not None})
         if "corpus" not in values:
             raise SchemaError("config must name a corpus")
@@ -289,24 +295,42 @@ def run_analysis(config: AnalysisConfig) -> dict:
         "partition": parts.counts,
     }
 
-    report["descriptives"] = _descriptives(scored, config)
-    report["h1"] = _h1_block(scored)
+    tally = Counter((s.group, s.generic, s.sentiment) for s in scored)
+    report["descriptives"] = _descriptives(scored, tally, config)
+    report["h1"] = _h1_block(_count(tally, generic=True), _count(tally, generic=False))
     report["h2"] = _h2_block(scored)
-    report["h3"] = _h3_block(scored)
-    report["h4"] = _h4_block(scored)
+    report["h3"] = _h3_block(
+        {
+            g: {
+                "generic": _count(tally, group=g, generic=True),
+                "non_generic": _count(tally, group=g, generic=False),
+            }
+            for g in GROUPS
+        }
+    )
+    report["h4"] = _h4_block([[tally[g, True, v] for g in GROUPS] for v in H4_ROWS])
     report["h5"] = _h5_block(scored)
     return report
 
 
-def _descriptives(scored: list[ScoredTweet], config: AnalysisConfig) -> dict:
+def _count(tally: Counter, group=None, generic=None, sentiment=None) -> int:
+    """The tweets of a ``(group, generic, sentiment)`` tally that match every
+    field given; a field left at None is summed over."""
+    return sum(
+        n
+        for (g, gen, v), n in tally.items()
+        if group in (None, g) and generic in (None, gen) and sentiment in (None, v)
+    )
+
+
+def _descriptives(scored: list[ScoredTweet], tally: Counter, config: AnalysisConfig) -> dict:
     n = len(scored)
-    groups = {g: [s for s in scored if s.group == g] for g in GROUPS}
-    sentiment_counts = {
-        v: sum(1 for s in scored if s.sentiment == v) for v in SENTIMENTS
-    }
+    group_counts = {g: _count(tally, group=g) for g in GROUPS}
+    sentiment_counts = {v: _count(tally, sentiment=v) for v in SENTIMENTS}
     hists = {"overall": _histogram([s.score for s in scored], config.histogram_bin_width)}
     medians = {}
-    for g, members in groups.items():
+    for g in GROUPS:
+        members = [s for s in scored if s.group == g]
         scores = [s.score for s in members]
         hists[g] = _histogram(scores, config.histogram_bin_width)
         generic_scores = [s.score for s in members if s.generic]
@@ -316,23 +340,21 @@ def _descriptives(scored: list[ScoredTweet], config: AnalysisConfig) -> dict:
         }
     return {
         "analyzed_tweets": n,
-        "group_counts": {g: len(m) for g, m in groups.items()},
+        "group_counts": group_counts,
         "group_percent": {
-            g: (100.0 * len(m) / n if n else 0.0) for g, m in groups.items()
+            g: (100.0 * c / n if n else 0.0) for g, c in group_counts.items()
         },
         "sentiment_counts": sentiment_counts,
         "sentiment_percent": {
             v: (100.0 * c / n if n else 0.0) for v, c in sentiment_counts.items()
         },
-        "generic_count": sum(1 for s in scored if s.generic),
+        "generic_count": _count(tally, generic=True),
         "score_histograms": hists,
         "score_medians": medians,
     }
 
 
-def _h1_block(scored) -> dict:
-    n_generic = sum(1 for s in scored if s.generic)
-    n_other = len(scored) - n_generic
+def _h1_block(n_generic: int, n_other: int) -> dict:
     if n_generic + n_other == 0:
         return {"skipped": "empty corpus after partition"}
     result = chi_square_gof([n_generic, n_other])
@@ -355,39 +377,37 @@ def _h2_block(scored) -> dict:
     return block
 
 
-def _pairwise_2x2(counts: dict, pair: tuple[str, str], columns: tuple[str, str]) -> dict:
-    a, b = pair
-    cells = np.array(
-        [
-            [counts[a][columns[0]], counts[a][columns[1]]],
-            [counts[b][columns[0]], counts[b][columns[1]]],
-        ]
-    )
-    if np.any(cells.sum(axis=0) == 0) or np.any(cells.sum(axis=1) == 0):
-        return {
+def _pairwise_2x2(counts: dict, pairs, columns: tuple[str, str]) -> dict:
+    """A chi-square and odds-ratio block, named ``a_vs_b``, for each pair of
+    groups in ``counts`` (``{group: {column: n}}``)."""
+    blocks = {}
+    for a, b in pairs:
+        name = f"{a}_vs_{b}"
+        if sum(counts[a].values()) == 0 or sum(counts[b].values()) == 0:
+            blocks[name] = {"skipped": "empty group"}
+            continue
+        cells = np.array([[counts[g][c] for c in columns] for g in (a, b)])
+        if np.any(cells.sum(axis=0) == 0) or np.any(cells.sum(axis=1) == 0):
+            blocks[name] = {
+                "rows": [a, b],
+                "columns": list(columns),
+                "cells": cells.tolist(),
+                "skipped": "zero marginal",
+            }
+            continue
+        table = ContingencyTable(cells, row_labels=(a, b), col_labels=columns)
+        orr = odds_ratio(cells[0, 0], cells[0, 1], cells[1, 0], cells[1, 1])
+        blocks[name] = {
             "rows": [a, b],
             "columns": list(columns),
-            "cells": cells.tolist(),
-            "skipped": "zero marginal",
+            "chi_square": _chi2_dict(chi_square_independence(table)),
+            "odds_ratio": _or_dict(orr),
         }
-    table = ContingencyTable(cells, row_labels=(a, b), col_labels=columns)
-    orr = odds_ratio(cells[0, 0], cells[0, 1], cells[1, 0], cells[1, 1])
-    return {
-        "rows": [a, b],
-        "columns": list(columns),
-        "chi_square": _chi2_dict(chi_square_independence(table)),
-        "odds_ratio": _or_dict(orr),
-    }
+    return blocks
 
 
-def _h3_block(scored) -> dict:
-    counts = {
-        g: {
-            "generic": sum(1 for s in scored if s.group == g and s.generic),
-            "non_generic": sum(1 for s in scored if s.group == g and not s.generic),
-        }
-        for g in GROUPS
-    }
+def _h3_block(counts: dict) -> dict:
+    """H3 from ``{group: {"generic": n, "non_generic": n}}``."""
     total_generic = sum(c["generic"] for c in counts.values())
     block = {
         "group_generic_counts": counts,
@@ -404,31 +424,20 @@ def _h3_block(scored) -> dict:
             for g, c in counts.items()
         },
     }
-    for pair in (("political", "gender"), ("political", "ethnic")):
-        name = f"{pair[0]}_vs_{pair[1]}"
-        if any(sum(counts[g].values()) == 0 for g in pair):
-            block[name] = {"skipped": "empty group"}
-            continue
-        block[name] = _pairwise_2x2(counts, pair, ("generic", "non_generic"))
+    pairs = (("political", "gender"), ("political", "ethnic"))
+    block.update(_pairwise_2x2(counts, pairs, ("generic", "non_generic")))
     return block
 
 
-def _h4_block(scored) -> dict:
-    generic = [s for s in scored if s.generic]
-    if not generic:
+def _h4_block(cells) -> dict:
+    """H4 from the generic tweets' sentiment x group counts, rows
+    ``H4_ROWS`` and columns ``GROUPS``."""
+    cells = np.array(cells)
+    if not cells.any():
         return {"skipped": "empty generic stratum"}
-    cells = np.array(
-        [
-            [
-                sum(1 for s in generic if s.sentiment == v and s.group == g)
-                for g in GROUPS
-            ]
-            for v in ("positive", "neutral", "negative")
-        ]
-    )
     block: dict = {
         "sentiment_by_group": {
-            "rows": ["positive", "neutral", "negative"],
+            "rows": list(H4_ROWS),
             "columns": list(GROUPS),
             "cells": cells.tolist(),
         }
@@ -436,29 +445,20 @@ def _h4_block(scored) -> dict:
     if np.any(cells.sum(axis=0) == 0) or np.any(cells.sum(axis=1) == 0):
         block["omnibus"] = {"skipped": "zero sentiment or group marginal"}
     else:
-        table = ContingencyTable(
-            cells, row_labels=("positive", "neutral", "negative"), col_labels=GROUPS
-        )
+        table = ContingencyTable(cells, row_labels=H4_ROWS, col_labels=GROUPS)
         block["omnibus"] = _chi2_dict(chi_square_independence(table))
 
+    rows = dict(zip(H4_ROWS, block["sentiment_by_group"]["cells"]))
     negative_rest = {
         g: {
-            "negative": sum(1 for s in generic if s.group == g and s.sentiment == "negative"),
-            "neutral_or_positive": sum(
-                1 for s in generic if s.group == g and s.sentiment != "negative"
-            ),
+            "negative": rows["negative"][j],
+            "neutral_or_positive": rows["positive"][j] + rows["neutral"][j],
         }
-        for g in GROUPS
+        for j, g in enumerate(GROUPS)
     }
     block["negative_vs_rest_counts"] = negative_rest
-    for pair in (("political", "gender"), ("political", "ethnic"), ("gender", "ethnic")):
-        name = f"{pair[0]}_vs_{pair[1]}"
-        if any(sum(negative_rest[g].values()) == 0 for g in pair):
-            block[name] = {"skipped": "empty group"}
-            continue
-        block[name] = _pairwise_2x2(
-            negative_rest, pair, ("negative", "neutral_or_positive")
-        )
+    pairs = (("political", "gender"), ("political", "ethnic"), ("gender", "ethnic"))
+    block.update(_pairwise_2x2(negative_rest, pairs, ("negative", "neutral_or_positive")))
     return block
 
 
@@ -576,8 +576,51 @@ class ReproductionReport:
         return all(c.passed for c in self.checks)
 
 
+# a count row (h1.*, h3.*, h4.*) is a whole number from 0 to MAX_COUNT, so
+# that the int64 products inside an odds ratio cannot overflow
+MAX_COUNT = 10**9
+# the sample sizes the effect-size identities divide by sqrt(N) or N - 1
+_MIN_N = {"h2.n": 1, "h5.n": 2}
+
+_REQUIRED_ROWS = [
+    "h1.generic", "h1.non_generic",
+    *(f"h3.{g}.{c}" for g in GROUPS for c in ("generic", "non_generic")),
+    *(f"h4.{v}.{g}" for v in H4_ROWS for g in GROUPS),
+    "h2.n", "h2.z_likes", "h2.z_retweets",
+    "h5.n", "h5.h_likes", "h5.h_retweets",
+]
+
+# (check, key path into the h1/h3/h4 blocks, published value, tolerance)
+_TABLE_CHECKS = [
+    ("h1 gof chi2", "h1.test.chi2", 327051.32, 1.0),
+    ("h1 gof p < 1e-10", "h1.test.p", 0.0, 0.0),
+    ("h3 political-gender chi2", "h3.political_vs_gender.chi_square.chi2", 767.32, 1.0),
+    ("h3 political-gender phi", "h3.political_vs_gender.chi_square.phi", 0.030, 0.002),
+    ("h3 political-gender OR", "h3.political_vs_gender.odds_ratio.odds_ratio", 1.21, 0.005),
+    ("h3 political-gender CI low", "h3.political_vs_gender.odds_ratio.ci_low", 1.19, 0.01),
+    ("h3 political-gender CI high", "h3.political_vs_gender.odds_ratio.ci_high", 1.23, 0.01),
+    ("h3 political-ethnic chi2", "h3.political_vs_ethnic.chi_square.chi2", 6824.62, 2.0),
+    ("h3 political-ethnic OR", "h3.political_vs_ethnic.odds_ratio.odds_ratio", 0.63, 0.005),
+    ("h4 omnibus chi2", "h4.omnibus.chi2", 23019.12, 2.0),
+    ("h4 omnibus V", "h4.omnibus.cramers_v", 0.22, 0.005),
+    ("h4 political-gender chi2", "h4.political_vs_gender.chi_square.chi2", 12894.84, 2.0),
+    ("h4 political-gender phi", "h4.political_vs_gender.chi_square.phi", 0.27, 0.005),
+    ("h4 political-gender OR", "h4.political_vs_gender.odds_ratio.odds_ratio", 4.12, 0.02),
+    ("h4 political-gender CI low", "h4.political_vs_gender.odds_ratio.ci_low", 4.01, 0.02),
+    ("h4 political-gender CI high", "h4.political_vs_gender.odds_ratio.ci_high", 4.22, 0.02),
+    ("h4 political-ethnic chi2", "h4.political_vs_ethnic.chi_square.chi2", 1568.65, 2.0),
+    ("h4 political-ethnic OR", "h4.political_vs_ethnic.odds_ratio.odds_ratio", 1.55, 0.01),
+    ("h4 gender-ethnic chi2", "h4.gender_vs_ethnic.chi_square.chi2", 4763.70, 2.0),
+    ("h4 gender-ethnic OR", "h4.gender_vs_ethnic.odds_ratio.odds_ratio", 0.38, 0.005),
+]
+
+
 def load_published_tables(path=None) -> dict[str, float]:
-    """Read the key,value CSV of published counts."""
+    """Read the key,value CSV of published counts.
+
+    Every value is a finite number; count rows are whole numbers from 0 to
+    ``MAX_COUNT``, and ``h2.n``/``h5.n`` are at least 1/2.
+    """
     path = Path(path) if path else _bundled("published_tables.csv")
     values: dict[str, float] = {}
     lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -586,105 +629,71 @@ def load_published_tables(path=None) -> dict[str, float]:
         if not line or line.startswith("#") or line.lower() == "key,value":
             continue
         key, _, value = line.partition(",")
+        key, value = key.strip(), value.strip()
         if not key or not value:
             raise SchemaError(f"tables line {line_number}: expected 'key,value'")
-        values[key.strip()] = float(value)
-    required = [
-        "h1.generic", "h1.non_generic",
-        "h3.political.generic", "h3.political.non_generic",
-        "h3.gender.generic", "h3.gender.non_generic",
-        "h3.ethnic.generic", "h3.ethnic.non_generic",
-        "h4.positive.political", "h4.positive.gender", "h4.positive.ethnic",
-        "h4.neutral.political", "h4.neutral.gender", "h4.neutral.ethnic",
-        "h4.negative.political", "h4.negative.gender", "h4.negative.ethnic",
-        "h2.n", "h2.z_likes", "h2.z_retweets",
-        "h5.n", "h5.h_likes", "h5.h_retweets",
-    ]
-    missing = [k for k in required if k not in values]
+        try:
+            number = float(value)
+        except ValueError:
+            raise SchemaError(
+                f"tables line {line_number}: {key}: {value!r} is not a number"
+            ) from None
+        if not math.isfinite(number):
+            raise SchemaError(f"tables line {line_number}: {key}: {value!r} is not finite")
+        if key.startswith(("h1.", "h3.", "h4.")) and not (
+            number.is_integer() and 0 <= number <= MAX_COUNT
+        ):
+            raise SchemaError(
+                f"tables line {line_number}: {key}: {value!r} is not a whole "
+                f"number from 0 to {MAX_COUNT}"
+            )
+        if number < _MIN_N.get(key, -math.inf):
+            raise SchemaError(
+                f"tables line {line_number}: {key}: {value!r} is below {_MIN_N[key]}"
+            )
+        values[key] = number
+    missing = [k for k in _REQUIRED_ROWS if k not in values]
     if missing:
         raise SchemaError(f"tables file is missing required rows: {missing}")
     return values
 
 
+def _lookup(blocks: dict, path: str) -> float:
+    """The number at dotted ``path``, or nan where a builder skipped the block."""
+    node = blocks
+    for key in path.split("."):
+        if not isinstance(node, dict) or key not in node:
+            return math.nan
+        node = node[key]
+    return float(node)
+
+
 def reproduce_published(path=None) -> ReproductionReport:
-    """Recompute the published statistics from their input counts."""
+    """Rebuild the H1/H3/H4 blocks from the published counts with the
+    builders ``run_analysis`` uses, and check them against the published
+    statistics."""
     t = load_published_tables(path)
+    n = {key: int(value) for key, value in t.items() if key.startswith(("h1.", "h3.", "h4."))}
+    blocks = {
+        "h1": _h1_block(n["h1.generic"], n["h1.non_generic"]),
+        "h3": _h3_block(
+            {g: {c: n[f"h3.{g}.{c}"] for c in ("generic", "non_generic")} for g in GROUPS}
+        ),
+        "h4": _h4_block([[n[f"h4.{v}.{g}"] for g in GROUPS] for v in H4_ROWS]),
+    }
     rep = ReproductionReport()
-
-    def check(name, computed, expected, tol):
-        rep.checks.append(Check(name, float(computed), expected, tol))
-
-    # one-way generic/non-generic split
-    gof = chi_square_gof([t["h1.generic"], t["h1.non_generic"]])
-    check("h1 gof chi2", gof.chi2, 327051.32, 1.0)
-    check("h1 gof p < 1e-10", 0.0 if gof.p < 1e-10 else 1.0, 0.0, 0.0)
-
-    # generic proportions by group, pairwise
-    def table2x2(rows, cols, prefix, columns):
-        cells = np.array(
-            [[t[f"{prefix}.{r}.{c}"] for c in columns] for r in rows]
-        ).astype(int)
-        return ContingencyTable(cells, row_labels=rows, col_labels=cols)
-
-    pg = table2x2(("political", "gender"), ("generic", "non_generic"), "h3",
-                  ("generic", "non_generic"))
-    res = chi_square_independence(pg)
-    orr = odds_ratio(*pg.counts.ravel())
-    check("h3 political-gender chi2", res.chi2, 767.32, 1.0)
-    check("h3 political-gender phi", res.phi, 0.030, 0.002)
-    check("h3 political-gender OR", orr.odds_ratio, 1.21, 0.005)
-    check("h3 political-gender CI low", orr.ci_low, 1.19, 0.01)
-    check("h3 political-gender CI high", orr.ci_high, 1.23, 0.01)
-
-    pe = table2x2(("political", "ethnic"), ("generic", "non_generic"), "h3",
-                  ("generic", "non_generic"))
-    res = chi_square_independence(pe)
-    orr = odds_ratio(*pe.counts.ravel())
-    check("h3 political-ethnic chi2", res.chi2, 6824.62, 2.0)
-    check("h3 political-ethnic OR", orr.odds_ratio, 0.63, 0.005)
-
-    # sentiment x group omnibus and collapsed pairs
-    cells3 = np.array(
-        [
-            [t[f"h4.{v}.{g}"] for g in ("political", "gender", "ethnic")]
-            for v in ("positive", "neutral", "negative")
-        ]
-    ).astype(int)
-    omni = chi_square_independence(ContingencyTable(cells3))
-    check("h4 omnibus chi2", omni.chi2, 23019.12, 2.0)
-    check("h4 omnibus V", omni.cramers_v, 0.22, 0.005)
-
-    def collapsed(group):
-        neg = int(t[f"h4.negative.{group}"])
-        rest = int(t[f"h4.positive.{group}"] + t[f"h4.neutral.{group}"])
-        return neg, rest
-
-    pol, gen, eth = collapsed("political"), collapsed("gender"), collapsed("ethnic")
-
-    res = chi_square_independence(ContingencyTable(np.array([pol, gen])))
-    orr = odds_ratio(pol[0], pol[1], gen[0], gen[1])
-    check("h4 political-gender chi2", res.chi2, 12894.84, 2.0)
-    check("h4 political-gender phi", res.phi, 0.27, 0.005)
-    check("h4 political-gender OR", orr.odds_ratio, 4.12, 0.02)
-    check("h4 political-gender CI low", orr.ci_low, 4.01, 0.02)
-    check("h4 political-gender CI high", orr.ci_high, 4.22, 0.02)
-
-    res = chi_square_independence(ContingencyTable(np.array([pol, eth])))
-    orr = odds_ratio(pol[0], pol[1], eth[0], eth[1])
-    check("h4 political-ethnic chi2", res.chi2, 1568.65, 2.0)
-    check("h4 political-ethnic OR", orr.odds_ratio, 1.55, 0.01)
-
-    res = chi_square_independence(ContingencyTable(np.array([gen, eth])))
-    orr = odds_ratio(gen[0], gen[1], eth[0], eth[1])
-    check("h4 gender-ethnic chi2", res.chi2, 4763.70, 2.0)
-    check("h4 gender-ethnic OR", orr.odds_ratio, 0.38, 0.005)
+    for name, key_path, published, tolerance in _TABLE_CHECKS:
+        computed = _lookup(blocks, key_path)
+        if key_path.endswith(".p"):  # published only as "p < 1e-10"; 0 means below
+            computed = computed if math.isnan(computed) else float(computed >= 1e-10)
+        rep.checks.append(Check(name, computed, published, tolerance))
 
     # effect-size identities from reported z / H and N
-    n2 = t["h2.n"]
-    check("h2 r (likes)", abs(t["h2.z_likes"]) / math.sqrt(n2), 0.0113, 0.0005)
-    check("h2 r (retweets)", abs(t["h2.z_retweets"]) / math.sqrt(n2), 0.0234, 0.0005)
-    n5 = t["h5.n"]
-    check("h5 eps2 (likes)", t["h5.h_likes"] / (n5 - 1), 0.00949, 0.0005)
-    check("h5 eps2 (retweets)", t["h5.h_retweets"] / (n5 - 1), 0.00823, 0.0005)
-
+    n2, n5 = t["h2.n"], t["h5.n"]
+    rep.checks += [
+        Check("h2 r (likes)", abs(t["h2.z_likes"]) / math.sqrt(n2), 0.0113, 0.0005),
+        Check("h2 r (retweets)", abs(t["h2.z_retweets"]) / math.sqrt(n2), 0.0234, 0.0005),
+        Check("h5 eps2 (likes)", t["h5.h_likes"] / (n5 - 1), 0.00949, 0.0005),
+        Check("h5 eps2 (retweets)", t["h5.h_retweets"] / (n5 - 1), 0.00823, 0.0005),
+    ]
     return rep

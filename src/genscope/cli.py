@@ -34,7 +34,7 @@ from .classifier import (
 from .corpus import ingest, load_query, read_jsonl, write_jsonl
 from .errors import GenscopeError, SchemaError
 from .labeling import label_session
-from .reporting import REPORT_BLOCKS, emit_report
+from .reporting import REPORT_BLOCKS, emit_report, render_markdown
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -290,6 +290,7 @@ def _cmd_report(args) -> int:
         raise not_a_report
     fmt = args.format or "markdown"
     try:
+        render_markdown(report)  # checks the keys in either format; CSV flattens any JSON
         written = emit_report(report, fmt, args.out or Path(args.report).parent)
     except (KeyError, TypeError, ValueError, IndexError, AttributeError):
         raise not_a_report from None
@@ -341,6 +342,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (GenscopeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except UnicodeDecodeError as exc:
+        print(f"error: an input file is not UTF-8: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -244,14 +244,15 @@ def _render_files(report: dict, fmt: str) -> dict[str, bytes]:
         files["report.csv"] = render_csv(report)
     hists = report.get("descriptives", {}).get("score_histograms", {})
     for name in sorted(hists):
-        if Path(name).name != name or "\0" in name:
+        file_name = f"genericity_hist_{name}.csv"
+        if Path(name).name != name or "\0" in name or len(file_name.encode("utf-8")) > 255:
             raise ValueError(f"histogram name {name!r} is not a plain file name part")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["bin_left", "count"])
         for left, count in hists[name]:
             writer.writerow([repr(float(left)), count])
-        files[f"genericity_hist_{name}.csv"] = buf.getvalue()
+        files[file_name] = buf.getvalue()
     return {file: text.encode("utf-8") for file, text in files.items()}
 
 

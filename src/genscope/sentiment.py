@@ -136,6 +136,9 @@ def load_external_labels(source) -> ExternalLabelReport:
             except json.JSONDecodeError as exc:
                 report.rejected.append((line_number, f"invalid JSON: {exc.msg}"))
                 continue
+            if not isinstance(obj, dict):
+                report.rejected.append((line_number, "record must be a JSON object"))
+                continue
             tweet_id = obj.get("id")
             sentiment = obj.get("sentiment")
             if not isinstance(tweet_id, str) or not tweet_id:

@@ -1,6 +1,7 @@
 """Pipeline recipes, config parsing, recomputability, and reproduction."""
 
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from genscope.reporting import emit_report, render_csv, render_markdown
 from genscope.synth import generate_corpus
 
 BUNDLED_CORPUS = resources.files("genscope.data") / "synthetic_corpus.jsonl"
+PUBLISHED_TABLES = resources.files("genscope.data") / "published_tables.csv"
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,22 @@ class TestConfig:
         cfg_file.write_text("corpus = a.jsonl\nthreshold = 0.6\n")
         config = AnalysisConfig.from_file(cfg_file, threshold=0.7)
         assert config.threshold == 0.7
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("threshold = abc", "threshold must be a number, not 'abc'"),
+            ("alpha = 5%", "alpha must be a number, not '5%'"),
+            ("histogram_bin_width = wide", "histogram_bin_width must be a number"),
+            ("seed = 1.5", "seed must be an integer, not '1.5'"),
+        ],
+        ids=["threshold", "alpha", "histogram_bin_width", "seed"],
+    )
+    def test_non_number_rejected(self, tmp_path, line, message):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"corpus = x\n# comment\n{line}\n")
+        with pytest.raises(SchemaError, match=re.escape(f"config line 3: {message}")):
+            AnalysisConfig.from_file(cfg_file)
 
     def test_invalid_ranges(self):
         with pytest.raises(InputError):
@@ -244,6 +262,96 @@ class TestReproduction:
         path.write_text("key,value\n")
         with pytest.raises(SchemaError, match="missing required rows"):
             reproduce_published(path)
+
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("h3.gender.generic", "abc", "is not a number"),
+            ("h3.gender.generic", "nan", "is not finite"),
+            ("h2.z_likes", "inf", "is not finite"),
+            ("h3.gender.generic", "31846.7", "is not a whole number from 0 to 1000000000"),
+            ("h4.negative.ethnic", "-1", "is not a whole number"),
+            ("h1.generic", "1e12", "is not a whole number"),
+            ("h2.n", "0", "is below 1"),
+            ("h5.n", "1", "is below 2"),
+        ],
+        ids=["abc", "nan", "inf", "fraction", "negative", "over-max", "h2-n", "h5-n"],
+    )
+    def test_bad_value_names_its_line(self, tmp_path, key, value, message):
+        lines = PUBLISHED_TABLES.read_text().splitlines()
+        number = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key},"))
+        lines[number - 1] = f"{key},{value}"
+        path = tmp_path / "tables.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=re.escape(f"tables line {number}: {key}: ")
+                           + ".*" + re.escape(message)):
+            load_published_tables(path)
+
+    def test_checks_read_the_analysis_blocks(self, bundled_report, tmp_path):
+        # a tables file holding the bundled report's own counts, z, H and N:
+        # every check must recompute the value the report holds
+        r = bundled_report
+        tables = {f"h1.{k}": v for k, v in r["h1"]["counts"].items()}
+        for g, counts in r["h3"]["group_generic_counts"].items():
+            tables.update({f"h3.{g}.{k}": v for k, v in counts.items()})
+        h4 = r["h4"]["sentiment_by_group"]
+        for v, row in zip(h4["rows"], h4["cells"]):
+            tables.update({f"h4.{v}.{g}": n for g, n in zip(h4["columns"], row)})
+        likes, retweets = r["h2"]["likes"], r["h2"]["retweets"]
+        kw_likes, kw_retweets = r["h5"]["generic"]["likes"], r["h5"]["generic"]["retweets"]
+        tables.update({
+            "h2.n": likes["n1"] + likes["n2"],
+            "h2.z_likes": likes["z"],
+            "h2.z_retweets": retweets["z"],
+            "h5.n": sum(kw_likes["group_sizes"]),
+            "h5.h_likes": kw_likes["h"],
+            "h5.h_retweets": kw_retweets["h"],
+        })
+        path = tmp_path / "tables.csv"
+        path.write_text("key,value\n" + "".join(f"{k},{v!r}\n" for k, v in tables.items()))
+
+        def at(*keys):
+            node = r
+            for key in keys:
+                node = node[key]
+            return node
+
+        expected = {
+            "h1 gof chi2": at("h1", "test", "chi2"),
+            "h1 gof p < 1e-10": float(at("h1", "test", "p") >= 1e-10),
+            "h4 omnibus chi2": at("h4", "omnibus", "chi2"),
+            "h4 omnibus V": at("h4", "omnibus", "cramers_v"),
+            "h2 r (likes)": likes["r"],
+            "h2 r (retweets)": retweets["r"],
+            "h5 eps2 (likes)": kw_likes["epsilon2"],
+            "h5 eps2 (retweets)": kw_retweets["epsilon2"],
+        }
+        stats = {
+            "chi2": ("chi_square", "chi2"),
+            "phi": ("chi_square", "phi"),
+            "OR": ("odds_ratio", "odds_ratio"),
+            "CI low": ("odds_ratio", "ci_low"),
+            "CI high": ("odds_ratio", "ci_high"),
+        }
+        for block, pair, names in [
+            ("h3", "political-gender", stats),
+            ("h3", "political-ethnic", ("chi2", "OR")),
+            ("h4", "political-gender", stats),
+            ("h4", "political-ethnic", ("chi2", "OR")),
+            ("h4", "gender-ethnic", ("chi2", "OR")),
+        ]:
+            for name in names:
+                value = at(block, pair.replace("-", "_vs_"), *stats[name])
+                expected[f"{block} {pair} {name}"] = value
+
+        checks = reproduce_published(path).checks
+        assert sorted(c.name for c in checks) == sorted(expected)
+        for check in checks:
+            if check.name.startswith(("h2", "h5")):
+                assert check.computed == pytest.approx(expected[check.name], rel=1e-12)
+            else:
+                assert check.computed == expected[check.name], check.name
 
 
 class TestHistogram:

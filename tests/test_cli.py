@@ -221,14 +221,33 @@ class TestMalformedJson:
         assert stderr.startswith(f"error: {bad}:2: invalid JSON: ")
 
     @pytest.mark.parametrize(
-        "content",
-        ["[]\n", "{}\n", json.dumps({block: {} for block in REPORT_BLOCKS})],
-        ids=["list", "empty", "blocks-without-keys"],
+        "content, fmt",
+        [
+            (content, fmt)
+            for fmt in ("markdown", "csv")
+            for content in ["[]\n", "{}\n", json.dumps({block: {} for block in REPORT_BLOCKS})]
+        ],
+        ids=[
+            "list", "empty", "blocks-without-keys",
+            "list-csv", "empty-csv", "blocks-without-keys-csv",
+        ],
     )
-    def test_report_that_is_not_a_report(self, content, tmp_path):
+    def test_report_that_is_not_a_report(self, content, fmt, tmp_path):
+        bad = tmp_path / "bad.json"
+        argv = ["report", "--report", "{bad}", "--format", fmt, "--out", "o"]
+        stderr = self._run_exit_2(argv, bad, content, tmp_path)
+        assert stderr.startswith(f"error: {bad}: not a genscope report")
+        assert not (tmp_path / "o").exists()
+
+    def test_report_with_long_histogram_name(self, small_corpus, tmp_path, capsys):
+        # genericity_hist_<name>.csv would be over the 255-byte file-name limit
+        assert main(["analyze", "--corpus", str(small_corpus), "--out", str(tmp_path / "a")]) == 0
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        hists = report["descriptives"]["score_histograms"]
+        hists["x" * 300] = hists["overall"]
         bad = tmp_path / "bad.json"
         argv = ["report", "--report", "{bad}", "--out", "o"]
-        stderr = self._run_exit_2(argv, bad, content, tmp_path)
+        stderr = self._run_exit_2(argv, bad, json.dumps(report), tmp_path)
         assert stderr.startswith(f"error: {bad}: not a genscope report")
         assert not (tmp_path / "o").exists()
 
@@ -256,6 +275,73 @@ class TestMalformedJson:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         return proc.stderr
+
+
+class TestMalformedText:
+    """A bad value or a non-UTF-8 byte in a text input exits 2 with one
+    error line (analyze may log directive warnings before it)."""
+
+    @staticmethod
+    def _run(argv, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(genscope.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "genscope", *map(str, argv)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert "Traceback" not in proc.stderr
+        return proc
+
+    def _error_line(self, argv, tmp_path):
+        proc = self._run(argv, tmp_path)
+        assert proc.returncode == 2
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+        assert errors == [proc.stderr.splitlines()[-1]]
+        return errors[0]
+
+    def test_config_value_not_a_number(self, small_corpus, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"corpus = {small_corpus}\nseed = 1.5\n")
+        line = self._error_line(["analyze", "--config", cfg], tmp_path)
+        assert line == "error: config line 2: seed must be an integer, not '1.5'"
+
+    def test_tables_value_not_a_number(self, tmp_path):
+        tables = tmp_path / "tables.csv"
+        text = (resources.files("genscope.data") / "published_tables.csv").read_text()
+        tables.write_text(text.replace("h3.gender.generic,31846", "h3.gender.generic,abc"))
+        line = self._error_line(["reproduce", "--tables", tables], tmp_path)
+        assert line == "error: tables line 6: h3.gender.generic: 'abc' is not a number"
+
+    @pytest.mark.parametrize(
+        "flag, content",
+        [
+            ("--corpus", b'{"id": "1", "text": "caf\xe9"}\n'),
+            ("--query", b"(trump OR caf\xe9)\n"),
+            ("--group-lexicon", b"political\tcaf\xe9\n"),
+            ("--valence-lexicon", b"caf\xe9\t0.5\n"),
+            ("--config", b"corpus = corpus.jsonl\n# caf\xe9\n"),
+            ("--tables", b"key,value\n# caf\xe9\n"),
+        ],
+        ids=["corpus", "query", "group-lexicon", "valence-lexicon", "config", "tables"],
+    )
+    def test_input_not_utf8(self, small_corpus, flag, content, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content)
+        if flag == "--corpus":
+            argv = ["ingest", "--corpus", bad]
+        elif flag == "--tables":
+            argv = ["reproduce", "--tables", bad]
+        else:
+            argv = ["analyze", "--corpus", small_corpus, flag, bad, "--out", "o"]
+        line = self._error_line(argv, tmp_path)
+        assert line.startswith("error: an input file is not UTF-8: ")
+
+    def test_external_sentiment_line_not_an_object(self, small_corpus, tmp_path):
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text('[1, 2]\n"x"\n{"id": "1", "sentiment": "negative"}\n')
+        argv = ["analyze", "--corpus", small_corpus, "--external-sentiment", labels,
+                "--out", "o"]
+        assert self._run(argv, tmp_path).returncode == 0
+        assert (tmp_path / "o" / "report.json").exists()
 
 
 class TestAnalyze:
@@ -345,6 +431,29 @@ class TestReproduce:
         assert main(["reproduce", "--tables", str(path)]) == 3
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    def test_zero_marginal_fails_its_checks(self, tmp_path, capsys):
+        # no generic gender tweets: the H4 omnibus and both gender pairs are
+        # skipped, so their checks read nan and fail; the rest still pass
+        tables = load_published_tables()
+        for sentiment in ("positive", "neutral", "negative"):
+            tables[f"h4.{sentiment}.gender"] = 0
+        path = tmp_path / "tables.csv"
+        path.write_text(
+            "key,value\n" + "\n".join(f"{k},{v}" for k, v in tables.items()) + "\n"
+        )
+        assert main(["reproduce", "--tables", str(path)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line.split(":")[0] for line in lines if line.startswith("[FAIL]")]
+        assert failed == [
+            "[FAIL] h4 omnibus chi2", "[FAIL] h4 omnibus V",
+            "[FAIL] h4 political-gender chi2", "[FAIL] h4 political-gender phi",
+            "[FAIL] h4 political-gender OR", "[FAIL] h4 political-gender CI low",
+            "[FAIL] h4 political-gender CI high",
+            "[FAIL] h4 gender-ethnic chi2", "[FAIL] h4 gender-ethnic OR",
+        ]
+        assert all(": computed nan," in line for line in lines if line.startswith("[FAIL]"))
+        assert lines[-1] == "9 of 24 checks FAILED"
 
     def test_unreadable_tables_is_data_error(self, tmp_path):
         assert main(["reproduce", "--tables", str(tmp_path / "nope.csv")]) == 2

@@ -1,14 +1,16 @@
-"""Property: on a malformed report or model file, the CLI exits 0, 1, 2 or 3.
+"""Property: on a malformed report, model or tables file, the CLI exits 0, 1, 2 or 3.
 
 ``report --report`` gets JSON reports with random values under the report
-blocks, and ``eval --model`` gets model files with one line replaced and
-the checksum recomputed, so the damage reaches the parser. ``main`` runs
+blocks, ``eval --model`` gets model files with one line replaced and the
+checksum recomputed, so the damage reaches the parser, and ``reproduce
+--tables`` gets the bundled tables with one line replaced. ``main`` runs
 in-process; any exception other than ``SystemExit`` fails the test.
 """
 
 import copy
 import json
 import zlib
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,3 +131,28 @@ def test_eval_model_exit_code(workdir, base_model, data, line):
     )
     argv = ["eval", "--labeled", str(workdir / "labeled.jsonl"), "--model", str(path)]
     assert exit_code(argv) in EXIT_CODES
+
+
+TABLES = (resources.files("genscope.data") / "published_tables.csv").read_text().splitlines()
+TABLE_VALUES = (
+    st.sampled_from([
+        "abc", "nan", "inf", "-inf", "-1", "0", "1", "2", "0.5", "31846.7", "31846.0",
+        "1e9", "1000000001", "1e308", "-1e308", "", "1,2",
+    ])
+    | st.integers(-5, 10**6).map(str)
+    | st.floats().map(repr)
+    | st.text(max_size=6)
+)
+TABLE_LINES = st.text(max_size=20) | st.builds(
+    "{},{}".format, st.sampled_from([line.split(",")[0] for line in TABLES]), TABLE_VALUES
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=st.data(), line=TABLE_LINES)
+def test_reproduce_tables_exit_code(workdir, data, line):
+    lines = list(TABLES)
+    lines[data.draw(st.integers(0, len(lines) - 1))] = line
+    path = workdir / "tables.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert exit_code(["reproduce", "--tables", str(path)]) in EXIT_CODES

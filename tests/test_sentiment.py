@@ -79,6 +79,14 @@ class TestExternalLabels:
         report = load_external_labels(io.StringIO(""))
         assert report.labels == {}
 
+    def test_non_object_line_rejected(self):
+        stream = io.StringIO('[1, 2]\n"x"\n{"id": "1", "sentiment": "negative"}\n')
+        report = load_external_labels(stream)
+        assert list(report.labels) == ["1"]
+        assert report.rejected == [
+            (1, "record must be a JSON object"), (2, "record must be a JSON object"),
+        ]
+
 
 class TestProvider:
     def _tweet(self, i, text):
