@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -54,6 +55,8 @@ from .stats import (
     mann_whitney_u,
     odds_ratio,
 )
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_BIN_WIDTH = 0.02
 DEFAULT_ALPHA = 0.05
@@ -103,8 +106,14 @@ class AnalysisConfig:
             raise InputError("alpha must be in (0, 1)")
         if self.format not in ("markdown", "csv"):
             raise InputError("format must be 'markdown' or 'csv'")
-        if not 0.0 < self.histogram_bin_width <= 0.5:
-            raise InputError("histogram_bin_width must be in (0, 0.5]")
+        # whole bins only: a width that does not divide 1 leaves a wider last
+        # bin, and a tiny one asks _histogram for an endless list of edges
+        width = self.histogram_bin_width
+        if not (0.001 <= width <= 0.5 and abs(1.0 / width - round(1.0 / width)) <= 1e-9):
+            raise InputError(
+                f"histogram_bin_width must be in [0.001, 0.5] and divide 1 "
+                f"into whole bins, not {width!r}"
+            )
 
     @classmethod
     def from_file(cls, path, **overrides) -> "AnalysisConfig":
@@ -192,7 +201,7 @@ def _kw_dict(result) -> dict:
     }
     if result.posthoc is not None:
         out["posthoc"] = {
-            "adjustment": result.posthoc.adjustment,
+            "adjustment": "bonferroni",
             "z": result.posthoc.z.tolist(),
             "p": result.posthoc.p.tolist(),
         }
@@ -233,12 +242,17 @@ def _score_tweets(parts: PartitionedCorpus, config: AnalysisConfig) -> list[Scor
 
     external = {}
     if config.external_sentiment:
-        external = load_external_labels(config.external_sentiment).labels
-    valence = (
-        load_valence_lexicon(config.valence_lexicon)
-        if config.valence_lexicon
-        else load_valence_lexicon()
-    )
+        loaded = load_external_labels(config.external_sentiment)
+        if loaded.rejected:
+            reasons = Counter(reason for _, reason in loaded.rejected)
+            logger.warning(
+                "%s: %d rejected line(s) skipped: %s",
+                config.external_sentiment,
+                len(loaded.rejected),
+                "; ".join(f"{reason} ({n})" for reason, n in reasons.most_common()),
+            )
+        external = loaded.labels
+    valence = load_valence_lexicon(config.valence_lexicon or None)
     provider = SentimentProvider(external=external, lexicon=valence)
 
     groups = [group for group in GROUPS for _ in parts.group(group)]
@@ -395,7 +409,7 @@ def _pairwise_2x2(counts: dict, pairs, columns: tuple[str, str]) -> dict:
                 "skipped": "zero marginal",
             }
             continue
-        table = ContingencyTable(cells, row_labels=(a, b), col_labels=columns)
+        table = ContingencyTable(cells)
         orr = odds_ratio(cells[0, 0], cells[0, 1], cells[1, 0], cells[1, 1])
         blocks[name] = {
             "rows": [a, b],
@@ -445,7 +459,7 @@ def _h4_block(cells) -> dict:
     if np.any(cells.sum(axis=0) == 0) or np.any(cells.sum(axis=1) == 0):
         block["omnibus"] = {"skipped": "zero sentiment or group marginal"}
     else:
-        table = ContingencyTable(cells, row_labels=H4_ROWS, col_labels=GROUPS)
+        table = ContingencyTable(cells)
         block["omnibus"] = _chi2_dict(chi_square_independence(table))
 
     rows = dict(zip(H4_ROWS, block["sentiment_by_group"]["cells"]))

@@ -29,13 +29,6 @@ def _data_path(name: str):
     return resources.files("genscope.data") / name
 
 
-# pattern names the engine's elliptical cues are keyed by; removing one
-# from a custom lexicon disables that cue class
-DEFAULT_ELLIPTICAL_MARKERS = frozenset(
-    ["be like", "habitual be", ":", "=", "BLANK", "EMOJI"]
-)
-
-
 @dataclass
 class RuleLexicons:
     quantifiers: frozenset[str]
@@ -46,11 +39,9 @@ class RuleLexicons:
     irregular_pasts: frozenset[str]
     interjections: frozenset[str]
     abbreviations: dict[str, str] = field(default_factory=dict)
-    elliptical_markers: frozenset[str] = DEFAULT_ELLIPTICAL_MARKERS
 
     def __post_init__(self):
-        for name in ("quantifiers", "group_nouns", "hedge_adverbs", "verbs",
-                     "elliptical_markers"):
+        for name in ("quantifiers", "group_nouns", "hedge_adverbs", "verbs"):
             if not getattr(self, name):
                 raise SchemaError(f"lexicon {name} must be non-empty")
         overlap = self.quantifiers & self.hedge_adverbs

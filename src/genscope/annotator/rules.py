@@ -33,7 +33,6 @@ from .normalize import (
     QUOTE,
     URL,
     WORD,
-    NormalizedText,
     Token,
     normalize,
 )
@@ -499,12 +498,10 @@ class RuleAnnotator:
             self._is_gerund(t) for t in clause[: np.start]
         )
 
-        markers = lex.elliptical_markers
         # "be like" anywhere after the NP is the strongest elliptical cue
-        if "be like" in markers:
-            for j in range(np.head + 1, len(clause) - 1):
-                if clause[j].norm == "be" and clause[j + 1].norm == "like":
-                    return self._generic("elliptical", "elliptical_be_like", clause, np)
+        for j in range(np.head + 1, len(clause) - 1):
+            if clause[j].norm == "be" and clause[j + 1].norm == "like":
+                return self._generic("elliptical", "elliptical_be_like", clause, np)
 
         hedge_seen = False
         j = np.head + 1
@@ -535,19 +532,19 @@ class RuleAnnotator:
                 continue
 
             if t.kind == COLON:
-                if subject and ":" in markers:
+                if subject:
                     return self._generic("elliptical", "elliptical_colon", clause, np)
                 return None
             if t.kind == EQUALS:
-                if subject and "=" in markers:
+                if subject:
                     return self._generic("elliptical", "elliptical_equals", clause, np)
                 return None
             if t.kind == BLANK:
-                if subject and "BLANK" in markers:
+                if subject:
                     return self._generic("elliptical", "elliptical_blank", clause, np)
                 return None
 
-            if norm == "be" and "habitual be" in markers:
+            if norm == "be":
                 return self._generic("elliptical", "elliptical_habitual_be", clause, np)
 
             if norm in BARE_MODALS:
@@ -584,7 +581,7 @@ class RuleAnnotator:
             if norm in ("who", "that", "which"):
                 return self._relative_pattern(clause, np, j, frame, subject)
 
-            if norm == "when" and subject and "EMOJI" in markers:
+            if norm == "when" and subject:
                 return self._generic("elliptical", "elliptical_when", clause, np)
 
             if norm in PREPOSITIONS and subject:
@@ -594,7 +591,7 @@ class RuleAnnotator:
                     j = k
                     adverb_run = False
                     continue
-                if j + 1 < len(clause) and "EMOJI" in markers:
+                if j + 1 < len(clause):
                     return self._generic("elliptical", "elliptical_image", clause, np)
                 return None
 
@@ -622,13 +619,9 @@ class RuleAnnotator:
                 return None
             nxt_words = [t.norm for t in nxt if t.kind == WORD]
             if nxt_words[:1] == ["be"]:
-                if nxt_words[1:2] == ["like"] and "be like" in lex.elliptical_markers:
+                if nxt_words[1:2] == ["like"]:
                     return self._generic("elliptical", "elliptical_be_like", clause, np)
-                if "habitual be" in lex.elliptical_markers:
-                    return self._generic(
-                        "elliptical", "elliptical_habitual_be", clause, np
-                    )
-                return None
+                return self._generic("elliptical", "elliptical_habitual_be", clause, np)
             if self._fragment_predicate(nxt):
                 return self._generic("elliptical", "elliptical_np_fragment", clause, np)
         return None
@@ -830,13 +823,8 @@ class _ScanState:
         self.present_count = 0
         self.past_count = 0
         self.np_positions: list[tuple[int, int]] = []
-        self._noted: set[int] = set()
 
     def note_clause(self, annotator: RuleAnnotator, clause: list[Token]):
-        key = id(clause)
-        if key in self._noted:
-            return
-        self._noted.add(key)
         for t in clause:
             if annotator._is_present_verb(t) or annotator._is_modal(t):
                 self.present_count += 1

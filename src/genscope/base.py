@@ -1,46 +1,14 @@
-"""Estimator plumbing: parameter introspection and input validation.
+"""Input validation shared by the estimators and the statistics.
 
-Estimators in this package follow the scikit-learn convention: constructor
-arguments are stored verbatim as attributes of the same name, fitted state
-gets a trailing underscore, and ``get_params``/``set_params`` expose the
-constructor arguments so the estimators compose with pipeline and
-grid-search tooling without a scikit-learn dependency.
+Estimators store their constructor arguments as attributes of the same
+name; fitted state gets a trailing underscore.
 """
 
 from __future__ import annotations
 
-import inspect
-
 import numpy as np
 
 from .errors import InputError
-
-
-class ParamsMixin:
-    """get_params/set_params backed by the signature of ``__init__``."""
-
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
-
-    def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise InputError(
-                    f"invalid parameter {name!r} for {type(self).__name__}; "
-                    f"valid parameters are {sorted(valid)}"
-                )
-            setattr(self, name, value)
-        return self
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
 
 def check_fitted(estimator, attribute):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..base import ParamsMixin, check_fitted
+from ..base import check_fitted
 from ..errors import InputError
 
 URL_TOKEN = "URL"
@@ -185,7 +185,7 @@ def stack_features(rows, n_cols: int) -> CsrMatrix:
     return CsrMatrix(indptr, indices, data, n_cols)
 
 
-class BagOfWordsVectorizer(ParamsMixin):
+class BagOfWordsVectorizer:
     """fit/transform wrapper over tokenize + build_vocab + vectorize_bow."""
 
     def __init__(self, min_count: int = 2):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..base import (
-    ParamsMixin,
     as_feature_matrix,
     check_binary_labels,
     check_consistent_length,
@@ -168,12 +167,11 @@ def predict_score(model: GenericityModel, features) -> np.ndarray:
     return sigmoid(x @ model.weights + model.bias)
 
 
-class GenericityClassifier(ParamsMixin):
+class GenericityClassifier:
     """Text-in classifier: bag-of-words features + logistic regression.
 
-    Follows the estimator convention: constructor stores hyperparameters,
-    ``fit(texts, labels)`` learns ``model_``, ``predict_proba`` returns
-    the genericity score, and ``predict`` applies the decision threshold.
+    The constructor stores hyperparameters, ``fit(texts, labels)`` learns
+    ``model_``, and ``predict_proba`` returns the genericity score.
     """
 
     def __init__(
@@ -224,10 +222,3 @@ class GenericityClassifier(ParamsMixin):
     def predict_proba(self, texts) -> np.ndarray:
         check_fitted(self, "model_")
         return predict_score(self.model_, self.vectorizer_.transform(texts))
-
-    def predict(self, texts) -> np.ndarray:
-        return (self.predict_proba(texts) >= self.threshold).astype(int)
-
-    def score(self, texts, labels) -> float:
-        y = check_binary_labels(labels)
-        return float(np.mean(self.predict(texts) == y))

@@ -31,6 +31,14 @@ from .classifier import (
     tokenize,
     vectorize_bow,
 )
+from .classifier.logistic import (
+    DEFAULT_EPOCHS,
+    DEFAULT_L2,
+    DEFAULT_LEARNING_RATE,
+    DEFAULT_MIN_COUNT,
+    DEFAULT_SEED,
+    DEFAULT_THRESHOLD,
+)
 from .corpus import ingest, load_query, read_jsonl, write_jsonl
 from .errors import GenscopeError, SchemaError
 from .labeling import label_session
@@ -49,49 +57,56 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value config file")
-    common.add_argument("--seed", type=int, default=None, help="training / analysis seed")
-    common.add_argument(
-        "--threshold", type=float, default=None, help="genericity decision threshold"
-    )
-    common.add_argument(
-        "--format", choices=("csv", "markdown"), default=None, help="report table format"
-    )
-    common.add_argument("--out", default=None, help="output directory")
-    return common
+# flags that several subcommands read; each subcommand declares only the
+# ones it reads, so any other flag is a usage error
+_SHARED_FLAGS = {
+    "seed": {"type": int, "help": "training / analysis seed"},
+    "threshold": {"type": float, "help": "genericity decision threshold"},
+    "format": {"choices": ("csv", "markdown"), "help": "report table format"},
+    "out": {"help": "output directory"},
+}
+
+
+def _add_flags(parser, *names, **defaults) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", default=defaults.get(name), **_SHARED_FLAGS[name])
 
 
 def build_parser() -> _Parser:
-    common = _common_flags()
     parser = _Parser(prog="genscope", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common], help="validate a JSONL corpus")
+    p = sub.add_parser("ingest", help="validate a JSONL corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--query", help="query file; enables directive filtering")
+    _add_flags(p, "out")
 
-    p = sub.add_parser("annotate", parents=[common], help="rule-annotate a corpus")
+    p = sub.add_parser("annotate", help="rule-annotate a corpus")
     p.add_argument("--corpus", required=True)
+    _add_flags(p, "out")
 
-    p = sub.add_parser("train", parents=[common], help="train the genericity classifier")
+    p = sub.add_parser("train", help="train the genericity classifier")
     p.add_argument("--labeled", required=True, help="JSONL with text and label fields")
     p.add_argument("--model-out", required=True)
-    p.add_argument("--min-count", type=int, default=2)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--l2", type=float, default=1e-4)
+    p.add_argument("--min-count", type=int, default=DEFAULT_MIN_COUNT)
+    p.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
+    p.add_argument("--learning-rate", type=float, default=DEFAULT_LEARNING_RATE)
+    p.add_argument("--l2", type=float, default=DEFAULT_L2)
+    _add_flags(p, "seed", "threshold", seed=DEFAULT_SEED, threshold=DEFAULT_THRESHOLD)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a model on labeled data")
+    p = sub.add_parser("eval", help="evaluate a model on labeled data")
     p.add_argument("--labeled", required=True)
     p.add_argument("--model", required=True)
+    _add_flags(p, "threshold")
 
-    p = sub.add_parser("classify", parents=[common], help="score a corpus with a model")
+    p = sub.add_parser("classify", help="score a corpus with a model")
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", required=True)
+    _add_flags(p, "threshold", "out")
 
-    p = sub.add_parser("analyze", parents=[common], help="run the full analysis pipeline")
+    p = sub.add_parser("analyze", help="run the full analysis pipeline")
+    p.add_argument("--config", help="key = value config file")
+    _add_flags(p, "seed", "threshold", "format", "out")
     p.add_argument("--corpus")
     p.add_argument("--model")
     p.add_argument("--query")
@@ -99,14 +114,16 @@ def build_parser() -> _Parser:
     p.add_argument("--external-sentiment")
     p.add_argument("--valence-lexicon")
 
-    p = sub.add_parser("report", parents=[common], help="re-emit tables from report.json")
+    p = sub.add_parser("report", help="re-emit tables from report.json")
     p.add_argument("--report", required=True)
+    _add_flags(p, "format", "out", format="markdown")
 
-    p = sub.add_parser("label", parents=[common], help="interactive labeling session")
+    p = sub.add_parser("label", help="interactive labeling session")
     p.add_argument("--corpus", required=True)
     p.add_argument("--limit", type=int, default=None)
+    _add_flags(p, "out")
 
-    p = sub.add_parser("reproduce", parents=[common], help="recompute published statistics")
+    p = sub.add_parser("reproduce", help="recompute published statistics")
     p.add_argument("--tables", help="published-count CSV (bundled file by default)")
 
     return parser
@@ -141,7 +158,7 @@ def _cmd_ingest(args) -> int:
     report = ingest(args.corpus, query=query)
     print(f"accepted: {report.accepted_count}")
     print(f"rejected: {report.rejected_count}")
-    for reason, count in Counter(r.reason for r in report.rejected).most_common():
+    for reason, count in report.rejected.most_common():
         print(f"  {count:>6}  {reason}")
     if args.out:
         out = _out_dir(args)
@@ -190,8 +207,8 @@ def _cmd_train(args) -> int:
         learning_rate=args.learning_rate,
         epochs=args.epochs,
         l2=args.l2,
-        seed=args.seed if args.seed is not None else 42,
-        threshold=args.threshold if args.threshold is not None else 0.5,
+        seed=args.seed,
+        threshold=args.threshold,
     )
     scores = clf.fit_predict_proba(texts, labels)
     save_model(clf.model_, args.model_out)
@@ -288,10 +305,9 @@ def _cmd_report(args) -> int:
         not isinstance(report.get(block), dict) for block in REPORT_BLOCKS
     ):
         raise not_a_report
-    fmt = args.format or "markdown"
     try:
         render_markdown(report)  # checks the keys in either format; CSV flattens any JSON
-        written = emit_report(report, fmt, args.out or Path(args.report).parent)
+        written = emit_report(report, args.format, args.out or Path(args.report).parent)
     except (KeyError, TypeError, ValueError, IndexError, AttributeError):
         raise not_a_report from None
     for path in written:

@@ -12,7 +12,6 @@ from .groups import (
 from .query import DIRECTIVES, Directive, QueryAst, load_query, parse_query
 from .records import (
     IngestReport,
-    RejectedRecord,
     Tweet,
     ingest,
     read_jsonl,
@@ -33,7 +32,6 @@ __all__ = [
     "load_query",
     "parse_query",
     "IngestReport",
-    "RejectedRecord",
     "Tweet",
     "ingest",
     "read_jsonl",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,16 +44,9 @@ class Tweet:
 
 
 @dataclass
-class RejectedRecord:
-    line_number: int
-    reason: str
-    raw: str = ""
-
-
-@dataclass
 class IngestReport:
     tweets: list[Tweet] = field(default_factory=list)
-    rejected: list[RejectedRecord] = field(default_factory=list)
+    rejected: Counter = field(default_factory=Counter)  # reason -> lines
 
     @property
     def accepted_count(self) -> int:
@@ -60,7 +54,7 @@ class IngestReport:
 
     @property
     def rejected_count(self) -> int:
-        return len(self.rejected)
+        return self.rejected.total()
 
 
 def _parse_record(obj: dict) -> Tweet:
@@ -111,8 +105,8 @@ def ingest(source, query: QueryAst | None = None) -> IngestReport:
     """Read and validate a JSON Lines corpus.
 
     ``source`` may be a path or a text stream. Per-line schema violations
-    and duplicate ids are collected in the report, never fatal; only an
-    unreadable source raises.
+    and duplicate ids are counted by reason in the report, never fatal;
+    only an unreadable source raises.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -127,31 +121,29 @@ def ingest(source, query: QueryAst | None = None) -> IngestReport:
     seen_ids: set[str] = set()
     warned_directives: set[str] = set()
     try:
-        for line_number, line in enumerate(stream, start=1):
+        for line in stream:
             line = line.strip()
             if not line:
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                report.rejected.append(
-                    RejectedRecord(line_number, f"invalid JSON: {exc.msg}", line[:200])
-                )
+                report.rejected[f"invalid JSON: {exc.msg}"] += 1
                 continue
             try:
                 tweet = _parse_record(obj)
             except ValueError as exc:
-                report.rejected.append(RejectedRecord(line_number, str(exc), line[:200]))
+                report.rejected[str(exc)] += 1
                 continue
 
             if tweet.id in seen_ids:
-                report.rejected.append(RejectedRecord(line_number, "duplicate id", line[:200]))
+                report.rejected["duplicate id"] += 1
                 continue
 
             if query is not None:
                 verdict = _apply_directives(obj, query, warned_directives)
                 if verdict is not None:
-                    report.rejected.append(RejectedRecord(line_number, verdict, line[:200]))
+                    report.rejected[verdict] += 1
                     continue
 
             seen_ids.add(tweet.id)

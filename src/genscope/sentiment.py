@@ -24,8 +24,10 @@ NEUTRAL = "neutral"
 POSITIVE = "positive"
 SENTIMENTS = (NEGATIVE, NEUTRAL, POSITIVE)
 
-DEFAULT_NEUTRAL_BAND = 0.05
-DEFAULT_NEGATION_WINDOW = 3
+# a mean valence within +-NEUTRAL_BAND is neutral; a negation flips the
+# valence of the NEGATION_WINDOW tokens after it
+NEUTRAL_BAND = 0.05
+NEGATION_WINDOW = 3
 
 
 @dataclass(frozen=True)
@@ -44,18 +46,14 @@ class SentimentLabel:
 class ValenceLexicon:
     valences: dict[str, float]
     negations: frozenset[str]
-    neutral_band: float = DEFAULT_NEUTRAL_BAND
-    negation_window: int = DEFAULT_NEGATION_WINDOW
 
     def __post_init__(self):
-        if not 0.0 < self.neutral_band < 1.0:
-            raise InputError("neutral_band must be in (0, 1)")
         bad = {t: v for t, v in self.valences.items() if not -1.0 <= v <= 1.0}
         if bad:
             raise SchemaError(f"valences outside [-1, 1]: {sorted(bad)}")
 
 
-def load_valence_lexicon(path=None, **kwargs) -> ValenceLexicon:
+def load_valence_lexicon(path=None) -> ValenceLexicon:
     """``token<TAB>valence`` per line; negation tokens are prefixed ``!``."""
     if path is None:
         path = resources.files("genscope.data") / "valence_lexicon.tsv"
@@ -77,7 +75,7 @@ def load_valence_lexicon(path=None, **kwargs) -> ValenceLexicon:
             valences[token.strip().lower()] = float(value)
         except ValueError:
             raise SchemaError(f"line {line_number}: bad valence {value!r}") from None
-    return ValenceLexicon(valences=valences, negations=frozenset(negations), **kwargs)
+    return ValenceLexicon(valences=valences, negations=frozenset(negations))
 
 
 def lexicon_score(text: str, lexicon: ValenceLexicon) -> SentimentLabel:
@@ -92,7 +90,7 @@ def lexicon_score(text: str, lexicon: ValenceLexicon) -> SentimentLabel:
     hits = 0
     for i, token in enumerate(tokens):
         if token in lexicon.negations:
-            flip_until = i + lexicon.negation_window
+            flip_until = i + NEGATION_WINDOW
             continue
         valence = lexicon.valences.get(token)
         if valence is None:
@@ -102,9 +100,9 @@ def lexicon_score(text: str, lexicon: ValenceLexicon) -> SentimentLabel:
         total += valence
         hits += 1
     score = total / hits if hits else 0.0
-    if score > lexicon.neutral_band:
+    if score > NEUTRAL_BAND:
         value = POSITIVE
-    elif score < -lexicon.neutral_band:
+    elif score < -NEUTRAL_BAND:
         value = NEGATIVE
     else:
         value = NEUTRAL

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,6 +11,8 @@ from ..errors import InputError
 from .special import chi_square_sf
 
 LOW_EXPECTED_THRESHOLD = 5.0
+# the two-sided 95% standard-normal quantile behind every odds-ratio CI
+Z_95 = 1.959964
 
 
 @dataclass
@@ -18,8 +20,6 @@ class ContingencyTable:
     """An r x c table of non-negative integer counts."""
 
     counts: np.ndarray
-    row_labels: tuple[str, ...] = ()
-    col_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         arr = np.asarray(self.counts)
@@ -30,12 +30,6 @@ class ContingencyTable:
         if np.any(arr != np.floor(arr)):
             raise InputError("contingency table counts must be integers")
         self.counts = arr.astype(np.int64)
-        if not self.row_labels:
-            self.row_labels = tuple(f"row{i}" for i in range(arr.shape[0]))
-        if not self.col_labels:
-            self.col_labels = tuple(f"col{j}" for j in range(arr.shape[1]))
-        if len(self.row_labels) != arr.shape[0] or len(self.col_labels) != arr.shape[1]:
-            raise InputError("label lengths must match table shape")
         if self.n == 0:
             raise InputError("contingency table is empty (grand total 0)")
 
@@ -57,20 +51,11 @@ class ChiSquareResult:
     chi2: float
     df: int
     p: float
-    expected: np.ndarray
     min_expected: float
     phi: float | None = None  # signed, 2x2 only
     cramers_v: float | None = None
     low_expected_warning: bool = False
     cells: np.ndarray | None = None  # observed counts, for recomputation
-
-    def summary(self) -> str:
-        parts = [f"chi2({self.df}) = {self.chi2:.4f}", f"p = {self.p:.3g}"]
-        if self.phi is not None:
-            parts.append(f"phi = {self.phi:.4f}")
-        if self.cramers_v is not None:
-            parts.append(f"V = {self.cramers_v:.4f}")
-        return ", ".join(parts)
 
 
 @dataclass
@@ -81,15 +66,9 @@ class OddsRatioResult:
     cells: tuple[float, float, float, float]
     correction_applied: bool = False
 
-    def summary(self) -> str:
-        return (
-            f"OR = {self.odds_ratio:.4f}, "
-            f"95% CI [{self.ci_low:.4f}, {self.ci_high:.4f}]"
-        )
 
-
-def chi_square_gof(observed, expected=None) -> ChiSquareResult:
-    """One-way goodness-of-fit test; expected defaults to uniform."""
+def chi_square_gof(observed) -> ChiSquareResult:
+    """One-way goodness-of-fit test against the uniform distribution."""
     obs = np.asarray(observed, dtype=float).ravel()
     if obs.size < 2:
         raise InputError("goodness-of-fit needs at least 2 categories")
@@ -98,24 +77,13 @@ def chi_square_gof(observed, expected=None) -> ChiSquareResult:
     total = obs.sum()
     if total == 0:
         raise InputError("observed counts are all zero")
-    if expected is None:
-        exp = np.full(obs.size, total / obs.size)
-    else:
-        exp = np.asarray(expected, dtype=float).ravel()
-        if exp.size != obs.size:
-            raise InputError("expected counts must match observed length")
-        if np.any(exp <= 0):
-            raise InputError("expected counts must be > 0")
-        # accept expected given as proportions
-        if not math.isclose(exp.sum(), total, rel_tol=1e-9):
-            exp = exp * (total / exp.sum())
+    exp = np.full(obs.size, total / obs.size)
     chi2 = float(np.sum((obs - exp) ** 2 / exp))
     df = obs.size - 1
     return ChiSquareResult(
         chi2=chi2,
         df=df,
         p=chi_square_sf(chi2, df),
-        expected=exp,
         min_expected=float(exp.min()),
         low_expected_warning=bool(exp.min() < LOW_EXPECTED_THRESHOLD),
         cells=obs.astype(np.int64),
@@ -154,7 +122,6 @@ def chi_square_independence(table: ContingencyTable) -> ChiSquareResult:
         chi2=chi2,
         df=df,
         p=chi_square_sf(chi2, df),
-        expected=expected,
         min_expected=float(expected.min()),
         phi=phi,
         cramers_v=cramers_v,
@@ -163,7 +130,7 @@ def chi_square_independence(table: ContingencyTable) -> ChiSquareResult:
     )
 
 
-def odds_ratio(a, b, c, d, z_crit: float = 1.959964) -> OddsRatioResult:
+def odds_ratio(a, b, c, d) -> OddsRatioResult:
     """Odds ratio ad/(bc) with a log-normal 95% confidence interval.
 
     Zero cells get the Haldane-Anscombe +0.5 correction applied to all
@@ -180,8 +147,8 @@ def odds_ratio(a, b, c, d, z_crit: float = 1.959964) -> OddsRatioResult:
     log_or = math.log(orr)
     return OddsRatioResult(
         odds_ratio=orr,
-        ci_low=math.exp(log_or - z_crit * se),
-        ci_high=math.exp(log_or + z_crit * se),
+        ci_low=math.exp(log_or - Z_95 * se),
+        ci_high=math.exp(log_or + Z_95 * se),
         cells=(float(a), float(b), float(c), float(d)),
         correction_applied=corrected,
     )

@@ -29,24 +29,13 @@ class MannWhitneyResult:
     z: float
     p: float
     r: float  # rank-biserial effect size |z| / sqrt(N)
-    tie_correction: float
     degenerate: bool = False
-
-    def summary(self) -> str:
-        if self.degenerate:
-            return "U test degenerate (all values tied)"
-        return (
-            f"U = {self.u1:.6g}, z = {self.z:.4f}, "
-            f"p = {self.p:.3g}, r = {self.r:.4f}"
-        )
 
 
 @dataclass
 class DunnResult:
     z: np.ndarray  # k x k, antisymmetric
-    p: np.ndarray  # k x k, adjusted, symmetric
-    adjustment: str
-    n_pairs: int
+    p: np.ndarray  # k x k, Bonferroni-adjusted, symmetric
 
 
 @dataclass
@@ -57,17 +46,8 @@ class KruskalWallisResult:
     epsilon2: float
     mean_ranks: tuple[float, ...]
     group_sizes: tuple[int, ...]
-    tie_correction: float
-    posthoc: DunnResult | None = None
+    posthoc: DunnResult | None = None  # None when degenerate
     degenerate: bool = False
-
-    def summary(self) -> str:
-        if self.degenerate:
-            return "H test degenerate (all values tied)"
-        return (
-            f"H({self.df}) = {self.h:.4f}, p = {self.p:.3g}, "
-            f"eps2 = {self.epsilon2:.5f}"
-        )
 
 
 def mann_whitney_u(sample_a, sample_b) -> MannWhitneyResult:
@@ -92,8 +72,7 @@ def mann_whitney_u(sample_a, sample_b) -> MannWhitneyResult:
         return MannWhitneyResult(
             u1=u1, u2=u2, n1=n1, n2=n2,
             mean_rank_a=r1 / n1, mean_rank_b=r2 / n2,
-            z=0.0, p=1.0, r=0.0,
-            tie_correction=0.0, degenerate=True,
+            z=0.0, p=1.0, r=0.0, degenerate=True,
         )
 
     z = (u1 - n1 * n2 / 2.0) / math.sqrt(var)
@@ -102,7 +81,6 @@ def mann_whitney_u(sample_a, sample_b) -> MannWhitneyResult:
         u1=u1, u2=u2, n1=n1, n2=n2,
         mean_rank_a=r1 / n1, mean_rank_b=r2 / n2,
         z=z, p=p, r=abs(z) / math.sqrt(n),
-        tie_correction=1.0 - ties / (n**3 - n) if n > 1 else 1.0,
     )
 
 
@@ -115,9 +93,9 @@ def _rank_groups(groups):
     return samples, sizes, pooled, np.split(ranks, split)
 
 
-def kruskal_wallis(groups, posthoc: bool = True,
-                   adjustment: str = "bonferroni") -> KruskalWallisResult:
-    """Kruskal-Wallis H test across k >= 2 independent samples."""
+def kruskal_wallis(groups) -> KruskalWallisResult:
+    """Kruskal-Wallis H test across k >= 2 independent samples, with
+    Dunn's post-hoc unless every value is tied."""
     if len(groups) < 2:
         raise InputError("kruskal_wallis needs at least 2 groups")
     samples, sizes, pooled, group_ranks = _rank_groups(groups)
@@ -134,8 +112,7 @@ def kruskal_wallis(groups, posthoc: bool = True,
     if correction <= 0.0:
         return KruskalWallisResult(
             h=0.0, df=k - 1, p=1.0, epsilon2=0.0,
-            mean_ranks=mean_ranks, group_sizes=tuple(sizes),
-            tie_correction=0.0, degenerate=True,
+            mean_ranks=mean_ranks, group_sizes=tuple(sizes), degenerate=True,
         )
 
     h_raw = 12.0 / (n * (n + 1)) * sum(
@@ -143,28 +120,23 @@ def kruskal_wallis(groups, posthoc: bool = True,
     ) - 3.0 * (n + 1)
     h = h_raw / correction
 
-    result = KruskalWallisResult(
+    return KruskalWallisResult(
         h=h,
         df=k - 1,
         p=chi_square_sf(max(h, 0.0), k - 1),
         epsilon2=h / (n - 1),
         mean_ranks=mean_ranks,
         group_sizes=tuple(sizes),
-        tie_correction=correction,
+        posthoc=dunn_posthoc(groups),
     )
-    if posthoc:
-        result.posthoc = dunn_posthoc(groups, adjustment=adjustment)
-    return result
 
 
-def dunn_posthoc(groups, adjustment: str = "bonferroni") -> DunnResult:
+def dunn_posthoc(groups) -> DunnResult:
     """Dunn's pairwise z tests on the pooled midranks.
 
-    With adjustment="bonferroni" each two-sided p is multiplied by the
-    number of pairs and clamped to 1.
+    Bonferroni adjustment: each two-sided p is multiplied by the number
+    of pairs and clamped to 1.
     """
-    if adjustment not in ("bonferroni", "none"):
-        raise InputError("adjustment must be 'bonferroni' or 'none'")
     if len(groups) < 2:
         raise InputError("dunn_posthoc needs at least 2 groups")
     samples, sizes, pooled, group_ranks = _rank_groups(groups)
@@ -186,8 +158,6 @@ def dunn_posthoc(groups, adjustment: str = "bonferroni") -> DunnResult:
             else:
                 zij = (mean_ranks[i] - mean_ranks[j]) / math.sqrt(var)
             pij = min(1.0, 2.0 * normal_sf(abs(zij)))
-            if adjustment == "bonferroni":
-                pij = min(1.0, pij * n_pairs)
             z[i, j], z[j, i] = zij, -zij
-            p[i, j] = p[j, i] = pij
-    return DunnResult(z=z, p=p, adjustment=adjustment, n_pairs=n_pairs)
+            p[i, j] = p[j, i] = min(1.0, pij * n_pairs)
+    return DunnResult(z=z, p=p)

@@ -171,7 +171,7 @@ def test_criterion_05_rank_test_oracle_suite():
             mw = mann_whitney_u(a, b)
             if mw.degenerate:
                 continue
-            kw = kruskal_wallis([a, b], posthoc=False)
+            kw = kruskal_wallis([a, b])
             assert kw.h == pytest.approx(mw.z**2, abs=1e-6)
             checked += 1
 

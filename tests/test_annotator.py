@@ -234,14 +234,3 @@ class TestLexicons:
                 irregular_pasts=lex.irregular_pasts,
                 interjections=lex.interjections,
             )
-
-    def test_elliptical_marker_removal_disables_cue(self):
-        base = RuleLexicons.default()
-        from dataclasses import replace
-
-        no_colon = replace(
-            base, elliptical_markers=base.elliptical_markers - {":"}
-        )
-        text = "democrats: pure chaos"
-        assert RuleAnnotator(base).annotate(text).matched_rule == "elliptical_colon"
-        assert not RuleAnnotator(no_colon).annotate(text).is_generic

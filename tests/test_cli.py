@@ -15,7 +15,7 @@ import pytest
 import genscope
 from genscope.analysis import load_published_tables
 from genscope.classifier import GenericityModel, Vocabulary, dumps_model, save_model, sigmoid
-from genscope.cli import main
+from genscope.cli import build_parser, main
 from genscope.corpus import write_jsonl
 from genscope.reporting import REPORT_BLOCKS
 from genscope.synth import generate_corpus, generate_training_texts
@@ -38,6 +38,46 @@ def labeled_file(tmp_path):
         ({"text": t, "label": l} for t, l in zip(texts, labels)), path
     )
     return path
+
+
+# subcommand -> (its required arguments, the shared flags it reads, one it does not)
+SUBCOMMAND_FLAGS = {
+    "ingest": (["--corpus", "c.jsonl"], ["--out"], "--seed"),
+    "annotate": (["--corpus", "c.jsonl"], ["--out"], "--threshold"),
+    "train": (["--labeled", "l.jsonl", "--model-out", "m.txt"], ["--seed", "--threshold"], "--out"),
+    "eval": (["--labeled", "l.jsonl", "--model", "m.txt"], ["--threshold"], "--format"),
+    "classify": (["--corpus", "c.jsonl", "--model", "m.txt"], ["--threshold", "--out"], "--config"),
+    "analyze": ([], ["--config", "--seed", "--threshold", "--format", "--out"], "--tables"),
+    "report": (["--report", "r.json"], ["--format", "--out"], "--seed"),
+    "label": (["--corpus", "c.jsonl"], ["--out"], "--format"),
+    "reproduce": ([], [], "--out"),
+}
+FLAG_VALUES = {
+    "--config": "run.cfg", "--seed": "7", "--threshold": "0.6", "--format": "csv",
+    "--out": "o", "--tables": "t.csv",
+}
+
+
+class TestFlags:
+    """Each subcommand takes exactly the shared flags it reads."""
+
+    @pytest.mark.parametrize("command", SUBCOMMAND_FLAGS)
+    def test_reads_its_flags(self, command):
+        required, reads, _ = SUBCOMMAND_FLAGS[command]
+        argv = [command, *required]
+        for flag in reads:
+            argv += [flag, FLAG_VALUES[flag]]
+        args = build_parser().parse_args(argv)
+        for flag in reads:
+            assert str(getattr(args, flag[2:])) == FLAG_VALUES[flag]
+
+    @pytest.mark.parametrize("command", SUBCOMMAND_FLAGS)
+    def test_rejects_a_flag_it_does_not_read(self, command, capsys):
+        required, _, unread = SUBCOMMAND_FLAGS[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required, unread, FLAG_VALUES[unread]])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {unread}" in capsys.readouterr().err
 
 
 class TestIngest:
@@ -342,6 +382,26 @@ class TestMalformedText:
                 "--out", "o"]
         assert self._run(argv, tmp_path).returncode == 0
         assert (tmp_path / "o" / "report.json").exists()
+
+    def test_external_sentiment_rejected_line_is_logged(self, small_corpus, tmp_path):
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text('[1, 2]\n{"id": "1", "sentiment": "negative"}\n')
+        argv = ["analyze", "--corpus", small_corpus, "--external-sentiment", labels,
+                "--out", "o"]
+        proc = self._run(argv, tmp_path)
+        assert proc.returncode == 0
+        assert f"{labels}: 1 rejected line(s) skipped: record must be a JSON object (1)" \
+            in proc.stderr.splitlines()
+
+    @pytest.mark.parametrize("width", ["1e-300", "0.3"])
+    def test_histogram_width_must_divide_one(self, small_corpus, tmp_path, width):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"corpus = {small_corpus}\nhistogram_bin_width = {width}\n")
+        line = self._error_line(["analyze", "--config", cfg], tmp_path)
+        assert line == (
+            "error: histogram_bin_width must be in [0.001, 0.5] and divide 1 "
+            f"into whole bins, not {float(width)!r}"
+        )
 
 
 class TestAnalyze:

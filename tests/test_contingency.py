@@ -32,14 +32,6 @@ class TestGoodnessOfFit:
         assert res.df == 1
         assert res.p < 1e-10
 
-    def test_expected_must_be_positive(self):
-        with pytest.raises(InputError):
-            chi_square_gof([5, 5], expected=[10, 0])
-
-    def test_expected_given_as_proportions(self):
-        res = chi_square_gof([30, 70], expected=[0.5, 0.5])
-        assert res.chi2 == pytest.approx(16.0, abs=1e-12)
-
 
 class TestIndependence:
     def test_flat_table_is_null(self):

@@ -60,12 +60,12 @@ class TestIngest:
     def test_duplicate_id(self):
         report = ingest(_jsonl(_record(1), _record(1)))
         assert report.accepted_count == 1
-        assert report.rejected[0].reason == "duplicate id"
+        assert list(report.rejected)[0] == "duplicate id"
 
     def test_negative_count(self):
         report = ingest(_jsonl(_record(1, like_count=-1)))
         assert report.accepted_count == 0
-        assert report.rejected[0].reason == "negative count"
+        assert list(report.rejected)[0] == "negative count"
 
     def test_schema_violations_not_fatal(self):
         report = ingest(
@@ -77,7 +77,7 @@ class TestIngest:
     def test_invalid_json_line(self):
         report = ingest(io.StringIO('{"id": "1"\nnot json\n'))
         assert report.accepted_count == 0
-        assert all("invalid JSON" in r.reason for r in report.rejected)
+        assert all("invalid JSON" in r for r in report.rejected)
 
     def test_unknown_keys_ignored(self):
         report = ingest(_jsonl(_record(1, extra_field="zzz")))
@@ -94,7 +94,7 @@ class TestIngest:
             query=ast,
         )
         assert [t.id for t in report.tweets] == ["2", "3"]
-        assert report.rejected[0].reason == "filtered by -is:retweet"
+        assert list(report.rejected)[0] == "filtered by -is:retweet"
 
     def test_bool_not_accepted_as_count(self):
         report = ingest(_jsonl(_record(1, like_count=True)))

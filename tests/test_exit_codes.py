@@ -1,15 +1,22 @@
-"""Property: on a malformed report, model or tables file, the CLI exits 0, 1, 2 or 3.
+"""Property: on a malformed corpus, report, model or tables file, the CLI
+exits 0, 1, 2 or 3.
 
-``report --report`` gets JSON reports with random values under the report
-blocks, ``eval --model`` gets model files with one line replaced and the
-checksum recomputed, so the damage reaches the parser, and ``reproduce
---tables`` gets the bundled tables with one line replaced. ``main`` runs
-in-process; any exception other than ``SystemExit`` fails the test.
+``ingest`` and ``analyze`` get small corpora mixing valid records, records
+with one field replaced or deleted, and lines of random text; ``analyze``
+must also write the same bytes when run twice. ``report --report`` gets
+JSON reports with random values under the report blocks, ``eval --model``
+gets model files with one line replaced and the checksum recomputed, so
+the damage reaches the parser, and ``reproduce --tables`` gets the bundled
+tables with one line replaced. ``main`` runs in-process; any exception
+other than ``SystemExit`` fails the test.
 """
 
 import copy
+import io
 import json
+import shutil
 import zlib
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import pytest
@@ -53,9 +60,72 @@ def exit_code(argv):
         return exc.code
 
 
+def quiet_exit_code(argv):
+    """``exit_code`` with the CLI's output captured; no traceback may reach stderr."""
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+        code = exit_code(argv)
+    assert "Traceback" not in stderr.getvalue()
+    return code
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("exit_codes")
+
+
+RECORDS = generate_corpus(n=60, seed=11)
+RECORD_KEYS = ["id", "text", "like_count", "retweet_count", "lang", "possibly_sensitive"]
+
+
+@st.composite
+def corpus_lines(draw):
+    """Up to 12 lines: valid records (ids may repeat), records with one
+    field replaced by random JSON or deleted, and random text."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["record", "damaged", "text"]))
+        if kind == "text":
+            lines.append(draw(st.text(max_size=20)))
+            continue
+        record = dict(draw(st.sampled_from(RECORDS)))
+        if kind == "damaged":
+            key = draw(st.sampled_from(RECORD_KEYS))
+            if draw(st.booleans()):
+                record[key] = draw(JSON)
+            else:
+                del record[key]
+        lines.append(json.dumps(record))
+    return lines
+
+
+def write_corpus(workdir, lines):
+    path = workdir / "corpus_random.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(lines=corpus_lines())
+def test_ingest_exit_code(workdir, lines):
+    path = write_corpus(workdir, lines)
+    argv = ["ingest", "--corpus", str(path), "--out", str(workdir / "ingested")]
+    assert quiet_exit_code(argv) in EXIT_CODES
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(lines=corpus_lines())
+def test_analyze_exit_code_and_determinism(workdir, lines):
+    path = write_corpus(workdir, lines)
+    runs = []
+    for name in ("first", "second"):
+        out = workdir / "analyzed" / name
+        shutil.rmtree(out, ignore_errors=True)
+        code = quiet_exit_code(["analyze", "--corpus", str(path), "--out", str(out)])
+        assert code in EXIT_CODES
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        runs.append((code, files))
+    assert runs[0] == runs[1]
 
 
 @pytest.fixture(scope="module")

@@ -149,24 +149,6 @@ class TestPrediction:
 
 
 class TestEstimatorApi:
-    def test_fit_predict_text_pipeline(self):
-        texts = ["good thing here", "good stuff here", "bad thing there", "bad stuff there"]
-        labels = [1, 1, 0, 0]
-        clf = GenericityClassifier(min_count=1, epochs=300)
-        clf.fit(texts, labels)
-        assert clf.predict(texts).tolist() == labels
-        assert clf.score(texts, labels) == 1.0
-
-    def test_get_set_params(self):
-        clf = GenericityClassifier()
-        params = clf.get_params()
-        assert params["threshold"] == 0.5
-        assert params["seed"] == 42
-        clf.set_params(threshold=0.7, epochs=10)
-        assert clf.threshold == 0.7
-        with pytest.raises(InputError):
-            clf.set_params(nonsense=1)
-
     def test_unfitted_predict_raises(self):
         with pytest.raises(InputError):
             GenericityClassifier().predict_proba(["x"])

@@ -66,16 +66,16 @@ class TestMannWhitney:
 
 class TestKruskalWallis:
     def test_hand_computed_no_ties(self):
-        res = kruskal_wallis([[1, 2, 3], [4, 5, 6], [7, 8, 9]], posthoc=False)
+        res = kruskal_wallis([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         assert res.h == pytest.approx(7.2, abs=1e-12)
         assert res.df == 2
 
     def test_identical_groups(self):
-        res = kruskal_wallis([[1, 2, 3], [1, 2, 3]], posthoc=False)
+        res = kruskal_wallis([[1, 2, 3], [1, 2, 3]])
         assert res.h == pytest.approx(0.0, abs=1e-12)
 
     def test_all_tied_degenerate(self):
-        res = kruskal_wallis([[4, 4], [4, 4], [4]], posthoc=False)
+        res = kruskal_wallis([[4, 4], [4, 4], [4]])
         assert res.degenerate
 
     def test_k2_equals_mw_z_squared(self):
@@ -86,7 +86,7 @@ class TestKruskalWallis:
             a = rng.randint(0, 6, size=n1).astype(float)
             b = rng.randint(0, 6, size=n2).astype(float)
             mw = mann_whitney_u(a, b)
-            kw = kruskal_wallis([a, b], posthoc=False)
+            kw = kruskal_wallis([a, b])
             if mw.degenerate:
                 assert kw.degenerate
                 continue
@@ -94,14 +94,14 @@ class TestKruskalWallis:
 
     def test_epsilon_squared(self):
         groups = [[1, 5, 2], [9, 8, 7], [4, 3, 6]]
-        res = kruskal_wallis(groups, posthoc=False)
+        res = kruskal_wallis(groups)
         assert res.epsilon2 == pytest.approx(res.h / 8, abs=1e-14)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.RandomState(5)
         groups = [rng.randint(0, 20, size=n).astype(float) for n in (10, 14, 8)]
-        base = kruskal_wallis(groups, posthoc=False)
-        cubed = kruskal_wallis([g**3 for g in groups], posthoc=False)
+        base = kruskal_wallis(groups)
+        cubed = kruskal_wallis([g**3 for g in groups])
         assert cubed.h == pytest.approx(base.h, abs=1e-10)
         assert cubed.mean_ranks == pytest.approx(base.mean_ranks, abs=1e-12)
 
@@ -116,7 +116,7 @@ class TestDunnPosthoc:
         assert np.all(res.p == 1.0)
 
     def test_separated_groups_monotone_z(self):
-        res = dunn_posthoc([[1, 2], [11, 12], [21, 22]], adjustment="none")
+        res = dunn_posthoc([[1, 2], [11, 12], [21, 22]])
         # mean ranks increase with the group index, so z[i, j] < 0 for i < j
         assert res.z[0, 1] < 0 and res.z[1, 2] < 0 and res.z[0, 2] < res.z[0, 1]
 
@@ -128,14 +128,9 @@ class TestDunnPosthoc:
             mw = mann_whitney_u(a, b)
             if mw.degenerate:
                 continue
-            dn = dunn_posthoc([a, b], adjustment="none")
+            dn = dunn_posthoc([a, b])
             assert abs(dn.z[0, 1]) == pytest.approx(abs(mw.z), abs=1e-6)
 
     def test_bonferroni_clamps_to_one(self):
         res = dunn_posthoc([[1, 2, 3], [1, 3, 2], [2, 1, 3]])
         assert np.all(res.p <= 1.0)
-        assert res.adjustment == "bonferroni"
-
-    def test_unknown_adjustment_rejected(self):
-        with pytest.raises(InputError):
-            dunn_posthoc([[1, 2], [3, 4]], adjustment="holm")

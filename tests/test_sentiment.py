@@ -19,7 +19,6 @@ def lexicon():
     return ValenceLexicon(
         valences={"great": 0.8, "wonderful": 0.8, "awful": -0.7, "fine": 0.03},
         negations=frozenset({"not", "never"}),
-        neutral_band=0.05,
     )
 
 
@@ -125,10 +124,6 @@ class TestValidation:
     def test_valence_range_enforced(self):
         with pytest.raises(SchemaError):
             ValenceLexicon(valences={"x": 2.0}, negations=frozenset())
-
-    def test_band_range_enforced(self):
-        with pytest.raises(InputError):
-            ValenceLexicon(valences={"x": 0.5}, negations=frozenset(), neutral_band=0.0)
 
     def test_label_enums_closed(self):
         with pytest.raises(InputError):
