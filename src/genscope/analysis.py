@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .annotator import RuleAnnotator
+from .base import check_threshold
 from .classifier import (
     load_model,
     predict_score,
@@ -100,8 +101,7 @@ class AnalysisConfig:
     histogram_bin_width: float = DEFAULT_BIN_WIDTH
 
     def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise InputError("threshold must be in (0, 1)")
+        check_threshold(self.threshold)
         if not 0.0 < self.alpha < 1.0:
             raise InputError("alpha must be in (0, 1)")
         if self.format not in ("markdown", "csv"):

@@ -1,7 +1,7 @@
 """Rule-based social-generics annotation."""
 
 from .lexicons import RuleLexicons, load_wordlist
-from .normalize import NormalizedText, Token, load_abbreviations, normalize
+from .normalize import NormalizedText, Token, WordTable, load_abbreviations, normalize
 from .rules import (
     GENERIC,
     NON_GENERIC,
@@ -14,6 +14,7 @@ __all__ = [
     "load_wordlist",
     "NormalizedText",
     "Token",
+    "WordTable",
     "load_abbreviations",
     "normalize",
     "GENERIC",

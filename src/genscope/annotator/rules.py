@@ -34,6 +34,7 @@ from .normalize import (
     URL,
     WORD,
     Token,
+    WordTable,
     normalize,
 )
 
@@ -105,6 +106,24 @@ NON_GERUND_ING = frozenset(
 )
 INFINITIVE_MARKER = "to"
 FRAME_WORDS = frozenset("breaking news report update alert reminder psa".split())
+# closed-class words that never sit inside a noun phrase
+NON_NP_WORDS = (
+    PRONOUNS | DETERMINERS | PREPOSITIONS | CONJUNCTIONS | SKIP_JOINERS
+    | ADVERBS | NEGATIONS | {INFINITIVE_MARKER}
+)
+
+# per-word-type flag bits (``Token.flags``), set once per norm by
+# ``RuleAnnotator._classify``; tokens that are not words have none
+PRESENT = 1
+PAST = 2
+MODAL = 4
+FINITE = PRESENT | PAST | MODAL
+GERUND = 8
+QUANTIFIER = 16
+INTERJECTION = 32
+ABSORBABLE = 64  # can sit in a noun phrase left of its head; all group modifiers can
+GROUP_NOUN = 128
+GROUP_MODIFIER = 256
 
 
 @dataclass
@@ -130,9 +149,8 @@ class AnnotatorVerdict:
         return self.label == GENERIC
 
 
-@dataclass
+@dataclass(slots=True)
 class NounPhrase:
-    clause_index: int
     start: int  # token index of the first NP token
     head: int  # token index of the group noun
     quantified: bool
@@ -148,19 +166,23 @@ def _is_laughter(token: str) -> bool:
     )
 
 
-def _outside_infinitives(clause: list[Token], start: int):
-    """Token indices from ``start`` on, skipping each to-infinitive
-    (including 'to ADV verb')."""
+def _next_flagged(clause: list[Token], start: int, mask: int) -> int | None:
+    """Index of the first token from ``start`` on with a flag in ``mask``,
+    skipping each to-infinitive (including 'to ADV verb'), or None."""
     j = start
-    while j < len(clause):
-        if clause[j].norm == INFINITIVE_MARKER:
+    n = len(clause)
+    while j < n:
+        t = clause[j]
+        if t.norm == INFINITIVE_MARKER:
             j += 1
-            while j < len(clause) and clause[j].norm in ADVERBS:
+            while j < n and clause[j].norm in ADVERBS:
                 j += 1
             j += 1  # the infinitive verb itself is non-finite
-            continue
-        yield j
-        j += 1
+        elif t.flags & mask:
+            return j
+        else:
+            j += 1
+    return None
 
 
 class RuleAnnotator:
@@ -168,151 +190,89 @@ class RuleAnnotator:
 
     def __init__(self, lexicons: RuleLexicons | None = None):
         self.lexicons = lexicons or RuleLexicons.default()
+        lex = self.lexicons
+        self._non_np = NON_NP_WORDS | lex.quantifiers | lex.interjections
+        self.words = WordTable(lex.abbreviations, self._classify)
 
-    # --- token classification helpers -----------------------------------
-
-    def _group_noun(self, token: Token) -> str | None:
-        """The group-noun form a token counts as, or None."""
-        if token.kind != WORD:
-            return None
-        t = token.norm
-        if t in self.lexicons.group_nouns:
-            return t
-        # tweet genitive/plural slips: "republican's are ..." means the plural
-        if t.endswith("'s") and t[:-2] + "s" in self.lexicons.group_nouns:
-            return t[:-2] + "s"
-        return None
-
-    def _is_quantifier(self, token: Token) -> bool:
-        return token.kind == WORD and (
-            token.norm in self.lexicons.quantifiers or token.norm.isdigit()
-        )
-
-    def _is_present_verb(self, token: Token) -> bool:
-        if token.kind != WORD:
-            return False
-        t = token.norm
-        if t in PRESENT_COPULAS or t in CONTRACTED_COPULAS or t in DO_SUPPORT:
-            return True
-        if t.endswith("'re") or t.endswith("'ve") or t.endswith("'ll"):
-            return True
-        if t in self.lexicons.verbs:
-            return True
-        # third-person -s / -es / -ies inflections of known verbs
-        if t.endswith("ies") and t[:-3] + "y" in self.lexicons.verbs:
-            return True
-        if t.endswith("es") and t[:-2] in self.lexicons.verbs:
-            return True
-        if t.endswith("s") and t[:-1] in self.lexicons.verbs:
-            return True
-        # derivational verb suffixes cover rarer coinages
-        if len(t) > 5 and t.endswith(("ize", "izes", "ise", "ify", "ifies")):
-            return True
-        return False
-
-    def _is_past_verb(self, token: Token) -> bool:
-        if token.kind != WORD:
-            return False
-        t = token.norm
-        if t in PAST_AUX:
-            return True
-        if t in self.lexicons.irregular_pasts and t not in self.lexicons.verbs:
-            return True
-        return len(t) > 3 and t.endswith("ed") and t not in self.lexicons.verbs
-
-    def _is_gerund(self, token: Token) -> bool:
-        t = token.norm
-        return (
-            token.kind == WORD
-            and len(t) >= 5
-            and t.endswith("ing")
-            and t not in NON_GERUND_ING
-        )
-
-    def _is_modal(self, token: Token) -> bool:
-        return token.kind == WORD and (
-            token.norm in HEDGE_MODALS or token.norm in BARE_MODALS
-        )
-
-    def _is_finite(self, token: Token) -> bool:
-        return self._is_present_verb(token) or self._is_past_verb(token) or self._is_modal(token)
-
-    def _is_absorbable(self, token: Token) -> bool:
-        """Can this token sit inside a noun phrase, left of the head?"""
-        if token.kind != WORD:
-            return False
-        t = token.norm
-        if t in self.lexicons.group_modifiers:
-            return True
+    def _classify(self, t: str) -> int:
+        """The flag bits of word norm ``t``; the word table calls this
+        once per distinct norm."""
+        lex = self.lexicons
+        flags = 0
         if (
-            t in PRONOUNS
-            or t in DETERMINERS
-            or t in PREPOSITIONS
-            or t in CONJUNCTIONS
-            or t in SKIP_JOINERS
-            or t in ADVERBS
-            or t in NEGATIONS
-            or t in self.lexicons.quantifiers
-            or t in self.lexicons.interjections
-            or t == INFINITIVE_MARKER
+            t in PRESENT_COPULAS
+            or t in CONTRACTED_COPULAS
+            or t in DO_SUPPORT
+            or t.endswith(("'re", "'ve", "'ll"))
+            or t in lex.verbs
+            # third-person -s / -es / -ies inflections of known verbs
+            or (t.endswith("ies") and t[:-3] + "y" in lex.verbs)
+            or (t.endswith("es") and t[:-2] in lex.verbs)
+            or (t.endswith("s") and t[:-1] in lex.verbs)
+            # derivational verb suffixes cover rarer coinages
+            or (len(t) > 5 and t.endswith(("ize", "izes", "ise", "ify", "ifies")))
         ):
-            return False
-        if self._is_finite(token) or self._is_gerund(token):
-            return False
-        return True
-
-    def _is_interjection(self, token: Token) -> bool:
-        return token.kind == WORD and (
-            token.norm in self.lexicons.interjections or _is_laughter(token.norm)
-        )
+            flags |= PRESENT
+        if t in PAST_AUX or (
+            t not in lex.verbs
+            and (t in lex.irregular_pasts or (len(t) > 3 and t.endswith("ed")))
+        ):
+            flags |= PAST
+        if t in HEDGE_MODALS or t in BARE_MODALS:
+            flags |= MODAL
+        if len(t) >= 5 and t.endswith("ing") and t not in NON_GERUND_ING:
+            flags |= GERUND
+        if t in lex.quantifiers or t.isdigit():
+            flags |= QUANTIFIER
+        if t in lex.interjections or _is_laughter(t):
+            flags |= INTERJECTION
+        # tweet genitive/plural slips: "republican's are ..." means the plural
+        if t in lex.group_nouns or (t.endswith("'s") and t[:-2] + "s" in lex.group_nouns):
+            flags |= GROUP_NOUN
+        if t in lex.group_modifiers:
+            flags |= GROUP_MODIFIER | ABSORBABLE
+        elif t not in self._non_np and not flags & (FINITE | GERUND):
+            flags |= ABSORBABLE
+        return flags
 
     # --- noun phrase detection -------------------------------------------
 
-    def _find_nps(self, clause: list[Token], clause_index: int) -> list[NounPhrase]:
+    def _find_nps(self, clause: list[Token]) -> list[NounPhrase]:
         nps: list[NounPhrase] = []
         for i, token in enumerate(clause):
-            if self._group_noun(token) is None:
+            if not token.flags & GROUP_NOUN:
                 continue
             # absorb premodifiers leftward
             start = i
-            while start > 0 and (
-                self._is_absorbable(clause[start - 1])
-                or self._group_noun(clause[start - 1]) is not None
-                or clause[start - 1].norm in self.lexicons.group_modifiers
-            ):
+            while start > 0 and clause[start - 1].flags & (ABSORBABLE | GROUP_NOUN):
                 start -= 1
+            # merge NPs that share one span (conjoined heads keep the first)
+            if nps and start <= nps[-1].head:
+                continue
             before = clause[start - 1] if start > 0 else None
             quantified = False
             if before is not None:
-                if self._is_quantifier(before):
+                if before.flags & QUANTIFIER:
                     quantified = True
-                elif before.norm == "of" and start > 1 and self._is_quantifier(clause[start - 2]):
+                elif before.norm == "of" and start > 1 and clause[start - 2].flags & QUANTIFIER:
                     quantified = True  # "the majority of Ks"
             prep_before = before is not None and before.norm in PREPOSITIONS
             nps.append(
                 NounPhrase(
-                    clause_index=clause_index,
                     start=start,
                     head=i,
                     quantified=quantified,
                     prep_before=prep_before,
                 )
             )
-        # merge NPs that share one span (conjoined heads keep the first)
-        deduped: list[NounPhrase] = []
-        for np in nps:
-            if deduped and deduped[-1].clause_index == np.clause_index and np.start <= deduped[-1].head:
-                continue
-            deduped.append(np)
-        return deduped
+        return nps
 
     # --- the public operations -------------------------------------------
 
     def annotate(self, text: str) -> AnnotatorVerdict:
         if not text or not text.strip():
             raise InputError("cannot annotate empty text")
-        norm = normalize(text, self.lexicons.abbreviations)
-        clauses = norm.clauses
+        clauses = normalize(text, self.words).clauses
         if not clauses:
             return AnnotatorVerdict(
                 label=NON_GENERIC,
@@ -320,7 +280,12 @@ class RuleAnnotator:
                 matched_rule="screen:empty",
             )
 
-        screen = self._screens(clauses)
+        screen = self._opener_screen(clauses)
+        if screen is not None:
+            return screen
+        # each clause's NPs, shared by the shoutout screen and the scan
+        nps = [self._find_nps(clause) for clause in clauses]
+        screen = self._shoutout_screen(clauses, nps)
         if screen is not None:
             return screen
 
@@ -328,7 +293,7 @@ class RuleAnnotator:
         for ci, clause in enumerate(clauses):
             if clause and clause[-1].kind == "?":
                 continue  # question clauses never assert a generic
-            verdict = self._scan_clause(clauses, ci, state)
+            verdict = self._scan_clause(clauses, ci, state, nps[ci])
             if verdict is not None:
                 return verdict
 
@@ -340,11 +305,10 @@ class RuleAnnotator:
 
     # --- screens -----------------------------------------------------------
 
-    def _screens(self, clauses: list[list[Token]]) -> AnnotatorVerdict | None:
+    def _opener_screen(self, clauses: list[list[Token]]) -> AnnotatorVerdict | None:
         first = clauses[0]
-        first_words = [t for t in first if t.kind == WORD]
-        if first_words:
-            opener = first_words[0].norm
+        opener = next((t.norm for t in first if t.kind == WORD), None)
+        if opener is not None:
             if opener in ("if", "unless"):
                 return AnnotatorVerdict(
                     label=NON_GENERIC,
@@ -364,8 +328,7 @@ class RuleAnnotator:
                     exclusion_reason="question",
                     matched_rule="screen:question_mark",
                 )
-
-        return self._shoutout_screen(clauses)
+        return None
 
     def _directive_continuation(self, tokens: list[Token]) -> bool:
         words = [t for t in tokens if t.kind == WORD]
@@ -375,25 +338,23 @@ class RuleAnnotator:
             return True
         if any(t.norm in SECOND_PERSON for t in words):
             return True
-        hits = sum(1 for t in words if self._is_interjection(t))
+        hits = sum(1 for t in words if t.flags & INTERJECTION)
         return hits * 2 >= len(words)
 
-    def _shoutout_screen(self, clauses: list[list[Token]]) -> AnnotatorVerdict | None:
+    def _shoutout_screen(
+        self, clauses: list[list[Token]], nps: list[list[NounPhrase]]
+    ) -> AnnotatorVerdict | None:
         for ci, clause in enumerate(clauses):
-            nps = self._find_nps(clause, ci)
-            if not nps:
+            if not nps[ci]:
                 continue
-            np = nps[0]
+            np = nps[ci][0]
             if np.prep_before or np.quantified:
                 continue
-            if any(self._is_finite(t) for t in clause[: np.start]):
+            if any(t.flags & FINITE for t in clause[: np.start]):
                 continue
             # tokens between the head and a comma must stay NP-internal
             j = np.head + 1
-            while j < len(clause) and (
-                self._group_noun(clause[j]) is not None
-                or clause[j].norm in self.lexicons.group_modifiers
-            ):
+            while j < len(clause) and clause[j].flags & (GROUP_NOUN | GROUP_MODIFIER):
                 j += 1
             if j < len(clause) and clause[j].kind == COMMA:
                 if self._directive_continuation(clause[j + 1 :]):
@@ -404,19 +365,16 @@ class RuleAnnotator:
                     )
             # bare-NP clause followed by a directive clause; a relative
             # postmodifier ("Ks who ...") does not predicate anything
-            rest = clause[np.head + 1 :]
-            rest_words = [t for t in rest if t.kind == WORD]
+            if ci + 1 == len(clauses):
+                break  # no clause follows
+            rest_words = [t for t in clause[np.head + 1 :] if t.kind == WORD]
             if rest_words and rest_words[0].norm in ("who", "that", "which"):
                 rest_has_content = False
             else:
-                rest_has_content = any(
-                    not self._is_interjection(t) for t in rest_words
-                )
-            has_present = any(self._is_present_verb(t) for t in clause)
+                rest_has_content = any(not t.flags & INTERJECTION for t in rest_words)
             if (
                 not rest_has_content
-                and not has_present
-                and ci + 1 < len(clauses)
+                and not any(t.flags & PRESENT for t in clause)
                 and self._directive_continuation(clauses[ci + 1])
             ):
                 return AnnotatorVerdict(
@@ -429,17 +387,22 @@ class RuleAnnotator:
     # --- clause scan ---------------------------------------------------------
 
     def _scan_clause(
-        self, clauses: list[list[Token]], ci: int, state: "_ScanState"
+        self,
+        clauses: list[list[Token]],
+        ci: int,
+        state: "_ScanState",
+        nps: list[NounPhrase],
     ) -> AnnotatorVerdict | None:
         clause = clauses[ci]
-        state.note_clause(self, clause)
+        state.note_clause(clause)
 
         frame = self._has_frame_prefix(clause)
         if frame:
             # the headline prefix is not part of the clause proper
             colon_at = next(i for i, t in enumerate(clause[:4]) if t.kind == COLON)
             clause = clause[colon_at + 1 :]
-        for np in self._find_nps(clause, ci):
+            nps = self._find_nps(clause)
+        for np in nps:
             state.saw_group_np = True
             state.np_positions.append((ci, np.head))
             if np.quantified:
@@ -449,33 +412,21 @@ class RuleAnnotator:
             if verdict is not None:
                 return verdict
         # quoted definition: "…" + a trailing group NP names the picture
-        verdict = self._quoted_definition(clause, ci)
+        verdict = self._quoted_definition(clause)
         if verdict is not None:
             return verdict
         return None
 
     def _has_frame_prefix(self, clause: list[Token]) -> bool:
         head = clause[:4]
-        return any(t.norm in FRAME_WORDS for t in head) and any(
-            t.kind == COLON for t in head
+        return any(t.kind == COLON for t in head) and any(
+            t.norm in FRAME_WORDS for t in head
         )
 
     def _subject_position(self, clause: list[Token], np: NounPhrase) -> bool:
         if np.prep_before:
             return False
-        return not any(self._is_finite(t) for t in clause[: np.start])
-
-    def _next_verbish(self, clause: list[Token], start: int) -> int | None:
-        """Index of the next finite verb, modal, or gerund from ``start``,
-        skipping to-infinitives."""
-        for j in _outside_infinitives(clause, start):
-            if self._is_finite(clause[j]) or self._is_gerund(clause[j]):
-                return j
-        return None
-
-    def _finite_later(self, clause: list[Token], start: int) -> bool:
-        """Any finite verb from ``start`` on, skipping to-infinitives."""
-        return any(self._is_finite(clause[j]) for j in _outside_infinitives(clause, start))
+        return not any(t.flags & FINITE for t in clause[: np.start])
 
     def _generic(self, kind, rule, clause, np) -> AnnotatorVerdict:
         span = (clause[np.start].start, clause[np.head].end)
@@ -494,9 +445,7 @@ class RuleAnnotator:
         lex = self.lexicons
         subject = self._subject_position(clause, np)
         # a verb (finite or gerund) left of the NP marks true embedding
-        embedded = not subject or any(
-            self._is_gerund(t) for t in clause[: np.start]
-        )
+        embedded = not subject or any(t.flags & GERUND for t in clause[: np.start])
 
         # "be like" anywhere after the NP is the strongest elliptical cue
         for j in range(np.head + 1, len(clause) - 1):
@@ -512,8 +461,7 @@ class RuleAnnotator:
                 t.kind in (COMMA, EMOJI, QUOTE)
                 or t.norm in SKIP_JOINERS
                 or t.norm in NP_NOISE
-                or self._group_noun(t) is not None
-                or t.norm in lex.group_modifiers
+                or t.flags & (GROUP_NOUN | GROUP_MODIFIER)
             ):
                 j += 1
                 continue
@@ -552,10 +500,11 @@ class RuleAnnotator:
             if norm in HEDGE_MODALS:
                 return self._generic("hedged", "hedged_modal", clause, np)
 
-            if self._is_past_verb(t):
+            flags = t.flags
+            if flags & PAST:
                 return None  # past predicate; the fallback screens decide
 
-            if self._is_present_verb(t):
+            if flags & PRESENT:
                 if norm in PRESENT_COPULAS or norm in CONTRACTED_COPULAS:
                     if not self._copula_has_content(clause, j + 1):
                         return None
@@ -563,7 +512,7 @@ class RuleAnnotator:
                 rule = "hedged_adverb" if hedge_seen else ("framed_embedded" if kind == "framed" else "bare_present")
                 return self._generic(kind, rule, clause, np)
 
-            if self._is_gerund(t):
+            if flags & GERUND:
                 if not subject:
                     return None
                 if norm in REPORTING_GERUNDS:
@@ -573,7 +522,7 @@ class RuleAnnotator:
                         clause,
                         np,
                     )
-                if not self._finite_later(clause, j + 1):
+                if _next_flagged(clause, j + 1, FINITE) is None:
                     kind = "framed" if frame else "elliptical"
                     return self._generic(kind, "elliptical_gerund", clause, np)
                 return None  # the gerund phrase, not the group, is the subject
@@ -586,7 +535,7 @@ class RuleAnnotator:
 
             if norm in PREPOSITIONS and subject:
                 # a PP postmodifier: jump over it to the predicate, if any
-                k = self._next_verbish(clause, j + 1)
+                k = _next_flagged(clause, j + 1, FINITE | GERUND)
                 if k is not None:
                     j = k
                     adverb_run = False
@@ -599,7 +548,7 @@ class RuleAnnotator:
                 return self._generic("elliptical", "elliptical_missing_copula", clause, np)
 
             if adverb_run and subject:
-                if not self._finite_later(clause, j):
+                if _next_flagged(clause, j, FINITE) is None:
                     return self._generic(
                         "elliptical", "elliptical_missing_copula", clause, np
                     )
@@ -661,7 +610,7 @@ class RuleAnnotator:
             if t.norm == INFINITIVE_MARKER:
                 j += 2
                 continue
-            if self._is_finite(t) or self._is_gerund(t) or t.norm in NEGATIONS:
+            if t.flags & (FINITE | GERUND) or t.norm in NEGATIONS:
                 current.append(t)
             elif current:
                 groups.append(current)
@@ -673,7 +622,7 @@ class RuleAnnotator:
         if len(groups) >= 2:
             # adverbial material can trail the predicate; take the last
             # group that is not past morphology as the main one
-            present_groups = [g for g in groups if not self._is_past_verb(g[0])]
+            present_groups = [g for g in groups if not g[0].flags & PAST]
             if not present_groups:
                 return None
             head = present_groups[-1][0]
@@ -686,7 +635,7 @@ class RuleAnnotator:
             return self._generic(kind, rule, clause, np)
         if len(groups) == 1 and subject:
             head = groups[0][0]
-            if self._is_modal(head) or self._is_present_verb(head):
+            if head.flags & (MODAL | PRESENT):
                 return self._generic("elliptical", "elliptical_image", clause, np)
         return None
 
@@ -695,13 +644,13 @@ class RuleAnnotator:
         words = [t for t in clause if t.kind == WORD]
         if not words:
             return False
-        if any(self._is_finite(t) for t in words):
+        if any(t.flags & FINITE for t in words):
             return False
         if self._directive_continuation(clause):
             return False
         return True
 
-    def _quoted_definition(self, clause: list[Token], ci: int) -> AnnotatorVerdict | None:
+    def _quoted_definition(self, clause: list[Token]) -> AnnotatorVerdict | None:
         if not clause or clause[0].kind != QUOTE:
             return None
         closes = [k for k, t in enumerate(clause[1:], start=1) if t.kind == QUOTE]
@@ -713,14 +662,13 @@ class RuleAnnotator:
             return None
         head = None
         for t in word_after:
-            if self._group_noun(t) is not None:
+            if t.flags & GROUP_NOUN:
                 head = t
-            elif not self._is_absorbable(t) and t.norm not in self.lexicons.group_modifiers:
+            elif not t.flags & ABSORBABLE:
                 return None
         if head is None:
             return None
         np = NounPhrase(
-            clause_index=ci,
             start=clause.index(word_after[0]),
             head=clause.index(head),
             quantified=False,
@@ -771,9 +719,7 @@ class RuleAnnotator:
                         label=GENERIC, kind="hedged", matched_rule="anaphoric_subject",
                         subject_span=(t.start, t.end),
                     )
-                if nxt.norm in BARE_MODALS or (
-                    self._is_present_verb(nxt) and not self._is_past_verb(nxt)
-                ):
+                if nxt.norm in BARE_MODALS or nxt.flags & (PRESENT | PAST) == PRESENT:
                     return AnnotatorVerdict(
                         label=GENERIC,
                         kind="hedged" if hedged else "bare",
@@ -824,10 +770,10 @@ class _ScanState:
         self.past_count = 0
         self.np_positions: list[tuple[int, int]] = []
 
-    def note_clause(self, annotator: RuleAnnotator, clause: list[Token]):
+    def note_clause(self, clause: list[Token]):
         for t in clause:
-            if annotator._is_present_verb(t) or annotator._is_modal(t):
+            if t.flags & (PRESENT | MODAL):
                 self.present_count += 1
-            elif annotator._is_past_verb(t):
+            elif t.flags & PAST:
                 self.past_count += 1
 

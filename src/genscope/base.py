@@ -40,6 +40,13 @@ def as_feature_matrix(features, name="features"):
     return arr
 
 
+def check_threshold(threshold):
+    """A genericity decision threshold must lie strictly inside (0, 1);
+    NaN does not."""
+    if not 0.0 < threshold < 1.0:
+        raise InputError(f"threshold must be in (0, 1); got {threshold!r}")
+
+
 def check_binary_labels(labels, name="labels"):
     arr = np.asarray(labels)
     if arr.ndim != 1:

@@ -17,6 +17,7 @@ from ..base import (
     check_binary_labels,
     check_consistent_length,
     check_fitted,
+    check_threshold,
 )
 from ..errors import InputError, TrainingError
 from .features import BagOfWordsVectorizer, CsrMatrix, Vocabulary
@@ -83,8 +84,7 @@ class GenericityModel:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        if not 0.0 < self.threshold < 1.0:
-            raise InputError("threshold must be in (0, 1)")
+        check_threshold(self.threshold)
         if self.vocab is not None and self.vocab.size != self.weights.size:
             raise InputError("vocabulary size does not match weight length")
 
@@ -119,6 +119,7 @@ def train_logistic(
         raise InputError("l2 penalty must be >= 0")
     if learning_rate <= 0 or epochs < 1:
         raise InputError("learning_rate must be > 0 and epochs >= 1")
+    check_threshold(threshold)
 
     w = np.zeros(x.shape[1])
     b = 0.0

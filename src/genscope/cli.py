@@ -20,6 +20,7 @@ from .analysis import (
     run_analysis,
 )
 from .annotator import RuleAnnotator
+from .base import check_threshold
 from .classifier import (
     GenericityClassifier,
     evaluate,
@@ -221,6 +222,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.threshold is not None:
+        check_threshold(args.threshold)
     texts, labels = _read_labeled(args.labeled)
     model = load_model(args.model)
     require_bow_vocab(model, args.model)
@@ -237,6 +240,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    if args.threshold is not None:
+        check_threshold(args.threshold)  # before the output directory is made
     report = ingest(args.corpus)
     model = load_model(args.model)
     require_bow_vocab(model, args.model)

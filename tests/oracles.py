@@ -7,7 +7,9 @@ from the library code paths it checks:
 * brute-force pair enumeration for Mann-Whitney U and ROC AUC,
 * central finite differences for gradient checks,
 * the character-by-character lexers that ``tokenize`` and ``normalize``
-  replaced with one compiled regex.
+  replaced with one compiled regex,
+* the rule annotator's per-occurrence token predicates that its
+  per-word-type flag table replaced.
 
 Keep this module free of imports from ``genscope`` so the oracles cannot
 accidentally share code with the implementations under test.
@@ -230,3 +232,93 @@ def normalize_oracle(text, abbreviations):
         pos += 1
     break_clause()
     return clauses
+
+
+# The rule annotator's token predicates, as it computed them on every
+# occurrence before it classified each word type once. ``w`` is any object
+# with these word sets as attributes: the lexicon lists ``verbs``,
+# ``irregular_pasts``, ``quantifiers``, ``interjections``, ``group_nouns``
+# and ``group_modifiers``, and the closed classes ``present_copulas``,
+# ``contracted_copulas``, ``do_support``, ``past_aux``, ``hedge_modals``,
+# ``bare_modals``, ``non_gerund_ing``, ``pronouns``, ``determiners``,
+# ``prepositions``, ``conjunctions``, ``skip_joiners``, ``adverbs`` and
+# ``negations``.
+
+
+def is_present_verb_oracle(t, w):
+    if t in w.present_copulas or t in w.contracted_copulas or t in w.do_support:
+        return True
+    if t.endswith("'re") or t.endswith("'ve") or t.endswith("'ll"):
+        return True
+    if t in w.verbs:
+        return True
+    if t.endswith("ies") and t[:-3] + "y" in w.verbs:
+        return True
+    if t.endswith("es") and t[:-2] in w.verbs:
+        return True
+    if t.endswith("s") and t[:-1] in w.verbs:
+        return True
+    if len(t) > 5 and t.endswith(("ize", "izes", "ise", "ify", "ifies")):
+        return True
+    return False
+
+
+def is_past_verb_oracle(t, w):
+    if t in w.past_aux:
+        return True
+    if t in w.irregular_pasts and t not in w.verbs:
+        return True
+    return len(t) > 3 and t.endswith("ed") and t not in w.verbs
+
+
+def is_modal_oracle(t, w):
+    return t in w.hedge_modals or t in w.bare_modals
+
+
+def is_gerund_oracle(t, w):
+    return len(t) >= 5 and t.endswith("ing") and t not in w.non_gerund_ing
+
+
+def is_quantifier_oracle(t, w):
+    return t in w.quantifiers or t.isdigit()
+
+
+def _is_laughter(t):
+    if len(t) < 3:
+        return False
+    letters = set(t)
+    return letters <= {"a", "h"} or letters <= {"l", "o"} or (
+        t.startswith("lma") and letters <= {"l", "m", "a", "o"}
+    )
+
+
+def is_interjection_oracle(t, w):
+    return t in w.interjections or _is_laughter(t)
+
+
+def is_group_noun_oracle(t, w):
+    return t in w.group_nouns or (t.endswith("'s") and t[:-2] + "s" in w.group_nouns)
+
+
+def is_group_modifier_oracle(t, w):
+    return t in w.group_modifiers
+
+
+def is_absorbable_oracle(t, w):
+    if t in w.group_modifiers:
+        return True
+    if (
+        t in w.pronouns
+        or t in w.determiners
+        or t in w.prepositions
+        or t in w.conjunctions
+        or t in w.skip_joiners
+        or t in w.adverbs
+        or t in w.negations
+        or t in w.quantifiers
+        or t in w.interjections
+        or t == "to"
+    ):
+        return False
+    finite = is_present_verb_oracle(t, w) or is_past_verb_oracle(t, w) or is_modal_oracle(t, w)
+    return not (finite or is_gerund_oracle(t, w))

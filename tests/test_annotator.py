@@ -1,14 +1,19 @@
 """Rule-engine behavior: normalization, verdicts, screens, and properties."""
 
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from genscope.annotator import (
     AnnotatorVerdict,
     RuleAnnotator,
     normalize,
 )
+from genscope.annotator import rules
 from genscope.annotator.lexicons import RuleLexicons
 from genscope.errors import InputError
 
@@ -30,11 +35,11 @@ def annotator():
 
 class TestNormalize:
     def test_abbreviations_and_blank(self, annotator):
-        norm = normalize("White ppl be like __", annotator.lexicons.abbreviations)
+        norm = normalize("White ppl be like __", annotator.words)
         assert norm.token_texts == ["white", "people", "be", "like", "BLANK"]
 
     def test_emoji_class(self, annotator):
-        norm = normalize("Men in white coats 🤒", annotator.lexicons.abbreviations)
+        norm = normalize("Men in white coats 🤒", annotator.words)
         assert norm.token_texts == ["men", "in", "white", "coats", "EMOJI"]
 
     def test_clause_split_on_punctuation(self):
@@ -209,10 +214,18 @@ class TestRobustness:
             + gold_lines("excluded_tweets.txt")
             + gold_lines("included_structures.txt")
         ) * 4
-        serial = [annotator.annotate(t).label for t in texts]
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            threaded = [v.label for v in pool.map(annotator.annotate, texts)]
+        serial = [annotator.annotate(t) for t in texts]
+        # the threads share one annotator whose word table starts empty
+        shared = RuleAnnotator(annotator.lexicons)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(shared.annotate, texts, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
         assert threaded == serial
+        assert {n: annotator.words.flags[n] for n in shared.words.flags} == shared.words.flags
 
 
 class TestLexicons:
@@ -234,3 +247,85 @@ class TestLexicons:
                 irregular_pasts=lex.irregular_pasts,
                 interjections=lex.interjections,
             )
+
+
+def word_sets(lexicons):
+    """The word sets the predicate oracles read, from ``lexicons`` and the
+    rule module's closed classes."""
+    closed = (
+        "present_copulas contracted_copulas do_support past_aux hedge_modals "
+        "bare_modals non_gerund_ing pronouns determiners prepositions "
+        "conjunctions skip_joiners adverbs negations"
+    ).split()
+    listed = (
+        "verbs irregular_pasts quantifiers interjections group_nouns "
+        "group_modifiers hedge_adverbs"
+    ).split()
+    return SimpleNamespace(
+        **{name: getattr(rules, name.upper()) for name in closed},
+        **{name: getattr(lexicons, name) for name in listed},
+    )
+
+
+# each flag bit of the word table and the predicate it stands for
+BIT_ORACLES = {
+    rules.PRESENT: oracles.is_present_verb_oracle,
+    rules.PAST: oracles.is_past_verb_oracle,
+    rules.MODAL: oracles.is_modal_oracle,
+    rules.GERUND: oracles.is_gerund_oracle,
+    rules.QUANTIFIER: oracles.is_quantifier_oracle,
+    rules.INTERJECTION: oracles.is_interjection_oracle,
+    rules.ABSORBABLE: oracles.is_absorbable_oracle,
+    rules.GROUP_NOUN: oracles.is_group_noun_oracle,
+    rules.GROUP_MODIFIER: oracles.is_group_modifier_oracle,
+}
+SUFFIXES = ["s", "es", "ies", "ed", "ing", "'s"]
+
+
+class TestWordTable:
+    """Every flag bit of the per-word-type table equals the predicate it
+    replaced, on every word the table can see."""
+
+    annotator = RuleAnnotator()
+    w = word_sets(annotator.lexicons)
+
+    def check(self, words):
+        every_bit = sum(BIT_ORACLES)
+        for t in words:
+            flags = self.annotator.words.word_flags(t)
+            assert flags & ~every_bit == 0, t
+            for bit, oracle in BIT_ORACLES.items():
+                assert bool(flags & bit) == oracle(t, self.w), (t, oracle.__name__)
+
+    def bundled_words(self):
+        words = set().union(*vars(self.w).values())
+        for expansion in self.annotator.lexicons.abbreviations.values():
+            words.update(expansion.split())
+        return words
+
+    def test_bundled_words(self):
+        self.check(sorted(self.bundled_words()))
+
+    def test_inflected_variants(self):
+        words = set()
+        for word in self.bundled_words():
+            words.update(word + suffix for suffix in SUFFIXES)
+            if word.endswith("y"):
+                words.add(word[:-1] + "ies")
+        self.check(sorted(words))
+
+    def test_gold_corpus_norms(self):
+        norms = set()
+        for path in sorted(GOLD.iterdir()):
+            for line in gold_lines(path.name):
+                tokens = normalize(line, self.annotator.words).tokens
+                norms.update(t.norm for t in tokens if t.kind == "word")
+        self.check(sorted(norms))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        stem=st.text(alphabet="abcdefghijklmnopqrstuvwxyz'0123456789", min_size=1, max_size=10),
+        suffix=st.sampled_from(["", "ize", "ifies", "ise", "ify", "'re", "'ll"] + SUFFIXES),
+    )
+    def test_generated_words(self, stem, suffix):
+        self.check([stem + suffix])

@@ -240,6 +240,24 @@ class TestTrainEvalClassify:
         assert main(argv) == 2
         assert "need a bag-of-words model with a [vocab] section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", ["0", "1", "7", "nan"])
+    @pytest.mark.parametrize("command", ["eval", "classify"])
+    def test_threshold_outside_unit_interval_rejected(
+        self, command, tau, small_corpus, labeled_file, tmp_path, capsys
+    ):
+        model = self._one_word_model(tmp_path)
+        out = tmp_path / "scores"
+        if command == "eval":
+            argv = ["eval", "--labeled", str(labeled_file), "--model", str(model)]
+        else:
+            argv = ["classify", "--corpus", str(small_corpus), "--model", str(model),
+                    "--out", str(out)]
+        assert main(argv + ["--threshold", tau]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: threshold must be in (0, 1); got {float(tau)!r}\n"
+        assert not out.exists()
+
 
 class TestMalformedJson:
     """Malformed JSON in an input file exits 2 with one error line."""

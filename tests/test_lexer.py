@@ -5,12 +5,18 @@ prefixes in both cases, characters on both sides of each emoji range
 (the dingbat digits are also word characters), blanks, dash runs,
 apostrophes inside and outside words, clause breaks, punctuation,
 abbreviation keys and a few characters no alternative matches.
+
+``normalize`` runs on a fresh word table and twice on one annotator's
+shared table, so the second pass finds every word surface cached.
 """
+
+from pathlib import Path
+
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genscope.annotator import RuleAnnotator, normalize
+from genscope.annotator import RuleAnnotator, WordTable, normalize
 from genscope.classifier import tokenize
 from oracles import normalize_oracle, tokenize_oracle
 
@@ -32,7 +38,9 @@ texts = st.lists(
     st.sampled_from(PIECES) | st.characters(codec="utf-8"), max_size=40
 ).map("".join)
 
-ABBREVIATIONS = RuleAnnotator().lexicons.abbreviations
+ANNOTATOR = RuleAnnotator()
+ABBREVIATIONS = ANNOTATOR.lexicons.abbreviations
+GOLD = Path(__file__).parent / "data" / "annotator_gold"
 
 
 def check_tokenize(text):
@@ -40,9 +48,13 @@ def check_tokenize(text):
 
 
 def check_normalize(text):
-    clauses = normalize(text, ABBREVIATIONS).clauses
-    got = [[(t.norm, t.kind, t.start, t.end) for t in clause] for clause in clauses]
-    assert got == normalize_oracle(text, ABBREVIATIONS)
+    expected = normalize_oracle(text, ABBREVIATIONS)
+    for table in (WordTable(ABBREVIATIONS), ANNOTATOR.words, ANNOTATOR.words):
+        clauses = normalize(text, table).clauses
+        got = [[(t.norm, t.kind, t.start, t.end) for t in clause] for clause in clauses]
+        assert got == expected
+        for token in (t for clause in clauses for t in clause):
+            assert token.flags == (table.flags[token.norm] if token.kind == "word" else 0)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
@@ -61,3 +73,26 @@ def test_normalize_matches_oracle(text):
 def test_edges_match_oracles(text):
     check_tokenize(text)
     check_normalize(text)
+
+
+def test_table_holds_each_surface_and_norm_once():
+    texts = EDGES + [
+        line
+        for path in sorted(GOLD.iterdir())
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+    surfaces, norms = set(), set()
+    for text in texts:
+        for clause in normalize_oracle(text, ABBREVIATIONS):
+            for norm, kind, start, end in clause:
+                if kind == "word":
+                    surfaces.add(text[start:end])
+                    norms.add(norm)
+    table = RuleAnnotator(ANNOTATOR.lexicons).words  # a fresh, empty table
+    for text in texts:
+        normalize(text, table)
+    assert set(table.surfaces) == surfaces
+    assert set(table.flags) == norms
+    for text in texts:
+        normalize(text, table)
+    assert (len(table.surfaces), len(table.flags)) == (len(surfaces), len(norms))

@@ -62,6 +62,15 @@ class TestTraining:
         with pytest.raises(InputError):
             train_logistic([[1.0], [2.0]], [1, 2])
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, float("nan")])
+    def test_bad_threshold_rejected_before_descent(self, threshold, monkeypatch):
+        def no_descent(*args):
+            raise AssertionError("gradient descent ran")
+
+        monkeypatch.setattr("genscope.classifier.logistic.loss_and_gradient", no_descent)
+        with pytest.raises(InputError, match="threshold"):
+            train_logistic([[1.0], [-1.0]], [1, 0], threshold=threshold)
+
     def test_inconsistent_dimension_rejected(self):
         model = GenericityModel(weights=np.zeros(3), bias=0.0)
         for features in ([1.0, 2.0], CsrMatrix([0, 1], [1], [1.0], 2)):
