@@ -22,7 +22,6 @@ from .classifier import (
 )
 from .corpus import (
     GroupLexicon,
-    PartitionedCorpus,
     QueryAst,
     Tweet,
     compile_terms,
@@ -50,7 +49,6 @@ __all__ = [
     "tokenize",
     "train_logistic",
     "GroupLexicon",
-    "PartitionedCorpus",
     "QueryAst",
     "Tweet",
     "compile_terms",

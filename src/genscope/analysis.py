@@ -1,8 +1,9 @@
 """The analysis pipeline: recipes for the five hypothesis blocks.
 
-``run_analysis`` ingests a corpus, partitions it by group, attaches a
-genericity decision (trained model or rule annotator) and a sentiment
-label to every single-group tweet, and assembles a report dictionary in
+``run_analysis`` reads a corpus in one pass: it partitions each tweet by
+group as it is ingested, attaches a genericity decision (trained model or
+rule annotator) and a sentiment label to every single-group tweet, keeps
+those as per-group columns, and assembles a report dictionary in
 which every statistic sits next to the counts or sample sizes it was
 computed from. ``recompute_check`` re-derives those statistics from the
 embedded inputs, and ``reproduce_published`` rebuilds the H1/H3/H4 blocks
@@ -12,9 +13,9 @@ from the published counts for the ``reproduce`` subcommand's checks.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import logging
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -26,17 +27,21 @@ from . import __version__
 from .annotator import RuleAnnotator
 from .base import check_threshold
 from .classifier import (
+    lex,
     load_model,
     predict_score,
     require_bow_vocab,
     stack_features,
-    tokenize,
+    tokenize,  # unused here; the benchmark tracer wraps it
     vectorize_bow,
+    words,
 )
 from .corpus import (
+    BUCKETS,
     GROUPS,
-    PartitionedCorpus,
+    compile_terms,
     ingest,
+    lang_matches,
     load_group_lexicon,
     load_query,
     partition,
@@ -224,59 +229,115 @@ def _histogram(scores, bin_width: float) -> list[list[float]]:
 
 
 # ---------------------------------------------------------------------------
+# the single pass: each accepted tweet is lexed once, bucketed, scored and
+# labelled as ingest reads it, and only its numbers are kept
 
-@dataclass
-class ScoredTweet:
-    tweet: object
-    group: str
-    score: float
-    generic: bool
-    sentiment: str
+# analysed tweets per model-scoring batch: one stack_features +
+# predict_score each, so only one chunk's feature rows are alive
+CHUNK = 4096
 
 
-def _score_tweets(parts: PartitionedCorpus, config: AnalysisConfig) -> list[ScoredTweet]:
-    model = None
-    if config.model:
-        model = load_model(config.model)
-        require_bow_vocab(model, config.model)
+class _Columns:
+    """One group's analysed tweets in corpus order, one typed array per
+    field, after Arrow's columnar layout: a score, a sentiment code (an
+    index into ``SENTIMENTS``), and the like and retweet counts as the
+    floats the rank tests read them as. ``view`` reads a field as a numpy
+    array over the same memory, once the appends are done."""
 
-    external = {}
-    if config.external_sentiment:
-        loaded = load_external_labels(config.external_sentiment)
-        if loaded.rejected:
-            reasons = Counter(reason for _, reason in loaded.rejected)
-            logger.warning(
-                "%s: %d rejected line(s) skipped: %s",
-                config.external_sentiment,
-                len(loaded.rejected),
-                "; ".join(f"{reason} ({n})" for reason, n in reasons.most_common()),
-            )
-        external = loaded.labels
-    valence = load_valence_lexicon(config.valence_lexicon or None)
-    provider = SentimentProvider(external=external, lexicon=valence)
+    def __init__(self):
+        self.scores = array("d")
+        self.sentiments = array("b")
+        self.likes = array("d")
+        self.retweets = array("d")
 
-    groups = [group for group in GROUPS for _ in parts.group(group)]
-    tweets = [tweet for group in GROUPS for tweet in parts.group(group)]
-    if model is not None:
-        rows = (vectorize_bow(tokenize(t.text), model.vocab) for t in tweets)
-        scores = predict_score(model, stack_features(rows, model.dimension)).tolist()
-    else:
-        annotator = RuleAnnotator()
-        scores = [1.0 if annotator.annotate(t.text).is_generic else 0.0 for t in tweets]
-    return [
-        ScoredTweet(
-            tweet=tweet,
-            group=group,
-            score=score,
-            generic=score >= config.threshold,
-            sentiment=provider.label(tweet).value,
+    def view(self, name: str) -> np.ndarray:
+        return np.asarray(getattr(self, name))
+
+    def generic(self, threshold: float) -> np.ndarray:
+        return self.view("scores") >= threshold
+
+
+class _Pipeline:
+    """The per-tweet step ``ingest`` calls, with everything it needs: the
+    compiled query terms, the annotator or model, and the sentiment
+    provider. It keeps the partition counts and each group's columns."""
+
+    def __init__(self, config: AnalysisConfig, query, lexicon):
+        self.terms = compile_terms(query, lexicon)
+        self.lang = query.lang
+        self.model = None
+        self.annotator = None
+        if config.model:
+            self.model = load_model(config.model)
+            require_bow_vocab(self.model, config.model)
+        else:
+            self.annotator = RuleAnnotator()
+        self.provider = SentimentProvider(
+            external=_external_labels(config.external_sentiment),
+            lexicon=load_valence_lexicon(config.valence_lexicon or None),
         )
-        for group, tweet, score in zip(groups, tweets, scores)
-    ]
+        self.buckets = dict.fromkeys(BUCKETS, 0)
+        self.columns = {g: _Columns() for g in GROUPS}
+        self._rows: list = []  # model path: the chunk's feature rows ...
+        self._waiting: list[_Columns] = []  # ... and the columns their scores go to
+
+    def __call__(self, tweet) -> None:
+        if self.lang and not lang_matches(tweet.lang, self.lang):
+            self.buckets["unmatched"] += 1
+            return
+        matches = lex(tweet.text)
+        tokens = words(matches)
+        bucket = partition(self.terms, tokens)
+        self.buckets[bucket] += 1
+        if bucket not in self.columns:
+            return
+        col = self.columns[bucket]
+        if self.model is None:
+            verdict = self.annotator.annotate(tweet.text, matches)
+            col.scores.append(1.0 if verdict.is_generic else 0.0)
+        else:
+            self._rows.append(vectorize_bow(tokens, self.model.vocab))
+            self._waiting.append(col)
+            if len(self._rows) == CHUNK:
+                self.flush()
+        label = self.provider.label(tweet.id, tokens)
+        col.sentiments.append(SENTIMENTS.index(label.value))
+        col.likes.append(tweet.like_count)
+        col.retweets.append(tweet.retweet_count)
+
+    def flush(self) -> None:
+        """Score the model path's waiting rows (the annotator's are scored
+        as they come)."""
+        if not self._rows:
+            return
+        features = stack_features(self._rows, self.model.dimension)
+        for col, score in zip(self._waiting, predict_score(self.model, features).tolist()):
+            col.scores.append(score)
+        self._rows.clear()
+        self._waiting.clear()
+
+
+def _external_labels(path) -> dict:
+    if not path:
+        return {}
+    loaded = load_external_labels(path)
+    if loaded.rejected:
+        reasons = Counter(reason for _, reason in loaded.rejected)
+        logger.warning(
+            "%s: %d rejected line(s) skipped: %s",
+            path,
+            len(loaded.rejected),
+            "; ".join(f"{reason} ({n})" for reason, n in reasons.most_common()),
+        )
+    return loaded.labels
 
 
 def run_analysis(config: AnalysisConfig) -> dict:
-    """Execute the full H1-H5 recipe; returns the report dictionary."""
+    """Execute the full H1-H5 recipe; returns the report dictionary.
+
+    Every side input (query, group lexicon, model, external labels,
+    valence lexicon) is read before the corpus, so a bad one fails fast.
+    """
     corpus_path = Path(config.corpus)
     query = load_query(config.query) if config.query else load_query(_bundled("default_query.txt"))
     lexicon = load_group_lexicon(config.group_lexicon or _bundled("group_lexicon.tsv"))
@@ -284,15 +345,16 @@ def run_analysis(config: AnalysisConfig) -> dict:
     if missing:
         raise SchemaError(f"group lexicon does not cover query terms: {missing}")
 
-    report_ingest = ingest(corpus_path, query=query)
-    parts = partition(report_ingest.tweets, query, lexicon)
-    scored = _score_tweets(parts, config)
+    pipeline = _Pipeline(config, query, lexicon)
+    report_ingest = ingest(corpus_path, query=query, on_tweet=pipeline)
+    pipeline.flush()
+    columns = pipeline.columns
 
     report: dict = {
         "provenance": {
             "tool_version": __version__,
             "corpus": str(corpus_path),
-            "corpus_sha256": hashlib.sha256(corpus_path.read_bytes()).hexdigest(),
+            "corpus_sha256": report_ingest.sha256,
             "mode": "model" if config.model else "annotator",
             "threshold": config.threshold,
             "alpha": config.alpha,
@@ -306,13 +368,17 @@ def run_analysis(config: AnalysisConfig) -> dict:
             "accepted": report_ingest.accepted_count,
             "rejected": report_ingest.rejected_count,
         },
-        "partition": parts.counts,
+        "partition": pipeline.buckets,
     }
 
-    tally = Counter((s.group, s.generic, s.sentiment) for s in scored)
-    report["descriptives"] = _descriptives(scored, tally, config)
+    tally = Counter(
+        (g, score >= config.threshold, SENTIMENTS[code])
+        for g in GROUPS
+        for score, code in zip(columns[g].scores, columns[g].sentiments)
+    )
+    report["descriptives"] = _descriptives(columns, tally, config)
     report["h1"] = _h1_block(_count(tally, generic=True), _count(tally, generic=False))
-    report["h2"] = _h2_block(scored)
+    report["h2"] = _h2_block(columns, config.threshold)
     report["h3"] = _h3_block(
         {
             g: {
@@ -323,7 +389,7 @@ def run_analysis(config: AnalysisConfig) -> dict:
         }
     )
     report["h4"] = _h4_block([[tally[g, True, v] for g in GROUPS] for v in H4_ROWS])
-    report["h5"] = _h5_block(scored)
+    report["h5"] = _h5_block(columns, config.threshold)
     return report
 
 
@@ -337,20 +403,23 @@ def _count(tally: Counter, group=None, generic=None, sentiment=None) -> int:
     )
 
 
-def _descriptives(scored: list[ScoredTweet], tally: Counter, config: AnalysisConfig) -> dict:
-    n = len(scored)
+def _descriptives(columns: dict, tally: Counter, config: AnalysisConfig) -> dict:
+    n = sum(tally.values())
     group_counts = {g: _count(tally, group=g) for g in GROUPS}
     sentiment_counts = {v: _count(tally, sentiment=v) for v in SENTIMENTS}
-    hists = {"overall": _histogram([s.score for s in scored], config.histogram_bin_width)}
+    hists = {
+        "overall": _histogram(
+            (s for g in GROUPS for s in columns[g].scores), config.histogram_bin_width
+        )
+    }
     medians = {}
     for g in GROUPS:
-        members = [s for s in scored if s.group == g]
-        scores = [s.score for s in members]
-        hists[g] = _histogram(scores, config.histogram_bin_width)
-        generic_scores = [s.score for s in members if s.generic]
+        scores = columns[g].view("scores")
+        hists[g] = _histogram(columns[g].scores, config.histogram_bin_width)
+        generic_scores = scores[columns[g].generic(config.threshold)]
         medians[g] = {
-            "all": float(np.median(scores)) if scores else None,
-            "generic": float(np.median(generic_scores)) if generic_scores else None,
+            "all": float(np.median(scores)) if scores.size else None,
+            "generic": float(np.median(generic_scores)) if generic_scores.size else None,
         }
     return {
         "analyzed_tweets": n,
@@ -378,15 +447,17 @@ def _h1_block(n_generic: int, n_other: int) -> dict:
     }
 
 
-def _h2_block(scored) -> dict:
-    generic = [s for s in scored if s.generic]
-    other = [s for s in scored if not s.generic]
-    if not generic or not other:
+def _h2_block(columns: dict, threshold: float) -> dict:
+    """Mann-Whitney tests of generic against non-generic tweets' likes and
+    retweets, each sample group-major in ``GROUPS`` order."""
+    generic = [columns[g].generic(threshold) for g in GROUPS]
+    if not any(m.any() for m in generic) or all(m.all() for m in generic):
         return {"skipped": "empty generic stratum"}
     block = {}
-    for metric, attr in (("likes", "like_count"), ("retweets", "retweet_count")):
-        a = [getattr(s.tweet, attr) for s in generic]
-        b = [getattr(s.tweet, attr) for s in other]
+    for metric in ("likes", "retweets"):
+        values = [columns[g].view(metric) for g in GROUPS]
+        a = np.concatenate([v[m] for v, m in zip(values, generic)])
+        b = np.concatenate([v[~m] for v, m in zip(values, generic)])
         block[metric] = _mw_dict(mann_whitney_u(a, b))
     return block
 
@@ -476,22 +547,27 @@ def _h4_block(cells) -> dict:
     return block
 
 
-def _h5_block(scored) -> dict:
-    generic = [s for s in scored if s.generic]
+def _h5_block(columns: dict, threshold: float) -> dict:
+    """Kruskal-Wallis tests across the groups of the generic tweets' likes
+    and retweets, and of the generic negative tweets'."""
+    generic = {g: columns[g].generic(threshold) for g in GROUPS}
+    negative = SENTIMENTS.index("negative")
     block: dict = {}
-    for subset_name, members in (
+    for subset_name, masks in (
         ("generic", generic),
-        ("generic_negative", [s for s in generic if s.sentiment == "negative"]),
+        (
+            "generic_negative",
+            {g: generic[g] & (columns[g].view("sentiments") == negative) for g in GROUPS},
+        ),
     ):
-        sub: dict = {}
-        groups = [[s for s in members if s.group == g] for g in GROUPS]
-        if any(len(g) == 0 for g in groups):
+        if not all(masks[g].any() for g in GROUPS):
             block[subset_name] = {
                 "skipped": "empty generic stratum in at least one group"
             }
             continue
-        for metric, attr in (("likes", "like_count"), ("retweets", "retweet_count")):
-            samples = [[getattr(s.tweet, attr) for s in g] for g in groups]
+        sub: dict = {}
+        for metric in ("likes", "retweets"):
+            samples = [columns[g].view(metric)[masks[g]] for g in GROUPS]
             sub[metric] = _kw_dict(kruskal_wallis(samples))
             sub[metric]["groups"] = list(GROUPS)
         block[subset_name] = sub
@@ -502,7 +578,8 @@ def _h5_block(scored) -> dict:
 # recomputability self-check
 
 def recompute_check(report: dict, tol: float = 1e-9) -> list[str]:
-    """Recompute every statistic from the counts embedded beside it.
+    """Recompute every statistic from the counts embedded beside it, and
+    check that counts in different blocks reconcile.
 
     Returns a list of mismatch descriptions; empty means the report is
     internally consistent.
@@ -512,6 +589,22 @@ def recompute_check(report: dict, tol: float = 1e-9) -> list[str]:
     def close(a, b, what, rel=1e-9):
         if not math.isclose(a, b, rel_tol=rel, abs_tol=tol):
             problems.append(f"{what}: reported {a!r}, recomputed {b!r}")
+
+    def same(a, b, what):
+        if a != b:
+            problems.append(f"{what}: reported {a!r}, recomputed {b!r}")
+
+    # counts that must reconcile across blocks
+    accepted = report.get("ingest", {}).get("accepted")
+    if accepted is not None and "partition" in report:
+        same(accepted, sum(report["partition"].values()), "ingest accepted = partition buckets")
+    descriptives = report.get("descriptives", {})
+    if "analyzed_tweets" in descriptives:
+        same(
+            descriptives["analyzed_tweets"],
+            sum(descriptives["group_counts"].values()),
+            "analyzed_tweets = group_counts",
+        )
 
     h1 = report.get("h1", {})
     if "test" in h1:

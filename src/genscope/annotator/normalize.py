@@ -105,18 +105,22 @@ def load_abbreviations(path) -> dict[str, str]:
     return table
 
 
-def normalize(text: str, table: WordTable | None = None) -> NormalizedText:
+def normalize(text: str, table: WordTable | None = None, matches=None) -> NormalizedText:
     """Tokenize into clauses; abbreviation expansion keeps source spans.
 
     Word tokens take their norms and flags from ``table`` (a fresh one,
-    with no abbreviations, by default)."""
+    with no abbreviations, by default). ``matches``, when given, is
+    ``lex(text)``, so a caller that lexed the text already does not lex it
+    again."""
     if table is None:
         table = WordTable()
     surfaces = table.surfaces
     clauses: list[list[Token]] = []
     current: list[Token] = []
     text = text or ""
-    for m in LEXER_RE.finditer(text):
+    if matches is None:
+        matches = LEXER_RE.finditer(text)
+    for m in matches:
         kind = m.lastgroup
         start, end = m.span()
         if kind == "word":

@@ -269,10 +269,11 @@ class RuleAnnotator:
 
     # --- the public operations -------------------------------------------
 
-    def annotate(self, text: str) -> AnnotatorVerdict:
+    def annotate(self, text: str, matches=None) -> AnnotatorVerdict:
+        """The verdict on one text; ``matches``, when given, is ``lex(text)``."""
         if not text or not text.strip():
             raise InputError("cannot annotate empty text")
-        clauses = normalize(text, self.words).clauses
+        clauses = normalize(text, self.words, matches).clauses
         if not clauses:
             return AnnotatorVerdict(
                 label=NON_GENERIC,

@@ -5,9 +5,11 @@ from .features import (
     CsrMatrix,
     Vocabulary,
     build_vocab,
+    lex,
     stack_features,
     tokenize,
     vectorize_bow,
+    words,
     EMOJI_TOKEN,
     URL_TOKEN,
 )
@@ -27,9 +29,11 @@ __all__ = [
     "CsrMatrix",
     "Vocabulary",
     "build_vocab",
+    "lex",
     "stack_features",
     "tokenize",
     "vectorize_bow",
+    "words",
     "EMOJI_TOKEN",
     "URL_TOKEN",
     "GenericityClassifier",

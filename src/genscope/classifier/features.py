@@ -26,9 +26,10 @@ _EMOJI = (
     "]"
 )
 
-# The one lexer behind ``tokenize`` and the annotator's ``normalize``. At
-# each position the first alternative that matches wins, so their order
-# is the priority; characters no alternative matches are skipped.
+# The one lexer behind ``lex``, ``tokenize`` and the annotator's
+# ``normalize``. At each position the first alternative that matches wins,
+# so their order is the priority; characters no alternative matches are
+# skipped.
 LEXER_RE = re.compile(
     r"(?P<url>(?i:https?://\S+|www\.\S+))"
     rf"|(?P<emoji>{_EMOJI})"
@@ -40,10 +41,18 @@ LEXER_RE = re.compile(
 )
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercased word tokens with URLs and emoji mapped to class tokens."""
+def lex(text: str) -> list[re.Match]:
+    """Every ``LEXER_RE`` match in the text, in order. A caller that needs
+    both the words and the annotator's clauses lexes once and passes the
+    list to ``words`` and ``normalize``."""
+    return list(LEXER_RE.finditer(text or ""))
+
+
+def words(matches) -> list[str]:
+    """The word tokens of ``LEXER_RE`` matches: lowercased words, with URLs
+    and emoji mapped to class tokens."""
     tokens: list[str] = []
-    for m in LEXER_RE.finditer(text or ""):
+    for m in matches:
         kind = m.lastgroup
         if kind == "word":
             tokens.append(m.group().lower().replace("’", "'"))
@@ -52,6 +61,11 @@ def tokenize(text: str) -> list[str]:
         elif kind == "emoji":
             tokens.append(EMOJI_TOKEN)
     return tokens
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercased word tokens with URLs and emoji mapped to class tokens."""
+    return words(LEXER_RE.finditer(text or ""))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Corpus ingestion, query parsing, and group partitioning."""
 
 from .groups import (
+    BUCKETS,
     GROUPS,
     GroupLexicon,
-    PartitionedCorpus,
     compile_terms,
+    lang_matches,
     load_group_lexicon,
     match_groups,
     partition,
@@ -19,10 +20,11 @@ from .records import (
 )
 
 __all__ = [
+    "BUCKETS",
     "GROUPS",
     "GroupLexicon",
-    "PartitionedCorpus",
     "compile_terms",
+    "lang_matches",
     "load_group_lexicon",
     "match_groups",
     "partition",

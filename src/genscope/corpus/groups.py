@@ -5,20 +5,22 @@ are stripped by tokenization); phrases match as contiguous token
 sequences, so "whitewash men" never matches the phrase "white men".
 Tweets matching terms from two or more groups are dropped to prevent
 double counting; tweets whose language disagrees with the query's lang
-constraint go to ``unmatched``.
+constraint go to ``unmatched``. ``partition`` buckets one tweet at a time
+from the word tokens its caller lexed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from ..classifier.features import tokenize
+from ..classifier.features import tokenize  # unused here; the benchmark tracer wraps it
 from ..errors import SchemaError
 from .query import QueryAst
-from .records import Tweet
 
 GROUPS = ("political", "gender", "ethnic")
+# the report's partition block, in order: every accepted tweet lands in one
+BUCKETS = (*GROUPS, "multi_group_dropped", "unmatched")
 
 
 @dataclass
@@ -77,9 +79,9 @@ def compile_terms(ast: QueryAst, lexicon: GroupLexicon) -> TermIndex:
     return index
 
 
-def match_groups(terms: TermIndex, tweet: Tweet) -> set[str]:
-    """Union of the group sets of every query term matching the text."""
-    tokens = tokenize(tweet.text)
+def match_groups(terms: TermIndex, tokens: list[str]) -> set[str]:
+    """Union of the group sets of every query term matching the word tokens
+    (``tokenize``'s output)."""
     matched: set[str] = set()
     for i, token in enumerate(tokens):
         for rest, groups in terms.get(token, ()):
@@ -88,56 +90,18 @@ def match_groups(terms: TermIndex, tweet: Tweet) -> set[str]:
     return matched
 
 
-@dataclass
-class PartitionedCorpus:
-    political: list[Tweet] = field(default_factory=list)
-    gender: list[Tweet] = field(default_factory=list)
-    ethnic: list[Tweet] = field(default_factory=list)
-    multi_group_dropped: list[Tweet] = field(default_factory=list)
-    unmatched: list[Tweet] = field(default_factory=list)
-
-    def group(self, name: str) -> list[Tweet]:
-        if name not in GROUPS:
-            raise KeyError(name)
-        return getattr(self, name)
-
-    @property
-    def counts(self) -> dict[str, int]:
-        return {
-            "political": len(self.political),
-            "gender": len(self.gender),
-            "ethnic": len(self.ethnic),
-            "multi_group_dropped": len(self.multi_group_dropped),
-            "unmatched": len(self.unmatched),
-        }
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def _lang_matches(tweet_lang: str, constraint: str) -> bool:
+def lang_matches(tweet_lang: str, constraint: str) -> bool:
+    """Whether a tweet's ``lang`` meets a query's ``lang:`` constraint, by
+    primary subtag ("en-GB" meets "en")."""
     return tweet_lang.split("-")[0].lower() == constraint.split("-")[0].lower()
 
 
-def partition(tweets, ast: QueryAst, lexicon: GroupLexicon) -> PartitionedCorpus:
-    """Assign each tweet to exactly one bucket.
-
-    Exactly one matched group -> that group's list; two or more ->
-    ``multi_group_dropped``; none (or a lang mismatch) -> ``unmatched``.
-    The five buckets partition the input exactly.
-    """
-    out = PartitionedCorpus()
-    terms = compile_terms(ast, lexicon)
-    for tweet in tweets:
-        if ast.lang and not _lang_matches(tweet.lang, ast.lang):
-            out.unmatched.append(tweet)
-            continue
-        groups = match_groups(terms, tweet)
-        if len(groups) == 1:
-            out.group(next(iter(groups))).append(tweet)
-        elif len(groups) >= 2:
-            out.multi_group_dropped.append(tweet)
-        else:
-            out.unmatched.append(tweet)
-    return out
+def partition(terms: TermIndex, tokens: list[str]) -> str:
+    """The bucket of one tweet whose lang passed ``lang_matches``: its one
+    matched group, ``multi_group_dropped`` for two or more, ``unmatched``
+    for none. A tweet whose lang fails goes to ``unmatched`` unlexed, so
+    every tweet lands in exactly one of ``BUCKETS``."""
+    groups = match_groups(terms, tokens)
+    if len(groups) == 1:
+        return next(iter(groups))
+    return "multi_group_dropped" if groups else "unmatched"

@@ -11,6 +11,8 @@ one-time warning.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import logging
 from collections import Counter
@@ -45,16 +47,36 @@ class Tweet:
 
 @dataclass
 class IngestReport:
-    tweets: list[Tweet] = field(default_factory=list)
+    tweets: list[Tweet] = field(default_factory=list)  # empty when streamed to on_tweet
     rejected: Counter = field(default_factory=Counter)  # reason -> lines
-
-    @property
-    def accepted_count(self) -> int:
-        return len(self.tweets)
+    accepted_count: int = 0
+    sha256: str | None = None  # of the raw bytes, when ingest read a path
 
     @property
     def rejected_count(self) -> int:
         return self.rejected.total()
+
+
+class _HashingReader(io.RawIOBase):
+    """A raw binary reader that hashes every byte it hands out, so a text
+    stream over it hashes the file in the one read that parses it."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.hash = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.raw.readinto(buffer)
+        if n:
+            self.hash.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self) -> None:
+        self.raw.close()
+        super().close()
 
 
 def _parse_record(obj: dict) -> Tweet:
@@ -101,23 +123,28 @@ def _parse_record(obj: dict) -> Tweet:
     )
 
 
-def ingest(source, query: QueryAst | None = None) -> IngestReport:
+def ingest(source, query: QueryAst | None = None, on_tweet=None) -> IngestReport:
     """Read and validate a JSON Lines corpus.
 
-    ``source`` may be a path or a text stream. Per-line schema violations
-    and duplicate ids are counted by reason in the report, never fatal;
-    only an unreadable source raises.
+    ``source`` may be a path or a text stream; from a path, the report
+    carries the sha256 of the file's bytes. Each accepted tweet goes to
+    ``on_tweet`` when one is given and into ``report.tweets`` otherwise.
+    Per-line schema violations and duplicate ids are counted by reason in
+    the report, never fatal; only an unreadable source raises.
     """
+    hashing = None
     if isinstance(source, (str, Path)):
         try:
-            stream = open(source, encoding="utf-8")
+            hashing = _HashingReader(open(source, "rb", buffering=0))
         except OSError as exc:
             raise SchemaError(f"cannot read corpus: {exc}") from exc
-        close = True
+        # the same universal-newline split and strict UTF-8 as open(source)
+        stream = io.TextIOWrapper(io.BufferedReader(hashing), encoding="utf-8")
     else:
-        stream, close = source, False
+        stream = source
 
     report = IngestReport()
+    keep = report.tweets.append if on_tweet is None else on_tweet
     seen_ids: set[str] = set()
     warned_directives: set[str] = set()
     try:
@@ -147,10 +174,13 @@ def ingest(source, query: QueryAst | None = None) -> IngestReport:
                     continue
 
             seen_ids.add(tweet.id)
-            report.tweets.append(tweet)
+            report.accepted_count += 1
+            keep(tweet)
     finally:
-        if close:
+        if hashing is not None:
             stream.close()
+    if hashing is not None:
+        report.sha256 = hashing.hash.hexdigest()
     return report
 
 

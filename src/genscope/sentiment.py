@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .classifier.features import tokenize
+from .classifier.features import tokenize  # unused here; the benchmark tracer wraps it
 from .errors import InputError, SchemaError
 
 logger = logging.getLogger(__name__)
@@ -78,13 +78,13 @@ def load_valence_lexicon(path=None) -> ValenceLexicon:
     return ValenceLexicon(valences=valences, negations=frozenset(negations))
 
 
-def lexicon_score(text: str, lexicon: ValenceLexicon) -> SentimentLabel:
-    """Mean matched valence, sign-flipped inside a negation window.
+def lexicon_score(tokens: list[str], lexicon: ValenceLexicon) -> SentimentLabel:
+    """Mean matched valence of a text's word tokens (``tokenize``'s
+    output), sign-flipped inside a negation window.
 
     positive if the mean exceeds the neutral band, negative below it,
     neutral otherwise (including texts with no lexicon tokens at all).
     """
-    tokens = tokenize(text)
     flip_until = -1
     total = 0.0
     hits = 0
@@ -168,8 +168,10 @@ class SentimentProvider:
         self.external = external or {}
         self.lexicon = lexicon or load_valence_lexicon()
 
-    def label(self, tweet) -> SentimentLabel:
-        hit = self.external.get(tweet.id)
+    def label(self, tweet_id: str, tokens: list[str]) -> SentimentLabel:
+        """The external label of ``tweet_id``, else the lexicon's label of
+        the tweet's word tokens."""
+        hit = self.external.get(tweet_id)
         if hit is not None:
             return hit
-        return lexicon_score(tweet.text, self.lexicon)
+        return lexicon_score(tokens, self.lexicon)

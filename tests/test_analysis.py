@@ -1,12 +1,18 @@
 """Pipeline recipes, config parsing, recomputability, and reproduction."""
 
+import copy
+import hashlib
 import json
+import logging
 import re
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import genscope.analysis
 from genscope.analysis import (
     AnalysisConfig,
     _histogram,
@@ -15,10 +21,12 @@ from genscope.analysis import (
     reproduce_published,
     run_analysis,
 )
-from genscope.corpus import write_jsonl
+from genscope.classifier import GenericityClassifier, predict_score, save_model, stack_features
+from genscope.cli import main
+from genscope.corpus import ingest, lang_matches, load_query, write_jsonl
 from genscope.errors import InputError, SchemaError
 from genscope.reporting import emit_report, render_csv, render_markdown
-from genscope.synth import generate_corpus
+from genscope.synth import generate_corpus, generate_training_texts
 
 BUNDLED_CORPUS = resources.files("genscope.data") / "synthetic_corpus.jsonl"
 PUBLISHED_TABLES = resources.files("genscope.data") / "published_tables.csv"
@@ -104,6 +112,44 @@ class TestRunAnalysis:
 
     def test_recomputable(self, bundled_report):
         assert recompute_check(bundled_report) == []
+
+    @pytest.mark.parametrize(
+        "path, check",
+        [
+            (("ingest", "accepted"), "ingest accepted = partition buckets"),
+            (("partition", "unmatched"), "ingest accepted = partition buckets"),
+            (("descriptives", "analyzed_tweets"), "analyzed_tweets = group_counts"),
+            (("descriptives", "group_counts", "gender"), "analyzed_tweets = group_counts"),
+        ],
+        ids=["accepted", "bucket", "analyzed", "group-count"],
+    )
+    def test_edited_count_does_not_reconcile(self, bundled_report, path, check):
+        report = copy.deepcopy(bundled_report)
+        node = report
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] += 1
+        assert [p.split(":")[0] for p in recompute_check(report)] == [check]
+
+    @pytest.mark.parametrize(
+        "newline, final, blank",
+        [("\r\n", True, False), ("\r", True, False), ("\n", False, False),
+         ("\n", True, True), ("\r\n", False, True)],
+        ids=["crlf", "bare-cr", "no-final-newline", "blank-lines", "crlf-blank-no-final"],
+    )
+    def test_corpus_sha256_is_of_the_raw_bytes(self, tmp_path, newline, final, blank):
+        records = generate_corpus(n=40, seed=5)
+        records[0]["text"] = "démocrates — 政治 🤔 democrats are loud"
+        lines = [json.dumps(r, ensure_ascii=False) for r in records]
+        if blank:
+            lines[10:10] = ["", "   "]
+        text = newline.join(lines) + (newline if final else "")
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        report = run_analysis(AnalysisConfig(corpus=str(path)))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert report["provenance"]["corpus_sha256"] == digest
+        assert report["ingest"] == {"accepted": 40, "rejected": 0}
 
     def test_histograms_cover_unit_interval(self, bundled_report):
         hists = bundled_report["descriptives"]["score_histograms"]
@@ -364,3 +410,87 @@ class TestHistogram:
         hist = _histogram(edges + [1.0], width)
         assert [edge for edge, _ in hist] == edges
         assert [count for _, count in hist] == [1] * (n_bins - 1) + [2]
+
+
+class TestSinglePass:
+    """``run_analysis`` reads the corpus once, lexes each tweet once and
+    keeps only numbers per analysed tweet."""
+
+    def test_lex_once_per_tweet_that_passes_lang(self, monkeypatch):
+        calls = []
+        lex = genscope.analysis.lex
+        monkeypatch.setattr(genscope.analysis, "lex", lambda text: calls.append(text) or lex(text))
+        report = run_analysis(AnalysisConfig(corpus=str(BUNDLED_CORPUS)))
+        query = load_query(resources.files("genscope.data") / "default_query.txt")
+        tweets = ingest(str(BUNDLED_CORPUS), query=query).tweets
+        assert len(tweets) == report["ingest"]["accepted"]
+        assert calls == [t.text for t in tweets if lang_matches(t.lang, query.lang)]
+
+    def test_peak_memory_does_not_grow_per_line(self, tmp_path):
+        # what stays alive per input line is its id in ingest's set and four
+        # numbers per analysed tweet, about 80 bytes here; holding each
+        # tweet and a scored record for it would cost about 720
+        logging.disable(logging.WARNING)  # the directive warnings
+        try:
+            peaks = {}
+            for n in (100, 2000, 4000):  # the first run warms the imports
+                path = tmp_path / f"corpus{n}.jsonl"
+                write_jsonl(generate_corpus(n=n, seed=7), path)
+                tracemalloc.start()
+                try:
+                    run_analysis(AnalysisConfig(corpus=str(path)))
+                    peaks[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        finally:
+            logging.disable(logging.NOTSET)
+        assert (peaks[4000] - peaks[2000]) / 2000 <= 200
+
+    @pytest.fixture(scope="class")
+    def model_inputs(self, tmp_path_factory):
+        where = tmp_path_factory.mktemp("chunks")
+        texts, labels = generate_training_texts(n=300, seed=5)
+        clf = GenericityClassifier(min_count=1, epochs=50).fit(texts, labels)
+        save_model(clf.model_, where / "model.txt")
+        lines = Path(str(BUNDLED_CORPUS)).read_text().splitlines()
+        ids = [json.loads(line)["id"] for line in lines]
+        sentiments = ("negative", "neutral", "positive")
+        (where / "labels.jsonl").write_text(
+            "".join(
+                json.dumps({"id": i, "sentiment": sentiments[k % 3]}) + "\n"
+                for k, i in enumerate(ids[::3])
+            )
+        )
+        return where, clf.model_
+
+    def test_chunked_scoring_matches_one_batch(self, model_inputs, monkeypatch):
+        where, model = model_inputs
+        outputs = {}
+        for chunk in (1, 3, genscope.analysis.CHUNK):
+            monkeypatch.setattr(genscope.analysis, "CHUNK", chunk)
+            matrices, scores = [], []
+
+            def scoring(model, features):
+                matrices.append(features)
+                scores.append(predict_score(model, features))
+                return scores[-1]
+
+            monkeypatch.setattr(genscope.analysis, "predict_score", scoring)
+            out = where / f"out{chunk}"
+            argv = ["analyze", "--corpus", str(BUNDLED_CORPUS),
+                    "--model", str(where / "model.txt"),
+                    "--external-sentiment", str(where / "labels.jsonl"), "--out", str(out)]
+            assert main(argv) == 0
+            outputs[chunk] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            assert all(len(m) == chunk for m in matrices[:-1])
+            rows = [
+                list(zip(m.indices[m.indptr[i] : m.indptr[i + 1]].tolist(),
+                         m.data[m.indptr[i] : m.indptr[i + 1]].tolist()))
+                for m in matrices
+                for i in range(len(m))
+            ]
+            whole = predict_score(model, stack_features(rows, model.dimension))
+            assert np.concatenate(scores).tobytes() == whole.tobytes()
+        first = outputs.pop(1)
+        assert all(files == first for files in outputs.values())
+        assert len(first) > 1

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -5,15 +6,18 @@ from importlib import resources
 
 import pytest
 
+from genscope.analysis import AnalysisConfig, run_analysis
+from genscope.classifier import tokenize
 from genscope.corpus import (
+    BUCKETS,
     GroupLexicon,
-    Tweet,
     compile_terms,
     ingest,
     load_group_lexicon,
     match_groups,
     parse_query,
     partition,
+    write_jsonl,
 )
 from genscope.errors import SchemaError
 
@@ -34,8 +38,17 @@ def _record(i, text="hello democrats", **kw):
     return base
 
 
-def _tweet(text, lang="en", i="t1"):
-    return Tweet(id=i, text=text, like_count=0, retweet_count=0, lang=lang)
+def _partition_counts(tmp_path, records, query):
+    """The report's partition block for ``records`` under ``query`` and LEX."""
+    corpus, query_file, lexicon = (tmp_path / n for n in ("c.jsonl", "q.txt", "lex.tsv"))
+    write_jsonl(records, corpus)
+    query_file.write_text(query, encoding="utf-8")
+    lexicon.write_text(
+        "".join(f"{term}\t{','.join(groups)}\n" for term, groups in LEX.entries.items()),
+        encoding="utf-8",
+    )
+    config = AnalysisConfig(corpus=str(corpus), query=str(query_file), group_lexicon=str(lexicon))
+    return run_analysis(config)["partition"]
 
 
 LEX = GroupLexicon(
@@ -101,33 +114,63 @@ class TestIngest:
         assert report.accepted_count == 0
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "bare-cr"])
+def test_path_splits_lines_as_text_mode_does(tmp_path, newline):
+    # U+2028 is a line break to str.splitlines but not to a text stream
+    lines = [
+        json.dumps(_record(1)), "not json", json.dumps(_record(1)),
+        json.dumps(_record(2, text="democrats\u2028are loud"), ensure_ascii=False), "",
+    ]
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    from_path = ingest(path)
+    with open(path, encoding="utf-8") as stream:
+        from_stream = ingest(stream)
+    assert (from_path.accepted_count, from_path.rejected) == (2, {
+        "invalid JSON: Expecting value": 1, "duplicate id": 1,
+    })
+    assert (from_path.accepted_count, from_path.rejected) == (
+        from_stream.accepted_count, from_stream.rejected,
+    )
+    assert [vars(t) for t in from_path.tweets] == [vars(t) for t in from_stream.tweets]
+    assert from_path.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert from_stream.sha256 is None
+
+
+def test_on_tweet_takes_the_accepted_tweets():
+    seen = []
+    report = ingest(_jsonl(_record(1), _record(1), _record(2)), on_tweet=seen.append)
+    assert [t.id for t in seen] == ["1", "2"]
+    assert (report.tweets, report.accepted_count, report.rejected_count) == ([], 2, 1)
+
+
 class TestMatchGroups:
     def test_political_keyword(self):
-        got = match_groups(TERMS, _tweet("Democrats glorify the killing of the unborn."))
+        got = match_groups(TERMS, tokenize("Democrats glorify the killing of the unborn."))
         assert got == {"political"}
 
     def test_phrase_match(self):
-        got = match_groups(TERMS, _tweet("Black people are the best at everything."))
+        got = match_groups(TERMS, tokenize("Black people are the best at everything."))
         assert got == {"ethnic"}
 
     def test_no_match(self):
-        assert match_groups(TERMS, _tweet("hello world")) == set()
+        assert match_groups(TERMS, tokenize("hello world")) == set()
 
     def test_case_insensitive(self):
         text = "DEMOCRATS ARE loud"
-        assert match_groups(TERMS, _tweet(text)) == match_groups(
-            TERMS, _tweet(text.lower())
+        assert match_groups(TERMS, tokenize(text)) == match_groups(
+            TERMS, tokenize(text.lower())
         )
 
     def test_hashtag_matches(self):
-        assert match_groups(TERMS, _tweet("#democrats won")) == {"political"}
+        assert match_groups(TERMS, tokenize("#democrats won")) == {"political"}
 
     def test_phrase_respects_token_boundaries(self):
-        assert match_groups(TERMS, _tweet("whitewash men everywhere")) == set()
-        assert match_groups(TERMS, _tweet("the white menace")) == set()
+        assert match_groups(TERMS, tokenize("whitewash men everywhere")) == set()
+        assert match_groups(TERMS, tokenize("the white menace")) == set()
 
     def test_multi_group_union(self):
-        got = match_groups(TERMS, _tweet("trans democrats unite"))
+        got = match_groups(TERMS, tokenize("trans democrats unite"))
         assert got == {"gender", "political"}
 
 
@@ -142,7 +185,7 @@ class TestTermIndex:
     TERMS = compile_terms(parse_query("(white OR (white men) OR (black people))"), LEX)
 
     def match(self, text):
-        return match_groups(self.TERMS, _tweet(text))
+        return match_groups(self.TERMS, tokenize(text))
 
     def test_keyword_that_starts_a_phrase(self):
         assert self.match("white") == {"political"}
@@ -182,54 +225,44 @@ def test_index_matches_sliding_window_on_default_query():
     rng = random.Random(0)
     for _ in range(3000):
         tokens = [rng.choice(vocab) for _ in range(rng.randint(0, 8))]
-        tweet = _tweet(" ".join(tokens))
-        assert match_groups(terms, tweet) == _sliding_window_groups(ast, lexicon, tokens)
+        got = match_groups(terms, tokenize(" ".join(tokens)))
+        assert got == _sliding_window_groups(ast, lexicon, tokens)
 
 
 class TestPartition:
     def test_single_group_placement(self):
-        tweets = [
-            _tweet("democrats stuff", i="1"),
-            _tweet("trans stuff", i="2"),
-            _tweet("black people stuff", i="3"),
-        ]
-        parts = partition(tweets, AST, LEX)
-        assert [t.id for t in parts.political] == ["1"]
-        assert [t.id for t in parts.gender] == ["2"]
-        assert [t.id for t in parts.ethnic] == ["3"]
+        texts = ["democrats stuff", "trans stuff", "black people stuff"]
+        assert [partition(TERMS, tokenize(t)) for t in texts] == ["political", "gender", "ethnic"]
 
     def test_multi_group_dropped(self):
-        parts = partition([_tweet("trans democrats")], AST, LEX)
-        assert len(parts.multi_group_dropped) == 1
-        assert parts.counts["political"] == 0
+        assert partition(TERMS, tokenize("trans democrats")) == "multi_group_dropped"
 
     def test_no_match_goes_unmatched(self):
-        parts = partition([_tweet("nothing here")], AST, LEX)
-        assert len(parts.unmatched) == 1
+        assert partition(TERMS, tokenize("nothing here")) == "unmatched"
 
-    def test_lang_mismatch_goes_unmatched(self):
-        ast = parse_query("(democrats) lang:en")
-        parts = partition([_tweet("democrats", lang="de")], ast, LEX)
-        assert len(parts.unmatched) == 1
+    def test_lang_mismatch_goes_unmatched(self, tmp_path):
+        records = [_record(1, "democrats", lang="de")]
+        parts = _partition_counts(tmp_path, records, "(democrats) lang:en")
+        assert (parts["unmatched"], parts["political"]) == (1, 0)
 
-    def test_lang_primary_subtag_matches(self):
-        ast = parse_query("(democrats) lang:en")
-        parts = partition([_tweet("democrats", lang="en-GB")], ast, LEX)
-        assert len(parts.political) == 1
+    def test_lang_primary_subtag_matches(self, tmp_path):
+        records = [_record(1, "democrats", lang="en-GB")]
+        parts = _partition_counts(tmp_path, records, "(democrats) lang:en")
+        assert parts["political"] == 1
 
-    def test_partition_completeness(self):
+    def test_partition_completeness(self, tmp_path):
         texts = [
             "democrats", "trans", "black people", "trans democrats",
             "nothing", "liberals and trans", "white men things", "",
         ]
-        tweets = [_tweet(t or "x", i=str(n)) for n, t in enumerate(texts)]
-        parts = partition(tweets, AST, LEX)
-        assert parts.total == len(tweets)
-        ids = [t.id for bucket in (
-            parts.political, parts.gender, parts.ethnic,
-            parts.multi_group_dropped, parts.unmatched,
-        ) for t in bucket]
-        assert sorted(ids) == sorted(t.id for t in tweets)
+        records = [_record(n, t or "x") for n, t in enumerate(texts)]
+        query = "(democrats OR liberals OR trans OR (black people) OR (white men))"
+        parts = _partition_counts(tmp_path, records, query)
+        assert list(parts) == list(BUCKETS)
+        assert parts == {
+            "political": 1, "gender": 1, "ethnic": 2,
+            "multi_group_dropped": 2, "unmatched": 2,
+        }
 
 
 class TestGroupLexiconFile:

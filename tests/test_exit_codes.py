@@ -226,3 +226,47 @@ def test_reproduce_tables_exit_code(workdir, data, line):
     path = workdir / "tables.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert exit_code(["reproduce", "--tables", str(path)]) in EXIT_CODES
+
+
+def test_analyze_non_utf8_last_line(workdir):
+    path = workdir / "corpus_latin1.jsonl"
+    lines = [json.dumps(record) for record in RECORDS[:20]]
+    path.write_bytes("\n".join(lines).encode("utf-8") + b'\n{"id": "z", "text": "caf\xe9"}\n')
+    out = workdir / "latin1_out"
+    assert quiet_exit_code(["analyze", "--corpus", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.fixture
+def corpus_never_read(monkeypatch):
+    """A valid corpus path whose reading fails the test: side inputs are
+    checked before it."""
+    def ingest(*args, **kwargs):
+        raise AssertionError("the corpus was read before a bad side input failed")
+
+    monkeypatch.setattr("genscope.analysis.ingest", ingest)
+    return str(resources.files("genscope.data") / "synthetic_corpus.jsonl")
+
+
+@pytest.mark.parametrize(
+    "flag, content",
+    [
+        ("--model", "feature_kind bow\ndimension 1\nchecksum 00000000\n"),
+        ("--external-sentiment", None),
+        ("--external-sentiment", b'{"id": "1", "sentiment": "caf\xe9"}\n'),
+        ("--valence-lexicon", None),
+        ("--valence-lexicon", b"great\tvery\n"),
+    ],
+    ids=["corrupt-model", "missing-labels", "labels-not-utf8", "missing-lexicon", "bad-valence"],
+)
+def test_bad_side_input_fails_before_the_corpus(workdir, corpus_never_read, flag, content):
+    path = workdir / "side_input"
+    path.unlink(missing_ok=True)
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    elif content is not None:
+        path.write_bytes(content)
+    out = workdir / "side_out"
+    argv = ["analyze", "--corpus", corpus_never_read, flag, str(path), "--out", str(out)]
+    assert quiet_exit_code(argv) == 2
+    assert not out.exists()

@@ -7,7 +7,9 @@ apostrophes inside and outside words, clause breaks, punctuation,
 abbreviation keys and a few characters no alternative matches.
 
 ``normalize`` runs on a fresh word table and twice on one annotator's
-shared table, so the second pass finds every word surface cached.
+shared table, so the second pass finds every word surface cached; that
+pass takes the text's ``lex`` matches, as ``analyze`` passes them.
+``words(lex(text))`` must equal ``tokenize(text)``.
 """
 
 from pathlib import Path
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genscope.annotator import RuleAnnotator, WordTable, normalize
-from genscope.classifier import tokenize
+from genscope.classifier import lex, tokenize, words
 from oracles import normalize_oracle, tokenize_oracle
 
 PIECES = [
@@ -45,12 +47,15 @@ GOLD = Path(__file__).parent / "data" / "annotator_gold"
 
 def check_tokenize(text):
     assert tokenize(text) == tokenize_oracle(text)
+    assert words(lex(text)) == tokenize_oracle(text)
 
 
 def check_normalize(text):
     expected = normalize_oracle(text, ABBREVIATIONS)
-    for table in (WordTable(ABBREVIATIONS), ANNOTATOR.words, ANNOTATOR.words):
-        clauses = normalize(text, table).clauses
+    for table, matches in (
+        (WordTable(ABBREVIATIONS), None), (ANNOTATOR.words, None), (ANNOTATOR.words, lex(text)),
+    ):
+        clauses = normalize(text, table, matches).clauses
         got = [[(t.norm, t.kind, t.start, t.end) for t in clause] for clause in clauses]
         assert got == expected
         for token in (t for clause in clauses for t in clause):

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from genscope.corpus import Tweet
+from genscope.classifier import tokenize
 from genscope.errors import InputError, SchemaError
 from genscope.sentiment import (
     SentimentLabel,
@@ -24,33 +24,33 @@ def lexicon():
 
 class TestLexiconScore:
     def test_positive(self, lexicon):
-        assert lexicon_score("great wonderful", lexicon).value == "positive"
+        assert lexicon_score(tokenize("great wonderful"), lexicon).value == "positive"
 
     def test_negation_flips_within_window(self, lexicon):
-        assert lexicon_score("not great", lexicon).value == "negative"
+        assert lexicon_score(tokenize("not great"), lexicon).value == "negative"
 
     def test_negation_window_expires(self, lexicon):
         # "great" sits more than 3 tokens after the negation
-        label = lexicon_score("not that it was so great", lexicon)
+        label = lexicon_score(tokenize("not that it was so great"), lexicon)
         assert label.value == "positive"
 
     def test_no_lexicon_tokens_is_neutral(self, lexicon):
-        assert lexicon_score("completely unrelated words", lexicon).value == "neutral"
+        assert lexicon_score(tokenize("completely unrelated words"), lexicon).value == "neutral"
 
     def test_empty_text_is_neutral(self, lexicon):
-        assert lexicon_score("", lexicon).value == "neutral"
+        assert lexicon_score(tokenize(""), lexicon).value == "neutral"
 
     def test_within_band_is_neutral(self, lexicon):
-        assert lexicon_score("fine", lexicon).value == "neutral"
+        assert lexicon_score(tokenize("fine"), lexicon).value == "neutral"
 
     def test_duplication_invariance(self, lexicon):
         for text in ("great wonderful", "awful stuff", "nothing matching"):
-            once = lexicon_score(text, lexicon).value
-            twice = lexicon_score(text + " " + text, lexicon).value
+            once = lexicon_score(tokenize(text), lexicon).value
+            twice = lexicon_score(tokenize(text + " " + text), lexicon).value
             assert once == twice
 
     def test_source_marked_lexicon(self, lexicon):
-        assert lexicon_score("great", lexicon).source == "lexicon"
+        assert lexicon_score(tokenize("great"), lexicon).source == "lexicon"
 
 
 class TestExternalLabels:
@@ -88,20 +88,17 @@ class TestExternalLabels:
 
 
 class TestProvider:
-    def _tweet(self, i, text):
-        return Tweet(id=i, text=text, like_count=0, retweet_count=0, lang="en")
-
     def test_external_precedence(self, lexicon):
         provider = SentimentProvider(
             external={"1": SentimentLabel("positive", "external")}, lexicon=lexicon
         )
-        label = provider.label(self._tweet("1", "awful awful awful"))
+        label = provider.label("1", tokenize("awful awful awful"))
         assert label.value == "positive"
         assert label.source == "external"
 
     def test_lexicon_fallback(self, lexicon):
         provider = SentimentProvider(external={}, lexicon=lexicon)
-        label = provider.label(self._tweet("2", "awful"))
+        label = provider.label("2", tokenize("awful"))
         assert label.value == "negative"
         assert label.source == "lexicon"
 
@@ -109,8 +106,7 @@ class TestProvider:
         provider = SentimentProvider(
             external={"1": SentimentLabel("neutral", "external")}, lexicon=lexicon
         )
-        tweets = [self._tweet(str(i), "great") for i in range(5)]
-        labels = [provider.label(t) for t in tweets]
+        labels = [provider.label(str(i), tokenize("great")) for i in range(5)]
         assert len(labels) == 5
         assert all(isinstance(l, SentimentLabel) for l in labels)
 
