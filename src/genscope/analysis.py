@@ -27,11 +27,10 @@ from . import __version__
 from .annotator import RuleAnnotator
 from .base import check_threshold
 from .classifier import (
+    CsrMatrix,
     lex,
     load_model,
     predict_score,
-    require_bow_vocab,
-    stack_features,
     tokenize,  # unused here; the benchmark tracer wraps it
     vectorize_bow,
     words,
@@ -232,9 +231,44 @@ def _histogram(scores, bin_width: float) -> list[list[float]]:
 # the single pass: each accepted tweet is lexed once, bucketed, scored and
 # labelled as ingest reads it, and only its numbers are kept
 
-# analysed tweets per model-scoring batch: one stack_features +
-# predict_score each, so only one chunk's feature rows are alive
+# texts per model-scoring batch: one predict_score call each, so only one
+# chunk's features are alive
 CHUNK = 4096
+
+
+class ModelScorer:
+    """The one way texts are scored with a trained model. ``add`` appends
+    a text's ``vectorize_bow`` row to flat CSR buffers, so a waiting row
+    is no Python object, and keeps the sink its score goes to; ``flush``
+    scores the rows and hands each score to its sink, in order. ``add``
+    flushes every ``CHUNK`` rows; the caller flushes once at the end."""
+
+    def __init__(self, path):
+        self.model = load_model(path)
+        if self.model.vocab is None:
+            raise InputError(f"{path}: need a bag-of-words model with a [vocab] section")
+        self._clear()
+
+    def _clear(self) -> None:
+        self._indptr, self._indices, self._data = array("q", [0]), array("q"), array("d")
+        self._sinks: list = []
+
+    def add(self, tokens: list[str], sink) -> None:
+        for idx, count in vectorize_bow(tokens, self.model.vocab):
+            self._indices.append(idx)
+            self._data.append(count)
+        self._indptr.append(len(self._indices))
+        self._sinks.append(sink)
+        if len(self._sinks) == CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self._sinks:
+            return
+        features = CsrMatrix(self._indptr, self._indices, self._data, self.model.dimension)
+        for sink, score in zip(self._sinks, predict_score(self.model, features).tolist()):
+            sink(score)
+        self._clear()
 
 
 class _Columns:
@@ -259,27 +293,20 @@ class _Columns:
 
 class _Pipeline:
     """The per-tweet step ``ingest`` calls, with everything it needs: the
-    compiled query terms, the annotator or model, and the sentiment
+    compiled query terms, the annotator or model scorer, and the sentiment
     provider. It keeps the partition counts and each group's columns."""
 
     def __init__(self, config: AnalysisConfig, query, lexicon):
         self.terms = compile_terms(query, lexicon)
         self.lang = query.lang
-        self.model = None
-        self.annotator = None
-        if config.model:
-            self.model = load_model(config.model)
-            require_bow_vocab(self.model, config.model)
-        else:
-            self.annotator = RuleAnnotator()
+        self.scorer = ModelScorer(config.model) if config.model else None
+        self.annotator = None if config.model else RuleAnnotator()
         self.provider = SentimentProvider(
             external=_external_labels(config.external_sentiment),
             lexicon=load_valence_lexicon(config.valence_lexicon or None),
         )
         self.buckets = dict.fromkeys(BUCKETS, 0)
         self.columns = {g: _Columns() for g in GROUPS}
-        self._rows: list = []  # model path: the chunk's feature rows ...
-        self._waiting: list[_Columns] = []  # ... and the columns their scores go to
 
     def __call__(self, tweet) -> None:
         if self.lang and not lang_matches(tweet.lang, self.lang):
@@ -292,29 +319,15 @@ class _Pipeline:
         if bucket not in self.columns:
             return
         col = self.columns[bucket]
-        if self.model is None:
+        if self.scorer is None:
             verdict = self.annotator.annotate(tweet.text, matches)
             col.scores.append(1.0 if verdict.is_generic else 0.0)
         else:
-            self._rows.append(vectorize_bow(tokens, self.model.vocab))
-            self._waiting.append(col)
-            if len(self._rows) == CHUNK:
-                self.flush()
+            self.scorer.add(tokens, col.scores.append)
         label = self.provider.label(tweet.id, tokens)
         col.sentiments.append(SENTIMENTS.index(label.value))
         col.likes.append(tweet.like_count)
         col.retweets.append(tweet.retweet_count)
-
-    def flush(self) -> None:
-        """Score the model path's waiting rows (the annotator's are scored
-        as they come)."""
-        if not self._rows:
-            return
-        features = stack_features(self._rows, self.model.dimension)
-        for col, score in zip(self._waiting, predict_score(self.model, features).tolist()):
-            col.scores.append(score)
-        self._rows.clear()
-        self._waiting.clear()
 
 
 def _external_labels(path) -> dict:
@@ -346,8 +359,9 @@ def run_analysis(config: AnalysisConfig) -> dict:
         raise SchemaError(f"group lexicon does not cover query terms: {missing}")
 
     pipeline = _Pipeline(config, query, lexicon)
-    report_ingest = ingest(corpus_path, query=query, on_tweet=pipeline)
-    pipeline.flush()
+    report_ingest = ingest(corpus_path, pipeline, query)
+    if pipeline.scorer is not None:
+        pipeline.scorer.flush()
     columns = pipeline.columns
 
     report: dict = {
@@ -599,21 +613,29 @@ def recompute_check(report: dict, tol: float = 1e-9) -> list[str]:
     if accepted is not None and "partition" in report:
         same(accepted, sum(report["partition"].values()), "ingest accepted = partition buckets")
     descriptives = report.get("descriptives", {})
+    h1, h4 = report.get("h1", {}), report.get("h4", {})
+    h3_counts = report.get("h3", {}).get("group_generic_counts", {})
     if "analyzed_tweets" in descriptives:
-        same(
-            descriptives["analyzed_tweets"],
-            sum(descriptives["group_counts"].values()),
-            "analyzed_tweets = group_counts",
-        )
+        n, generic = descriptives["analyzed_tweets"], descriptives["generic_count"]
+        group_counts = descriptives["group_counts"]
+        same(n, sum(group_counts.values()), "analyzed_tweets = group_counts")
+        if "counts" in h1:
+            same(h1["counts"]["generic"], generic, "h1 generic = generic_count")
+            same(h1["counts"]["non_generic"], n - generic,
+                 "h1 non_generic = analyzed_tweets - generic_count")
+        for g, c in h3_counts.items():
+            same(c["generic"] + c["non_generic"], group_counts[g],
+                 f"h3 {g} generic + non_generic = group_counts")
+    if "sentiment_by_group" in h4:
+        table = h4["sentiment_by_group"]
+        for g, total in zip(table["columns"], np.sum(table["cells"], axis=0).tolist()):
+            same(total, h3_counts[g]["generic"], f"h4 {g} column sum = h3 generic")
 
-    h1 = report.get("h1", {})
     if "test" in h1:
         redone = chi_square_gof(list(h1["counts"].values()))
         close(h1["test"]["chi2"], redone.chi2, "h1 chi2")
 
-    for name, block in list(report.get("h3", {}).items()) + list(
-        report.get("h4", {}).items()
-    ):
+    for name, block in [*report.get("h3", {}).items(), *h4.items()]:
         if not isinstance(block, dict) or "chi_square" not in block:
             continue
         cells = np.array(block["chi_square"]["cells"])
@@ -623,14 +645,12 @@ def recompute_check(report: dict, tol: float = 1e-9) -> list[str]:
         redone_or = odds_ratio(o[0], o[1], o[2], o[3])
         close(block["odds_ratio"]["odds_ratio"], redone_or.odds_ratio, f"{name} OR")
 
-    h4 = report.get("h4", {})
     if "omnibus" in h4 and "chi2" in h4.get("omnibus", {}):
         cells = np.array(h4["sentiment_by_group"]["cells"])
         redone = chi_square_independence(ContingencyTable(cells))
         close(h4["omnibus"]["chi2"], redone.chi2, "h4 omnibus chi2")
 
-    h2 = report.get("h2", {})
-    for metric, res in h2.items():
+    for metric, res in report.get("h2", {}).items():
         if not isinstance(res, dict) or "z" not in res:
             continue
         n = res["n1"] + res["n2"]

@@ -22,7 +22,7 @@ from .logistic import (
     train_logistic,
 )
 from .metrics import EvalMetrics, evaluate, roc_auc
-from .model_io import dumps_model, load_model, loads_model, require_bow_vocab, save_model
+from .model_io import dumps_model, load_model, loads_model, save_model
 
 __all__ = [
     "BagOfWordsVectorizer",
@@ -48,6 +48,5 @@ __all__ = [
     "dumps_model",
     "load_model",
     "loads_model",
-    "require_bow_vocab",
     "save_model",
 ]

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import InputError, ModelFormatError
+from ..errors import ModelFormatError
 from .features import Vocabulary
 from .logistic import GenericityModel
 
@@ -180,10 +180,3 @@ def load_model(path) -> GenericityModel:
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
 
-
-def require_bow_vocab(model: GenericityModel, path) -> None:
-    """Reject a model that cannot turn text into features: one whose
-    ``[vocab]`` section is empty. ``path`` names the model file in the
-    message."""
-    if model.vocab is None:
-        raise InputError(f"{path}: need a bag-of-words model with a [vocab] section")

@@ -11,10 +11,12 @@ import argparse
 import json
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 from .analysis import (
     AnalysisConfig,
+    ModelScorer,
     recompute_check,
     reproduce_published,
     run_analysis,
@@ -24,13 +26,11 @@ from .base import check_threshold
 from .classifier import (
     GenericityClassifier,
     evaluate,
-    load_model,
-    predict_score,
-    require_bow_vocab,
+    load_model,  # unused here; the benchmark tracer wraps it
+    predict_score,  # unused here; the benchmark tracer wraps it
     save_model,
-    stack_features,
     tokenize,
-    vectorize_bow,
+    vectorize_bow,  # unused here; the benchmark tracer wraps it
 )
 from .classifier.logistic import (
     DEFAULT_EPOCHS,
@@ -40,7 +40,7 @@ from .classifier.logistic import (
     DEFAULT_SEED,
     DEFAULT_THRESHOLD,
 )
-from .corpus import ingest, load_query, read_jsonl, write_jsonl
+from .corpus import ingest, jsonl_writer, load_query, read_jsonl
 from .errors import GenscopeError, SchemaError
 from .labeling import label_session
 from .reporting import REPORT_BLOCKS, emit_report, render_markdown
@@ -148,51 +148,45 @@ def _read_labeled(path):
     return texts, labels
 
 
-def _out_dir(args, default="out") -> Path:
-    out = Path(args.out or default)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _cmd_ingest(args) -> int:
     query = load_query(args.query) if args.query else None
-    report = ingest(args.corpus, query=query)
+    if args.out:
+        path = Path(args.out) / "accepted.jsonl"
+        with jsonl_writer(path) as write:
+            report = ingest(args.corpus, lambda tweet: write(vars(tweet)), query)
+    else:
+        report = ingest(args.corpus, lambda tweet: None, query)
     print(f"accepted: {report.accepted_count}")
     print(f"rejected: {report.rejected_count}")
     for reason, count in report.rejected.most_common():
         print(f"  {count:>6}  {reason}")
     if args.out:
-        out = _out_dir(args)
-        path = out / "accepted.jsonl"
-        write_jsonl((vars(t) for t in report.tweets), path)
         print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_annotate(args) -> int:
-    report = ingest(args.corpus)
     annotator = RuleAnnotator()
-    out = _out_dir(args)
-    path = out / "annotations.jsonl"
+    path = Path(args.out or "out") / "annotations.jsonl"
     kinds: Counter = Counter()
     reasons: Counter = Counter()
+    with jsonl_writer(path) as write:
 
-    def rows():
-        for tweet in report.tweets:
+        def annotate(tweet):
             verdict = annotator.annotate(tweet.text)
             if verdict.is_generic:
                 kinds[verdict.kind] += 1
             else:
                 reasons[verdict.exclusion_reason] += 1
-            yield {
+            write({
                 "id": tweet.id,
                 "label": verdict.label,
                 "kind": verdict.kind,
                 "reason": verdict.exclusion_reason,
                 "rule": verdict.matched_rule,
-            }
+            })
 
-    write_jsonl(rows(), path)
+        report = ingest(args.corpus, annotate)
     print(f"annotated {report.accepted_count} tweets -> {path}")
     for name, counter in (("kinds", kinds), ("exclusion reasons", reasons)):
         print(f"{name}:")
@@ -225,11 +219,12 @@ def _cmd_eval(args) -> int:
     if args.threshold is not None:
         check_threshold(args.threshold)
     texts, labels = _read_labeled(args.labeled)
-    model = load_model(args.model)
-    require_bow_vocab(model, args.model)
-    rows = (vectorize_bow(tokenize(t), model.vocab) for t in texts)
-    scores = predict_score(model, stack_features(rows, model.dimension))
-    tau = args.threshold if args.threshold is not None else model.threshold
+    scorer = ModelScorer(args.model)
+    scores: list[float] = []
+    for text in texts:
+        scorer.add(tokenize(text), scores.append)
+    scorer.flush()
+    tau = args.threshold if args.threshold is not None else scorer.model.threshold
     metrics = evaluate(scores, labels, threshold=tau)
     print(metrics.summary())
     print(
@@ -242,24 +237,20 @@ def _cmd_eval(args) -> int:
 def _cmd_classify(args) -> int:
     if args.threshold is not None:
         check_threshold(args.threshold)  # before the output directory is made
-    report = ingest(args.corpus)
-    model = load_model(args.model)
-    require_bow_vocab(model, args.model)
-    tau = args.threshold if args.threshold is not None else model.threshold
-    out = _out_dir(args)
-    path = out / "scores.jsonl"
+    scorer = ModelScorer(args.model)
+    tau = args.threshold if args.threshold is not None else scorer.model.threshold
+    path = Path(args.out or "out") / "scores.jsonl"
+    with jsonl_writer(path) as write:
 
-    rows = (vectorize_bow(tokenize(t.text), model.vocab) for t in report.tweets)
-    scores = predict_score(model, stack_features(rows, model.dimension))
-    records = (
-        {
-            "id": tweet.id,
-            "score": score,
-            "label": "generic" if score >= tau else "non_generic",
-        }
-        for tweet, score in zip(report.tweets, scores.tolist())
-    )
-    write_jsonl(records, path)
+        def write_score(tweet_id, score):
+            label = "generic" if score >= tau else "non_generic"
+            write({"id": tweet_id, "score": score, "label": label})
+
+        report = ingest(
+            args.corpus,
+            lambda tweet: scorer.add(tokenize(tweet.text), partial(write_score, tweet.id)),
+        )
+        scorer.flush()
     print(f"scored {report.accepted_count} tweets at threshold {tau} -> {path}")
     return EXIT_OK
 
@@ -321,9 +312,15 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_label(args) -> int:
-    report = ingest(args.corpus)
-    tweets = report.tweets[: args.limit] if args.limit else report.tweets
-    out = _out_dir(args)
+    tweets: list = []
+
+    def keep(tweet):
+        if not args.limit or len(tweets) < args.limit:
+            tweets.append(tweet)
+
+    ingest(args.corpus, keep)
+    out = Path(args.out or "out")
+    out.mkdir(parents=True, exist_ok=True)
     result = label_session(tweets, out / "labeled.jsonl")
     print(
         f"\nlabeled {result.labeled} tweets "

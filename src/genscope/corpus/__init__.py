@@ -15,6 +15,7 @@ from .records import (
     IngestReport,
     Tweet,
     ingest,
+    jsonl_writer,
     read_jsonl,
     write_jsonl,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "IngestReport",
     "Tweet",
     "ingest",
+    "jsonl_writer",
     "read_jsonl",
     "write_jsonl",
 ]

@@ -16,6 +16,7 @@ import io
 import json
 import logging
 from collections import Counter
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +34,12 @@ _DIRECTIVE_KEYS = {
     "is:nullcast": "is_nullcast",
 }
 
+# json.dumps with these options, without building an encoder per line
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+# the rank tests read counts as floats, which hold every integer up to this
+MAX_EXACT_COUNT = 2**53
+
 
 @dataclass
 class Tweet:
@@ -47,10 +54,9 @@ class Tweet:
 
 @dataclass
 class IngestReport:
-    tweets: list[Tweet] = field(default_factory=list)  # empty when streamed to on_tweet
     rejected: Counter = field(default_factory=Counter)  # reason -> lines
     accepted_count: int = 0
-    sha256: str | None = None  # of the raw bytes, when ingest read a path
+    sha256: str = ""  # of the file's raw bytes
 
     @property
     def rejected_count(self) -> int:
@@ -98,6 +104,8 @@ def _parse_record(obj: dict) -> Tweet:
             raise ValueError(f"missing or non-integer {key}")
         if value < 0:
             raise ValueError("negative count")
+        if value > MAX_EXACT_COUNT:
+            raise ValueError("count above 2**53")
         counts[key] = value
 
     lang = obj.get("lang")
@@ -113,53 +121,40 @@ def _parse_record(obj: dict) -> Tweet:
         raise ValueError("created_at must be a string")
 
     return Tweet(
-        id=tweet_id,
-        text=text,
-        like_count=counts["like_count"],
-        retweet_count=counts["retweet_count"],
-        lang=lang,
-        possibly_sensitive=sensitive,
-        created_at=created_at,
+        id=tweet_id, text=text, **counts, lang=lang,
+        possibly_sensitive=sensitive, created_at=created_at,
     )
 
 
-def ingest(source, query: QueryAst | None = None, on_tweet=None) -> IngestReport:
-    """Read and validate a JSON Lines corpus.
+def ingest(path, on_tweet, query: QueryAst | None = None) -> IngestReport:
+    """Read and validate the JSON Lines corpus at ``path``, handing each
+    accepted tweet to ``on_tweet`` as it is read.
 
-    ``source`` may be a path or a text stream; from a path, the report
-    carries the sha256 of the file's bytes. Each accepted tweet goes to
-    ``on_tweet`` when one is given and into ``report.tweets`` otherwise.
-    Per-line schema violations and duplicate ids are counted by reason in
-    the report, never fatal; only an unreadable source raises.
+    The report carries the sha256 of the file's bytes. Per-line schema
+    violations and duplicate ids are counted by reason in the report,
+    never fatal; only an unreadable file raises.
     """
-    hashing = None
-    if isinstance(source, (str, Path)):
-        try:
-            hashing = _HashingReader(open(source, "rb", buffering=0))
-        except OSError as exc:
-            raise SchemaError(f"cannot read corpus: {exc}") from exc
-        # the same universal-newline split and strict UTF-8 as open(source)
-        stream = io.TextIOWrapper(io.BufferedReader(hashing), encoding="utf-8")
-    else:
-        stream = source
+    try:
+        hashing = _HashingReader(open(path, "rb", buffering=0))
+    except OSError as exc:
+        raise SchemaError(f"cannot read corpus: {exc}") from exc
 
     report = IngestReport()
-    keep = report.tweets.append if on_tweet is None else on_tweet
     seen_ids: set[str] = set()
     warned_directives: set[str] = set()
-    try:
+    # the same universal-newline split and strict UTF-8 as open(path)
+    with io.TextIOWrapper(io.BufferedReader(hashing), encoding="utf-8") as stream:
         for line in stream:
             line = line.strip()
             if not line:
                 continue
             try:
                 obj = json.loads(line)
+                tweet = _parse_record(obj)
             except json.JSONDecodeError as exc:
                 report.rejected[f"invalid JSON: {exc.msg}"] += 1
                 continue
-            try:
-                tweet = _parse_record(obj)
-            except ValueError as exc:
+            except ValueError as exc:  # a bad field, or an integer of over 4300 digits
                 report.rejected[str(exc)] += 1
                 continue
 
@@ -175,12 +170,8 @@ def ingest(source, query: QueryAst | None = None, on_tweet=None) -> IngestReport
 
             seen_ids.add(tweet.id)
             report.accepted_count += 1
-            keep(tweet)
-    finally:
-        if hashing is not None:
-            stream.close()
-    if hashing is not None:
-        report.sha256 = hashing.hash.hexdigest()
+            on_tweet(tweet)
+    report.sha256 = hashing.hash.hexdigest()
     return report
 
 
@@ -196,51 +187,54 @@ def _apply_directives(obj: dict, query: QueryAst, warned: set[str]) -> str | Non
                     op.render(), key,
                 )
             continue
-        value = bool(obj[key])
-        if op.negated and value:
-            return f"filtered by {op.render()}"
-        if not op.negated and not value:
+        if bool(obj[key]) == op.negated:
             return f"filtered by {op.render()}"
     return None
 
 
-def read_jsonl(source):
-    """Yield (line_number, object) pairs from a JSON Lines file or stream.
+def read_jsonl(path):
+    """Yield (line_number, object) pairs from a JSON Lines file.
 
     A line that is not valid JSON raises SchemaError naming the file and
     line.
     """
-    if isinstance(source, (str, Path)):
-        stream = open(source, encoding="utf-8")
-        close = True
-    else:
-        stream, close = source, False
-    try:
+    with open(path, encoding="utf-8") as stream:
         for line_number, line in enumerate(stream, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                name = getattr(stream, "name", "<stream>")
-                raise SchemaError(f"{name}:{line_number}: invalid JSON: {exc.msg}") from None
+            except ValueError as exc:  # also an integer of over 4300 digits
+                msg = getattr(exc, "msg", exc)
+                raise SchemaError(f"{path}:{line_number}: invalid JSON: {msg}") from None
             yield line_number, obj
-    finally:
-        if close:
-            stream.close()
 
 
-def write_jsonl(records, target) -> None:
-    """Write dicts as JSON Lines with a stable key order."""
-    if isinstance(target, (str, Path)):
-        stream = open(target, "w", encoding="utf-8", newline="\n")
-        close = True
-    else:
-        stream, close = target, False
+@contextmanager
+def jsonl_writer(path):
+    """Yield a function that writes one dict to ``path`` as a JSON line
+    with a stable key order. The lines go to ``<name>.partial``, which
+    replaces ``path`` at the end of the block; on an error it is removed,
+    with the directories made for it, so ``path`` stays as it was."""
+    path = Path(path)
+    made = [d for d in reversed(path.parents) if not d.exists()]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".partial")
     try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as stream:
+            yield lambda record: stream.write(_ENCODER.encode(record) + "\n")
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        for directory in reversed(made):
+            with suppress(OSError):  # not empty: something else wrote there
+                directory.rmdir()
+        raise
+
+
+def write_jsonl(records, path) -> None:
+    """Write dicts to ``path`` as JSON Lines with a stable key order."""
+    with jsonl_writer(path) as write:
         for record in records:
-            stream.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-    finally:
-        if close:
-            stream.close()
+            write(record)

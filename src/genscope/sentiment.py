@@ -115,24 +115,19 @@ class ExternalLabelReport:
     rejected: list[tuple[int, str]] = field(default_factory=list)
 
 
-def load_external_labels(source) -> ExternalLabelReport:
+def load_external_labels(path) -> ExternalLabelReport:
     """JSON Lines of ``{"id": ..., "sentiment": ...}``; bad lines are
     collected per line, duplicates rejected."""
-    if isinstance(source, (str, Path)):
-        stream = open(source, encoding="utf-8")
-        close = True
-    else:
-        stream, close = source, False
     report = ExternalLabelReport()
-    try:
+    with open(path, encoding="utf-8") as stream:
         for line_number, line in enumerate(stream, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                report.rejected.append((line_number, f"invalid JSON: {exc.msg}"))
+            except ValueError as exc:  # also an integer of over 4300 digits
+                report.rejected.append((line_number, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
                 continue
             if not isinstance(obj, dict):
                 report.rejected.append((line_number, "record must be a JSON object"))
@@ -151,9 +146,6 @@ def load_external_labels(source) -> ExternalLabelReport:
                 report.rejected.append((line_number, "duplicate id"))
                 continue
             report.labels[tweet_id] = SentimentLabel(value=sentiment, source="external")
-    finally:
-        if close:
-            stream.close()
     return report
 
 

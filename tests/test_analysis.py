@@ -114,22 +114,45 @@ class TestRunAnalysis:
         assert recompute_check(bundled_report) == []
 
     @pytest.mark.parametrize(
-        "path, check",
+        "path, checks",
         [
-            (("ingest", "accepted"), "ingest accepted = partition buckets"),
-            (("partition", "unmatched"), "ingest accepted = partition buckets"),
-            (("descriptives", "analyzed_tweets"), "analyzed_tweets = group_counts"),
-            (("descriptives", "group_counts", "gender"), "analyzed_tweets = group_counts"),
+            (("ingest", "accepted"), ["ingest accepted = partition buckets"]),
+            (("partition", "unmatched"), ["ingest accepted = partition buckets"]),
+            (
+                ("descriptives", "analyzed_tweets"),
+                ["analyzed_tweets = group_counts",
+                 "h1 non_generic = analyzed_tweets - generic_count"],
+            ),
+            (
+                ("descriptives", "group_counts", "gender"),
+                ["analyzed_tweets = group_counts",
+                 "h3 gender generic + non_generic = group_counts"],
+            ),
+            (
+                ("descriptives", "generic_count"),
+                ["h1 generic = generic_count",
+                 "h1 non_generic = analyzed_tweets - generic_count"],
+            ),
+            (
+                ("h3", "group_generic_counts", "political", "generic"),
+                ["h3 political generic + non_generic = group_counts",
+                 "h4 political column sum = h3 generic"],
+            ),
+            (
+                ("h4", "sentiment_by_group", "cells", 0, 1),
+                ["h4 gender column sum = h3 generic", "h4 omnibus chi2"],
+            ),
         ],
-        ids=["accepted", "bucket", "analyzed", "group-count"],
+        ids=["accepted", "bucket", "analyzed", "group-count", "generic-count",
+             "h3-generic", "h4-cell"],
     )
-    def test_edited_count_does_not_reconcile(self, bundled_report, path, check):
+    def test_edited_count_does_not_reconcile(self, bundled_report, path, checks):
         report = copy.deepcopy(bundled_report)
         node = report
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] += 1
-        assert [p.split(":")[0] for p in recompute_check(report)] == [check]
+        assert [p.split(":")[0] for p in recompute_check(report)] == checks
 
     @pytest.mark.parametrize(
         "newline, final, blank",
@@ -422,7 +445,8 @@ class TestSinglePass:
         monkeypatch.setattr(genscope.analysis, "lex", lambda text: calls.append(text) or lex(text))
         report = run_analysis(AnalysisConfig(corpus=str(BUNDLED_CORPUS)))
         query = load_query(resources.files("genscope.data") / "default_query.txt")
-        tweets = ingest(str(BUNDLED_CORPUS), query=query).tweets
+        tweets = []
+        ingest(str(BUNDLED_CORPUS), tweets.append, query)
         assert len(tweets) == report["ingest"]["accepted"]
         assert calls == [t.text for t in tweets if lang_matches(t.lang, query.lang)]
 
@@ -444,6 +468,33 @@ class TestSinglePass:
                     tracemalloc.stop()
         finally:
             logging.disable(logging.NOTSET)
+        assert (peaks[4000] - peaks[2000]) / 2000 <= 200
+
+    @pytest.mark.parametrize("command", ["ingest", "annotate", "classify"])
+    def test_streamed_commands_peak_memory_does_not_grow_per_line(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # each row is written as its tweet is read, so what stays alive per
+        # input line is its id in ingest's set (and the annotator's words);
+        # holding every tweet cost 410 to 640 bytes a line
+        monkeypatch.setattr(genscope.analysis, "CHUNK", 64)
+        texts, labels = generate_training_texts(n=300, seed=5)
+        model = tmp_path / "model.txt"
+        save_model(GenericityClassifier(min_count=1, epochs=20).fit(texts, labels).model_, model)
+        peaks = {}
+        for n in (100, 2000, 4000):  # the first run warms the imports
+            path = tmp_path / f"corpus{n}.jsonl"
+            write_jsonl(generate_corpus(n=n, seed=7), path)
+            argv = [command, "--corpus", str(path), "--out", str(tmp_path / f"out{n}")]
+            if command == "classify":
+                argv += ["--model", str(model)]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
         assert (peaks[4000] - peaks[2000]) / 2000 <= 200
 
     @pytest.fixture(scope="class")

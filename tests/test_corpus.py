@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 import random
 from importlib import resources
@@ -11,6 +10,7 @@ from genscope.classifier import tokenize
 from genscope.corpus import (
     BUCKETS,
     GroupLexicon,
+    Tweet,
     compile_terms,
     ingest,
     load_group_lexicon,
@@ -22,8 +22,16 @@ from genscope.corpus import (
 from genscope.errors import SchemaError
 
 
-def _jsonl(*objs):
-    return io.StringIO("\n".join(json.dumps(o) for o in objs) + "\n")
+def _ingest(tmp_path, lines, query=None):
+    """``ingest`` a corpus of ``lines`` (objects or raw strings); returns
+    the report and the accepted tweets."""
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(
+        "".join((line if isinstance(line, str) else json.dumps(line)) + "\n" for line in lines),
+        encoding="utf-8",
+    )
+    tweets = []
+    return ingest(path, tweets.append, query), tweets
 
 
 def _record(i, text="hello democrats", **kw):
@@ -65,52 +73,63 @@ TERMS = compile_terms(AST, LEX)
 
 
 class TestIngest:
-    def test_three_valid_lines(self):
-        report = ingest(_jsonl(_record(1), _record(2), _record(3)))
+    def test_three_valid_lines(self, tmp_path):
+        report, _ = _ingest(tmp_path, [_record(1), _record(2), _record(3)])
         assert report.accepted_count == 3
         assert report.rejected_count == 0
 
-    def test_duplicate_id(self):
-        report = ingest(_jsonl(_record(1), _record(1)))
+    def test_duplicate_id(self, tmp_path):
+        report, _ = _ingest(tmp_path, [_record(1), _record(1)])
         assert report.accepted_count == 1
         assert list(report.rejected)[0] == "duplicate id"
 
-    def test_negative_count(self):
-        report = ingest(_jsonl(_record(1, like_count=-1)))
+    def test_negative_count(self, tmp_path):
+        report, _ = _ingest(tmp_path, [_record(1, like_count=-1)])
         assert report.accepted_count == 0
         assert list(report.rejected)[0] == "negative count"
 
-    def test_schema_violations_not_fatal(self):
-        report = ingest(
-            _jsonl(_record(1), {"id": "x"}, _record(2, text="   ")), None
-        )
+    @pytest.mark.parametrize(
+        "count, accepted",
+        [(2**53, True), (2**53 + 1, False), (10**400, False)],
+        ids=["2**53", "2**53+1", "10**400"],
+    )
+    @pytest.mark.parametrize("key", ["like_count", "retweet_count"])
+    def test_count_a_float_cannot_hold_exactly(self, tmp_path, key, count, accepted):
+        report, tweets = _ingest(tmp_path, [_record(1, **{key: count})])
+        assert report.accepted_count == accepted
+        assert report.rejected == ({} if accepted else {"count above 2**53": 1})
+        assert [getattr(t, key) for t in tweets] == ([count] if accepted else [])
+
+    def test_schema_violations_not_fatal(self, tmp_path):
+        report, _ = _ingest(tmp_path, [_record(1), {"id": "x"}, _record(2, text="   ")])
         assert report.accepted_count == 1
         assert report.rejected_count == 2
 
-    def test_invalid_json_line(self):
-        report = ingest(io.StringIO('{"id": "1"\nnot json\n'))
+    def test_invalid_json_line(self, tmp_path):
+        report, _ = _ingest(tmp_path, ['{"id": "1"', "not json"])
         assert report.accepted_count == 0
         assert all("invalid JSON" in r for r in report.rejected)
 
-    def test_unknown_keys_ignored(self):
-        report = ingest(_jsonl(_record(1, extra_field="zzz")))
+    def test_unknown_keys_ignored(self, tmp_path):
+        report, _ = _ingest(tmp_path, [_record(1, extra_field="zzz")])
         assert report.accepted_count == 1
 
     def test_unreadable_source_fatal(self, tmp_path):
         with pytest.raises(SchemaError):
-            ingest(tmp_path / "missing.jsonl")
+            ingest(tmp_path / "missing.jsonl", lambda tweet: None)
 
-    def test_directive_filters_when_metadata_present(self):
+    def test_directive_filters_when_metadata_present(self, tmp_path):
         ast = parse_query("(democrats) -is:retweet")
-        report = ingest(
-            _jsonl(_record(1, is_retweet=True), _record(2, is_retweet=False), _record(3)),
+        report, tweets = _ingest(
+            tmp_path,
+            [_record(1, is_retweet=True), _record(2, is_retweet=False), _record(3)],
             query=ast,
         )
-        assert [t.id for t in report.tweets] == ["2", "3"]
+        assert [t.id for t in tweets] == ["2", "3"]
         assert list(report.rejected)[0] == "filtered by -is:retweet"
 
-    def test_bool_not_accepted_as_count(self):
-        report = ingest(_jsonl(_record(1, like_count=True)))
+    def test_bool_not_accepted_as_count(self, tmp_path):
+        report, _ = _ingest(tmp_path, [_record(1, like_count=True)])
         assert report.accepted_count == 0
 
 
@@ -123,25 +142,24 @@ def test_path_splits_lines_as_text_mode_does(tmp_path, newline):
     ]
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(newline.join(lines).encode("utf-8"))
-    from_path = ingest(path)
-    with open(path, encoding="utf-8") as stream:
-        from_stream = ingest(stream)
-    assert (from_path.accepted_count, from_path.rejected) == (2, {
+    tweets = []
+    report = ingest(path, tweets.append)
+    assert (report.accepted_count, report.rejected) == (2, {
         "invalid JSON: Expecting value": 1, "duplicate id": 1,
     })
-    assert (from_path.accepted_count, from_path.rejected) == (
-        from_stream.accepted_count, from_stream.rejected,
-    )
-    assert [vars(t) for t in from_path.tweets] == [vars(t) for t in from_stream.tweets]
-    assert from_path.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert from_stream.sha256 is None
+    with open(path, encoding="utf-8") as stream:
+        text_mode = [line.strip() for line in stream if line.strip()]
+    assert report.accepted_count + report.rejected_count == len(text_mode) == 4
+    assert [vars(t) for t in tweets] == [
+        vars(Tweet(**_record(1))), vars(Tweet(**_record(2, text="democrats\u2028are loud"))),
+    ]
+    assert report.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_on_tweet_takes_the_accepted_tweets():
-    seen = []
-    report = ingest(_jsonl(_record(1), _record(1), _record(2)), on_tweet=seen.append)
+def test_on_tweet_takes_the_accepted_tweets(tmp_path):
+    report, seen = _ingest(tmp_path, [_record(1), _record(1), _record(2)])
     assert [t.id for t in seen] == ["1", "2"]
-    assert (report.tweets, report.accepted_count, report.rejected_count) == ([], 2, 1)
+    assert (report.accepted_count, report.rejected_count) == (2, 1)
 
 
 class TestMatchGroups:

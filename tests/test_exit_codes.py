@@ -1,9 +1,10 @@
 """Property: on a malformed corpus, report, model or tables file, the CLI
 exits 0, 1, 2 or 3.
 
-``ingest`` and ``analyze`` get small corpora mixing valid records, records
-with one field replaced or deleted, and lines of random text; ``analyze``
-must also write the same bytes when run twice. ``report --report`` gets
+``ingest``, ``annotate``, ``classify`` and ``analyze`` get small corpora
+mixing valid records, records with one field replaced or deleted, and
+lines of random text; all but ``ingest`` must also write the same bytes
+when run twice. ``report --report`` gets
 JSON reports with random values under the report blocks, ``eval --model``
 gets model files with one line replaced and the checksum recomputed, so
 the damage reaches the parser, and ``reproduce --tables`` gets the bundled
@@ -22,11 +23,11 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genscope.classifier import GenericityClassifier, dumps_model
+from genscope.classifier import GenericityClassifier, dumps_model, save_model
 from genscope.cli import main
 from genscope.corpus import write_jsonl
 from genscope.reporting import REPORT_BLOCKS
-from genscope.synth import generate_corpus
+from genscope.synth import generate_corpus, generate_training_texts
 
 EXIT_CODES = {0, 1, 2, 3}
 
@@ -111,6 +112,37 @@ def test_ingest_exit_code(workdir, lines):
     path = write_corpus(workdir, lines)
     argv = ["ingest", "--corpus", str(path), "--out", str(workdir / "ingested")]
     assert quiet_exit_code(argv) in EXIT_CODES
+
+
+@pytest.fixture(scope="module")
+def model_file(workdir):
+    texts, labels = generate_training_texts(n=200, seed=5)
+    path = workdir / "good_model.txt"
+    save_model(GenericityClassifier(min_count=1, epochs=20).fit(texts, labels).model_, path)
+    return path
+
+
+def streamed_argv(command, corpus, out, model):
+    """The argv of ``ingest --out``, ``annotate`` or ``classify``, which
+    write one row per accepted tweet as it is read."""
+    argv = [command, "--corpus", str(corpus), "--out", str(out)]
+    return argv + ["--model", str(model)] if command == "classify" else argv
+
+
+@pytest.mark.parametrize("command", ["annotate", "classify"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(lines=corpus_lines())
+def test_streamed_exit_code_and_determinism(workdir, model_file, command, lines):
+    path = write_corpus(workdir, lines)
+    runs = []
+    for name in ("first", "second"):
+        out = workdir / command / name
+        shutil.rmtree(out, ignore_errors=True)
+        code = quiet_exit_code(streamed_argv(command, path, out, model_file))
+        assert code in EXIT_CODES
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        runs.append((code, files))
+    assert runs[0] == runs[1]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -228,13 +260,56 @@ def test_reproduce_tables_exit_code(workdir, data, line):
     assert exit_code(["reproduce", "--tables", str(path)]) in EXIT_CODES
 
 
-def test_analyze_non_utf8_last_line(workdir):
+@pytest.fixture(scope="module")
+def latin1_corpus(workdir):
+    """Twenty good records, then a last line that is not UTF-8."""
     path = workdir / "corpus_latin1.jsonl"
     lines = [json.dumps(record) for record in RECORDS[:20]]
     path.write_bytes("\n".join(lines).encode("utf-8") + b'\n{"id": "z", "text": "caf\xe9"}\n')
+    return path
+
+
+def test_analyze_non_utf8_last_line(workdir, latin1_corpus):
     out = workdir / "latin1_out"
-    assert quiet_exit_code(["analyze", "--corpus", str(path), "--out", str(out)]) == 2
+    assert quiet_exit_code(["analyze", "--corpus", str(latin1_corpus), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+STREAMED = {"ingest": "accepted.jsonl", "annotate": "annotations.jsonl", "classify": "scores.jsonl"}
+
+
+@pytest.mark.parametrize("command", list(STREAMED))
+def test_streamed_non_utf8_last_line(workdir, latin1_corpus, model_file, command):
+    out = workdir / "latin1_streamed" / command
+    assert quiet_exit_code(streamed_argv(command, latin1_corpus, out, model_file)) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(STREAMED))
+def test_failed_rerun_keeps_the_earlier_output(workdir, latin1_corpus, model_file, command):
+    corpus = workdir / "corpus_good.jsonl"
+    write_jsonl(RECORDS[:20], corpus)
+    out = workdir / "rerun" / command
+    assert quiet_exit_code(streamed_argv(command, corpus, out, model_file)) == 0
+    written = (out / STREAMED[command]).read_bytes()
+    assert written
+    assert quiet_exit_code(streamed_argv(command, latin1_corpus, out, model_file)) == 2
+    assert [p.name for p in out.iterdir()] == [STREAMED[command]]
+    assert (out / STREAMED[command]).read_bytes() == written
+
+
+def test_analyze_rejects_a_count_a_float_cannot_hold(workdir):
+    # 10**400 is valid JSON but overflows a float
+    records = [dict(record) for record in RECORDS[:30]]
+    reports = []
+    for name, count in (("small", 1), ("huge", 10**400)):
+        records[0]["like_count"] = count
+        corpus, out = workdir / f"corpus_{name}.jsonl", workdir / f"count_{name}"
+        write_jsonl(records, corpus)
+        assert quiet_exit_code(["analyze", "--corpus", str(corpus), "--out", str(out)]) == 0
+        reports.append(json.loads((out / "report.json").read_text())["ingest"])
+    small, huge = reports
+    assert huge == {"accepted": small["accepted"] - 1, "rejected": small["rejected"] + 1}
 
 
 @pytest.fixture
@@ -245,6 +320,7 @@ def corpus_never_read(monkeypatch):
         raise AssertionError("the corpus was read before a bad side input failed")
 
     monkeypatch.setattr("genscope.analysis.ingest", ingest)
+    monkeypatch.setattr("genscope.cli.ingest", ingest)
     return str(resources.files("genscope.data") / "synthetic_corpus.jsonl")
 
 
@@ -270,3 +346,44 @@ def test_bad_side_input_fails_before_the_corpus(workdir, corpus_never_read, flag
     argv = ["analyze", "--corpus", corpus_never_read, flag, str(path), "--out", str(out)]
     assert quiet_exit_code(argv) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["feature_kind bow\ndimension 1\nchecksum 00000000\n", None],
+    ids=["corrupt-model", "missing-model"],
+)
+def test_classify_bad_model_fails_before_the_corpus(workdir, corpus_never_read, content):
+    path = workdir / "classify_model"
+    path.unlink(missing_ok=True)
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    out = workdir / "classify_side_out"
+    argv = ["classify", "--corpus", corpus_never_read, "--model", str(path), "--out", str(out)]
+    assert quiet_exit_code(argv) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "train", "analyze"])
+def test_integer_of_over_4300_digits(workdir, command):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for it;
+    # a corpus line with one is rejected, a labeled line is a data error
+    huge = "1" + "0" * 5000
+    bad = json.dumps(dict(RECORDS[1], like_count=0))
+    bad = bad.replace('"like_count": 0', f'"like_count": {huge}')
+    corpus, side = workdir / "corpus_digits.jsonl", workdir / "side_digits.jsonl"
+    corpus.write_text(json.dumps(RECORDS[0]) + "\n" + bad + "\n", encoding="utf-8")
+    out = workdir / f"digits_{command}"
+    if command == "ingest":
+        argv, code = ["ingest", "--corpus", str(corpus), "--out", str(out)], 0
+    elif command == "train":
+        side.write_text(f'{{"text": "a", "label": {huge}}}\n', encoding="utf-8")
+        argv, code = ["train", "--labeled", str(side), "--model-out", str(out)], 2
+    else:
+        side.write_text(f'{{"id": "1", "sentiment": "negative", "n": {huge}}}\n', encoding="utf-8")
+        argv = ["analyze", "--corpus", str(corpus), "--external-sentiment", str(side),
+                "--out", str(out)]
+        code = 0
+    assert quiet_exit_code(argv) == code
+    if command == "ingest":
+        assert len((out / "accepted.jsonl").read_text().splitlines()) == 1

@@ -1,5 +1,3 @@
-import io
-
 import pytest
 
 from genscope.classifier import tokenize
@@ -53,34 +51,37 @@ class TestLexiconScore:
         assert lexicon_score(tokenize("great"), lexicon).source == "lexicon"
 
 
+def _labels(tmp_path, text):
+    path = tmp_path / "labels.jsonl"
+    path.write_text(text, encoding="utf-8")
+    return load_external_labels(path)
+
+
 class TestExternalLabels:
-    def test_load_valid(self):
-        stream = io.StringIO('{"id": "1", "sentiment": "negative"}\n')
-        report = load_external_labels(stream)
+    def test_load_valid(self, tmp_path):
+        report = _labels(tmp_path, '{"id": "1", "sentiment": "negative"}\n')
         assert report.labels["1"] == SentimentLabel("negative", "external")
         assert report.rejected == []
 
-    def test_unknown_sentiment_rejected(self):
-        stream = io.StringIO('{"id": "1", "sentiment": "angry"}\n')
-        report = load_external_labels(stream)
+    def test_unknown_sentiment_rejected(self, tmp_path):
+        report = _labels(tmp_path, '{"id": "1", "sentiment": "angry"}\n')
         assert report.labels == {}
         assert "angry" in report.rejected[0][1]
 
-    def test_duplicate_id_rejected(self):
-        stream = io.StringIO(
-            '{"id": "1", "sentiment": "negative"}\n{"id": "1", "sentiment": "positive"}\n'
+    def test_duplicate_id_rejected(self, tmp_path):
+        report = _labels(
+            tmp_path,
+            '{"id": "1", "sentiment": "negative"}\n{"id": "1", "sentiment": "positive"}\n',
         )
-        report = load_external_labels(stream)
         assert report.labels["1"].value == "negative"
         assert report.rejected[0][1] == "duplicate id"
 
-    def test_empty_file(self):
-        report = load_external_labels(io.StringIO(""))
+    def test_empty_file(self, tmp_path):
+        report = _labels(tmp_path, "")
         assert report.labels == {}
 
-    def test_non_object_line_rejected(self):
-        stream = io.StringIO('[1, 2]\n"x"\n{"id": "1", "sentiment": "negative"}\n')
-        report = load_external_labels(stream)
+    def test_non_object_line_rejected(self, tmp_path):
+        report = _labels(tmp_path, '[1, 2]\n"x"\n{"id": "1", "sentiment": "negative"}\n')
         assert list(report.labels) == ["1"]
         assert report.rejected == [
             (1, "record must be a JSON object"), (2, "record must be a JSON object"),
