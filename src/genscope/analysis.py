@@ -12,14 +12,14 @@ from the published counts for the ``reproduce`` subcommand's checks.
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -68,22 +68,6 @@ DEFAULT_ALPHA = 0.05
 # the row order of the H4 sentiment x group table
 H4_ROWS = ("positive", "neutral", "negative")
 
-_CONFIG_KEYS = {
-    "corpus",
-    "query",
-    "group_lexicon",
-    "model",
-    "external_sentiment",
-    "valence_lexicon",
-    "out_dir",
-    "threshold",
-    "alpha",
-    "seed",
-    "format",
-    "histogram_bin_width",
-}
-_CONFIG_NUMBERS = {"threshold": float, "alpha": float, "histogram_bin_width": float, "seed": int}
-
 
 def _bundled(name: str):
     return resources.files("genscope.data") / name
@@ -121,7 +105,9 @@ class AnalysisConfig:
 
     @classmethod
     def from_file(cls, path, **overrides) -> "AnalysisConfig":
-        """Parse ``key = value`` lines; unknown keys are errors."""
+        """Parse ``key = value`` lines, one per field; unknown keys are
+        errors, and a field typed int or float takes a number."""
+        kinds = get_type_hints(cls)
         values: dict[str, object] = {}
         for line_number, raw in enumerate(
             Path(path).read_text(encoding="utf-8").splitlines(), start=1
@@ -133,9 +119,9 @@ class AnalysisConfig:
                 raise SchemaError(f"config line {line_number}: expected 'key = value'")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in kinds:
                 raise SchemaError(f"config line {line_number}: unknown key {key!r}")
-            kind = _CONFIG_NUMBERS.get(key, str)
+            kind = kinds[key] if kinds[key] in (int, float) else str
             try:
                 values[key] = kind(value)
             except ValueError:
@@ -152,63 +138,21 @@ class AnalysisConfig:
 # ---------------------------------------------------------------------------
 # result serialization helpers: every block carries its inputs
 
-def _chi2_dict(result) -> dict:
-    out = {
-        "chi2": result.chi2,
-        "df": result.df,
-        "p": result.p,
-        "min_expected": result.min_expected,
-        "low_expected_warning": result.low_expected_warning,
-        "cells": np.asarray(result.cells).tolist(),
-    }
-    if result.phi is not None:
-        out["phi"] = result.phi
-    if result.cramers_v is not None:
-        out["cramers_v"] = result.cramers_v
-    return out
-
-
-def _or_dict(result) -> dict:
-    return {
-        "odds_ratio": result.odds_ratio,
-        "ci_low": result.ci_low,
-        "ci_high": result.ci_high,
-        "cells": list(result.cells),
-        "correction_applied": result.correction_applied,
-    }
-
-
-def _mw_dict(result) -> dict:
-    return {
-        "u1": result.u1,
-        "u2": result.u2,
-        "n1": result.n1,
-        "n2": result.n2,
-        "mean_rank_a": result.mean_rank_a,
-        "mean_rank_b": result.mean_rank_b,
-        "z": result.z,
-        "p": result.p,
-        "r": result.r,
-        "degenerate": result.degenerate,
-    }
-
-
-def _kw_dict(result) -> dict:
-    out = {
-        "h": result.h,
-        "df": result.df,
-        "p": result.p,
-        "epsilon2": result.epsilon2,
-        "mean_ranks": list(result.mean_ranks),
-        "group_sizes": list(result.group_sizes),
-        "degenerate": result.degenerate,
-    }
-    if result.posthoc is not None:
-        out["posthoc"] = {
-            "adjustment": "bonferroni",
-            "z": result.posthoc.z.tolist(),
-            "p": result.posthoc.p.tolist(),
-        }
+def _as_json(result) -> dict:
+    """A stats result as a report block: its fields, less those that are
+    None, with a nested result as a block and arrays and tuples as lists."""
+    out = {}
+    for f in fields(result):
+        value = getattr(result, f.name)
+        if value is None:
+            continue
+        if is_dataclass(value):
+            value = _as_json(value)
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
     return out
 
 
@@ -221,10 +165,9 @@ def _histogram(scores, bin_width: float) -> list[list[float]]:
     """
     n_bins = int(round(1.0 / bin_width))
     edges = [round(i * bin_width, 10) for i in range(n_bins)]
-    counts = [0] * n_bins
-    for s in scores:
-        counts[max(bisect.bisect_right(edges, s) - 1, 0)] += 1
-    return [[edge, count] for edge, count in zip(edges, counts)]
+    bins = np.searchsorted(edges, scores, side="right") - 1
+    counts = np.bincount(np.maximum(bins, 0), minlength=n_bins)
+    return [[edge, count] for edge, count in zip(edges, counts.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +366,14 @@ def _descriptives(columns: dict, tally: Counter, config: AnalysisConfig) -> dict
     sentiment_counts = {v: _count(tally, sentiment=v) for v in SENTIMENTS}
     hists = {
         "overall": _histogram(
-            (s for g in GROUPS for s in columns[g].scores), config.histogram_bin_width
+            np.concatenate([columns[g].view("scores") for g in GROUPS]),
+            config.histogram_bin_width,
         )
     }
     medians = {}
     for g in GROUPS:
         scores = columns[g].view("scores")
-        hists[g] = _histogram(columns[g].scores, config.histogram_bin_width)
+        hists[g] = _histogram(scores, config.histogram_bin_width)
         generic_scores = scores[columns[g].generic(config.threshold)]
         medians[g] = {
             "all": float(np.median(scores)) if scores.size else None,
@@ -457,7 +401,7 @@ def _h1_block(n_generic: int, n_other: int) -> dict:
     result = chi_square_gof([n_generic, n_other])
     return {
         "counts": {"generic": n_generic, "non_generic": n_other},
-        "test": _chi2_dict(result),
+        "test": _as_json(result),
     }
 
 
@@ -472,7 +416,7 @@ def _h2_block(columns: dict, threshold: float) -> dict:
         values = [columns[g].view(metric) for g in GROUPS]
         a = np.concatenate([v[m] for v, m in zip(values, generic)])
         b = np.concatenate([v[~m] for v, m in zip(values, generic)])
-        block[metric] = _mw_dict(mann_whitney_u(a, b))
+        block[metric] = _as_json(mann_whitney_u(a, b))
     return block
 
 
@@ -499,8 +443,8 @@ def _pairwise_2x2(counts: dict, pairs, columns: tuple[str, str]) -> dict:
         blocks[name] = {
             "rows": [a, b],
             "columns": list(columns),
-            "chi_square": _chi2_dict(chi_square_independence(table)),
-            "odds_ratio": _or_dict(orr),
+            "chi_square": _as_json(chi_square_independence(table)),
+            "odds_ratio": _as_json(orr),
         }
     return blocks
 
@@ -545,7 +489,7 @@ def _h4_block(cells) -> dict:
         block["omnibus"] = {"skipped": "zero sentiment or group marginal"}
     else:
         table = ContingencyTable(cells)
-        block["omnibus"] = _chi2_dict(chi_square_independence(table))
+        block["omnibus"] = _as_json(chi_square_independence(table))
 
     rows = dict(zip(H4_ROWS, block["sentiment_by_group"]["cells"]))
     negative_rest = {
@@ -582,8 +526,11 @@ def _h5_block(columns: dict, threshold: float) -> dict:
         sub: dict = {}
         for metric in ("likes", "retweets"):
             samples = [columns[g].view(metric)[masks[g]] for g in GROUPS]
-            sub[metric] = _kw_dict(kruskal_wallis(samples))
-            sub[metric]["groups"] = list(GROUPS)
+            result = _as_json(kruskal_wallis(samples))
+            result["groups"] = list(GROUPS)
+            if "posthoc" in result:
+                result["posthoc"]["adjustment"] = "bonferroni"
+            sub[metric] = result
         block[subset_name] = sub
     return block
 

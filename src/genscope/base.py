@@ -18,12 +18,12 @@ def check_fitted(estimator, attribute):
         )
 
 
-def as_float_array(values, name="values", allow_empty=False):
-    """Coerce to a 1-D float array, rejecting non-finite entries."""
+def as_float_array(values, name="values"):
+    """Coerce to a non-empty 1-D float array, rejecting non-finite entries."""
     arr = np.asarray(values, dtype=float).ravel()
-    if not allow_empty and arr.size == 0:
+    if arr.size == 0:
         raise InputError(f"{name} must be non-empty")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise InputError(f"{name} contains non-finite values")
     return arr
 

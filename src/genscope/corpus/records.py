@@ -85,6 +85,18 @@ class _HashingReader(io.RawIOBase):
         super().close()
 
 
+def parse_json_line(line: str):
+    """``json.loads``, whose ValueError reads as a rejection reason:
+    ``invalid JSON: <what>``, or one reason for every integer past
+    Python's limit on the digits of an int, whatever its length."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg}") from None
+    except ValueError:
+        raise ValueError("integer of over 4300 digits") from None
+
+
 def _parse_record(obj: dict) -> Tweet:
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
@@ -149,12 +161,9 @@ def ingest(path, on_tweet, query: QueryAst | None = None) -> IngestReport:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = parse_json_line(line)
                 tweet = _parse_record(obj)
-            except json.JSONDecodeError as exc:
-                report.rejected[f"invalid JSON: {exc.msg}"] += 1
-                continue
-            except ValueError as exc:  # a bad field, or an integer of over 4300 digits
+            except ValueError as exc:
                 report.rejected[str(exc)] += 1
                 continue
 
@@ -204,10 +213,9 @@ def read_jsonl(path):
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except ValueError as exc:  # also an integer of over 4300 digits
-                msg = getattr(exc, "msg", exc)
-                raise SchemaError(f"{path}:{line_number}: invalid JSON: {msg}") from None
+                obj = parse_json_line(line)
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{line_number}: {exc}") from None
             yield line_number, obj
 
 

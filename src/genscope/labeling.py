@@ -35,9 +35,11 @@ def _existing_ids(path: Path) -> set[str]:
         if not line:
             continue
         try:
-            ids.add(json.loads(line)["id"])
-        except (json.JSONDecodeError, KeyError):
-            continue  # tolerate a torn trailing line from a crash
+            obj = json.loads(line)
+        except ValueError:  # a torn trailing line from a crash, or an integer of over 4300 digits
+            continue
+        if isinstance(obj, dict) and isinstance(obj.get("id"), str):
+            ids.add(obj["id"])
     return ids
 
 

@@ -8,13 +8,13 @@ the pipeline.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .classifier.features import tokenize  # unused here; the benchmark tracer wraps it
+from .corpus.records import parse_json_line
 from .errors import InputError, SchemaError
 
 logger = logging.getLogger(__name__)
@@ -125,9 +125,9 @@ def load_external_labels(path) -> ExternalLabelReport:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except ValueError as exc:  # also an integer of over 4300 digits
-                report.rejected.append((line_number, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
+                obj = parse_json_line(line)
+            except ValueError as exc:
+                report.rejected.append((line_number, str(exc)))
                 continue
             if not isinstance(obj, dict):
                 report.rejected.append((line_number, "record must be a JSON object"))

@@ -8,12 +8,11 @@ from .contingency import (
     chi_square_independence,
     odds_ratio,
 )
-from .ranks import rank_with_ties, tie_term
+from .ranks import rank_with_ties
 from .rank_tests import (
     DunnResult,
     KruskalWallisResult,
     MannWhitneyResult,
-    dunn_posthoc,
     kruskal_wallis,
     mann_whitney_u,
 )
@@ -21,7 +20,6 @@ from .special import (
     chi_square_sf,
     erfc,
     normal_sf,
-    regularized_gamma_p,
     regularized_gamma_q,
 )
 
@@ -33,16 +31,13 @@ __all__ = [
     "chi_square_independence",
     "odds_ratio",
     "rank_with_ties",
-    "tie_term",
     "DunnResult",
     "KruskalWallisResult",
     "MannWhitneyResult",
-    "dunn_posthoc",
     "kruskal_wallis",
     "mann_whitney_u",
     "chi_square_sf",
     "erfc",
     "normal_sf",
-    "regularized_gamma_p",
     "regularized_gamma_q",
 ]

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..base import as_float_array
 from ..errors import InputError
-from .ranks import rank_with_ties, tie_term
+from .ranks import ranks_and_ties
 from .special import chi_square_sf, normal_sf
 
 
@@ -55,18 +55,14 @@ def mann_whitney_u(sample_a, sample_b) -> MannWhitneyResult:
     a = as_float_array(sample_a, "sample_a")
     b = as_float_array(sample_b, "sample_b")
     n1, n2 = a.size, b.size
-    pooled = np.concatenate([a, b])
     n = n1 + n2
 
-    ranks = rank_with_ties(pooled)
+    ranks, ties = ranks_and_ties(np.concatenate([a, b]))
     r1 = float(ranks[:n1].sum())
     r2 = float(ranks[n1:].sum())
     u1 = r1 - n1 * (n1 + 1) / 2.0
     u2 = n1 * n2 - u1
-
-    ties = tie_term(pooled)
-    correction = (n + 1) - ties / (n * (n - 1)) if n > 1 else 0.0
-    var = n1 * n2 / 12.0 * correction
+    var = n1 * n2 / 12.0 * ((n + 1) - ties / (n * (n - 1)))
 
     if var <= 0.0:
         return MannWhitneyResult(
@@ -84,35 +80,24 @@ def mann_whitney_u(sample_a, sample_b) -> MannWhitneyResult:
     )
 
 
-def _rank_groups(groups):
-    samples = [as_float_array(g, f"group {i}") for i, g in enumerate(groups)]
-    sizes = [s.size for s in samples]
-    pooled = np.concatenate(samples)
-    ranks = rank_with_ties(pooled)
-    split = np.cumsum(sizes)[:-1]
-    return samples, sizes, pooled, np.split(ranks, split)
-
-
 def kruskal_wallis(groups) -> KruskalWallisResult:
     """Kruskal-Wallis H test across k >= 2 independent samples, with
-    Dunn's post-hoc unless every value is tied."""
+    Dunn's post-hoc on the same ranks unless every value is tied."""
     if len(groups) < 2:
         raise InputError("kruskal_wallis needs at least 2 groups")
-    samples, sizes, pooled, group_ranks = _rank_groups(groups)
-    n = pooled.size
-    if n < len(groups):
-        raise InputError("need at least one value per group")
-    k = len(samples)
+    samples = [as_float_array(g, f"group {i}") for i, g in enumerate(groups)]
+    sizes = tuple(s.size for s in samples)
+    ranks, ties = ranks_and_ties(np.concatenate(samples))
+    n, k = ranks.size, len(samples)
 
-    rank_sums = [float(gr.sum()) for gr in group_ranks]
+    rank_sums = [float(r.sum()) for r in np.split(ranks, np.cumsum(sizes)[:-1])]
     mean_ranks = tuple(rs / sz for rs, sz in zip(rank_sums, sizes))
 
-    ties = tie_term(pooled)
-    correction = 1.0 - ties / (n**3 - n) if n > 1 else 0.0
+    correction = 1.0 - ties / (n**3 - n)
     if correction <= 0.0:
         return KruskalWallisResult(
             h=0.0, df=k - 1, p=1.0, epsilon2=0.0,
-            mean_ranks=mean_ranks, group_sizes=tuple(sizes), degenerate=True,
+            mean_ranks=mean_ranks, group_sizes=sizes, degenerate=True,
         )
 
     h_raw = 12.0 / (n * (n + 1)) * sum(
@@ -126,26 +111,19 @@ def kruskal_wallis(groups) -> KruskalWallisResult:
         p=chi_square_sf(max(h, 0.0), k - 1),
         epsilon2=h / (n - 1),
         mean_ranks=mean_ranks,
-        group_sizes=tuple(sizes),
-        posthoc=dunn_posthoc(groups),
+        group_sizes=sizes,
+        posthoc=_dunn(sizes, mean_ranks, ties),
     )
 
 
-def dunn_posthoc(groups) -> DunnResult:
-    """Dunn's pairwise z tests on the pooled midranks.
+def _dunn(sizes, mean_ranks, ties: float) -> DunnResult:
+    """Dunn's pairwise z tests on the pooled midranks behind ``mean_ranks``.
 
     Bonferroni adjustment: each two-sided p is multiplied by the number
     of pairs and clamped to 1.
     """
-    if len(groups) < 2:
-        raise InputError("dunn_posthoc needs at least 2 groups")
-    samples, sizes, pooled, group_ranks = _rank_groups(groups)
-    k = len(samples)
-    n = pooled.size
-    mean_ranks = [float(gr.mean()) for gr in group_ranks]
-
-    ties = tie_term(pooled)
-    base_var = n * (n + 1) / 12.0 - ties / (12.0 * (n - 1)) if n > 1 else 0.0
+    k, n = len(sizes), sum(sizes)
+    base_var = n * (n + 1) / 12.0 - ties / (12.0 * (n - 1))
     n_pairs = k * (k - 1) // 2
 
     z = np.zeros((k, k))

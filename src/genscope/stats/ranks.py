@@ -7,32 +7,24 @@ import numpy as np
 from ..base import as_float_array
 
 
+def ranks_and_ties(arr: np.ndarray) -> tuple[np.ndarray, float]:
+    """Midranks 1..N of a finite float array, where tied values share the
+    mean of their positions, and the tie term: the sum of t^3 - t over tie
+    groups of size t.
+
+    A tie group of size t that ends at 1-based position e holds the ranks
+    e - t + 1 .. e, so its midrank is e - (t - 1) / 2, exact in floating
+    point for every half-integer below 2^52.
+    """
+    _, group, t = np.unique(arr, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(t) - (t - 1) / 2.0)[group]
+    t = t.astype(float)
+    return ranks, float(np.sum(t**3 - t))
+
+
 def rank_with_ties(values) -> np.ndarray:
     """Ranks 1..N where tied values share the mean of their positions.
 
     The sum of the returned ranks is exactly N(N+1)/2 for every input.
     """
-    arr = as_float_array(values, "values")
-    order = np.argsort(arr, kind="stable")
-    sorted_vals = arr[order]
-    ranks = np.empty(arr.size, dtype=float)
-
-    i = 0
-    while i < arr.size:
-        j = i
-        while j + 1 < arr.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        # positions i..j (0-based) hold one tie group; midrank is the mean
-        # of ranks i+1 .. j+1
-        midrank = (i + j) / 2.0 + 1.0
-        ranks[order[i : j + 1]] = midrank
-        i = j + 1
-    return ranks
-
-
-def tie_term(values) -> float:
-    """Sum of t^3 - t over tie groups of size t."""
-    arr = as_float_array(values, "values")
-    _, counts = np.unique(arr, return_counts=True)
-    t = counts.astype(float)
-    return float(np.sum(t**3 - t))
+    return ranks_and_ties(as_float_array(values, "values"))[0]

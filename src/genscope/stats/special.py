@@ -61,19 +61,6 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     return math.exp(log_front) * h
 
 
-def regularized_gamma_p(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x)."""
-    if a <= 0.0:
-        raise InputError("shape parameter a must be > 0")
-    if x < 0.0:
-        raise InputError("x must be >= 0")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
-
-
 def regularized_gamma_q(a: float, x: float) -> float:
     """Upper regularized incomplete gamma Q(a, x) = 1 - P(a, x)."""
     if a <= 0.0:

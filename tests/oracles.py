@@ -9,7 +9,9 @@ from the library code paths it checks:
 * the character-by-character lexers that ``tokenize`` and ``normalize``
   replaced with one compiled regex,
 * the rule annotator's per-occurrence token predicates that its
-  per-word-type flag table replaced.
+  per-word-type flag table replaced,
+* the per-value midrank loop and the ``bisect`` score histogram that
+  one ``np.unique`` and one ``np.searchsorted`` replaced.
 
 Keep this module free of imports from ``genscope`` so the oracles cannot
 accidentally share code with the implementations under test.
@@ -17,8 +19,11 @@ accidentally share code with the implementations under test.
 
 from __future__ import annotations
 
+import bisect
 import re
 from decimal import Decimal, getcontext
+
+import numpy as np
 
 # 85 digits of pi; enough for 60-digit working precision below.
 _PI = Decimal(
@@ -322,3 +327,37 @@ def is_absorbable_oracle(t, w):
         return False
     finite = is_present_verb_oracle(t, w) or is_past_verb_oracle(t, w) or is_modal_oracle(t, w)
     return not (finite or is_gerund_oracle(t, w))
+
+
+# Ranks and histograms, as computed one value at a time.
+
+def midranks_oracle(values):
+    """Midranks 1..N and the tie term sum(t^3 - t) over tie groups of size
+    t, by walking the stably sorted values one at a time: positions i..j
+    (0-based) of one tie group share the midrank (i + j) / 2 + 1."""
+    arr = np.asarray(values, dtype=float).ravel()
+    order = np.argsort(arr, kind="stable")
+    sorted_vals = arr[order]
+    ranks = np.empty(arr.size, dtype=float)
+    ties = 0.0
+    i = 0
+    while i < arr.size:
+        j = i
+        while j + 1 < arr.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        t = float(j - i + 1)
+        ties += t**3 - t
+        i = j + 1
+    return ranks, ties
+
+
+def histogram_oracle(scores, bin_width):
+    """(bin left edge, count) rows over [0, 1], each score placed by
+    ``bisect`` against the rounded edges; the last bin includes 1.0."""
+    n_bins = int(round(1.0 / bin_width))
+    edges = [round(i * bin_width, 10) for i in range(n_bins)]
+    counts = [0] * n_bins
+    for s in scores:
+        counts[max(bisect.bisect_right(edges, s) - 1, 0)] += 1
+    return [[edge, count] for edge, count in zip(edges, counts)]

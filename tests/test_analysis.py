@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import logging
+import math
 import re
 import tracemalloc
 from importlib import resources
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import genscope.analysis
 from genscope.analysis import (
@@ -27,6 +29,8 @@ from genscope.corpus import ingest, lang_matches, load_query, write_jsonl
 from genscope.errors import InputError, SchemaError
 from genscope.reporting import emit_report, render_csv, render_markdown
 from genscope.synth import generate_corpus, generate_training_texts
+
+from oracles import histogram_oracle
 
 BUNDLED_CORPUS = resources.files("genscope.data") / "synthetic_corpus.jsonl"
 PUBLISHED_TABLES = resources.files("genscope.data") / "published_tables.csv"
@@ -278,6 +282,18 @@ class TestDeterminism:
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
 
+    # sha256 of the bundled corpus's report.json with provenance.corpus set
+    # to its file name: every count, statistic and histogram, to the byte.
+    # A change that means to move a number, or tool_version, updates it.
+    GOLDEN_REPORT_SHA256 = "1f5363938f2d7efadf398c7f44878f26dc907816b45822734069dbdf72922a39"
+
+    def test_bundled_report_json_matches_golden_hash(self, bundled_report, tmp_path):
+        report = copy.deepcopy(bundled_report)
+        report["provenance"]["corpus"] = "synthetic_corpus.jsonl"
+        emit_report(report, "markdown", tmp_path)
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_REPORT_SHA256
+
 
 class TestRendering:
     def test_markdown_contains_all_sections(self, bundled_report):
@@ -423,6 +439,10 @@ class TestReproduction:
                 assert check.computed == expected[check.name], check.name
 
 
+# every width AnalysisConfig accepts is 1/k; these span its range
+WIDTHS = [0.5, 0.25, 0.2, 0.1, 0.05, 0.04, 0.02, 0.01, 0.005, 0.001]
+
+
 class TestHistogram:
     @pytest.mark.parametrize("width", [0.02, 0.05, 0.1])
     def test_every_edge_lands_in_its_own_bin(self, width):
@@ -433,6 +453,30 @@ class TestHistogram:
         hist = _histogram(edges + [1.0], width)
         assert [edge for edge, _ in hist] == edges
         assert [count for _, count in hist] == [1] * (n_bins - 1) + [2]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_matches_the_bisect_oracle(self, data):
+        width = data.draw(st.sampled_from(WIDTHS))
+        edges = [round(i * width, 10) for i in range(int(round(1.0 / width)))]
+        near_edges = st.sampled_from(edges + [1.0]).flatmap(
+            lambda e: st.sampled_from([e, math.nextafter(e, -1.0), math.nextafter(e, 2.0)])
+        )
+        scores = data.draw(st.lists(
+            near_edges | st.floats(0.0, 1.0) | st.sampled_from([-0.0, 0.0, 0.5]), max_size=60
+        ))
+        hist = _histogram(np.array(scores, dtype=float), width)
+        assert hist == histogram_oracle(scores, width)
+        assert all(type(edge) is float and type(count) is int for edge, count in hist)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_every_edge_and_its_neighbours_match_the_oracle(self, width):
+        edges = [round(i * width, 10) for i in range(int(round(1.0 / width)))]
+        scores = [s for e in edges + [1.0]
+                  for s in (e, math.nextafter(e, -1.0), math.nextafter(e, 2.0))]
+        for sample in (scores, [], [0.0], [-0.0] * 5, [1.0] * 5):
+            want = histogram_oracle(sample, width)
+            assert _histogram(np.array(sample, dtype=float), width) == want
 
 
 class TestSinglePass:

@@ -100,6 +100,16 @@ class TestIngest:
         assert report.rejected == ({} if accepted else {"count above 2**53": 1})
         assert [getattr(t, key) for t in tweets] == ([count] if accepted else [])
 
+    def test_integers_past_the_digit_limit_share_one_reason(self, tmp_path):
+        # Python's own message names each digit count; the report must not
+        lines = [
+            json.dumps(_record(i)).replace('"like_count": 1', f'"like_count": {"9" * digits}')
+            for i, digits in ((1, 4301), (2, 5001))
+        ]
+        report, _ = _ingest(tmp_path, [*lines, _record(3)])
+        assert report.accepted_count == 1
+        assert report.rejected == {"integer of over 4300 digits": 2}
+
     def test_schema_violations_not_fatal(self, tmp_path):
         report, _ = _ingest(tmp_path, [_record(1), {"id": "x"}, _record(2, text="   ")])
         assert report.accepted_count == 1

@@ -1,7 +1,9 @@
 import io
 import json
+import sys
 
-from genscope.corpus import Tweet
+from genscope.cli import main
+from genscope.corpus import Tweet, write_jsonl
 from genscope.labeling import label_session
 
 
@@ -92,3 +94,31 @@ def test_eof_ends_session(tmp_path):
         tweets, out, input_stream=io.StringIO(""), output_stream=io.StringIO()
     )
     assert result.labeled == 0
+
+
+def test_resume_skips_lines_without_a_string_id(tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(
+        ({"id": f"t{i}", "text": text, "like_count": 0, "retweet_count": 0, "lang": "en"}
+         for i, text in enumerate(["Democrats block the bill", "Men can cook", "Cats purr"])),
+        corpus,
+    )
+    out = tmp_path / "out"
+    out.mkdir()
+    done = {"id": "t0", "text": "Democrats block the bill", "label": 1, "source": "human"}
+    (out / "labeled.jsonl").write_text(
+        "[1, 2]\n"
+        f'{{"id": "x", "n": {"9" * 5001}}}\n'
+        '{"id": 5}\n'
+        '"t1"\n'
+        f"{json.dumps(done)}\n"
+        '{"id": "t1", "te',
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(sys, "stdin", io.StringIO("g\n"))
+    code = main(["label", "--corpus", str(corpus), "--out", str(out), "--limit", "2"])
+    stdout, stderr = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in stderr
+    assert "labeled 1 tweets (skipped 0, already done 1)" in stdout
+    assert "[t0]" not in stdout and "[t1]" in stdout

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import genscope.stats.rank_tests
 from genscope.errors import InputError
-from genscope.stats import dunn_posthoc, kruskal_wallis, mann_whitney_u
+from genscope.stats import kruskal_wallis, mann_whitney_u
 
 from oracles import mann_whitney_u_bruteforce
 
@@ -112,11 +113,11 @@ class TestKruskalWallis:
 
 class TestDunnPosthoc:
     def test_identical_groups_p_one(self):
-        res = dunn_posthoc([[1, 2, 3], [1, 2, 3], [1, 2, 3]])
+        res = kruskal_wallis([[1, 2, 3], [1, 2, 3], [1, 2, 3]]).posthoc
         assert np.all(res.p == 1.0)
 
     def test_separated_groups_monotone_z(self):
-        res = dunn_posthoc([[1, 2], [11, 12], [21, 22]])
+        res = kruskal_wallis([[1, 2], [11, 12], [21, 22]]).posthoc
         # mean ranks increase with the group index, so z[i, j] < 0 for i < j
         assert res.z[0, 1] < 0 and res.z[1, 2] < 0 and res.z[0, 2] < res.z[0, 1]
 
@@ -128,9 +129,33 @@ class TestDunnPosthoc:
             mw = mann_whitney_u(a, b)
             if mw.degenerate:
                 continue
-            dn = dunn_posthoc([a, b])
+            dn = kruskal_wallis([a, b]).posthoc
             assert abs(dn.z[0, 1]) == pytest.approx(abs(mw.z), abs=1e-6)
 
     def test_bonferroni_clamps_to_one(self):
-        res = dunn_posthoc([[1, 2, 3], [1, 3, 2], [2, 1, 3]])
+        res = kruskal_wallis([[1, 2, 3], [1, 3, 2], [2, 1, 3]]).posthoc
         assert np.all(res.p <= 1.0)
+
+
+class TestOneRanking:
+    """Each test ranks its pooled sample once; Dunn's post-hoc reads the
+    Kruskal-Wallis ranks."""
+
+    @pytest.fixture
+    def rankings(self, monkeypatch):
+        calls = []
+        rank = genscope.stats.rank_tests.ranks_and_ties
+        monkeypatch.setattr(
+            genscope.stats.rank_tests, "ranks_and_ties",
+            lambda arr: calls.append(arr.size) or rank(arr),
+        )
+        return calls
+
+    def test_mann_whitney_ranks_once(self, rankings):
+        mann_whitney_u([1, 2, 2, 5], [2, 3, 4])
+        assert rankings == [7]
+
+    def test_kruskal_wallis_and_its_posthoc_rank_once(self, rankings):
+        res = kruskal_wallis([[1, 2, 2], [3, 4], [2, 5, 6, 7]])
+        assert res.posthoc is not None
+        assert rankings == [9]

@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from genscope.errors import InputError
-from genscope.stats import rank_with_ties, tie_term
+from genscope.stats import rank_with_ties
+from genscope.stats.ranks import ranks_and_ties
+
+from oracles import midranks_oracle
+
+# a small pool of values gives heavy ties; -0.0 and 0.0 are one tie group
+VALUES = st.lists(
+    st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5, 1e300, -1e-300])
+    | st.floats(allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=80,
+)
 
 
 def test_midrank_convention():
@@ -35,5 +47,20 @@ def test_non_finite_rejected():
 
 def test_tie_term():
     # two ties of size 2: 2*(8-2) = 12
-    assert tie_term([1, 1, 2, 2, 3]) == 12.0
-    assert tie_term([1, 2, 3]) == 0.0
+    assert ranks_and_ties(np.array([1.0, 1, 2, 2, 3]))[1] == 12.0
+    assert ranks_and_ties(np.array([1.0, 2, 3]))[1] == 0.0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(VALUES)
+@example([3.0])
+@example([7.0] * 9)
+@example([-0.0, 0.0, -0.0, 0.0])
+@example([0.0, 1.0, -0.0, 1.0, 1.0, 0.0])
+def test_ranks_and_tie_term_match_the_loop_oracle_bit_for_bit(values):
+    want_ranks, want_ties = midranks_oracle(values)
+    ranks, ties = ranks_and_ties(np.asarray(values, dtype=float))
+    assert ranks.dtype == np.float64
+    assert ranks.tobytes() == want_ranks.tobytes()
+    assert rank_with_ties(values).tobytes() == want_ranks.tobytes()
+    assert ties == want_ties

@@ -87,6 +87,14 @@ class TestExternalLabels:
             (1, "record must be a JSON object"), (2, "record must be a JSON object"),
         ]
 
+    def test_integers_past_the_digit_limit_share_one_reason(self, tmp_path):
+        lines = [f'{{"id": "{i}", "sentiment": "negative", "n": {"9" * digits}}}\n'
+                 for i, digits in ((1, 4301), (2, 5001))]
+        report = _labels(tmp_path, "".join(lines) + '{"id": "3", "sentiment": "neutral"}\n')
+        assert list(report.labels) == ["3"]
+        assert report.rejected == [(1, "integer of over 4300 digits"),
+                                   (2, "integer of over 4300 digits")]
+
 
 class TestProvider:
     def test_external_precedence(self, lexicon):

@@ -6,7 +6,6 @@ import pytest
 
 from genscope.errors import InputError
 from genscope.stats import chi_square_sf, erfc, normal_sf
-from genscope.stats.special import regularized_gamma_p, regularized_gamma_q
 
 from oracles import gamma_q_oracle, normal_sf_oracle
 
@@ -51,13 +50,6 @@ def test_normal_sf_matches_oracles(z):
 def test_erfc_matches_stdlib():
     for t in (-2.0, -0.5, 0.0, 0.3, 1.0, 2.5):
         assert erfc(t) == pytest.approx(math.erfc(t), abs=1e-12)
-
-
-def test_gamma_p_q_complement():
-    for a, x in [(0.5, 0.2), (1.5, 3.0), (4.0, 2.0), (10.0, 30.0)]:
-        assert regularized_gamma_p(a, x) + regularized_gamma_q(a, x) == pytest.approx(
-            1.0, abs=1e-12
-        )
 
 
 def test_chi_square_sf_strictly_decreasing_in_x():
