@@ -5,6 +5,14 @@ social-media texts, sentiment attachment, and the non-parametric
 statistics needed to analyze group-level differences in use and impact.
 """
 
+import os
+
+# Before numpy is first imported: genscope's numpy work is bincounts, sorts
+# and 1-D dot products, so an OpenBLAS thread pool only costs start-up time
+# (about 70 ms), and a pool split of a long dot product would make its last
+# bits depend on the host's CPU count. A value the user set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .annotator import AnnotatorVerdict, RuleAnnotator

@@ -89,27 +89,49 @@ class Vocabulary:
         return out
 
 
+def check_min_count(min_count) -> None:
+    if min_count < 1:
+        raise InputError("min_count must be >= 1")
+
+
+def _count_vocab(token_lists, min_count: int):
+    """One pass over the token lists: their vocabulary, the vocabulary
+    column of every token in order (-1 for a token that did not make it)
+    and the end offset of each list in that sequence.
+
+    Tokens get provisional ids in first-seen order and are counted with one
+    ``np.bincount``; tokens seen at least min_count times are then ranked
+    by descending count, ties broken lexicographically, so the mapping is
+    deterministic. No token list is kept.
+    """
+    check_min_count(min_count)
+    ids: dict[str, int] = {}
+    flat, ends = array("i"), array("q")
+    for tokens in token_lists:
+        for token in tokens:
+            flat.append(ids.setdefault(token, len(ids)))
+        ends.append(len(flat))
+    flat = np.frombuffer(flat, dtype=np.intc)
+    counts = np.bincount(flat, minlength=len(ids)).tolist()
+    kept = sorted((-c, t) for t, c in zip(ids, counts) if c >= min_count)
+    if not kept:
+        raise InputError(
+            f"empty vocabulary: no token reached min_count={min_count}"
+        )
+    vocab = Vocabulary(
+        index={t: i for i, (_, t) in enumerate(kept)}, min_count=min_count
+    )
+    columns = np.array([vocab.index.get(t, -1) for t in ids], dtype=np.intc)
+    return vocab, columns[flat], np.frombuffer(ends, dtype=np.int64)
+
+
 def build_vocab(token_lists, min_count: int = 1) -> Vocabulary:
     """Vocabulary of tokens seen at least min_count times.
 
     Indices are assigned by descending frequency, ties broken
     lexicographically, so the mapping is deterministic.
     """
-    if min_count < 1:
-        raise InputError("min_count must be >= 1")
-    counts: dict[str, int] = {}
-    for tokens in token_lists:
-        for token in tokens:
-            counts[token] = counts.get(token, 0) + 1
-    kept = [(-c, t) for t, c in counts.items() if c >= min_count]
-    if not kept:
-        raise InputError(
-            f"empty vocabulary: no token reached min_count={min_count}"
-        )
-    kept.sort()
-    return Vocabulary(
-        index={t: i for i, (_, t) in enumerate(kept)}, min_count=min_count
-    )
+    return _count_vocab(token_lists, min_count)[0]
 
 
 def vectorize_bow(tokens, vocab: Vocabulary) -> list[tuple[int, int]]:
@@ -199,16 +221,23 @@ def stack_features(rows, n_cols: int) -> CsrMatrix:
     return CsrMatrix(indptr, indices, data, n_cols)
 
 
+# texts per block when fit_transform maps token ids to CSR columns
+ROWS_PER_BLOCK = 1024
+
+
 class BagOfWordsVectorizer:
-    """fit/transform wrapper over tokenize + build_vocab + vectorize_bow."""
+    """fit/transform wrapper over tokenize + build_vocab + vectorize_bow.
+
+    ``fit_transform`` tokenizes each text once: it counts token ids, ranks
+    the vocabulary, then maps the ids to columns, as scikit-learn's
+    ``CountVectorizer`` does; its matrix equals ``fit`` then ``transform``.
+    """
 
     def __init__(self, min_count: int = 2):
         self.min_count = min_count
 
     def fit(self, texts):
-        self.vocabulary_ = build_vocab(
-            (tokenize(t) for t in texts), min_count=self.min_count
-        )
+        self.vocabulary_ = build_vocab(map(tokenize, texts), self.min_count)
         return self
 
     def transform(self, texts) -> CsrMatrix:
@@ -219,5 +248,32 @@ class BagOfWordsVectorizer:
         )
 
     def fit_transform(self, texts) -> CsrMatrix:
-        return self.fit(texts).transform(texts)
-
+        self.vocabulary_, columns, ends = _count_vocab(
+            map(tokenize, texts), self.min_count
+        )
+        size = self.vocabulary_.size
+        # room for every kept token; a row that repeats a token leaves the
+        # tail unused
+        indices = np.empty(np.count_nonzero(columns >= 0), dtype=np.intp)
+        data = np.empty(indices.size)
+        indptr = np.zeros(ends.size + 1, dtype=np.intp)
+        nnz = 0
+        # rows go in blocks, so the temporary keys stay small
+        for lo in range(0, ends.size, ROWS_PER_BLOCK):
+            block_ends = ends[lo : lo + ROWS_PER_BLOCK]
+            first = ends[lo - 1] if lo else 0
+            block = columns[first : block_ends[-1]]
+            # one key row * size + column per token, dropped tokens left out;
+            # the sorted unique keys are each row's sorted (column, count) pairs
+            keys = np.repeat(
+                np.arange(block_ends.size) * size, np.diff(block_ends, prepend=first)
+            )
+            keys += block
+            keys, counts = np.unique(keys[block >= 0], return_counts=True)
+            indptr[lo + 1 : lo + 1 + block_ends.size] = nnz + np.searchsorted(
+                keys, np.arange(1, block_ends.size + 1) * size
+            )
+            indices[nnz : nnz + keys.size] = keys % size
+            data[nnz : nnz + keys.size] = counts
+            nnz += keys.size
+        return CsrMatrix(indptr, indices[:nnz], data[:nnz], size)

@@ -20,7 +20,7 @@ from ..base import (
     check_threshold,
 )
 from ..errors import InputError, TrainingError
-from .features import BagOfWordsVectorizer, CsrMatrix, Vocabulary
+from .features import BagOfWordsVectorizer, CsrMatrix, Vocabulary, check_min_count
 
 DEFAULT_LEARNING_RATE = 0.1
 DEFAULT_EPOCHS = 500
@@ -93,6 +93,20 @@ class GenericityModel:
         return int(self.weights.size)
 
 
+def check_hyperparameters(l2, learning_rate, epochs, threshold) -> None:
+    """Reject training settings that cannot train. A non-finite l2 or
+    learning rate would pass the range checks and only show as a
+    non-finite loss; a NaN threshold fails ``check_threshold``."""
+    for name, value in (("l2 penalty", l2), ("learning_rate", learning_rate)):
+        if not math.isfinite(value):
+            raise InputError(f"{name} must be finite; got {value!r}")
+    if l2 < 0:
+        raise InputError("l2 penalty must be >= 0")
+    if learning_rate <= 0 or epochs < 1:
+        raise InputError("learning_rate must be > 0 and epochs >= 1")
+    check_threshold(threshold)
+
+
 def train_logistic(
     features,
     labels,
@@ -115,11 +129,7 @@ def train_logistic(
     check_consistent_length(x, y)
     if y.sum() == 0 or y.sum() == y.size:
         raise InputError("need at least one example of each label")
-    if l2 < 0:
-        raise InputError("l2 penalty must be >= 0")
-    if learning_rate <= 0 or epochs < 1:
-        raise InputError("learning_rate must be > 0 and epochs >= 1")
-    check_threshold(threshold)
+    check_hyperparameters(l2, learning_rate, epochs, threshold)
 
     w = np.zeros(x.shape[1])
     b = 0.0
@@ -127,21 +137,23 @@ def train_logistic(
     loss, grad_w, grad_b = loss_and_gradient(w, b, x, y, l2)
     history = [loss]
 
-    for _ in range(epochs):
-        while True:
-            w_next = w - eta * grad_w
-            b_next = b - eta * grad_b
-            loss_next, gw_next, gb_next = loss_and_gradient(w_next, b_next, x, y, l2)
-            if not math.isfinite(loss_next):
-                raise TrainingError(
-                    f"non-finite loss (eta={eta}, epoch={len(history)}); "
-                    "check feature scaling"
-                )
-            if loss_next <= loss or eta < 1e-12:
-                break
-            eta /= 2.0
-        w, b, loss, grad_w, grad_b = w_next, b_next, loss_next, gw_next, gb_next
-        history.append(loss)
+    # an overflow shows as a non-finite loss, reported below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            while True:
+                w_next = w - eta * grad_w
+                b_next = b - eta * grad_b
+                loss_next, gw_next, gb_next = loss_and_gradient(w_next, b_next, x, y, l2)
+                if not math.isfinite(loss_next):
+                    raise TrainingError(
+                        f"non-finite loss (eta={eta}, epoch={len(history)}); "
+                        "check feature scaling"
+                    )
+                if loss_next <= loss or eta < 1e-12:
+                    break
+                eta /= 2.0
+            w, b, loss, grad_w, grad_b = w_next, b_next, loss_next, gw_next, gb_next
+            history.append(loss)
 
     return GenericityModel(
         weights=w,
@@ -171,8 +183,9 @@ def predict_score(model: GenericityModel, features) -> np.ndarray:
 class GenericityClassifier:
     """Text-in classifier: bag-of-words features + logistic regression.
 
-    The constructor stores hyperparameters, ``fit(texts, labels)`` learns
-    ``model_``, and ``predict_proba`` returns the genericity score.
+    The constructor checks and stores hyperparameters, so a bad one fails
+    before any text is read; ``fit(texts, labels)`` learns ``model_``, and
+    ``predict_proba`` returns the genericity score.
     """
 
     def __init__(
@@ -184,6 +197,8 @@ class GenericityClassifier:
         seed: int = DEFAULT_SEED,
         threshold: float = DEFAULT_THRESHOLD,
     ):
+        check_min_count(min_count)
+        check_hyperparameters(l2, learning_rate, epochs, threshold)
         self.min_count = min_count
         self.learning_rate = learning_rate
         self.epochs = epochs

@@ -196,8 +196,7 @@ def _cmd_annotate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    texts, labels = _read_labeled(args.labeled)
-    clf = GenericityClassifier(
+    clf = GenericityClassifier(  # checks the flags before the file is read
         min_count=args.min_count,
         learning_rate=args.learning_rate,
         epochs=args.epochs,
@@ -205,6 +204,7 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         threshold=args.threshold,
     )
+    texts, labels = _read_labeled(args.labeled)
     scores = clf.fit_predict_proba(texts, labels)
     save_model(clf.model_, args.model_out)
     metrics = evaluate(scores, labels, threshold=clf.threshold)

@@ -11,7 +11,9 @@ from the library code paths it checks:
 * the rule annotator's per-occurrence token predicates that its
   per-word-type flag table replaced,
 * the per-value midrank loop and the ``bisect`` score histogram that
-  one ``np.unique`` and one ``np.searchsorted`` replaced.
+  one ``np.unique`` and one ``np.searchsorted`` replaced,
+* the two-pass bag-of-words vectorizer (count a vocabulary, then count
+  each text's columns) that one counting pass replaced.
 
 Keep this module free of imports from ``genscope`` so the oracles cannot
 accidentally share code with the implementations under test.
@@ -361,3 +363,32 @@ def histogram_oracle(scores, bin_width):
     for s in scores:
         counts[max(bisect.bisect_right(edges, s) - 1, 0)] += 1
     return [[edge, count] for edge, count in zip(edges, counts)]
+
+
+# Bag-of-words features, as counted in two passes over the token lists.
+
+def two_pass_bow_oracle(token_lists, min_count):
+    """The vocabulary {token: column} of tokens seen at least min_count
+    times, ranked by descending count then token, and the CSR lists
+    (indptr, indices, data) of each list's sorted (column, count) pairs;
+    None for both when no token reaches min_count."""
+    token_lists = [list(tokens) for tokens in token_lists]
+    counts = {}
+    for tokens in token_lists:
+        for token in tokens:
+            counts[token] = counts.get(token, 0) + 1
+    kept = sorted((-c, t) for t, c in counts.items() if c >= min_count)
+    if not kept:
+        return None, None
+    vocab = {t: i for i, (_, t) in enumerate(kept)}
+    indptr, indices, data = [0], [], []
+    for tokens in token_lists:
+        row = {}
+        for token in tokens:
+            if token in vocab:
+                row[vocab[token]] = row.get(vocab[token], 0) + 1
+        for column, count in sorted(row.items()):
+            indices.append(column)
+            data.append(float(count))
+        indptr.append(len(indices))
+    return vocab, (indptr, indices, data)

@@ -1,10 +1,12 @@
 """Subcommand flows and exit codes, driven through main(argv)."""
 
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 import zlib
 from importlib import resources
 from pathlib import Path
@@ -161,6 +163,64 @@ class TestTrainEvalClassify:
         for line in ('{"text": "x", "label": 2}', '["x", 1]'):
             bad.write_text(line + "\n")
             assert main(["train", "--labeled", str(bad), "--model-out", str(tmp_path / "m")]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--epochs", "0", "learning_rate must be > 0 and epochs >= 1"),
+            ("--min-count", "0", "min_count must be >= 1"),
+            ("--l2", "nan", "l2 penalty must be finite; got nan"),
+            ("--l2", "-1", "l2 penalty must be >= 0"),
+            ("--learning-rate", "inf", "learning_rate must be finite; got inf"),
+            ("--threshold", "1.5", "threshold must be in (0, 1); got 1.5"),
+        ],
+    )
+    def test_train_checks_flags_before_reading_labeled(
+        self, flag, value, message, tmp_path, capsys
+    ):
+        argv = ["train", "--labeled", str(tmp_path / "missing.jsonl"),
+                "--model-out", str(tmp_path / "m.txt"), flag, value]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_train_overflow_is_one_error_line(self, labeled_file, tmp_path, capsys):
+        argv = ["train", "--labeled", str(labeled_file), "--model-out", str(tmp_path / "m.txt"),
+                "--learning-rate", "1e308"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss") and err.count("\n") == 1
+
+    # sha256 of train's and eval's stdout and of the model file, training on
+    # generate_training_texts(n=400, seed=7) for 60 epochs: the vocabulary,
+    # every weight and every printed metric, to the byte.
+    GOLDEN_TRAIN_SHA256 = {
+        "train": "19501e52f352c367949765b6fd297b9124bda3fe26637d8402db52c41b439138",
+        "eval": "c3fadfdc5436df2aa41afeccb546718627bac510f996272415657710891c0e1a",
+        "model": "9bfe30ca8d68f31594d83641ef2f250005e6ed0fc482a33365d14ff65c738087",
+    }
+
+    def test_train_and_eval_match_golden_hashes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # train prints the model path
+        texts, labels = generate_training_texts(n=400, seed=7)
+        write_jsonl(({"text": t, "label": l} for t, l in zip(texts, labels)), "labeled.jsonl")
+        digests = {}
+        for name, argv in (
+            ("train", ["train", "--labeled", "labeled.jsonl", "--model-out", "model.txt",
+                       "--epochs", "60"]),
+            ("eval", ["eval", "--labeled", "labeled.jsonl", "--model", "model.txt"]),
+        ):
+            assert main(argv) == 0
+            digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        digests["model"] = hashlib.sha256(Path("model.txt").read_bytes()).hexdigest()
+        assert digests == self.GOLDEN_TRAIN_SHA256
 
     def _one_word_model(self, tmp_path):
         """Weight 3.0 on "zebra", bias 0.7: texts without "zebra" score sigmoid(0.7)."""
@@ -491,6 +551,24 @@ class TestLabelCommand:
         ]) == 0
         rows = (out / "labeled.jsonl").read_text().splitlines()
         assert len(rows) == 3
+
+
+class TestBlasThreads:
+    """Importing genscope starts numpy with one OpenBLAS thread unless the
+    caller chose a count."""
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+    def test_openblas_threads_default(self, preset, expected):
+        env = dict(os.environ, PYTHONPATH=str(Path(genscope.__file__).parents[1]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import genscope, os; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout == f"{expected}\n"
 
 
 class TestReproduce:

@@ -1,9 +1,11 @@
-"""Property: on a malformed corpus, report, model or tables file, the CLI
-exits 0, 1, 2 or 3.
+"""Property: on a malformed corpus, labeled, report, model or tables file,
+the CLI exits 0, 1, 2 or 3.
 
 ``ingest``, ``annotate``, ``classify`` and ``analyze`` get small corpora
 mixing valid records, records with one field replaced or deleted, and
 lines of random text; all but ``ingest`` must also write the same bytes
+when run twice. ``train --labeled`` gets valid labeled records with at
+most one line damaged the same way, and must write the same model file
 when run twice. ``report --report`` gets
 JSON reports with random values under the report blocks, ``eval --model``
 gets model files with one line replaced and the checksum recomputed, so
@@ -157,6 +159,52 @@ def test_analyze_exit_code_and_determinism(workdir, lines):
         assert code in EXIT_CODES
         files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
         runs.append((code, files))
+    assert runs[0] == runs[1]
+
+
+LABELED = [
+    {"text": text, "label": label}
+    for text, label in zip(*generate_training_texts(n=40, seed=9))
+]
+
+
+@st.composite
+def labeled_lines(draw):
+    """Up to 12 labeled records; in two examples of three, one line is
+    then replaced by random text or by its record with the text or label
+    replaced by random JSON or deleted."""
+    records = draw(st.lists(st.sampled_from(LABELED), max_size=12))
+    lines = [json.dumps(record) for record in records]
+    damage = draw(st.sampled_from(["none", "field", "text"]))
+    if lines and damage != "none":
+        i = draw(st.integers(0, len(lines) - 1))
+        if damage == "text":
+            lines[i] = draw(st.text(max_size=20))
+        else:
+            record = dict(records[i])
+            key = draw(st.sampled_from(["text", "label"]))
+            if draw(st.booleans()):
+                record[key] = draw(JSON)
+            else:
+                del record[key]
+            lines[i] = json.dumps(record)
+    return lines
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(lines=labeled_lines(), min_count=st.integers(1, 2))
+def test_train_exit_code_and_determinism(workdir, lines, min_count):
+    path = workdir / "labeled_random.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    runs = []
+    for name in ("first", "second"):
+        model = workdir / f"trained_{name}.txt"
+        model.unlink(missing_ok=True)
+        argv = ["train", "--labeled", str(path), "--model-out", str(model),
+                "--epochs", "5", "--min-count", str(min_count)]
+        code = quiet_exit_code(argv)
+        assert code in EXIT_CODES
+        runs.append((code, model.read_bytes() if model.exists() else None))
     assert runs[0] == runs[1]
 
 

@@ -1,17 +1,24 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genscope.classifier import (
     EMOJI_TOKEN,
     URL_TOKEN,
     BagOfWordsVectorizer,
     CsrMatrix,
+    GenericityClassifier,
     build_vocab,
+    features,
     loss_and_gradient,
     tokenize,
     vectorize_bow,
 )
 from genscope.errors import InputError
+from genscope.synth import generate_training_texts
+from oracles import two_pass_bow_oracle
 
 
 class TestTokenize:
@@ -88,6 +95,70 @@ class TestBagOfWords:
             pairs = list(zip(x.indices[row].tolist(), x.data[row].tolist()))
             assert pairs == vectorize_bow(tokenize(text), v.vocabulary_)
 
+
+# texts from a few repeating words, class tokens and separators, plus
+# empty and token-less texts and arbitrary short text
+WORDS = ["a", "b", "cat", "Cat", "dog", "don't", "https://t.co/x", "🤔"]
+TEXTS = (
+    st.lists(st.sampled_from(WORDS + [" ", "!", ", "]), max_size=12).map(" ".join)
+    | st.text(alphabet=" .,!?-_", max_size=4)
+    | st.text(max_size=8)
+)
+
+
+class TestOnePass:
+    """``fit_transform`` counts in one pass what the two-pass vectorizer
+    counted in two: the same vocabulary and, bit for bit, the same CSR."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        texts=st.lists(TEXTS, max_size=12),
+        min_count=st.integers(1, 3),
+        rows_per_block=st.integers(1, 13),
+    )
+    def test_matches_two_pass_oracle(self, texts, min_count, rows_per_block):
+        vocab, expected = two_pass_bow_oracle(map(tokenize, texts), min_count)
+        v = BagOfWordsVectorizer(min_count=min_count)
+        with mock.patch.object(features, "ROWS_PER_BLOCK", rows_per_block):
+            if vocab is None:
+                message = f"empty vocabulary: no token reached min_count={min_count}"
+                with pytest.raises(InputError, match=message):
+                    v.fit_transform(texts)
+                return
+            x = v.fit_transform(texts)
+        assert list(v.vocabulary_.index.items()) == list(vocab.items())
+        assert build_vocab(map(tokenize, texts), min_count).index == vocab
+        assert x.shape == (len(texts), len(vocab))
+        assert (x.indptr.dtype, x.indices.dtype, x.data.dtype) == (np.intp, np.intp, float)
+        assert (x.indptr.tolist(), x.indices.tolist(), x.data.tolist()) == expected
+        # transform still counts per text; the two must agree
+        again = v.transform(texts)
+        for name in ("indptr", "indices", "data", "rows"):
+            assert getattr(again, name).tolist() == getattr(x, name).tolist()
+
+    def test_classifier_fit_tokenizes_each_text_once(self, monkeypatch):
+        seen = []
+
+        def counting_tokenize(text):
+            seen.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(features, "tokenize", counting_tokenize)
+        texts, labels = generate_training_texts(n=60, seed=3)
+        GenericityClassifier(min_count=1, epochs=2).fit(texts, labels)
+        assert sorted(seen) == sorted(texts)
+
+    def test_min_count_below_one_rejected_before_tokenizing(self):
+        def texts():
+            raise AssertionError("a text was read")
+            yield
+
+        for call in (
+            lambda: BagOfWordsVectorizer(min_count=0).fit_transform(texts()),
+            lambda: build_vocab(texts(), min_count=0),
+        ):
+            with pytest.raises(InputError, match="min_count must be >= 1"):
+                call()
 
 def _csr(dense):
     """Reference CSR built row by row from a dense matrix."""
