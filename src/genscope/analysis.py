@@ -5,9 +5,10 @@ group as it is ingested, attaches a genericity decision (trained model or
 rule annotator) and a sentiment label to every single-group tweet, keeps
 those as per-group columns, and assembles a report dictionary in
 which every statistic sits next to the counts or sample sizes it was
-computed from. ``recompute_check`` re-derives those statistics from the
-embedded inputs, and ``reproduce_published`` rebuilds the H1/H3/H4 blocks
-from the published counts for the ``reproduce`` subcommand's checks.
+computed from. ``recompute_check`` rebuilds the H1/H3/H4 blocks from
+their counts and checks every other statistic against the numbers beside
+it, and ``reproduce_published`` rebuilds the same blocks from the
+published counts for the ``reproduce`` subcommand's checks.
 """
 
 from __future__ import annotations
@@ -56,9 +57,11 @@ from .stats import (
     ContingencyTable,
     chi_square_gof,
     chi_square_independence,
+    chi_square_sf,
     kruskal_wallis,
     mann_whitney_u,
     odds_ratio,
+    two_sided_p,
 )
 
 logger = logging.getLogger(__name__)
@@ -94,13 +97,10 @@ class AnalysisConfig:
             raise InputError("alpha must be in (0, 1)")
         if self.format not in ("markdown", "csv"):
             raise InputError("format must be 'markdown' or 'csv'")
-        # whole bins only: a width that does not divide 1 leaves a wider last
-        # bin, and a tiny one asks _histogram for an endless list of edges
-        width = self.histogram_bin_width
-        if not (0.001 <= width <= 0.5 and abs(1.0 / width - round(1.0 / width)) <= 1e-9):
+        if not _whole_bins(self.histogram_bin_width):
             raise InputError(
                 f"histogram_bin_width must be in [0.001, 0.5] and divide 1 "
-                f"into whole bins, not {width!r}"
+                f"into whole bins, not {self.histogram_bin_width!r}"
             )
 
     @classmethod
@@ -156,6 +156,23 @@ def _as_json(result) -> dict:
     return out
 
 
+def _percent(counts: dict, n: int) -> dict:
+    """Each count as a percentage of ``n``; all 0.0 when ``n`` is 0."""
+    return {key: (100.0 * c / n if n else 0.0) for key, c in counts.items()}
+
+
+def _whole_bins(width: float) -> bool:
+    """Whether ``width`` lies in [0.001, 0.5] and divides 1 into whole bins:
+    a width that does not leaves a wider last bin, and a tiny one asks
+    ``_bin_edges`` for an endless list."""
+    return 0.001 <= width <= 0.5 and abs(1.0 / width - round(1.0 / width)) <= 1e-9
+
+
+def _bin_edges(width: float) -> list[float]:
+    """The left edges of the histogram bins of ``width`` over [0, 1]."""
+    return [round(i * width, 10) for i in range(int(round(1.0 / width)))]
+
+
 def _histogram(scores, bin_width: float) -> list[list[float]]:
     """(bin left edge, count) rows over [0, 1]; the last bin includes 1.0.
 
@@ -163,10 +180,9 @@ def _histogram(scores, bin_width: float) -> list[list[float]]:
     to an edge lands in that edge's bin (``int(s / bin_width)`` puts 0.58
     at width 0.02 one bin low).
     """
-    n_bins = int(round(1.0 / bin_width))
-    edges = [round(i * bin_width, 10) for i in range(n_bins)]
+    edges = _bin_edges(bin_width)
     bins = np.searchsorted(edges, scores, side="right") - 1
-    counts = np.bincount(np.maximum(bins, 0), minlength=n_bins)
+    counts = np.bincount(np.maximum(bins, 0), minlength=len(edges))
     return [[edge, count] for edge, count in zip(edges, counts.tolist())]
 
 
@@ -382,13 +398,9 @@ def _descriptives(columns: dict, tally: Counter, config: AnalysisConfig) -> dict
     return {
         "analyzed_tweets": n,
         "group_counts": group_counts,
-        "group_percent": {
-            g: (100.0 * c / n if n else 0.0) for g, c in group_counts.items()
-        },
+        "group_percent": _percent(group_counts, n),
         "sentiment_counts": sentiment_counts,
-        "sentiment_percent": {
-            v: (100.0 * c / n if n else 0.0) for v, c in sentiment_counts.items()
-        },
+        "sentiment_percent": _percent(sentiment_counts, n),
         "generic_count": _count(tally, generic=True),
         "score_histograms": hists,
         "score_medians": medians,
@@ -451,13 +463,10 @@ def _pairwise_2x2(counts: dict, pairs, columns: tuple[str, str]) -> dict:
 
 def _h3_block(counts: dict) -> dict:
     """H3 from ``{group: {"generic": n, "non_generic": n}}``."""
-    total_generic = sum(c["generic"] for c in counts.values())
+    generic = {g: c["generic"] for g, c in counts.items()}
     block = {
         "group_generic_counts": counts,
-        "generic_share_of_total": {
-            g: (100.0 * c["generic"] / total_generic if total_generic else 0.0)
-            for g, c in counts.items()
-        },
+        "generic_share_of_total": _percent(generic, sum(generic.values())),
         "generic_proportion_within_group": {
             g: (
                 100.0 * c["generic"] / (c["generic"] + c["non_generic"])
@@ -538,84 +547,133 @@ def _h5_block(columns: dict, threshold: float) -> dict:
 # ---------------------------------------------------------------------------
 # recomputability self-check
 
-def recompute_check(report: dict, tol: float = 1e-9) -> list[str]:
-    """Recompute every statistic from the counts embedded beside it, and
-    check that counts in different blocks reconcile.
+# floats agree to this relative tolerance: libm's last bits can differ
+# between hosts
+_REL_TOL = 1e-9
 
-    Returns a list of mismatch descriptions; empty means the report is
-    internally consistent.
+
+def _first_difference(reported, rebuilt, path: str) -> str | None:
+    """Where ``reported`` first differs from ``rebuilt``, as ``"path:
+    reported x, recomputed y"`` with the dotted path of the differing value,
+    or None where they agree. Objects need the same keys and lists the same
+    length; a float agrees to ``_REL_TOL``, anything else only if it is
+    equal and of the same type (``True`` is no ``1``)."""
+    if isinstance(rebuilt, (dict, list)):
+        keys = _keys(rebuilt)
+        if type(reported) is type(rebuilt) and _keys(reported) == keys:
+            found = (_first_difference(reported[k], rebuilt[k], f"{path}.{k}") for k in keys)
+            return next((f for f in found if f), None)
+        agree = False
+    elif isinstance(rebuilt, float) and type(reported) in (int, float):
+        agree = math.isclose(reported, rebuilt, rel_tol=_REL_TOL)
+    else:
+        agree = type(reported) is type(rebuilt) and reported == rebuilt
+    return None if agree else f"{path}: reported {reported!r:.80}, recomputed {rebuilt!r:.80}"
+
+
+def _keys(node):
+    return node.keys() if isinstance(node, dict) else range(len(node))
+
+
+def recompute_check(report: dict) -> list[str]:
+    """Check a report against itself. The H1, H3 and H4 blocks are rebuilt
+    from their counts with the builders ``run_analysis`` uses; the other
+    statistics are recomputed from the numbers beside them; and counts in
+    different blocks must reconcile.
+
+    Returns one ``"path: reported x, recomputed y"`` line per failed check,
+    naming the first dotted path where the two differ (``*`` stands for
+    every index); empty means the report is consistent. What needs the raw
+    samples is left out: the score medians, the Mann-Whitney z under ties
+    and the Kruskal-Wallis H, beyond the identities that tie them to the
+    reported ranks and sizes.
     """
     problems: list[str] = []
 
-    def close(a, b, what, rel=1e-9):
-        if not math.isclose(a, b, rel_tol=rel, abs_tol=tol):
-            problems.append(f"{what}: reported {a!r}, recomputed {b!r}")
+    def check(path: str, reported, recomputed) -> None:
+        found = _first_difference(reported, recomputed, path)
+        if found:
+            problems.append(found)
 
-    def same(a, b, what):
-        if a != b:
-            problems.append(f"{what}: reported {a!r}, recomputed {b!r}")
+    desc = report["descriptives"]
+    n, generic, group_counts = desc["analyzed_tweets"], desc["generic_count"], desc["group_counts"]
+    h3_counts = report["h3"]["group_generic_counts"]
+    h4 = report["h4"]
+    # a skipped H4 had no generic tweet: its table is all zeros
+    h4_cells = h4["sentiment_by_group"]["cells"] if "sentiment_by_group" in h4 else [
+        [0] * len(GROUPS) for _ in H4_ROWS
+    ]
+    width = report["provenance"]["histogram_bin_width"]
+    edges = _bin_edges(width) if _whole_bins(width) else []
+    if not edges:
+        problems.append(f"provenance.histogram_bin_width: {width!r} makes no whole bins")
 
-    # counts that must reconcile across blocks
-    accepted = report.get("ingest", {}).get("accepted")
-    if accepted is not None and "partition" in report:
-        same(accepted, sum(report["partition"].values()), "ingest accepted = partition buckets")
-    descriptives = report.get("descriptives", {})
-    h1, h4 = report.get("h1", {}), report.get("h4", {})
-    h3_counts = report.get("h3", {}).get("group_generic_counts", {})
-    if "analyzed_tweets" in descriptives:
-        n, generic = descriptives["analyzed_tweets"], descriptives["generic_count"]
-        group_counts = descriptives["group_counts"]
-        same(n, sum(group_counts.values()), "analyzed_tweets = group_counts")
-        if "counts" in h1:
-            same(h1["counts"]["generic"], generic, "h1 generic = generic_count")
-            same(h1["counts"]["non_generic"], n - generic,
-                 "h1 non_generic = analyzed_tweets - generic_count")
-        for g, c in h3_counts.items():
-            same(c["generic"] + c["non_generic"], group_counts[g],
-                 f"h3 {g} generic + non_generic = group_counts")
-    if "sentiment_by_group" in h4:
-        table = h4["sentiment_by_group"]
-        for g, total in zip(table["columns"], np.sum(table["cells"], axis=0).tolist()):
-            same(total, h3_counts[g]["generic"], f"h4 {g} column sum = h3 generic")
+    for path, names, expected in (
+        ("partition", report["partition"], BUCKETS),
+        ("descriptives.group_counts", group_counts, GROUPS),
+        ("descriptives.sentiment_counts", desc["sentiment_counts"], SENTIMENTS),
+        ("descriptives.score_histograms", desc["score_histograms"], ("overall", *GROUPS)),
+    ):
+        check(path, sorted(names), sorted(expected))
+    check("ingest.accepted", report["ingest"]["accepted"], sum(report["partition"].values()))
+    check("descriptives.analyzed_tweets", n, sum(group_counts.values()))
+    check("descriptives.group_percent", desc["group_percent"], _percent(group_counts, n))
+    check("descriptives.sentiment_counts", sum(desc["sentiment_counts"].values()), n)
+    check("descriptives.sentiment_percent", desc["sentiment_percent"],
+          _percent(desc["sentiment_counts"], n))
+    for name, rows in desc["score_histograms"].items():
+        at = f"descriptives.score_histograms.{name}"
+        check(at, sum(count for _, count in rows), n if name == "overall" else group_counts[name])
+        check(at, [edge for edge, _ in rows], edges)
 
-    if "test" in h1:
-        redone = chi_square_gof(list(h1["counts"].values()))
-        close(h1["test"]["chi2"], redone.chi2, "h1 chi2")
+    check("h1", report["h1"], _h1_block(generic, n - generic))
 
-    for name, block in [*report.get("h3", {}).items(), *h4.items()]:
-        if not isinstance(block, dict) or "chi_square" not in block:
-            continue
-        cells = np.array(block["chi_square"]["cells"])
-        redone = chi_square_independence(ContingencyTable(cells))
-        close(block["chi_square"]["chi2"], redone.chi2, f"{name} chi2")
-        o = block["odds_ratio"]["cells"]
-        redone_or = odds_ratio(o[0], o[1], o[2], o[3])
-        close(block["odds_ratio"]["odds_ratio"], redone_or.odds_ratio, f"{name} OR")
+    h2 = report["h2"]
+    for metric in () if "skipped" in h2 else ("likes", "retweets"):
+        res, at = h2[metric], f"h2.{metric}"
+        n1, n2 = res["n1"], res["n2"]
+        check(f"{at}.n1", n1, generic)
+        check(f"{at}.n2", n2, n - generic)
+        check(f"{at}.u2", res["u2"], n1 * n2 - res["u1"])
+        check(f"{at}.mean_rank_a", res["mean_rank_a"], (res["u1"] + n1 * (n1 + 1) / 2) / n1)
+        check(f"{at}.mean_rank_b", res["mean_rank_b"], (res["u2"] + n2 * (n2 + 1) / 2) / n2)
+        check(f"{at}.p", res["p"], two_sided_p(res["z"]))
+        check(f"{at}.r", res["r"], abs(res["z"]) / math.sqrt(n1 + n2))
 
-    if "omnibus" in h4 and "chi2" in h4.get("omnibus", {}):
-        cells = np.array(h4["sentiment_by_group"]["cells"])
-        redone = chi_square_independence(ContingencyTable(cells))
-        close(h4["omnibus"]["chi2"], redone.chi2, "h4 omnibus chi2")
+    for g in GROUPS:
+        c = h3_counts[g]
+        check(f"h3.group_generic_counts.{g}", c["generic"] + c["non_generic"], group_counts[g])
+    check("h3", report["h3"], _h3_block(h3_counts))
+    for j, g in enumerate(GROUPS):
+        check(f"h4.sentiment_by_group.cells.*.{j}", sum(row[j] for row in h4_cells),
+              h3_counts[g]["generic"])
+    check("h4", h4, _h4_block(h4_cells))
 
-    for metric, res in report.get("h2", {}).items():
-        if not isinstance(res, dict) or "z" not in res:
-            continue
-        n = res["n1"] + res["n2"]
-        close(res["r"], abs(res["z"]) / math.sqrt(n), f"h2 {metric} r identity")
-        close(res["u1"] + res["u2"], res["n1"] * res["n2"], f"h2 {metric} U sum")
-
-    for subset, sub in report.get("h5", {}).items():
-        if not isinstance(sub, dict):
-            continue
-        for metric, res in sub.items():
-            if not isinstance(res, dict) or "h" not in res:
-                continue
-            n = sum(res["group_sizes"])
-            close(
-                res["epsilon2"],
-                res["h"] / (n - 1),
-                f"h5 {subset} {metric} epsilon2 identity",
-            )
+    k = len(GROUPS)
+    n_pairs = k * (k - 1) // 2  # Dunn's Bonferroni factor
+    sizes = {
+        "generic": [h3_counts[g]["generic"] for g in GROUPS],
+        "generic_negative": h4_cells[H4_ROWS.index("negative")],
+    }
+    for subset, expected_sizes in sizes.items():
+        sub = report["h5"][subset]
+        for metric in () if "skipped" in sub else ("likes", "retweets"):
+            res, at = sub[metric], f"h5.{subset}.{metric}"
+            h, group_sizes = res["h"], res["group_sizes"]
+            big_n = sum(group_sizes)
+            check(f"{at}.groups", res["groups"], list(GROUPS))
+            check(f"{at}.df", res["df"], k - 1)
+            check(f"{at}.group_sizes", group_sizes, expected_sizes)
+            check(f"{at}.p", res["p"], chi_square_sf(max(h, 0.0), k - 1))
+            check(f"{at}.epsilon2", res["epsilon2"], h / (big_n - 1))
+            check(f"{at}.mean_ranks", sum(s * r for s, r in zip(group_sizes, res["mean_ranks"])),
+                  big_n * (big_n + 1) / 2)
+            if "posthoc" in res:
+                z = res["posthoc"]["z"]
+                check(f"{at}.posthoc.adjustment", res["posthoc"]["adjustment"], "bonferroni")
+                check(f"{at}.posthoc.z", z, [[-zji for zji in column] for column in zip(*z)])
+                check(f"{at}.posthoc.p", res["posthoc"]["p"],
+                      [[min(1.0, two_sided_p(zij) * n_pairs) for zij in row] for row in z])
     return problems
 
 

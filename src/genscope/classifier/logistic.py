@@ -145,6 +145,13 @@ def train_logistic(
                 b_next = b - eta * grad_b
                 loss_next, gw_next, gb_next = loss_and_gradient(w_next, b_next, x, y, l2)
                 if not math.isfinite(loss_next):
+                    # the part of the step the l2 term takes on its own
+                    w_l2 = w * (1.0 - eta * l2)
+                    if not math.isfinite(0.5 * l2 * float(w_l2 @ w_l2)):
+                        raise TrainingError(
+                            f"the l2 penalty overflows (l2={l2!r}, eta={eta}, "
+                            f"epoch={len(history)}); lower --l2"
+                        )
                     raise TrainingError(
                         f"non-finite loss (eta={eta}, epoch={len(history)}); "
                         "check feature scaling"

@@ -14,6 +14,8 @@ from collections import Counter
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (
     AnalysisConfig,
     ModelScorer,
@@ -41,7 +43,7 @@ from .classifier.logistic import (
     DEFAULT_THRESHOLD,
 )
 from .corpus import ingest, jsonl_writer, load_query, read_jsonl
-from .errors import GenscopeError, SchemaError
+from .errors import GenscopeError, InputError, SchemaError
 from .labeling import label_session
 from .reporting import REPORT_BLOCKS, emit_report, render_markdown
 
@@ -303,6 +305,14 @@ def _cmd_report(args) -> int:
         raise not_a_report
     try:
         render_markdown(report)  # checks the keys in either format; CSV flattens any JSON
+        # hostile numbers can overflow, divide by zero or fail a test's input check
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            problems = recompute_check(report)
+    except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError, InputError):
+        raise not_a_report from None
+    if problems:
+        raise SchemaError(f"{args.report}: inconsistent report: {problems[0]}")
+    try:
         written = emit_report(report, args.format, args.out or Path(args.report).parent)
     except (KeyError, TypeError, ValueError, IndexError, AttributeError):
         raise not_a_report from None

@@ -21,6 +21,7 @@ from .special import (
     erfc,
     normal_sf,
     regularized_gamma_q,
+    two_sided_p,
 )
 
 __all__ = [
@@ -40,4 +41,5 @@ __all__ = [
     "erfc",
     "normal_sf",
     "regularized_gamma_q",
+    "two_sided_p",
 ]

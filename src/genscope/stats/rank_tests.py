@@ -15,7 +15,7 @@ import numpy as np
 from ..base import as_float_array
 from ..errors import InputError
 from .ranks import ranks_and_ties
-from .special import chi_square_sf, normal_sf
+from .special import chi_square_sf, two_sided_p
 
 
 @dataclass
@@ -72,11 +72,10 @@ def mann_whitney_u(sample_a, sample_b) -> MannWhitneyResult:
         )
 
     z = (u1 - n1 * n2 / 2.0) / math.sqrt(var)
-    p = min(1.0, 2.0 * normal_sf(abs(z)))
     return MannWhitneyResult(
         u1=u1, u2=u2, n1=n1, n2=n2,
         mean_rank_a=r1 / n1, mean_rank_b=r2 / n2,
-        z=z, p=p, r=abs(z) / math.sqrt(n),
+        z=z, p=two_sided_p(z), r=abs(z) / math.sqrt(n),
     )
 
 
@@ -135,7 +134,6 @@ def _dunn(sizes, mean_ranks, ties: float) -> DunnResult:
                 zij = 0.0
             else:
                 zij = (mean_ranks[i] - mean_ranks[j]) / math.sqrt(var)
-            pij = min(1.0, 2.0 * normal_sf(abs(zij)))
             z[i, j], z[j, i] = zij, -zij
-            p[i, j] = p[j, i] = min(1.0, pij * n_pairs)
+            p[i, j] = p[j, i] = min(1.0, two_sided_p(zij) * n_pairs)
     return DunnResult(z=z, p=p)

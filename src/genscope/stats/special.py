@@ -100,3 +100,7 @@ def normal_sf(z: float) -> float:
         raise InputError("z must be finite")
     return 0.5 * erfc(z / math.sqrt(2.0))
 
+
+def two_sided_p(z: float) -> float:
+    """Two-sided p of a standard-normal statistic, clamped to 1."""
+    return min(1.0, 2.0 * normal_sf(abs(z)))

@@ -25,7 +25,7 @@ from genscope.analysis import (
 )
 from genscope.classifier import GenericityClassifier, predict_score, save_model, stack_features
 from genscope.cli import main
-from genscope.corpus import ingest, lang_matches, load_query, write_jsonl
+from genscope.corpus import GROUPS, ingest, lang_matches, load_query, write_jsonl
 from genscope.errors import InputError, SchemaError
 from genscope.reporting import emit_report, render_csv, render_markdown
 from genscope.synth import generate_corpus, generate_training_texts
@@ -34,6 +34,15 @@ from oracles import histogram_oracle
 
 BUNDLED_CORPUS = resources.files("genscope.data") / "synthetic_corpus.jsonl"
 PUBLISHED_TABLES = resources.files("genscope.data") / "published_tables.csv"
+
+
+def _leaf_paths(node, prefix=()):
+    """The key path of every number, bool or string below ``node``."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaf_paths(child, prefix + (key,))
+    elif node is not None:
+        yield prefix
 
 
 @pytest.fixture(scope="module")
@@ -117,34 +126,51 @@ class TestRunAnalysis:
     def test_recomputable(self, bundled_report):
         assert recompute_check(bundled_report) == []
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_recomputable_on_generated_corpora(self, tmp_path, seed):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(generate_corpus(n=400, seed=seed), path)
+        report = run_analysis(AnalysisConfig(corpus=str(path)))
+        assert recompute_check(report) == []
+        assert recompute_check(json.loads(json.dumps(report))) == []
+
     @pytest.mark.parametrize(
         "path, checks",
         [
-            (("ingest", "accepted"), ["ingest accepted = partition buckets"]),
-            (("partition", "unmatched"), ["ingest accepted = partition buckets"]),
+            (("ingest", "accepted"), ["ingest.accepted"]),
+            (("partition", "unmatched"), ["ingest.accepted"]),
             (
                 ("descriptives", "analyzed_tweets"),
-                ["analyzed_tweets = group_counts",
-                 "h1 non_generic = analyzed_tweets - generic_count"],
+                ["descriptives.analyzed_tweets",
+                 "descriptives.group_percent.political",
+                 "descriptives.sentiment_counts",
+                 "descriptives.sentiment_percent.negative",
+                 "descriptives.score_histograms.overall",
+                 "h1.counts.non_generic",
+                 "h2.likes.n2", "h2.retweets.n2"],
             ),
             (
                 ("descriptives", "group_counts", "gender"),
-                ["analyzed_tweets = group_counts",
-                 "h3 gender generic + non_generic = group_counts"],
+                ["descriptives.analyzed_tweets",
+                 "descriptives.group_percent.gender",
+                 "descriptives.score_histograms.gender",
+                 "h3.group_generic_counts.gender"],
             ),
             (
                 ("descriptives", "generic_count"),
-                ["h1 generic = generic_count",
-                 "h1 non_generic = analyzed_tweets - generic_count"],
+                ["h1.counts.generic",
+                 "h2.likes.n1", "h2.likes.n2", "h2.retweets.n1", "h2.retweets.n2"],
             ),
             (
                 ("h3", "group_generic_counts", "political", "generic"),
-                ["h3 political generic + non_generic = group_counts",
-                 "h4 political column sum = h3 generic"],
+                ["h3.group_generic_counts.political",
+                 "h3.generic_share_of_total.political",
+                 "h4.sentiment_by_group.cells.*.0",
+                 "h5.generic.likes.group_sizes.0", "h5.generic.retweets.group_sizes.0"],
             ),
             (
                 ("h4", "sentiment_by_group", "cells", 0, 1),
-                ["h4 gender column sum = h3 generic", "h4 omnibus chi2"],
+                ["h4.sentiment_by_group.cells.*.1", "h4.omnibus.chi2"],
             ),
         ],
         ids=["accepted", "bucket", "analyzed", "group-count", "generic-count",
@@ -157,6 +183,41 @@ class TestRunAnalysis:
             node = node[key]
         node[path[-1]] += 1
         assert [p.split(":")[0] for p in recompute_check(report)] == checks
+
+    # the leaves of the bundled report that need the raw samples to check;
+    # a new report field fails test_every_leaf_is_checked until
+    # recompute_check covers it or this set names it
+    UNCHECKED_LEAVES = {
+        *(f"provenance.{key}" for key in (
+            "tool_version", "corpus", "corpus_sha256", "mode", "threshold", "alpha", "seed",
+            "histogram_bin_width", "statistics",
+        )),
+        "ingest.rejected",
+        *(f"descriptives.score_medians.{g}.{m}" for g in GROUPS for m in ("all", "generic")),
+        *(f"h2.{metric}.degenerate" for metric in ("likes", "retweets")),
+        *(f"h5.{subset}.{metric}.degenerate"
+          for subset in ("generic", "generic_negative") for metric in ("likes", "retweets")),
+    }
+
+    def test_every_leaf_is_checked(self, bundled_report):
+        # a number +1, a bool flipped, a string one character longer
+        report = json.loads(json.dumps(bundled_report))
+        silent = []
+        for path in _leaf_paths(report):
+            parent = report
+            for key in path[:-1]:
+                parent = parent[key]
+            value = parent[path[-1]]
+            if isinstance(value, bool):
+                parent[path[-1]] = not value
+            else:
+                parent[path[-1]] = value + ("x" if isinstance(value, str) else 1)
+            if not recompute_check(report):
+                silent.append(".".join(map(str, path)))
+            parent[path[-1]] = value
+        assert len(self.UNCHECKED_LEAVES) == 22
+        assert set(silent) <= self.UNCHECKED_LEAVES
+        assert recompute_check(report) == []
 
     @pytest.mark.parametrize(
         "newline, final, blank",
@@ -203,6 +264,7 @@ class TestRunAnalysis:
         assert report["h2"] == {"skipped": "empty generic stratum"}
         assert "skipped" in report["h5"]["generic"]
         assert "test" in report["h1"]  # H1 still emitted
+        assert recompute_check(report) == []
 
     def test_uniform_sentiment_skips_pairwise_with_flag(self, tmp_path):
         # every generic tweet negative: the collapsed 2x2s have a zero

@@ -369,6 +369,18 @@ class TestMalformedJson:
         assert stderr.startswith(f"error: {bad}: not a genscope report")
         assert not (tmp_path / "o").exists()
 
+    def test_report_with_an_edited_number(self, small_corpus, tmp_path, capsys):
+        assert main(["analyze", "--corpus", str(small_corpus), "--out", str(tmp_path / "a")]) == 0
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        report["h3"]["political_vs_gender"]["chi_square"]["p"] += 1
+        bad = tmp_path / "bad.json"
+        argv = ["report", "--report", "{bad}", "--out", "o"]
+        stderr = self._run_exit_2(argv, bad, json.dumps(report), tmp_path)
+        assert stderr.startswith(
+            f"error: {bad}: inconsistent report: h3.political_vs_gender.chi_square.p: "
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_model_with_malformed_field(self, labeled_file, tmp_path):
         model = GenericityModel(weights=np.array([3.0]), bias=0.7)
         text = dumps_model(model).replace("\ndimension 1\n", "\ndimension abc\n")
@@ -470,6 +482,15 @@ class TestMalformedText:
         assert proc.returncode == 0
         assert f"{labels}: 1 rejected line(s) skipped: record must be a JSON object (1)" \
             in proc.stderr.splitlines()
+
+    def test_train_l2_that_overflows_names_l2(self, labeled_file, tmp_path):
+        # the penalty 0.5 * l2 * w.w overflows, not the features
+        argv = ["train", "--labeled", labeled_file, "--model-out", "m.txt", "--l2", "1e308"]
+        line = self._error_line(argv, tmp_path)
+        assert line.startswith("error: the l2 penalty overflows (l2=1e+308, ")
+        assert line.endswith("; lower --l2")
+        assert "feature scaling" not in line
+        assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("width", ["1e-300", "0.3"])
     def test_histogram_width_must_divide_one(self, small_corpus, tmp_path, width):

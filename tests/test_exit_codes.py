@@ -10,8 +10,11 @@ when run twice. ``report --report`` gets
 JSON reports with random values under the report blocks, ``eval --model``
 gets model files with one line replaced and the checksum recomputed, so
 the damage reaches the parser, and ``reproduce --tables`` gets the bundled
-tables with one line replaced. ``main`` runs in-process; any exception
-other than ``SystemExit`` fails the test.
+tables with one line replaced. ``analyze``'s query, group lexicon,
+config and external-sentiment files get one line (for the one-line query,
+one word) damaged, and a run that exits 0 must write the same report.json
+when run again. ``main`` runs in-process; any exception other than
+``SystemExit`` fails the test.
 """
 
 import copy
@@ -162,6 +165,87 @@ def test_analyze_exit_code_and_determinism(workdir, lines):
     assert runs[0] == runs[1]
 
 
+DATA = resources.files("genscope.data")
+SIDE_CORPUS = RECORDS[:30]
+# analyze's side inputs, each as (its flag, its units, how they join); the
+# default query is one line, so its unit is a word of that line
+SIDE_INPUTS = {
+    "query": ("--query", (DATA / "default_query.txt").read_text().split(" "), " "),
+    "group-lexicon": (
+        "--group-lexicon", (DATA / "group_lexicon.tsv").read_text().splitlines(), "\n",
+    ),
+    "config": (
+        "--config",
+        ["corpus = {corpus}", "threshold = 0.5", "alpha = 0.05", "seed = 7",
+         "format = markdown", "histogram_bin_width = 0.02"],
+        "\n",
+    ),
+    "external-sentiment": (
+        "--external-sentiment",
+        [json.dumps({"id": r["id"], "sentiment": s})
+         for r, s in zip(SIDE_CORPUS, ["positive", "neutral", "negative"] * 10)],
+        "\n",
+    ),
+}
+# unit -> a strategy for its damaged form, which may keep part of it
+SIDE_DAMAGE = {
+    "query": lambda word: st.lists(
+        st.sampled_from([word, "(", ")", "OR", "-", "lang:", "lang:xx", "democrats", "(white",
+                         "men)", "-has:links", "is:bogus", '"', "unmapped", "AND"]),
+        max_size=3,
+    ).map(" ".join),
+    "group-lexicon": lambda line: st.builds(
+        "{}\t{}".format,
+        st.sampled_from([line.split("\t")[0], "democrats", "new term", "", "#"]),
+        st.sampled_from(["political", "gender", "ethnic", "political,gender", "",
+                         "bogus", ","]),
+    ),
+    "config": lambda line: st.builds(
+        "{} = {}".format,
+        st.sampled_from([line.split(" = ")[0], "model", "valence_lexicon", "bogus", ""]),
+        st.sampled_from(["0", "1", "0.5", "0.02", "0.3", "1e-300", "nan", "inf", "-1",
+                         "1e308", "abc", "csv", "markdown", ""]),
+    ),
+    "external-sentiment": lambda line: st.builds(
+        lambda key, value: json.dumps({**json.loads(line), key: value}),
+        st.sampled_from(["id", "sentiment", "extra"]),
+        JSON | st.sampled_from(["positive", "neutral", "negative", SIDE_CORPUS[0]["id"]]),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def side_corpus(workdir):
+    path = workdir / "side_corpus.jsonl"
+    write_jsonl(SIDE_CORPUS, path)
+    return path
+
+
+@pytest.mark.parametrize("kind", list(SIDE_INPUTS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_analyze_side_input_exit_code_and_determinism(workdir, side_corpus, kind, data):
+    flag, units, sep = SIDE_INPUTS[kind]
+    units = [unit.replace("{corpus}", str(side_corpus)) for unit in units]
+    i = data.draw(st.integers(0, len(units) - 1))
+    units[i] = data.draw(st.text(max_size=20) | SIDE_DAMAGE[kind](units[i]))
+    path = workdir / f"side_{kind}"
+    path.write_text(sep.join(units) + "\n", encoding="utf-8")
+    argv = ["analyze", flag, str(path)]
+    if kind != "config":  # the config names the corpus
+        argv += ["--corpus", str(side_corpus)]
+    reports = []
+    for name in ("first", "second"):
+        out = workdir / "side" / name
+        shutil.rmtree(out, ignore_errors=True)
+        code = quiet_exit_code(argv + ["--out", str(out)])
+        assert code in EXIT_CODES
+        if code != 0:
+            return
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 LABELED = [
     {"text": text, "label": label}
     for text, label in zip(*generate_training_texts(n=40, seed=9))
@@ -256,6 +340,34 @@ def test_report_exit_code(workdir, base_report, data, fmt):
     path.write_text(json.dumps(report), encoding="utf-8")
     argv = ["report", "--report", str(path), "--format", fmt, "--out", str(workdir / "out")]
     assert exit_code(argv) in EXIT_CODES
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("h3", "group_generic_counts", "political", "generic"), 10**30),
+        (("h4", "sentiment_by_group", "cells", 0, 0), 10**30),
+        (("descriptives", "generic_count"), 10**30),
+        (("h5", "generic", "likes", "group_sizes"), [1, 0, 0]),
+        (("h2", "likes", "z"), float("inf")),
+        (("h5", "generic", "likes", "h"), float("nan")),
+        (("provenance", "histogram_bin_width"), 1e-300),
+        (("descriptives", "analyzed_tweets"), 1e300),
+    ],
+    ids=["h3-count-overflows", "h4-count-overflows", "negative-non-generic",
+         "one-tweet-in-h5", "infinite-z", "nan-h", "tiny-bin-width", "square-overflows"],
+)
+def test_report_exit_code_on_hostile_numbers(workdir, base_report, path, value):
+    # the consistency check meets these before anything is written
+    report = copy.deepcopy(base_report)
+    parent = report
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    bad, out = workdir / "hostile.json", workdir / "hostile_out"
+    bad.write_text(json.dumps(report), encoding="utf-8")
+    assert quiet_exit_code(["report", "--report", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
