@@ -1,5 +1,7 @@
 """Rule-engine behavior: normalization, verdicts, screens, and properties."""
 
+import hashlib
+import random
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,6 +18,7 @@ from genscope.annotator import (
 from genscope.annotator import rules
 from genscope.annotator.lexicons import RuleLexicons
 from genscope.errors import InputError
+from genscope.synth import generate_corpus
 
 GOLD = Path(__file__).parent / "data" / "annotator_gold"
 
@@ -31,6 +34,66 @@ def gold_lines(name):
 @pytest.fixture(scope="module")
 def annotator():
     return RuleAnnotator()
+
+
+def _decorate(text: str, seed: int) -> str:
+    """``text`` with one to four tweet marks put in at places drawn from
+    ``seed``: URLs, emoji, @mentions, #hashtags, dashes, quotes, ``?``,
+    colons and commas."""
+    rng = random.Random(seed)
+    words = text.split()
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randint(0, len(words))
+        mark = rng.randrange(9)
+        if mark == 0:
+            words.insert(at, rng.choice(["https://t.co/x1", "HTTP://a.b/c?d=1", "www.x.com"]))
+        elif mark == 1:
+            words.insert(at, rng.choice(["😂", "🤔", "🔥🔥", "🙄"]))
+        elif mark == 2:
+            words.insert(at, f"@user{rng.randrange(100)}")
+        elif mark == 3 and at < len(words):
+            words[at] = "#" + words[at]
+        elif mark == 3:
+            words.insert(0, "#politics")
+        elif mark == 4:
+            words.insert(at, rng.choice(["-", "—", "--", "–"]))
+        elif mark == 5 and at < len(words):
+            words[at] = words[at] + rng.choice(["-", "—"]) + rng.choice(["ish", "like"])
+        elif mark == 6:
+            end = rng.randint(at, len(words))
+            open_, close = rng.choice([('"', '"'), ("“", "”"), ("'", "'")])
+            words[at:end] = [open_ + " ".join(words[at:end]) + close]
+        elif mark == 7:
+            words.insert(at, rng.choice(["?", "??", "what?"]))
+        else:
+            words.insert(at, rng.choice([":", ",", "=", "..."]))
+    return " ".join(words)
+
+
+class TestVerdictGolden:
+    """Every verdict field, pinned over the gold corpora and over synthetic
+    tweets with and without tweet marks put in."""
+
+    # sha256 over one line per text: label, kind, exclusion reason, matched
+    # rule and subject span. A change that means to move a verdict
+    # updates it.
+    GOLDEN_VERDICTS_SHA256 = "5ffb27da441f0b4bb0b9748da4ba4b14c8a8a2c9465d3d60058f84df824ba605"
+
+    @staticmethod
+    def texts():
+        texts = [line for path in sorted(GOLD.iterdir()) for line in gold_lines(path.name)]
+        synthetic = [r["text"] for r in generate_corpus(n=2000, seed=11)]
+        texts += synthetic
+        texts += [_decorate(text, i) for i, text in enumerate(synthetic)]
+        return texts
+
+    def test_verdicts_match_golden_hash(self, annotator):
+        digest = hashlib.sha256()
+        for text in self.texts():
+            v = annotator.annotate(text)
+            line = f"{v.label}\t{v.kind}\t{v.exclusion_reason}\t{v.matched_rule}\t{v.subject_span}\n"
+            digest.update(line.encode())
+        assert digest.hexdigest() == self.GOLDEN_VERDICTS_SHA256
 
 
 class TestNormalize:
