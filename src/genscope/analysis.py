@@ -25,16 +25,14 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .annotator import RuleAnnotator
+from .annotator import RuleAnnotator, normalize
 from .base import check_threshold
 from .classifier import (
     CsrMatrix,
-    lex,
     load_model,
     predict_score,
-    tokenize,  # unused here; the benchmark tracer wraps it
+    tokenize,
     vectorize_bow,
-    words,
 )
 from .corpus import (
     BUCKETS,
@@ -271,15 +269,17 @@ class _Pipeline:
         if self.lang and not lang_matches(tweet.lang, self.lang):
             self.buckets["unmatched"] += 1
             return
-        matches = lex(tweet.text)
-        tokens = words(matches)
+        if self.scorer is None:
+            tokens, clauses = normalize(tweet.text, self.annotator.words)
+        else:
+            tokens = tokenize(tweet.text)
         bucket = partition(self.terms, tokens)
         self.buckets[bucket] += 1
         if bucket not in self.columns:
             return
         col = self.columns[bucket]
         if self.scorer is None:
-            verdict = self.annotator.annotate(tweet.text, matches)
+            verdict = self.annotator.annotate(tweet.text, clauses)
             col.scores.append(1.0 if verdict.is_generic else 0.0)
         else:
             self.scorer.add(tokens, col.scores.append)

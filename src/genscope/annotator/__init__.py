@@ -1,7 +1,7 @@
 """Rule-based social-generics annotation."""
 
 from .lexicons import RuleLexicons, load_wordlist
-from .normalize import NormalizedText, Token, WordTable, load_abbreviations, normalize
+from .normalize import WordTable, load_abbreviations, normalize
 from .rules import (
     GENERIC,
     NON_GENERIC,
@@ -12,8 +12,6 @@ from .rules import (
 __all__ = [
     "RuleLexicons",
     "load_wordlist",
-    "NormalizedText",
-    "Token",
     "WordTable",
     "load_abbreviations",
     "normalize",

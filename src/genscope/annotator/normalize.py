@@ -1,31 +1,36 @@
-"""Text normalization for the rule engine.
+"""One lexer walk per text: the word list and the rule engine's clauses.
 
-Produces clauses of annotated tokens: lowercased words with their source
-character spans, URL/EMOJI/BLANK class tokens, and the punctuation marks
-the elliptical rules care about (colon, equals, comma, quote). Common
-tweet abbreviations are expanded through a shipped, editable table, so
-"White ppl be like __" normalizes to [white, people, be, like, BLANK].
-Clause breaks happen at sentence punctuation, newlines, and dashes.
+``normalize`` runs ``LEXER_RE`` over a text once. It returns the word
+list that ``tokenize`` gives (what partition, sentiment and bag-of-words
+features read) and the text's clauses. A clause is three parallel lists:
+each token's norm, its flag bits and its character span in the source.
+A word's norm is its lowercased form, with common tweet abbreviations
+expanded through a shipped, editable table, so "White ppl be like __"
+normalizes to [white, people, be, like, BLANK]. Every other token's norm
+is its kind: URL, EMOJI, BLANK, a question mark closing a question
+clause, or the punctuation the elliptical rules care about (colon,
+equals, comma, quote). Clause breaks happen at sentence punctuation,
+newlines, and dashes.
 
-A ``WordTable`` caches the work per word type rather than per
-occurrence: each raw surface is folded and expanded once, and each norm
-gets its flag bits (present verb, group noun, ...) once, the way spaCy
-keeps lexical flags on its ``Lexeme``. Every word token carries its
-type's bits in ``Token.flags``.
+A ``WordTable`` does the work per word type rather than per occurrence:
+each raw surface is folded and expanded once, and each norm gets its
+flag bits (present verb, group noun, ...) once, the way spaCy keeps
+lexical flags on its ``Lexeme``. Every word token carries ``WORD`` plus
+its type's bits; every other token carries 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
+from ..classifier.features import EMOJI_TOKEN as EMOJI
 from ..classifier.features import LEXER_RE
+from ..classifier.features import URL_TOKEN as URL
 
-# token kinds
-WORD = "word"
-EMOJI = "EMOJI"
-URL = "URL"
+# the norms of tokens that are not words
 BLANK = "BLANK"
+QUESTION = "?"
 COLON = ":"
 EQUALS = "="
 COMMA = ","
@@ -33,20 +38,19 @@ QUOTE = '"'
 
 _PUNCT = {":": COLON, "=": EQUALS, ",": COMMA}  # the rest are quotes
 
+WORD = 1 << 16  # on every word token's flags; a classify function's bits sit below it
 
-@dataclass(slots=True)
-class Token:
-    norm: str  # normalized lowercase form (or a class token)
-    kind: str
-    start: int  # character span in the original text
-    end: int
-    flags: int = 0  # the word type's bits from a WordTable; 0 off words
+
+class Clause(NamedTuple):
+    norms: list[str]
+    flags: list[int]
+    spans: list[tuple[int, int]]  # character spans in the source text
 
 
 class WordTable:
     """Per-vocabulary word cache: each raw word surface maps once to its
-    expanded ``(norm, flags)`` parts, and each norm to the flag bits of
-    ``classify`` (0 without one).
+    folded form and the norms and flag bits of the tokens it expands to,
+    and each norm to the flag bits of ``classify`` (0 without one).
 
     Both dicts grow only with the distinct surfaces and norms seen, never
     per text. ``abbreviations`` and ``classify`` must not change once the
@@ -57,7 +61,7 @@ class WordTable:
     def __init__(self, abbreviations: dict[str, str] | None = None, classify=None):
         self.abbreviations = abbreviations or {}
         self.classify = classify
-        self.surfaces: dict[str, tuple[tuple[str, int], ...]] = {}
+        self.surfaces: dict[str, tuple[str, tuple[str, ...], tuple[int, ...]]] = {}
         self.flags: dict[str, int] = {}
 
     def word_flags(self, norm: str) -> int:
@@ -66,29 +70,16 @@ class WordTable:
             flags = self.flags[norm] = self.classify(norm) if self.classify else 0
         return flags
 
-    def parts(self, surface: str) -> tuple[tuple[str, int], ...]:
-        """The ``(norm, flags)`` tokens a raw word surface expands to."""
-        parts = self.surfaces.get(surface)
-        if parts is None:
+    def entry(self, surface: str) -> tuple[str, tuple[str, ...], tuple[int, ...]]:
+        """A raw word surface's folded form (its entry in the word list)
+        and the norms and flags of the tokens it expands to."""
+        entry = self.surfaces.get(surface)
+        if entry is None:
             folded = surface.lower().replace("’", "'")
-            expansion = self.abbreviations.get(folded, folded)
-            parts = self.surfaces[surface] = tuple(
-                (norm, self.word_flags(norm)) for norm in expansion.split()
-            )
-        return parts
-
-
-@dataclass
-class NormalizedText:
-    clauses: list[list[Token]]
-
-    @property
-    def tokens(self) -> list[Token]:
-        return [t for clause in self.clauses for t in clause]
-
-    @property
-    def token_texts(self) -> list[str]:
-        return [t.norm for t in self.tokens]
+            norms = tuple(self.abbreviations.get(folded, folded).split())
+            flags = tuple(self.word_flags(norm) | WORD for norm in norms)
+            entry = self.surfaces[surface] = (folded, norms, flags)
+        return entry
 
 
 def load_abbreviations(path) -> dict[str, str]:
@@ -105,59 +96,80 @@ def load_abbreviations(path) -> dict[str, str]:
     return table
 
 
-def normalize(text: str, table: WordTable | None = None, matches=None) -> NormalizedText:
-    """Tokenize into clauses; abbreviation expansion keeps source spans.
+def normalize(text: str, table: WordTable | None = None) -> tuple[list[str], list[Clause]]:
+    """The word list and the clauses of ``text``, from one lexer walk.
 
-    Word tokens take their norms and flags from ``table`` (a fresh one,
-    with no abbreviations, by default). ``matches``, when given, is
-    ``lex(text)``, so a caller that lexed the text already does not lex it
-    again."""
+    The word list equals ``tokenize(text)``. Word tokens take their norms
+    and flags from ``table`` (a fresh one, with no abbreviations, by
+    default); an expanded word's tokens all keep the word's span. No
+    clause is empty."""
     if table is None:
         table = WordTable()
     surfaces = table.surfaces
-    clauses: list[list[Token]] = []
-    current: list[Token] = []
+    words: list[str] = []
+    clauses: list[Clause] = []
+    norms: list[str] = []
+    flags: list[int] = []
+    spans: list[tuple[int, int]] = []
     text = text or ""
-    if matches is None:
-        matches = LEXER_RE.finditer(text)
-    for m in matches:
+    for m in LEXER_RE.finditer(text):
         kind = m.lastgroup
-        start, end = m.span()
         if kind == "word":
             surface = m.group()
-            parts = surfaces.get(surface)
-            if parts is None:
-                parts = table.parts(surface)
-            for norm, flags in parts:
-                current.append(Token(norm, WORD, start, end, flags))
+            entry = surfaces.get(surface)
+            if entry is None:
+                entry = table.entry(surface)
+            folded, word_norms, word_flags = entry
+            words.append(folded)
+            if len(word_norms) == 1:
+                norms.append(word_norms[0])
+                flags.append(word_flags[0])
+                spans.append(m.span())
+            else:
+                norms.extend(word_norms)
+                flags.extend(word_flags)
+                spans.extend([m.span()] * len(word_norms))
         elif kind == "url":
-            current.append(Token(URL, URL, start, end))
+            words.append(URL)
+            norms.append(URL)
+            flags.append(0)
+            spans.append(m.span())
         elif kind == "emoji":
-            current.append(Token(EMOJI, EMOJI, start, end))
+            words.append(EMOJI)
+            norms.append(EMOJI)
+            flags.append(0)
+            spans.append(m.span())
         elif kind == "blank":
-            current.append(Token(BLANK, BLANK, start, end))
+            norms.append(BLANK)
+            flags.append(0)
+            spans.append(m.span())
         elif kind == "brk":
-            # mark question clauses so the interrogative logic can see them
-            if text[start] == "?" and current:
-                current.append(Token("?", "?", start, end))
-            if current:
-                clauses.append(current)
-                current = []
+            if norms:
+                # mark question clauses so the interrogative logic can see them
+                if m.group() == QUESTION:
+                    norms.append(QUESTION)
+                    flags.append(0)
+                    spans.append(m.span())
+                clauses.append(Clause(norms, flags, spans))
+                norms, flags, spans = [], [], []
         elif kind == "dash":
             # a dash run between spaces (or one starting with an em or en
             # dash) splits clauses
+            start, end = m.span()
             em = text[start] != "-"
             before_space = start == 0 or text[start - 1].isspace()
             after_space = end == len(text) or text[end].isspace()
-            if current and (em or (before_space and after_space)):
-                clauses.append(current)
-                current = []
+            if norms and (em or (before_space and after_space)):
+                clauses.append(Clause(norms, flags, spans))
+                norms, flags, spans = [], [], []
         else:
             # standalone apostrophes act as quotes; intra-word ones were
             # already absorbed by the word pattern
             mark = _PUNCT.get(m.group(), QUOTE)
-            current.append(Token(mark, mark, start, end))
+            norms.append(mark)
+            flags.append(0)
+            spans.append(m.span())
 
-    if current:
-        clauses.append(current)
-    return NormalizedText(clauses=clauses)
+    if norms:
+        clauses.append(Clause(norms, flags, spans))
+    return words, clauses

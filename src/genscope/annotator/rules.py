@@ -21,6 +21,8 @@ win, so they fire first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from ..errors import InputError
 from .lexicons import RuleLexicons
@@ -30,10 +32,11 @@ from .normalize import (
     COMMA,
     EMOJI,
     EQUALS,
+    QUESTION,
     QUOTE,
     URL,
     WORD,
-    Token,
+    Clause,
     WordTable,
     normalize,
 )
@@ -105,6 +108,7 @@ NON_GERUND_ING = frozenset(
     "string spring bring sterling".split()
 )
 INFINITIVE_MARKER = "to"
+THEY = frozenset(["they", "they're", "they've", "they'll", "they'd"])
 FRAME_WORDS = frozenset("breaking news report update alert reminder psa".split())
 # closed-class words that never sit inside a noun phrase
 NON_NP_WORDS = (
@@ -112,8 +116,8 @@ NON_NP_WORDS = (
     | ADVERBS | NEGATIONS | {INFINITIVE_MARKER}
 )
 
-# per-word-type flag bits (``Token.flags``), set once per norm by
-# ``RuleAnnotator._classify``; tokens that are not words have none
+# per-word-type flag bits (a clause's ``flags``, beside ``WORD``), set once
+# per norm by ``RuleAnnotator._classify``; tokens that are not words have none
 PRESENT = 1
 PAST = 2
 MODAL = 4
@@ -124,6 +128,12 @@ INTERJECTION = 32
 ABSORBABLE = 64  # can sit in a noun phrase left of its head; all group modifiers can
 GROUP_NOUN = 128
 GROUP_MODIFIER = 256
+
+
+def _union(flags: list[int]) -> int:
+    """Every bit set on any of ``flags``, folded in C rather than a
+    Python loop."""
+    return reduce(or_, flags, 0)
 
 
 @dataclass
@@ -166,19 +176,19 @@ def _is_laughter(token: str) -> bool:
     )
 
 
-def _next_flagged(clause: list[Token], start: int, mask: int) -> int | None:
+def _next_flagged(clause: Clause, start: int, mask: int) -> int | None:
     """Index of the first token from ``start`` on with a flag in ``mask``,
     skipping each to-infinitive (including 'to ADV verb'), or None."""
+    norms, flags, _ = clause
     j = start
-    n = len(clause)
+    n = len(norms)
     while j < n:
-        t = clause[j]
-        if t.norm == INFINITIVE_MARKER:
+        if norms[j] == INFINITIVE_MARKER:
             j += 1
-            while j < n and clause[j].norm in ADVERBS:
+            while j < n and norms[j] in ADVERBS:
                 j += 1
             j += 1  # the infinitive verb itself is non-finite
-        elif t.flags & mask:
+        elif flags[j] & mask:
             return j
         else:
             j += 1
@@ -237,43 +247,41 @@ class RuleAnnotator:
 
     # --- noun phrase detection -------------------------------------------
 
-    def _find_nps(self, clause: list[Token]) -> list[NounPhrase]:
+    def _find_nps(self, clause: Clause) -> list[NounPhrase]:
+        norms, flags, _ = clause
         nps: list[NounPhrase] = []
-        for i, token in enumerate(clause):
-            if not token.flags & GROUP_NOUN:
+        if not _union(flags) & GROUP_NOUN:
+            return nps
+        for i, f in enumerate(flags):
+            if not f & GROUP_NOUN:
                 continue
             # absorb premodifiers leftward
             start = i
-            while start > 0 and clause[start - 1].flags & (ABSORBABLE | GROUP_NOUN):
+            while start > 0 and flags[start - 1] & (ABSORBABLE | GROUP_NOUN):
                 start -= 1
             # merge NPs that share one span (conjoined heads keep the first)
             if nps and start <= nps[-1].head:
                 continue
-            before = clause[start - 1] if start > 0 else None
-            quantified = False
-            if before is not None:
-                if before.flags & QUANTIFIER:
+            quantified = prep_before = False
+            if start > 0:
+                before = start - 1
+                if flags[before] & QUANTIFIER:
                     quantified = True
-                elif before.norm == "of" and start > 1 and clause[start - 2].flags & QUANTIFIER:
+                elif norms[before] == "of" and start > 1 and flags[start - 2] & QUANTIFIER:
                     quantified = True  # "the majority of Ks"
-            prep_before = before is not None and before.norm in PREPOSITIONS
-            nps.append(
-                NounPhrase(
-                    start=start,
-                    head=i,
-                    quantified=quantified,
-                    prep_before=prep_before,
-                )
-            )
+                prep_before = norms[before] in PREPOSITIONS
+            nps.append(NounPhrase(start, i, quantified, prep_before))
         return nps
 
     # --- the public operations -------------------------------------------
 
-    def annotate(self, text: str, matches=None) -> AnnotatorVerdict:
-        """The verdict on one text; ``matches``, when given, is ``lex(text)``."""
+    def annotate(self, text: str, clauses: list[Clause] | None = None) -> AnnotatorVerdict:
+        """The verdict on one text; ``clauses``, when given, are the text's
+        ``normalize(text, self.words)`` clauses."""
         if not text or not text.strip():
             raise InputError("cannot annotate empty text")
-        clauses = normalize(text, self.words, matches).clauses
+        if clauses is None:
+            clauses = normalize(text, self.words)[1]
         if not clauses:
             return AnnotatorVerdict(
                 label=NON_GENERIC,
@@ -292,7 +300,7 @@ class RuleAnnotator:
 
         state = _ScanState()
         for ci, clause in enumerate(clauses):
-            if clause and clause[-1].kind == "?":
+            if clause.norms[-1] == QUESTION:
                 continue  # question clauses never assert a generic
             verdict = self._scan_clause(clauses, ci, state, nps[ci])
             if verdict is not None:
@@ -306,9 +314,12 @@ class RuleAnnotator:
 
     # --- screens -----------------------------------------------------------
 
-    def _opener_screen(self, clauses: list[list[Token]]) -> AnnotatorVerdict | None:
-        first = clauses[0]
-        opener = next((t.norm for t in first if t.kind == WORD), None)
+    def _opener_screen(self, clauses: list[Clause]) -> AnnotatorVerdict | None:
+        norms, flags, _ = clauses[0]
+        if flags[0] & WORD:
+            opener = norms[0]
+        else:
+            opener = next((w for w, f in zip(norms, flags) if f & WORD), None)
         if opener is not None:
             if opener in ("if", "unless"):
                 return AnnotatorVerdict(
@@ -322,7 +333,7 @@ class RuleAnnotator:
                     exclusion_reason="question",
                     matched_rule="screen:question_inversion",
                 )
-            ends_question = first and first[-1].kind == "?"
+            ends_question = norms[-1] == QUESTION
             if ends_question and (opener in WH_OPENERS or len(clauses) == 1):
                 return AnnotatorVerdict(
                     label=NON_GENERIC,
@@ -331,34 +342,35 @@ class RuleAnnotator:
                 )
         return None
 
-    def _directive_continuation(self, tokens: list[Token]) -> bool:
-        words = [t for t in tokens if t.kind == WORD]
+    def _directive_continuation(self, norms: list[str], flags: list[int]) -> bool:
+        words = [w for w, f in zip(norms, flags) if f & WORD]
         if not words:
             return False
-        if words[0].norm in IMPERATIVE_VERBS or words[0].norm in SECOND_PERSON:
+        if words[0] in IMPERATIVE_VERBS or words[0] in SECOND_PERSON:
             return True
-        if any(t.norm in SECOND_PERSON for t in words):
+        if any(w in SECOND_PERSON for w in words):
             return True
-        hits = sum(1 for t in words if t.flags & INTERJECTION)
+        hits = sum(1 for f in flags if f & INTERJECTION)
         return hits * 2 >= len(words)
 
     def _shoutout_screen(
-        self, clauses: list[list[Token]], nps: list[list[NounPhrase]]
+        self, clauses: list[Clause], nps: list[list[NounPhrase]]
     ) -> AnnotatorVerdict | None:
-        for ci, clause in enumerate(clauses):
+        for ci, (norms, flags, _) in enumerate(clauses):
             if not nps[ci]:
                 continue
             np = nps[ci][0]
             if np.prep_before or np.quantified:
                 continue
-            if any(t.flags & FINITE for t in clause[: np.start]):
+            if _union(flags[: np.start]) & FINITE:
                 continue
             # tokens between the head and a comma must stay NP-internal
+            n = len(norms)
             j = np.head + 1
-            while j < len(clause) and clause[j].flags & (GROUP_NOUN | GROUP_MODIFIER):
+            while j < n and flags[j] & (GROUP_NOUN | GROUP_MODIFIER):
                 j += 1
-            if j < len(clause) and clause[j].kind == COMMA:
-                if self._directive_continuation(clause[j + 1 :]):
+            if j < n and norms[j] == COMMA:
+                if self._directive_continuation(norms[j + 1 :], flags[j + 1 :]):
                     return AnnotatorVerdict(
                         label=NON_GENERIC,
                         exclusion_reason="shoutout",
@@ -368,15 +380,16 @@ class RuleAnnotator:
             # postmodifier ("Ks who ...") does not predicate anything
             if ci + 1 == len(clauses):
                 break  # no clause follows
-            rest_words = [t for t in clause[np.head + 1 :] if t.kind == WORD]
-            if rest_words and rest_words[0].norm in ("who", "that", "which"):
+            rest_words = [k for k in range(np.head + 1, n) if flags[k] & WORD]
+            if rest_words and norms[rest_words[0]] in ("who", "that", "which"):
                 rest_has_content = False
             else:
-                rest_has_content = any(not t.flags & INTERJECTION for t in rest_words)
+                rest_has_content = any(not flags[k] & INTERJECTION for k in rest_words)
+            nxt = clauses[ci + 1]
             if (
                 not rest_has_content
-                and not any(t.flags & PRESENT for t in clause)
-                and self._directive_continuation(clauses[ci + 1])
+                and not _union(flags) & PRESENT
+                and self._directive_continuation(nxt.norms, nxt.flags)
             ):
                 return AnnotatorVerdict(
                     label=NON_GENERIC,
@@ -389,19 +402,20 @@ class RuleAnnotator:
 
     def _scan_clause(
         self,
-        clauses: list[list[Token]],
+        clauses: list[Clause],
         ci: int,
         state: "_ScanState",
         nps: list[NounPhrase],
     ) -> AnnotatorVerdict | None:
         clause = clauses[ci]
-        state.note_clause(clause)
+        state.bits |= _union(clause.flags)
 
-        frame = self._has_frame_prefix(clause)
+        head = clause.norms[:4]
+        frame = COLON in head and not FRAME_WORDS.isdisjoint(head)
         if frame:
             # the headline prefix is not part of the clause proper
-            colon_at = next(i for i, t in enumerate(clause[:4]) if t.kind == COLON)
-            clause = clause[colon_at + 1 :]
+            after = clause.norms.index(COLON, 0, 4) + 1
+            clause = Clause._make(part[after:] for part in clause)
             nps = self._find_nps(clause)
         for np in nps:
             state.saw_group_np = True
@@ -418,77 +432,71 @@ class RuleAnnotator:
             return verdict
         return None
 
-    def _has_frame_prefix(self, clause: list[Token]) -> bool:
-        head = clause[:4]
-        return any(t.kind == COLON for t in head) and any(
-            t.norm in FRAME_WORDS for t in head
-        )
-
-    def _subject_position(self, clause: list[Token], np: NounPhrase) -> bool:
-        if np.prep_before:
-            return False
-        return not any(t.flags & FINITE for t in clause[: np.start])
-
     def _generic(self, kind, rule, clause, np) -> AnnotatorVerdict:
-        span = (clause[np.start].start, clause[np.head].end)
+        span = (clause.spans[np.start][0], clause.spans[np.head][1])
         return AnnotatorVerdict(
             label=GENERIC, kind=kind, matched_rule=rule, subject_span=span
         )
 
     def _try_patterns(
         self,
-        clauses: list[list[Token]],
+        clauses: list[Clause],
         ci: int,
-        clause: list[Token],
+        clause: Clause,
         np: NounPhrase,
         frame: bool,
     ) -> AnnotatorVerdict | None:
         lex = self.lexicons
-        subject = self._subject_position(clause, np)
+        norms, flags, _ = clause
+        n = len(norms)
+        left = _union(flags[: np.start])
+        # the NP is the subject unless a preposition or a finite verb precedes it
+        subject = not np.prep_before and not left & FINITE
         # a verb (finite or gerund) left of the NP marks true embedding
-        embedded = not subject or any(t.flags & GERUND for t in clause[: np.start])
+        embedded = not subject or left & GERUND
 
         # "be like" anywhere after the NP is the strongest elliptical cue
-        for j in range(np.head + 1, len(clause) - 1):
-            if clause[j].norm == "be" and clause[j + 1].norm == "like":
-                return self._generic("elliptical", "elliptical_be_like", clause, np)
+        if "be" in norms:
+            for j in range(np.head + 1, n - 1):
+                if norms[j] == "be" and norms[j + 1] == "like":
+                    return self._generic("elliptical", "elliptical_be_like", clause, np)
 
         hedge_seen = False
         j = np.head + 1
         # NP-internal and conjunct material between head and predicate
-        while j < len(clause):
-            t = clause[j]
+        while j < n:
+            norm = norms[j]
             if (
-                t.kind in (COMMA, EMOJI, QUOTE)
-                or t.norm in SKIP_JOINERS
-                or t.norm in NP_NOISE
-                or t.flags & (GROUP_NOUN | GROUP_MODIFIER)
+                norm in (COMMA, EMOJI, QUOTE)
+                or norm in SKIP_JOINERS
+                or norm in NP_NOISE
+                or flags[j] & (GROUP_NOUN | GROUP_MODIFIER)
             ):
                 j += 1
                 continue
             break
 
         adverb_run = False
-        while j < len(clause):
-            t = clause[j]
-            norm = t.norm
+        while j < n:
+            norm = norms[j]
+            f = flags[j]
 
-            if t.kind == WORD and (norm in ADVERBS or norm in lex.hedge_adverbs or norm in NEGATIONS):
+            if f & WORD and (norm in ADVERBS or norm in lex.hedge_adverbs or norm in NEGATIONS):
                 if norm in lex.hedge_adverbs:
                     hedge_seen = True
                 adverb_run = True
                 j += 1
                 continue
 
-            if t.kind == COLON:
+            if norm == COLON:
                 if subject:
                     return self._generic("elliptical", "elliptical_colon", clause, np)
                 return None
-            if t.kind == EQUALS:
+            if norm == EQUALS:
                 if subject:
                     return self._generic("elliptical", "elliptical_equals", clause, np)
                 return None
-            if t.kind == BLANK:
+            if norm == BLANK:
                 if subject:
                     return self._generic("elliptical", "elliptical_blank", clause, np)
                 return None
@@ -501,11 +509,10 @@ class RuleAnnotator:
             if norm in HEDGE_MODALS:
                 return self._generic("hedged", "hedged_modal", clause, np)
 
-            flags = t.flags
-            if flags & PAST:
+            if f & PAST:
                 return None  # past predicate; the fallback screens decide
 
-            if flags & PRESENT:
+            if f & PRESENT:
                 if norm in PRESENT_COPULAS or norm in CONTRACTED_COPULAS:
                     if not self._copula_has_content(clause, j + 1):
                         return None
@@ -513,7 +520,7 @@ class RuleAnnotator:
                 rule = "hedged_adverb" if hedge_seen else ("framed_embedded" if kind == "framed" else "bare_present")
                 return self._generic(kind, rule, clause, np)
 
-            if flags & GERUND:
+            if f & GERUND:
                 if not subject:
                     return None
                 if norm in REPORTING_GERUNDS:
@@ -541,7 +548,7 @@ class RuleAnnotator:
                     j = k
                     adverb_run = False
                     continue
-                if j + 1 < len(clause):
+                if j + 1 < n:
                     return self._generic("elliptical", "elliptical_image", clause, np)
                 return None
 
@@ -556,7 +563,7 @@ class RuleAnnotator:
                 j += 1
                 continue
 
-            if t.kind in (EMOJI, URL, QUOTE) or t.kind == COMMA:
+            if norm in (EMOJI, URL, QUOTE, COMMA):
                 j += 1
                 continue
 
@@ -564,10 +571,10 @@ class RuleAnnotator:
 
         # clause ends right after the NP
         if subject and not np.prep_before:
-            nxt = clauses[ci + 1] if ci + 1 < len(clauses) else None
-            if nxt is None:
+            if ci + 1 == len(clauses):
                 return None
-            nxt_words = [t.norm for t in nxt if t.kind == WORD]
+            nxt = clauses[ci + 1]
+            nxt_words = [w for w, f in zip(nxt.norms, nxt.flags) if f & WORD]
             if nxt_words[:1] == ["be"]:
                 if nxt_words[1:2] == ["like"]:
                     return self._generic("elliptical", "elliptical_be_like", clause, np)
@@ -576,14 +583,15 @@ class RuleAnnotator:
                 return self._generic("elliptical", "elliptical_np_fragment", clause, np)
         return None
 
-    def _copula_has_content(self, clause: list[Token], start: int) -> bool:
+    def _copula_has_content(self, clause: Clause, start: int) -> bool:
         """A copula needs a contentful complement ("are about whether" has none)."""
-        for t in clause[start:]:
-            if t.kind in (EMOJI, BLANK, URL):
-                return True
-            if t.kind != WORD:
+        norms, flags, _ = clause
+        for k in range(start, len(norms)):
+            norm = norms[k]
+            if not flags[k] & WORD:
+                if norm in (EMOJI, BLANK, URL):
+                    return True
                 continue
-            norm = t.norm
             if (
                 norm in PREPOSITIONS
                 or norm in DETERMINERS
@@ -603,142 +611,127 @@ class RuleAnnotator:
         """NP + who/that …: the last verb group is the main predicate when
         more than one group follows; a lone present-ish relative leaves a
         postmodified NP (image caption)."""
-        groups: list[list[Token]] = []
-        current: list[Token] = []
+        norms, flags, _ = clause
+        heads: list[int] = []  # the first token of each verb group
+        in_group = False
         j = rel_index + 1
-        while j < len(clause):
-            t = clause[j]
-            if t.norm == INFINITIVE_MARKER:
+        while j < len(norms):
+            if norms[j] == INFINITIVE_MARKER:
                 j += 2
                 continue
-            if t.flags & (FINITE | GERUND) or t.norm in NEGATIONS:
-                current.append(t)
-            elif current:
-                groups.append(current)
-                current = []
+            if flags[j] & (FINITE | GERUND) or norms[j] in NEGATIONS:
+                if not in_group:
+                    heads.append(j)
+                in_group = True
+            else:
+                in_group = False
             j += 1
-        if current:
-            groups.append(current)
 
-        if len(groups) >= 2:
+        if len(heads) >= 2:
             # adverbial material can trail the predicate; take the last
             # group that is not past morphology as the main one
-            present_groups = [g for g in groups if not g[0].flags & PAST]
-            if not present_groups:
+            present = [h for h in heads if not flags[h] & PAST]
+            if not present:
                 return None
-            head = present_groups[-1][0]
-            if head.norm in BARE_MODALS:
+            head = norms[present[-1]]
+            if head in BARE_MODALS:
                 return self._generic("bare", "should_construction", clause, np)
-            if head.norm in HEDGE_MODALS:
+            if head in HEDGE_MODALS:
                 return self._generic("hedged", "hedged_modal", clause, np)
             kind = "framed" if (frame or not subject) else "bare"
             rule = "framed_embedded" if kind == "framed" else "bare_relative"
             return self._generic(kind, rule, clause, np)
-        if len(groups) == 1 and subject:
-            head = groups[0][0]
-            if head.flags & (MODAL | PRESENT):
+        if len(heads) == 1 and subject:
+            if flags[heads[0]] & (MODAL | PRESENT):
                 return self._generic("elliptical", "elliptical_image", clause, np)
         return None
 
-    def _fragment_predicate(self, clause: list[Token]) -> bool:
+    def _fragment_predicate(self, clause: Clause) -> bool:
         """A verbless continuation that predicates something of the NP."""
-        words = [t for t in clause if t.kind == WORD]
-        if not words:
+        norms, flags, _ = clause
+        bits = _union(flags)
+        if not bits & WORD or bits & FINITE:
             return False
-        if any(t.flags & FINITE for t in words):
-            return False
-        if self._directive_continuation(clause):
-            return False
-        return True
+        return not self._directive_continuation(norms, flags)
 
-    def _quoted_definition(self, clause: list[Token]) -> AnnotatorVerdict | None:
-        if not clause or clause[0].kind != QUOTE:
+    def _quoted_definition(self, clause: Clause) -> AnnotatorVerdict | None:
+        norms, flags, _ = clause
+        if not norms or norms[0] != QUOTE:
             return None
-        closes = [k for k, t in enumerate(clause[1:], start=1) if t.kind == QUOTE]
+        closes = [k for k in range(1, len(norms)) if norms[k] == QUOTE]
         if not closes:
             return None
-        after = clause[closes[-1] + 1 :]
-        word_after = [t for t in after if t.kind == WORD]
+        word_after = [k for k in range(closes[-1] + 1, len(norms)) if flags[k] & WORD]
         if not word_after:
             return None
         head = None
-        for t in word_after:
-            if t.flags & GROUP_NOUN:
-                head = t
-            elif not t.flags & ABSORBABLE:
+        for k in word_after:
+            if flags[k] & GROUP_NOUN:
+                head = k
+            elif not flags[k] & ABSORBABLE:
                 return None
         if head is None:
             return None
-        np = NounPhrase(
-            start=clause.index(word_after[0]),
-            head=clause.index(head),
-            quantified=False,
-            prep_before=False,
-        )
+        np = NounPhrase(word_after[0], head, quantified=False, prep_before=False)
         return self._generic("elliptical", "elliptical_quoted_definition", clause, np)
 
     # --- anaphora and fallbacks ------------------------------------------------
 
     def _anaphoric_pass(
-        self, clauses: list[list[Token]], state: "_ScanState"
+        self, clauses: list[Clause], state: "_ScanState"
     ) -> AnnotatorVerdict | None:
         if not state.np_positions:
             return None
         first_np = min(state.np_positions)
-        for ci, clause in enumerate(clauses):
-            if clause and clause[-1].kind == "?":
+        hedges = self.lexicons.hedge_adverbs
+        for ci, (norms, flags, spans) in enumerate(clauses):
+            if norms[-1] == QUESTION or THEY.isdisjoint(norms):
                 continue
-            for j, t in enumerate(clause):
-                if t.kind != WORD:
+            for j, norm in enumerate(norms):
+                if norm not in THEY:
                     continue
-                norm = t.norm
-                if norm not in ("they", "they're", "they've", "they'll", "they'd"):
-                    continue
-                if (ci, j) <= first_np:
+                if not flags[j] & WORD or (ci, j) <= first_np:
                     continue
                 if norm != "they":
                     kind = "hedged" if norm in ("they'll", "they'd") else "bare"
                     return AnnotatorVerdict(
                         label=GENERIC, kind=kind, matched_rule="anaphoric_subject",
-                        subject_span=(t.start, t.end),
+                        subject_span=spans[j],
                     )
                 k = j + 1
                 hedged = False
-                while k < len(clause) and (
-                    clause[k].norm in ADVERBS
-                    or clause[k].norm in NEGATIONS
-                    or clause[k].norm in self.lexicons.hedge_adverbs
+                while k < len(norms) and (
+                    norms[k] in ADVERBS or norms[k] in NEGATIONS or norms[k] in hedges
                 ):
-                    if clause[k].norm in self.lexicons.hedge_adverbs:
+                    if norms[k] in hedges:
                         hedged = True
                     k += 1
-                if k >= len(clause):
+                if k >= len(norms):
                     continue
-                nxt = clause[k]
-                if nxt.norm in HEDGE_MODALS:
+                if norms[k] in HEDGE_MODALS:
                     return AnnotatorVerdict(
                         label=GENERIC, kind="hedged", matched_rule="anaphoric_subject",
-                        subject_span=(t.start, t.end),
+                        subject_span=spans[j],
                     )
-                if nxt.norm in BARE_MODALS or nxt.flags & (PRESENT | PAST) == PRESENT:
+                if norms[k] in BARE_MODALS or flags[k] & (PRESENT | PAST) == PRESENT:
                     return AnnotatorVerdict(
                         label=GENERIC,
                         kind="hedged" if hedged else "bare",
                         matched_rule="anaphoric_subject",
-                        subject_span=(t.start, t.end),
+                        subject_span=spans[j],
                     )
         return None
 
     def _fallback_reason(
-        self, clauses: list[list[Token]], state: "_ScanState"
+        self, clauses: list[Clause], state: "_ScanState"
     ) -> AnnotatorVerdict:
-        if state.saw_group_np and state.past_count == 0 and state.present_count == 0:
+        if state.saw_group_np and not state.bits & FINITE:
             return AnnotatorVerdict(
                 label=NON_GENERIC,
                 exclusion_reason="no_feature_ascription",
                 matched_rule="screen:bare_np",
             )
-        if state.past_count >= 1 and state.present_count == 0:
+        if state.bits & PAST and not state.bits & (PRESENT | MODAL):
             return AnnotatorVerdict(
                 label=NON_GENERIC,
                 exclusion_reason="past_tense_only",
@@ -767,14 +760,5 @@ class _ScanState:
     def __init__(self):
         self.saw_group_np = False
         self.saw_quantified_np = False
-        self.present_count = 0
-        self.past_count = 0
+        self.bits = 0  # every flag of the clauses scanned
         self.np_positions: list[tuple[int, int]] = []
-
-    def note_clause(self, clause: list[Token]):
-        for t in clause:
-            if t.flags & (PRESENT | MODAL):
-                self.present_count += 1
-            elif t.flags & PAST:
-                self.past_count += 1
-

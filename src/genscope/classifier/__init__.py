@@ -5,11 +5,9 @@ from .features import (
     CsrMatrix,
     Vocabulary,
     build_vocab,
-    lex,
     stack_features,
     tokenize,
     vectorize_bow,
-    words,
     EMOJI_TOKEN,
     URL_TOKEN,
 )
@@ -29,11 +27,9 @@ __all__ = [
     "CsrMatrix",
     "Vocabulary",
     "build_vocab",
-    "lex",
     "stack_features",
     "tokenize",
     "vectorize_bow",
-    "words",
     "EMOJI_TOKEN",
     "URL_TOKEN",
     "GenericityClassifier",

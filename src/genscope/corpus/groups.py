@@ -56,14 +56,17 @@ def load_group_lexicon(path) -> GroupLexicon:
         if not line:
             continue
         if "\t" not in line:
-            raise SchemaError(f"line {line_number}: expected 'term<TAB>groups'")
+            raise SchemaError(f"{path}:{line_number}: expected 'term<TAB>groups'")
         term, groups_field = line.split("\t", 1)
         term = " ".join(term.lower().split())
         groups = frozenset(g.strip() for g in groups_field.split(",") if g.strip())
         if not term or not groups:
-            raise SchemaError(f"line {line_number}: empty term or group list")
+            raise SchemaError(f"{path}:{line_number}: empty term or group list")
         entries[term] = groups
-    return GroupLexicon(entries=entries)
+    try:
+        return GroupLexicon(entries=entries)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 # first token -> [(the term's remaining tokens, its group set)]

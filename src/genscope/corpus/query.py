@@ -169,5 +169,12 @@ def parse_query(text: str) -> QueryAst:
 
 
 def load_query(path) -> QueryAst:
+    """The query in file ``path``; a syntax error names the file and the
+    query's line, with the byte offset into the query."""
     with open(path, encoding="utf-8") as fh:
-        return parse_query(fh.read().strip())
+        text = fh.read()
+    try:
+        return parse_query(text.strip())
+    except QuerySyntaxError as exc:
+        line = text[: len(text) - len(text.lstrip())].count("\n") + 1
+        raise QuerySyntaxError(f"{path}:{line}: {exc.message}", exc.offset) from None

@@ -10,6 +10,7 @@ class QuerySyntaxError(GenscopeError):
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at byte offset {offset})")
+        self.message = message
         self.offset = offset
 
 

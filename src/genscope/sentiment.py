@@ -70,12 +70,15 @@ def load_valence_lexicon(path=None) -> ValenceLexicon:
             continue
         token, _, value = line.partition("\t")
         if not token or not value:
-            raise SchemaError(f"line {line_number}: expected 'token<TAB>valence'")
+            raise SchemaError(f"{path}:{line_number}: expected 'token<TAB>valence'")
         try:
             valences[token.strip().lower()] = float(value)
         except ValueError:
-            raise SchemaError(f"line {line_number}: bad valence {value!r}") from None
-    return ValenceLexicon(valences=valences, negations=frozenset(negations))
+            raise SchemaError(f"{path}:{line_number}: bad valence {value!r}") from None
+    try:
+        return ValenceLexicon(valences=valences, negations=frozenset(negations))
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def lexicon_score(tokens: list[str], lexicon: ValenceLexicon) -> SentimentLabel:

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import importlib
 import json
 import logging
 import math
@@ -24,6 +25,7 @@ from genscope.analysis import (
     run_analysis,
 )
 from genscope.classifier import GenericityClassifier, predict_score, save_model, stack_features
+from genscope.classifier.features import LEXER_RE
 from genscope.cli import main
 from genscope.corpus import GROUPS, ingest, lang_matches, load_query, write_jsonl
 from genscope.errors import InputError, SchemaError
@@ -545,16 +547,28 @@ class TestSinglePass:
     """``run_analysis`` reads the corpus once, lexes each tweet once and
     keeps only numbers per analysed tweet."""
 
-    def test_lex_once_per_tweet_that_passes_lang(self, monkeypatch):
-        calls = []
-        lex = genscope.analysis.lex
-        monkeypatch.setattr(genscope.analysis, "lex", lambda text: calls.append(text) or lex(text))
-        report = run_analysis(AnalysisConfig(corpus=str(BUNDLED_CORPUS)))
+    def test_lex_once_per_tweet_that_passes_lang(self, monkeypatch, tmp_path):
+        texts = []
+
+        class CountingLexer:
+            def finditer(self, text):
+                texts.append(text)
+                return LEXER_RE.finditer(text)
+
+        for module in ("genscope.classifier.features", "genscope.annotator.normalize"):
+            monkeypatch.setattr(importlib.import_module(module), "LEXER_RE", CountingLexer())
         query = load_query(resources.files("genscope.data") / "default_query.txt")
         tweets = []
         ingest(str(BUNDLED_CORPUS), tweets.append, query)
-        assert len(tweets) == report["ingest"]["accepted"]
-        assert calls == [t.text for t in tweets if lang_matches(t.lang, query.lang)]
+        want = [t.text for t in tweets if lang_matches(t.lang, query.lang)]
+        train, labels = generate_training_texts(n=300, seed=5)
+        save_model(GenericityClassifier(min_count=1, epochs=5).fit(train, labels).model_,
+                   tmp_path / "model.txt")
+        for model in (None, str(tmp_path / "model.txt")):  # annotator, then model mode
+            texts.clear()
+            report = run_analysis(AnalysisConfig(corpus=str(BUNDLED_CORPUS), model=model))
+            assert len(tweets) == report["ingest"]["accepted"]
+            assert texts == want
 
     def test_peak_memory_does_not_grow_per_line(self, tmp_path):
         # what stays alive per input line is its id in ingest's set and four

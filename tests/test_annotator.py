@@ -17,6 +17,7 @@ from genscope.annotator import (
 )
 from genscope.annotator import rules
 from genscope.annotator.lexicons import RuleLexicons
+from genscope.annotator.normalize import WORD
 from genscope.errors import InputError
 from genscope.synth import generate_corpus
 
@@ -96,29 +97,33 @@ class TestVerdictGolden:
         assert digest.hexdigest() == self.GOLDEN_VERDICTS_SHA256
 
 
+def flat_norms(text, table=None):
+    return [norm for clause in normalize(text, table)[1] for norm in clause.norms]
+
+
 class TestNormalize:
     def test_abbreviations_and_blank(self, annotator):
-        norm = normalize("White ppl be like __", annotator.words)
-        assert norm.token_texts == ["white", "people", "be", "like", "BLANK"]
+        assert flat_norms("White ppl be like __", annotator.words) == [
+            "white", "people", "be", "like", "BLANK"
+        ]
 
     def test_emoji_class(self, annotator):
-        norm = normalize("Men in white coats 🤒", annotator.words)
-        assert norm.token_texts == ["men", "in", "white", "coats", "EMOJI"]
+        assert flat_norms("Men in white coats 🤒", annotator.words) == [
+            "men", "in", "white", "coats", "EMOJI"
+        ]
 
     def test_clause_split_on_punctuation(self):
-        norm = normalize("Damn right! Liberals are loud.")
-        assert len(norm.clauses) == 2
-        assert [t.norm for t in norm.clauses[1]] == ["liberals", "are", "loud"]
+        _, clauses = normalize("Damn right! Liberals are loud.")
+        assert len(clauses) == 2
+        assert clauses[1].norms == ["liberals", "are", "loud"]
 
     def test_url_token(self):
-        norm = normalize("look https://t.co/x now")
-        assert norm.token_texts == ["look", "URL", "now"]
+        assert flat_norms("look https://t.co/x now") == ["look", "URL", "now"]
 
     def test_spans_point_into_source(self):
         text = "Old Liberals party"
-        norm = normalize(text)
-        token = norm.tokens[1]
-        assert text[token.start : token.end] == "Liberals"
+        start, end = normalize(text)[1][0].spans[1]
+        assert text[start:end] == "Liberals"
 
 
 class TestGoldCorpora:
@@ -381,8 +386,8 @@ class TestWordTable:
         norms = set()
         for path in sorted(GOLD.iterdir()):
             for line in gold_lines(path.name):
-                tokens = normalize(line, self.annotator.words).tokens
-                norms.update(t.norm for t in tokens if t.kind == "word")
+                for clause in normalize(line, self.annotator.words)[1]:
+                    norms.update(n for n, f in zip(clause.norms, clause.flags) if f & WORD)
         self.check(sorted(norms))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)

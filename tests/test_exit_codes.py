@@ -12,14 +12,16 @@ gets model files with one line replaced and the checksum recomputed, so
 the damage reaches the parser, and ``reproduce --tables`` gets the bundled
 tables with one line replaced. ``analyze``'s query, group lexicon,
 config and external-sentiment files get one line (for the one-line query,
-one word) damaged, and a run that exits 0 must write the same report.json
-when run again. ``main`` runs in-process; any exception other than
+one word) damaged, and so do its valence lexicon and model file, whose
+damaged line may also be raw bytes that are not UTF-8; a run that exits 0
+must write the same report.json when run again. ``main`` runs in-process; any exception other than
 ``SystemExit`` fails the test.
 """
 
 import copy
 import io
 import json
+import random
 import shutil
 import zlib
 from contextlib import redirect_stderr, redirect_stdout
@@ -186,6 +188,16 @@ SIDE_INPUTS = {
          for r, s in zip(SIDE_CORPUS, ["positive", "neutral", "negative"] * 10)],
         "\n",
     ),
+    "valence-lexicon": (
+        "--valence-lexicon", (DATA / "valence_lexicon.tsv").read_text().splitlines(), "\n",
+    ),
+    "model": (
+        "--model",
+        dumps_model(
+            GenericityClassifier(min_count=1, epochs=5).fit(*generate_training_texts(40, 9)).model_
+        ).splitlines(),
+        "\n",
+    ),
 }
 # unit -> a strategy for its damaged form, which may keep part of it
 SIDE_DAMAGE = {
@@ -211,6 +223,13 @@ SIDE_DAMAGE = {
         st.sampled_from(["id", "sentiment", "extra"]),
         JSON | st.sampled_from(["positive", "neutral", "negative", SIDE_CORPUS[0]["id"]]),
     ),
+    "valence-lexicon": lambda line: st.builds(
+        "{}{}{}".format,
+        st.sampled_from([line.split("\t")[0], "great", "!", "#", ""]),
+        st.sampled_from(["\t", " ", ""]),
+        st.sampled_from(["0.5", "-1", "1.5", "x", "nan", "inf", "1e400", "-0", ""]),
+    ) | st.binary(min_size=1, max_size=8),
+    "model": lambda line: st.text(max_size=20) | st.binary(min_size=1, max_size=20),
 }
 
 
@@ -230,7 +249,9 @@ def test_analyze_side_input_exit_code_and_determinism(workdir, side_corpus, kind
     i = data.draw(st.integers(0, len(units) - 1))
     units[i] = data.draw(st.text(max_size=20) | SIDE_DAMAGE[kind](units[i]))
     path = workdir / f"side_{kind}"
-    path.write_text(sep.join(units) + "\n", encoding="utf-8")
+    # a damaged unit may be raw bytes, which need not be UTF-8
+    units = [unit if isinstance(unit, bytes) else unit.encode() for unit in units]
+    path.write_bytes(sep.encode().join(units) + b"\n")
     argv = ["analyze", flag, str(path)]
     if kind != "config":  # the config names the corpus
         argv += ["--corpus", str(side_corpus)]
@@ -484,6 +505,9 @@ def corpus_never_read(monkeypatch):
     return str(resources.files("genscope.data") / "synthetic_corpus.jsonl")
 
 
+DIRECTORY = "a directory"  # a side input path that names a directory
+
+
 @pytest.mark.parametrize(
     "flag, content",
     [
@@ -492,20 +516,57 @@ def corpus_never_read(monkeypatch):
         ("--external-sentiment", b'{"id": "1", "sentiment": "caf\xe9"}\n'),
         ("--valence-lexicon", None),
         ("--valence-lexicon", b"great\tvery\n"),
+        ("--valence-lexicon", "great\tnan\n"),
+        ("--valence-lexicon", "great\t1e400\n"),
+        ("--valence-lexicon", "great 0.5\n"),
+        ("--valence-lexicon", b"great\t0.5\ncaf\xe9\t0.1\n"),
+        ("--valence-lexicon", DIRECTORY),
+        ("--model", "garbage text\n"),
+        ("--model", random.Random(7).randbytes(64)),
     ],
-    ids=["corrupt-model", "missing-labels", "labels-not-utf8", "missing-lexicon", "bad-valence"],
+    ids=["corrupt-model", "missing-labels", "labels-not-utf8", "missing-lexicon", "bad-valence",
+         "nan-valence", "overflowing-valence", "lexicon-line-without-tab", "lexicon-not-utf8",
+         "lexicon-directory", "garbage-model", "random-bytes-model"],
 )
-def test_bad_side_input_fails_before_the_corpus(workdir, corpus_never_read, flag, content):
-    path = workdir / "side_input"
-    path.unlink(missing_ok=True)
-    if isinstance(content, str):
+def test_bad_side_input_fails_before_the_corpus(tmp_path, corpus_never_read, flag, content):
+    path = tmp_path / "side_input"
+    if content == DIRECTORY:
+        path.mkdir()
+    elif isinstance(content, str):
         path.write_text(content, encoding="utf-8")
     elif content is not None:
         path.write_bytes(content)
-    out = workdir / "side_out"
+    out = tmp_path / "side_out"
     argv = ["analyze", "--corpus", corpus_never_read, flag, str(path), "--out", str(out)]
     assert quiet_exit_code(argv) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, content, message",
+    [
+        ("--valence-lexicon", "good\t0.5\nbad\tx\n", ":2: bad valence 'x'"),
+        ("--valence-lexicon", "good\t0.5\nbad 1\n", ":2: expected 'token<TAB>valence'"),
+        ("--valence-lexicon", "good\tnan\n", ": valences outside [-1, 1]: ['good']"),
+        ("--group-lexicon", "democrats\tpolitical\nbad line\n",
+         ":2: expected 'term<TAB>groups'"),
+        ("--group-lexicon", "democrats\tbogus\n",
+         ": term 'democrats' maps to unknown groups ['bogus']"),
+        ("--query", "\n((a (b c)))\n", ":2: nested '(' inside phrase (at byte offset 4)"),
+    ],
+    ids=["bad-valence", "valence-line-without-tab", "nan-valence", "group-line-without-tab",
+         "unknown-group", "nested-phrase"],
+)
+def test_side_input_load_error_names_the_file(tmp_path, corpus_never_read, flag, content,
+                                              message):
+    path = tmp_path / "side_input"
+    path.write_text(content, encoding="utf-8")
+    argv = ["analyze", "--corpus", corpus_never_read, flag, str(path),
+            "--out", str(tmp_path / "out")]
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+        assert exit_code(argv) == 2
+    assert stderr.getvalue() == f"error: {path}{message}\n"
 
 
 @pytest.mark.parametrize(

@@ -7,19 +7,24 @@ apostrophes inside and outside words, clause breaks, punctuation,
 abbreviation keys and a few characters no alternative matches.
 
 ``normalize`` runs on a fresh word table and twice on one annotator's
-shared table, so the second pass finds every word surface cached; that
-pass takes the text's ``lex`` matches, as ``analyze`` passes them.
-``words(lex(text))`` must equal ``tokenize(text)``.
+shared table, so the second pass finds every word surface cached. Its
+word list must equal ``tokenize(text)``; each clause token's norm, kind
+(``word`` when the ``WORD`` flag is set, else the norm itself) and span
+must equal the oracle's, and each word's flags must be its norm's table
+bits plus ``WORD``.
 """
 
+import re
+import sys
 from pathlib import Path
-
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from genscope.annotator import RuleAnnotator, WordTable, normalize
-from genscope.classifier import lex, tokenize, words
+from genscope.annotator.normalize import WORD
+from genscope.classifier import tokenize
+from genscope.classifier.features import LEXER_RE
 from oracles import normalize_oracle, tokenize_oracle
 
 PIECES = [
@@ -47,19 +52,22 @@ GOLD = Path(__file__).parent / "data" / "annotator_gold"
 
 def check_tokenize(text):
     assert tokenize(text) == tokenize_oracle(text)
-    assert words(lex(text)) == tokenize_oracle(text)
 
 
 def check_normalize(text):
     expected = normalize_oracle(text, ABBREVIATIONS)
-    for table, matches in (
-        (WordTable(ABBREVIATIONS), None), (ANNOTATOR.words, None), (ANNOTATOR.words, lex(text)),
-    ):
-        clauses = normalize(text, table, matches).clauses
-        got = [[(t.norm, t.kind, t.start, t.end) for t in clause] for clause in clauses]
+    for table in (WordTable(ABBREVIATIONS), ANNOTATOR.words, ANNOTATOR.words):
+        words, clauses = normalize(text, table)
+        assert words == tokenize_oracle(text)
+        got = [
+            [(norm, "word" if f & WORD else norm, start, end)
+             for norm, f, (start, end) in zip(*clause)]
+            for clause in clauses
+        ]
         assert got == expected
-        for token in (t for clause in clauses for t in clause):
-            assert token.flags == (table.flags[token.norm] if token.kind == "word" else 0)
+        for clause in clauses:
+            for norm, f in zip(clause.norms, clause.flags):
+                assert f == (table.flags[norm] | WORD if f & WORD else 0)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
@@ -101,3 +109,14 @@ def test_table_holds_each_surface_and_norm_once():
     for text in texts:
         normalize(text, table)
     assert (len(table.surfaces), len(table.flags)) == (len(surfaces), len(norms))
+
+
+def test_whitespace_guard_drops_no_match():
+    # LEXER_RE opens with a guard that fails on whitespace other than a
+    # newline; without it, no alternative matches at such a character either
+    unguarded = re.compile(LEXER_RE.pattern.removeprefix(r"(?=\S|\n)"))
+    assert unguarded.pattern != LEXER_RE.pattern
+    every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = set(re.findall(r"\s", every_char)) - {"\n"}
+    assert len(spaces) > 20
+    assert [c for c in sorted(spaces) if unguarded.match(c + "x")] == []
