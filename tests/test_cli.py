@@ -222,6 +222,35 @@ class TestTrainEvalClassify:
         digests["model"] = hashlib.sha256(Path("model.txt").read_bytes()).hexdigest()
         assert digests == self.GOLDEN_TRAIN_SHA256
 
+    # sha256 of model mode's outputs on the bundled corpus: analyze --model's
+    # report.json and classify's scores.jsonl, with a model trained on
+    # generate_training_texts(n=300, seed=5); every score, to the byte.
+    GOLDEN_MODEL_MODE_SHA256 = {
+        "model": "2b06790cd834572445c23d2c166533e59b3179ce1f6b2dd23b0ef08e0d4d2779",
+        "report": "b9d2dcead1cc3b4b999f5eb931a4bc831bb96c488915096a8d20f35b48c8c7f9",
+        "scores": "959ab62b362b27a3cd1856066e9acd2b839788ab1a75d9e6af9ebf01047a4956",
+    }
+
+    def test_model_mode_matches_golden_hashes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # report.json names the corpus path
+        Path("corpus.jsonl").write_bytes(Path(BUNDLED_CORPUS).read_bytes())
+        texts, labels = generate_training_texts(n=300, seed=5)
+        write_jsonl(({"text": t, "label": l} for t, l in zip(texts, labels)), "labeled.jsonl")
+        for argv in (
+            ["train", "--labeled", "labeled.jsonl", "--model-out", "model.txt", "--epochs", "40"],
+            ["analyze", "--corpus", "corpus.jsonl", "--model", "model.txt", "--out", "a"],
+            ["classify", "--corpus", "corpus.jsonl", "--model", "model.txt", "--out", "c"],
+        ):
+            assert main(argv) == 0
+        capsys.readouterr()
+        digests = {
+            name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for name, path in (
+                ("model", "model.txt"), ("report", "a/report.json"), ("scores", "c/scores.jsonl"),
+            )
+        }
+        assert digests == self.GOLDEN_MODEL_MODE_SHA256
+
     def _one_word_model(self, tmp_path):
         """Weight 3.0 on "zebra", bias 0.7: texts without "zebra" score sigmoid(0.7)."""
         model = GenericityModel(
