@@ -19,6 +19,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from typing import get_type_hints
 
@@ -28,11 +29,11 @@ from . import __version__
 from .annotator import RuleAnnotator, normalize
 from .base import check_threshold
 from .classifier import (
-    CsrMatrix,
+    csr_from_columns,
     load_model,
     predict_score,
     tokenize,
-    vectorize_bow,
+    vectorize_bow,  # unused here; the benchmark tracer wraps it
 )
 from .corpus import (
     BUCKETS,
@@ -44,7 +45,7 @@ from .corpus import (
     load_query,
     partition,
 )
-from .errors import InputError, SchemaError
+from .errors import InputError, SchemaError, naming_decode_errors
 from .sentiment import (
     SENTIMENTS,
     SentimentProvider,
@@ -107,9 +108,9 @@ class AnalysisConfig:
         errors, and a field typed int or float takes a number."""
         kinds = get_type_hints(cls)
         values: dict[str, object] = {}
-        for line_number, raw in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        with naming_decode_errors(path):
+            text = Path(path).read_text(encoding="utf-8")
+        for line_number, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -195,26 +196,27 @@ CHUNK = 4096
 
 class ModelScorer:
     """The one way texts are scored with a trained model. ``add`` appends
-    a text's ``vectorize_bow`` row to flat CSR buffers, so a waiting row
-    is no Python object, and keeps the sink its score goes to; ``flush``
-    scores the rows and hands each score to its sink, in order. ``add``
-    flushes every ``CHUNK`` rows; the caller flushes once at the end."""
+    the vocabulary column of each of a text's tokens (-1 out of the
+    vocabulary) to one flat buffer and the text's end offset to another,
+    so a waiting row is no Python object, and keeps the sink its score
+    goes to; ``flush`` builds the rows with ``csr_from_columns``, scores
+    them and hands each score to its sink, in order. ``add`` flushes every
+    ``CHUNK`` rows; the caller flushes once at the end."""
 
     def __init__(self, path):
         self.model = load_model(path)
         if self.model.vocab is None:
             raise InputError(f"{path}: need a bag-of-words model with a [vocab] section")
+        self._column = self.model.vocab.index.get
         self._clear()
 
     def _clear(self) -> None:
-        self._indptr, self._indices, self._data = array("q", [0]), array("q"), array("d")
+        self._columns, self._ends = array("q"), array("q")
         self._sinks: list = []
 
     def add(self, tokens: list[str], sink) -> None:
-        for idx, count in vectorize_bow(tokens, self.model.vocab):
-            self._indices.append(idx)
-            self._data.append(count)
-        self._indptr.append(len(self._indices))
+        self._columns.extend(map(self._column, tokens, repeat(-1)))
+        self._ends.append(len(self._columns))
         self._sinks.append(sink)
         if len(self._sinks) == CHUNK:
             self.flush()
@@ -222,7 +224,7 @@ class ModelScorer:
     def flush(self) -> None:
         if not self._sinks:
             return
-        features = CsrMatrix(self._indptr, self._indices, self._data, self.model.dimension)
+        features = csr_from_columns(self._columns, self._ends, self.model.dimension)
         for sink, score in zip(self._sinks, predict_score(self.model, features).tolist()):
             sink(score)
         self._clear()
@@ -755,7 +757,8 @@ def load_published_tables(path=None) -> dict[str, float]:
     """
     path = Path(path) if path else _bundled("published_tables.csv")
     values: dict[str, float] = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    with naming_decode_errors(path):
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.lower() == "key,value":

@@ -5,6 +5,7 @@ from .features import (
     CsrMatrix,
     Vocabulary,
     build_vocab,
+    csr_from_columns,
     stack_features,
     tokenize,
     vectorize_bow,
@@ -27,6 +28,7 @@ __all__ = [
     "CsrMatrix",
     "Vocabulary",
     "build_vocab",
+    "csr_from_columns",
     "stack_features",
     "tokenize",
     "vectorize_bow",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -16,48 +17,59 @@ EMOJI_TOKEN = "EMOJI"
 
 # pictographs, emoticons, transport, supplemental symbols, dingbats,
 # misc symbols, geometric shapes (media-player glyphs appear in tweets)
-_EMOJI = (
-    "["
-    "\U0001F000-\U0001FAFF"
-    "☀-➿"
-    "⬀-⯿"
-    "■-◿"
-    "\U0001F1E6-\U0001F1FF"
-    "]"
+_EMOJI_RANGES = (
+    (0x1F000, 0x1FAFF),
+    (0x2600, 0x27BF),
+    (0x2B00, 0x2BFF),
+    (0x25A0, 0x25FF),
+    (0x1F1E6, 0x1F1FF),
 )
+_EMOJI = "[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES) + "]"
+_EMOJI_CHARS = frozenset(chr(c) for lo, hi in _EMOJI_RANGES for c in range(lo, hi + 1))
 
-# The one lexer behind ``tokenize`` and the annotator's ``normalize``. At
-# each position the first alternative that matches wins, so their order is
-# the priority; characters no alternative matches are skipped. No
-# alternative starts with whitespace other than a newline, so the leading
-# guard skips a space in one test instead of seven failed alternatives.
+# The one grammar: each kind's pattern, in priority order (at each position
+# the first alternative that matches wins; characters no alternative
+# matches are skipped).
+_KINDS = (
+    ("url", r"(?i:https?://\S+|www\.\S+)"),
+    ("emoji", _EMOJI),
+    ("blank", r"_{2,}"),
+    ("word", r"[^\W_]+(?:['’][^\W_]+)*"),
+    ("brk", r"[.!?;\n]"),
+    ("dash", r"[-—–]+"),
+    ("punct", r"[:=,\"“”']"),
+)
+# Kinds that make a token; the others only end a clause or mark a blank.
+_TOKEN_KINDS = ("url", "emoji", "word")
+
+# Every kind, for the annotator's ``normalize``. No alternative starts with
+# whitespace other than a newline, so the leading guard skips a space in
+# one test instead of seven failed alternatives.
 LEXER_RE = re.compile(
-    r"(?=\S|\n)(?:"
-    r"(?P<url>(?i:https?://\S+|www\.\S+))"
-    rf"|(?P<emoji>{_EMOJI})"
-    r"|(?P<blank>_{2,})"
-    r"|(?P<word>[^\W_]+(?:['’][^\W_]+)*)"
-    r"|(?P<brk>[.!?;\n])"
-    r"|(?P<dash>[-—–]+)"
-    r"|(?P<punct>[:=,\"“”'])"
-    r")"
+    r"(?=\S|\n)(?:" + "|".join(f"(?P<{kind}>{p})" for kind, p in _KINDS) + ")"
+)
+# The token kinds only, for ``tokenize``. The kinds left out consume only
+# characters that cannot start a token kind (``_``, clause breaks, dashes,
+# punctuation), so both patterns find the same tokens.
+TOKEN_RE = re.compile(
+    r"(?=\S)(?:" + "|".join(p for kind, p in _KINDS if kind in _TOKEN_KINDS) + ")"
 )
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercased word tokens with URLs and emoji mapped to class tokens.
     The annotator's ``normalize`` gives the same list from the walk that
-    also builds its clauses."""
-    tokens: list[str] = []
-    for m in LEXER_RE.finditer(text or ""):
-        kind = m.lastgroup
-        if kind == "word":
-            tokens.append(m.group().lower().replace("’", "'"))
-        elif kind == "url":
-            tokens.append(URL_TOKEN)
-        elif kind == "emoji":
-            tokens.append(EMOJI_TOKEN)
-    return tokens
+    also builds its clauses.
+
+    One ``findall`` finds the tokens. A URL is the only token that can hold
+    ``.`` or ``:``, and an emoji is one character of the emoji class (a
+    word that starts with one loses to the emoji alternative)."""
+    return [
+        URL_TOKEN if "." in t or ":" in t
+        else EMOJI_TOKEN if t in _EMOJI_CHARS
+        else t.lower().replace("’", "'")
+        for t in TOKEN_RE.findall(text or "")
+    ]
 
 
 @dataclass(frozen=True)
@@ -128,7 +140,8 @@ def build_vocab(token_lists, min_count: int = 1) -> Vocabulary:
 
 def vectorize_bow(tokens, vocab: Vocabulary) -> list[tuple[int, int]]:
     """Sorted (index, count) pairs of the in-vocabulary tokens;
-    out-of-vocabulary tokens are dropped."""
+    out-of-vocabulary tokens are dropped. One text's row as
+    ``csr_from_columns`` builds it, counted in Python."""
     counts: dict[int, int] = {}
     for token in tokens:
         idx = vocab.index.get(token)
@@ -213,12 +226,46 @@ def stack_features(rows, n_cols: int) -> CsrMatrix:
     return CsrMatrix(indptr, indices, data, n_cols)
 
 
-# texts per block when fit_transform maps token ids to CSR columns
+# rows per block when csr_from_columns turns column ids into CSR rows
 ROWS_PER_BLOCK = 1024
 
 
+def csr_from_columns(columns, ends, size: int) -> CsrMatrix:
+    """The bag-of-words CSR matrix of token column ids: ``columns`` holds
+    every token's vocabulary column in order (-1 for one out of the
+    vocabulary) and ``ends`` the end offset of each row in it. Each row's
+    nonzeros are its distinct columns in ascending order with their counts,
+    as ``vectorize_bow`` gives them."""
+    columns, ends = np.asarray(columns), np.asarray(ends)
+    # room for every kept token; a row that repeats a token leaves the
+    # tail unused
+    indices = np.empty(np.count_nonzero(columns >= 0), dtype=np.intp)
+    data = np.empty(indices.size)
+    indptr = np.zeros(ends.size + 1, dtype=np.intp)
+    nnz = 0
+    # rows go in blocks, so the temporary keys stay small
+    for lo in range(0, ends.size, ROWS_PER_BLOCK):
+        block_ends = ends[lo : lo + ROWS_PER_BLOCK]
+        first = ends[lo - 1] if lo else 0
+        block = columns[first : block_ends[-1]]
+        # one key row * size + column per token, dropped tokens left out;
+        # the sorted unique keys are each row's sorted (column, count) pairs
+        keys = np.repeat(
+            np.arange(block_ends.size) * size, np.diff(block_ends, prepend=first)
+        )
+        keys += block
+        keys, counts = np.unique(keys[block >= 0], return_counts=True)
+        indptr[lo + 1 : lo + 1 + block_ends.size] = nnz + np.searchsorted(
+            keys, np.arange(1, block_ends.size + 1) * size
+        )
+        indices[nnz : nnz + keys.size] = keys % size
+        data[nnz : nnz + keys.size] = counts
+        nnz += keys.size
+    return CsrMatrix(indptr, indices[:nnz], data[:nnz], size)
+
+
 class BagOfWordsVectorizer:
-    """fit/transform wrapper over tokenize + build_vocab + vectorize_bow.
+    """fit/transform wrapper over tokenize + build_vocab + csr_from_columns.
 
     ``fit_transform`` tokenizes each text once: it counts token ids, ranks
     the vocabulary, then maps the ids to columns, as scikit-learn's
@@ -235,37 +282,14 @@ class BagOfWordsVectorizer:
     def transform(self, texts) -> CsrMatrix:
         check_fitted(self, "vocabulary_")
         vocab = self.vocabulary_
-        return stack_features(
-            (vectorize_bow(tokenize(t), vocab) for t in texts), vocab.size
-        )
+        columns, ends = array("q"), array("q")
+        for text in texts:
+            columns.extend(map(vocab.index.get, tokenize(text), repeat(-1)))
+            ends.append(len(columns))
+        return csr_from_columns(columns, ends, vocab.size)
 
     def fit_transform(self, texts) -> CsrMatrix:
         self.vocabulary_, columns, ends = _count_vocab(
             map(tokenize, texts), self.min_count
         )
-        size = self.vocabulary_.size
-        # room for every kept token; a row that repeats a token leaves the
-        # tail unused
-        indices = np.empty(np.count_nonzero(columns >= 0), dtype=np.intp)
-        data = np.empty(indices.size)
-        indptr = np.zeros(ends.size + 1, dtype=np.intp)
-        nnz = 0
-        # rows go in blocks, so the temporary keys stay small
-        for lo in range(0, ends.size, ROWS_PER_BLOCK):
-            block_ends = ends[lo : lo + ROWS_PER_BLOCK]
-            first = ends[lo - 1] if lo else 0
-            block = columns[first : block_ends[-1]]
-            # one key row * size + column per token, dropped tokens left out;
-            # the sorted unique keys are each row's sorted (column, count) pairs
-            keys = np.repeat(
-                np.arange(block_ends.size) * size, np.diff(block_ends, prepend=first)
-            )
-            keys += block
-            keys, counts = np.unique(keys[block >= 0], return_counts=True)
-            indptr[lo + 1 : lo + 1 + block_ends.size] = nnz + np.searchsorted(
-                keys, np.arange(1, block_ends.size + 1) * size
-            )
-            indices[nnz : nnz + keys.size] = keys % size
-            data[nnz : nnz + keys.size] = counts
-            nnz += keys.size
-        return CsrMatrix(indptr, indices[:nnz], data[:nnz], size)
+        return csr_from_columns(columns, ends, self.vocabulary_.size)

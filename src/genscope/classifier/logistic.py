@@ -28,6 +28,9 @@ DEFAULT_L2 = 1e-4
 DEFAULT_SEED = 42
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_MIN_COUNT = 2
+# train_logistic halves the learning rate while a step would raise the
+# loss, and takes any step once the rate is below ETA_FLOOR
+ETA_FLOOR = 1e-12
 
 
 def sigmoid(z):
@@ -96,7 +99,13 @@ class GenericityModel:
 def check_hyperparameters(l2, learning_rate, epochs, threshold) -> None:
     """Reject training settings that cannot train. A non-finite l2 or
     learning rate would pass the range checks and only show as a
-    non-finite loss; a NaN threshold fails ``check_threshold``."""
+    non-finite loss; a NaN threshold fails ``check_threshold``.
+
+    The l2 term's own step scales the weights by ``1 - eta * l2``, which
+    cannot shrink them once ``eta * l2 >= 2``. The smallest rate training
+    reaches is the learning rate halved until it is below ``ETA_FLOOR``,
+    so an l2 of 2 over that rate or more can only grow the weights until
+    the penalty overflows."""
     for name, value in (("l2 penalty", l2), ("learning_rate", learning_rate)):
         if not math.isfinite(value):
             raise InputError(f"{name} must be finite; got {value!r}")
@@ -104,6 +113,14 @@ def check_hyperparameters(l2, learning_rate, epochs, threshold) -> None:
         raise InputError("l2 penalty must be >= 0")
     if learning_rate <= 0 or epochs < 1:
         raise InputError("learning_rate must be > 0 and epochs >= 1")
+    eta = float(learning_rate)
+    while eta >= ETA_FLOOR:
+        eta /= 2.0
+    if l2 * eta >= 2.0:
+        raise InputError(
+            f"l2 penalty must be < {2.0 / eta!r} at learning_rate {learning_rate!r}, "
+            "or the penalty cannot shrink the weights; lower --l2"
+        )
     check_threshold(threshold)
 
 
@@ -156,7 +173,7 @@ def train_logistic(
                         f"non-finite loss (eta={eta}, epoch={len(history)}); "
                         "check feature scaling"
                     )
-                if loss_next <= loss or eta < 1e-12:
+                if loss_next <= loss or eta < ETA_FLOOR:
                     break
                 eta /= 2.0
             w, b, loss, grad_w, grad_b = w_next, b_next, loss_next, gw_next, gb_next

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..classifier.features import tokenize  # unused here; the benchmark tracer wraps it
-from ..errors import SchemaError
+from ..errors import SchemaError, naming_decode_errors
 from .query import QueryAst
 
 GROUPS = ("political", "gender", "ethnic")
@@ -49,9 +49,9 @@ class GroupLexicon:
 def load_group_lexicon(path) -> GroupLexicon:
     """Read ``term<TAB>group[,group]`` lines; ``#`` starts a comment."""
     entries: dict[str, frozenset[str]] = {}
-    for line_number, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    with naming_decode_errors(path):
+        text = Path(path).read_text(encoding="utf-8")
+    for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

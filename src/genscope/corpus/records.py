@@ -20,7 +20,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import SchemaError
+from ..errors import SchemaError, naming_decode_errors
 from .query import QueryAst
 
 logger = logging.getLogger(__name__)
@@ -155,7 +155,9 @@ def ingest(path, on_tweet, query: QueryAst | None = None) -> IngestReport:
     seen_ids: set[str] = set()
     warned_directives: set[str] = set()
     # the same universal-newline split and strict UTF-8 as open(path)
-    with io.TextIOWrapper(io.BufferedReader(hashing), encoding="utf-8") as stream:
+    with naming_decode_errors(path), io.TextIOWrapper(
+        io.BufferedReader(hashing), encoding="utf-8"
+    ) as stream:
         for line in stream:
             line = line.strip()
             if not line:
@@ -207,7 +209,7 @@ def read_jsonl(path):
     A line that is not valid JSON raises SchemaError naming the file and
     line.
     """
-    with open(path, encoding="utf-8") as stream:
+    with naming_decode_errors(path), open(path, encoding="utf-8") as stream:
         for line_number, line in enumerate(stream, start=1):
             line = line.strip()
             if not line:

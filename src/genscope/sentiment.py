@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .classifier.features import tokenize  # unused here; the benchmark tracer wraps it
 from .corpus.records import parse_json_line
-from .errors import InputError, SchemaError
+from .errors import InputError, SchemaError, naming_decode_errors
 
 logger = logging.getLogger(__name__)
 
@@ -23,6 +23,7 @@ NEGATIVE = "negative"
 NEUTRAL = "neutral"
 POSITIVE = "positive"
 SENTIMENTS = (NEGATIVE, NEUTRAL, POSITIVE)
+SOURCES = ("external", "lexicon")
 
 # a mean valence within +-NEUTRAL_BAND is neutral; a negation flips the
 # valence of the NEGATION_WINDOW tokens after it
@@ -38,8 +39,15 @@ class SentimentLabel:
     def __post_init__(self):
         if self.value not in SENTIMENTS:
             raise InputError(f"unknown sentiment {self.value!r}")
-        if self.source not in ("external", "lexicon"):
+        if self.source not in SOURCES:
             raise InputError(f"unknown sentiment source {self.source!r}")
+
+
+# every label the module hands out is one of these six, so a loaded or
+# scored label is a shared reference, not an object per tweet
+LABELS = {
+    (value, source): SentimentLabel(value, source) for value in SENTIMENTS for source in SOURCES
+}
 
 
 @dataclass
@@ -59,9 +67,9 @@ def load_valence_lexicon(path=None) -> ValenceLexicon:
         path = resources.files("genscope.data") / "valence_lexicon.tsv"
     valences: dict[str, float] = {}
     negations: set[str] = set()
-    for line_number, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    with naming_decode_errors(path):
+        text = Path(path).read_text(encoding="utf-8")
+    for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -109,7 +117,7 @@ def lexicon_score(tokens: list[str], lexicon: ValenceLexicon) -> SentimentLabel:
         value = NEGATIVE
     else:
         value = NEUTRAL
-    return SentimentLabel(value=value, source="lexicon")
+    return LABELS[value, "lexicon"]
 
 
 @dataclass
@@ -122,7 +130,7 @@ def load_external_labels(path) -> ExternalLabelReport:
     """JSON Lines of ``{"id": ..., "sentiment": ...}``; bad lines are
     collected per line, duplicates rejected."""
     report = ExternalLabelReport()
-    with open(path, encoding="utf-8") as stream:
+    with naming_decode_errors(path), open(path, encoding="utf-8") as stream:
         for line_number, line in enumerate(stream, start=1):
             line = line.strip()
             if not line:
@@ -148,7 +156,7 @@ def load_external_labels(path) -> ExternalLabelReport:
             if tweet_id in report.labels:
                 report.rejected.append((line_number, "duplicate id"))
                 continue
-            report.labels[tweet_id] = SentimentLabel(value=sentiment, source="external")
+            report.labels[tweet_id] = LABELS[sentiment, "external"]
     return report
 
 

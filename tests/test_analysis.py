@@ -25,7 +25,7 @@ from genscope.analysis import (
     run_analysis,
 )
 from genscope.classifier import GenericityClassifier, predict_score, save_model, stack_features
-from genscope.classifier.features import LEXER_RE
+from genscope.classifier.features import LEXER_RE, TOKEN_RE
 from genscope.cli import main
 from genscope.corpus import GROUPS, ingest, lang_matches, load_query, write_jsonl
 from genscope.errors import InputError, SchemaError
@@ -548,6 +548,8 @@ class TestSinglePass:
     keeps only numbers per analysed tweet."""
 
     def test_lex_once_per_tweet_that_passes_lang(self, monkeypatch, tmp_path):
+        # annotator mode walks LEXER_RE in normalize; model mode walks
+        # TOKEN_RE in tokenize
         texts = []
 
         class CountingLexer:
@@ -555,8 +557,14 @@ class TestSinglePass:
                 texts.append(text)
                 return LEXER_RE.finditer(text)
 
-        for module in ("genscope.classifier.features", "genscope.annotator.normalize"):
-            monkeypatch.setattr(importlib.import_module(module), "LEXER_RE", CountingLexer())
+            def findall(self, text):
+                texts.append(text)
+                return TOKEN_RE.findall(text)
+
+        for module, name in (("genscope.classifier.features", "LEXER_RE"),
+                             ("genscope.classifier.features", "TOKEN_RE"),
+                             ("genscope.annotator.normalize", "LEXER_RE")):
+            monkeypatch.setattr(importlib.import_module(module), name, CountingLexer())
         query = load_query(resources.files("genscope.data") / "default_query.txt")
         tweets = []
         ingest(str(BUNDLED_CORPUS), tweets.append, query)

@@ -13,8 +13,9 @@ the damage reaches the parser, and ``reproduce --tables`` gets the bundled
 tables with one line replaced. ``analyze``'s query, group lexicon,
 config and external-sentiment files get one line (for the one-line query,
 one word) damaged, and so do its valence lexicon and model file, whose
-damaged line may also be raw bytes that are not UTF-8; a run that exits 0
-must write the same report.json when run again. ``main`` runs in-process; any exception other than
+damaged line may also be raw bytes that are not UTF-8; the error of a
+side input names its path, and for bytes that are not UTF-8 its line. A
+run that exits 0 must write the same report.json when run again. ``main`` runs in-process; any exception other than
 ``SystemExit`` fails the test.
 """
 
@@ -523,10 +524,14 @@ DIRECTORY = "a directory"  # a side input path that names a directory
         ("--valence-lexicon", DIRECTORY),
         ("--model", "garbage text\n"),
         ("--model", random.Random(7).randbytes(64)),
+        ("--group-lexicon", b"democrats\tpolitical\ncaf\xe9\tgender\n"),
+        ("--query", b"\n(democrats OR caf\xe9)\n"),
+        ("--config", b"seed = 1\n# caf\xe9\n"),
     ],
     ids=["corrupt-model", "missing-labels", "labels-not-utf8", "missing-lexicon", "bad-valence",
          "nan-valence", "overflowing-valence", "lexicon-line-without-tab", "lexicon-not-utf8",
-         "lexicon-directory", "garbage-model", "random-bytes-model"],
+         "lexicon-directory", "garbage-model", "random-bytes-model", "group-lexicon-not-utf8",
+         "query-not-utf8", "config-not-utf8"],
 )
 def test_bad_side_input_fails_before_the_corpus(tmp_path, corpus_never_read, flag, content):
     path = tmp_path / "side_input"
@@ -538,7 +543,15 @@ def test_bad_side_input_fails_before_the_corpus(tmp_path, corpus_never_read, fla
         path.write_bytes(content)
     out = tmp_path / "side_out"
     argv = ["analyze", "--corpus", corpus_never_read, flag, str(path), "--out", str(out)]
-    assert quiet_exit_code(argv) == 2
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+        assert exit_code(argv) == 2
+    assert str(path) in stderr.getvalue()
+    if isinstance(content, bytes) and b"caf\xe9" in content:
+        line = content[: content.index(b"\xe9")].count(b"\n") + 1
+        assert stderr.getvalue() == (
+            f"error: {path}:{line}: not UTF-8: invalid continuation byte (byte 0xe9)\n"
+        )
     assert not out.exists()
 
 

@@ -1,18 +1,27 @@
+from array import array
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import genscope.analysis
+from genscope.analysis import ModelScorer
 from genscope.classifier import (
     EMOJI_TOKEN,
     URL_TOKEN,
     BagOfWordsVectorizer,
     CsrMatrix,
     GenericityClassifier,
+    GenericityModel,
+    Vocabulary,
     build_vocab,
+    csr_from_columns,
     features,
     loss_and_gradient,
+    predict_score,
+    save_model,
+    stack_features,
     tokenize,
     vectorize_bow,
 )
@@ -131,7 +140,7 @@ class TestOnePass:
         assert x.shape == (len(texts), len(vocab))
         assert (x.indptr.dtype, x.indices.dtype, x.data.dtype) == (np.intp, np.intp, float)
         assert (x.indptr.tolist(), x.indices.tolist(), x.data.tolist()) == expected
-        # transform still counts per text; the two must agree
+        # transform maps the tokens through the fitted vocabulary; the two must agree
         again = v.transform(texts)
         for name in ("indptr", "indices", "data", "rows"):
             assert getattr(again, name).tolist() == getattr(x, name).tolist()
@@ -159,6 +168,84 @@ class TestOnePass:
         ):
             with pytest.raises(InputError, match="min_count must be >= 1"):
                 call()
+
+# a vocabulary of four tokens; "x" and "y" are out of it
+BUILDER_VOCAB = Vocabulary(index={"b": 0, "a": 1, "d": 2, "c": 3}, min_count=1)
+BUILDER_ROWS = st.lists(st.sampled_from(["a", "b", "c", "d", "x", "y"]), max_size=9)
+
+
+def _same_csr(got, expected):
+    for name in ("indptr", "indices", "data", "rows"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert (a.dtype, a.tolist()) == (b.dtype, b.tolist()), name
+    assert got.shape == expected.shape
+
+
+def _columns(token_lists, vocab):
+    columns, ends = array("q"), array("q")
+    for tokens in token_lists:
+        columns.extend(vocab.index.get(t, -1) for t in tokens)
+        ends.append(len(columns))
+    return columns, ends
+
+
+class TestCsrFromColumns:
+    """The one CSR builder behind ``fit_transform``, ``transform`` and the
+    model scorer gives, row for row, the CSR that ``stack_features`` makes
+    of ``vectorize_bow``'s per-text (column, count) pairs."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(rows=st.lists(BUILDER_ROWS, max_size=20), rows_per_block=st.integers(1, 7))
+    def test_matches_vectorize_bow_rows(self, rows, rows_per_block):
+        # empty rows, rows of out-of-vocabulary tokens only, repeated
+        # tokens, and block boundaries anywhere among them
+        expected = stack_features((vectorize_bow(r, BUILDER_VOCAB) for r in rows), 4)
+        with mock.patch.object(features, "ROWS_PER_BLOCK", rows_per_block):
+            _same_csr(csr_from_columns(*_columns(rows, BUILDER_VOCAB), 4), expected)
+
+    def test_rows_across_whole_blocks(self):
+        # three full blocks and a partial one, with an empty and an
+        # all-out-of-vocabulary row on each side of every boundary
+        rows = [["a", "c", "a"], [], ["x", "y"], ["d", "b", "d", "x"]] * (
+            features.ROWS_PER_BLOCK - 1
+        )
+        expected = stack_features((vectorize_bow(r, BUILDER_VOCAB) for r in rows), 4)
+        _same_csr(csr_from_columns(*_columns(rows, BUILDER_VOCAB), 4), expected)
+
+    def test_no_rows(self):
+        x = csr_from_columns(array("q"), array("q"), 4)
+        _same_csr(x, stack_features([], 4))
+
+    def test_transform_uses_it(self, monkeypatch):
+        calls = []
+
+        def builder(*args):
+            calls.append(args)
+            return csr_from_columns(*args)
+
+        monkeypatch.setattr(features, "csr_from_columns", builder)
+        v = BagOfWordsVectorizer(min_count=1)
+        v.fit_transform(["a b", "b"])
+        v.transform(["b c", ""])
+        assert len(calls) == 2
+
+    def test_model_scorer_across_chunks(self, tmp_path, monkeypatch):
+        model = GenericityModel(
+            weights=np.array([0.5, -1.25, 2.0, 0.1]), bias=-0.3, vocab=BUILDER_VOCAB
+        )
+        save_model(model, tmp_path / "model.txt")
+        rows = [["a", "a", "b"], [], ["y"], ["c", "d", "x", "c"], ["b"]] * 3
+        expected = stack_features((vectorize_bow(r, BUILDER_VOCAB) for r in rows), 4)
+        want = predict_score(model, expected).tolist()
+        for chunk in (1, 4, 5, len(rows), len(rows) + 1):
+            monkeypatch.setattr(genscope.analysis, "CHUNK", chunk)
+            scorer = ModelScorer(tmp_path / "model.txt")
+            scores = []
+            for r in rows:
+                scorer.add(r, scores.append)
+            scorer.flush()
+            assert scores == want
+
 
 def _csr(dense):
     """Reference CSR built row by row from a dense matrix."""

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from genscope.annotator import RuleAnnotator, WordTable, normalize
 from genscope.annotator.normalize import WORD
 from genscope.classifier import tokenize
-from genscope.classifier.features import LEXER_RE
+from genscope.classifier.features import LEXER_RE, TOKEN_RE
 from oracles import normalize_oracle, tokenize_oracle
 
 PIECES = [
@@ -116,7 +116,39 @@ def test_whitespace_guard_drops_no_match():
     # newline; without it, no alternative matches at such a character either
     unguarded = re.compile(LEXER_RE.pattern.removeprefix(r"(?=\S|\n)"))
     assert unguarded.pattern != LEXER_RE.pattern
-    every_char = "".join(map(chr, range(sys.maxunicode + 1)))
-    spaces = set(re.findall(r"\s", every_char)) - {"\n"}
+    spaces = set(SPACES) - {"\n"}
     assert len(spaces) > 20
     assert [c for c in sorted(spaces) if unguarded.match(c + "x")] == []
+
+
+# tokenize's findall pattern leaves out the kinds that make no token; the
+# characters of those kinds, next to the first characters of the token
+# kinds, then emoji beside letters and every whitespace character
+SPACES = re.findall(r"\s", "".join(map(chr, range(sys.maxunicode + 1))))
+SKIPPED = ["_", "__", "-", "—", "–", "'", "’", ".", "!", "?", ";", ":", "=", ",", '"', "“", "”"]
+STARTS = ["x", "É", "中", "7", "h", "w", "www.", "WwW.", "http://", "https://", "\U0001F600",
+          "➀", "■"]
+BOUNDARIES = ["__x", "--x", "'x", ".www.x", "a:http://b", "a\U0001F600b", "\U0001F600a",
+              "a➀", "➀a", "x’y", "x'", "www.", "http:", "_x_", "a.b", "a:b"]
+boundary_texts = st.lists(
+    st.sampled_from(SKIPPED + STARTS + BOUNDARIES + SPACES), max_size=16
+).map("".join)
+
+
+def check_token_pattern(text):
+    kept = [m.group() for m in LEXER_RE.finditer(text) if m.lastgroup in ("url", "emoji", "word")]
+    assert TOKEN_RE.findall(text) == kept
+    tokens = tokenize_oracle(text)
+    assert tokenize(text) == tokens
+    assert normalize(text, ANNOTATOR.words)[0] == tokens
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(boundary_texts)
+def test_token_pattern_finds_the_lexers_tokens(text):
+    check_token_pattern(text)
+
+
+@pytest.mark.parametrize("text", BOUNDARIES + ["".join(SPACES) + "x" + "".join(SPACES)])
+def test_token_pattern_at_kind_boundaries(text):
+    check_token_pattern(text)

@@ -3,6 +3,7 @@ import pytest
 from genscope.classifier import tokenize
 from genscope.errors import InputError, SchemaError
 from genscope.sentiment import (
+    LABELS,
     SentimentLabel,
     SentimentProvider,
     ValenceLexicon,
@@ -50,6 +51,10 @@ class TestLexiconScore:
     def test_source_marked_lexicon(self, lexicon):
         assert lexicon_score(tokenize("great"), lexicon).source == "lexicon"
 
+    def test_labels_are_the_shared_constants(self, lexicon):
+        for text, value in (("great", "positive"), ("awful", "negative"), ("", "neutral")):
+            assert lexicon_score(tokenize(text), lexicon) is LABELS[value, "lexicon"]
+
 
 def _labels(tmp_path, text):
     path = tmp_path / "labels.jsonl"
@@ -62,6 +67,14 @@ class TestExternalLabels:
         report = _labels(tmp_path, '{"id": "1", "sentiment": "negative"}\n')
         assert report.labels["1"] == SentimentLabel("negative", "external")
         assert report.rejected == []
+
+    def test_labels_are_the_shared_constants(self, tmp_path):
+        report = _labels(tmp_path, "".join(
+            f'{{"id": "{i}", "sentiment": "{s}"}}\n'
+            for i, s in enumerate(["negative", "positive", "negative", "neutral"])
+        ))
+        assert len(report.labels) == 4
+        assert all(label is LABELS[label.value, "external"] for label in report.labels.values())
 
     def test_unknown_sentiment_rejected(self, tmp_path):
         report = _labels(tmp_path, '{"id": "1", "sentiment": "angry"}\n')
