@@ -17,15 +17,16 @@ EMOJI_TOKEN = "EMOJI"
 
 # pictographs, emoticons, transport, supplemental symbols, dingbats,
 # misc symbols, geometric shapes (media-player glyphs appear in tweets)
-_EMOJI_RANGES = (
-    (0x1F000, 0x1FAFF),
-    (0x2600, 0x27BF),
-    (0x2B00, 0x2BFF),
-    (0x25A0, 0x25FF),
-    (0x1F1E6, 0x1F1FF),
+_EMOJI = (
+    "["
+    "\U0001F000-\U0001FAFF"
+    "☀-➿"
+    "⬀-⯿"
+    "■-◿"
+    "\U0001F1E6-\U0001F1FF"
+    "]"
 )
-_EMOJI = "[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES) + "]"
-_EMOJI_CHARS = frozenset(chr(c) for lo, hi in _EMOJI_RANGES for c in range(lo, hi + 1))
+_EMOJI_RE = re.compile(_EMOJI)
 
 # The one grammar: each kind's pattern, in priority order (at each position
 # the first alternative that matches wins; characters no alternative
@@ -66,7 +67,7 @@ def tokenize(text: str) -> list[str]:
     word that starts with one loses to the emoji alternative)."""
     return [
         URL_TOKEN if "." in t or ":" in t
-        else EMOJI_TOKEN if t in _EMOJI_CHARS
+        else EMOJI_TOKEN if len(t) == 1 and _EMOJI_RE.match(t)
         else t.lower().replace("’", "'")
         for t in TOKEN_RE.findall(text or "")
     ]
