@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .annotator import RuleAnnotator
+from .errors import naming_decode_errors
 
 PROMPT = "[enter]=accept suggestion  g=generic  n=non-generic  s=skip  q=quit > "
 
@@ -30,7 +31,9 @@ def _existing_ids(path: Path) -> set[str]:
     ids: set[str] = set()
     if not path.exists():
         return ids
-    for line in path.read_text(encoding="utf-8").splitlines():
+    with naming_decode_errors(path):
+        text = path.read_text(encoding="utf-8")
+    for line in text.splitlines():
         line = line.strip()
         if not line:
             continue

@@ -122,3 +122,19 @@ def test_resume_skips_lines_without_a_string_id(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in stderr
     assert "labeled 1 tweets (skipped 0, already done 1)" in stdout
     assert "[t0]" not in stdout and "[t1]" in stdout
+
+
+def test_resume_file_not_utf8_names_its_line(tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(
+        [{"id": "t0", "text": "Men can cook", "like_count": 0, "retweet_count": 0, "lang": "en"}],
+        corpus,
+    )
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "labeled.jsonl").write_bytes(b'{"id": "t9", "label": 1}\n{"id": "caf\xe9"}\n')
+    monkeypatch.setattr(sys, "stdin", io.StringIO("g\n"))
+    assert main(["label", "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {out / 'labeled.jsonl'}:2: not UTF-8: invalid continuation byte (byte 0xe9)\n"
+    )
