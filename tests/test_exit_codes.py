@@ -546,6 +546,7 @@ def test_bad_side_input_fails_before_the_corpus(tmp_path, corpus_never_read, fla
     stderr = io.StringIO()
     with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
         assert exit_code(argv) == 2
+    assert "Traceback" not in stderr.getvalue()
     assert str(path) in stderr.getvalue()
     if isinstance(content, bytes) and b"caf\xe9" in content:
         line = content[: content.index(b"\xe9")].count(b"\n") + 1

@@ -204,11 +204,10 @@ class TestCsrFromColumns:
             _same_csr(csr_from_columns(*_columns(rows, BUILDER_VOCAB), 4), expected)
 
     def test_rows_across_whole_blocks(self):
-        # three full blocks and a partial one, with an empty and an
-        # all-out-of-vocabulary row on each side of every boundary
-        rows = [["a", "c", "a"], [], ["x", "y"], ["d", "b", "d", "x"]] * (
-            features.ROWS_PER_BLOCK - 1
-        )
+        # three full blocks and a partial one; the five-row pattern puts a
+        # different kind of row (empty, all out of vocabulary, repeated
+        # tokens) on each side of each block boundary
+        rows = [["a", "c", "a"], [], ["x", "y"], ["d", "b", "d", "x"], ["c"]] * 700
         expected = stack_features((vectorize_bow(r, BUILDER_VOCAB) for r in rows), 4)
         _same_csr(csr_from_columns(*_columns(rows, BUILDER_VOCAB), 4), expected)
 
