@@ -85,57 +85,73 @@ class _HashingReader(io.RawIOBase):
         super().close()
 
 
+# one decoder for every line, called without json.loads' two wrappers
+_DECODER = json.JSONDecoder()
+
+
 def parse_json_line(line: str):
-    """``json.loads``, whose ValueError reads as a rejection reason:
-    ``invalid JSON: <what>``, or one reason for every integer past
-    Python's limit on the digits of an int, whatever its length."""
+    """``json.loads`` of a line already stripped of whitespace, whose
+    ValueError reads as a rejection reason: ``invalid JSON: <what>``, or
+    one reason for every integer past Python's limit on the digits of an
+    int, whatever its length.
+
+    One ``raw_decode`` call does the work; the two errors ``json.loads``
+    adds around it, a leading byte order mark and data after the value,
+    are raised here with its messages."""
+    if line.startswith("\ufeff"):
+        raise ValueError("invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)")
     try:
-        return json.loads(line)
+        obj, end = _DECODER.raw_decode(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc.msg}") from None
     except ValueError:
         raise ValueError("integer of over 4300 digits") from None
+    if end != len(line):
+        raise ValueError("invalid JSON: Extra data")
+    return obj
 
 
-def _parse_record(obj: dict) -> Tweet:
-    if not isinstance(obj, dict):
+def _parse_record(obj) -> Tweet:
+    # the decoder makes no subclass of str, int or dict, so exact type
+    # tests are isinstance tests that also tell a bool from an int
+    if type(obj) is not dict:
         raise ValueError("record must be a JSON object")
 
     tweet_id = obj.get("id")
-    if not isinstance(tweet_id, str) or not tweet_id:
+    if type(tweet_id) is not str or not tweet_id:
         raise ValueError("missing or empty id")
 
     text = obj.get("text")
-    if not isinstance(text, str) or not text.strip():
+    if type(text) is not str or not text or text.isspace():
         raise ValueError("missing or empty text")
 
-    counts = {}
-    for key in ("like_count", "retweet_count"):
-        value = obj.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"missing or non-integer {key}")
-        if value < 0:
-            raise ValueError("negative count")
-        if value > MAX_EXACT_COUNT:
-            raise ValueError("count above 2**53")
-        counts[key] = value
+    likes = obj.get("like_count")
+    _check_count(likes, "like_count")
+    retweets = obj.get("retweet_count")
+    _check_count(retweets, "retweet_count")
 
     lang = obj.get("lang")
-    if not isinstance(lang, str) or not lang:
+    if type(lang) is not str or not lang:
         raise ValueError("missing or empty lang")
 
     sensitive = obj.get("possibly_sensitive", False)
-    if not isinstance(sensitive, bool):
+    if type(sensitive) is not bool:
         raise ValueError("possibly_sensitive must be boolean")
 
     created_at = obj.get("created_at")
-    if created_at is not None and not isinstance(created_at, str):
+    if created_at is not None and type(created_at) is not str:
         raise ValueError("created_at must be a string")
 
-    return Tweet(
-        id=tweet_id, text=text, **counts, lang=lang,
-        possibly_sensitive=sensitive, created_at=created_at,
-    )
+    return Tweet(tweet_id, text, likes, retweets, lang, sensitive, created_at)
+
+
+def _check_count(value, key: str) -> None:
+    if type(value) is not int:
+        raise ValueError(f"missing or non-integer {key}")
+    if value < 0:
+        raise ValueError("negative count")
+    if value > MAX_EXACT_COUNT:
+        raise ValueError("count above 2**53")
 
 
 def ingest(path, on_tweet, query: QueryAst | None = None) -> IngestReport:
@@ -151,9 +167,19 @@ def ingest(path, on_tweet, query: QueryAst | None = None) -> IngestReport:
     except OSError as exc:
         raise SchemaError(f"cannot read corpus: {exc}") from exc
 
+    # each directive as (field, negated, rejection reason), made once; a
+    # field's warning is logged the first time a record reaching it lacks it
+    directives = []
+    unwarned: dict[str, str] = {}
+    for op in query.operators if query is not None else ():
+        key = _DIRECTIVE_KEYS[op.name]
+        directives.append((key, op.negated, f"filtered by {op.render()}"))
+        unwarned.setdefault(key, op.render())
+
     report = IngestReport()
+    rejected = report.rejected
+    accepted = 0
     seen_ids: set[str] = set()
-    warned_directives: set[str] = set()
     # the same universal-newline split and strict UTF-8 as open(path)
     with naming_decode_errors(path), io.TextIOWrapper(
         io.BufferedReader(hashing), encoding="utf-8"
@@ -166,41 +192,34 @@ def ingest(path, on_tweet, query: QueryAst | None = None) -> IngestReport:
                 obj = parse_json_line(line)
                 tweet = _parse_record(obj)
             except ValueError as exc:
-                report.rejected[str(exc)] += 1
+                rejected[str(exc)] += 1
                 continue
 
             if tweet.id in seen_ids:
-                report.rejected["duplicate id"] += 1
+                rejected["duplicate id"] += 1
                 continue
 
-            if query is not None:
-                verdict = _apply_directives(obj, query, warned_directives)
-                if verdict is not None:
-                    report.rejected[verdict] += 1
-                    continue
+            verdict = None
+            for key, negated, reason in directives:
+                if key in obj:
+                    if bool(obj[key]) == negated:
+                        verdict = reason
+                        break
+                elif key in unwarned:
+                    logger.warning(
+                        "directive %s skipped: records lack the %r field",
+                        unwarned.pop(key), key,
+                    )
+            if verdict is not None:
+                rejected[verdict] += 1
+                continue
 
             seen_ids.add(tweet.id)
-            report.accepted_count += 1
+            accepted += 1
             on_tweet(tweet)
+    report.accepted_count = accepted
     report.sha256 = hashing.hash.hexdigest()
     return report
-
-
-def _apply_directives(obj: dict, query: QueryAst, warned: set[str]) -> str | None:
-    """Returns a rejection reason when a directive filters this record."""
-    for op in query.operators:
-        key = _DIRECTIVE_KEYS[op.name]
-        if key not in obj:
-            if op.name not in warned:
-                warned.add(op.name)
-                logger.warning(
-                    "directive %s skipped: records lack the %r field",
-                    op.render(), key,
-                )
-            continue
-        if bool(obj[key]) == op.negated:
-            return f"filtered by {op.render()}"
-    return None
 
 
 def read_jsonl(path):

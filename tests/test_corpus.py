@@ -1,9 +1,11 @@
 import hashlib
 import json
+import logging
 import random
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genscope.analysis import AnalysisConfig, run_analysis
 from genscope.classifier import tokenize
@@ -19,6 +21,7 @@ from genscope.corpus import (
     partition,
     write_jsonl,
 )
+from genscope.corpus.records import parse_json_line
 from genscope.errors import SchemaError
 
 
@@ -138,6 +141,36 @@ class TestIngest:
         assert [t.id for t in tweets] == ["2", "3"]
         assert list(report.rejected)[0] == "filtered by -is:retweet"
 
+    def test_missing_directive_field_warns_once_from_the_first_record_reaching_it(
+        self, tmp_path, caplog
+    ):
+        # a record rejected by an earlier directive never reaches a later
+        # one, so it does not warn about that one's field; two directives
+        # on one field warn once, as the first of them
+        ast = parse_query("(democrats) -is:retweet -has:links -is:reply is:reply")
+        events = []
+        caplog.set_level(logging.WARNING, logger="genscope.corpus.records")
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl([
+            _record(1, is_retweet=True),
+            _record(2, is_retweet=False, has_links=True),
+            _record(3, is_retweet=False),
+            _record(4),
+        ], path)
+
+        def on_tweet(tweet):
+            events.extend(r.getMessage() for r in caplog.records)
+            caplog.clear()
+            events.append(tweet.id)
+
+        report = ingest(path, on_tweet, ast)
+        lacks = "directive {} skipped: records lack the '{}' field".format
+        assert events == [
+            lacks("-has:links", "has_links"), lacks("-is:reply", "is_reply"), "3",
+            lacks("-is:retweet", "is_retweet"), "4",
+        ]
+        assert report.rejected == {"filtered by -is:retweet": 1, "filtered by -has:links": 1}
+
     def test_bool_not_accepted_as_count(self, tmp_path):
         report, _ = _ingest(tmp_path, [_record(1, like_count=True)])
         assert report.accepted_count == 0
@@ -170,6 +203,63 @@ def test_on_tweet_takes_the_accepted_tweets(tmp_path):
     report, seen = _ingest(tmp_path, [_record(1), _record(1), _record(2)])
     assert [t.id for t in seen] == ["1", "2"]
     assert (report.accepted_count, report.rejected_count) == (2, 1)
+
+
+def _as_json_loads(line):
+    """What ``parse_json_line`` must give for ``line``: ``json.loads``'
+    object, or its error as a rejection reason (both through ``repr``, so
+    NaN, -0.0, int vs float and key order all count)."""
+    try:
+        return repr(json.loads(line))
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON: {exc.msg}"
+    except ValueError:
+        return "integer of over 4300 digits"
+
+
+def _parsed(line):
+    try:
+        return repr(parse_json_line(line))
+    except ValueError as exc:
+        return str(exc)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# the characters JSON is made of, plus a BOM, a control character, letters
+# and non-JSON whitespace
+_JSONISH_CHARS = '{}[]",:0123456789-+.eE tfnrualsNIiy\\\ufeff\x01\x0b\u2028\u00e9x'
+
+
+class TestParseJsonLine:
+    """One ``raw_decode`` call gives what ``json.loads`` gives on a stripped
+    line: the same object, or the same rejection reason."""
+
+    @pytest.mark.parametrize("line", [
+        "", "x", "{}{}", "1 2", "[1,]", '{"a" 1}', "\ufeff{}", "\ufeff", '"a\x01b"',
+        "NaN", "[NaN, -Infinity, 1e400, -0.0]", "nul", "9" * 4301, "-" + "9" * 4301,
+        '{"a": 1} x', '{"a": 1}\u2028', '{"a": 1, "a": 2}', '"\\ud800"', "[]]",
+    ])
+    def test_edge_lines(self, line):
+        assert _parsed(line) == _as_json_loads(line)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
+    @given(st.one_of(
+        st.text(alphabet=_JSONISH_CHARS, max_size=24),
+        _JSON_VALUES.map(json.dumps),
+        _JSON_VALUES.map(lambda value: "\ufeff" + json.dumps(value)),
+        # a valid document with a few characters spliced in
+        st.tuples(
+            _JSON_VALUES.map(json.dumps), st.integers(0, 40),
+            st.text(alphabet=_JSONISH_CHARS, min_size=1, max_size=3),
+        ).map(lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:]),
+    ))
+    def test_matches_json_loads(self, text):
+        line = text.strip()  # every caller strips the line first
+        assert _parsed(line) == _as_json_loads(line)
 
 
 class TestMatchGroups:
