@@ -11,7 +11,16 @@ import os
 # and 1-D dot products, so an OpenBLAS thread pool only costs start-up time
 # (about 70 ms), and a pool split of a long dot product would make its last
 # bits depend on the host's CPU count. A value the user set still wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# OpenBLAS reads the variable only when numpy loads it, so it is set just
+# for that import and the caller's environment is left as it was.
+if "OPENBLAS_NUM_THREADS" in os.environ:
+    import numpy
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 __version__ = "0.1.0"
 

@@ -172,6 +172,22 @@ def _bin_edges(width: float) -> list[float]:
     return [round(i * width, 10) for i in range(int(round(1.0 / width)))]
 
 
+def _median(values: np.ndarray) -> float | None:
+    """``np.median`` of a 1-D float array, bit for bit, or None when it is
+    empty: the mean of the middle one or two values of one partition, or
+    NaN when the last value, where a NaN sorts, is one. ``np.median`` does
+    the same, but its NaN test imports ``numpy.ma`` into the process."""
+    n = values.size
+    if not n:
+        return None
+    half = n // 2
+    kth = [half, -1] if n % 2 else [half - 1, half, -1]
+    part = np.partition(values, kth)
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(part[kth[0]:half + 1].mean())
+
+
 def _histogram(scores, bin_width: float) -> list[list[float]]:
     """(bin left edge, count) rows over [0, 1]; the last bin includes 1.0.
 
@@ -394,8 +410,8 @@ def _descriptives(columns: dict, tally: Counter, config: AnalysisConfig) -> dict
         hists[g] = _histogram(scores, config.histogram_bin_width)
         generic_scores = scores[columns[g].generic(config.threshold)]
         medians[g] = {
-            "all": float(np.median(scores)) if scores.size else None,
-            "generic": float(np.median(generic_scores)) if generic_scores.size else None,
+            "all": _median(scores),
+            "generic": _median(generic_scores),
         }
     return {
         "analyzed_tweets": n,

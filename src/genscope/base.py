@@ -51,7 +51,7 @@ def check_binary_labels(labels, name="labels"):
     arr = np.asarray(labels)
     if arr.ndim != 1:
         raise InputError(f"{name} must be 1-D")
-    bad = set(np.unique(arr)) - {0, 1}
+    bad = set(arr.tolist()) - {0, 1}
     if bad:
         raise InputError(f"{name} must be 0/1; found {sorted(bad)}")
     return arr.astype(np.int64)

@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import re
+import struct
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -19,6 +20,7 @@ import genscope.analysis
 from genscope.analysis import (
     AnalysisConfig,
     _histogram,
+    _median,
     load_published_tables,
     recompute_check,
     reproduce_published,
@@ -541,6 +543,36 @@ class TestHistogram:
         for sample in (scores, [], [0.0], [-0.0] * 5, [1.0] * 5):
             want = histogram_oracle(sample, width)
             assert _histogram(np.array(sample, dtype=float), width) == want
+
+
+class TestMedian:
+    """``_median`` gives np.median's bits without importing numpy.ma."""
+
+    @staticmethod
+    def _bits(x):
+        return struct.pack("<d", x)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(st.data())
+    def test_matches_np_median(self, data):
+        n = data.draw(st.integers(1, 40))
+        values = data.draw(st.one_of(
+            st.lists(st.floats(allow_nan=False), min_size=n, max_size=n),
+            # ties, and the 0/1 scores of annotator mode
+            st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n),
+            st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5]), min_size=n, max_size=n),
+            # model scores: sigmoids, many of them 1/(1+e^-b) of the bias alone
+            st.lists(st.floats(-40, 40).map(lambda z: 1 / (1 + math.exp(-z)))
+                     | st.just(1 / (1 + math.exp(-0.7))), min_size=n, max_size=n),
+            st.lists(st.floats(), min_size=n, max_size=n),  # with NaN and inf
+        ))
+        arr = np.array(values, dtype=float)
+        copy = arr.copy()
+        assert self._bits(_median(arr)) == self._bits(float(np.median(arr)))
+        assert arr.tobytes() == copy.tobytes()  # the input is not reordered
+
+    def test_empty_is_none(self):
+        assert _median(np.array([], dtype=float)) is None
 
 
 class TestSinglePass:

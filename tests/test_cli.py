@@ -614,7 +614,23 @@ class TestLabelCommand:
 
 class TestBlasThreads:
     """Importing genscope starts numpy with one OpenBLAS thread unless the
-    caller chose a count."""
+    caller chose a count, and leaves the caller's environment as it was."""
+
+    # run in a fresh process: prints OpenBLAS's own thread count, read
+    # through the library numpy loaded (whose symbols carry a build-specific
+    # prefix and suffix), and whether the environment stayed as it was
+    PROBE = (
+        "import ctypes, glob, os\n"
+        "before = dict(os.environ)\n"
+        "import genscope, numpy\n"
+        "libs = os.path.dirname(numpy.__file__) + '.libs'\n"
+        "blas = ctypes.CDLL(glob.glob(os.path.join(libs, '*openblas*'))[0])\n"
+        "names = [p + 'openblas_get_num_threads' + s\n"
+        "         for p in ('', 'scipy_') for s in ('', '64_')]\n"
+        "get = next(getattr(blas, n) for n in names if hasattr(blas, n))\n"
+        "get.argtypes, get.restype = [], ctypes.c_int\n"
+        "print(get(), dict(os.environ) == before)\n"
+    )
 
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
     def test_openblas_threads_default(self, preset, expected):
@@ -623,11 +639,42 @@ class TestBlasThreads:
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import genscope, os; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            [sys.executable, "-c", self.PROBE],
             env=env, capture_output=True, text=True, check=True,
         )
-        assert proc.stdout == f"{expected}\n"
+        threads, unchanged = proc.stdout.split()
+        assert threads == str(min(int(expected), os.cpu_count()))
+        assert unchanged == "True"
+
+
+class TestNoMaskedArrays:
+    """No command imports ``numpy.ma`` (about 11 ms a process): np.median and a
+    bare np.unique would, to test for a masked array."""
+
+    def test_commands_leave_numpy_ma_unimported(self, tmp_path):
+        texts, labels = generate_training_texts(n=300, seed=5)
+        write_jsonl(({"text": t, "label": l} for t, l in zip(texts, labels)),
+                    tmp_path / "labeled.jsonl")
+        probe = (
+            "import sys\n"
+            "from genscope.cli import main\n"
+            f"corpus = {BUNDLED_CORPUS!r}\n"
+            "for argv in (\n"
+            "    ['train', '--labeled', 'labeled.jsonl', '--model-out', 'model.txt',\n"
+            "     '--epochs', '5'],\n"
+            "    ['eval', '--labeled', 'labeled.jsonl', '--model', 'model.txt'],\n"
+            "    ['analyze', '--corpus', corpus, '--out', 'a'],\n"
+            "    ['analyze', '--corpus', corpus, '--model', 'model.txt', '--out', 'm'],\n"
+            "):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(genscope.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        )
+        assert proc.stderr.splitlines()[-1] == "False"
 
 
 class TestReproduce:

@@ -58,3 +58,16 @@ def test_single_class_rejected():
 
 def test_tied_scores_get_half_credit():
     assert roc_auc([0.5, 0.5], [1, 0]) == 0.5
+
+
+@pytest.mark.parametrize("labels, found", [
+    ([0, 2, 1, 2, -1], "[-1, 2]"), ([0.0, 0.5], "[0.5]"), ([True, False], None),
+])
+def test_labels_other_than_0_and_1_are_named(labels, found):
+    scores = [0.5] * len(labels)
+    if found is None:
+        assert roc_auc(scores, labels) == 0.5
+    else:
+        with pytest.raises(InputError) as info:
+            roc_auc(scores, labels)
+        assert str(info.value) == f"labels must be 0/1; found {found}"
