@@ -46,8 +46,13 @@ def naming_decode_errors(path):
                 try:
                     raw.decode("utf-8")
                 except UnicodeDecodeError as exc:
-                    raise SchemaError(
-                        f"{path}:{line_number}: not UTF-8: {exc.reason} "
-                        f"(byte 0x{raw[exc.start]:02x})"
-                    ) from None
+                    raise not_utf8(path, line_number, raw, exc) from None
         raise SchemaError(f"{path}: not UTF-8") from None
+
+
+def not_utf8(path, line_number: int, raw: bytes, exc: UnicodeDecodeError) -> SchemaError:
+    """The error for line ``line_number`` of ``path``, whose bytes ``raw``
+    failed to decode with ``exc``."""
+    return SchemaError(
+        f"{path}:{line_number}: not UTF-8: {exc.reason} (byte 0x{raw[exc.start]:02x})"
+    )

@@ -8,13 +8,15 @@ skips ids that are already labeled.
 
 from __future__ import annotations
 
+import codecs
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .annotator import RuleAnnotator
-from .errors import naming_decode_errors
+from .corpus.records import parse_json_line
+from .errors import not_utf8
 
 PROMPT = "[enter]=accept suggestion  g=generic  n=non-generic  s=skip  q=quit > "
 
@@ -27,23 +29,35 @@ class LabelSessionResult:
     path: Path
 
 
-def _existing_ids(path: Path) -> set[str]:
+def _existing_ids(path: Path) -> tuple[set[str], bool]:
+    """The ids already labeled in ``path``, and whether it ends in a torn
+    line: one with no newline, left by a crash mid-write and skipped
+    unread. A line cut inside a character is skipped too, as a torn line
+    that a later session ended with a newline. Any other line that is not
+    UTF-8 is an error naming it; one that is not a JSON object with a
+    string id is skipped."""
     ids: set[str] = set()
-    if not path.exists():
-        return ids
-    with naming_decode_errors(path):
-        text = path.read_text(encoding="utf-8")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return ids, False
+    *lines, torn = data.split(b"\n")
+    for line_number, raw in enumerate(lines, start=1):
+        try:
+            # not final: bytes of a character cut short are left unused
+            text, used = codecs.utf_8_decode(raw, "strict", False)
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path, line_number, raw, exc) from None
+        line = text.strip()
+        if used < len(raw) or not line:
             continue
         try:
-            obj = json.loads(line)
-        except ValueError:  # a torn trailing line from a crash, or an integer of over 4300 digits
+            obj = parse_json_line(line)
+        except ValueError:
             continue
         if isinstance(obj, dict) and isinstance(obj.get("id"), str):
             ids.add(obj["id"])
-    return ids
+    return ids, bool(torn)
 
 
 def label_session(
@@ -57,7 +71,7 @@ def label_session(
     stdin = input_stream or sys.stdin
     stdout = output_stream or sys.stdout
     path = Path(output_path)
-    existing = _existing_ids(path)
+    existing, torn = _existing_ids(path)
 
     labeled = skipped = resumed = 0
     with open(path, "a", encoding="utf-8", newline="\n") as sink:
@@ -94,6 +108,9 @@ def label_session(
                 skipped += 1
                 continue
             record = {"id": tweet.id, "text": tweet.text, "label": label, "source": "human"}
+            if torn:  # end the torn line, so this record starts a line of its own
+                sink.write("\n")
+                torn = False
             sink.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
             sink.flush()
             labeled += 1

@@ -138,3 +138,71 @@ def test_resume_file_not_utf8_names_its_line(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         f"error: {out / 'labeled.jsonl'}:2: not UTF-8: invalid continuation byte (byte 0xe9)\n"
     )
+
+
+def test_resume_after_line_torn_inside_a_character(tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(
+        ({"id": f"t{i}", "text": text, "like_count": 0, "retweet_count": 0, "lang": "en"}
+         for i, text in enumerate(["Democrats block the bill", "Men can cook"])),
+        corpus,
+    )
+    out = tmp_path / "out"
+    out.mkdir()
+    labeled = out / "labeled.jsonl"
+    done = {"id": "t0", "text": "Democrats block the bill", "label": 1, "source": "human"}
+    labeled.write_bytes(json.dumps(done).encode() + b'\n{"id": "t1", "text": "caf\xc3')
+    for answers, expected in (("g\n", "labeled 1 tweets (skipped 0, already done 1)"),
+                              ("", "labeled 0 tweets (skipped 0, already done 2)")):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(answers))
+        code = main(["label", "--corpus", str(corpus), "--out", str(out)])
+        stdout, stderr = capsys.readouterr()
+        assert (code, stderr) == (0, "")
+        assert expected in stdout
+    lines = labeled.read_bytes().split(b"\n")
+    assert lines[1] == b'{"id": "t1", "text": "caf\xc3'
+    assert json.loads(lines[2])["id"] == "t1"
+    assert lines[3:] == [b""]
+
+
+def test_resume_ends_a_torn_line_before_appending(tmp_path):
+    tweets = _tweets("Democrats block the bill", "Men can cook", "Cats purr")
+    out = tmp_path / "labels.jsonl"
+    done = {"id": "t0", "text": "Democrats block the bill", "label": 1, "source": "human"}
+    out.write_text(json.dumps(done) + '\n{"id": "t1", "te', encoding="utf-8")
+    result = label_session(
+        tweets, out, input_stream=io.StringIO("n\nq\n"), output_stream=io.StringIO()
+    )
+    assert (result.resumed, result.labeled) == (1, 1)
+    assert out.read_text(encoding="utf-8").split("\n")[1:] == [
+        '{"id": "t1", "te',
+        json.dumps({"id": "t1", "label": 0, "source": "human", "text": "Men can cook"}),
+        "",
+    ]
+    # the next session reads t1's label and adds no second newline
+    result = label_session(
+        tweets, out, input_stream=io.StringIO("g\n"), output_stream=io.StringIO()
+    )
+    assert (result.resumed, result.labeled) == (2, 1)
+    assert [r["id"] for r in _read_complete(out)] == ["t0", "t1", "t2"]
+
+
+def test_resume_reads_a_label_holding_a_line_separator(tmp_path):
+    # json.dumps(ensure_ascii=False) writes U+2028 raw; it ends no line here
+    tweets = _tweets("Men can cook")
+    out = tmp_path / "labels.jsonl"
+    label_session(tweets, out, input_stream=io.StringIO("g\n"), output_stream=io.StringIO())
+    result = label_session(
+        tweets, out, input_stream=io.StringIO("g\n"), output_stream=io.StringIO()
+    )
+    assert (result.resumed, result.labeled) == (1, 0)
+
+
+def _read_complete(path):
+    rows = []
+    for line in path.read_text(encoding="utf-8").split("\n"):
+        try:
+            rows.append(json.loads(line))
+        except ValueError:
+            pass
+    return rows
