@@ -1,16 +1,25 @@
-"""One lexer walk per text: the word list and the rule engine's clauses.
+"""One lexer scan per text: the word list and the rule engine's clauses.
 
-``normalize`` runs ``LEXER_RE`` over a text once. It returns the word
-list that ``tokenize`` gives (what partition, sentiment and bag-of-words
-features read) and the text's clauses. A clause is three parallel lists:
-each token's norm, its flag bits and its character span in the source.
-A word's norm is its lowercased form, with common tweet abbreviations
-expanded through a shipped, editable table, so "White ppl be like __"
-normalizes to [white, people, be, like, BLANK]. Every other token's norm
-is its kind: URL, EMOJI, BLANK, a question mark closing a question
-clause, or the punctuation the elliptical rules care about (colon,
-equals, comma, quote). Clause breaks happen at sentence punctuation,
-newlines, and dashes.
+``normalize`` runs ``LEXER_RE.findall`` over a text once and resolves
+each surface it returns with one dict lookup. It returns the word list
+that ``tokenize`` gives (what partition, sentiment and bag-of-words
+features read) and the text's clauses. A clause is two parallel lists,
+each token's norm and its flag bits, plus the index of its first token
+among the text's tokens. A word's norm is its lowercased form, with
+common tweet abbreviations expanded through a shipped, editable table,
+so "White ppl be like __" normalizes to [white, people, be, like,
+BLANK]. Every other token's norm is its kind: URL, EMOJI, BLANK, a
+question mark closing a question clause, or the punctuation the
+elliptical rules care about (colon, equals, comma, quote). Clause breaks
+happen at sentence punctuation, newlines, and dashes that the grammar
+marks as breaking.
+
+Word surfaces resolve through the ``WordTable``; the closed set of marks
+(punctuation, quotes and clause breaks) through a fixed dict; URLs,
+emoji and blanks by rule, and never cached, since real tweet URLs are
+unique. No token's character span is kept: ``token_spans`` finds them
+with one ``finditer`` of the same pattern, for the rare reader of a
+verdict's ``subject_span``.
 
 A ``WordTable`` does the work per word type rather than per occurrence:
 each raw surface is folded and expanded once, and each norm gets its
@@ -24,8 +33,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
+from ..classifier.features import _EMOJI_RE, LEXER_RE
 from ..classifier.features import EMOJI_TOKEN as EMOJI
-from ..classifier.features import LEXER_RE
 from ..classifier.features import URL_TOKEN as URL
 
 # the norms of tokens that are not words
@@ -36,15 +45,25 @@ EQUALS = "="
 COMMA = ","
 QUOTE = '"'
 
-_PUNCT = {":": COLON, "=": EQUALS, ",": COMMA}  # the rest are quotes
-
 WORD = 1 << 16  # on every word token's flags; a classify function's bits sit below it
+
+# Each mark surface's norm, or "" for a clause break. Standalone
+# apostrophes act as quotes (intra-word ones are part of the word).
+_MARKS = {
+    ":": COLON, "=": EQUALS, ",": COMMA, '"': QUOTE, "“": QUOTE, "”": QUOTE, "'": QUOTE,
+    QUESTION: "", ".": "", "!": "", ";": "", "\n": "",
+}
+_DASHES = "-—–"  # a surface that starts with one is a breaking dash run
+# entries, as ``WordTable.entry`` gives them, of the tokens that no table holds
+_URL_ENTRY = (URL, (URL,), (0,))
+_EMOJI_ENTRY = (EMOJI, (EMOJI,), (0,))
+_BLANK_ENTRY = (None, (BLANK,), (0,))  # a blank is no entry in the word list
 
 
 class Clause(NamedTuple):
     norms: list[str]
     flags: list[int]
-    spans: list[tuple[int, int]]  # character spans in the source text
+    start: int  # the index of its first token among the text's tokens
 
 
 class WordTable:
@@ -81,6 +100,17 @@ class WordTable:
             entry = self.surfaces[surface] = (folded, norms, flags)
         return entry
 
+    def token(self, surface: str) -> tuple[str | None, tuple[str, ...], tuple[int, ...]]:
+        """The entry of a token surface that ``surfaces`` lacks: a URL,
+        emoji or blank by rule, never cached, else a new word."""
+        if surface[0] == "_":
+            return _BLANK_ENTRY
+        if "." in surface or ":" in surface:
+            return _URL_ENTRY  # no word holds either
+        if len(surface) == 1 and _EMOJI_RE.match(surface):
+            return _EMOJI_ENTRY  # a longer word starting with one lexes apart
+        return self.entry(surface)
+
 
 def load_abbreviations(path) -> dict[str, str]:
     """``token<TAB>expansion`` per line; ``#`` comments. Expansions may
@@ -97,12 +127,11 @@ def load_abbreviations(path) -> dict[str, str]:
 
 
 def normalize(text: str, table: WordTable | None = None) -> tuple[list[str], list[Clause]]:
-    """The word list and the clauses of ``text``, from one lexer walk.
+    """The word list and the clauses of ``text``, from one lexer scan.
 
     The word list equals ``tokenize(text)``. Word tokens take their norms
     and flags from ``table`` (a fresh one, with no abbreviations, by
-    default); an expanded word's tokens all keep the word's span. No
-    clause is empty."""
+    default); an expanded word gives several tokens. No clause is empty."""
     if table is None:
         table = WordTable()
     surfaces = table.surfaces
@@ -110,66 +139,62 @@ def normalize(text: str, table: WordTable | None = None) -> tuple[list[str], lis
     clauses: list[Clause] = []
     norms: list[str] = []
     flags: list[int] = []
-    spans: list[tuple[int, int]] = []
-    text = text or ""
-    for m in LEXER_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "word":
-            surface = m.group()
-            entry = surfaces.get(surface)
-            if entry is None:
-                entry = table.entry(surface)
-            folded, word_norms, word_flags = entry
-            words.append(folded)
-            if len(word_norms) == 1:
-                norms.append(word_norms[0])
-                flags.append(word_flags[0])
-                spans.append(m.span())
-            else:
-                norms.extend(word_norms)
-                flags.extend(word_flags)
-                spans.extend([m.span()] * len(word_norms))
-        elif kind == "url":
-            words.append(URL)
-            norms.append(URL)
-            flags.append(0)
-            spans.append(m.span())
-        elif kind == "emoji":
-            words.append(EMOJI)
-            norms.append(EMOJI)
-            flags.append(0)
-            spans.append(m.span())
-        elif kind == "blank":
-            norms.append(BLANK)
-            flags.append(0)
-            spans.append(m.span())
-        elif kind == "brk":
-            if norms:
-                # mark question clauses so the interrogative logic can see them
-                if m.group() == QUESTION:
-                    norms.append(QUESTION)
-                    flags.append(0)
-                    spans.append(m.span())
-                clauses.append(Clause(norms, flags, spans))
-                norms, flags, spans = [], [], []
-        elif kind == "dash":
-            # a dash run between spaces (or one starting with an em or en
-            # dash) splits clauses
-            start, end = m.span()
-            em = text[start] != "-"
-            before_space = start == 0 or text[start - 1].isspace()
-            after_space = end == len(text) or text[end].isspace()
-            if norms and (em or (before_space and after_space)):
-                clauses.append(Clause(norms, flags, spans))
-                norms, flags, spans = [], [], []
+    start = 0
+    for surface in LEXER_RE.findall(text or ""):
+        entry = surfaces.get(surface)
+        if entry is None:
+            mark = _MARKS.get(surface)
+            if mark:
+                norms.append(mark)
+                flags.append(0)
+                continue
+            if not surface:
+                continue  # a hyphen run
+            if mark is None and surface[0] not in _DASHES:
+                entry = table.token(surface)
+            else:  # a clause break
+                if norms:
+                    # mark question clauses so the interrogative logic can see them
+                    if surface == QUESTION:
+                        norms.append(QUESTION)
+                        flags.append(0)
+                    clauses.append(Clause(norms, flags, start))
+                    start += len(norms)
+                    norms, flags = [], []
+                continue
+        word, word_norms, word_flags = entry
+        if word is not None:
+            words.append(word)
+        if len(word_norms) == 1:
+            norms.append(word_norms[0])
+            flags.append(word_flags[0])
         else:
-            # standalone apostrophes act as quotes; intra-word ones were
-            # already absorbed by the word pattern
-            mark = _PUNCT.get(m.group(), QUOTE)
-            norms.append(mark)
-            flags.append(0)
-            spans.append(m.span())
+            norms.extend(word_norms)
+            flags.extend(word_flags)
 
     if norms:
-        clauses.append(Clause(norms, flags, spans))
+        clauses.append(Clause(norms, flags, start))
     return words, clauses
+
+
+def token_spans(text: str, table: WordTable) -> list[tuple[int, int]]:
+    """The character span in ``text`` of each token of ``normalize(text,
+    table)``'s clauses, in order, from one ``finditer`` of the same
+    pattern. An expanded word's tokens all keep the word's span."""
+    spans: list[tuple[int, int]] = []
+    in_clause = False
+    for m in LEXER_RE.finditer(text or ""):
+        surface = m.group(1)
+        if not surface:
+            continue  # a hyphen run
+        mark = _MARKS.get(surface)
+        if mark == "" or (mark is None and surface[0] in _DASHES):  # a clause break
+            if surface == QUESTION and in_clause:
+                spans.append(m.span())
+            in_clause = False
+            continue
+        n = 1 if mark else len((table.surfaces.get(surface) or table.token(surface))[1])
+        if n:
+            spans.extend([m.span()] * n)
+            in_clause = True
+    return spans

@@ -20,8 +20,8 @@ win, so they fire first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from operator import or_
 
 from ..errors import InputError
@@ -39,6 +39,7 @@ from .normalize import (
     Clause,
     WordTable,
     normalize,
+    token_spans,
 )
 
 GENERIC = "generic"
@@ -142,7 +143,11 @@ class AnnotatorVerdict:
     kind: str | None = None
     exclusion_reason: str | None = None
     matched_rule: str = ""
-    subject_span: tuple[int, int] | None = None
+    # the subject's first and last token, as indices into the text's tokens
+    # (the norms of its clauses, in order)
+    subject_tokens: tuple[int, int] | None = None
+    # the text and word table the tokens came from, for ``subject_span``
+    source: tuple[str, WordTable] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.label == GENERIC:
@@ -157,6 +162,16 @@ class AnnotatorVerdict:
     @property
     def is_generic(self) -> bool:
         return self.label == GENERIC
+
+    @cached_property
+    def subject_span(self) -> tuple[int, int] | None:
+        """The subject's character span in the text, found the first time
+        it is read: ``analyze`` never reads it."""
+        if self.subject_tokens is None:
+            return None
+        spans = token_spans(*self.source)
+        first, last = self.subject_tokens
+        return spans[first][0], spans[last][1]
 
 
 @dataclass(slots=True)
@@ -304,10 +319,12 @@ class RuleAnnotator:
                 continue  # question clauses never assert a generic
             verdict = self._scan_clause(clauses, ci, state, nps[ci])
             if verdict is not None:
+                verdict.source = (text, self.words)  # every scan verdict has a subject
                 return verdict
 
         verdict = self._anaphoric_pass(clauses, state)
         if verdict is not None:
+            verdict.source = (text, self.words)
             return verdict
 
         return self._fallback_reason(clauses, state)
@@ -415,7 +432,7 @@ class RuleAnnotator:
         if frame:
             # the headline prefix is not part of the clause proper
             after = clause.norms.index(COLON, 0, 4) + 1
-            clause = Clause._make(part[after:] for part in clause)
+            clause = Clause(clause.norms[after:], clause.flags[after:], clause.start + after)
             nps = self._find_nps(clause)
         for np in nps:
             state.saw_group_np = True
@@ -433,9 +450,9 @@ class RuleAnnotator:
         return None
 
     def _generic(self, kind, rule, clause, np) -> AnnotatorVerdict:
-        span = (clause.spans[np.start][0], clause.spans[np.head][1])
+        tokens = (clause.start + np.start, clause.start + np.head)
         return AnnotatorVerdict(
-            label=GENERIC, kind=kind, matched_rule=rule, subject_span=span
+            label=GENERIC, kind=kind, matched_rule=rule, subject_tokens=tokens
         )
 
     def _try_patterns(
@@ -684,7 +701,7 @@ class RuleAnnotator:
             return None
         first_np = min(state.np_positions)
         hedges = self.lexicons.hedge_adverbs
-        for ci, (norms, flags, spans) in enumerate(clauses):
+        for ci, (norms, flags, start) in enumerate(clauses):
             if norms[-1] == QUESTION or THEY.isdisjoint(norms):
                 continue
             for j, norm in enumerate(norms):
@@ -696,7 +713,7 @@ class RuleAnnotator:
                     kind = "hedged" if norm in ("they'll", "they'd") else "bare"
                     return AnnotatorVerdict(
                         label=GENERIC, kind=kind, matched_rule="anaphoric_subject",
-                        subject_span=spans[j],
+                        subject_tokens=(start + j, start + j),
                     )
                 k = j + 1
                 hedged = False
@@ -711,14 +728,14 @@ class RuleAnnotator:
                 if norms[k] in HEDGE_MODALS:
                     return AnnotatorVerdict(
                         label=GENERIC, kind="hedged", matched_rule="anaphoric_subject",
-                        subject_span=spans[j],
+                        subject_tokens=(start + j, start + j),
                     )
                 if norms[k] in BARE_MODALS or flags[k] & (PRESENT | PAST) == PRESENT:
                     return AnnotatorVerdict(
                         label=GENERIC,
                         kind="hedged" if hedged else "bare",
                         matched_rule="anaphoric_subject",
-                        subject_span=spans[j],
+                        subject_tokens=(start + j, start + j),
                     )
         return None
 

@@ -37,17 +37,28 @@ _KINDS = (
     ("blank", r"_{2,}"),
     ("word", r"[^\W_]+(?:['’][^\W_]+)*"),
     ("brk", r"[.!?;\n]"),
-    ("dash", r"[-—–]+"),
+    # a dash run that breaks a clause: one led by an em or en dash, or one
+    # with whitespace or a text edge on both sides
+    ("dash", r"[—–][-—–]*|(?<!\S)-[-—–]*(?!\S)"),
     ("punct", r"[:=,\"“”']"),
+    # any other dash run, taken whole so that no dash inside it starts a
+    # breaking run; it makes no token and no mark
+    ("hyphen", r"[-—–]+"),
 )
 # Kinds that make a token; the others only end a clause or mark a blank.
 _TOKEN_KINDS = ("url", "emoji", "word")
 
-# Every kind, for the annotator's ``normalize``. No alternative starts with
-# whitespace other than a newline, so the leading guard skips a space in
-# one test instead of seven failed alternatives.
+# Every kind, for the annotator's ``normalize``: one group holds every kind
+# but ``hyphen``, so ``findall`` gives each match's surface, or "" for a
+# hyphen run. No alternative starts with whitespace other than a newline,
+# so the leading guard skips a space in one test instead of eight failed
+# alternatives.
 LEXER_RE = re.compile(
-    r"(?=\S|\n)(?:" + "|".join(f"(?P<{kind}>{p})" for kind, p in _KINDS) + ")"
+    r"(?=\S|\n)(?:("
+    + "|".join(p for kind, p in _KINDS if kind != "hyphen")
+    + ")|"
+    + dict(_KINDS)["hyphen"]
+    + ")"
 )
 # The token kinds only, for ``tokenize``. The kinds left out consume only
 # characters that cannot start a token kind (``_``, clause breaks, dashes,
@@ -57,14 +68,19 @@ TOKEN_RE = re.compile(
 )
 
 
-def tokenize(text: str) -> list[str]:
+def tokenize(text: str, table=None) -> list[str]:
     """Lowercased word tokens with URLs and emoji mapped to class tokens.
     The annotator's ``normalize`` gives the same list from the walk that
     also builds its clauses.
 
     One ``findall`` finds the tokens. A URL is the only token that can hold
     ``.`` or ``:``, and an emoji is one character of the emoji class (a
-    word that starts with one loses to the emoji alternative)."""
+    word that starts with one loses to the emoji alternative). With a
+    ``WordTable`` as ``table``, each word surface is folded once, the first
+    time the table sees it; URLs and emoji are never cached."""
+    if table is not None:
+        cached = table.surfaces.get
+        return [(cached(t) or table.token(t))[0] for t in TOKEN_RE.findall(text or "")]
     return [
         URL_TOKEN if "." in t or ":" in t
         else EMOJI_TOKEN if len(t) == 1 and _EMOJI_RE.match(t)

@@ -580,23 +580,25 @@ class TestSinglePass:
     keeps only numbers per analysed tweet."""
 
     def test_lex_once_per_tweet_that_passes_lang(self, monkeypatch, tmp_path):
-        # annotator mode walks LEXER_RE in normalize; model mode walks
-        # TOKEN_RE in tokenize
+        # annotator mode scans LEXER_RE in normalize; model mode scans
+        # TOKEN_RE in tokenize. Neither calls finditer, which only the span
+        # of a verdict's subject needs.
         texts = []
 
         class CountingLexer:
-            def finditer(self, text):
-                texts.append(text)
-                return LEXER_RE.finditer(text)
+            def __init__(self, pattern):
+                self.pattern = pattern
 
             def findall(self, text):
                 texts.append(text)
-                return TOKEN_RE.findall(text)
+                return self.pattern.findall(text)
 
-        for module, name in (("genscope.classifier.features", "LEXER_RE"),
-                             ("genscope.classifier.features", "TOKEN_RE"),
-                             ("genscope.annotator.normalize", "LEXER_RE")):
-            monkeypatch.setattr(importlib.import_module(module), name, CountingLexer())
+        for module, name, pattern in (
+            ("genscope.classifier.features", "LEXER_RE", LEXER_RE),
+            ("genscope.classifier.features", "TOKEN_RE", TOKEN_RE),
+            ("genscope.annotator.normalize", "LEXER_RE", LEXER_RE),
+        ):
+            monkeypatch.setattr(importlib.import_module(module), name, CountingLexer(pattern))
         query = load_query(resources.files("genscope.data") / "default_query.txt")
         tweets = []
         ingest(str(BUNDLED_CORPUS), tweets.append, query)

@@ -17,7 +17,7 @@ from genscope.annotator import (
 )
 from genscope.annotator import rules
 from genscope.annotator.lexicons import RuleLexicons
-from genscope.annotator.normalize import WORD
+from genscope.annotator.normalize import WORD, WordTable, token_spans
 from genscope.errors import InputError
 from genscope.synth import generate_corpus
 
@@ -122,7 +122,9 @@ class TestNormalize:
 
     def test_spans_point_into_source(self):
         text = "Old Liberals party"
-        start, end = normalize(text)[1][0].spans[1]
+        table = WordTable()
+        clause = normalize(text, table)[1][0]
+        start, end = token_spans(text, table)[clause.start + 1]
         assert text[start:end] == "Liberals"
 
 

@@ -10,8 +10,9 @@ abbreviation keys and a few characters no alternative matches.
 shared table, so the second pass finds every word surface cached. Its
 word list must equal ``tokenize(text)``; each clause token's norm, kind
 (``word`` when the ``WORD`` flag is set, else the norm itself) and span
-must equal the oracle's, and each word's flags must be its norm's table
-bits plus ``WORD``.
+(from ``token_spans``) must equal the oracle's, and each word's flags must
+be its norm's table bits plus ``WORD``. ``tokenize`` gives the same list
+with and without a word table.
 """
 
 import re
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genscope.annotator import RuleAnnotator, WordTable, normalize
-from genscope.annotator.normalize import WORD
+from genscope.annotator.normalize import WORD, token_spans
 from genscope.classifier import tokenize
 from genscope.classifier.features import LEXER_RE, TOKEN_RE
 from oracles import normalize_oracle, tokenize_oracle
@@ -38,20 +39,30 @@ PIECES = [
     "ppl", "u", "rn", "idk", "b4", "white", "Men", "like", "don", "t",
 ]
 
-# dash runs at either end of the text, and runs that mix dash kinds
-EDGES = ["x -b", "x- b", "- x", "x -", "a-—b", "a —-b", "ppl –u", "HTTPS://x y", ""]
+# dash runs at either end of the text, and runs that mix dash kinds; runs
+# beside tabs, newlines, no-break and other spaces, and beside a zero-width
+# space, which is no whitespace
+EDGES = ["x -b", "x- b", "- x", "x -", "a-—b", "a —-b", "ppl –u", "HTTPS://x y", "",
+         "-", "--", "-—", "—", "–-", "-x", "x-", "x--", "—x", "x–",
+         "x\t-\ty", "x\t-y", "x-\ty", "x\n-\ny", "x\n--", "--\nx", "\n-\n", "a.-.b",
+         "x\u00a0-\u00a0y", "x\u00a0-y", "x\u2003--\u3000y", "x\u200b-\u200by",
+         "x\u00a0-", "-\u00a0x", "\t-", "-\t", "x -\u00a0", "x\u200b-", "-\u200bx",
+         "ppl\t-—\tu", "x —- y", "x-—-y", "__-__", "x:-", "-?", "x -?", "http://a - b"]
 
 texts = st.lists(
     st.sampled_from(PIECES) | st.characters(codec="utf-8"), max_size=40
 ).map("".join)
 
 ANNOTATOR = RuleAnnotator()
+MODEL_TABLE = WordTable()  # shared across texts, as model mode's analyze shares one
 ABBREVIATIONS = ANNOTATOR.lexicons.abbreviations
 GOLD = Path(__file__).parent / "data" / "annotator_gold"
 
 
 def check_tokenize(text):
-    assert tokenize(text) == tokenize_oracle(text)
+    tokens = tokenize_oracle(text)
+    assert tokenize(text) == tokens
+    assert tokenize(text, MODEL_TABLE) == tokens
 
 
 def check_normalize(text):
@@ -59,11 +70,14 @@ def check_normalize(text):
     for table in (WordTable(ABBREVIATIONS), ANNOTATOR.words, ANNOTATOR.words):
         words, clauses = normalize(text, table)
         assert words == tokenize_oracle(text)
+        spans = token_spans(text, table)
         got = [
             [(norm, "word" if f & WORD else norm, start, end)
-             for norm, f, (start, end) in zip(*clause)]
+             for norm, f, (start, end) in zip(
+                 clause.norms, clause.flags, spans[clause.start:])]
             for clause in clauses
         ]
+        assert sum(map(len, got)) == len(spans)
         assert got == expected
         for clause in clauses:
             for norm, f in zip(clause.norms, clause.flags):
@@ -111,6 +125,19 @@ def test_table_holds_each_surface_and_norm_once():
     assert (len(table.surfaces), len(table.flags)) == (len(surfaces), len(norms))
 
 
+def test_urls_emoji_and_marks_leave_the_table_as_it_was():
+    table = RuleAnnotator(ANNOTATOR.lexicons).words  # a fresh, empty table
+    marks = " ".join([*"'\":=,“”.!?;", "\n", "__", "___", "-", "--", "—", "–-", "a-b"])
+    normalize(marks, table)
+    before = (len(table.surfaces), len(table.flags))
+    assert before == (2, 2)  # the words a and b
+    for i in range(10_000):
+        text = f"https://t.co/{i} www.x{i}.com/\U0001F600 \U0001F600 {marks}"
+        normalize(text, table)
+        tokenize(text, table)
+    assert (len(table.surfaces), len(table.flags)) == before
+
+
 def test_whitespace_guard_drops_no_match():
     # LEXER_RE opens with a guard that fails on whitespace other than a
     # newline; without it, no alternative matches at such a character either
@@ -125,6 +152,7 @@ def test_whitespace_guard_drops_no_match():
 # characters of those kinds, next to the first characters of the token
 # kinds, then emoji beside letters and every whitespace character
 SPACES = re.findall(r"\s", "".join(map(chr, range(sys.maxunicode + 1))))
+NO_TOKEN_STARTS = "_.!?;\n-—–:=,\"“”'"
 SKIPPED = ["_", "__", "-", "—", "–", "'", "’", ".", "!", "?", ";", ":", "=", ",", '"', "“", "”"]
 STARTS = ["x", "É", "中", "7", "h", "w", "www.", "WwW.", "http://", "https://", "\U0001F600",
           "➀", "■"]
@@ -136,10 +164,13 @@ boundary_texts = st.lists(
 
 
 def check_token_pattern(text):
-    kept = [m.group() for m in LEXER_RE.finditer(text) if m.lastgroup in ("url", "emoji", "word")]
+    # the kinds that make no token are those whose surfaces start with a
+    # character no token kind starts with; a hyphen run's surface is ""
+    kept = [s for s in LEXER_RE.findall(text) if s and s[0] not in NO_TOKEN_STARTS]
     assert TOKEN_RE.findall(text) == kept
     tokens = tokenize_oracle(text)
     assert tokenize(text) == tokens
+    assert tokenize(text, MODEL_TABLE) == tokens
     assert normalize(text, ANNOTATOR.words)[0] == tokens
 
 
