@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import logging
+import re
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
@@ -88,18 +89,47 @@ class _HashingReader(io.RawIOBase):
 # one decoder for every line, called without json.loads' two wrappers
 _DECODER = json.JSONDecoder()
 
+# The decoder recurses once per level of nesting, so a line nested deep
+# enough ends in a RecursionError, at a depth that depends on the caller's
+# stack. A line nested deeper than this is rejected before it is decoded.
+MAX_DEPTH = 100
+# a JSON string (an unterminated one runs to the line's end) or a bracket
+_STRING_OR_BRACKET = re.compile(r'"(?:[^"\\]+|\\.)*"?|[][{}]')
+_NESTING = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _too_deep(line: str) -> bool:
+    """Whether ``line`` opens more than MAX_DEPTH brackets, outside strings,
+    before it closes them."""
+    depth = 0
+    for token in _STRING_OR_BRACKET.findall(line):
+        depth += _NESTING.get(token, 0)
+        if depth > MAX_DEPTH:
+            return True
+    return False
+
 
 def parse_json_line(line: str):
     """``json.loads`` of a line already stripped of whitespace, whose
     ValueError reads as a rejection reason: ``invalid JSON: <what>``, or
     one reason for every integer past Python's limit on the digits of an
-    int, whatever its length.
+    int, whatever its length, and one for every line nested deeper than
+    MAX_DEPTH, however deep and whatever the caller's stack.
 
     One ``raw_decode`` call does the work; the two errors ``json.loads``
     adds around it, a leading byte order mark and data after the value,
     are raised here with its messages."""
     if line.startswith("\ufeff"):
         raise ValueError("invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)")
+    # Only a line with more openers than the cap is scanned. A flat object,
+    # with no "[" and no "{" after its first character, is known to be
+    # shallow from two finds, each far cheaper than a count.
+    if (
+        ("[" in line or "{" in line[1:])
+        and line.count("[") + line.count("{") > MAX_DEPTH
+        and _too_deep(line)
+    ):
+        raise ValueError(f"nested deeper than {MAX_DEPTH} levels")
     try:
         obj, end = _DECODER.raw_decode(line)
     except json.JSONDecodeError as exc:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import random
+import sys
 from importlib import resources
 
 import pytest
@@ -21,8 +22,10 @@ from genscope.corpus import (
     partition,
     write_jsonl,
 )
-from genscope.corpus.records import parse_json_line
+from genscope.corpus.records import MAX_DEPTH, parse_json_line, read_jsonl
 from genscope.errors import SchemaError
+from genscope.labeling import _existing_ids
+from genscope.sentiment import load_external_labels
 
 
 def _ingest(tmp_path, lines, query=None):
@@ -260,6 +263,81 @@ class TestParseJsonLine:
     def test_matches_json_loads(self, text):
         line = text.strip()  # every caller strips the line first
         assert _parsed(line) == _as_json_loads(line)
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+DEEP_REASON = f"nested deeper than {MAX_DEPTH} levels"
+
+
+def _at_stack_depth(frames, fn):
+    """``fn()`` called ``frames`` frames deeper than here."""
+    return fn() if frames <= 0 else _at_stack_depth(frames - 1, fn)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestDeepNesting:
+    """A line nested deeper than MAX_DEPTH is one fixed rejection in every
+    JSON reader, never a RecursionError, whatever the caller's stack."""
+
+    @pytest.mark.parametrize("line", [
+        "[" * (MAX_DEPTH + 1) + "]" * (MAX_DEPTH + 1),
+        '{"a":' * (MAX_DEPTH + 1) + "1" + "}" * (MAX_DEPTH + 1),
+        "[" * (MAX_DEPTH + 1),  # unclosed
+        DEEP,
+    ])
+    def test_deeper_than_the_cap_is_rejected(self, line):
+        assert _parsed(line) == DEEP_REASON
+
+    @pytest.mark.parametrize("line", [
+        "[" * MAX_DEPTH + "]" * MAX_DEPTH,
+        # brackets inside strings, escaped quotes among them, do not nest
+        json.dumps(["[" * 500 + '"{' * 500]),
+        '["' + "[" * 500,  # an unterminated string
+        "[" * MAX_DEPTH + "]" * MAX_DEPTH + "[" * MAX_DEPTH + "]" * MAX_DEPTH,
+    ])
+    def test_at_most_the_cap_reads_as_json_loads(self, line):
+        assert _parsed(line) == _as_json_loads(line)
+
+    def test_same_verdict_from_a_deep_stack(self):
+        # 40 frames short of the recursion limit, a line of any depth past
+        # the cap still reads as the cap's reason; a line at the cap needs
+        # one frame per level beyond that
+        frames = sys.getrecursionlimit() - _stack_depth() - 40
+        for line in (DEEP, "[" * (MAX_DEPTH + 1)):
+            assert _at_stack_depth(frames, lambda: _parsed(line)) == DEEP_REASON
+        line = "[" * MAX_DEPTH + "]" * MAX_DEPTH
+        frames -= MAX_DEPTH
+        assert _at_stack_depth(frames, lambda: _parsed(line)) == _as_json_loads(line)
+
+    def test_ingest_counts_it(self, tmp_path):
+        report, tweets = _ingest(tmp_path, [_record(1), DEEP, _record(2)])
+        assert [t.id for t in tweets] == ["1", "2"]
+        assert report.rejected == {DEEP_REASON: 1}
+
+    def test_read_jsonl_names_its_line(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text(f"{{}}\n{DEEP}\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as raised:
+            list(read_jsonl(path))
+        assert str(raised.value) == f"{path}:2: {DEEP_REASON}"
+
+    def test_external_labels_reject_it(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text(f'{DEEP}\n{{"id": "1", "sentiment": "positive"}}\n', encoding="utf-8")
+        report = load_external_labels(path)
+        assert report.rejected == [(1, DEEP_REASON)]
+        assert list(report.labels) == ["1"]
+
+    def test_label_resume_skips_it(self, tmp_path):
+        path = tmp_path / "labeled.jsonl"
+        path.write_text(f'{DEEP}\n{{"id": "t1", "label": 1}}\n', encoding="utf-8")
+        assert _existing_ids(path) == ({"t1"}, False)
 
 
 class TestMatchGroups:
