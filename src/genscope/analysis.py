@@ -26,7 +26,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .annotator import RuleAnnotator, WordTable, normalize
+from .annotator import RuleAnnotator, normalize
 from .base import check_threshold
 from .classifier import (
     csr_from_columns,
@@ -276,8 +276,6 @@ class _Pipeline:
         self.lang = query.lang
         self.scorer = ModelScorer(config.model) if config.model else None
         self.annotator = None if config.model else RuleAnnotator()
-        # model mode folds each word surface once, through a table of its own
-        self.words = self.annotator.words if self.annotator else WordTable()
         self.provider = SentimentProvider(
             external=_external_labels(config.external_sentiment),
             lexicon=load_valence_lexicon(config.valence_lexicon or None),
@@ -290,9 +288,9 @@ class _Pipeline:
             self.buckets["unmatched"] += 1
             return
         if self.scorer is None:
-            tokens, clauses = normalize(tweet.text, self.words)
+            tokens, clauses = normalize(tweet.text, self.annotator.words)
         else:
-            tokens = tokenize(tweet.text, self.words)
+            tokens = tokenize(tweet.text)
         bucket = partition(self.terms, tokens)
         self.buckets[bucket] += 1
         if bucket not in self.columns:

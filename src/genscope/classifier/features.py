@@ -68,19 +68,14 @@ TOKEN_RE = re.compile(
 )
 
 
-def tokenize(text: str, table=None) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Lowercased word tokens with URLs and emoji mapped to class tokens.
     The annotator's ``normalize`` gives the same list from the walk that
     also builds its clauses.
 
     One ``findall`` finds the tokens. A URL is the only token that can hold
     ``.`` or ``:``, and an emoji is one character of the emoji class (a
-    word that starts with one loses to the emoji alternative). With a
-    ``WordTable`` as ``table``, each word surface is folded once, the first
-    time the table sees it; URLs and emoji are never cached."""
-    if table is not None:
-        cached = table.surfaces.get
-        return [(cached(t) or table.token(t))[0] for t in TOKEN_RE.findall(text or "")]
+    word that starts with one loses to the emoji alternative)."""
     return [
         URL_TOKEN if "." in t or ":" in t
         else EMOJI_TOKEN if len(t) == 1 and _EMOJI_RE.match(t)

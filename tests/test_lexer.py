@@ -11,8 +11,7 @@ shared table, so the second pass finds every word surface cached. Its
 word list must equal ``tokenize(text)``; each clause token's norm, kind
 (``word`` when the ``WORD`` flag is set, else the norm itself) and span
 (from ``token_spans``) must equal the oracle's, and each word's flags must
-be its norm's table bits plus ``WORD``. ``tokenize`` gives the same list
-with and without a word table.
+be its norm's table bits plus ``WORD``.
 """
 
 import re
@@ -54,15 +53,12 @@ texts = st.lists(
 ).map("".join)
 
 ANNOTATOR = RuleAnnotator()
-MODEL_TABLE = WordTable()  # shared across texts, as model mode's analyze shares one
 ABBREVIATIONS = ANNOTATOR.lexicons.abbreviations
 GOLD = Path(__file__).parent / "data" / "annotator_gold"
 
 
 def check_tokenize(text):
-    tokens = tokenize_oracle(text)
-    assert tokenize(text) == tokens
-    assert tokenize(text, MODEL_TABLE) == tokens
+    assert tokenize(text) == tokenize_oracle(text)
 
 
 def check_normalize(text):
@@ -134,7 +130,6 @@ def test_urls_emoji_and_marks_leave_the_table_as_it_was():
     for i in range(10_000):
         text = f"https://t.co/{i} www.x{i}.com/\U0001F600 \U0001F600 {marks}"
         normalize(text, table)
-        tokenize(text, table)
     assert (len(table.surfaces), len(table.flags)) == before
 
 
@@ -170,7 +165,6 @@ def check_token_pattern(text):
     assert TOKEN_RE.findall(text) == kept
     tokens = tokenize_oracle(text)
     assert tokenize(text) == tokens
-    assert tokenize(text, MODEL_TABLE) == tokens
     assert normalize(text, ANNOTATOR.words)[0] == tokens
 
 
