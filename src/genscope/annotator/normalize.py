@@ -15,11 +15,12 @@ happen at sentence punctuation, newlines, and dashes that the grammar
 marks as breaking.
 
 Word surfaces resolve through the ``WordTable``; the closed set of marks
-(punctuation, quotes and clause breaks) through a fixed dict; URLs,
-emoji and blanks by rule, and never cached, since real tweet URLs are
-unique. No token's character span is kept: ``token_spans`` finds them
-with one ``finditer`` of the same pattern, for the rare reader of a
-verdict's ``subject_span``.
+(punctuation and quotes) through a fixed dict and clause breaks through a
+fixed set; URLs, emoji and blanks by rule, and never cached, since real
+tweet URLs are unique. No token's character span is kept: ``token_spans``
+finds them with one ``finditer`` of the same pattern, for the rare reader
+of a verdict's ``subject_span``; both walks number tokens through one
+helper, ``_surface_entry``.
 
 A ``WordTable`` does the work per word type rather than per occurrence:
 each raw surface is folded and expanded once, and each norm gets its
@@ -47,17 +48,22 @@ QUOTE = '"'
 
 WORD = 1 << 16  # on every word token's flags; a classify function's bits sit below it
 
-# Each mark surface's norm, or "" for a clause break. Standalone
-# apostrophes act as quotes (intra-word ones are part of the word).
-_MARKS = {
-    ":": COLON, "=": EQUALS, ",": COMMA, '"': QUOTE, "“": QUOTE, "”": QUOTE, "'": QUOTE,
-    QUESTION: "", ".": "", "!": "", ";": "", "\n": "",
-}
-_DASHES = "-—–"  # a surface that starts with one is a breaking dash run
 # entries, as ``WordTable.entry`` gives them, of the tokens that no table holds
 _URL_ENTRY = (URL, (URL,), (0,))
 _EMOJI_ENTRY = (EMOJI, (EMOJI,), (0,))
 _BLANK_ENTRY = (None, (BLANK,), (0,))  # a blank is no entry in the word list
+# The entry of each mark surface: the closed set of punctuation and quotes,
+# and "" (a hyphen run), which makes no token. Standalone apostrophes act
+# as quotes (intra-word ones are part of the word).
+_MARKS = {
+    surface: (None, (norm,), (0,))
+    for surface, norm in {
+        ":": COLON, "=": EQUALS, ",": COMMA, '"': QUOTE, "“": QUOTE, "”": QUOTE, "'": QUOTE,
+    }.items()
+}
+_MARKS[""] = (None, (), ())
+_BREAKS = frozenset([QUESTION, ".", "!", ";", "\n"])
+_DASHES = "-—–"  # any other surface that starts with one is a breaking dash run
 
 
 class Clause(NamedTuple):
@@ -126,6 +132,17 @@ def load_abbreviations(path) -> dict[str, str]:
     return table
 
 
+def _surface_entry(surface: str, table: WordTable):
+    """The entry of the tokens a ``LEXER_RE`` surface that ``table.surfaces``
+    lacks makes (a mark's, a URL's, emoji's or blank's, or a new word's),
+    or None for a clause break. ``normalize`` and ``token_spans`` both
+    number tokens by it."""
+    entry = _MARKS.get(surface)
+    if entry is None and surface not in _BREAKS and surface[0] not in _DASHES:
+        entry = table.token(surface)
+    return entry
+
+
 def normalize(text: str, table: WordTable | None = None) -> tuple[list[str], list[Clause]]:
     """The word list and the clauses of ``text``, from one lexer scan.
 
@@ -141,27 +158,17 @@ def normalize(text: str, table: WordTable | None = None) -> tuple[list[str], lis
     flags: list[int] = []
     start = 0
     for surface in LEXER_RE.findall(text or ""):
-        entry = surfaces.get(surface)
-        if entry is None:
-            mark = _MARKS.get(surface)
-            if mark:
-                norms.append(mark)
-                flags.append(0)
-                continue
-            if not surface:
-                continue  # a hyphen run
-            if mark is None and surface[0] not in _DASHES:
-                entry = table.token(surface)
-            else:  # a clause break
-                if norms:
-                    # mark question clauses so the interrogative logic can see them
-                    if surface == QUESTION:
-                        norms.append(QUESTION)
-                        flags.append(0)
-                    clauses.append(Clause(norms, flags, start))
-                    start += len(norms)
-                    norms, flags = [], []
-                continue
+        entry = surfaces.get(surface) or _surface_entry(surface, table)
+        if entry is None:  # a clause break
+            if norms:
+                # mark question clauses so the interrogative logic can see them
+                if surface == QUESTION:
+                    norms.append(QUESTION)
+                    flags.append(0)
+                clauses.append(Clause(norms, flags, start))
+                start += len(norms)
+                norms, flags = [], []
+            continue
         word, word_norms, word_flags = entry
         if word is not None:
             words.append(word)
@@ -182,19 +189,15 @@ def token_spans(text: str, table: WordTable) -> list[tuple[int, int]]:
     table)``'s clauses, in order, from one ``finditer`` of the same
     pattern. An expanded word's tokens all keep the word's span."""
     spans: list[tuple[int, int]] = []
-    in_clause = False
+    clause_open = False  # whether the current clause has a token yet
     for m in LEXER_RE.finditer(text or ""):
-        surface = m.group(1)
-        if not surface:
-            continue  # a hyphen run
-        mark = _MARKS.get(surface)
-        if mark == "" or (mark is None and surface[0] in _DASHES):  # a clause break
-            if surface == QUESTION and in_clause:
+        surface = m[1] or ""  # a hyphen run matches outside the group
+        entry = table.surfaces.get(surface) or _surface_entry(surface, table)
+        if entry is None:  # a clause break
+            if surface == QUESTION and clause_open:
                 spans.append(m.span())
-            in_clause = False
-            continue
-        n = 1 if mark else len((table.surfaces.get(surface) or table.token(surface))[1])
-        if n:
-            spans.extend([m.span()] * n)
-            in_clause = True
+            clause_open = False
+        elif entry[1]:
+            spans.extend([m.span()] * len(entry[1]))
+            clause_open = True
     return spans

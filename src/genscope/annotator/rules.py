@@ -169,6 +169,8 @@ class AnnotatorVerdict:
         it is read: ``analyze`` never reads it."""
         if self.subject_tokens is None:
             return None
+        if self.source is None:
+            raise InputError("a verdict with subject_tokens needs its source to find its span")
         spans = token_spans(*self.source)
         first, last = self.subject_tokens
         return spans[first][0], spans[last][1]

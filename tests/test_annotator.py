@@ -192,6 +192,13 @@ class TestVerdicts:
         start, end = verdict.subject_span
         assert text[start:end] == "Liberals"
 
+    def test_subject_span_needs_a_source(self):
+        verdict = AnnotatorVerdict(label="generic", kind="bare", subject_tokens=(0, 0))
+        with pytest.raises(InputError, match="source"):
+            verdict.subject_span
+        no_subject = AnnotatorVerdict(label="non_generic", exclusion_reason="question")
+        assert no_subject.subject_span is None
+
     def test_empty_text_rejected(self, annotator):
         with pytest.raises(InputError):
             annotator.annotate("   ")
