@@ -125,7 +125,7 @@ def parse_json_line(line: str):
     # with no "[" and no "{" after its first character, is known to be
     # shallow from two finds, each far cheaper than a count.
     if (
-        ("[" in line or "{" in line[1:])
+        ("[" in line or line.find("{", 1) != -1)
         and line.count("[") + line.count("{") > MAX_DEPTH
         and _too_deep(line)
     ):
