@@ -9,6 +9,15 @@ computed from. ``recompute_check`` rebuilds the H1/H3/H4 blocks from
 their counts and checks every other statistic against the numbers beside
 it, and ``reproduce_published`` rebuilds the same blocks from the
 published counts for the ``reproduce`` subcommand's checks.
+
+The pass runs on every usable CPU. ``parts.byte_ranges`` cuts a large
+corpus file into one byte range per CPU, each ending after a newline, and
+each range after the first goes through the same per-tweet step in a
+forked child process (``parts.forked``), while this process reads the
+first. A child leaves the duplicate-id check to ``ingest``, which judges
+the children's records in file order after its own range; the rows of the
+records it rejects are dropped, and the rest are appended in file order,
+so the report is byte for byte that of one process.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import partial
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
@@ -44,8 +54,11 @@ from .corpus import (
     load_group_lexicon,
     load_query,
     partition,
+    read_part,
 )
+from .corpus.records import PartRecords
 from .errors import InputError, SchemaError, naming_decode_errors
+from .parts import byte_ranges, forked
 from .sentiment import (
     SENTIMENTS,
     SentimentProvider,
@@ -203,7 +216,9 @@ def _histogram(scores, bin_width: float) -> list[list[float]]:
 
 # ---------------------------------------------------------------------------
 # the single pass: each accepted tweet is lexed once, bucketed, scored and
-# labelled as ingest reads it, and only its numbers are kept
+# labelled as ingest reads it, and only its numbers are kept; a later byte
+# range of the corpus goes through the same step in a child process, whose
+# rows are merged in file order once ingest has judged its records
 
 # texts per model-scoring batch: one predict_score call each, so only one
 # chunk's features are alive
@@ -283,10 +298,11 @@ class _Pipeline:
         self.buckets = dict.fromkeys(BUCKETS, 0)
         self.columns = {g: _Columns() for g in GROUPS}
 
-    def __call__(self, tweet) -> None:
+    def __call__(self, tweet) -> str:
+        """Bucket, score and label one accepted tweet; returns its bucket."""
         if self.lang and not lang_matches(tweet.lang, self.lang):
             self.buckets["unmatched"] += 1
-            return
+            return "unmatched"
         if self.scorer is None:
             tokens, clauses = normalize(tweet.text, self.annotator.words)
         else:
@@ -294,7 +310,7 @@ class _Pipeline:
         bucket = partition(self.terms, tokens)
         self.buckets[bucket] += 1
         if bucket not in self.columns:
-            return
+            return bucket
         col = self.columns[bucket]
         if self.scorer is None:
             verdict = self.annotator.annotate(tweet.text, clauses)
@@ -305,6 +321,35 @@ class _Pipeline:
         col.sentiments.append(SENTIMENTS.index(label.value))
         col.likes.append(tweet.like_count)
         col.retweets.append(tweet.retweet_count)
+        return bucket
+
+    def run_part(self, path, query, start: int, end: int | None):
+        """This step over a later byte range of the corpus, in a child
+        process. Yields the range's records for ``ingest``, then, for each
+        record handed on, its index in ``BUCKETS``, with the columns."""
+        buckets = array("b")
+        records = read_part(
+            path, start, end, lambda tweet: buckets.append(BUCKETS.index(self(tweet))), query
+        )
+        if self.scorer is not None:
+            self.scorer.flush()
+        yield records
+        yield buckets, self.columns
+
+    def merge(self, records: PartRecords, buckets: array, columns: dict) -> None:
+        """Count a later range's tweets and append its rows, less those of
+        the records ``ingest`` did not accept: their ids repeat an id
+        accepted in an earlier range."""
+        handed = np.frombuffer(records.verdicts, dtype=np.int8) < 0
+        accepted = np.frombuffer(records.accepted, dtype=bool)[handed]
+        buckets = np.frombuffer(buckets, dtype=np.int8)
+        counts = np.bincount(buckets[accepted], minlength=len(BUCKETS)).tolist()
+        for name, count in zip(BUCKETS, counts):
+            self.buckets[name] += count
+        for i, g in enumerate(GROUPS):
+            keep = accepted[buckets == i]
+            for name, column in vars(self.columns[g]).items():
+                column.frombytes(columns[g].view(name)[keep].tobytes())
 
 
 def _external_labels(path) -> dict:
@@ -326,7 +371,8 @@ def run_analysis(config: AnalysisConfig) -> dict:
     """Execute the full H1-H5 recipe; returns the report dictionary.
 
     Every side input (query, group lexicon, model, external labels,
-    valence lexicon) is read before the corpus, so a bad one fails fast.
+    valence lexicon) is read before the corpus, so a bad one fails fast,
+    and before any child process is forked, so each child shares them.
     """
     corpus_path = Path(config.corpus)
     query = load_query(config.query) if config.query else load_query(_bundled("default_query.txt"))
@@ -336,9 +382,20 @@ def run_analysis(config: AnalysisConfig) -> dict:
         raise SchemaError(f"group lexicon does not cover query terms: {missing}")
 
     pipeline = _Pipeline(config, query, lexicon)
-    report_ingest = ingest(corpus_path, pipeline, query)
-    if pipeline.scorer is not None:
-        pipeline.scorer.flush()
+    (_, end), *later = byte_ranges(corpus_path)
+    with forked(partial(pipeline.run_part, corpus_path, query), later) as children:
+        records: list[PartRecords] = []
+
+        def received():
+            for child in children:
+                records.append(child.receive())
+                yield records[-1]
+
+        report_ingest = ingest(corpus_path, pipeline, query, end, received())
+        if pipeline.scorer is not None:
+            pipeline.scorer.flush()
+        for child, part in zip(children, records):
+            pipeline.merge(part, *child.receive())
     columns = pipeline.columns
 
     report: dict = {

@@ -17,6 +17,7 @@ from .records import (
     ingest,
     jsonl_writer,
     read_jsonl,
+    read_part,
     write_jsonl,
 )
 
@@ -39,5 +40,6 @@ __all__ = [
     "ingest",
     "jsonl_writer",
     "read_jsonl",
+    "read_part",
     "write_jsonl",
 ]

@@ -16,6 +16,7 @@ import io
 import json
 import logging
 import re
+from array import array
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
@@ -64,26 +65,36 @@ class IngestReport:
         return self.rejected.total()
 
 
-class _HashingReader(io.RawIOBase):
-    """A raw binary reader that hashes every byte it hands out, so a text
-    stream over it hashes the file in the one read that parses it."""
+class _RangeReader(io.RawIOBase):
+    """A raw binary reader over the next ``limit`` bytes of ``raw`` (all
+    of them when None) that hashes every byte it hands out into ``digest``
+    when one is given, so a text stream over it hashes the bytes in the
+    one read that parses them. Closing it leaves ``raw`` open."""
 
-    def __init__(self, raw):
+    def __init__(self, raw, limit: int | None = None, digest=None):
         self.raw = raw
-        self.hash = hashlib.sha256()
+        self.limit = limit
+        self.digest = digest
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
+        if self.limit is not None:
+            buffer = memoryview(buffer)[: self.limit]
         n = self.raw.readinto(buffer)
         if n:
-            self.hash.update(memoryview(buffer)[:n])
+            if self.limit is not None:
+                self.limit -= n
+            if self.digest is not None:
+                self.digest.update(memoryview(buffer)[:n])
         return n
 
-    def close(self) -> None:
-        self.raw.close()
-        super().close()
+
+def _lines(raw, limit: int | None = None, digest=None):
+    """A text stream over the next ``limit`` bytes of ``raw``, with the
+    same universal-newline split and strict UTF-8 as ``open(path)``."""
+    return io.TextIOWrapper(io.BufferedReader(_RangeReader(raw, limit, digest)), encoding="utf-8")
 
 
 # one decoder for every line, called without json.loads' two wrappers
@@ -184,72 +195,166 @@ def _check_count(value, key: str) -> None:
         raise ValueError("count above 2**53")
 
 
-def ingest(path, on_tweet, query: QueryAst | None = None) -> IngestReport:
+def _valid_records(stream, rejected: Counter):
+    """``(object, tweet)`` for each schema-valid line of ``stream``; every
+    other line but a blank one is counted in ``rejected`` by reason."""
+    for line in stream:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = parse_json_line(line)
+            tweet = _parse_record(obj)
+        except ValueError as exc:
+            rejected[str(exc)] += 1
+            continue
+        yield obj, tweet
+
+
+def _open_corpus(path):
+    try:
+        return open(path, "rb", buffering=0)
+    except OSError as exc:
+        raise SchemaError(f"cannot read corpus: {exc}") from exc
+
+
+@dataclass
+class PartRecords:
+    """The schema-valid records of a later byte range of a corpus, as
+    ``read_part`` found them, in file order, for ``ingest`` to judge:
+    each one's id, the index of the first query directive that rejects
+    it (-1 for none) and a bit mask of the directive fields it lacks.
+    ``ingest`` sets ``accepted`` to 1 for each record it accepts."""
+
+    rejected: Counter = field(default_factory=Counter)  # the schema rejections
+    ids: str = ""  # every id, back to back
+    id_ends: array = field(default_factory=lambda: array("q"))
+    verdicts: array = field(default_factory=lambda: array("b"))
+    lacked: array = field(default_factory=lambda: array("B"))
+    accepted: bytearray = field(default_factory=bytearray)
+
+
+class _Admission:
+    """What ``ingest`` does with each schema-valid record, in file order:
+    the id check, then the query's directives, made once. A directive's
+    field is warned about the first time a record that reaches the
+    directive lacks it."""
+
+    def __init__(self, query: QueryAst | None):
+        operators = query.operators if query is not None else ()
+        self.unwarned: dict[str, str] = {}
+        for op in operators:
+            self.unwarned.setdefault(_DIRECTIVE_KEYS[op.name], op.render())
+        # a lacked mask has one bit per directive field, in query order
+        self.bits = {key: 1 << i for i, key in enumerate(self.unwarned)}
+        # A repeated directive comes to the same verdict as its first copy,
+        # so each is kept once, at most ten: (index, field, negated, bit).
+        unique = list(dict.fromkeys(operators))
+        self.directives = [
+            (i, _DIRECTIVE_KEYS[op.name], op.negated, self.bits[_DIRECTIVE_KEYS[op.name]])
+            for i, op in enumerate(unique)
+        ]
+        self.reasons = [f"filtered by {op.render()}" for op in unique]
+        self.report = IngestReport()
+        self.seen_ids: set[str] = set()
+
+    def verdict(self, obj: dict) -> tuple[int, int]:
+        """The index of the first directive that rejects record ``obj``, or
+        -1, and the mask of the fields it lacks among the directives it
+        reaches."""
+        lacked = 0
+        for i, key, negated, bit in self.directives:
+            if key in obj:
+                if bool(obj[key]) == negated:
+                    return i, lacked
+            else:
+                lacked |= bit
+        return -1, lacked
+
+    def admit(self, tweet_id: str, verdict: int, lacked: int) -> bool:
+        """Whether the record is accepted; counts it either way."""
+        if tweet_id in self.seen_ids:
+            self.report.rejected["duplicate id"] += 1
+            return False
+        if lacked:
+            for key, bit in self.bits.items():
+                if lacked & bit and key in self.unwarned:
+                    logger.warning(
+                        "directive %s skipped: records lack the %r field",
+                        self.unwarned.pop(key), key,
+                    )
+        if verdict >= 0:
+            self.report.rejected[self.reasons[verdict]] += 1
+            return False
+        self.seen_ids.add(tweet_id)
+        self.report.accepted_count += 1
+        return True
+
+    def replay(self, part: PartRecords) -> None:
+        """Judge a later range's records as if they had been read here."""
+        self.report.rejected.update(part.rejected)
+        ids = part.ids
+        part.accepted = bytearray(len(part.verdicts))
+        start = 0
+        for i, (end, verdict, lacked) in enumerate(zip(part.id_ends, part.verdicts, part.lacked)):
+            part.accepted[i] = self.admit(ids[start:end], verdict, lacked)
+            start = end
+
+
+def ingest(path, on_tweet, query: QueryAst | None = None, end: int | None = None,
+           later=()) -> IngestReport:
     """Read and validate the JSON Lines corpus at ``path``, handing each
     accepted tweet to ``on_tweet`` as it is read.
 
     The report carries the sha256 of the file's bytes. Per-line schema
     violations and duplicate ids are counted by reason in the report,
     never fatal; only an unreadable file raises.
+
+    A corpus cut into byte ranges is read up to ``end`` here; ``later``
+    holds the ``PartRecords`` that ``read_part`` made of the ranges from
+    ``end`` on, in order. They are judged after this range, so ids,
+    warnings and counts come out as from one read of the whole file; the
+    caller keeps a later record's work only where its ``accepted`` is 1.
     """
-    try:
-        hashing = _HashingReader(open(path, "rb", buffering=0))
-    except OSError as exc:
-        raise SchemaError(f"cannot read corpus: {exc}") from exc
+    admission = _Admission(query)
+    digest = hashlib.sha256()
+    with _open_corpus(path) as raw:
+        with naming_decode_errors(path), _lines(raw, end, digest) as stream:
+            admit, verdict = admission.admit, admission.verdict
+            for obj, tweet in _valid_records(stream, admission.report.rejected):
+                if admit(tweet.id, *verdict(obj)):
+                    on_tweet(tweet)
+        while block := raw.read(1 << 20):  # the bytes of the later ranges
+            digest.update(block)
+    for part in later:
+        admission.replay(part)
+    admission.report.sha256 = digest.hexdigest()
+    return admission.report
 
-    # each directive as (field, negated, rejection reason), made once; a
-    # field's warning is logged the first time a record reaching it lacks it
-    directives = []
-    unwarned: dict[str, str] = {}
-    for op in query.operators if query is not None else ():
-        key = _DIRECTIVE_KEYS[op.name]
-        directives.append((key, op.negated, f"filtered by {op.render()}"))
-        unwarned.setdefault(key, op.render())
 
-    report = IngestReport()
-    rejected = report.rejected
-    accepted = 0
-    seen_ids: set[str] = set()
-    # the same universal-newline split and strict UTF-8 as open(path)
-    with naming_decode_errors(path), io.TextIOWrapper(
-        io.BufferedReader(hashing), encoding="utf-8"
-    ) as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = parse_json_line(line)
-                tweet = _parse_record(obj)
-            except ValueError as exc:
-                rejected[str(exc)] += 1
-                continue
-
-            if tweet.id in seen_ids:
-                rejected["duplicate id"] += 1
-                continue
-
-            verdict = None
-            for key, negated, reason in directives:
-                if key in obj:
-                    if bool(obj[key]) == negated:
-                        verdict = reason
-                        break
-                elif key in unwarned:
-                    logger.warning(
-                        "directive %s skipped: records lack the %r field",
-                        unwarned.pop(key), key,
-                    )
-            if verdict is not None:
-                rejected[verdict] += 1
-                continue
-
-            seen_ids.add(tweet.id)
-            accepted += 1
-            on_tweet(tweet)
-    report.accepted_count = accepted
-    report.sha256 = hashing.hash.hexdigest()
-    return report
+def read_part(path, start: int, end: int | None, on_tweet, query: QueryAst | None) -> PartRecords:
+    """Read bytes ``start`` to ``end`` (the end of the file when None) of
+    the corpus at ``path``, which begin a line, for ``ingest``'s ``later``.
+    Each schema-valid record that no directive rejects goes to
+    ``on_tweet``; whether its id repeats an earlier one is left to
+    ``ingest``, which sees every range."""
+    directives = _Admission(query)
+    part = PartRecords()
+    ids, id_end = [], 0
+    with _open_corpus(path) as raw:
+        raw.seek(start)
+        with naming_decode_errors(path), _lines(raw, None if end is None else end - start) as stream:
+            for obj, tweet in _valid_records(stream, part.rejected):
+                verdict, lacked = directives.verdict(obj)
+                ids.append(tweet.id)
+                id_end += len(tweet.id)
+                part.id_ends.append(id_end)
+                part.verdicts.append(verdict)
+                part.lacked.append(lacked)
+                if verdict < 0:
+                    on_tweet(tweet)
+    part.ids = "".join(ids)
+    return part
 
 
 def read_jsonl(path):

@@ -36,13 +36,17 @@ class TrainingError(GenscopeError):
 def naming_decode_errors(path):
     """Turn a UnicodeDecodeError raised while ``path`` is read into a
     SchemaError that names the file and its first line that is not UTF-8.
-    A newline byte is never part of a multi-byte character, so that is the
-    first line whose bytes fail to decode on their own."""
+    Lines end at ``\\r\\n``, ``\\r`` or ``\\n``, as the readers' universal
+    newlines split them. Neither byte is ever part of a multi-byte
+    character, so that is the first line whose bytes fail to decode on
+    their own. Latin-1 maps each byte to one character, so the lines are
+    split one at a time without decoding them."""
     try:
         yield
     except UnicodeDecodeError:
-        with open(path, "rb") as stream:
-            for line_number, raw in enumerate(stream, start=1):
+        with open(path, encoding="latin-1") as stream:
+            for line_number, line in enumerate(stream, start=1):
+                raw = line.encode("latin-1")
                 try:
                     raw.decode("utf-8")
                 except UnicodeDecodeError as exc:

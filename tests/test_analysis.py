@@ -3,20 +3,27 @@
 import copy
 import hashlib
 import importlib
+import io
 import json
 import logging
 import math
+import os
 import re
+import shutil
 import struct
+import threading
 import tracemalloc
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import genscope.analysis
+import genscope.parts
 from genscope.analysis import (
     AnalysisConfig,
     _histogram,
@@ -26,11 +33,13 @@ from genscope.analysis import (
     reproduce_published,
     run_analysis,
 )
+from genscope.annotator import RuleAnnotator
 from genscope.classifier import GenericityClassifier, predict_score, save_model, stack_features
 from genscope.classifier.features import LEXER_RE, TOKEN_RE
 from genscope.cli import main
 from genscope.corpus import GROUPS, ingest, lang_matches, load_query, write_jsonl
 from genscope.errors import InputError, SchemaError
+from genscope.parts import byte_ranges
 from genscope.reporting import emit_report, render_csv, render_markdown
 from genscope.synth import generate_corpus, generate_training_texts
 
@@ -707,3 +716,295 @@ class TestSinglePass:
         first = outputs.pop(1)
         assert all(files == first for files in outputs.values())
         assert len(first) > 1
+
+
+# ---------------------------------------------------------------------------
+# the single pass cut into byte ranges, one per usable CPU
+
+
+@contextmanager
+def _cut(cpus: int, floor: int = 1):
+    """Cut corpora into at most ``cpus`` ranges of at least ``floor`` bytes."""
+    with mock.patch.object(genscope.parts, "usable_cpus", lambda: cpus), \
+            mock.patch.object(genscope.parts, "PART_FLOOR", floor):
+        yield
+
+
+def _analyze(argv, out, cpus: int, floor: int = 1):
+    """``main(argv + --out out)`` with the corpus cut as ``_cut`` says: the
+    exit code, the bytes of report.json (None on failure) and everything
+    written to stderr, the warnings logged included, in order."""
+    shutil.rmtree(out, ignore_errors=True)
+    stderr = io.StringIO()
+    handler = logging.StreamHandler(stderr)
+    logger = logging.getLogger("genscope")
+    logger.addHandler(handler)
+    try:
+        with _cut(cpus, floor), redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+            code = main([*map(str, argv), "--out", str(out)])
+    finally:
+        logger.removeHandler(handler)
+    report = (out / "report.json").read_bytes() if code == 0 else None
+    return code, report, stderr.getvalue()
+
+
+def _record(tweet_id, text="democrats are loud", **fields) -> dict:
+    return {"id": tweet_id, "text": text, "like_count": len(text), "retweet_count": 1,
+            "lang": "en", **fields}
+
+
+# every directive field of the default query, none of them set
+CLEAN = dict.fromkeys(["has_links", "has_mentions", "is_retweet", "is_reply", "is_nullcast"],
+                      False)
+
+
+def _without(fields: dict, key: str) -> dict:
+    return {k: v for k, v in fields.items() if k != key}
+
+
+class TestParts:
+    """``run_analysis`` cuts a large corpus into one byte range per usable
+    CPU and merges the ranges in file order, so every report byte and
+    every line of stderr is that of the one-part run."""
+
+    @pytest.fixture(scope="class")
+    def model(self, tmp_path_factory):
+        texts, labels = generate_training_texts(n=300, seed=5)
+        path = tmp_path_factory.mktemp("parts_model") / "model.txt"
+        save_model(GenericityClassifier(min_count=1, epochs=20).fit(texts, labels).model_, path)
+        return path
+
+    def _same_as_one_part(self, argv, tmp_path, cpus, floor=1, parts=None):
+        one = _analyze(argv, tmp_path / "one", 1)
+        cut = _analyze(argv, tmp_path / "cut", cpus, floor)
+        with _cut(cpus, floor):
+            assert len(byte_ranges(argv[argv.index("--corpus") + 1])) == (parts or cpus)
+        assert cut == one
+        return one
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    @pytest.mark.parametrize("mode", ["annotator", "model"])
+    def test_bundled_corpus(self, tmp_path, model, mode, cpus):
+        argv = ["analyze", "--corpus", BUNDLED_CORPUS]
+        if mode == "model":
+            argv += ["--model", model]
+        code, report, stderr = self._same_as_one_part(argv, tmp_path, cpus, floor=1000)
+        assert code == 0
+        fields = ["has_links", "has_mentions", "is_retweet", "is_reply", "is_nullcast"]
+        assert stderr.splitlines() == [
+            f"directive -{d.replace('_', ':')} skipped: records lack the {d!r} field"
+            for d in fields
+        ]
+
+    # A first line led by a byte order mark, malformed and blank lines,
+    # directive-rejected records, the first record lacking has_mentions, a
+    # repeat that lacks is_nullcast, and the first record lacking the other
+    # four fields; ids accepted, then repeated; ids rejected by a
+    # directive, then accepted and repeated; and a long last line.
+    CRAFTED = [
+        "﻿" + json.dumps(_record("bom", **CLEAN)),
+        json.dumps(_record("a", **CLEAN)),
+        json.dumps(_record("r", **dict(CLEAN, is_retweet=True))),
+        "not json",
+        "",
+        json.dumps(_record("d", "trans people are kind", **CLEAN)),
+        json.dumps(_record("q", **dict(_without(CLEAN, "has_mentions"), is_reply=True,
+                                       has_links=None))),
+        json.dumps(_record("a", "white men are loud", **CLEAN)),
+        json.dumps(_record("r", "trans people are loud", **CLEAN)),
+        json.dumps(_record("d", **dict(_without(CLEAN, "is_nullcast"), is_retweet=True))),
+        "   ",
+        json.dumps(_record("r", "white men are kind", **CLEAN)),
+        json.dumps(_record("n", "republicans are loud")),
+        json.dumps(_record("m", "white men vote", **dict(CLEAN, is_reply=True))),
+        json.dumps(_record("q", "trans people vote", **CLEAN)),
+    ]
+
+    @pytest.fixture
+    def crafted(self, tmp_path):
+        """The crafted corpus with ``\\r\\n`` line ends and no final one. Its
+        last line holds between a quarter and a third of the bytes, so of
+        four equal parts the last would start inside it."""
+        head = "\r\n".join(self.CRAFTED)
+        last = json.dumps(_record("long", "democrats " + "are loud " * (len(head) // 27), **CLEAN))
+        assert 1 / 4 < len(last) / (len(head) + 2 + len(last)) < 1 / 3
+        path = tmp_path / "crafted.jsonl"
+        path.write_bytes(f"{head}\r\n{last}".encode("utf-8"))
+        return path
+
+    def test_crafted_corpus_matches_its_serial_counts(self, tmp_path, crafted):
+        code, report, stderr = _analyze(["analyze", "--corpus", crafted], tmp_path / "o", 1)
+        # accepted: a, d, r, n, q, long; rejected: the BOM line, "not json",
+        # three directive rejections and three repeats
+        assert json.loads(report)["ingest"] == {"accepted": 6, "rejected": 8}
+        assert stderr.splitlines() == [
+            "directive -has:mentions skipped: records lack the 'has_mentions' field",
+            "directive -has:links skipped: records lack the 'has_links' field",
+            "directive -is:retweet skipped: records lack the 'is_retweet' field",
+            "directive -is:reply skipped: records lack the 'is_reply' field",
+            "directive -is:nullcast skipped: records lack the 'is_nullcast' field",
+        ]
+
+    def test_every_cut_of_the_crafted_corpus(self, tmp_path, crafted, monkeypatch):
+        # each line start as the one cut, then each pair of line starts
+        data = crafted.read_bytes()
+        starts = [i + 1 for i in range(len(data)) if data[i] == ord("\n")]
+        one = _analyze(["analyze", "--corpus", crafted], tmp_path / "one", 1)
+        cuts = [[s] for s in starts] + [[a, b] for a in starts[::3] for b in starts if b > a]
+        for cut in cuts:
+            ranges = list(zip([0, *cut], [*cut, None]))
+            monkeypatch.setattr(genscope.analysis, "byte_ranges", lambda path: ranges)
+            assert _analyze(["analyze", "--corpus", crafted], tmp_path / "cut", 2) == one, cut
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_crafted_corpus(self, tmp_path, crafted, cpus):
+        # floor 1: the last cut target of 4 falls inside the long last line
+        self._same_as_one_part(["analyze", "--corpus", crafted], tmp_path, cpus,
+                               parts=min(cpus, 3))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        records=st.lists(
+            st.tuples(
+                st.sampled_from("abcdefg"),
+                st.sampled_from(["democrats are loud", "trans people are kind",
+                                 "white men vote", "nobody here", "democrats and trans people"]),
+                st.fixed_dictionaries({}, optional={
+                    key: st.booleans() for key in CLEAN
+                }),
+                st.booleans(),
+            ),
+            min_size=1, max_size=40,
+        ),
+        cpus=st.integers(2, 4),
+        model_mode=st.booleans(),
+    )
+    def test_random_id_streams(self, tmp_path_factory, model, records, cpus, model_mode):
+        where = tmp_path_factory.mktemp("streams")
+        lines = [json.dumps(_record(i, text, **fields)) if valid else f"{{{i}"
+                 for i, text, fields, valid in records]
+        corpus = where / "corpus.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["analyze", "--corpus", corpus] + (["--model", model] if model_mode else [])
+        one = _analyze(argv, where / "one", 1)
+        assert _analyze(argv, where / "cut", cpus) == one
+
+    @pytest.fixture
+    def long_corpus(self, tmp_path):
+        """The bundled corpus's first 600 lines."""
+        lines = Path(str(BUNDLED_CORPUS)).read_bytes().splitlines(keepends=True)[:600]
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"".join(lines))
+        return path, lines
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_non_utf8_byte_in_a_later_part(self, tmp_path, long_corpus, newline):
+        path, lines = long_corpus
+        lines = [line.replace(b"\n", newline) for line in lines]
+        lines[500] = lines[500].replace(b'"text": "', b'"text": "\xff')
+        path.write_bytes(b"".join(lines))
+        with _cut(2):
+            (_, end), _ = byte_ranges(path)
+        assert sum(map(len, lines[:500])) >= end
+        code, report, stderr = self._same_as_one_part(["analyze", "--corpus", path], tmp_path, 2)
+        assert code == 2
+        assert stderr.endswith(f"error: {path}:501: not UTF-8: invalid start byte (byte 0xff)\n")
+
+    @staticmethod
+    def _failing_annotate(monkeypatch, *bad_lines):
+        texts = {json.loads(line)["text"] for line in bad_lines}
+        annotate = RuleAnnotator.annotate
+
+        def failing(self, text, *args):
+            if text in texts:
+                raise InputError(f"cannot annotate {text!r}")
+            return annotate(self, text, *args)
+
+        monkeypatch.setattr(RuleAnnotator, "annotate", failing)
+
+    def test_a_later_part_that_raises(self, tmp_path, long_corpus, monkeypatch):
+        path, lines = long_corpus
+        self._failing_annotate(monkeypatch, lines[550])
+        code, report, stderr = self._same_as_one_part(["analyze", "--corpus", path], tmp_path, 2)
+        assert code == 2
+        assert stderr.splitlines()[-1] == f"error: cannot annotate {json.loads(lines[550])['text']!r}"
+        assert "Traceback" not in stderr
+
+    def test_the_first_part_error_wins(self, tmp_path, long_corpus, monkeypatch):
+        path, lines = long_corpus
+        self._failing_annotate(monkeypatch, lines[100], lines[550])
+        code, report, stderr = self._same_as_one_part(["analyze", "--corpus", path], tmp_path, 2)
+        assert stderr.splitlines()[-1] == f"error: cannot annotate {json.loads(lines[100])['text']!r}"
+
+    def test_a_child_that_dies_without_a_result(self, tmp_path, long_corpus, monkeypatch):
+        path, lines = long_corpus
+        text = json.loads(lines[550])["text"]
+        annotate = RuleAnnotator.annotate
+
+        def dying(self, t, *args):
+            if t == text:
+                os._exit(1)
+            return annotate(self, t, *args)
+
+        monkeypatch.setattr(RuleAnnotator, "annotate", dying)
+        code, report, stderr = _analyze(["analyze", "--corpus", path], tmp_path / "out", 2)
+        assert code == 2
+        assert re.fullmatch(r"error: process \d+ ended without a result", stderr.splitlines()[-1])
+
+    def test_keyboard_interrupt_leaves_no_child(self, long_corpus, monkeypatch):
+        path, _ = long_corpus
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(genscope.analysis, "ingest", interrupted)
+        with _cut(4), pytest.raises(KeyboardInterrupt):
+            assert len(byte_ranges(path)) == 4
+            run_analysis(AnalysisConfig(corpus=str(path)))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class TestByteRanges:
+    def _ranges(self, tmp_path, data: bytes, cpus: int, floor: int):
+        path = tmp_path / "file"
+        path.write_bytes(data)
+        with _cut(cpus, floor):
+            return byte_ranges(path)
+
+    def test_ranges_start_lines_and_cover_the_file(self, tmp_path):
+        data = b"".join(b"x" * (i % 7) + b"\n" for i in range(200))
+        for cpus in (2, 3, 4):
+            for floor in (1, 50, 150):
+                ranges = self._ranges(tmp_path, data, cpus, floor)
+                starts = [start for start, _ in ranges]
+                assert starts[0] == 0 and all(data[s - 1] == ord("\n") for s in starts[1:])
+                assert [end for _, end in ranges] == [*starts[1:], None]
+                assert all(b - a >= floor for a, b in zip(starts, [*starts[1:], len(data)]))
+                assert len(ranges) == min(cpus, len(data) // floor)
+
+    @pytest.mark.parametrize("data, cpus, floor", [
+        (b"a\rb\rc\r" * 100, 2, 1),  # no \n to cut after
+        (b"a\n" * 100, 2, 101),  # each range would hold less than the floor
+        (b"a\n" + b"b" * 100, 2, 1),  # the cut would fall inside the last line
+        (b"a\n" * 100, 1, 1),  # one usable CPU
+    ], ids=["cr-only", "below-floor", "inside-last-line", "one-cpu"])
+    def test_one_range(self, tmp_path, data, cpus, floor):
+        assert self._ranges(tmp_path, data, cpus, floor) == [(0, None)]
+
+    def test_no_fork_while_another_thread_runs(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert genscope.parts.usable_cpus() == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_a_pipe_or_a_missing_file_is_one_range(self, tmp_path):
+        os.mkfifo(tmp_path / "fifo")
+        with _cut(2):
+            assert byte_ranges(tmp_path / "fifo") == [(0, None)]
+            assert byte_ranges(tmp_path / "missing") == [(0, None)]

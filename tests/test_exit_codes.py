@@ -622,3 +622,28 @@ def test_integer_of_over_4300_digits(workdir, command):
     assert quiet_exit_code(argv) == code
     if command == "ingest":
         assert len((out / "accepted.jsonl").read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n", "\n"], ids=["cr", "crlf", "lf"])
+@pytest.mark.parametrize("command", ["ingest", "train", "analyze"])
+def test_line_numbers_count_every_line_end(workdir, command, newline):
+    # the readers split lines at \r\n, \r and \n alike, and so does the
+    # line number of a byte that is not UTF-8, or of JSON that is invalid
+    labeled = json.dumps({"text": "democrats are loud", "label": 1})
+    good = [labeled] * 2 if command == "train" else [json.dumps(r) for r in RECORDS[:2]]
+    path, out = workdir / f"newlines_{command}.jsonl", workdir / f"newlines_{command}_out"
+    argv = {
+        "ingest": ["ingest", "--corpus", str(path), "--out", str(out)],
+        "train": ["train", "--labeled", str(path), "--model-out", str(out / "model.txt")],
+        "analyze": ["analyze", "--corpus", str(path), "--out", str(out)],
+    }[command]
+    for third, message in ((b'{"id": "z", "text": "\xff"}', "not UTF-8: invalid start byte (byte 0xff)"),
+                           (b"{", "invalid JSON: Expecting property name enclosed in double quotes")):
+        if command != "train" and third == b"{":
+            continue  # a corpus line of invalid JSON is counted, not an error
+        lines = [line.encode() for line in good] + [third, b"[]"]
+        path.write_bytes(newline.encode().join(lines) + newline.encode())
+        stderr = io.StringIO()
+        with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+            assert exit_code(argv) == 2
+        assert stderr.getvalue().splitlines()[-1] == f"error: {path}:3: {message}"
