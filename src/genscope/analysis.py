@@ -48,6 +48,7 @@ from .classifier import (
 from .corpus import (
     BUCKETS,
     GROUPS,
+    PartRecords,
     compile_terms,
     ingest,
     lang_matches,
@@ -56,7 +57,6 @@ from .corpus import (
     partition,
     read_part,
 )
-from .corpus.records import PartRecords
 from .errors import InputError, SchemaError, naming_decode_errors
 from .parts import byte_ranges, forked
 from .sentiment import (

@@ -13,6 +13,7 @@ from .groups import (
 from .query import DIRECTIVES, Directive, QueryAst, load_query, parse_query
 from .records import (
     IngestReport,
+    PartRecords,
     Tweet,
     ingest,
     jsonl_writer,
@@ -36,6 +37,7 @@ __all__ = [
     "load_query",
     "parse_query",
     "IngestReport",
+    "PartRecords",
     "Tweet",
     "ingest",
     "jsonl_writer",
