@@ -195,9 +195,12 @@ def _check_count(value, key: str) -> None:
         raise ValueError("count above 2**53")
 
 
-def _valid_records(stream, rejected: Counter):
-    """``(object, tweet)`` for each schema-valid line of ``stream``; every
-    other line but a blank one is counted in ``rejected`` by reason."""
+def _judged_records(stream, rejected: Counter, directives):
+    """``(tweet, verdict, lacked)`` for each schema-valid line of
+    ``stream``: the index of the first of ``directives`` (``_Admission``'s)
+    that rejects it, or -1, and the mask of the fields it lacks among the
+    directives it reaches. Every other line but a blank one is counted in
+    ``rejected`` by reason."""
     for line in stream:
         line = line.strip()
         if not line:
@@ -208,7 +211,15 @@ def _valid_records(stream, rejected: Counter):
         except ValueError as exc:
             rejected[str(exc)] += 1
             continue
-        yield obj, tweet
+        verdict, lacked = -1, 0
+        for i, key, negated, bit in directives:
+            if key in obj:
+                if bool(obj[key]) == negated:
+                    verdict = i
+                    break
+            else:
+                lacked |= bit
+        yield tweet, verdict, lacked
 
 
 def _open_corpus(path):
@@ -257,19 +268,6 @@ class _Admission:
         self.reasons = [f"filtered by {op.render()}" for op in unique]
         self.report = IngestReport()
         self.seen_ids: set[str] = set()
-
-    def verdict(self, obj: dict) -> tuple[int, int]:
-        """The index of the first directive that rejects record ``obj``, or
-        -1, and the mask of the fields it lacks among the directives it
-        reaches."""
-        lacked = 0
-        for i, key, negated, bit in self.directives:
-            if key in obj:
-                if bool(obj[key]) == negated:
-                    return i, lacked
-            else:
-                lacked |= bit
-        return -1, lacked
 
     def admit(self, tweet_id: str, verdict: int, lacked: int) -> bool:
         """Whether the record is accepted; counts it either way."""
@@ -320,9 +318,10 @@ def ingest(path, on_tweet, query: QueryAst | None = None, end: int | None = None
     digest = hashlib.sha256()
     with _open_corpus(path) as raw:
         with naming_decode_errors(path), _lines(raw, end, digest) as stream:
-            admit, verdict = admission.admit, admission.verdict
-            for obj, tweet in _valid_records(stream, admission.report.rejected):
-                if admit(tweet.id, *verdict(obj)):
+            admit = admission.admit
+            records = _judged_records(stream, admission.report.rejected, admission.directives)
+            for tweet, verdict, lacked in records:
+                if admit(tweet.id, verdict, lacked):
                     on_tweet(tweet)
         while block := raw.read(1 << 20):  # the bytes of the later ranges
             digest.update(block)
@@ -338,14 +337,13 @@ def read_part(path, start: int, end: int | None, on_tweet, query: QueryAst | Non
     Each schema-valid record that no directive rejects goes to
     ``on_tweet``; whether its id repeats an earlier one is left to
     ``ingest``, which sees every range."""
-    directives = _Admission(query)
+    directives = _Admission(query).directives
     part = PartRecords()
     ids, id_end = [], 0
     with _open_corpus(path) as raw:
         raw.seek(start)
         with naming_decode_errors(path), _lines(raw, None if end is None else end - start) as stream:
-            for obj, tweet in _valid_records(stream, part.rejected):
-                verdict, lacked = directives.verdict(obj)
+            for tweet, verdict, lacked in _judged_records(stream, part.rejected, directives):
                 ids.append(tweet.id)
                 id_end += len(tweet.id)
                 part.id_ends.append(id_end)
