@@ -802,7 +802,7 @@ class TestParts:
     # four fields; ids accepted, then repeated; ids rejected by a
     # directive, then accepted and repeated; and a long last line.
     CRAFTED = [
-        "﻿" + json.dumps(_record("bom", **CLEAN)),
+        "\ufeff" + json.dumps(_record("bom", **CLEAN)),
         json.dumps(_record("a", **CLEAN)),
         json.dumps(_record("r", **dict(CLEAN, is_retweet=True))),
         "not json",
@@ -846,7 +846,8 @@ class TestParts:
         ]
 
     def test_every_cut_of_the_crafted_corpus(self, tmp_path, crafted, monkeypatch):
-        # each line start as the one cut, then each pair of line starts
+        # each line start as the one cut, then pairs of them, every third
+        # line start as the first cut
         data = crafted.read_bytes()
         starts = [i + 1 for i in range(len(data)) if data[i] == ord("\n")]
         one = _analyze(["analyze", "--corpus", crafted], tmp_path / "one", 1)
