@@ -3,8 +3,18 @@
 Rule-based and trained classification of social generics in short
 social-media texts, sentiment attachment, and the non-parametric
 statistics needed to analyze group-level differences in use and impact.
+
+``import genscope`` starts numpy and loads no layer: each name in
+``__all__`` imports its submodule (``annotator``, ``classifier``,
+``corpus``, ``sentiment`` or ``stats``) when it is first read. The
+commands import what they run in the same way, so only ``annotate``,
+``label`` and annotator-mode ``analyze`` load the rule annotator. Both
+``python -m genscope`` and the ``genscope`` script run ``cli.entry``,
+which freezes the heap once the command is done, so the interpreter's
+last garbage collections at exit skip it.
 """
 
+import importlib
 import os
 
 # Before numpy is first imported: genscope's numpy work is bincounts, sorts
@@ -24,58 +34,47 @@ else:
 
 __version__ = "0.1.0"
 
-from .annotator import AnnotatorVerdict, RuleAnnotator
-from .classifier import (
-    BagOfWordsVectorizer,
-    GenericityClassifier,
-    GenericityModel,
-    evaluate,
-    load_model,
-    predict_score,
-    roc_auc,
-    save_model,
-    tokenize,
-    train_logistic,
-)
-from .corpus import (
-    GroupLexicon,
-    QueryAst,
-    Tweet,
-    compile_terms,
-    ingest,
-    load_group_lexicon,
-    match_groups,
-    parse_query,
-    partition,
-)
-from .sentiment import SentimentLabel, SentimentProvider, lexicon_score
-from . import stats
+# each re-export and the submodule that ``__getattr__`` imports it from
+_EXPORTS = {
+    "AnnotatorVerdict": "annotator",
+    "RuleAnnotator": "annotator",
+    "BagOfWordsVectorizer": "classifier",
+    "GenericityClassifier": "classifier",
+    "GenericityModel": "classifier",
+    "evaluate": "classifier",
+    "load_model": "classifier",
+    "predict_score": "classifier",
+    "roc_auc": "classifier",
+    "save_model": "classifier",
+    "tokenize": "classifier",
+    "train_logistic": "classifier",
+    "GroupLexicon": "corpus",
+    "QueryAst": "corpus",
+    "Tweet": "corpus",
+    "compile_terms": "corpus",
+    "ingest": "corpus",
+    "load_group_lexicon": "corpus",
+    "match_groups": "corpus",
+    "parse_query": "corpus",
+    "partition": "corpus",
+    "SentimentLabel": "sentiment",
+    "SentimentProvider": "sentiment",
+    "lexicon_score": "sentiment",
+    "stats": "stats",
+}
 
-__all__ = [
-    "__version__",
-    "AnnotatorVerdict",
-    "RuleAnnotator",
-    "BagOfWordsVectorizer",
-    "GenericityClassifier",
-    "GenericityModel",
-    "evaluate",
-    "load_model",
-    "predict_score",
-    "roc_auc",
-    "save_model",
-    "tokenize",
-    "train_logistic",
-    "GroupLexicon",
-    "QueryAst",
-    "Tweet",
-    "compile_terms",
-    "ingest",
-    "load_group_lexicon",
-    "match_groups",
-    "parse_query",
-    "partition",
-    "SentimentLabel",
-    "SentimentProvider",
-    "lexicon_score",
-    "stats",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    """Import the submodule that ``name`` is re-exported from (PEP 562)."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+    value = module if name == _EXPORTS[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

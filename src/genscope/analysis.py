@@ -36,7 +36,6 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .annotator import RuleAnnotator, normalize
 from .base import check_threshold
 from .classifier import (
     csr_from_columns,
@@ -57,7 +56,7 @@ from .corpus import (
     partition,
     read_part,
 )
-from .errors import InputError, SchemaError, naming_decode_errors
+from .errors import InputError, SchemaError, read_lines
 from .parts import byte_ranges, forked
 from .sentiment import (
     SENTIMENTS,
@@ -121,9 +120,7 @@ class AnalysisConfig:
         errors, and a field typed int or float takes a number."""
         kinds = get_type_hints(cls)
         values: dict[str, object] = {}
-        with naming_decode_errors(path):
-            text = Path(path).read_text(encoding="utf-8")
-        for line_number, raw in enumerate(text.splitlines(), start=1):
+        for line_number, raw in enumerate(read_lines(path), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -289,8 +286,13 @@ class _Pipeline:
     def __init__(self, config: AnalysisConfig, query, lexicon):
         self.terms = compile_terms(query, lexicon)
         self.lang = query.lang
-        self.scorer = ModelScorer(config.model) if config.model else None
-        self.annotator = None if config.model else RuleAnnotator()
+        self.scorer = self.annotator = None
+        if config.model:
+            self.scorer = ModelScorer(config.model)
+        else:
+            from .annotator import RuleAnnotator, normalize  # model mode never loads it
+
+            self.annotator, self.normalize = RuleAnnotator(), normalize
         self.provider = SentimentProvider(
             external=_external_labels(config.external_sentiment),
             lexicon=load_valence_lexicon(config.valence_lexicon or None),
@@ -304,7 +306,7 @@ class _Pipeline:
             self.buckets["unmatched"] += 1
             return "unmatched"
         if self.scorer is None:
-            tokens, clauses = normalize(tweet.text, self.annotator.words)
+            tokens, clauses = self.normalize(tweet.text, self.annotator.words)
         else:
             tokens = tokenize(tweet.text)
         bucket = partition(self.terms, tokens)
@@ -830,9 +832,7 @@ def load_published_tables(path=None) -> dict[str, float]:
     """
     path = Path(path) if path else _bundled("published_tables.csv")
     values: dict[str, float] = {}
-    with naming_decode_errors(path):
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for line_number, raw in enumerate(lines, start=1):
+    for line_number, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.lower() == "key,value":
             continue

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
-from ..errors import SchemaError
+from ..errors import SchemaError, read_lines
 from .normalize import load_abbreviations
 
 
 def load_wordlist(path) -> frozenset[str]:
     words = set()
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_lines(path):
         line = raw.split("#", 1)[0].strip().lower()
         if line:
             words.add(line)

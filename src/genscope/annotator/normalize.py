@@ -31,12 +31,12 @@ its type's bits; every other token carries 0.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import NamedTuple
 
 from ..classifier.features import _EMOJI_RE, LEXER_RE
 from ..classifier.features import EMOJI_TOKEN as EMOJI
 from ..classifier.features import URL_TOKEN as URL
+from ..errors import read_lines
 
 # the norms of tokens that are not words
 BLANK = "BLANK"
@@ -122,7 +122,7 @@ def load_abbreviations(path) -> dict[str, str]:
     """``token<TAB>expansion`` per line; ``#`` comments. Expansions may
     contain spaces and become several tokens."""
     table: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

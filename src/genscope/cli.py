@@ -8,6 +8,7 @@ error, 3 reproduction-suite failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections import Counter
@@ -23,7 +24,6 @@ from .analysis import (
     reproduce_published,
     run_analysis,
 )
-from .annotator import RuleAnnotator
 from .base import check_threshold
 from .classifier import (
     GenericityClassifier,
@@ -44,7 +44,6 @@ from .classifier.logistic import (
 )
 from .corpus import ingest, jsonl_writer, load_query, read_jsonl
 from .errors import GenscopeError, InputError, SchemaError
-from .labeling import label_session
 from .reporting import REPORT_BLOCKS, emit_report, render_markdown
 
 EXIT_OK = 0
@@ -168,6 +167,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_annotate(args) -> int:
+    from .annotator import RuleAnnotator  # loaded only by the commands that run it
+
     annotator = RuleAnnotator()
     path = Path(args.out or "out") / "annotations.jsonl"
     kinds: Counter = Counter()
@@ -322,6 +323,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_label(args) -> int:
+    from .labeling import label_session
+
     tweets: list = []
 
     def keep(tweet):
@@ -376,5 +379,16 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def entry() -> int:
+    """The program, ``main`` on ``sys.argv``: what ``python -m genscope``
+    and the ``genscope`` script run. Once the command is done, every
+    object is frozen out of the garbage collector, so the interpreter's
+    last collections at exit skip the heap that numpy and the command
+    built. Modules are still torn down, atexit handlers still run and the
+    standard streams are still flushed. An object left in a reference
+    cycle is not finalized, so each command closes its own files. ``main``
+    never freezes, for callers that go on running."""
+    try:
+        return main()
+    finally:
+        gc.freeze()

@@ -12,10 +12,9 @@ from the word tokens its caller lexed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..classifier.features import tokenize  # unused here; the benchmark tracer wraps it
-from ..errors import SchemaError, naming_decode_errors
+from ..errors import SchemaError, read_lines
 from .query import QueryAst
 
 GROUPS = ("political", "gender", "ethnic")
@@ -49,9 +48,7 @@ class GroupLexicon:
 def load_group_lexicon(path) -> GroupLexicon:
     """Read ``term<TAB>group[,group]`` lines; ``#`` starts a comment."""
     entries: dict[str, frozenset[str]] = {}
-    with naming_decode_errors(path):
-        text = Path(path).read_text(encoding="utf-8")
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    for line_number, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the line reader of
+its side-input files, whose errors name the file and line."""
 
 from contextlib import contextmanager
+from pathlib import Path
 
 
 class GenscopeError(Exception):
@@ -60,3 +62,13 @@ def not_utf8(path, line_number: int, raw: bytes, exc: UnicodeDecodeError) -> Sch
     return SchemaError(
         f"{path}:{line_number}: not UTF-8: {exc.reason} (byte 0x{raw[exc.start]:02x})"
     )
+
+
+def read_lines(path) -> list[str]:
+    """The lines of the UTF-8 text file ``path``, split at ``\\r\\n``,
+    ``\\r`` and ``\\n`` only, as ``open``'s universal newlines split
+    them: ``str.splitlines`` would also split inside a line at U+2028,
+    U+0085, a form feed and the like, and so number the lines after it
+    wrong. A byte that is not UTF-8 is a SchemaError naming its line."""
+    with naming_decode_errors(path):
+        return Path(path).read_text(encoding="utf-8").split("\n")

@@ -11,11 +11,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
 from .classifier.features import tokenize  # unused here; the benchmark tracer wraps it
 from .corpus.records import parse_json_line
-from .errors import InputError, SchemaError, naming_decode_errors
+from .errors import InputError, SchemaError, naming_decode_errors, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -67,9 +66,7 @@ def load_valence_lexicon(path=None) -> ValenceLexicon:
         path = resources.files("genscope.data") / "valence_lexicon.tsv"
     valences: dict[str, float] = {}
     negations: set[str] = set()
-    with naming_decode_errors(path):
-        text = Path(path).read_text(encoding="utf-8")
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    for line_number, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -31,6 +31,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genscope.annotator import load_abbreviations, load_wordlist
 from genscope.classifier import GenericityClassifier, dumps_model, save_model
 from genscope.cli import main
 from genscope.corpus import write_jsonl
@@ -581,6 +582,52 @@ def test_side_input_load_error_names_the_file(tmp_path, corpus_never_read, flag,
     with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
         assert exit_code(argv) == 2
     assert stderr.getvalue() == f"error: {path}{message}\n"
+
+
+# characters at which str.splitlines ends a line and a file's reader does not
+NOT_LINE_ENDS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("sep", NOT_LINE_ENDS, ids=lambda sep: f"U+{ord(sep):04X}")
+@pytest.mark.parametrize("loader", ["valence-lexicon", "group-lexicon", "config", "tables"])
+def test_side_input_line_numbers_count_only_line_ends(tmp_path, corpus_never_read, loader, sep):
+    path, out = tmp_path / "side_input", str(tmp_path / "out")
+    content, argv, message = {
+        "valence-lexicon": (
+            f"go{sep}od\t0.5\nbad\tzz\n",
+            ["analyze", "--corpus", corpus_never_read, "--valence-lexicon", str(path), "--out", out],
+            f"{path}:2: bad valence 'zz'",
+        ),
+        "group-lexicon": (
+            f"demo{sep}crats\tpolitical\nbad line\n",
+            ["analyze", "--corpus", corpus_never_read, "--group-lexicon", str(path), "--out", out],
+            f"{path}:2: expected 'term<TAB>groups'",
+        ),
+        "config": (
+            f"seed = 4{sep}2\n",
+            ["analyze", "--config", str(path), "--corpus", corpus_never_read, "--out", out],
+            f"config line 1: seed must be an integer, not {f'4{sep}2'!r}",
+        ),
+        "tables": (
+            f"h1.generic,1{sep}0\n",
+            ["reproduce", "--tables", str(path)],
+            f"tables line 1: h1.generic: {f'1{sep}0'!r} is not a number",
+        ),
+    }[loader]
+    path.write_text(content, encoding="utf-8")
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+        assert exit_code(argv) == 2
+    assert stderr.getvalue() == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("sep", NOT_LINE_ENDS, ids=lambda sep: f"U+{ord(sep):04X}")
+def test_rule_word_lists_keep_each_line_whole(tmp_path, sep):
+    path = tmp_path / "words.txt"
+    path.write_text(f"a{sep}b\r\nc\rd\n", encoding="utf-8", newline="")
+    assert load_wordlist(path) == {f"a{sep}b", "c", "d"}
+    path.write_text(f"x{sep}y\tex{sep}pand\nz\tzed\n", encoding="utf-8")
+    assert load_abbreviations(path) == {f"x{sep}y": f"ex{sep}pand", "z": "zed"}
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,283 @@
+"""The program around ``cli.main``: which layers each command loads, the
+package's re-exports that load on first use, and the one program entry of
+both launchers, which freezes the heap before the interpreter exits."""
+
+import ast
+import gc
+import json
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+import genscope
+import genscope.analysis
+from genscope.cli import main
+from genscope.corpus import write_jsonl
+from genscope.synth import generate_corpus, generate_training_texts
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(genscope.__file__).parent
+# buffered standard streams, as most shells give them, so that a lost flush shows
+ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+ENV["PYTHONPATH"] = str(PACKAGE.parent)
+BUNDLED_CORPUS = str(resources.files("genscope.data") / "synthetic_corpus.jsonl")
+LAZY_LAYERS = ("genscope.annotator", "genscope.labeling")
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A corpus, labeled texts, a model trained on them, a report and a
+    published-tables file that fails one check, all as absolute paths."""
+    where = tmp_path_factory.mktemp("program")
+    corpus, labeled = where / "corpus.jsonl", where / "labeled.jsonl"
+    write_jsonl(generate_corpus(n=120, seed=3), corpus)
+    texts, labels = generate_training_texts(n=300, seed=5)
+    write_jsonl(({"text": t, "label": l} for t, l in zip(texts, labels)), labeled)
+    model = where / "model.txt"
+    assert main(["train", "--labeled", str(labeled), "--model-out", str(model),
+                 "--epochs", "5"]) == 0
+    assert main(["analyze", "--corpus", str(corpus), "--out", str(where / "report")]) == 0
+    tables = where / "tables.csv"
+    bundled = resources.files("genscope.data") / "published_tables.csv"
+    tables.write_text(bundled.read_text(encoding="utf-8").replace(
+        "h1.generic,239677", "h1.generic,240677"), encoding="utf-8")
+    return {
+        "corpus": str(corpus), "labeled": str(labeled), "model": str(model),
+        "report": str(where / "report" / "report.json"), "tables": str(tables),
+    }
+
+
+def run_python(code: str, *args: str, cwd, stdin: str = "") -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=ENV,
+                          input=stdin, capture_output=True, text=True)
+
+
+class TestLayersPerCommand:
+    """A command loads only the layers it runs: the rule annotator and the
+    labeling session are compiled by ``annotate``, ``label`` and
+    annotator-mode ``analyze`` alone."""
+
+    def test_commands_load_the_annotator_only_where_it_runs(self, tmp_path, inputs):
+        i = inputs
+        runs = [
+            ("ingest", ["ingest", "--corpus", i["corpus"]]),
+            ("train", ["train", "--labeled", i["labeled"], "--model-out", "m.txt",
+                       "--epochs", "5"]),
+            ("eval", ["eval", "--labeled", i["labeled"], "--model", i["model"]]),
+            ("classify", ["classify", "--corpus", i["corpus"], "--model", i["model"],
+                          "--out", "c"]),
+            ("analyze --model", ["analyze", "--corpus", i["corpus"], "--model", i["model"],
+                                 "--out", "a"]),
+            ("report", ["report", "--report", i["report"], "--out", "r"]),
+            ("reproduce", ["reproduce"]),
+            ("annotate", ["annotate", "--corpus", i["corpus"], "--out", "n"]),
+            ("label", ["label", "--corpus", i["corpus"], "--out", "l", "--limit", "1"]),
+        ]
+        probe = (
+            "import json, sys\n"
+            "from genscope.cli import main\n"
+            "loaded = {}\n"
+            f"for name, argv in {runs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            f"    loaded[name] = [m for m in {LAZY_LAYERS!r} if m in sys.modules]\n"
+            "print(json.dumps(loaded))\n"
+        )
+        proc = run_python(probe, cwd=tmp_path, stdin="q\n")
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        # each command runs after the ones before it, in one process
+        assert loaded == {
+            **{name: [] for name, _ in runs[:-2]},
+            "annotate": ["genscope.annotator"],
+            "label": ["genscope.annotator", "genscope.labeling"],
+        }
+
+
+class TestPackageExports:
+    """``import genscope`` loads numpy and no layer; each re-export imports
+    its submodule when first read, by attribute or by ``import *``."""
+
+    RESOLVE = (
+        "import importlib, json, sys\n"
+        "import genscope\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('genscope'))\n"
+        "{read}\n"
+        "wrong = []\n"
+        "for name in genscope.__all__[1:]:\n"
+        "    where = genscope._EXPORTS[name]\n"
+        "    module = importlib.import_module('genscope.' + where)\n"
+        "    want = module if name == where else getattr(module, name)\n"
+        "    if got[name] is not want:\n"
+        "        wrong.append(name)\n"
+        "print(json.dumps([loaded, wrong]))\n"
+    )
+
+    @pytest.mark.parametrize("read", [
+        "got = {name: getattr(genscope, name) for name in genscope.__all__}",
+        "got = {}\nexec('from genscope import *', got)",
+    ], ids=["attribute", "star-import"])
+    def test_every_name_resolves_to_its_submodules_object(self, tmp_path, read):
+        proc = run_python(self.RESOLVE.format(read=read), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [["genscope"], []]
+
+    def test_the_table_names_every_export(self):
+        assert genscope.__all__ == ["__version__", *genscope._EXPORTS]
+        assert set(genscope.__all__) <= set(dir(genscope))
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            genscope.no_such_name
+
+    def test_readme_library_sketch_runs(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
+        texts, labels = generate_training_texts(n=200, seed=5)
+        namespace = {
+            "texts": texts, "labels": labels, "new_texts": texts[:5],
+            "likes_generic": [3, 8, 1, 9, 4], "likes_other": [0, 2, 1, 5],
+            "a": [1, 2, 3], "b": [4, 5, 6], "c": [2, 7, 9],
+        }
+        exec(compile(sketch.split("```", 1)[0], "README.md", "exec"), namespace)
+        assert (namespace["verdict"].label, namespace["verdict"].kind) == ("generic", "bare")
+        assert len(namespace["scores"]) == 5
+        assert 0 <= namespace["res"].p <= 1 and 0 <= namespace["kw"].p <= 1
+
+
+def open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+class TestExitPath:
+    """``main`` never freezes the heap, and leaves no file open: with the
+    heap frozen at exit, a file left to the garbage collector would never
+    be closed."""
+
+    @pytest.fixture
+    def piped_stdin(self, monkeypatch):
+        read, write = os.pipe()
+        os.write(write, b"g\nn\n\n")
+        os.close(write)
+        stdin = open(read, encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        yield
+        stdin.close()
+
+    @pytest.fixture
+    def two_ranges(self, inputs, monkeypatch):
+        """``analyze`` cuts its corpus into two ranges and forks a child."""
+        data = Path(inputs["corpus"]).read_bytes()
+        cut = data.index(b"\n", len(data) // 2) + 1
+        monkeypatch.setattr(genscope.analysis, "byte_ranges", lambda path: [(0, cut), (cut, None)])
+
+    @pytest.mark.parametrize("command", [
+        "ingest", "annotate", "classify", "train", "eval", "label", "analyze",
+        "analyze --model", "report", "reproduce",
+    ])
+    def test_main_freezes_nothing_and_leaves_no_file_open(self, tmp_path, inputs, command,
+                                                          piped_stdin, two_ranges, capsys):
+        i, out = inputs, str(tmp_path / "out")
+        argv = {
+            "ingest": ["ingest", "--corpus", i["corpus"], "--out", out],
+            "annotate": ["annotate", "--corpus", i["corpus"], "--out", out],
+            "classify": ["classify", "--corpus", i["corpus"], "--model", i["model"],
+                         "--out", out],
+            "train": ["train", "--labeled", i["labeled"], "--model-out", out + ".txt",
+                      "--epochs", "5"],
+            "eval": ["eval", "--labeled", i["labeled"], "--model", i["model"]],
+            "label": ["label", "--corpus", i["corpus"], "--out", out, "--limit", "5"],
+            "analyze": ["analyze", "--corpus", i["corpus"], "--out", out],
+            "analyze --model": ["analyze", "--corpus", i["corpus"], "--model", i["model"],
+                                "--out", out],
+            "report": ["report", "--report", i["report"], "--out", out],
+            "reproduce": ["reproduce"],
+        }[command]
+        before = open_fds()
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == 0
+        assert open_fds() == before
+        if command == "label":
+            assert len(Path(out, "labeled.jsonl").read_text().splitlines()) == 3
+
+    def test_entry_freezes_the_heap_before_exit(self, tmp_path):
+        probe = (
+            "import atexit, gc, sys\n"
+            "from genscope.cli import entry\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['genscope', 'reproduce']\n"
+            "sys.exit(entry())\n"
+        )
+        proc = run_python(probe, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["all 24 checks passed", "frozen True"]
+
+
+def launch(argv, cwd, stdin=""):
+    """``python -m genscope argv`` and a process that runs ``main(argv)``
+    with no entry around it, each in its own copy of ``cwd``, at once."""
+    runs = {}
+    for name, program in (("-m", ["-m", "genscope"]),
+                          ("main", ["-c", "import sys; from genscope.cli import main; "
+                                          "sys.exit(main(sys.argv[1:]))"])):
+        where = cwd / name
+        where.mkdir()
+        runs[name] = where, subprocess.Popen(
+            [sys.executable, *program, *argv], cwd=where, env=ENV, stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+    results = {}
+    for name, (where, proc) in runs.items():
+        stdout, stderr = proc.communicate(stdin.encode())
+        files = {str(p.relative_to(where)): p.read_bytes()
+                 for p in sorted(where.rglob("*")) if p.is_file()}
+        results[name] = proc.returncode, stdout, stderr, files
+    return results["-m"], results["main"]
+
+
+class TestLaunchers:
+    @pytest.mark.parametrize("case", [
+        "ingest", "train", "analyze", "analyze --model", "label", "failed-check",
+        "usage-error", "data-error",
+    ])
+    def test_dash_m_matches_main_byte_for_byte(self, tmp_path, inputs, case):
+        # the freeze at exit must lose no output: every stream and file,
+        # and the exit code, are those of main run without it
+        i = inputs
+        argv, code = {
+            "ingest": (["ingest", "--corpus", i["corpus"], "--out", "o"], 0),
+            "train": (["train", "--labeled", i["labeled"], "--model-out", "m.txt",
+                       "--epochs", "5"], 0),
+            "analyze": (["analyze", "--corpus", BUNDLED_CORPUS, "--out", "o"], 0),
+            "analyze --model": (["analyze", "--corpus", i["corpus"], "--model", i["model"],
+                                 "--format", "csv", "--out", "o"], 0),
+            "label": (["label", "--corpus", i["corpus"], "--out", "o", "--limit", "4"], 0),
+            "failed-check": (["reproduce", "--tables", i["tables"]], 3),
+            "usage-error": (["eval", "--labeled", i["labeled"], "--model", i["model"],
+                             "--format", "csv"], 1),
+            "data-error": (["classify", "--corpus", i["corpus"], "--model", i["corpus"]], 2),
+        }[case]
+        dash_m, plain = launch(argv, tmp_path, stdin="g\nn\n\ns\n")
+        assert dash_m[0] == code, dash_m[2]
+        assert dash_m == plain
+        assert dash_m[1] or dash_m[2]
+
+
+def test_console_script_and_dash_m_run_one_entry():
+    # so that the console script cannot lose the exit freeze
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    script = pyproject["project"]["scripts"]["genscope"]
+    tree = ast.parse((PACKAGE / "__main__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name: f"genscope.{node.module}:{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    called = [imported[node.func.id] for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in imported]
+    assert called == [script] == ["genscope.cli:entry"]
