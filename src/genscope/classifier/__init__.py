@@ -6,7 +6,6 @@ from .features import (
     Vocabulary,
     build_vocab,
     csr_from_columns,
-    stack_features,
     tokenize,
     vectorize_bow,
     EMOJI_TOKEN,
@@ -29,7 +28,6 @@ __all__ = [
     "Vocabulary",
     "build_vocab",
     "csr_from_columns",
-    "stack_features",
     "tokenize",
     "vectorize_bow",
     "EMOJI_TOKEN",

@@ -225,19 +225,6 @@ class CsrMatrix:
         )
 
 
-def stack_features(rows, n_cols: int) -> CsrMatrix:
-    """One CSR row per list of (index, count) pairs from an iterable.
-    Rows are copied into flat buffers as they come, so a generator never
-    holds them all; the CsrMatrix checks the column range once."""
-    indptr, indices, data = array("q", [0]), array("q"), array("d")
-    for pairs in rows:
-        for idx, count in pairs:
-            indices.append(idx)
-            data.append(count)
-        indptr.append(len(indices))
-    return CsrMatrix(indptr, indices, data, n_cols)
-
-
 # rows per block when csr_from_columns turns column ids into CSR rows
 ROWS_PER_BLOCK = 1024
 

@@ -3,7 +3,7 @@
 Each prompt shows the tweet and the annotator's suggested verdict; one
 keystroke accepts or overrides. Output lines append as they are decided,
 so an interrupted session leaves a valid partial file, and rerunning
-skips ids that are already labeled.
+skips ids that are already labeled. Ctrl-C ends a session as ``q`` does.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import codecs
 import json
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,7 +75,8 @@ def label_session(
     existing, torn = _existing_ids(path)
 
     labeled = skipped = resumed = 0
-    with open(path, "a", encoding="utf-8", newline="\n") as sink:
+    with open(path, "a", encoding="utf-8", newline="\n") as sink, suppress(KeyboardInterrupt):
+        # Ctrl-C ends the session as q does; the lines written stay
         for tweet in tweets:
             if tweet.id in existing:
                 resumed += 1

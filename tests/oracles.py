@@ -13,7 +13,8 @@ from the library code paths it checks:
 * the per-value midrank loop and the ``bisect`` score histogram that
   one ``np.unique`` and one ``np.searchsorted`` replaced,
 * the two-pass bag-of-words vectorizer (count a vocabulary, then count
-  each text's columns) that one counting pass replaced.
+  each text's columns) that one counting pass replaced, and the per-row
+  CSR stacking that ``csr_from_columns`` is checked against.
 
 Keep this module free of imports from ``genscope`` so the oracles cannot
 accidentally share code with the implementations under test.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import bisect
 import re
 from decimal import Decimal, getcontext
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -392,3 +394,23 @@ def two_pass_bow_oracle(token_lists, min_count):
             data.append(float(count))
         indptr.append(len(indices))
     return vocab, (indptr, indices, data)
+
+
+def stack_features_oracle(rows, n_cols):
+    """The CSR matrix of rows of (column, count) pairs, as the arrays a
+    ``CsrMatrix`` keeps, with their dtypes: ``indptr``, ``indices``,
+    ``data`` and ``rows`` (each nonzero's row), and its ``shape``."""
+    indptr, indices, data, row_of = [0], [], [], []
+    for row, pairs in enumerate(rows):
+        for column, count in pairs:
+            indices.append(column)
+            data.append(float(count))
+            row_of.append(row)
+        indptr.append(len(indices))
+    return SimpleNamespace(
+        indptr=np.array(indptr, dtype=np.intp),
+        indices=np.array(indices, dtype=np.intp),
+        data=np.array(data, dtype=float),
+        rows=np.array(row_of, dtype=np.intp),
+        shape=(len(indptr) - 1, n_cols),
+    )

@@ -34,7 +34,7 @@ from genscope.analysis import (
     run_analysis,
 )
 from genscope.annotator import RuleAnnotator
-from genscope.classifier import GenericityClassifier, predict_score, save_model, stack_features
+from genscope.classifier import CsrMatrix, GenericityClassifier, predict_score, save_model
 from genscope.classifier.features import LEXER_RE, TOKEN_RE
 from genscope.cli import main
 from genscope.corpus import GROUPS, ingest, lang_matches, load_query, write_jsonl
@@ -43,7 +43,7 @@ from genscope.parts import byte_ranges
 from genscope.reporting import emit_report, render_csv, render_markdown
 from genscope.synth import generate_corpus, generate_training_texts
 
-from oracles import histogram_oracle
+from oracles import histogram_oracle, stack_features_oracle
 
 BUNDLED_CORPUS = resources.files("genscope.data") / "synthetic_corpus.jsonl"
 PUBLISHED_TABLES = resources.files("genscope.data") / "published_tables.csv"
@@ -711,7 +711,10 @@ class TestSinglePass:
                 for m in matrices
                 for i in range(len(m))
             ]
-            whole = predict_score(model, stack_features(rows, model.dimension))
+            stacked = stack_features_oracle(rows, model.dimension)
+            whole = predict_score(
+                model, CsrMatrix(stacked.indptr, stacked.indices, stacked.data, model.dimension)
+            )
             assert np.concatenate(scores).tobytes() == whole.tobytes()
         first = outputs.pop(1)
         assert all(files == first for files in outputs.values())
@@ -936,6 +939,56 @@ class TestParts:
         self._failing_annotate(monkeypatch, lines[100], lines[550])
         code, report, stderr = self._same_as_one_part(["analyze", "--corpus", path], tmp_path, 2)
         assert stderr.splitlines()[-1] == f"error: cannot annotate {json.loads(lines[100])['text']!r}"
+
+    def test_an_error_in_the_last_block_wins_over_a_later_part(
+        self, tmp_path, long_corpus, monkeypatch
+    ):
+        # the first range is one block, run once ingest has read it and
+        # before it receives the second range's error
+        path, lines = long_corpus
+        monkeypatch.setattr(genscope.analysis, "BLOCK", len(lines))
+        self._failing_annotate(monkeypatch, lines[100], lines[550])
+        code, report, stderr = self._same_as_one_part(["analyze", "--corpus", path], tmp_path, 2)
+        assert stderr.splitlines()[-1] == f"error: cannot annotate {json.loads(lines[100])['text']!r}"
+
+    # ids in and out of the query's lang, repeated across any cut
+    MIXED = [("a", "democrats are loud", "en"), ("b", "trans people are kind", "fr"),
+             ("c", "white men vote", "en"), ("d", "republicans are loud", "de"),
+             ("a", "white men are loud", "en"), ("e", "trans people are loud", "en"),
+             ("b", "democrats are kind", "en"), ("f", "white men are kind", "fr"),
+             ("c", "democrats are loud", "en"), ("g", "trans people vote", "en")]
+
+    @pytest.mark.parametrize("mode", ["annotator", "model"])
+    def test_block_boundaries_change_nothing(self, tmp_path, model, crafted, monkeypatch, mode):
+        # the bundled corpus in one range and in two; the crafted and the
+        # mixed corpora in one and cut at each line start, so that a cut
+        # falls inside a block of each size
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("".join(json.dumps(_record(i, text, **CLEAN, lang=lang)) + "\n"
+                                 for i, text, lang in self.MIXED))
+        extra = ["--model", model] if mode == "model" else []
+        runs: dict = {}
+
+        def run(corpus, cpus):
+            argv = ["analyze", "--corpus", corpus, *extra]
+            runs.setdefault(corpus, []).append(_analyze(argv, tmp_path / "out", cpus, 1000))
+
+        for block in (1, 3, genscope.analysis.BLOCK):
+            monkeypatch.setattr(genscope.analysis, "BLOCK", block)
+            run(BUNDLED_CORPUS, 1)
+            run(BUNDLED_CORPUS, 2)
+            for corpus in (crafted, mixed):
+                run(corpus, 1)
+                data = corpus.read_bytes()
+                for cut in [i + 1 for i in range(len(data)) if data[i] == ord("\n")]:
+                    with monkeypatch.context() as patched:
+                        patched.setattr(genscope.analysis, "byte_ranges",
+                                        lambda path: [(0, cut), (cut, None)])
+                        run(corpus, 2)
+        for corpus in (BUNDLED_CORPUS, crafted, mixed):
+            first = runs[corpus][0]
+            assert first[0] == 0
+            assert all(other == first for other in runs[corpus])
 
     def test_a_child_that_dies_without_a_result(self, tmp_path, long_corpus, monkeypatch):
         path, lines = long_corpus

@@ -21,13 +21,12 @@ from genscope.classifier import (
     loss_and_gradient,
     predict_score,
     save_model,
-    stack_features,
     tokenize,
     vectorize_bow,
 )
 from genscope.errors import InputError
 from genscope.synth import generate_training_texts
-from oracles import two_pass_bow_oracle
+from oracles import stack_features_oracle, two_pass_bow_oracle
 
 
 class TestTokenize:
@@ -191,15 +190,15 @@ def _columns(token_lists, vocab):
 
 class TestCsrFromColumns:
     """The one CSR builder behind ``fit_transform``, ``transform`` and the
-    model scorer gives, row for row, the CSR that ``stack_features`` makes
-    of ``vectorize_bow``'s per-text (column, count) pairs."""
+    model scorer gives, row for row, the CSR that ``stack_features_oracle``
+    makes of ``vectorize_bow``'s per-text (column, count) pairs."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(rows=st.lists(BUILDER_ROWS, max_size=20), rows_per_block=st.integers(1, 7))
     def test_matches_vectorize_bow_rows(self, rows, rows_per_block):
         # empty rows, rows of out-of-vocabulary tokens only, repeated
         # tokens, and block boundaries anywhere among them
-        expected = stack_features((vectorize_bow(r, BUILDER_VOCAB) for r in rows), 4)
+        expected = stack_features_oracle((vectorize_bow(r, BUILDER_VOCAB) for r in rows), 4)
         with mock.patch.object(features, "ROWS_PER_BLOCK", rows_per_block):
             _same_csr(csr_from_columns(*_columns(rows, BUILDER_VOCAB), 4), expected)
 
@@ -208,12 +207,12 @@ class TestCsrFromColumns:
         # different kind of row (empty, all out of vocabulary, repeated
         # tokens) on each side of each block boundary
         rows = [["a", "c", "a"], [], ["x", "y"], ["d", "b", "d", "x"], ["c"]] * 700
-        expected = stack_features((vectorize_bow(r, BUILDER_VOCAB) for r in rows), 4)
+        expected = stack_features_oracle((vectorize_bow(r, BUILDER_VOCAB) for r in rows), 4)
         _same_csr(csr_from_columns(*_columns(rows, BUILDER_VOCAB), 4), expected)
 
     def test_no_rows(self):
         x = csr_from_columns(array("q"), array("q"), 4)
-        _same_csr(x, stack_features([], 4))
+        _same_csr(x, stack_features_oracle([], 4))
 
     def test_transform_uses_it(self, monkeypatch):
         calls = []
@@ -234,7 +233,8 @@ class TestCsrFromColumns:
         )
         save_model(model, tmp_path / "model.txt")
         rows = [["a", "a", "b"], [], ["y"], ["c", "d", "x", "c"], ["b"]] * 3
-        expected = stack_features((vectorize_bow(r, BUILDER_VOCAB) for r in rows), 4)
+        stacked = stack_features_oracle((vectorize_bow(r, BUILDER_VOCAB) for r in rows), 4)
+        expected = CsrMatrix(stacked.indptr, stacked.indices, stacked.data, 4)
         want = predict_score(model, expected).tolist()
         for chunk in (1, 4, 5, len(rows), len(rows) + 1):
             monkeypatch.setattr(genscope.analysis, "CHUNK", chunk)

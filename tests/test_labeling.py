@@ -1,6 +1,13 @@
 import io
 import json
+import os
+import signal
+import subprocess
 import sys
+from importlib import resources
+from pathlib import Path
+
+import genscope
 
 from genscope.cli import main
 from genscope.corpus import Tweet, write_jsonl
@@ -94,6 +101,57 @@ def test_eof_ends_session(tmp_path):
         tweets, out, input_stream=io.StringIO(""), output_stream=io.StringIO()
     )
     assert result.labeled == 0
+
+
+class _Interrupted(io.StringIO):
+    """Its text's lines, then what Ctrl-C at the prompt raises."""
+
+    def readline(self, *args):
+        line = super().readline(*args)
+        if not line:
+            raise KeyboardInterrupt
+        return line
+
+
+def test_ctrl_c_ends_the_session_as_q_does(tmp_path):
+    tweets = _tweets("Democrats block the bill", "Men can cook", "Liberals are loud")
+    out = tmp_path / "labels.jsonl"
+    result = label_session(
+        tweets, out, input_stream=_Interrupted("\ns\n"), output_stream=io.StringIO()
+    )
+    assert (result.labeled, result.skipped, result.resumed) == (1, 1, 0)
+    assert [r["id"] for r in _read(out)] == ["t0"]
+
+
+def test_sigint_at_the_prompt_exits_0_with_the_summary(tmp_path):
+    # buffered streams and no PYTHONUNBUFFERED, as most shells run it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(genscope.__file__).parents[1])
+    corpus = resources.files("genscope.data") / "synthetic_corpus.jsonl"
+    out = tmp_path / "lbl"
+    process = subprocess.Popen(
+        [sys.executable, "-m", "genscope", "label", "--corpus", str(corpus), "--out", str(out)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        process.stdin.write(b"g\n")
+        process.stdin.flush()
+        # the second prompt: the first answer is written
+        seen = b""
+        while seen.count(b"q=quit > ") < 2:
+            chunk = os.read(process.stdout.fileno(), 4096)
+            assert chunk, seen[-500:]
+            seen += chunk
+        process.send_signal(signal.SIGINT)
+        stdout, stderr = process.communicate(timeout=60)
+    finally:
+        process.kill()
+        process.wait()
+    assert process.returncode == 0, stderr.decode()
+    assert b"Traceback" not in stderr
+    summary = (seen + stdout).decode().splitlines()[-1]
+    assert summary == f"labeled 1 tweets (skipped 0, already done 0) -> {out / 'labeled.jsonl'}"
+    assert len(_read(out / "labeled.jsonl")) == 1
 
 
 def test_resume_skips_lines_without_a_string_id(tmp_path, monkeypatch, capsys):
