@@ -5,8 +5,10 @@ group, attaches a genericity decision (trained model or rule annotator)
 and a sentiment label to every single-group tweet, keeps those as
 per-group columns, and assembles a report dictionary in which every
 statistic sits next to the counts or sample sizes it was computed from.
-The tweets ingest accepts are taken in blocks of ``BLOCK``, and each of
-those steps runs over a whole block before the next starts.
+The tweets ingest accepts are taken in blocks of ``BLOCK``, the pass's
+one batch: each of those steps runs over a whole block before the next
+starts, a block's kept tweets are scored by one model call, and every
+tweet's partition bucket is kept as one byte, counted once at the end.
 ``recompute_check`` rebuilds the H1/H3/H4 blocks from their counts and
 checks every other statistic against the numbers beside it, and
 ``reproduce_published`` rebuilds the same blocks from the published
@@ -16,8 +18,10 @@ The pass runs on every usable CPU. ``parts.byte_ranges`` cuts a large
 corpus file into one byte range per CPU, each ending after a newline, and
 each range after the first goes through the same blocks and steps in a
 forked child process (``parts.forked``), while this process reads the
-first. A child leaves the duplicate-id check to ``ingest``, which judges
-the children's records in file order after its own range; the rows of the
+first. A child leaves the duplicate-id check to ``ingest`` and sends one
+result: its records, its buckets and its columns. ``ingest`` judges the
+children's records in file order after its own range, and each range is
+merged as soon as its records are judged: the buckets and rows of the
 records it rejects are dropped, and the rest are appended in file order,
 so the report is byte for byte that of one process.
 """
@@ -31,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import partial
 from importlib import resources
-from itertools import compress, repeat
+from itertools import compress
 from pathlib import Path
 from typing import get_type_hints
 
@@ -40,7 +44,7 @@ import numpy as np
 from . import __version__
 from .base import check_threshold
 from .classifier import (
-    csr_from_columns,
+    bow_matrix,
     load_model,
     predict_score,
     tokenize,
@@ -214,61 +218,39 @@ def _histogram(scores, bin_width: float) -> list[list[float]]:
 
 
 # ---------------------------------------------------------------------------
-# the single pass: the tweets ingest accepts wait in blocks of BLOCK, and
-# each block goes through the stages in turn, each stage over the whole
-# block: every accepted tweet is lexed once, bucketed, scored and labelled,
-# and only its numbers outlive its block; a later byte range of the corpus
-# goes through the same step in a child process, whose rows are merged in
-# file order once ingest has judged its records
+# the single pass: the tweets ingest accepts wait in blocks of BLOCK, the
+# pass's one batch, and each block goes through the stages in turn, each
+# stage over the whole block: every accepted tweet is lexed once, bucketed,
+# scored and labelled, and only its bucket byte and numbers outlive its
+# block; a later byte range of the corpus goes through the same step in a
+# child process, whose result is merged once ingest has judged its records
 
-# texts per model-scoring batch: one predict_score call each, so only one
-# chunk's features are alive
-CHUNK = 4096
-# Accepted tweets per block of the single pass. One tight loop of a stage
-# over a block costs less than switching stages at every tweet, as in
-# MonetDB/X100's vectorized execution (Boncz, Zukowski and Nes, CIDR 2005).
-# On one byte range of a 20k-tweet benchmark corpus, in one process on a
-# shared 2-vCPU Xeon host (fastest of 15 runs per size), annotator mode
-# took 383-394 ms at every size from 32 to 4,096, 450-510 ms at 8 and
-# 635-680 ms at 1, against about 500 ms with no blocks; model mode took
-# 297-302 ms from 32 to 4,096, against 305-330 ms with no blocks.
+# Accepted tweets per block of the single pass (and per scoring call of
+# classify). One tight loop of a stage over a block costs less than
+# switching stages at every tweet, as in MonetDB/X100's vectorized execution
+# (Boncz, Zukowski and Nes, CIDR 2005). On one byte range of a 20k-tweet
+# benchmark corpus, in one process on a shared 2-vCPU Xeon host (fastest of
+# 15 runs per size), annotator mode took 383-394 ms at every size from 32
+# to 4,096, 450-510 ms at 8 and 635-680 ms at 1, against about 500 ms with
+# no blocks; model mode took 297-302 ms from 32 to 4,096, against 305-330
+# ms with no blocks.
 BLOCK = 256
 
 
-class ModelScorer:
-    """The one way texts are scored with a trained model. ``add`` appends
-    the vocabulary column of each of a text's tokens (-1 out of the
-    vocabulary) to one flat buffer and the text's end offset to another,
-    so a waiting row is no Python object, and keeps the sink its score
-    goes to; ``flush`` builds the rows with ``csr_from_columns``, scores
-    them and hands each score to its sink, in order. ``add`` flushes every
-    ``CHUNK`` rows; the caller flushes once at the end."""
+def load_bow_model(path):
+    """The trained model at ``path``, which must carry the vocabulary that
+    texts are scored through."""
+    model = load_model(path)
+    if model.vocab is None:
+        raise InputError(f"{path}: need a bag-of-words model with a [vocab] section")
+    return model
 
-    def __init__(self, path):
-        self.model = load_model(path)
-        if self.model.vocab is None:
-            raise InputError(f"{path}: need a bag-of-words model with a [vocab] section")
-        self._column = self.model.vocab.index.get
-        self._clear()
 
-    def _clear(self) -> None:
-        self._columns, self._ends = array("q"), array("q")
-        self._sinks: list = []
-
-    def add(self, tokens: list[str], sink) -> None:
-        self._columns.extend(map(self._column, tokens, repeat(-1)))
-        self._ends.append(len(self._columns))
-        self._sinks.append(sink)
-        if len(self._sinks) == CHUNK:
-            self.flush()
-
-    def flush(self) -> None:
-        if not self._sinks:
-            return
-        features = csr_from_columns(self._columns, self._ends, self.model.dimension)
-        for sink, score in zip(self._sinks, predict_score(self.model, features).tolist()):
-            sink(score)
-        self._clear()
+def score_tokens(model, token_lists) -> list[float]:
+    """The model's score of each token list, from one ``predict_score``
+    call over their bag-of-words rows. A row's score has the same bits
+    whatever other rows it is scored with."""
+    return predict_score(model, bow_matrix(token_lists, model.vocab)).tolist()
 
 
 class _Columns:
@@ -291,19 +273,24 @@ class _Columns:
         return self.view("scores") >= threshold
 
 
+# each bucket's one-byte code: its index in BUCKETS, whose first are GROUPS
+_BUCKET_CODES = {bucket: i for i, bucket in enumerate(BUCKETS)}
+
+
 class _Pipeline:
     """The single pass's step, with everything it needs: the compiled query
-    terms, the annotator or model scorer, and the sentiment provider.
-    ``ingest`` hands it each accepted tweet, which waits in a block of up
-    to ``BLOCK``; ``flush`` runs each stage over the whole block before the
-    next. It keeps the partition counts and each group's columns."""
+    terms, the annotator or model, and the sentiment provider. ``ingest``
+    hands it each accepted tweet, which waits in a block of up to
+    ``BLOCK``; ``flush`` runs each stage over the whole block before the
+    next. It keeps each handed tweet's bucket, as its one-byte code, and
+    each group's columns."""
 
     def __init__(self, config: AnalysisConfig, query, lexicon):
         self.terms = compile_terms(query, lexicon)
         self.lang = query.lang
-        self.scorer = self.annotator = None
+        self.model = self.annotator = None
         if config.model:
-            self.scorer = ModelScorer(config.model)
+            self.model = load_bow_model(config.model)
         else:
             from .annotator import RuleAnnotator, normalize  # model mode never loads it
 
@@ -312,11 +299,9 @@ class _Pipeline:
             external=_external_labels(config.external_sentiment),
             lexicon=load_valence_lexicon(config.valence_lexicon or None),
         )
-        self.buckets = dict.fromkeys(BUCKETS, 0)
+        self.buckets = array("b")
         self.columns = {g: _Columns() for g in GROUPS}
         self.block: list = []
-        # in a child, each handed tweet's index in BUCKETS (see run_part)
-        self.handed: array | None = None
 
     def __call__(self, tweet) -> None:
         """Add one accepted tweet to the block, and run a full block."""
@@ -327,17 +312,17 @@ class _Pipeline:
     def flush(self) -> None:
         """Bucket, score and label the waiting tweets, in file order, one
         stage at a time: the lang test, the lex, the partition, then the
-        verdict or score and the sentiment of each tweet kept in a group,
-        then the column appends. The stages are looked up here, once per
-        block, so a function replaced after the pipeline was built is the
-        one called."""
+        verdicts or the one scoring call of the tweets kept in a group,
+        then, for each of them, its sentiment and its column appends. The
+        stages are looked up here, once per block, so a function replaced
+        after the pipeline was built is the one called."""
         tweets, self.block = self.block, []
         if not tweets:
             return
         # a tweet whose lang fails is unmatched, unlexed
         passes = [lang_matches(t.lang, self.lang) for t in tweets] if self.lang else None
         passed = tweets if passes is None else list(compress(tweets, passes))
-        if self.scorer is None:
+        if self.model is None:
             normalize, table = self.normalize, self.annotator.words
             lexed = [normalize(t.text, table) for t in passed]
             tokens = [words for words, _ in lexed]
@@ -345,60 +330,45 @@ class _Pipeline:
             tokens = [tokenize(t.text) for t in passed]
         terms = self.terms
         buckets = [partition(terms, words) for words in tokens]
-        self.buckets["unmatched"] += len(tweets) - len(passed)
-        for bucket, n in Counter(buckets).items():
-            self.buckets[bucket] += n
-        if self.handed is not None:
-            found = iter(buckets)
-            self.handed.extend(
-                BUCKETS.index(next(found) if ok else "unmatched")
-                for ok in passes or repeat(True, len(tweets))
-            )
+        codes = [_BUCKET_CODES[bucket] for bucket in buckets]
+        if passes is not None:
+            found = iter(codes)
+            unmatched = _BUCKET_CODES["unmatched"]
+            codes = [next(found) if ok else unmatched for ok in passes]
+        self.buckets.extend(codes)
 
-        # a score goes to its column here, or, in model mode, when the
-        # scorer's chunk is scored
-        columns, label = self.columns, self.provider.label
-        kept = [(i, columns[bucket]) for i, bucket in enumerate(buckets) if bucket in columns]
-        codes = array("b")
-        if self.scorer is None:
+        columns = self.columns
+        kept = [i for i, bucket in enumerate(buckets) if bucket in columns]
+        if self.model is None:
             annotate = self.annotator.annotate
-            for i, col in kept:
-                tweet = passed[i]
-                col.scores.append(1.0 if annotate(tweet.text, lexed[i][1]).is_generic else 0.0)
-                codes.append(SENTIMENTS.index(label(tweet.id, tokens[i]).value))
+            scores = [1.0 if annotate(passed[i].text, lexed[i][1]).is_generic else 0.0
+                      for i in kept]
         else:
-            add = self.scorer.add
-            for i, col in kept:
-                add(tokens[i], col.scores.append)
-                codes.append(SENTIMENTS.index(label(passed[i].id, tokens[i]).value))
-        for (i, col), code in zip(kept, codes):
-            tweet = passed[i]
-            col.sentiments.append(code)
+            scores = score_tokens(self.model, [tokens[i] for i in kept]) if kept else []
+        label = self.provider.label
+        for i, score in zip(kept, scores):
+            tweet, col = passed[i], columns[buckets[i]]
+            col.scores.append(score)
+            col.sentiments.append(SENTIMENTS.index(label(tweet.id, tokens[i]).value))
             col.likes.append(tweet.like_count)
             col.retweets.append(tweet.retweet_count)
 
     def run_part(self, path, query, start: int, end: int | None):
         """The same blocks over a later byte range of the corpus, in a child
-        process. Yields the range's records for ``ingest``, then, for each
-        record handed on, its index in ``BUCKETS``, with the columns."""
-        self.handed = array("b")
+        process: the range's records for ``ingest``, and, for the records
+        handed on, their bucket codes and columns."""
         records = read_part(path, start, end, self, query)
         self.flush()
-        if self.scorer is not None:
-            self.scorer.flush()
-        yield records
-        yield self.handed, self.columns
+        return records, self.buckets, self.columns
 
     def merge(self, records: PartRecords, buckets: array, columns: dict) -> None:
-        """Count a later range's tweets and append its rows, less those of
-        the records ``ingest`` did not accept: their ids repeat an id
-        accepted in an earlier range."""
+        """Take a later range's buckets and rows, less those of the records
+        ``ingest`` did not accept: their ids repeat an id accepted in an
+        earlier range."""
         handed = np.frombuffer(records.verdicts, dtype=np.int8) < 0
         accepted = np.frombuffer(records.accepted, dtype=bool)[handed]
         buckets = np.frombuffer(buckets, dtype=np.int8)
-        counts = np.bincount(buckets[accepted], minlength=len(BUCKETS)).tolist()
-        for name, count in zip(BUCKETS, counts):
-            self.buckets[name] += count
+        self.buckets.frombytes(buckets[accepted].tobytes())
         for i, g in enumerate(GROUPS):
             keep = accepted[buckets == i]
             for name, column in vars(self.columns[g]).items():
@@ -437,23 +407,21 @@ def run_analysis(config: AnalysisConfig) -> dict:
     pipeline = _Pipeline(config, query, lexicon)
     (_, end), *later = byte_ranges(corpus_path)
     with forked(partial(pipeline.run_part, corpus_path, query), later) as children:
-        records: list[PartRecords] = []
 
         def received():
             # ingest starts this once it has read its own range: that range's
             # last block runs first, so its error is raised before a later
-            # range's, as in one read of the file
+            # range's, as in one read of the file; ingest judges each range's
+            # records before it asks for the next, so they merge here
             pipeline.flush()
             for child in children:
-                records.append(child.receive())
-                yield records[-1]
+                records, buckets, columns = child.receive()
+                yield records
+                pipeline.merge(records, buckets, columns)
 
         report_ingest = ingest(corpus_path, pipeline, query, end, received())
-        if pipeline.scorer is not None:
-            pipeline.scorer.flush()
-        for child, part in zip(children, records):
-            pipeline.merge(part, *child.receive())
     columns = pipeline.columns
+    buckets = np.bincount(np.frombuffer(pipeline.buckets, dtype=np.int8), minlength=len(BUCKETS))
 
     report: dict = {
         "provenance": {
@@ -473,7 +441,7 @@ def run_analysis(config: AnalysisConfig) -> dict:
             "accepted": report_ingest.accepted_count,
             "rejected": report_ingest.rejected_count,
         },
-        "partition": pipeline.buckets,
+        "partition": dict(zip(BUCKETS, buckets.tolist())),
     }
 
     tally = Counter(

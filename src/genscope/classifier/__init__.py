@@ -4,6 +4,7 @@ from .features import (
     BagOfWordsVectorizer,
     CsrMatrix,
     Vocabulary,
+    bow_matrix,
     build_vocab,
     csr_from_columns,
     tokenize,
@@ -26,6 +27,7 @@ __all__ = [
     "BagOfWordsVectorizer",
     "CsrMatrix",
     "Vocabulary",
+    "bow_matrix",
     "build_vocab",
     "csr_from_columns",
     "tokenize",

@@ -263,8 +263,20 @@ def csr_from_columns(columns, ends, size: int) -> CsrMatrix:
     return CsrMatrix(indptr, indices[:nnz], data[:nnz], size)
 
 
+def bow_matrix(token_lists, vocab: Vocabulary) -> CsrMatrix:
+    """The bag-of-words CSR matrix of token lists, one row per list: the
+    vocabulary column of each token (-1 out of the vocabulary) goes to one
+    flat typed array and each list's end offset to another, so a row is
+    no Python object until ``csr_from_columns`` builds them all."""
+    columns, ends = array("q"), array("q")
+    for tokens in token_lists:
+        columns.extend(map(vocab.index.get, tokens, repeat(-1)))
+        ends.append(len(columns))
+    return csr_from_columns(columns, ends, vocab.size)
+
+
 class BagOfWordsVectorizer:
-    """fit/transform wrapper over tokenize + build_vocab + csr_from_columns.
+    """fit/transform wrapper over tokenize + build_vocab + bow_matrix.
 
     ``fit_transform`` tokenizes each text once: it counts token ids, ranks
     the vocabulary, then maps the ids to columns, as scikit-learn's
@@ -280,12 +292,7 @@ class BagOfWordsVectorizer:
 
     def transform(self, texts) -> CsrMatrix:
         check_fitted(self, "vocabulary_")
-        vocab = self.vocabulary_
-        columns, ends = array("q"), array("q")
-        for text in texts:
-            columns.extend(map(vocab.index.get, tokenize(text), repeat(-1)))
-            ends.append(len(columns))
-        return csr_from_columns(columns, ends, vocab.size)
+        return bow_matrix(map(tokenize, texts), self.vocabulary_)
 
     def fit_transform(self, texts) -> CsrMatrix:
         self.vocabulary_, columns, ends = _count_vocab(

@@ -2,7 +2,7 @@
 
 Subcommands: ingest, annotate, train, eval, classify, analyze, report,
 label, reproduce. Exit codes: 0 success, 1 usage error, 2 data/schema
-error, 3 reproduction-suite failure.
+error, 3 reproduction-suite failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -12,17 +12,18 @@ import gc
 import json
 import sys
 from collections import Counter
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
+    BLOCK,
     AnalysisConfig,
-    ModelScorer,
+    load_bow_model,
     recompute_check,
     reproduce_published,
     run_analysis,
+    score_tokens,
 )
 from .base import check_threshold
 from .classifier import (
@@ -222,12 +223,9 @@ def _cmd_eval(args) -> int:
     if args.threshold is not None:
         check_threshold(args.threshold)
     texts, labels = _read_labeled(args.labeled)
-    scorer = ModelScorer(args.model)
-    scores: list[float] = []
-    for text in texts:
-        scorer.add(tokenize(text), scores.append)
-    scorer.flush()
-    tau = args.threshold if args.threshold is not None else scorer.model.threshold
+    model = load_bow_model(args.model)
+    scores = score_tokens(model, map(tokenize, texts))
+    tau = args.threshold if args.threshold is not None else model.threshold
     metrics = evaluate(scores, labels, threshold=tau)
     print(metrics.summary())
     print(
@@ -240,20 +238,28 @@ def _cmd_eval(args) -> int:
 def _cmd_classify(args) -> int:
     if args.threshold is not None:
         check_threshold(args.threshold)  # before the output directory is made
-    scorer = ModelScorer(args.model)
-    tau = args.threshold if args.threshold is not None else scorer.model.threshold
+    model = load_bow_model(args.model)
+    tau = args.threshold if args.threshold is not None else model.threshold
     path = Path(args.out or "out") / "scores.jsonl"
     with jsonl_writer(path) as write:
+        block: list = []
 
-        def write_score(tweet_id, score):
-            label = "generic" if score >= tau else "non_generic"
-            write({"id": tweet_id, "score": score, "label": label})
+        def write_scores():
+            # the tweets waiting in the block, scored in one call
+            scores = score_tokens(model, [tokenize(tweet.text) for tweet in block])
+            for tweet, score in zip(block, scores):
+                label = "generic" if score >= tau else "non_generic"
+                write({"id": tweet.id, "score": score, "label": label})
+            block.clear()
 
-        report = ingest(
-            args.corpus,
-            lambda tweet: scorer.add(tokenize(tweet.text), partial(write_score, tweet.id)),
-        )
-        scorer.flush()
+        def add(tweet):
+            block.append(tweet)
+            if len(block) == BLOCK:
+                write_scores()
+
+        report = ingest(args.corpus, add)
+        if block:
+            write_scores()
     print(f"scored {report.accepted_count} tweets at threshold {tau} -> {path}")
     return EXIT_OK
 
@@ -377,6 +383,11 @@ def main(argv=None) -> int:
     except UnicodeDecodeError as exc:
         print(f"error: an input file is not UTF-8: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except KeyboardInterrupt:
+        # each command's writers have removed their partial files, and
+        # analyze has reaped its children, on the way out
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 
 def entry() -> int:

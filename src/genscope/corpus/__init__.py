@@ -19,7 +19,6 @@ from .records import (
     jsonl_writer,
     read_jsonl,
     read_part,
-    write_jsonl,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "jsonl_writer",
     "read_jsonl",
     "read_part",
-    "write_jsonl",
 ]

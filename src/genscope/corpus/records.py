@@ -309,10 +309,12 @@ def ingest(path, on_tweet, query: QueryAst | None = None, end: int | None = None
     never fatal; only an unreadable file raises.
 
     A corpus cut into byte ranges is read up to ``end`` here; ``later``
-    holds the ``PartRecords`` that ``read_part`` made of the ranges from
+    yields the ``PartRecords`` that ``read_part`` made of the ranges from
     ``end`` on, in order. They are judged after this range, so ids,
     warnings and counts come out as from one read of the whole file; the
     caller keeps a later record's work only where its ``accepted`` is 1.
+    Each part is judged before the next is asked for, so ``later`` may
+    use a part's ``accepted`` as soon as it is resumed.
     """
     admission = _Admission(query)
     digest = hashlib.sha256()
@@ -393,10 +395,3 @@ def jsonl_writer(path):
             with suppress(OSError):  # not empty: something else wrote there
                 directory.rmdir()
         raise
-
-
-def write_jsonl(records, path) -> None:
-    """Write dicts to ``path`` as JSON Lines with a stable key order."""
-    with jsonl_writer(path) as write:
-        for record in records:
-            write(record)

@@ -3,10 +3,10 @@
 ``byte_ranges`` cuts a large regular file into one range per usable CPU,
 each ending just after a ``\\n`` byte, so that every range starts a line.
 ``forked`` runs a function over every range given to it, each in a child
-process of its own made with ``os.fork``: the child sends each object the
-function yields back through a pipe as a pickle, and leaves with
-``os._exit``. The caller works on the first range itself meanwhile, and
-then receives the children's objects in order.
+process of its own made with ``os.fork``: the child sends the function's
+result back through a pipe as a pickle, and leaves with ``os._exit``. The
+caller works on the first range itself meanwhile, and then receives the
+children's results in order.
 """
 
 from __future__ import annotations
@@ -74,11 +74,10 @@ def _after_newline(stream, offset: int) -> int | None:
 
 @contextmanager
 def forked(work, ranges):
-    """Run ``work(start, end)``, an iterator, for each of ``ranges``, each
-    in a forked child process that sends every object it yields back as a
-    pickle of its own. Yields the list of ``Child`` handles, in the order
-    of ``ranges``. However the block is left, every child is then killed,
-    if it still runs, and reaped."""
+    """Run ``work(start, end)`` for each of ``ranges``, each in a forked
+    child process that sends its result back as a pickle. Yields the list
+    of ``Child`` handles, in the order of ``ranges``. However the block is
+    left, every child is then killed, if it still runs, and reaped."""
     children: list[Child] = []
     try:
         for start, end in ranges:
@@ -113,8 +112,8 @@ class Child:
         self.stream = stream
 
     def receive(self):
-        """The next object the child sent, once it is sent; where the child
-        raised instead, its exception is raised here."""
+        """The child's result, once it is sent; where the child raised
+        instead, its exception is raised here."""
         try:
             ok, value = pickle.load(self.stream)
         except EOFError:
@@ -125,17 +124,18 @@ class Child:
 
 
 def _child(work, start: int, end: int | None, write: int):
-    """The forked child: send ``(True, object)`` for each object ``work``
-    yields, or ``(False, exception)`` once it raises, through ``write``, and
-    leave without running any of the parent's exit handlers or flushing its
+    """The forked child: send ``(True, result)`` of ``work``, or
+    ``(False, exception)`` where it raises, through ``write``, and leave
+    without running any of the parent's exit handlers or flushing its
     buffers."""
     try:
         with open(write, "wb") as stream:
             try:
-                for value in work(start, end):
-                    _send(stream, True, value)
+                result = work(start, end)
             except BaseException as exc:  # the parent raises it
                 _send(stream, False, exc)
+            else:
+                _send(stream, True, result)
     finally:
         os._exit(0)
 

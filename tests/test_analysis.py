@@ -34,15 +34,31 @@ from genscope.analysis import (
     run_analysis,
 )
 from genscope.annotator import RuleAnnotator
-from genscope.classifier import CsrMatrix, GenericityClassifier, predict_score, save_model
+from genscope.classifier import (
+    CsrMatrix,
+    GenericityClassifier,
+    predict_score,
+    save_model,
+    tokenize,
+    vectorize_bow,
+)
 from genscope.classifier.features import LEXER_RE, TOKEN_RE
 from genscope.cli import main
-from genscope.corpus import GROUPS, ingest, lang_matches, load_query, write_jsonl
+from genscope.corpus import (
+    GROUPS,
+    compile_terms,
+    ingest,
+    lang_matches,
+    load_group_lexicon,
+    load_query,
+    partition,
+)
 from genscope.errors import InputError, SchemaError
 from genscope.parts import byte_ranges
 from genscope.reporting import emit_report, render_csv, render_markdown
 from genscope.synth import generate_corpus, generate_training_texts
 
+from corpora import write_jsonl
 from oracles import histogram_oracle, stack_features_oracle
 
 BUNDLED_CORPUS = resources.files("genscope.data") / "synthetic_corpus.jsonl"
@@ -643,12 +659,12 @@ class TestSinglePass:
 
     @pytest.mark.parametrize("command", ["ingest", "annotate", "classify"])
     def test_streamed_commands_peak_memory_does_not_grow_per_line(
-        self, tmp_path, monkeypatch, capsys, command
+        self, tmp_path, capsys, command
     ):
-        # each row is written as its tweet is read, so what stays alive per
-        # input line is its id in ingest's set (and the annotator's words);
-        # holding every tweet cost 410 to 640 bytes a line
-        monkeypatch.setattr(genscope.analysis, "CHUNK", 64)
+        # each row is written as its tweet is read (classify's once its
+        # block is scored), so what stays alive per input line is its id in
+        # ingest's set (and the annotator's words); holding every tweet
+        # cost 410 to 640 bytes a line
         texts, labels = generate_training_texts(n=300, seed=5)
         model = tmp_path / "model.txt"
         save_model(GenericityClassifier(min_count=1, epochs=20).fit(texts, labels).model_, model)
@@ -670,7 +686,7 @@ class TestSinglePass:
 
     @pytest.fixture(scope="class")
     def model_inputs(self, tmp_path_factory):
-        where = tmp_path_factory.mktemp("chunks")
+        where = tmp_path_factory.mktemp("blocks")
         texts, labels = generate_training_texts(n=300, seed=5)
         clf = GenericityClassifier(min_count=1, epochs=50).fit(texts, labels)
         save_model(clf.model_, where / "model.txt")
@@ -685,11 +701,27 @@ class TestSinglePass:
         )
         return where, clf.model_
 
-    def test_chunked_scoring_matches_one_batch(self, model_inputs, monkeypatch):
+    def test_block_scoring_matches_one_batch(self, model_inputs, monkeypatch):
         where, model = model_inputs
+        query = load_query(resources.files("genscope.data") / "default_query.txt")
+        terms = compile_terms(query, load_group_lexicon(
+            resources.files("genscope.data") / "group_lexicon.tsv"))
+        accepted = []
+        ingest(str(BUNDLED_CORPUS), accepted.append, query)
         outputs = {}
-        for chunk in (1, 3, genscope.analysis.CHUNK):
-            monkeypatch.setattr(genscope.analysis, "CHUNK", chunk)
+        for block in (1, 3, genscope.analysis.BLOCK):
+            monkeypatch.setattr(genscope.analysis, "BLOCK", block)
+            # each block's kept tweets, as (column, count) rows
+            want = []
+            for start in range(0, len(accepted), block):
+                kept = [
+                    vectorize_bow(tokenize(t.text), model.vocab)
+                    for t in accepted[start : start + block]
+                    if lang_matches(t.lang, query.lang)
+                    and partition(terms, tokenize(t.text)) in GROUPS
+                ]
+                if kept:
+                    want.append(kept)
             matrices, scores = [], []
 
             def scoring(model, features):
@@ -698,20 +730,21 @@ class TestSinglePass:
                 return scores[-1]
 
             monkeypatch.setattr(genscope.analysis, "predict_score", scoring)
-            out = where / f"out{chunk}"
+            out = where / f"out{block}"
             argv = ["analyze", "--corpus", str(BUNDLED_CORPUS),
                     "--model", str(where / "model.txt"),
                     "--external-sentiment", str(where / "labels.jsonl"), "--out", str(out)]
             assert main(argv) == 0
-            outputs[chunk] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-            assert all(len(m) == chunk for m in matrices[:-1])
-            rows = [
-                list(zip(m.indices[m.indptr[i] : m.indptr[i + 1]].tolist(),
-                         m.data[m.indptr[i] : m.indptr[i + 1]].tolist()))
+            outputs[block] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            # one call per block that keeps a tweet, holding that block's rows
+            got = [
+                [list(zip(m.indices[m.indptr[i] : m.indptr[i + 1]].tolist(),
+                          m.data[m.indptr[i] : m.indptr[i + 1]].tolist()))
+                 for i in range(len(m))]
                 for m in matrices
-                for i in range(len(m))
             ]
-            stacked = stack_features_oracle(rows, model.dimension)
+            assert got == want
+            stacked = stack_features_oracle([r for rows in got for r in rows], model.dimension)
             whole = predict_score(
                 model, CsrMatrix(stacked.indptr, stacked.indices, stacked.data, model.dimension)
             )

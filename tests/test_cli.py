@@ -18,9 +18,10 @@ import genscope
 from genscope.analysis import load_published_tables
 from genscope.classifier import GenericityModel, Vocabulary, dumps_model, save_model, sigmoid
 from genscope.cli import build_parser, main
-from genscope.corpus import write_jsonl
 from genscope.reporting import REPORT_BLOCKS
 from genscope.synth import generate_corpus, generate_training_texts
+
+from corpora import write_jsonl
 
 BUNDLED_CORPUS = str(resources.files("genscope.data") / "synthetic_corpus.jsonl")
 
@@ -331,10 +332,13 @@ class TestTrainEvalClassify:
 
     def test_classify_rejects_model_without_vocab(self, small_corpus, tmp_path, capsys):
         model = self._no_vocab_model(tmp_path)
-        argv = ["classify", "--corpus", str(small_corpus), "--model", str(model),
-                "--out", str(tmp_path / "scores")]
-        assert main(argv) == 2
-        assert "need a bag-of-words model with a [vocab] section" in capsys.readouterr().err
+        for command in ("classify", "analyze"):  # analyze --model loads it the same way
+            out = tmp_path / command
+            argv = [command, "--corpus", str(small_corpus), "--model", str(model),
+                    "--out", str(out)]
+            assert main(argv) == 2
+            assert "need a bag-of-words model with a [vocab] section" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("tau", ["0", "1", "7", "nan"])
     @pytest.mark.parametrize("command", ["eval", "classify"])

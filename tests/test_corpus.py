@@ -20,12 +20,13 @@ from genscope.corpus import (
     match_groups,
     parse_query,
     partition,
-    write_jsonl,
 )
 from genscope.corpus.records import MAX_DEPTH, parse_json_line, read_jsonl
 from genscope.errors import SchemaError
 from genscope.labeling import _existing_ids
 from genscope.sentiment import load_external_labels
+
+from corpora import write_jsonl
 
 
 def _ingest(tmp_path, lines, query=None):

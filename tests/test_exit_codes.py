@@ -16,12 +16,15 @@ one word) damaged, and so do its valence lexicon and model file, whose
 damaged line may also be raw bytes that are not UTF-8; the error of a
 side input names its path, and for bytes that are not UTF-8 its line. A
 run that exits 0 must write the same report.json when run again. ``main`` runs in-process; any exception other than
-``SystemExit`` fails the test.
+``SystemExit`` fails the test. A Ctrl-C outside a ``label`` prompt exits
+130 on one line of stderr.
 """
 
 import copy
+import importlib
 import io
 import json
+import os
 import random
 import shutil
 import zlib
@@ -33,10 +36,13 @@ from hypothesis import given, settings, strategies as st
 
 from genscope.annotator import load_abbreviations, load_wordlist
 from genscope.classifier import GenericityClassifier, dumps_model, save_model
+import genscope.parts
 from genscope.cli import main
-from genscope.corpus import write_jsonl
+from genscope.parts import byte_ranges
 from genscope.reporting import REPORT_BLOCKS
 from genscope.synth import generate_corpus, generate_training_texts
+
+from corpora import write_jsonl
 
 EXIT_CODES = {0, 1, 2, 3}
 
@@ -694,3 +700,47 @@ def test_line_numbers_count_every_line_end(workdir, command, newline):
         with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
             assert exit_code(argv) == 2
         assert stderr.getvalue().splitlines()[-1] == f"error: {path}:3: {message}"
+
+
+# command -> (module, stage) that a Ctrl-C interrupts, and the stage calls
+# that run first: in analyze the corpus is cut in two ranges and a block
+# fills first, in classify a block of 256 tweets is written first, and
+# ingest writes (label keeps) a few tweets
+INTERRUPTED = {
+    "analyze": ("genscope.analysis", "partition", 5),
+    "classify": ("genscope.analysis", "predict_score", 1),
+    "ingest": ("genscope.corpus.records", "_parse_record", 5),
+    "label": ("genscope.corpus.records", "_parse_record", 5),
+}
+
+
+@pytest.mark.parametrize("command", list(INTERRUPTED))
+def test_ctrl_c_exits_130_on_one_line(workdir, model_file, monkeypatch, command):
+    corpus = workdir / "corpus_interrupted.jsonl"
+    write_jsonl(generate_corpus(n=600, seed=11), corpus)
+    module, name, runs = INTERRUPTED[command]
+    module = importlib.import_module(module)
+    stage, calls = getattr(module, name), []
+
+    def interrupted(*args):
+        calls.append(args)
+        if len(calls) > runs:
+            raise KeyboardInterrupt
+        return stage(*args)
+
+    monkeypatch.setattr(module, name, interrupted)
+    monkeypatch.setattr(genscope.parts, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(genscope.parts, "PART_FLOOR", 1)
+    assert len(byte_ranges(corpus)) == 2
+    out = workdir / "interrupted" / command
+    argv = [command, "--corpus", str(corpus), "--out", str(out)]
+    if command == "classify":
+        argv += ["--model", str(model_file)]
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+        assert main(argv) == 130
+    assert len(calls) == runs + 1
+    assert stderr.getvalue() == "error: interrupted\n"
+    assert not out.exists()  # no output, and no .partial file
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import genscope.analysis
-from genscope.analysis import ModelScorer
+from genscope.analysis import load_bow_model, score_tokens
 from genscope.classifier import (
     EMOJI_TOKEN,
     URL_TOKEN,
@@ -189,8 +188,8 @@ def _columns(token_lists, vocab):
 
 
 class TestCsrFromColumns:
-    """The one CSR builder behind ``fit_transform``, ``transform`` and the
-    model scorer gives, row for row, the CSR that ``stack_features_oracle``
+    """The one CSR builder behind ``fit_transform``, ``transform`` and model
+    scoring gives, row for row, the CSR that ``stack_features_oracle``
     makes of ``vectorize_bow``'s per-text (column, count) pairs."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -227,22 +226,22 @@ class TestCsrFromColumns:
         v.transform(["b c", ""])
         assert len(calls) == 2
 
-    def test_model_scorer_across_chunks(self, tmp_path, monkeypatch):
+    def test_model_scores_in_any_split(self, tmp_path):
+        # the scores of rows split into batches of any size, each scored
+        # in one call, are those of the oracle's one matrix, bit for bit
         model = GenericityModel(
             weights=np.array([0.5, -1.25, 2.0, 0.1]), bias=-0.3, vocab=BUILDER_VOCAB
         )
         save_model(model, tmp_path / "model.txt")
+        model = load_bow_model(tmp_path / "model.txt")
         rows = [["a", "a", "b"], [], ["y"], ["c", "d", "x", "c"], ["b"]] * 3
         stacked = stack_features_oracle((vectorize_bow(r, BUILDER_VOCAB) for r in rows), 4)
         expected = CsrMatrix(stacked.indptr, stacked.indices, stacked.data, 4)
         want = predict_score(model, expected).tolist()
-        for chunk in (1, 4, 5, len(rows), len(rows) + 1):
-            monkeypatch.setattr(genscope.analysis, "CHUNK", chunk)
-            scorer = ModelScorer(tmp_path / "model.txt")
+        for size in (1, 4, 5, len(rows), len(rows) + 1):
             scores = []
-            for r in rows:
-                scorer.add(r, scores.append)
-            scorer.flush()
+            for start in range(0, len(rows), size):
+                scores += score_tokens(model, rows[start : start + size])
             assert scores == want
 
 

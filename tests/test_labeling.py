@@ -10,8 +10,10 @@ from pathlib import Path
 import genscope
 
 from genscope.cli import main
-from genscope.corpus import Tweet, write_jsonl
+from genscope.corpus import Tweet
 from genscope.labeling import label_session
+
+from corpora import write_jsonl
 
 
 def _tweets(*texts):

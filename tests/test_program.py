@@ -16,8 +16,9 @@ import pytest
 import genscope
 import genscope.analysis
 from genscope.cli import main
-from genscope.corpus import write_jsonl
 from genscope.synth import generate_corpus, generate_training_texts
+
+from corpora import write_jsonl
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(genscope.__file__).parent
