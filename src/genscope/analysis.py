@@ -5,8 +5,8 @@ group, attaches a genericity decision (trained model or rule annotator)
 and a sentiment label to every single-group tweet, keeps those as
 per-group columns, and assembles a report dictionary in which every
 statistic sits next to the counts or sample sizes it was computed from.
-The tweets ingest accepts are taken in blocks of ``BLOCK``, the pass's
-one batch: each of those steps runs over a whole block before the next
+``ingest`` hands the tweets it accepts over in blocks, the pass's one
+batch: each of those steps runs over a whole block before the next
 starts, a block's kept tweets are scored by one model call, and every
 tweet's partition bucket is kept as one byte, counted once at the end.
 ``recompute_check`` rebuilds the H1/H3/H4 blocks from their counts and
@@ -218,23 +218,12 @@ def _histogram(scores, bin_width: float) -> list[list[float]]:
 
 
 # ---------------------------------------------------------------------------
-# the single pass: the tweets ingest accepts wait in blocks of BLOCK, the
+# the single pass: ingest hands the tweets it accepts over in blocks, the
 # pass's one batch, and each block goes through the stages in turn, each
 # stage over the whole block: every accepted tweet is lexed once, bucketed,
 # scored and labelled, and only its bucket byte and numbers outlive its
 # block; a later byte range of the corpus goes through the same step in a
 # child process, whose result is merged once ingest has judged its records
-
-# Accepted tweets per block of the single pass (and per scoring call of
-# classify). One tight loop of a stage over a block costs less than
-# switching stages at every tweet, as in MonetDB/X100's vectorized execution
-# (Boncz, Zukowski and Nes, CIDR 2005). On one byte range of a 20k-tweet
-# benchmark corpus, in one process on a shared 2-vCPU Xeon host (fastest of
-# 15 runs per size), annotator mode took 383-394 ms at every size from 32
-# to 4,096, 450-510 ms at 8 and 635-680 ms at 1, against about 500 ms with
-# no blocks; model mode took 297-302 ms from 32 to 4,096, against 305-330
-# ms with no blocks.
-BLOCK = 256
 
 
 def load_bow_model(path):
@@ -280,10 +269,9 @@ _BUCKET_CODES = {bucket: i for i, bucket in enumerate(BUCKETS)}
 class _Pipeline:
     """The single pass's step, with everything it needs: the compiled query
     terms, the annotator or model, and the sentiment provider. ``ingest``
-    hands it each accepted tweet, which waits in a block of up to
-    ``BLOCK``; ``flush`` runs each stage over the whole block before the
-    next. It keeps each handed tweet's bucket, as its one-byte code, and
-    each group's columns."""
+    hands it each block of accepted tweets, and it runs each stage over
+    the whole block before the next. It keeps each handed tweet's bucket,
+    as its one-byte code, and each group's columns."""
 
     def __init__(self, config: AnalysisConfig, query, lexicon):
         self.terms = compile_terms(query, lexicon)
@@ -301,24 +289,14 @@ class _Pipeline:
         )
         self.buckets = array("b")
         self.columns = {g: _Columns() for g in GROUPS}
-        self.block: list = []
 
-    def __call__(self, tweet) -> None:
-        """Add one accepted tweet to the block, and run a full block."""
-        self.block.append(tweet)
-        if len(self.block) == BLOCK:
-            self.flush()
-
-    def flush(self) -> None:
-        """Bucket, score and label the waiting tweets, in file order, one
+    def __call__(self, tweets) -> None:
+        """Bucket, score and label a block of tweets, in file order, one
         stage at a time: the lang test, the lex, the partition, then the
         verdicts or the one scoring call of the tweets kept in a group,
         then, for each of them, its sentiment and its column appends. The
         stages are looked up here, once per block, so a function replaced
         after the pipeline was built is the one called."""
-        tweets, self.block = self.block, []
-        if not tweets:
-            return
         # a tweet whose lang fails is unmatched, unlexed
         passes = [lang_matches(t.lang, self.lang) for t in tweets] if self.lang else None
         passed = tweets if passes is None else list(compress(tweets, passes))
@@ -357,16 +335,13 @@ class _Pipeline:
         """The same blocks over a later byte range of the corpus, in a child
         process: the range's records for ``ingest``, and, for the records
         handed on, their bucket codes and columns."""
-        records = read_part(path, start, end, self, query)
-        self.flush()
-        return records, self.buckets, self.columns
+        return read_part(path, start, end, self, query), self.buckets, self.columns
 
     def merge(self, records: PartRecords, buckets: array, columns: dict) -> None:
         """Take a later range's buckets and rows, less those of the records
-        ``ingest`` did not accept: their ids repeat an id accepted in an
+        ``ingest`` did not keep: their ids repeat an id accepted in an
         earlier range."""
-        handed = np.frombuffer(records.verdicts, dtype=np.int8) < 0
-        accepted = np.frombuffer(records.accepted, dtype=bool)[handed]
+        accepted = np.frombuffer(records.kept, dtype=bool)
         buckets = np.frombuffer(buckets, dtype=np.int8)
         self.buckets.frombytes(buckets[accepted].tobytes())
         for i, g in enumerate(GROUPS):
@@ -409,11 +384,10 @@ def run_analysis(config: AnalysisConfig) -> dict:
     with forked(partial(pipeline.run_part, corpus_path, query), later) as children:
 
         def received():
-            # ingest starts this once it has read its own range: that range's
-            # last block runs first, so its error is raised before a later
-            # range's, as in one read of the file; ingest judges each range's
-            # records before it asks for the next, so they merge here
-            pipeline.flush()
+            # ingest starts this once its own range's last block has run, so
+            # that block's error is raised before a later range's, as in one
+            # read of the file; ingest judges each range's records before it
+            # asks for the next, so they merge here
             for child in children:
                 records, buckets, columns = child.receive()
                 yield records

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    BLOCK,
     AnalysisConfig,
     load_bow_model,
     recompute_check,
@@ -75,6 +74,17 @@ def _add_flags(parser, *names, **defaults) -> None:
         parser.add_argument(f"--{name}", default=defaults.get(name), **_SHARED_FLAGS[name])
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need an integer of at least 1, not {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="genscope", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -123,7 +133,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("label", help="interactive labeling session")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_positive_int, default=sys.maxsize)
     _add_flags(p, "out")
 
     p = sub.add_parser("reproduce", help="recompute published statistics")
@@ -155,9 +165,9 @@ def _cmd_ingest(args) -> int:
     if args.out:
         path = Path(args.out) / "accepted.jsonl"
         with jsonl_writer(path) as write:
-            report = ingest(args.corpus, lambda tweet: write(vars(tweet)), query)
+            report = ingest(args.corpus, lambda tweets: write(map(vars, tweets)), query)
     else:
-        report = ingest(args.corpus, lambda tweet: None, query)
+        report = ingest(args.corpus, lambda tweets: None, query)
     print(f"accepted: {report.accepted_count}")
     print(f"rejected: {report.rejected_count}")
     for reason, count in report.rejected.most_common():
@@ -182,15 +192,15 @@ def _cmd_annotate(args) -> int:
                 kinds[verdict.kind] += 1
             else:
                 reasons[verdict.exclusion_reason] += 1
-            write({
+            return {
                 "id": tweet.id,
                 "label": verdict.label,
                 "kind": verdict.kind,
                 "reason": verdict.exclusion_reason,
                 "rule": verdict.matched_rule,
-            })
+            }
 
-        report = ingest(args.corpus, annotate)
+        report = ingest(args.corpus, lambda tweets: write(map(annotate, tweets)))
     print(f"annotated {report.accepted_count} tweets -> {path}")
     for name, counter in (("kinds", kinds), ("exclusion reasons", reasons)):
         print(f"{name}:")
@@ -242,24 +252,15 @@ def _cmd_classify(args) -> int:
     tau = args.threshold if args.threshold is not None else model.threshold
     path = Path(args.out or "out") / "scores.jsonl"
     with jsonl_writer(path) as write:
-        block: list = []
 
-        def write_scores():
-            # the tweets waiting in the block, scored in one call
-            scores = score_tokens(model, [tokenize(tweet.text) for tweet in block])
-            for tweet, score in zip(block, scores):
-                label = "generic" if score >= tau else "non_generic"
-                write({"id": tweet.id, "score": score, "label": label})
-            block.clear()
+        def write_scores(tweets):
+            # a block's tweets, scored in one call
+            scores = score_tokens(model, [tokenize(tweet.text) for tweet in tweets])
+            write({"id": tweet.id, "score": score,
+                   "label": "generic" if score >= tau else "non_generic"}
+                  for tweet, score in zip(tweets, scores))
 
-        def add(tweet):
-            block.append(tweet)
-            if len(block) == BLOCK:
-                write_scores()
-
-        report = ingest(args.corpus, add)
-        if block:
-            write_scores()
+        report = ingest(args.corpus, write_scores)
     print(f"scored {report.accepted_count} tweets at threshold {tau} -> {path}")
     return EXIT_OK
 
@@ -332,12 +333,7 @@ def _cmd_label(args) -> int:
     from .labeling import label_session
 
     tweets: list = []
-
-    def keep(tweet):
-        if not args.limit or len(tweets) < args.limit:
-            tweets.append(tweet)
-
-    ingest(args.corpus, keep)
+    ingest(args.corpus, lambda block: tweets.extend(block[: args.limit - len(tweets)]))
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
     result = label_session(tweets, out / "labeled.jsonl")

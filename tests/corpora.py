@@ -7,5 +7,4 @@ def write_jsonl(records, path) -> None:
     """Write dicts to ``path`` as JSON Lines, through the writer the
     commands use, so each line has the key order their outputs have."""
     with jsonl_writer(path) as write:
-        for record in records:
-            write(record)
+        write(records)

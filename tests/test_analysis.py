@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import genscope.analysis
+import genscope.corpus.records
 import genscope.parts
 from genscope.analysis import (
     AnalysisConfig,
@@ -626,7 +627,7 @@ class TestSinglePass:
             monkeypatch.setattr(importlib.import_module(module), name, CountingLexer(pattern))
         query = load_query(resources.files("genscope.data") / "default_query.txt")
         tweets = []
-        ingest(str(BUNDLED_CORPUS), tweets.append, query)
+        ingest(str(BUNDLED_CORPUS), tweets.extend, query)
         want = [t.text for t in tweets if lang_matches(t.lang, query.lang)]
         train, labels = generate_training_texts(n=300, seed=5)
         save_model(GenericityClassifier(min_count=1, epochs=5).fit(train, labels).model_,
@@ -661,10 +662,10 @@ class TestSinglePass:
     def test_streamed_commands_peak_memory_does_not_grow_per_line(
         self, tmp_path, capsys, command
     ):
-        # each row is written as its tweet is read (classify's once its
-        # block is scored), so what stays alive per input line is its id in
-        # ingest's set (and the annotator's words); holding every tweet
-        # cost 410 to 640 bytes a line
+        # each block's rows are written as ingest hands the block on, so
+        # what stays alive per input line is its id in ingest's set (and the
+        # annotator's words); holding every tweet cost 410 to 640 bytes a
+        # line
         texts, labels = generate_training_texts(n=300, seed=5)
         model = tmp_path / "model.txt"
         save_model(GenericityClassifier(min_count=1, epochs=20).fit(texts, labels).model_, model)
@@ -707,10 +708,10 @@ class TestSinglePass:
         terms = compile_terms(query, load_group_lexicon(
             resources.files("genscope.data") / "group_lexicon.tsv"))
         accepted = []
-        ingest(str(BUNDLED_CORPUS), accepted.append, query)
+        ingest(str(BUNDLED_CORPUS), accepted.extend, query)
         outputs = {}
-        for block in (1, 3, genscope.analysis.BLOCK):
-            monkeypatch.setattr(genscope.analysis, "BLOCK", block)
+        for block in (1, 3, genscope.corpus.records.BLOCK):
+            monkeypatch.setattr(genscope.corpus.records, "BLOCK", block)
             # each block's kept tweets, as (column, count) rows
             want = []
             for start in range(0, len(accepted), block):
@@ -979,7 +980,7 @@ class TestParts:
         # the first range is one block, run once ingest has read it and
         # before it receives the second range's error
         path, lines = long_corpus
-        monkeypatch.setattr(genscope.analysis, "BLOCK", len(lines))
+        monkeypatch.setattr(genscope.corpus.records, "BLOCK", len(lines))
         self._failing_annotate(monkeypatch, lines[100], lines[550])
         code, report, stderr = self._same_as_one_part(["analyze", "--corpus", path], tmp_path, 2)
         assert stderr.splitlines()[-1] == f"error: cannot annotate {json.loads(lines[100])['text']!r}"
@@ -1006,8 +1007,8 @@ class TestParts:
             argv = ["analyze", "--corpus", corpus, *extra]
             runs.setdefault(corpus, []).append(_analyze(argv, tmp_path / "out", cpus, 1000))
 
-        for block in (1, 3, genscope.analysis.BLOCK):
-            monkeypatch.setattr(genscope.analysis, "BLOCK", block)
+        for block in (1, 3, genscope.corpus.records.BLOCK):
+            monkeypatch.setattr(genscope.corpus.records, "BLOCK", block)
             run(BUNDLED_CORPUS, 1)
             run(BUNDLED_CORPUS, 2)
             for corpus in (crafted, mixed):

@@ -15,9 +15,20 @@ import numpy as np
 import pytest
 
 import genscope
+import genscope.analysis
+import genscope.corpus.records
+import genscope.labeling
 from genscope.analysis import load_published_tables
-from genscope.classifier import GenericityModel, Vocabulary, dumps_model, save_model, sigmoid
+from genscope.classifier import (
+    GenericityModel,
+    Vocabulary,
+    dumps_model,
+    predict_score,
+    save_model,
+    sigmoid,
+)
 from genscope.cli import build_parser, main
+from genscope.labeling import LabelSessionResult
 from genscope.reporting import REPORT_BLOCKS
 from genscope.synth import generate_corpus, generate_training_texts
 
@@ -317,6 +328,32 @@ class TestTrainEvalClassify:
             labels.append(row["label"])
         assert labels == ["generic", "non_generic"]
 
+    def test_classify_scores_each_block_in_one_call(
+        self, labeled_file, tmp_path, monkeypatch, capsys
+    ):
+        model = tmp_path / "model.txt"
+        assert main(["train", "--labeled", str(labeled_file), "--model-out", str(model)]) == 0
+        outputs = []
+        for block in (1, 3, 256):
+            monkeypatch.setattr(genscope.corpus.records, "BLOCK", block)
+            rows = []
+
+            def scoring(model, features):
+                rows.append(len(features))
+                return predict_score(model, features)
+
+            monkeypatch.setattr(genscope.analysis, "predict_score", scoring)
+            out = tmp_path / f"out{block}"
+            argv = ["classify", "--corpus", BUNDLED_CORPUS, "--model", str(model),
+                    "--out", str(out)]
+            assert main(argv) == 0
+            # the 2,000 bundled tweets, all accepted, one call per block
+            full, rest = divmod(2000, block)
+            assert rows == [block] * full + [rest] * (rest > 0)
+            outputs.append((out / "scores.jsonl").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0].count(b"\n") == 2000
+
     def _no_vocab_model(self, tmp_path):
         """A CRC-valid bag-of-words model whose [vocab] section is empty."""
         model = GenericityModel(weights=np.array([3.0]), bias=0.7)
@@ -614,6 +651,32 @@ class TestLabelCommand:
         ]) == 0
         rows = (out / "labeled.jsonl").read_text().splitlines()
         assert len(rows) == 3
+
+
+    @pytest.mark.parametrize("limit", ["0", "-3", "2.5", "x"])
+    def test_limit_below_one_is_a_usage_error(self, small_corpus, tmp_path, capsys, limit):
+        out = tmp_path / "labels"
+        with pytest.raises(SystemExit) as exc:
+            main(["label", "--corpus", str(small_corpus), "--out", str(out), "--limit", limit])
+        assert exc.value.code == 1
+        assert f"--limit: need an integer of at least 1, not '{limit}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block", [1, 3, 256])
+    def test_keeps_the_first_limit_tweets(self, small_corpus, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(genscope.corpus.records, "BLOCK", block)
+        sessions = []
+
+        def session(tweets, path):
+            sessions.append([t.id for t in tweets])
+            return LabelSessionResult(0, 0, 0, path)
+
+        monkeypatch.setattr(genscope.labeling, "label_session", session)
+        ids = [json.loads(line)["id"] for line in small_corpus.read_text().splitlines()]
+        for limit in ("1", "5", "119", "120", "500", None):
+            argv = ["label", "--corpus", str(small_corpus), "--out", str(tmp_path / "o")]
+            assert main(argv + (["--limit", limit] if limit else [])) == 0
+        assert sessions == [ids[:1], ids[:5], ids[:119], ids, ids, ids]
 
 
 class TestBlasThreads:

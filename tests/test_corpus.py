@@ -4,10 +4,12 @@ import logging
 import random
 import sys
 from importlib import resources
+from itertools import accumulate, compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import genscope.corpus.records
 from genscope.analysis import AnalysisConfig, run_analysis
 from genscope.classifier import tokenize
 from genscope.corpus import (
@@ -21,7 +23,7 @@ from genscope.corpus import (
     parse_query,
     partition,
 )
-from genscope.corpus.records import MAX_DEPTH, parse_json_line, read_jsonl
+from genscope.corpus.records import MAX_DEPTH, parse_json_line, read_jsonl, read_part
 from genscope.errors import SchemaError
 from genscope.labeling import _existing_ids
 from genscope.sentiment import load_external_labels
@@ -38,7 +40,7 @@ def _ingest(tmp_path, lines, query=None):
         encoding="utf-8",
     )
     tweets = []
-    return ingest(path, tweets.append, query), tweets
+    return ingest(path, tweets.extend, query), tweets
 
 
 def _record(i, text="hello democrats", **kw):
@@ -133,7 +135,7 @@ class TestIngest:
 
     def test_unreadable_source_fatal(self, tmp_path):
         with pytest.raises(SchemaError):
-            ingest(tmp_path / "missing.jsonl", lambda tweet: None)
+            ingest(tmp_path / "missing.jsonl", lambda tweets: None)
 
     def test_directive_filters_when_metadata_present(self, tmp_path):
         ast = parse_query("(democrats) -is:retweet")
@@ -146,7 +148,7 @@ class TestIngest:
         assert list(report.rejected)[0] == "filtered by -is:retweet"
 
     def test_missing_directive_field_warns_once_from_the_first_record_reaching_it(
-        self, tmp_path, caplog
+        self, tmp_path, caplog, monkeypatch
     ):
         # a record rejected by an earlier directive never reaches a later
         # one, so it does not warn about that one's field; two directives
@@ -162,12 +164,14 @@ class TestIngest:
             _record(4),
         ], path)
 
-        def on_tweet(tweet):
+        def on_block(tweets):
             events.extend(r.getMessage() for r in caplog.records)
             caplog.clear()
-            events.append(tweet.id)
+            events.extend(tweet.id for tweet in tweets)
 
-        report = ingest(path, on_tweet, ast)
+        # one tweet a block, so each is handed on before the next is read
+        monkeypatch.setattr(genscope.corpus.records, "BLOCK", 1)
+        report = ingest(path, on_block, ast)
         lacks = "directive {} skipped: records lack the '{}' field".format
         assert events == [
             lacks("-has:links", "has_links"), lacks("-is:reply", "is_reply"), "3",
@@ -190,7 +194,7 @@ def test_path_splits_lines_as_text_mode_does(tmp_path, newline):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(newline.join(lines).encode("utf-8"))
     tweets = []
-    report = ingest(path, tweets.append)
+    report = ingest(path, tweets.extend)
     assert (report.accepted_count, report.rejected) == (2, {
         "invalid JSON: Expecting value": 1, "duplicate id": 1,
     })
@@ -203,10 +207,96 @@ def test_path_splits_lines_as_text_mode_does(tmp_path, newline):
     assert report.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_on_tweet_takes_the_accepted_tweets(tmp_path):
+def test_on_block_takes_the_accepted_tweets(tmp_path):
     report, seen = _ingest(tmp_path, [_record(1), _record(1), _record(2)])
     assert [t.id for t in seen] == ["1", "2"]
     assert (report.accepted_count, report.rejected_count) == (2, 1)
+
+
+class TestBlocks:
+    """``ingest`` and ``read_part`` hand records on in blocks of up to
+    ``BLOCK``, in file order, and make no call without a record."""
+
+    QUERY = parse_query("(democrats) -is:retweet")
+
+    @staticmethod
+    def _corpus(path):
+        """700 records and, between them, a retweet the query rejects after
+        every 7th, a repeat of an accepted id after every 11th and a line
+        that is not JSON after every 13th. Returns the byte offset of each
+        line and, for each line, the id ``ingest`` accepts from it and the
+        id ``read_part`` hands on from it (None for none)."""
+        rows = []
+        for i in range(700):
+            rows.append((json.dumps(_record(f"t{i}")), f"t{i}", f"t{i}"))
+            if i % 7 == 6:
+                rows.append((json.dumps(_record(f"r{i}", is_retweet=True)), None, None))
+            if i % 11 == 10:
+                rows.append((json.dumps(_record(f"t{i - 5}", is_retweet=False)), None, f"t{i - 5}"))
+            if i % 13 == 12:
+                rows.append(("not json", None, None))
+        lines, accepted, passing = zip(*rows)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return [0, *accumulate(len(line) + 1 for line in lines)], accepted, passing
+
+    @pytest.mark.parametrize("block", [1, 3, 256])
+    def test_blocks_join_up_to_the_records_handed_on(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(genscope.corpus.records, "BLOCK", block)
+        path = tmp_path / "corpus.jsonl"
+        starts, accepted, passing = self._corpus(path)
+        blocks = []
+        report = ingest(path, blocks.append, self.QUERY)
+        assert all(1 <= len(b) <= block for b in blocks)
+        assert [t.id for b in blocks for t in b] == [i for i in accepted if i]
+        assert report.accepted_count == 700
+        # read_part leaves the id check to ingest, so a repeat is handed on
+        mid = len(passing) // 2
+        for start, end, want in ((0, None, passing), (0, starts[mid], passing[:mid]),
+                                 (starts[mid], None, passing[mid:])):
+            blocks.clear()
+            read_part(path, start, end, blocks.append, self.QUERY)
+            assert all(1 <= len(b) <= block for b in blocks)
+            assert [t.id for b in blocks for t in b] == [i for i in want if i]
+
+    @pytest.mark.parametrize("block", [1, 3, 256])
+    def test_a_range_hands_on_its_last_block_before_the_later_ranges(
+        self, tmp_path, monkeypatch, block
+    ):
+        monkeypatch.setattr(genscope.corpus.records, "BLOCK", block)
+        path = tmp_path / "corpus.jsonl"
+        starts, accepted, passing = self._corpus(path)
+        # the later range starts with a repeat of an id accepted before it
+        half = next(k for k in range(len(accepted) // 2, len(accepted))
+                    if passing[k] and not accepted[k])
+        events = []
+
+        def later():
+            events.append("later")
+            blocks = []
+            part = read_part(path, starts[half], None, blocks.append, self.QUERY)
+            yield part
+            # ingest judged the part before it asked for the next
+            events.extend(compress([t.id for b in blocks for t in b], part.kept))
+
+        ingest(path, lambda tweets: events.extend(t.id for t in tweets), self.QUERY,
+               starts[half], later())
+        assert events == [
+            *(i for i in accepted[:half] if i), "later", *(i for i in accepted[half:] if i),
+        ]
+
+    @pytest.mark.parametrize("block", [1, 3, 256])
+    @pytest.mark.parametrize("lines", [[], ["not json", json.dumps(_record(1, is_retweet=True))]],
+                             ids=["empty", "all-rejected"])
+    def test_no_record_no_call(self, tmp_path, monkeypatch, block, lines):
+        monkeypatch.setattr(genscope.corpus.records, "BLOCK", block)
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+        def no_call(tweets):
+            raise AssertionError(f"handed {tweets}")
+
+        assert ingest(path, no_call, self.QUERY).accepted_count == 0
+        read_part(path, 0, None, no_call, self.QUERY)
 
 
 def _as_json_loads(line):

@@ -139,7 +139,7 @@ def model_file(workdir):
 
 def streamed_argv(command, corpus, out, model):
     """The argv of ``ingest --out``, ``annotate`` or ``classify``, which
-    write one row per accepted tweet as it is read."""
+    write one row per accepted tweet, a block at a time as it is read."""
     argv = [command, "--corpus", str(corpus), "--out", str(out)]
     return argv + ["--model", str(model)] if command == "classify" else argv
 
