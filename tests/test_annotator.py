@@ -89,12 +89,89 @@ class TestVerdictGolden:
         return texts
 
     def test_verdicts_match_golden_hash(self, annotator):
-        digest = hashlib.sha256()
-        for text in self.texts():
-            v = annotator.annotate(text)
-            line = f"{v.label}\t{v.kind}\t{v.exclusion_reason}\t{v.matched_rule}\t{v.subject_span}\n"
-            digest.update(line.encode())
-        assert digest.hexdigest() == self.GOLDEN_VERDICTS_SHA256
+        assert verdicts_sha256(annotator, self.texts()) == self.GOLDEN_VERDICTS_SHA256
+
+
+def verdicts_sha256(annotator, texts):
+    """The sha256 over one line per text: label, kind, exclusion reason,
+    matched rule and subject span."""
+    digest = hashlib.sha256()
+    for text in texts:
+        v = annotator.annotate(text)
+        line = f"{v.label}\t{v.kind}\t{v.exclusion_reason}\t{v.matched_rule}\t{v.subject_span}\n"
+        digest.update(line.encode())
+    return digest.hexdigest()
+
+
+class TestWordSalad:
+    """Every verdict field, pinned over seeded word salad drawn from every
+    word set the rules consult, so that each rule of the engine is reached
+    by some pinned text."""
+
+    # the sha256 of ``verdicts_sha256`` over ``texts()``. A change that
+    # means to move a verdict updates it.
+    SALAD_VERDICTS_SHA256 = "aabe879ce1f9c9e7dda0edf7f53a8dd22c1515b64e0fda9affa0e6790ace7ce7"
+
+    # the rule module's closed classes and the lexicon lists
+    CLOSED_SETS = (
+        "PRESENT_COPULAS CONTRACTED_COPULAS DO_SUPPORT PAST_AUX HEDGE_MODALS "
+        "BARE_MODALS PRONOUNS DETERMINERS PREPOSITIONS CONJUNCTIONS SKIP_JOINERS "
+        "ADVERBS NEGATIONS NP_NOISE AUX_INVERSION_OPENERS WH_OPENERS SECOND_PERSON "
+        "IMPERATIVE_VERBS REPORTING_GERUNDS NON_GERUND_ING THEY FRAME_WORDS"
+    ).split()
+    LEXICON_SETS = (
+        "verbs irregular_pasts quantifiers interjections group_nouns "
+        "group_modifiers hedge_adverbs"
+    ).split()
+    MARKS = [
+        ":", "=", ",", '"', "“", "”", "'", "?", ".", "!", ";", "\n", "-", "—",
+        "__", "https://t.co/x", "🤔",
+    ]
+    LITERALS = ["be", "like", "of", "to", "if"]
+    # a line for each rule that the draw can miss
+    EXPLICIT = [
+        '"dumb" democrats',
+        "democrats be like __",
+        "liberals, stay home",
+        "trans kids. stay strong",
+        "democrats who lie and cheat are bad",
+    ]
+    RULES = {
+        "anaphoric_subject", "bare_present", "bare_relative",
+        "elliptical_be_like", "elliptical_blank", "elliptical_colon",
+        "elliptical_equals", "elliptical_gerund", "elliptical_habitual_be",
+        "elliptical_image", "elliptical_missing_copula", "elliptical_np_fragment",
+        "elliptical_quoted_definition", "elliptical_reporting_gerund",
+        "elliptical_when", "framed_embedded", "hedged_adverb", "hedged_modal",
+        "should_construction",
+        "screen:bare_np", "screen:conditional", "screen:empty", "screen:no_ascription",
+        "screen:no_group", "screen:past_tense", "screen:quantified",
+        "screen:question_inversion", "screen:question_mark",
+        "screen:shoutout_clause", "screen:shoutout_comma",
+    }
+
+    @classmethod
+    def texts(cls, lexicons):
+        """20,000 texts of 1 to 10 words, each word drawn by picking one
+        word set and then one of its words, and the explicit lines."""
+        sets = [sorted(getattr(rules, name)) for name in cls.CLOSED_SETS]
+        sets += [sorted(getattr(lexicons, name)) for name in cls.LEXICON_SETS]
+        sets += [cls.MARKS, cls.LITERALS]
+        rng = random.Random(22)
+        texts = []
+        while len(texts) < 20_000:
+            text = " ".join(rng.choice(rng.choice(sets)) for _ in range(rng.randint(1, 10)))
+            if text.strip():
+                texts.append(text)
+        return texts + cls.EXPLICIT
+
+    def test_verdicts_match_salad_hash(self, annotator):
+        texts = self.texts(annotator.lexicons)
+        assert verdicts_sha256(annotator, texts) == self.SALAD_VERDICTS_SHA256
+
+    def test_every_rule_is_reached(self, annotator):
+        texts = TestVerdictGolden.texts() + self.texts(annotator.lexicons)
+        assert {annotator.annotate(text).matched_rule for text in texts} == self.RULES
 
 
 def flat_norms(text, table=None):
