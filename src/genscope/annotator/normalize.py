@@ -106,17 +106,6 @@ class WordTable:
             entry = self.surfaces[surface] = (folded, norms, flags)
         return entry
 
-    def token(self, surface: str) -> tuple[str | None, tuple[str, ...], tuple[int, ...]]:
-        """The entry of a token surface that ``surfaces`` lacks: a URL,
-        emoji or blank by rule, never cached, else a new word."""
-        if surface[0] == "_":
-            return _BLANK_ENTRY
-        if "." in surface or ":" in surface:
-            return _URL_ENTRY  # no word holds either
-        if len(surface) == 1 and _EMOJI_RE.match(surface):
-            return _EMOJI_ENTRY  # a longer word starting with one lexes apart
-        return self.entry(surface)
-
 
 def load_abbreviations(path) -> dict[str, str]:
     """``token<TAB>expansion`` per line; ``#`` comments. Expansions may
@@ -134,13 +123,21 @@ def load_abbreviations(path) -> dict[str, str]:
 
 def _surface_entry(surface: str, table: WordTable):
     """The entry of the tokens a ``LEXER_RE`` surface that ``table.surfaces``
-    lacks makes (a mark's, a URL's, emoji's or blank's, or a new word's),
-    or None for a clause break. ``normalize`` and ``token_spans`` both
-    number tokens by it."""
+    lacks makes, or None for a clause break: a mark's, a URL's, emoji's or
+    blank's by rule and never cached, else a new word's. ``normalize`` and
+    ``token_spans`` both number tokens by it."""
     entry = _MARKS.get(surface)
-    if entry is None and surface not in _BREAKS and surface[0] not in _DASHES:
-        entry = table.token(surface)
-    return entry
+    if entry is not None:
+        return entry
+    if surface in _BREAKS or surface[0] in _DASHES:
+        return None
+    if surface[0] == "_":
+        return _BLANK_ENTRY
+    if "." in surface or ":" in surface:
+        return _URL_ENTRY  # no word holds either
+    if len(surface) == 1 and _EMOJI_RE.match(surface):
+        return _EMOJI_ENTRY  # a longer word starting with one lexes apart
+    return table.entry(surface)
 
 
 def normalize(text: str, table: WordTable | None = None) -> tuple[list[str], list[Clause]]:

@@ -12,6 +12,14 @@ Verdicts come from an ordered pipeline over normalized clauses:
 4. fallback exclusion reasons: past-tense-only text, quantified subject,
    missing group subject, or no feature ascription.
 
+Every verdict names the rule that decided it as ``matched_rule`` (the
+README lists all 30). Each decision is stated once: ``SCREENS`` gives
+each screen rule's exclusion reason and ``_screen`` builds every
+non-generic verdict; a pattern gives its (kind, rule) pair and
+``_generic`` builds the verdict over the subject's tokens. Fixed outcomes
+are tables (``MODAL_RULES``, ``ELLIPTICAL_MARKS``), and each word-class
+union the rules test is one named set.
+
 The past-tense screen is implemented as a fallback rather than a gate:
 a text whose only finite verbs are past can still carry an implied
 present copula (colon, "=", "be like"), and those elliptical cues must
@@ -46,15 +54,21 @@ GENERIC = "generic"
 NON_GENERIC = "non_generic"
 
 KINDS = ("bare", "framed", "hedged", "elliptical")
-EXCLUSION_REASONS = (
-    "past_tense_only",
-    "quantified_subject",
-    "conditional",
-    "question",
-    "shoutout",
-    "no_feature_ascription",
-    "no_group_subject",
-)
+# each screen rule and the exclusion reason of its non-generic verdict
+SCREENS = {
+    "screen:empty": "no_group_subject",
+    "screen:conditional": "conditional",
+    "screen:question_inversion": "question",
+    "screen:question_mark": "question",
+    "screen:shoutout_comma": "shoutout",
+    "screen:shoutout_clause": "shoutout",
+    "screen:bare_np": "no_feature_ascription",
+    "screen:past_tense": "past_tense_only",
+    "screen:quantified": "quantified_subject",
+    "screen:no_group": "no_group_subject",
+    "screen:no_ascription": "no_feature_ascription",
+}
+EXCLUSION_REASONS = frozenset(SCREENS.values())
 
 # closed-class tables; these define the pattern grammar itself
 PRESENT_COPULAS = frozenset(
@@ -116,6 +130,22 @@ NON_NP_WORDS = (
     PRONOUNS | DETERMINERS | PREPOSITIONS | CONJUNCTIONS | SKIP_JOINERS
     | ADVERBS | NEGATIONS | {INFINITIVE_MARKER}
 )
+# tokens that can sit between a group NP's head and its predicate
+NP_SKIP = SKIP_JOINERS | NP_NOISE | {COMMA, EMOJI, QUOTE}
+# words after a copula that give it no content ("are about whether")
+NON_CONTENT_WORDS = (
+    PREPOSITIONS | DETERMINERS | CONJUNCTIONS | PRONOUNS | ADVERBS | NEGATIONS
+    | {"whether", "if", "that", "how", "why", "when"}
+)
+# the kind and rule of a modal predicate
+MODAL_RULES = {
+    **dict.fromkeys(HEDGE_MODALS, ("hedged", "hedged_modal")),
+    **dict.fromkeys(BARE_MODALS, ("bare", "should_construction")),
+}
+# the rule of each mark that, right after a subject NP, stands for a copula
+ELLIPTICAL_MARKS = {
+    COLON: "elliptical_colon", EQUALS: "elliptical_equals", BLANK: "elliptical_blank"
+}
 
 # per-word-type flag bits (a clause's ``flags``, beside ``WORD``), set once
 # per norm by ``RuleAnnotator._classify``; tokens that are not words have none
@@ -184,6 +214,18 @@ class NounPhrase:
     prep_before: bool
 
 
+def _generic(kind: str, rule: str, first: int, last: int) -> AnnotatorVerdict:
+    """A generic verdict whose subject runs from token ``first`` to ``last``."""
+    return AnnotatorVerdict(
+        label=GENERIC, kind=kind, matched_rule=rule, subject_tokens=(first, last)
+    )
+
+
+def _screen(rule: str) -> AnnotatorVerdict:
+    """The non-generic verdict of screen ``rule``."""
+    return AnnotatorVerdict(label=NON_GENERIC, exclusion_reason=SCREENS[rule], matched_rule=rule)
+
+
 def _is_laughter(token: str) -> bool:
     if len(token) < 3:
         return False
@@ -219,6 +261,8 @@ class RuleAnnotator:
         self.lexicons = lexicons or RuleLexicons.default()
         lex = self.lexicons
         self._non_np = NON_NP_WORDS | lex.quantifiers | lex.interjections
+        # adverbs, hedges and negations: the words of an adverb run
+        self._adverbials = ADVERBS | NEGATIONS | lex.hedge_adverbs
         self.words = WordTable(lex.abbreviations, self._classify)
 
     def _classify(self, t: str) -> int:
@@ -245,7 +289,7 @@ class RuleAnnotator:
             and (t in lex.irregular_pasts or (len(t) > 3 and t.endswith("ed")))
         ):
             flags |= PAST
-        if t in HEDGE_MODALS or t in BARE_MODALS:
+        if t in MODAL_RULES:
             flags |= MODAL
         if len(t) >= 5 and t.endswith("ing") and t not in NON_GERUND_ING:
             flags |= GERUND
@@ -300,11 +344,7 @@ class RuleAnnotator:
         if clauses is None:
             clauses = normalize(text, self.words)[1]
         if not clauses:
-            return AnnotatorVerdict(
-                label=NON_GENERIC,
-                exclusion_reason="no_group_subject",
-                matched_rule="screen:empty",
-            )
+            return _screen("screen:empty")
 
         screen = self._opener_screen(clauses)
         if screen is not None:
@@ -316,20 +356,19 @@ class RuleAnnotator:
             return screen
 
         state = _ScanState()
+        verdict = None
         for ci, clause in enumerate(clauses):
             if clause.norms[-1] == QUESTION:
                 continue  # question clauses never assert a generic
             verdict = self._scan_clause(clauses, ci, state, nps[ci])
             if verdict is not None:
-                verdict.source = (text, self.words)  # every scan verdict has a subject
-                return verdict
-
-        verdict = self._anaphoric_pass(clauses, state)
-        if verdict is not None:
-            verdict.source = (text, self.words)
-            return verdict
-
-        return self._fallback_reason(clauses, state)
+                break
+        if verdict is None:
+            verdict = self._anaphoric_pass(clauses, state)
+        if verdict is None:
+            return state.fallback_screen()
+        verdict.source = (text, self.words)  # every generic verdict has a subject
+        return verdict
 
     # --- screens -----------------------------------------------------------
 
@@ -341,24 +380,12 @@ class RuleAnnotator:
             opener = next((w for w, f in zip(norms, flags) if f & WORD), None)
         if opener is not None:
             if opener in ("if", "unless"):
-                return AnnotatorVerdict(
-                    label=NON_GENERIC,
-                    exclusion_reason="conditional",
-                    matched_rule="screen:conditional",
-                )
+                return _screen("screen:conditional")
             if opener in AUX_INVERSION_OPENERS:
-                return AnnotatorVerdict(
-                    label=NON_GENERIC,
-                    exclusion_reason="question",
-                    matched_rule="screen:question_inversion",
-                )
+                return _screen("screen:question_inversion")
             ends_question = norms[-1] == QUESTION
             if ends_question and (opener in WH_OPENERS or len(clauses) == 1):
-                return AnnotatorVerdict(
-                    label=NON_GENERIC,
-                    exclusion_reason="question",
-                    matched_rule="screen:question_mark",
-                )
+                return _screen("screen:question_mark")
         return None
 
     def _directive_continuation(self, norms: list[str], flags: list[int]) -> bool:
@@ -390,11 +417,7 @@ class RuleAnnotator:
                 j += 1
             if j < n and norms[j] == COMMA:
                 if self._directive_continuation(norms[j + 1 :], flags[j + 1 :]):
-                    return AnnotatorVerdict(
-                        label=NON_GENERIC,
-                        exclusion_reason="shoutout",
-                        matched_rule="screen:shoutout_comma",
-                    )
+                    return _screen("screen:shoutout_comma")
             # bare-NP clause followed by a directive clause; a relative
             # postmodifier ("Ks who ...") does not predicate anything
             if ci + 1 == len(clauses):
@@ -410,14 +433,12 @@ class RuleAnnotator:
                 and not _union(flags) & PRESENT
                 and self._directive_continuation(nxt.norms, nxt.flags)
             ):
-                return AnnotatorVerdict(
-                    label=NON_GENERIC,
-                    exclusion_reason="shoutout",
-                    matched_rule="screen:shoutout_clause",
-                )
+                return _screen("screen:shoutout_clause")
         return None
 
     # --- clause scan ---------------------------------------------------------
+    # Each pattern gives the (kind, rule) of the generic it finds, and
+    # ``_scan_clause`` builds the verdict over the noun phrase's tokens.
 
     def _scan_clause(
         self,
@@ -436,26 +457,23 @@ class RuleAnnotator:
             after = clause.norms.index(COLON, 0, 4) + 1
             clause = Clause(clause.norms[after:], clause.flags[after:], clause.start + after)
             nps = self._find_nps(clause)
+        if nps and state.first_np is None:
+            state.first_np = (ci, nps[0].head)
         for np in nps:
-            state.saw_group_np = True
-            state.np_positions.append((ci, np.head))
             if np.quantified:
                 state.saw_quantified_np = True
                 continue
-            verdict = self._try_patterns(clauses, ci, clause, np, frame)
-            if verdict is not None:
-                return verdict
+            found = self._try_patterns(clauses, ci, clause, np, frame)
+            if found is not None:
+                return _generic(*found, clause.start + np.start, clause.start + np.head)
         # quoted definition: "…" + a trailing group NP names the picture
-        verdict = self._quoted_definition(clause)
-        if verdict is not None:
-            return verdict
+        np = self._quoted_definition(clause)
+        if np is not None:
+            return _generic(
+                "elliptical", "elliptical_quoted_definition",
+                clause.start + np.start, clause.start + np.head,
+            )
         return None
-
-    def _generic(self, kind, rule, clause, np) -> AnnotatorVerdict:
-        tokens = (clause.start + np.start, clause.start + np.head)
-        return AnnotatorVerdict(
-            label=GENERIC, kind=kind, matched_rule=rule, subject_tokens=tokens
-        )
 
     def _try_patterns(
         self,
@@ -464,8 +482,8 @@ class RuleAnnotator:
         clause: Clause,
         np: NounPhrase,
         frame: bool,
-    ) -> AnnotatorVerdict | None:
-        lex = self.lexicons
+    ) -> tuple[str, str] | None:
+        hedges = self.lexicons.hedge_adverbs
         norms, flags, _ = clause
         n = len(norms)
         left = _union(flags[: np.start])
@@ -478,55 +496,34 @@ class RuleAnnotator:
         if "be" in norms:
             for j in range(np.head + 1, n - 1):
                 if norms[j] == "be" and norms[j + 1] == "like":
-                    return self._generic("elliptical", "elliptical_be_like", clause, np)
+                    return "elliptical", "elliptical_be_like"
 
         hedge_seen = False
         j = np.head + 1
         # NP-internal and conjunct material between head and predicate
-        while j < n:
-            norm = norms[j]
-            if (
-                norm in (COMMA, EMOJI, QUOTE)
-                or norm in SKIP_JOINERS
-                or norm in NP_NOISE
-                or flags[j] & (GROUP_NOUN | GROUP_MODIFIER)
-            ):
-                j += 1
-                continue
-            break
+        while j < n and (norms[j] in NP_SKIP or flags[j] & (GROUP_NOUN | GROUP_MODIFIER)):
+            j += 1
 
         adverb_run = False
         while j < n:
             norm = norms[j]
             f = flags[j]
 
-            if f & WORD and (norm in ADVERBS or norm in lex.hedge_adverbs or norm in NEGATIONS):
-                if norm in lex.hedge_adverbs:
+            if f & WORD and norm in self._adverbials:
+                if norm in hedges:
                     hedge_seen = True
                 adverb_run = True
                 j += 1
                 continue
 
-            if norm == COLON:
-                if subject:
-                    return self._generic("elliptical", "elliptical_colon", clause, np)
-                return None
-            if norm == EQUALS:
-                if subject:
-                    return self._generic("elliptical", "elliptical_equals", clause, np)
-                return None
-            if norm == BLANK:
-                if subject:
-                    return self._generic("elliptical", "elliptical_blank", clause, np)
-                return None
+            if norm in ELLIPTICAL_MARKS:
+                return ("elliptical", ELLIPTICAL_MARKS[norm]) if subject else None
 
             if norm == "be":
-                return self._generic("elliptical", "elliptical_habitual_be", clause, np)
+                return "elliptical", "elliptical_habitual_be"
 
-            if norm in BARE_MODALS:
-                return self._generic("bare", "should_construction", clause, np)
-            if norm in HEDGE_MODALS:
-                return self._generic("hedged", "hedged_modal", clause, np)
+            if norm in MODAL_RULES:
+                return MODAL_RULES[norm]
 
             if f & PAST:
                 return None  # past predicate; the fallback screens decide
@@ -535,30 +532,26 @@ class RuleAnnotator:
                 if norm in PRESENT_COPULAS or norm in CONTRACTED_COPULAS:
                     if not self._copula_has_content(clause, j + 1):
                         return None
-                kind = "hedged" if hedge_seen else ("framed" if (frame or embedded) else "bare")
-                rule = "hedged_adverb" if hedge_seen else ("framed_embedded" if kind == "framed" else "bare_present")
-                return self._generic(kind, rule, clause, np)
+                if hedge_seen:
+                    return "hedged", "hedged_adverb"
+                if frame or embedded:
+                    return "framed", "framed_embedded"
+                return "bare", "bare_present"
 
             if f & GERUND:
                 if not subject:
                     return None
                 if norm in REPORTING_GERUNDS:
-                    return self._generic(
-                        "framed" if frame else "elliptical",
-                        "elliptical_reporting_gerund",
-                        clause,
-                        np,
-                    )
+                    return ("framed" if frame else "elliptical"), "elliptical_reporting_gerund"
                 if _next_flagged(clause, j + 1, FINITE) is None:
-                    kind = "framed" if frame else "elliptical"
-                    return self._generic(kind, "elliptical_gerund", clause, np)
+                    return ("framed" if frame else "elliptical"), "elliptical_gerund"
                 return None  # the gerund phrase, not the group, is the subject
 
             if norm in ("who", "that", "which"):
-                return self._relative_pattern(clause, np, j, frame, subject)
+                return self._relative_pattern(clause, j, frame, subject)
 
             if norm == "when" and subject:
-                return self._generic("elliptical", "elliptical_when", clause, np)
+                return "elliptical", "elliptical_when"
 
             if norm in PREPOSITIONS and subject:
                 # a PP postmodifier: jump over it to the predicate, if any
@@ -568,17 +561,15 @@ class RuleAnnotator:
                     adverb_run = False
                     continue
                 if j + 1 < n:
-                    return self._generic("elliptical", "elliptical_image", clause, np)
+                    return "elliptical", "elliptical_image"
                 return None
 
             if norm in DETERMINERS and subject:
-                return self._generic("elliptical", "elliptical_missing_copula", clause, np)
+                return "elliptical", "elliptical_missing_copula"
 
             if adverb_run and subject:
                 if _next_flagged(clause, j, FINITE) is None:
-                    return self._generic(
-                        "elliptical", "elliptical_missing_copula", clause, np
-                    )
+                    return "elliptical", "elliptical_missing_copula"
                 j += 1
                 continue
 
@@ -588,18 +579,16 @@ class RuleAnnotator:
 
             return None  # bare compound or other non-predicating continuation
 
-        # clause ends right after the NP
-        if subject and not np.prep_before:
-            if ci + 1 == len(clauses):
-                return None
+        # clause ends right after the subject NP
+        if subject and ci + 1 < len(clauses):
             nxt = clauses[ci + 1]
             nxt_words = [w for w, f in zip(nxt.norms, nxt.flags) if f & WORD]
             if nxt_words[:1] == ["be"]:
                 if nxt_words[1:2] == ["like"]:
-                    return self._generic("elliptical", "elliptical_be_like", clause, np)
-                return self._generic("elliptical", "elliptical_habitual_be", clause, np)
+                    return "elliptical", "elliptical_be_like"
+                return "elliptical", "elliptical_habitual_be"
             if self._fragment_predicate(nxt):
-                return self._generic("elliptical", "elliptical_np_fragment", clause, np)
+                return "elliptical", "elliptical_np_fragment"
         return None
 
     def _copula_has_content(self, clause: Clause, start: int) -> bool:
@@ -610,23 +599,11 @@ class RuleAnnotator:
             if not flags[k] & WORD:
                 if norm in (EMOJI, BLANK, URL):
                     return True
-                continue
-            if (
-                norm in PREPOSITIONS
-                or norm in DETERMINERS
-                or norm in CONJUNCTIONS
-                or norm in PRONOUNS
-                or norm in ADVERBS
-                or norm in NEGATIONS
-                or norm in ("whether", "if", "that", "how", "why", "when")
-            ):
-                continue
-            return True
+            elif norm not in NON_CONTENT_WORDS:
+                return True
         return False
 
-    def _relative_pattern(
-        self, clause, np, rel_index, frame, subject
-    ) -> AnnotatorVerdict | None:
+    def _relative_pattern(self, clause, rel_index, frame, subject) -> tuple[str, str] | None:
         """NP + who/that …: the last verb group is the main predicate when
         more than one group follows; a lone present-ish relative leaves a
         postmodified NP (image caption)."""
@@ -653,16 +630,14 @@ class RuleAnnotator:
             if not present:
                 return None
             head = norms[present[-1]]
-            if head in BARE_MODALS:
-                return self._generic("bare", "should_construction", clause, np)
-            if head in HEDGE_MODALS:
-                return self._generic("hedged", "hedged_modal", clause, np)
-            kind = "framed" if (frame or not subject) else "bare"
-            rule = "framed_embedded" if kind == "framed" else "bare_relative"
-            return self._generic(kind, rule, clause, np)
+            if head in MODAL_RULES:
+                return MODAL_RULES[head]
+            if frame or not subject:
+                return "framed", "framed_embedded"
+            return "bare", "bare_relative"
         if len(heads) == 1 and subject:
             if flags[heads[0]] & (MODAL | PRESENT):
-                return self._generic("elliptical", "elliptical_image", clause, np)
+                return "elliptical", "elliptical_image"
         return None
 
     def _fragment_predicate(self, clause: Clause) -> bool:
@@ -673,7 +648,9 @@ class RuleAnnotator:
             return False
         return not self._directive_continuation(norms, flags)
 
-    def _quoted_definition(self, clause: Clause) -> AnnotatorVerdict | None:
+    def _quoted_definition(self, clause: Clause) -> NounPhrase | None:
+        """The group NP that follows a quote opening the clause, when the
+        clause ends with it."""
         norms, flags, _ = clause
         if not norms or norms[0] != QUOTE:
             return None
@@ -691,17 +668,15 @@ class RuleAnnotator:
                 return None
         if head is None:
             return None
-        np = NounPhrase(word_after[0], head, quantified=False, prep_before=False)
-        return self._generic("elliptical", "elliptical_quoted_definition", clause, np)
+        return NounPhrase(word_after[0], head, quantified=False, prep_before=False)
 
-    # --- anaphora and fallbacks ------------------------------------------------
+    # --- anaphora --------------------------------------------------------------
 
     def _anaphoric_pass(
         self, clauses: list[Clause], state: "_ScanState"
     ) -> AnnotatorVerdict | None:
-        if not state.np_positions:
+        if state.first_np is None:
             return None
-        first_np = min(state.np_positions)
         hedges = self.lexicons.hedge_adverbs
         for ci, (norms, flags, start) in enumerate(clauses):
             if norms[-1] == QUESTION or THEY.isdisjoint(norms):
@@ -709,75 +684,41 @@ class RuleAnnotator:
             for j, norm in enumerate(norms):
                 if norm not in THEY:
                     continue
-                if not flags[j] & WORD or (ci, j) <= first_np:
+                if not flags[j] & WORD or (ci, j) <= state.first_np:
                     continue
-                if norm != "they":
+                if norm == "they":
+                    k = j + 1
+                    hedged = False
+                    while k < len(norms) and norms[k] in self._adverbials:
+                        if norms[k] in hedges:
+                            hedged = True
+                        k += 1
+                    # a modal or a present-only verb makes the predicate
+                    if k == len(norms) or not (
+                        norms[k] in MODAL_RULES or flags[k] & (PRESENT | PAST) == PRESENT
+                    ):
+                        continue
+                    kind = "hedged" if hedged or norms[k] in HEDGE_MODALS else "bare"
+                else:
                     kind = "hedged" if norm in ("they'll", "they'd") else "bare"
-                    return AnnotatorVerdict(
-                        label=GENERIC, kind=kind, matched_rule="anaphoric_subject",
-                        subject_tokens=(start + j, start + j),
-                    )
-                k = j + 1
-                hedged = False
-                while k < len(norms) and (
-                    norms[k] in ADVERBS or norms[k] in NEGATIONS or norms[k] in hedges
-                ):
-                    if norms[k] in hedges:
-                        hedged = True
-                    k += 1
-                if k >= len(norms):
-                    continue
-                if norms[k] in HEDGE_MODALS:
-                    return AnnotatorVerdict(
-                        label=GENERIC, kind="hedged", matched_rule="anaphoric_subject",
-                        subject_tokens=(start + j, start + j),
-                    )
-                if norms[k] in BARE_MODALS or flags[k] & (PRESENT | PAST) == PRESENT:
-                    return AnnotatorVerdict(
-                        label=GENERIC,
-                        kind="hedged" if hedged else "bare",
-                        matched_rule="anaphoric_subject",
-                        subject_tokens=(start + j, start + j),
-                    )
+                return _generic(kind, "anaphoric_subject", start + j, start + j)
         return None
 
-    def _fallback_reason(
-        self, clauses: list[Clause], state: "_ScanState"
-    ) -> AnnotatorVerdict:
-        if state.saw_group_np and not state.bits & FINITE:
-            return AnnotatorVerdict(
-                label=NON_GENERIC,
-                exclusion_reason="no_feature_ascription",
-                matched_rule="screen:bare_np",
-            )
-        if state.bits & PAST and not state.bits & (PRESENT | MODAL):
-            return AnnotatorVerdict(
-                label=NON_GENERIC,
-                exclusion_reason="past_tense_only",
-                matched_rule="screen:past_tense",
-            )
-        if state.saw_quantified_np:
-            return AnnotatorVerdict(
-                label=NON_GENERIC,
-                exclusion_reason="quantified_subject",
-                matched_rule="screen:quantified",
-            )
-        if not state.saw_group_np:
-            return AnnotatorVerdict(
-                label=NON_GENERIC,
-                exclusion_reason="no_group_subject",
-                matched_rule="screen:no_group",
-            )
-        return AnnotatorVerdict(
-            label=NON_GENERIC,
-            exclusion_reason="no_feature_ascription",
-            matched_rule="screen:no_ascription",
-        )
 
-
+@dataclass(slots=True)
 class _ScanState:
-    def __init__(self):
-        self.saw_group_np = False
-        self.saw_quantified_np = False
-        self.bits = 0  # every flag of the clauses scanned
-        self.np_positions: list[tuple[int, int]] = []
+    first_np: tuple[int, int] | None = None  # (clause, head) of the first group NP
+    saw_quantified_np: bool = False
+    bits: int = 0  # every flag of the clauses scanned
+
+    def fallback_screen(self) -> AnnotatorVerdict:
+        """The screen verdict of a text that no pattern made generic."""
+        if self.first_np is not None and not self.bits & FINITE:
+            return _screen("screen:bare_np")
+        if self.bits & PAST and not self.bits & (PRESENT | MODAL):
+            return _screen("screen:past_tense")
+        if self.saw_quantified_np:
+            return _screen("screen:quantified")
+        if self.first_np is None:
+            return _screen("screen:no_group")
+        return _screen("screen:no_ascription")
