@@ -452,13 +452,15 @@ class RuleAnnotator:
 
         head = clause.norms[:4]
         frame = COLON in head and not FRAME_WORDS.isdisjoint(head)
+        after = 0
         if frame:
             # the headline prefix is not part of the clause proper
             after = clause.norms.index(COLON, 0, 4) + 1
             clause = Clause(clause.norms[after:], clause.flags[after:], clause.start + after)
             nps = self._find_nps(clause)
         if nps and state.first_np is None:
-            state.first_np = (ci, nps[0].head)
+            # the head's index in the whole clause, as the anaphoric pass counts
+            state.first_np = (ci, after + nps[0].head)
         for np in nps:
             if np.quantified:
                 state.saw_quantified_np = True

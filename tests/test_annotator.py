@@ -263,6 +263,21 @@ class TestVerdicts:
         assert not verdict.is_generic
         assert verdict.exclusion_reason == reason
 
+    @pytest.mark.parametrize(
+        "text, rule",
+        [
+            # "they" before the only group NP refers to no group, with or
+            # without a headline prefix of any length
+            ("they hate democrats", "screen:no_ascription"),
+            ("alert: they hate democrats", "screen:no_ascription"),
+            ("news alert: they hate democrats", "screen:no_ascription"),
+            ("PSA from me: they hate democrats", "screen:no_ascription"),
+            ("news alert: democrats. they hate us", "anaphoric_subject"),
+        ],
+    )
+    def test_anaphora_after_a_headline_prefix(self, annotator, text, rule):
+        assert annotator.annotate(text).matched_rule == rule
+
     def test_subject_span_points_at_noun_phrase(self, annotator):
         text = "Damn right! Liberals are the real homophobes!"
         verdict = annotator.annotate(text)
