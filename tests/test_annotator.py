@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -172,6 +173,14 @@ class TestWordSalad:
     def test_every_rule_is_reached(self, annotator):
         texts = TestVerdictGolden.texts() + self.texts(annotator.lexicons)
         assert {annotator.annotate(text).matched_rule for text in texts} == self.RULES
+
+    def test_readme_lists_every_rule(self, annotator):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `([a-z_:]+)` \| ([a-z_]+)\b[^|]*\| (.+) \|$", readme, re.M)
+        assert {rule for rule, _, _ in rows} == self.RULES
+        assert {rule: reason for rule, reason, _ in rows if rule in rules.SCREENS} == rules.SCREENS
+        # each row's example text comes out under its rule
+        assert all(annotator.annotate(text).matched_rule == rule for rule, _, text in rows)
 
 
 def flat_norms(text, table=None):
