@@ -1,11 +1,14 @@
 """Mann-Whitney / Kruskal-Wallis behavior against brute-force oracles."""
 
 import math
+from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import genscope.stats.rank_tests
+from genscope.analysis import _median
 from genscope.errors import InputError
 from genscope.stats import kruskal_wallis, mann_whitney_u
 
@@ -159,3 +162,42 @@ class TestOneRanking:
         res = kruskal_wallis([[1, 2, 2], [3, 4], [2, 5, 6, 7]])
         assert res.posthoc is not None
         assert rankings == [9]
+
+
+def fields_of(result) -> dict:
+    """Every field of a result, with a nested result as a dict and an array
+    as a list, for a comparison with ``==``."""
+    return {
+        name: fields_of(value) if is_dataclass(value)
+        else value.tolist() if isinstance(value, np.ndarray) else value
+        for name, value in vars(result).items()
+    }
+
+
+# small integers, so that ties are common
+small_ints = st.lists(st.integers(0, 4), min_size=1, max_size=12)
+ORDER_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+class TestSampleOrder:
+    """Permuting each sample leaves every bit of a result unchanged: the
+    midrank sums are sums of half-integers, exact in any order. The
+    analysis relies on this when it hands a sample over in corpus order."""
+
+    @ORDER_SETTINGS
+    @given(st.data(), small_ints, small_ints)
+    def test_mann_whitney(self, data, a, b):
+        moved = mann_whitney_u(data.draw(st.permutations(a)), data.draw(st.permutations(b)))
+        assert fields_of(moved) == fields_of(mann_whitney_u(a, b))
+
+    @ORDER_SETTINGS
+    @given(st.data(), st.lists(small_ints, min_size=2, max_size=4))
+    def test_kruskal_wallis(self, data, groups):
+        moved = kruskal_wallis([data.draw(st.permutations(g)) for g in groups])
+        assert fields_of(moved) == fields_of(kruskal_wallis(groups))
+
+    @ORDER_SETTINGS
+    @given(st.data(), st.lists(st.integers(0, 4), max_size=12))
+    def test_median(self, data, values):
+        moved = data.draw(st.permutations(values))
+        assert _median(np.array(moved, dtype=float)) == _median(np.array(values, dtype=float))
