@@ -2,9 +2,11 @@
 
 ``run_analysis`` reads a corpus in one pass: it partitions each tweet by
 group, attaches a genericity decision (trained model or rule annotator)
-and a sentiment label to every single-group tweet, keeps those as
-per-group columns, and assembles a report dictionary in which every
-statistic sits next to the counts or sample sizes it was computed from.
+and a sentiment label to every single-group tweet, keeps those as one
+table of rows in corpus order, and assembles a report dictionary in which
+every statistic sits next to the counts or sample sizes it was computed
+from. A row's group is its tweet's bucket byte; every count is a margin of
+one ``(group, generic, sentiment)`` tally of the rows.
 ``ingest`` hands the tweets it accepts over in blocks, the pass's one
 batch: each of those steps runs over a whole block before the next
 starts, a block's kept tweets are scored by one model call, and every
@@ -19,7 +21,7 @@ corpus file into one byte range per CPU, each ending after a newline, and
 each range after the first goes through the same blocks and steps in a
 forked child process (``parts.forked``), while this process reads the
 first. A child leaves the duplicate-id check to ``ingest`` and sends one
-result: its records, its buckets and its columns. ``ingest`` judges the
+result: its records, its buckets and its rows. ``ingest`` judges the
 children's records in file order after its own range, and each range is
 merged as soon as its records are judged: the buckets and rows of the
 records it rejects are dropped, and the rest are appended in file order,
@@ -35,7 +37,6 @@ from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import partial
 from importlib import resources
-from itertools import compress
 from pathlib import Path
 from typing import get_type_hints
 
@@ -242,25 +243,11 @@ def score_tokens(model, token_lists) -> list[float]:
     return predict_score(model, bow_matrix(token_lists, model.vocab)).tolist()
 
 
-class _Columns:
-    """One group's analysed tweets in corpus order, one typed array per
-    field, after Arrow's columnar layout: a score, a sentiment code (an
-    index into ``SENTIMENTS``), and the like and retweet counts as the
-    floats the rank tests read them as. ``view`` reads a field as a numpy
-    array over the same memory, once the appends are done."""
-
-    def __init__(self):
-        self.scores = array("d")
-        self.sentiments = array("b")
-        self.likes = array("d")
-        self.retweets = array("d")
-
-    def view(self, name: str) -> np.ndarray:
-        return np.asarray(getattr(self, name))
-
-    def generic(self, threshold: float) -> np.ndarray:
-        return self.view("scores") >= threshold
-
+# the table of analysed tweets, one typed array per field in corpus order,
+# after Arrow's columnar layout: a score, a sentiment code (an index into
+# SENTIMENTS), and the like and retweet counts as the floats the rank tests
+# read them as; a row's group is its tweet's bucket code
+_FIELDS = {"scores": "d", "sentiments": "b", "likes": "d", "retweets": "d"}
 
 # each bucket's one-byte code: its index in BUCKETS, whose first are GROUPS
 _BUCKET_CODES = {bucket: i for i, bucket in enumerate(BUCKETS)}
@@ -271,7 +258,8 @@ class _Pipeline:
     terms, the annotator or model, and the sentiment provider. ``ingest``
     hands it each block of accepted tweets, and it runs each stage over
     the whole block before the next. It keeps each handed tweet's bucket,
-    as its one-byte code, and each group's columns."""
+    as its one-byte code, and a row of the table for each tweet kept in a
+    group."""
 
     def __init__(self, config: AnalysisConfig, query, lexicon):
         self.terms = compile_terms(query, lexicon)
@@ -288,66 +276,60 @@ class _Pipeline:
             lexicon=load_valence_lexicon(config.valence_lexicon or None),
         )
         self.buckets = array("b")
-        self.columns = {g: _Columns() for g in GROUPS}
+        self.rows = {name: array(code) for name, code in _FIELDS.items()}
 
     def __call__(self, tweets) -> None:
         """Bucket, score and label a block of tweets, in file order, one
         stage at a time: the lang test, the lex, the partition, then the
         verdicts or the one scoring call of the tweets kept in a group,
-        then, for each of them, its sentiment and its column appends. The
+        then, for each of them, its sentiment, and last their rows. The
         stages are looked up here, once per block, so a function replaced
         after the pipeline was built is the one called."""
-        # a tweet whose lang fails is unmatched, unlexed
-        passes = [lang_matches(t.lang, self.lang) for t in tweets] if self.lang else None
-        passed = tweets if passes is None else list(compress(tweets, passes))
+        # a tweet whose lang fails is not lexed: with no words, it is unmatched
+        lang = self.lang
+        passes = [not lang or lang_matches(t.lang, lang) for t in tweets]
         if self.model is None:
             normalize, table = self.normalize, self.annotator.words
-            lexed = [normalize(t.text, table) for t in passed]
+            lexed = [normalize(t.text, table) if ok else ([], []) for t, ok in zip(tweets, passes)]
             tokens = [words for words, _ in lexed]
         else:
-            tokens = [tokenize(t.text) for t in passed]
+            tokens = [tokenize(t.text) if ok else [] for t, ok in zip(tweets, passes)]
         terms = self.terms
-        buckets = [partition(terms, words) for words in tokens]
-        codes = [_BUCKET_CODES[bucket] for bucket in buckets]
-        if passes is not None:
-            found = iter(codes)
-            unmatched = _BUCKET_CODES["unmatched"]
-            codes = [next(found) if ok else unmatched for ok in passes]
+        codes = [_BUCKET_CODES[partition(terms, words)] for words in tokens]
         self.buckets.extend(codes)
 
-        columns = self.columns
-        kept = [i for i, bucket in enumerate(buckets) if bucket in columns]
+        kept = [i for i, code in enumerate(codes) if code < len(GROUPS)]
         if self.model is None:
             annotate = self.annotator.annotate
-            scores = [1.0 if annotate(passed[i].text, lexed[i][1]).is_generic else 0.0
+            scores = [1.0 if annotate(tweets[i].text, lexed[i][1]).is_generic else 0.0
                       for i in kept]
         else:
             scores = score_tokens(self.model, [tokens[i] for i in kept]) if kept else []
         label = self.provider.label
-        for i, score in zip(kept, scores):
-            tweet, col = passed[i], columns[buckets[i]]
-            col.scores.append(score)
-            col.sentiments.append(SENTIMENTS.index(label(tweet.id, tokens[i]).value))
-            col.likes.append(tweet.like_count)
-            col.retweets.append(tweet.retweet_count)
+        rows = self.rows
+        rows["scores"].extend(scores)
+        rows["sentiments"].extend(
+            [SENTIMENTS.index(label(tweets[i].id, tokens[i]).value) for i in kept]
+        )
+        rows["likes"].extend([tweets[i].like_count for i in kept])
+        rows["retweets"].extend([tweets[i].retweet_count for i in kept])
 
     def run_part(self, path, query, start: int, end: int | None):
         """The same blocks over a later byte range of the corpus, in a child
         process: the range's records for ``ingest``, and, for the records
-        handed on, their bucket codes and columns."""
-        return read_part(path, start, end, self, query), self.buckets, self.columns
+        handed on, their bucket codes and rows."""
+        return read_part(path, start, end, self, query), self.buckets, self.rows
 
-    def merge(self, records: PartRecords, buckets: array, columns: dict) -> None:
+    def merge(self, records: PartRecords, buckets: array, rows: dict) -> None:
         """Take a later range's buckets and rows, less those of the records
         ``ingest`` did not keep: their ids repeat an id accepted in an
         earlier range."""
         accepted = np.frombuffer(records.kept, dtype=bool)
         buckets = np.frombuffer(buckets, dtype=np.int8)
         self.buckets.frombytes(buckets[accepted].tobytes())
-        for i, g in enumerate(GROUPS):
-            keep = accepted[buckets == i]
-            for name, column in vars(self.columns[g]).items():
-                column.frombytes(columns[g].view(name)[keep].tobytes())
+        keep = accepted[buckets < len(GROUPS)]
+        for name, column in self.rows.items():
+            column.frombytes(np.asarray(rows[name])[keep].tobytes())
 
 
 def _external_labels(path) -> dict:
@@ -389,13 +371,15 @@ def run_analysis(config: AnalysisConfig) -> dict:
             # read of the file; ingest judges each range's records before it
             # asks for the next, so they merge here
             for child in children:
-                records, buckets, columns = child.receive()
+                records, buckets, rows = child.receive()
                 yield records
-                pipeline.merge(records, buckets, columns)
+                pipeline.merge(records, buckets, rows)
 
         report_ingest = ingest(corpus_path, pipeline, query, end, received())
-    columns = pipeline.columns
-    buckets = np.bincount(np.frombuffer(pipeline.buckets, dtype=np.int8), minlength=len(BUCKETS))
+    codes = np.frombuffer(pipeline.buckets, dtype=np.int8)
+    rows = {name: np.asarray(column) for name, column in pipeline.rows.items()}
+    rows["group"] = codes[codes < len(GROUPS)]  # the kept tweets' codes, in row order
+    rows["generic"] = rows["scores"] >= config.threshold
 
     report: dict = {
         "provenance": {
@@ -415,59 +399,42 @@ def run_analysis(config: AnalysisConfig) -> dict:
             "accepted": report_ingest.accepted_count,
             "rejected": report_ingest.rejected_count,
         },
-        "partition": dict(zip(BUCKETS, buckets.tolist())),
+        "partition": dict(zip(BUCKETS, np.bincount(codes, minlength=len(BUCKETS)).tolist())),
     }
 
-    tally = Counter(
-        (g, score >= config.threshold, SENTIMENTS[code])
-        for g in GROUPS
-        for score, code in zip(columns[g].scores, columns[g].sentiments)
-    )
-    report["descriptives"] = _descriptives(columns, tally, config)
-    report["h1"] = _h1_block(_count(tally, generic=True), _count(tally, generic=False))
-    report["h2"] = _h2_block(columns, config.threshold)
+    # the (group, generic, sentiment) tally, whose margins give every count
+    shape = (len(GROUPS), 2, len(SENTIMENTS))
+    cells = np.ravel_multi_index((rows["group"], rows["generic"], rows["sentiments"]), shape)
+    tally = np.bincount(cells, minlength=math.prod(shape)).reshape(shape)
+    n_other, n_generic = tally.sum(axis=(0, 2)).tolist()
+    report["descriptives"] = _descriptives(rows, tally, config.histogram_bin_width)
+    report["h1"] = _h1_block(n_generic, n_other)
+    report["h2"] = _h2_block(rows)
     report["h3"] = _h3_block(
         {
-            g: {
-                "generic": _count(tally, group=g, generic=True),
-                "non_generic": _count(tally, group=g, generic=False),
-            }
-            for g in GROUPS
+            g: {"generic": generic, "non_generic": other}
+            for g, (other, generic) in zip(GROUPS, tally.sum(axis=2).tolist())
         }
     )
-    report["h4"] = _h4_block([[tally[g, True, v] for g in GROUPS] for v in H4_ROWS])
-    report["h5"] = _h5_block(columns, config.threshold)
+    h4_columns = [SENTIMENTS.index(v) for v in H4_ROWS]
+    report["h4"] = _h4_block(tally[:, 1, h4_columns].T.tolist())
+    report["h5"] = _h5_block(rows)
     return report
 
 
-def _count(tally: Counter, group=None, generic=None, sentiment=None) -> int:
-    """The tweets of a ``(group, generic, sentiment)`` tally that match every
-    field given; a field left at None is summed over."""
-    return sum(
-        n
-        for (g, gen, v), n in tally.items()
-        if group in (None, g) and generic in (None, gen) and sentiment in (None, v)
-    )
-
-
-def _descriptives(columns: dict, tally: Counter, config: AnalysisConfig) -> dict:
-    n = sum(tally.values())
-    group_counts = {g: _count(tally, group=g) for g in GROUPS}
-    sentiment_counts = {v: _count(tally, sentiment=v) for v in SENTIMENTS}
-    hists = {
-        "overall": _histogram(
-            np.concatenate([columns[g].view("scores") for g in GROUPS]),
-            config.histogram_bin_width,
-        )
-    }
+def _descriptives(rows: dict, tally: np.ndarray, bin_width: float) -> dict:
+    n = int(tally.sum())
+    group_counts = dict(zip(GROUPS, tally.sum(axis=(1, 2)).tolist()))
+    sentiment_counts = dict(zip(SENTIMENTS, tally.sum(axis=(0, 1)).tolist()))
+    scores = rows["scores"]
+    hists = {"overall": _histogram(scores, bin_width)}
     medians = {}
-    for g in GROUPS:
-        scores = columns[g].view("scores")
-        hists[g] = _histogram(scores, config.histogram_bin_width)
-        generic_scores = scores[columns[g].generic(config.threshold)]
+    for i, g in enumerate(GROUPS):
+        in_group = rows["group"] == i
+        hists[g] = _histogram(scores[in_group], bin_width)
         medians[g] = {
-            "all": _median(scores),
-            "generic": _median(generic_scores),
+            "all": _median(scores[in_group]),
+            "generic": _median(scores[in_group & rows["generic"]]),
         }
     return {
         "analyzed_tweets": n,
@@ -475,7 +442,7 @@ def _descriptives(columns: dict, tally: Counter, config: AnalysisConfig) -> dict
         "group_percent": _percent(group_counts, n),
         "sentiment_counts": sentiment_counts,
         "sentiment_percent": _percent(sentiment_counts, n),
-        "generic_count": _count(tally, generic=True),
+        "generic_count": int(tally[:, 1].sum()),
         "score_histograms": hists,
         "score_medians": medians,
     }
@@ -491,19 +458,16 @@ def _h1_block(n_generic: int, n_other: int) -> dict:
     }
 
 
-def _h2_block(columns: dict, threshold: float) -> dict:
+def _h2_block(rows: dict) -> dict:
     """Mann-Whitney tests of generic against non-generic tweets' likes and
-    retweets, each sample group-major in ``GROUPS`` order."""
-    generic = [columns[g].generic(threshold) for g in GROUPS]
-    if not any(m.any() for m in generic) or all(m.all() for m in generic):
+    retweets, each sample in corpus order."""
+    generic = rows["generic"]
+    if not generic.any() or generic.all():
         return {"skipped": "empty generic stratum"}
-    block = {}
-    for metric in ("likes", "retweets"):
-        values = [columns[g].view(metric) for g in GROUPS]
-        a = np.concatenate([v[m] for v, m in zip(values, generic)])
-        b = np.concatenate([v[~m] for v, m in zip(values, generic)])
-        block[metric] = _as_json(mann_whitney_u(a, b))
-    return block
+    return {
+        metric: _as_json(mann_whitney_u(rows[metric][generic], rows[metric][~generic]))
+        for metric in ("likes", "retweets")
+    }
 
 
 def _pairwise_2x2(counts: dict, pairs, columns: tuple[str, str]) -> dict:
@@ -588,27 +552,22 @@ def _h4_block(cells) -> dict:
     return block
 
 
-def _h5_block(columns: dict, threshold: float) -> dict:
+def _h5_block(rows: dict) -> dict:
     """Kruskal-Wallis tests across the groups of the generic tweets' likes
     and retweets, and of the generic negative tweets'."""
-    generic = {g: columns[g].generic(threshold) for g in GROUPS}
-    negative = SENTIMENTS.index("negative")
+    generic = rows["generic"]
+    negative = rows["sentiments"] == SENTIMENTS.index("negative")
     block: dict = {}
-    for subset_name, masks in (
-        ("generic", generic),
-        (
-            "generic_negative",
-            {g: generic[g] & (columns[g].view("sentiments") == negative) for g in GROUPS},
-        ),
-    ):
-        if not all(masks[g].any() for g in GROUPS):
+    for subset_name, subset in (("generic", generic), ("generic_negative", generic & negative)):
+        masks = [subset & (rows["group"] == i) for i in range(len(GROUPS))]
+        if not all(m.any() for m in masks):
             block[subset_name] = {
                 "skipped": "empty generic stratum in at least one group"
             }
             continue
         sub: dict = {}
         for metric in ("likes", "retweets"):
-            samples = [columns[g].view(metric)[masks[g]] for g in GROUPS]
+            samples = [rows[metric][m] for m in masks]
             result = _as_json(kruskal_wallis(samples))
             result["groups"] = list(GROUPS)
             if "posthoc" in result:

@@ -97,10 +97,11 @@ def lang_matches(tweet_lang: str, constraint: str) -> bool:
 
 
 def partition(terms: TermIndex, tokens: list[str]) -> str:
-    """The bucket of one tweet whose lang passed ``lang_matches``: its one
-    matched group, ``multi_group_dropped`` for two or more, ``unmatched``
-    for none. A tweet whose lang fails goes to ``unmatched`` unlexed, so
-    every tweet lands in exactly one of ``BUCKETS``."""
+    """The bucket of one tweet from its word tokens: its one matched
+    group, ``multi_group_dropped`` for two or more, ``unmatched`` for none.
+    A tweet whose lang fails ``lang_matches`` is not lexed and arrives with
+    no words, so it is ``unmatched``, and every tweet lands in exactly one
+    of ``BUCKETS``."""
     groups = match_groups(terms, tokens)
     if len(groups) == 1:
         return next(iter(groups))
