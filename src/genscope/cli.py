@@ -74,17 +74,6 @@ def _add_flags(parser, *names, **defaults) -> None:
         parser.add_argument(f"--{name}", default=defaults.get(name), **_SHARED_FLAGS[name])
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"need an integer of at least 1, not {text!r}")
-    return value
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="genscope", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -133,7 +122,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("label", help="interactive labeling session")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--limit", type=_positive_int, default=sys.maxsize)
+    p.add_argument("--limit", type=int, default=sys.maxsize)
     _add_flags(p, "out")
 
     p = sub.add_parser("reproduce", help="recompute published statistics")
@@ -332,6 +321,8 @@ def _cmd_report(args) -> int:
 def _cmd_label(args) -> int:
     from .labeling import label_session
 
+    if args.limit < 1:
+        raise InputError(f"--limit must be at least 1, not {args.limit}")
     tweets: list = []
     ingest(args.corpus, lambda block: tweets.extend(block[: args.limit - len(tweets)]))
     out = Path(args.out or "out")

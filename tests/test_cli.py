@@ -653,13 +653,30 @@ class TestLabelCommand:
         assert len(rows) == 3
 
 
-    @pytest.mark.parametrize("limit", ["0", "-3", "2.5", "x"])
-    def test_limit_below_one_is_a_usage_error(self, small_corpus, tmp_path, capsys, limit):
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_limit_below_one_is_a_data_error(self, small_corpus, tmp_path, capsys, limit):
+        # an out-of-range value, as a --threshold or --epochs is
+        out = tmp_path / "labels"
+        assert main(["label", "--corpus", str(small_corpus), "--out", str(out),
+                     "--limit", limit]) == 2
+        assert capsys.readouterr().err == f"error: --limit must be at least 1, not {limit}\n"
+        assert not out.exists()
+
+    def test_limit_is_checked_before_the_corpus_is_read(self, tmp_path, capsys):
+        out = tmp_path / "labels"
+        assert main(["label", "--corpus", str(tmp_path / "missing.jsonl"), "--out", str(out),
+                     "--limit", "0"]) == 2
+        assert "--limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("limit", ["2.5", "x"])
+    def test_limit_not_an_integer_is_a_usage_error(self, small_corpus, tmp_path, capsys,
+                                                   limit):
         out = tmp_path / "labels"
         with pytest.raises(SystemExit) as exc:
             main(["label", "--corpus", str(small_corpus), "--out", str(out), "--limit", limit])
         assert exc.value.code == 1
-        assert f"--limit: need an integer of at least 1, not '{limit}'" in capsys.readouterr().err
+        assert f"--limit: invalid int value: '{limit}'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("block", [1, 3, 256])
