@@ -9,9 +9,10 @@ statistics needed to analyze group-level differences in use and impact.
 ``corpus``, ``sentiment`` or ``stats``) when it is first read. The
 commands import what they run in the same way, so only ``annotate``,
 ``label`` and annotator-mode ``analyze`` load the rule annotator. Both
-``python -m genscope`` and the ``genscope`` script run ``cli.entry``,
-which freezes the heap once the command is done, so the interpreter's
-last garbage collections at exit skip it.
+``python -m genscope`` and the ``genscope`` script run ``__main__.main``,
+which imports and runs ``cli.entry``; that freezes the heap once the
+command is done, so the interpreter's last garbage collections at exit
+skip it.
 """
 
 import importlib

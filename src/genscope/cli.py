@@ -361,8 +361,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (GenscopeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -378,14 +378,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> int:
-    """The program, ``main`` on ``sys.argv``: what ``python -m genscope``
-    and the ``genscope`` script run. Once the command is done, every
-    object is frozen out of the garbage collector, so the interpreter's
-    last collections at exit skip the heap that numpy and the command
-    built. Modules are still torn down, atexit handlers still run and the
-    standard streams are still flushed. An object left in a reference
-    cycle is not finalized, so each command closes its own files. ``main``
-    never freezes, for callers that go on running."""
+    """The program, ``main`` on ``sys.argv``: what ``genscope.__main__``
+    runs for ``python -m genscope`` and the ``genscope`` script. Once the
+    command is done, every object is frozen out of the garbage collector,
+    so the interpreter's last collections at exit skip the heap that numpy
+    and the command built. Modules are still torn down, atexit handlers
+    still run and the standard streams are still flushed, except after an
+    interrupt under ``python -m``, which flushes the streams and exits at
+    once. An object left in a reference cycle is not finalized, so each
+    command closes its own files. ``main`` never freezes and never exits,
+    for callers that go on running."""
     try:
         return main()
     finally:

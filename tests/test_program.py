@@ -267,18 +267,81 @@ class TestLaunchers:
 
 
 def test_console_script_and_dash_m_run_one_entry():
-    # so that the console script cannot lose the exit freeze
+    # so that neither launcher can lose the exit freeze or the start-up
+    # interrupt handler: the script calls __main__.main, which -m runs, and
+    # main calls cli.entry
     tomllib = pytest.importorskip("tomllib")
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     script = pyproject["project"]["scripts"]["genscope"]
     tree = ast.parse((PACKAGE / "__main__.py").read_text(encoding="utf-8"))
+    launcher = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
     imported = {
         alias.asname or alias.name: f"genscope.{node.module}:{alias.name}"
-        for node in ast.walk(tree)
+        for node in ast.walk(launcher)
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     }
-    called = [imported[node.func.id] for node in ast.walk(tree)
+    called = [imported[node.func.id] for node in ast.walk(launcher)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id in imported]
-    assert called == [script] == ["genscope.cli:entry"]
+    assert script == "genscope.__main__:main"
+    assert called == ["genscope.cli:entry"]
+    guard = next(node for node in tree.body if isinstance(node, ast.If))
+    assert ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert "main" in [node.func.id for node in ast.walk(guard)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+
+
+def test_ctrl_c_while_parsing_exits_130(monkeypatch, capsys):
+    def interrupted():
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("genscope.cli.build_parser", interrupted)
+    assert main(["reproduce"]) == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+
+
+# pip's console-script wrapper, as the genscope script runs it
+CONSOLE_SCRIPT = (
+    "import sys\n"
+    "from genscope.__main__ import main\n"
+    "if __name__ == '__main__':\n"
+    "    sys.exit(main())\n"
+)
+
+# a sitecustomize whose import hook raises KeyboardInterrupt, as a Ctrl-C
+# would, when the named module is first imported
+INTERRUPTING_SITE = """\
+import sys
+
+class Interrupt:
+    def find_spec(self, name, path=None, target=None):
+        if name == {module!r}:
+            sys.meta_path.remove(self)
+            {raise_}
+
+sys.meta_path.insert(0, Interrupt())
+"""
+
+
+@pytest.mark.parametrize("launcher", ["-m", "script"])
+@pytest.mark.parametrize("raise_", ["raise KeyboardInterrupt", 'exec("raise KeyboardInterrupt")'])
+@pytest.mark.parametrize("module", ["genscope.cli", "genscope.analysis", "genscope.annotator"])
+def test_ctrl_c_while_modules_load_exits_130(tmp_path, launcher, raise_, module):
+    # an interrupt that leaves an exec of a string, as @dataclass runs one,
+    # is marked unhandled by CPython, which under -m would end the process
+    # by SIGINT at exit even though it was caught
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(
+        INTERRUPTING_SITE.format(module=module, raise_=raise_), encoding="utf-8")
+    (tmp_path / "genscope_script.py").write_text(CONSOLE_SCRIPT, encoding="utf-8")
+    program = ["-m", "genscope"] if launcher == "-m" else [str(tmp_path / "genscope_script.py")]
+    env = dict(ENV, PYTHONPATH=os.pathsep.join([str(site), ENV["PYTHONPATH"]]))
+    proc = subprocess.run(
+        [sys.executable, *program, "analyze", "--corpus", BUNDLED_CORPUS, "--out", "o"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (130, "error: interrupted\n")
+    assert not (tmp_path / "o").exists()
