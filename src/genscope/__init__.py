@@ -6,13 +6,16 @@ statistics needed to analyze group-level differences in use and impact.
 
 ``import genscope`` starts numpy and loads no layer: each name in
 ``__all__`` imports its submodule (``annotator``, ``classifier``,
-``corpus``, ``sentiment`` or ``stats``) when it is first read. The
-commands import what they run in the same way, so only ``annotate``,
-``label`` and annotator-mode ``analyze`` load the rule annotator. Both
-``python -m genscope`` and the ``genscope`` script run ``__main__.main``,
-which imports and runs ``cli.entry``; that freezes the heap once the
-command is done, so the interpreter's last garbage collections at exit
-skip it.
+``corpus``, ``sentiment`` or ``stats``) when it is first read, and
+``corpus`` and ``stats`` load their own submodules in the same way. The
+commands import what they run, so only ``analyze``, ``report`` and
+``reproduce`` load the analysis stack (``analysis``, ``reporting``,
+``sentiment``, ``parts``, the group partition, the query parser and the
+statistical tests), and only ``annotate``, ``label`` and annotator-mode
+``analyze`` load the rule annotator. Both ``python -m genscope`` and the
+``genscope`` script run ``__main__.main``, which imports and runs
+``cli.entry``; that freezes the heap once the command is done, so the
+interpreter's last garbage collections at exit skip it.
 """
 
 import importlib

@@ -45,9 +45,10 @@ import numpy as np
 from . import __version__
 from .base import check_threshold
 from .classifier import (
-    bow_matrix,
-    load_model,
-    predict_score,
+    load_bow_model,
+    load_model,  # unused here; the benchmark tracer wraps it
+    predict_score,  # unused here; the benchmark tracer wraps it
+    score_tokens,
     tokenize,
     vectorize_bow,  # unused here; the benchmark tracer wraps it
 )
@@ -225,22 +226,6 @@ def _histogram(scores, bin_width: float) -> list[list[float]]:
 # scored and labelled, and only its bucket byte and numbers outlive its
 # block; a later byte range of the corpus goes through the same step in a
 # child process, whose result is merged once ingest has judged its records
-
-
-def load_bow_model(path):
-    """The trained model at ``path``, which must carry the vocabulary that
-    texts are scored through."""
-    model = load_model(path)
-    if model.vocab is None:
-        raise InputError(f"{path}: need a bag-of-words model with a [vocab] section")
-    return model
-
-
-def score_tokens(model, token_lists) -> list[float]:
-    """The model's score of each token list, from one ``predict_score``
-    call over their bag-of-words rows. A row's score has the same bits
-    whatever other rows it is scored with."""
-    return predict_score(model, bow_matrix(token_lists, model.vocab)).tolist()
 
 
 # the table of analysed tweets, one typed array per field in corpus order,

@@ -17,11 +17,12 @@ from .logistic import (
     GenericityModel,
     loss_and_gradient,
     predict_score,
+    score_tokens,
     sigmoid,
     train_logistic,
 )
 from .metrics import EvalMetrics, evaluate, roc_auc
-from .model_io import dumps_model, load_model, loads_model, save_model
+from .model_io import dumps_model, load_bow_model, load_model, loads_model, save_model
 
 __all__ = [
     "BagOfWordsVectorizer",
@@ -38,12 +39,14 @@ __all__ = [
     "GenericityModel",
     "loss_and_gradient",
     "predict_score",
+    "score_tokens",
     "sigmoid",
     "train_logistic",
     "EvalMetrics",
     "evaluate",
     "roc_auc",
     "dumps_model",
+    "load_bow_model",
     "load_model",
     "loads_model",
     "save_model",

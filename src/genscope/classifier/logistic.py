@@ -20,7 +20,7 @@ from ..base import (
     check_threshold,
 )
 from ..errors import InputError, TrainingError
-from .features import BagOfWordsVectorizer, CsrMatrix, Vocabulary, check_min_count
+from .features import BagOfWordsVectorizer, CsrMatrix, Vocabulary, bow_matrix, check_min_count
 
 DEFAULT_LEARNING_RATE = 0.1
 DEFAULT_EPOCHS = 500
@@ -202,6 +202,13 @@ def predict_score(model: GenericityModel, features) -> np.ndarray:
             f"dimension {model.dimension}"
         )
     return sigmoid(x @ model.weights + model.bias)
+
+
+def score_tokens(model: GenericityModel, token_lists) -> list[float]:
+    """The model's score of each token list, from one ``predict_score``
+    call over their bag-of-words rows. A row's score has the same bits
+    whatever other rows it is scored with."""
+    return predict_score(model, bow_matrix(token_lists, model.vocab)).tolist()
 
 
 class GenericityClassifier:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ModelFormatError
+from ..errors import InputError, ModelFormatError
 from .features import Vocabulary
 from .logistic import GenericityModel
 
@@ -180,3 +180,11 @@ def load_model(path) -> GenericityModel:
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
 
+
+def load_bow_model(path) -> GenericityModel:
+    """The trained model at ``path``, which must carry the vocabulary that
+    texts are scored through."""
+    model = load_model(path)
+    if model.vocab is None:
+        raise InputError(f"{path}: need a bag-of-words model with a [vocab] section")
+    return model

@@ -16,21 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    AnalysisConfig,
-    load_bow_model,
-    recompute_check,
-    reproduce_published,
-    run_analysis,
-    score_tokens,
-)
 from .base import check_threshold
 from .classifier import (
     GenericityClassifier,
     evaluate,
+    load_bow_model,
     load_model,  # unused here; the benchmark tracer wraps it
     predict_score,  # unused here; the benchmark tracer wraps it
     save_model,
+    score_tokens,
     tokenize,
     vectorize_bow,  # unused here; the benchmark tracer wraps it
 )
@@ -42,14 +36,31 @@ from .classifier.logistic import (
     DEFAULT_SEED,
     DEFAULT_THRESHOLD,
 )
-from .corpus import ingest, jsonl_writer, load_query, read_jsonl
+from .corpus.records import ingest, jsonl_writer, read_jsonl
 from .errors import GenscopeError, InputError, SchemaError
-from .reporting import REPORT_BLOCKS, emit_report, render_markdown
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_REPRODUCTION = 3
+
+
+# The benchmark tracer wraps these three names here, so they stay functions
+# of this module, looked up when called. Each imports its layer only then, so
+# that only analyze, report and reproduce load the analysis stack.
+def run_analysis(config):
+    from . import analysis
+    return analysis.run_analysis(config)
+
+
+def recompute_check(report):
+    from . import analysis
+    return analysis.recompute_check(report)
+
+
+def emit_report(report, fmt, out_dir):
+    from . import reporting
+    return reporting.emit_report(report, fmt, out_dir)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,7 +161,11 @@ def _read_labeled(path):
 
 
 def _cmd_ingest(args) -> int:
-    query = load_query(args.query) if args.query else None
+    query = None
+    if args.query:
+        from .corpus.query import load_query  # loaded only when a query is given
+
+        query = load_query(args.query)
     if args.out:
         path = Path(args.out) / "accepted.jsonl"
         with jsonl_writer(path) as write:
@@ -255,6 +270,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .analysis import AnalysisConfig
+
     overrides = {
         "corpus": args.corpus,
         "model": args.model,
@@ -286,6 +303,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .reporting import REPORT_BLOCKS, render_markdown
+
     try:
         report = json.loads(Path(args.report).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -336,6 +355,8 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .analysis import reproduce_published
+
     rep = reproduce_published(args.tables)
     for check in rep.checks:
         print(check.line())

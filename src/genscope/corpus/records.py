@@ -24,9 +24,12 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..errors import SchemaError, naming_decode_errors
-from .query import QueryAst
+
+if TYPE_CHECKING:  # annotations only, so reading records never loads the query parser
+    from .query import QueryAst
 
 logger = logging.getLogger(__name__)
 

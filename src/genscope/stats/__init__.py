@@ -1,45 +1,43 @@
-"""Non-parametric hypothesis tests, effect sizes, and special functions."""
+"""Non-parametric hypothesis tests, effect sizes, and special functions.
 
-from .contingency import (
-    ContingencyTable,
-    ChiSquareResult,
-    OddsRatioResult,
-    chi_square_gof,
-    chi_square_independence,
-    odds_ratio,
-)
-from .ranks import rank_with_ties
-from .rank_tests import (
-    DunnResult,
-    KruskalWallisResult,
-    MannWhitneyResult,
-    kruskal_wallis,
-    mann_whitney_u,
-)
-from .special import (
-    chi_square_sf,
-    erfc,
-    normal_sf,
-    regularized_gamma_q,
-    two_sided_p,
-)
+Each name in ``__all__`` imports its submodule when it is first read
+(PEP 562), so the classifier's ``roc_auc`` loads the ranks alone.
+"""
 
-__all__ = [
-    "ContingencyTable",
-    "ChiSquareResult",
-    "OddsRatioResult",
-    "chi_square_gof",
-    "chi_square_independence",
-    "odds_ratio",
-    "rank_with_ties",
-    "DunnResult",
-    "KruskalWallisResult",
-    "MannWhitneyResult",
-    "kruskal_wallis",
-    "mann_whitney_u",
-    "chi_square_sf",
-    "erfc",
-    "normal_sf",
-    "regularized_gamma_q",
-    "two_sided_p",
-]
+import importlib
+
+# each re-export and the submodule that ``__getattr__`` imports it from
+_EXPORTS = {
+    "ContingencyTable": "contingency",
+    "ChiSquareResult": "contingency",
+    "OddsRatioResult": "contingency",
+    "chi_square_gof": "contingency",
+    "chi_square_independence": "contingency",
+    "odds_ratio": "contingency",
+    "rank_with_ties": "ranks",
+    "DunnResult": "rank_tests",
+    "KruskalWallisResult": "rank_tests",
+    "MannWhitneyResult": "rank_tests",
+    "kruskal_wallis": "rank_tests",
+    "mann_whitney_u": "rank_tests",
+    "chi_square_sf": "special",
+    "erfc": "special",
+    "normal_sf": "special",
+    "regularized_gamma_q": "special",
+    "two_sided_p": "special",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the submodule that ``name`` is re-exported from (PEP 562)."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

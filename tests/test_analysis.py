@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import genscope.analysis
+import genscope.classifier.logistic
 import genscope.corpus.records
 import genscope.parts
 from genscope.analysis import (
@@ -730,7 +731,7 @@ class TestSinglePass:
                 scores.append(predict_score(model, features))
                 return scores[-1]
 
-            monkeypatch.setattr(genscope.analysis, "predict_score", scoring)
+            monkeypatch.setattr(genscope.classifier.logistic, "predict_score", scoring)
             out = where / f"out{block}"
             argv = ["analyze", "--corpus", str(BUNDLED_CORPUS),
                     "--model", str(where / "model.txt"),

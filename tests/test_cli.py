@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import genscope
-import genscope.analysis
+import genscope.classifier.logistic
 import genscope.corpus.records
 import genscope.labeling
 from genscope.analysis import load_published_tables
@@ -342,7 +342,7 @@ class TestTrainEvalClassify:
                 rows.append(len(features))
                 return predict_score(model, features)
 
-            monkeypatch.setattr(genscope.analysis, "predict_score", scoring)
+            monkeypatch.setattr(genscope.classifier.logistic, "predict_score", scoring)
             out = tmp_path / f"out{block}"
             argv = ["classify", "--corpus", BUNDLED_CORPUS, "--model", str(model),
                     "--out", str(out)]

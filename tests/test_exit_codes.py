@@ -708,7 +708,7 @@ def test_line_numbers_count_every_line_end(workdir, command, newline):
 # ingest writes (label keeps) a few tweets
 INTERRUPTED = {
     "analyze": ("genscope.analysis", "partition", 5),
-    "classify": ("genscope.analysis", "predict_score", 1),
+    "classify": ("genscope.classifier.logistic", "predict_score", 1),
     "ingest": ("genscope.corpus.records", "_parse_record", 5),
     "label": ("genscope.corpus.records", "_parse_record", 5),
 }

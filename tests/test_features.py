@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genscope.analysis import load_bow_model, score_tokens
 from genscope.classifier import (
     EMOJI_TOKEN,
     URL_TOKEN,
@@ -17,9 +16,11 @@ from genscope.classifier import (
     build_vocab,
     csr_from_columns,
     features,
+    load_bow_model,
     loss_and_gradient,
     predict_score,
     save_model,
+    score_tokens,
     tokenize,
     vectorize_bow,
 )

@@ -1,9 +1,11 @@
 """The program around ``cli.main``: which layers each command loads, the
-package's re-exports that load on first use, and the one program entry of
+packages' re-exports that load on first use, and the one program entry of
 both launchers, which freezes the heap before the interpreter exits."""
 
 import ast
 import gc
+import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -15,6 +17,7 @@ import pytest
 
 import genscope
 import genscope.analysis
+import genscope.cli
 from genscope.cli import main
 from genscope.synth import generate_corpus, generate_training_texts
 
@@ -26,7 +29,14 @@ PACKAGE = Path(genscope.__file__).parent
 ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 ENV["PYTHONPATH"] = str(PACKAGE.parent)
 BUNDLED_CORPUS = str(resources.files("genscope.data") / "synthetic_corpus.jsonl")
-LAZY_LAYERS = ("genscope.annotator", "genscope.labeling")
+BUNDLED_QUERY = str(resources.files("genscope.data") / "default_query.txt")
+# the modules that only analyze, report and reproduce run
+ANALYSIS_STACK = (
+    "genscope.analysis", "genscope.corpus.groups", "genscope.corpus.query",
+    "genscope.parts", "genscope.reporting", "genscope.sentiment",
+    "genscope.stats.contingency", "genscope.stats.rank_tests", "genscope.stats.special",
+)
+LAZY_LAYERS = (*ANALYSIS_STACK, "genscope.annotator", "genscope.labeling")
 
 
 @pytest.fixture(scope="module")
@@ -58,80 +68,123 @@ def run_python(code: str, *args: str, cwd, stdin: str = "") -> subprocess.Comple
 
 
 class TestLayersPerCommand:
-    """A command loads only the layers it runs: the rule annotator and the
-    labeling session are compiled by ``annotate``, ``label`` and
-    annotator-mode ``analyze`` alone."""
+    """A command loads only the layers it runs: the analysis stack is
+    compiled by analyze, report and reproduce alone (and the query parser
+    by ``ingest --query``), the rule annotator by annotate, label and
+    annotator-mode analyze, and the labeling session by label."""
+
+    LOADS = {
+        "ingest": [],
+        "ingest --query": ["genscope.corpus.query"],
+        "annotate": ["genscope.annotator"],
+        "train": [],
+        "eval": [],
+        "classify": [],
+        "analyze": [*ANALYSIS_STACK, "genscope.annotator"],
+        "analyze --model": [*ANALYSIS_STACK],
+        "report": [*ANALYSIS_STACK],
+        "reproduce": [m for m in ANALYSIS_STACK if m != "genscope.reporting"],
+        "label": ["genscope.annotator", "genscope.labeling"],
+    }
 
     def test_commands_load_the_annotator_only_where_it_runs(self, tmp_path, inputs):
         i = inputs
-        runs = [
-            ("ingest", ["ingest", "--corpus", i["corpus"]]),
-            ("train", ["train", "--labeled", i["labeled"], "--model-out", "m.txt",
-                       "--epochs", "5"]),
-            ("eval", ["eval", "--labeled", i["labeled"], "--model", i["model"]]),
-            ("classify", ["classify", "--corpus", i["corpus"], "--model", i["model"],
-                          "--out", "c"]),
-            ("analyze --model", ["analyze", "--corpus", i["corpus"], "--model", i["model"],
-                                 "--out", "a"]),
-            ("report", ["report", "--report", i["report"], "--out", "r"]),
-            ("reproduce", ["reproduce"]),
-            ("annotate", ["annotate", "--corpus", i["corpus"], "--out", "n"]),
-            ("label", ["label", "--corpus", i["corpus"], "--out", "l", "--limit", "1"]),
-        ]
+        runs = {
+            "ingest": ["ingest", "--corpus", i["corpus"]],
+            "ingest --query": ["ingest", "--corpus", i["corpus"], "--query", BUNDLED_QUERY],
+            "annotate": ["annotate", "--corpus", i["corpus"], "--out", "n"],
+            "train": ["train", "--labeled", i["labeled"], "--model-out", "m.txt",
+                      "--epochs", "5"],
+            "eval": ["eval", "--labeled", i["labeled"], "--model", i["model"]],
+            "classify": ["classify", "--corpus", i["corpus"], "--model", i["model"],
+                         "--out", "c"],
+            "analyze": ["analyze", "--corpus", i["corpus"], "--out", "a"],
+            "analyze --model": ["analyze", "--corpus", i["corpus"], "--model", i["model"],
+                                "--out", "am"],
+            "report": ["report", "--report", i["report"], "--out", "r"],
+            "reproduce": ["reproduce"],
+            "label": ["label", "--corpus", i["corpus"], "--out", "l", "--limit", "1"],
+        }
         probe = (
             "import json, sys\n"
             "from genscope.cli import main\n"
-            "loaded = {}\n"
-            f"for name, argv in {runs!r}:\n"
-            "    assert main(argv) == 0, argv\n"
-            f"    loaded[name] = [m for m in {LAZY_LAYERS!r} if m in sys.modules]\n"
-            "print(json.dumps(loaded))\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            f"print(json.dumps([m for m in {LAZY_LAYERS!r} if m in sys.modules]))\n"
         )
-        proc = run_python(probe, cwd=tmp_path, stdin="q\n")
-        assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout.splitlines()[-1])
-        # each command runs after the ones before it, in one process
-        assert loaded == {
-            **{name: [] for name, _ in runs[:-2]},
-            "annotate": ["genscope.annotator"],
-            "label": ["genscope.annotator", "genscope.labeling"],
-        }
+        loaded = {}
+        for name, argv in runs.items():  # one fresh process per command
+            proc = run_python(probe, *argv, cwd=tmp_path, stdin="q\n")
+            assert proc.returncode == 0, proc.stderr
+            loaded[name] = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == self.LOADS
+
+    @pytest.mark.parametrize("command, calls", [
+        ("analyze", {"run_analysis": 1, "recompute_check": 1, "emit_report": 1}),
+        ("report", {"run_analysis": 0, "recompute_check": 1, "emit_report": 1}),
+    ], ids=["analyze", "report"])
+    def test_the_traced_names_are_looked_up_in_cli_when_called(
+        self, tmp_path, inputs, monkeypatch, capsys, command, calls
+    ):
+        # the benchmark tracer wraps these names in genscope.cli, so a command
+        # that imported its own copy would run outside the tracer's spans
+        counted = dict.fromkeys(calls, 0)
+        for name in calls:
+            def counting(*args, name=name, real=getattr(genscope.cli, name)):
+                counted[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(genscope.cli, name, counting)
+        argv = {
+            "analyze": ["analyze", "--corpus", inputs["corpus"], "--out", str(tmp_path / "a")],
+            "report": ["report", "--report", inputs["report"], "--out", str(tmp_path / "r")],
+        }[command]
+        assert main(argv) == 0
+        assert counted == calls
 
 
 class TestPackageExports:
-    """``import genscope`` loads numpy and no layer; each re-export imports
-    its submodule when first read, by attribute or by ``import *``."""
+    """Importing ``genscope`` loads numpy and no layer, and importing
+    ``genscope.corpus`` or ``genscope.stats`` loads none of its submodules;
+    each re-export imports its submodule when first read, by attribute or
+    by ``import *``."""
 
+    PACKAGES = ("genscope", "genscope.corpus", "genscope.stats")
+    READS = {
+        "attribute": "got = {name: getattr(package, name) for name in package.__all__}",
+        "star-import": "got = {}\nexec(f'from {package.__name__} import *', got)",
+    }
     RESOLVE = (
         "import importlib, json, sys\n"
-        "import genscope\n"
+        "package = importlib.import_module({package!r})\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('genscope'))\n"
         "{read}\n"
         "wrong = []\n"
-        "for name in genscope.__all__[1:]:\n"
-        "    where = genscope._EXPORTS[name]\n"
-        "    module = importlib.import_module('genscope.' + where)\n"
+        "for name, where in package._EXPORTS.items():\n"
+        "    module = importlib.import_module(package.__name__ + '.' + where)\n"
         "    want = module if name == where else getattr(module, name)\n"
         "    if got[name] is not want:\n"
         "        wrong.append(name)\n"
         "print(json.dumps([loaded, wrong]))\n"
     )
 
-    @pytest.mark.parametrize("read", [
-        "got = {name: getattr(genscope, name) for name in genscope.__all__}",
-        "got = {}\nexec('from genscope import *', got)",
-    ], ids=["attribute", "star-import"])
-    def test_every_name_resolves_to_its_submodules_object(self, tmp_path, read):
-        proc = run_python(self.RESOLVE.format(read=read), cwd=tmp_path)
+    @pytest.mark.parametrize("package, read", [
+        pytest.param(package, read, id=read if package == "genscope" else f"{package}-{read}")
+        for package, read in itertools.product(PACKAGES, READS)
+    ])
+    def test_every_name_resolves_to_its_submodules_object(self, tmp_path, package, read):
+        code = self.RESOLVE.format(package=package, read=self.READS[read])
+        proc = run_python(code, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [["genscope"], []]
+        assert json.loads(proc.stdout) == [sorted({"genscope", package}), []]
 
     def test_the_table_names_every_export(self):
-        assert genscope.__all__ == ["__version__", *genscope._EXPORTS]
-        assert set(genscope.__all__) <= set(dir(genscope))
-        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-            genscope.no_such_name
-
+        for package in self.PACKAGES:
+            module = importlib.import_module(package)
+            version = ["__version__"] if package == "genscope" else []
+            assert module.__all__ == [*version, *module._EXPORTS]
+            assert set(module.__all__) <= set(dir(module))
+            with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+                module.no_such_name
     def test_readme_library_sketch_runs(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
