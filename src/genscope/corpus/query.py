@@ -1,13 +1,19 @@
 """Parser for the boolean search-query grammar.
 
-A query is one line: a parenthesized OR-disjunction of keywords and
-parenthesized multi-word phrases, followed by optional filter directives
-(each negatable with a leading ``-``) and an optional ``lang:`` tag:
+A query is one line of tokens. A token is ``(``, ``)`` or a word, a
+maximal run of characters that are neither whitespace nor parentheses:
+
+    query := "(" term (OR term)* ")" tail*
+    term  := keyword | "(" word word+ ")"
+    tail  := lang:TAG | directive | -directive
 
     (trans OR cis OR (white men)) -is:retweet lang:en
 
-Terms are normalized to lowercase; rendering a parsed query and parsing
-it again is a fixed point.
+OR, ``lang:`` and the directives (``DIRECTIVES``) match in any case. A
+keyword is any word but OR; a phrase word may be OR. A query has at most
+one ``lang:`` tag, and it is not empty. Terms are lowercased, and a term
+repeated is kept once, where it first appears. Rendering a parsed query
+and parsing it again is a fixed point.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from ..errors import QuerySyntaxError, naming_decode_errors
 
 DIRECTIVES = ("has:links", "has:mentions", "is:retweet", "is:reply", "is:nullcast")
 
-_WORD_RE = re.compile(r"[^\s()]+")
+_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 
 
 @dataclass(frozen=True)
@@ -54,118 +60,66 @@ class QueryAst:
         return out
 
 
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
-
-
 def parse_query(text: str) -> QueryAst:
     """Parse one query line; raises QuerySyntaxError with a byte offset."""
+
+    def error(message: str, pos: int) -> QuerySyntaxError:
+        return QuerySyntaxError(message, len(text[:pos].encode("utf-8")))
+
     if "\n" in text.strip():
-        raise QuerySyntaxError("query must be a single line", _byte_offset(text, text.index("\n")))
-    pos = 0
-    n = len(text)
-
-    def skip_ws(p):
-        while p < n and text[p].isspace():
-            p += 1
-        return p
-
-    pos = skip_ws(pos)
-    if pos >= n or text[pos] != "(":
-        raise QuerySyntaxError("query must start with '('", _byte_offset(text, pos))
-    open_pos = pos
-    pos += 1
-
+        raise error("query must be a single line", text.index("\n"))
+    found = list(_TOKEN_RE.finditer(text))
+    # the tokens and their starts; an empty token marks the end of the text
+    words = [m.group() for m in found] + [""]
+    starts = [m.start() for m in found] + [len(text)]
+    if words[0] != "(":
+        raise error("query must start with '('", starts[0])
     disjuncts: list[tuple[str, ...]] = []
-    expecting_term = True
-
-    while True:
-        pos = skip_ws(pos)
-        if pos >= n:
-            raise QuerySyntaxError("unbalanced '('", _byte_offset(text, open_pos))
-        ch = text[pos]
-        if ch == ")":
-            if expecting_term:
-                raise QuerySyntaxError("empty disjunct", _byte_offset(text, pos))
-            pos += 1
+    i = 1
+    while True:  # a term, then OR or the closing ')'
+        if not words[i]:
+            raise error("unbalanced '('", starts[0])
+        if words[i] == ")" or words[i].upper() == "OR":
+            raise error("empty disjunct", starts[i])
+        if words[i] == "(":  # a phrase: the words up to the next parenthesis
+            end = next(j for j in range(i + 1, len(words)) if words[j] in ("(", ")", ""))
+            if words[end] == "(":
+                raise error("nested '(' inside phrase", starts[end])
+            if not words[end]:
+                raise error("unbalanced '('", starts[i])
+            if end - i < 3:
+                raise error("phrase needs at least 2 tokens", starts[i])
+            disjuncts.append(tuple(word.lower() for word in words[i + 1:end]))
+            i = end
+        else:
+            disjuncts.append((words[i].lower(),))
+        i += 1
+        if words[i] == ")":
             break
-        if not expecting_term:
-            m = _WORD_RE.match(text, pos)
-            if m is None or m.group(0).upper() != "OR":
-                raise QuerySyntaxError(
-                    "expected OR between terms", _byte_offset(text, pos)
-                )
-            expecting_term = True
-            pos = m.end()
-            continue
-        if ch == "(":
-            # parenthesized phrase
-            phrase_open = pos
-            pos += 1
-            phrase: list[str] = []
-            while True:
-                pos = skip_ws(pos)
-                if pos >= n:
-                    raise QuerySyntaxError("unbalanced '('", _byte_offset(text, phrase_open))
-                if text[pos] == ")":
-                    pos += 1
-                    break
-                if text[pos] == "(":
-                    raise QuerySyntaxError("nested '(' inside phrase", _byte_offset(text, pos))
-                m = _WORD_RE.match(text, pos)
-                phrase.append(m.group(0).lower())
-                pos = m.end()
-            if len(phrase) < 2:
-                raise QuerySyntaxError(
-                    "phrase needs at least 2 tokens", _byte_offset(text, phrase_open)
-                )
-            disjuncts.append(tuple(phrase))
-            expecting_term = False
-            continue
-        m = _WORD_RE.match(text, pos)
-        word = m.group(0)
-        if word.upper() == "OR":
-            raise QuerySyntaxError("empty disjunct", _byte_offset(text, pos))
-        disjuncts.append((word.lower(),))
-        expecting_term = False
-        pos = m.end()
+        if not words[i]:
+            raise error("unbalanced '('", starts[0])
+        if words[i].upper() != "OR":
+            raise error("expected OR between terms", starts[i])
+        i += 1
 
-    # tail: directives and an optional lang tag
     operators: list[Directive] = []
     lang: str | None = None
-    while True:
-        pos = skip_ws(pos)
-        if pos >= n:
-            break
-        if text[pos] in "()":
-            raise QuerySyntaxError("unexpected parenthesis after query body", _byte_offset(text, pos))
-        m = _WORD_RE.match(text, pos)
-        word = m.group(0)
+    for word, start in zip(words[i + 1:-1], starts[i + 1:]):  # directives and a lang tag
         lowered = word.lower()
+        if word in "()":
+            raise error("unexpected parenthesis after query body", start)
         if lowered.startswith("lang:"):
             if lang is not None:
-                raise QuerySyntaxError("duplicate lang tag", _byte_offset(text, pos))
+                raise error("duplicate lang tag", start)
             lang = lowered[len("lang:"):]
             if not lang:
-                raise QuerySyntaxError("empty lang tag", _byte_offset(text, pos))
+                raise error("empty lang tag", start)
         else:
-            negated = lowered.startswith("-")
-            name = lowered[1:] if negated else lowered
+            name = lowered.removeprefix("-")
             if name not in DIRECTIVES:
-                raise QuerySyntaxError(
-                    f"unknown directive {word!r}", _byte_offset(text, pos)
-                )
-            operators.append(Directive(name=name, negated=negated))
-        pos = m.end()
-
-    # duplicate disjuncts collapse on render/parse; keep first occurrence
-    seen = set()
-    unique = []
-    for term in disjuncts:
-        if term not in seen:
-            seen.add(term)
-            unique.append(term)
-    return QueryAst(disjuncts=tuple(unique), operators=tuple(operators), lang=lang)
+                raise error(f"unknown directive {word!r}", start)
+            operators.append(Directive(name, negated=name != lowered))
+    return QueryAst(tuple(dict.fromkeys(disjuncts)), tuple(operators), lang)
 
 
 def load_query(path) -> QueryAst:
