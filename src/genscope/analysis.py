@@ -60,12 +60,10 @@ from .corpus import (
     ingest,
     lang_matches,
     load_group_lexicon,
-    load_query,
     partition,
     read_part,
 )
 from .errors import InputError, SchemaError, read_lines
-from .parts import byte_ranges, forked
 from .sentiment import (
     SENTIMENTS,
     SentimentProvider,
@@ -339,6 +337,10 @@ def run_analysis(config: AnalysisConfig) -> dict:
     valence lexicon) is read before the corpus, so a bad one fails fast,
     and before any child process is forked, so each child shares them.
     """
+    # loaded here, so that report and reproduce never compile them
+    from .corpus.query import load_query
+    from .parts import byte_ranges, forked
+
     corpus_path = Path(config.corpus)
     query = load_query(config.query) if config.query else load_query(_bundled("default_query.txt"))
     lexicon = load_group_lexicon(config.group_lexicon or _bundled("group_lexicon.tsv"))

@@ -12,10 +12,13 @@ from the word tokens its caller lexed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..classifier.features import tokenize  # unused here; the benchmark tracer wraps it
 from ..errors import SchemaError, read_lines
-from .query import QueryAst
+
+if TYPE_CHECKING:  # annotations only, so report and reproduce never load the query parser
+    from .query import QueryAst
 
 GROUPS = ("political", "gender", "ethnic")
 # the report's partition block, in order: every accepted tweet lands in one

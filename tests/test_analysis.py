@@ -892,7 +892,7 @@ class TestParts:
         cuts = [[s] for s in starts] + [[a, b] for a in starts[::3] for b in starts if b > a]
         for cut in cuts:
             ranges = list(zip([0, *cut], [*cut, None]))
-            monkeypatch.setattr(genscope.analysis, "byte_ranges", lambda path: ranges)
+            monkeypatch.setattr(genscope.parts, "byte_ranges", lambda path: ranges)
             assert _analyze(["analyze", "--corpus", crafted], tmp_path / "cut", 2) == one, cut
 
     @pytest.mark.parametrize("cpus", [2, 3, 4])
@@ -1017,7 +1017,7 @@ class TestParts:
                 data = corpus.read_bytes()
                 for cut in [i + 1 for i in range(len(data)) if data[i] == ord("\n")]:
                     with monkeypatch.context() as patched:
-                        patched.setattr(genscope.analysis, "byte_ranges",
+                        patched.setattr(genscope.parts, "byte_ranges",
                                         lambda path: [(0, cut), (cut, None)])
                         run(corpus, 2)
         for corpus in (BUNDLED_CORPUS, crafted, mixed):

@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 import genscope
-import genscope.analysis
 import genscope.cli
+import genscope.parts
 from genscope.cli import main
 from genscope.synth import generate_corpus, generate_training_texts
 
@@ -36,6 +36,8 @@ ANALYSIS_STACK = (
     "genscope.parts", "genscope.reporting", "genscope.sentiment",
     "genscope.stats.contingency", "genscope.stats.rank_tests", "genscope.stats.special",
 )
+# the modules of the stack that only analyze's pass runs
+PASS_ONLY = ("genscope.corpus.query", "genscope.parts")
 LAZY_LAYERS = (*ANALYSIS_STACK, "genscope.annotator", "genscope.labeling")
 
 
@@ -69,8 +71,9 @@ def run_python(code: str, *args: str, cwd, stdin: str = "") -> subprocess.Comple
 
 class TestLayersPerCommand:
     """A command loads only the layers it runs: the analysis stack is
-    compiled by analyze, report and reproduce alone (and the query parser
-    by ``ingest --query``), the rule annotator by annotate, label and
+    compiled by analyze, report and reproduce alone (report and reproduce
+    without the query parser and ``parts``, and the query parser also by
+    ``ingest --query``), the rule annotator by annotate, label and
     annotator-mode analyze, and the labeling session by label."""
 
     LOADS = {
@@ -82,8 +85,8 @@ class TestLayersPerCommand:
         "classify": [],
         "analyze": [*ANALYSIS_STACK, "genscope.annotator"],
         "analyze --model": [*ANALYSIS_STACK],
-        "report": [*ANALYSIS_STACK],
-        "reproduce": [m for m in ANALYSIS_STACK if m != "genscope.reporting"],
+        "report": [m for m in ANALYSIS_STACK if m not in PASS_ONLY],
+        "reproduce": [m for m in ANALYSIS_STACK if m not in (*PASS_ONLY, "genscope.reporting")],
         "label": ["genscope.annotator", "genscope.labeling"],
     }
 
@@ -225,7 +228,7 @@ class TestExitPath:
         """``analyze`` cuts its corpus into two ranges and forks a child."""
         data = Path(inputs["corpus"]).read_bytes()
         cut = data.index(b"\n", len(data) // 2) + 1
-        monkeypatch.setattr(genscope.analysis, "byte_ranges", lambda path: [(0, cut), (cut, None)])
+        monkeypatch.setattr(genscope.parts, "byte_ranges", lambda path: [(0, cut), (cut, None)])
 
     @pytest.mark.parametrize("command", [
         "ingest", "annotate", "classify", "train", "eval", "label", "analyze",
