@@ -36,7 +36,6 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import partial
-from importlib import resources
 from pathlib import Path
 from typing import get_type_hints
 
@@ -63,7 +62,7 @@ from .corpus import (
     partition,
     read_part,
 )
-from .errors import InputError, SchemaError, read_lines
+from .errors import InputError, SchemaError, bundled, content_lines, read_lines
 from .sentiment import (
     SENTIMENTS,
     SentimentProvider,
@@ -87,10 +86,6 @@ DEFAULT_BIN_WIDTH = 0.02
 DEFAULT_ALPHA = 0.05
 # the row order of the H4 sentiment x group table
 H4_ROWS = ("positive", "neutral", "negative")
-
-
-def _bundled(name: str):
-    return resources.files("genscope.data") / name
 
 
 @dataclass
@@ -126,10 +121,7 @@ class AnalysisConfig:
         errors, and a field typed int or float takes a number."""
         kinds = get_type_hints(cls)
         values: dict[str, object] = {}
-        for line_number, raw in enumerate(read_lines(path), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for line_number, line in content_lines(path):
             if "=" not in line:
                 raise SchemaError(f"config line {line_number}: expected 'key = value'")
             key, _, value = line.partition("=")
@@ -342,8 +334,8 @@ def run_analysis(config: AnalysisConfig) -> dict:
     from .parts import byte_ranges, forked
 
     corpus_path = Path(config.corpus)
-    query = load_query(config.query) if config.query else load_query(_bundled("default_query.txt"))
-    lexicon = load_group_lexicon(config.group_lexicon or _bundled("group_lexicon.tsv"))
+    query = load_query(config.query) if config.query else load_query(bundled("default_query.txt"))
+    lexicon = load_group_lexicon(config.group_lexicon or bundled("group_lexicon.tsv"))
     missing = lexicon.missing_terms(query)
     if missing:
         raise SchemaError(f"group lexicon does not cover query terms: {missing}")
@@ -773,7 +765,7 @@ def load_published_tables(path=None) -> dict[str, float]:
     Every value is a finite number; count rows are whole numbers from 0 to
     ``MAX_COUNT``, and ``h2.n``/``h5.n`` are at least 1/2.
     """
-    path = Path(path) if path else _bundled("published_tables.csv")
+    path = Path(path) if path else bundled("published_tables.csv")
     values: dict[str, float] = {}
     for line_number, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()

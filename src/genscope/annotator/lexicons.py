@@ -9,23 +9,13 @@ they define the grammar of the patterns rather than tunable vocabulary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from importlib import resources
 
-from ..errors import SchemaError, read_lines
+from ..errors import SchemaError, bundled, content_lines
 from .normalize import load_abbreviations
 
 
 def load_wordlist(path) -> frozenset[str]:
-    words = set()
-    for raw in read_lines(path):
-        line = raw.split("#", 1)[0].strip().lower()
-        if line:
-            words.add(line)
-    return frozenset(words)
-
-
-def _data_path(name: str):
-    return resources.files("genscope.data") / name
+    return frozenset(line.lower() for _, line in content_lines(path))
 
 
 @dataclass
@@ -52,12 +42,12 @@ class RuleLexicons:
     @classmethod
     def default(cls) -> "RuleLexicons":
         return cls(
-            quantifiers=load_wordlist(_data_path("quantifiers.txt")),
-            group_nouns=load_wordlist(_data_path("group_nouns.txt")),
-            group_modifiers=load_wordlist(_data_path("group_modifiers.txt")),
-            hedge_adverbs=load_wordlist(_data_path("hedges.txt")),
-            verbs=load_wordlist(_data_path("verbs.txt")),
-            irregular_pasts=load_wordlist(_data_path("verbs_irregular_past.txt")),
-            interjections=load_wordlist(_data_path("interjections.txt")),
-            abbreviations=load_abbreviations(_data_path("abbreviations.tsv")),
+            quantifiers=load_wordlist(bundled("quantifiers.txt")),
+            group_nouns=load_wordlist(bundled("group_nouns.txt")),
+            group_modifiers=load_wordlist(bundled("group_modifiers.txt")),
+            hedge_adverbs=load_wordlist(bundled("hedges.txt")),
+            verbs=load_wordlist(bundled("verbs.txt")),
+            irregular_pasts=load_wordlist(bundled("verbs_irregular_past.txt")),
+            interjections=load_wordlist(bundled("interjections.txt")),
+            abbreviations=load_abbreviations(bundled("abbreviations.tsv")),
         )

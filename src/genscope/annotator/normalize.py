@@ -36,7 +36,7 @@ from typing import NamedTuple
 from ..classifier.features import _EMOJI_RE, LEXER_RE
 from ..classifier.features import EMOJI_TOKEN as EMOJI
 from ..classifier.features import URL_TOKEN as URL
-from ..errors import read_lines
+from ..errors import content_lines
 
 # the norms of tokens that are not words
 BLANK = "BLANK"
@@ -111,10 +111,7 @@ def load_abbreviations(path) -> dict[str, str]:
     """``token<TAB>expansion`` per line; ``#`` comments. Expansions may
     contain spaces and become several tokens."""
     table: dict[str, str] = {}
-    for raw in read_lines(path):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for _, line in content_lines(path):
         token, _, expansion = line.partition("\t")
         if token and expansion:
             table[token.strip().lower()] = expansion.strip().lower()

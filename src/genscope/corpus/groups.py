@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..classifier.features import tokenize  # unused here; the benchmark tracer wraps it
-from ..errors import SchemaError, read_lines
+from ..errors import SchemaError, content_lines
 
 if TYPE_CHECKING:  # annotations only, so report and reproduce never load the query parser
     from .query import QueryAst
@@ -51,10 +51,7 @@ class GroupLexicon:
 def load_group_lexicon(path) -> GroupLexicon:
     """Read ``term<TAB>group[,group]`` lines; ``#`` starts a comment."""
     entries: dict[str, frozenset[str]] = {}
-    for line_number, raw in enumerate(read_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_number, line in content_lines(path):
         if "\t" not in line:
             raise SchemaError(f"{path}:{line_number}: expected 'term<TAB>groups'")
         term, groups_field = line.split("\t", 1)

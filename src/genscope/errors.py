@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the line reader of
-its side-input files, whose errors name the file and line."""
+"""Exception types shared across the package, the line readers of its
+side-input files, whose errors name the file and line, and the path of
+its bundled data files."""
 
 from contextlib import contextmanager
+from importlib import resources
 from pathlib import Path
 
 
@@ -72,3 +74,17 @@ def read_lines(path) -> list[str]:
     wrong. A byte that is not UTF-8 is a SchemaError naming its line."""
     with naming_decode_errors(path):
         return Path(path).read_text(encoding="utf-8").split("\n")
+
+
+def content_lines(path):
+    """Each ``(line_number, line)`` of ``read_lines(path)`` that is not
+    blank once a ``#`` comment is cut off, stripped of its whitespace."""
+    for line_number, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_number, line
+
+
+def bundled(name: str):
+    """The path of the data file ``name`` that ships with the package."""
+    return resources.files("genscope.data") / name

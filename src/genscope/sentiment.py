@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .classifier.features import tokenize  # unused here; the benchmark tracer wraps it
 from .corpus.records import parse_json_line
-from .errors import InputError, SchemaError, naming_decode_errors, read_lines
+from .errors import InputError, SchemaError, bundled, content_lines, naming_decode_errors
 
 logger = logging.getLogger(__name__)
 
@@ -63,13 +62,10 @@ class ValenceLexicon:
 def load_valence_lexicon(path=None) -> ValenceLexicon:
     """``token<TAB>valence`` per line; negation tokens are prefixed ``!``."""
     if path is None:
-        path = resources.files("genscope.data") / "valence_lexicon.tsv"
+        path = bundled("valence_lexicon.tsv")
     valences: dict[str, float] = {}
     negations: set[str] = set()
-    for line_number, raw in enumerate(read_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_number, line in content_lines(path):
         if line.startswith("!"):
             negations.add(line[1:].strip().lower())
             continue
