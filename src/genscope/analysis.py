@@ -35,7 +35,8 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import partial
+from functools import partial, reduce
+from operator import getitem, itemgetter
 from pathlib import Path
 from typing import get_type_hints
 
@@ -73,11 +74,11 @@ from .stats import (
     ContingencyTable,
     chi_square_gof,
     chi_square_independence,
-    chi_square_sf,
     kruskal_wallis,
+    kruskal_wallis_from_ranks,
+    mann_whitney_from_u,
     mann_whitney_u,
     odds_ratio,
-    two_sided_p,
 )
 
 logger = logging.getLogger(__name__)
@@ -388,16 +389,29 @@ def run_analysis(config: AnalysisConfig) -> dict:
     n_other, n_generic = tally.sum(axis=(0, 2)).tolist()
     report["descriptives"] = _descriptives(rows, tally, config.histogram_bin_width)
     report["h1"] = _h1_block(n_generic, n_other)
-    report["h2"] = _h2_block(rows)
+    is_generic = rows["generic"]
+    report["h2"] = _h2_block(n_generic, n_other, lambda metric: vars(
+        mann_whitney_u(rows[metric][is_generic], rows[metric][~is_generic])
+    ))
     report["h3"] = _h3_block(
         {
             g: {"generic": generic, "non_generic": other}
             for g, (other, generic) in zip(GROUPS, tally.sum(axis=2).tolist())
         }
     )
-    h4_columns = [SENTIMENTS.index(v) for v in H4_ROWS]
-    report["h4"] = _h4_block(tally[:, 1, h4_columns].T.tolist())
-    report["h5"] = _h5_block(rows)
+    h4_cells = tally[:, 1, [SENTIMENTS.index(v) for v in H4_ROWS]].T.tolist()
+    report["h4"] = _h4_block(h4_cells)
+    negative = rows["sentiments"] == SENTIMENTS.index("negative")
+    within = {"generic": is_generic, "generic_negative": is_generic & negative}
+    report["h5"] = _h5_block(
+        {
+            "generic": tally[:, 1].sum(axis=1).tolist(),
+            "generic_negative": h4_cells[H4_ROWS.index("negative")],
+        },
+        lambda subset, metric: vars(kruskal_wallis(
+            [rows[metric][within[subset] & (rows["group"] == i)] for i in range(len(GROUPS))]
+        )),
+    )
     return report
 
 
@@ -437,16 +451,14 @@ def _h1_block(n_generic: int, n_other: int) -> dict:
     }
 
 
-def _h2_block(rows: dict) -> dict:
+def _h2_block(n_generic: int, n_other: int, tested) -> dict:
     """Mann-Whitney tests of generic against non-generic tweets' likes and
-    retweets, each sample in corpus order."""
-    generic = rows["generic"]
-    if not generic.any() or generic.all():
+    retweets, each rebuilt from ``tested(metric)``, the test's fields or its
+    report block: its two sample sizes, generic U and tie term."""
+    if not n_generic or not n_other:
         return {"skipped": "empty generic stratum"}
-    return {
-        metric: _as_json(mann_whitney_u(rows[metric][generic], rows[metric][~generic]))
-        for metric in ("likes", "retweets")
-    }
+    stats = itemgetter("n1", "n2", "u1", "ties")
+    return {m: _as_json(mann_whitney_from_u(*stats(tested(m)))) for m in ("likes", "retweets")}
 
 
 def _pairwise_2x2(counts: dict, pairs, columns: tuple[str, str]) -> dict:
@@ -531,28 +543,26 @@ def _h4_block(cells) -> dict:
     return block
 
 
-def _h5_block(rows: dict) -> dict:
+def _h5_block(sizes: dict, tested) -> dict:
     """Kruskal-Wallis tests across the groups of the generic tweets' likes
-    and retweets, and of the generic negative tweets'."""
-    generic = rows["generic"]
-    negative = rows["sentiments"] == SENTIMENTS.index("negative")
+    and retweets, and of the generic negative tweets', where each subset's
+    group ``sizes`` are all positive. Each is rebuilt from
+    ``tested(subset, metric)``, the test's fields or its report block: its
+    group sizes, doubled rank sums and tie term."""
+    stats = itemgetter("group_sizes", "rank_sums_x2", "ties")
     block: dict = {}
-    for subset_name, subset in (("generic", generic), ("generic_negative", generic & negative)):
-        masks = [subset & (rows["group"] == i) for i in range(len(GROUPS))]
-        if not all(m.any() for m in masks):
-            block[subset_name] = {
-                "skipped": "empty generic stratum in at least one group"
-            }
+    for subset, group_sizes in sizes.items():
+        if not all(group_sizes):
+            block[subset] = {"skipped": "empty generic stratum in at least one group"}
             continue
         sub: dict = {}
         for metric in ("likes", "retweets"):
-            samples = [rows[metric][m] for m in masks]
-            result = _as_json(kruskal_wallis(samples))
+            result = _as_json(kruskal_wallis_from_ranks(*stats(tested(subset, metric))))
             result["groups"] = list(GROUPS)
             if "posthoc" in result:
                 result["posthoc"]["adjustment"] = "bonferroni"
             sub[metric] = result
-        block[subset_name] = sub
+        block[subset] = sub
     return block
 
 
@@ -588,17 +598,17 @@ def _keys(node):
 
 
 def recompute_check(report: dict) -> list[str]:
-    """Check a report against itself. The H1, H3 and H4 blocks are rebuilt
-    from their counts with the builders ``run_analysis`` uses; the other
-    statistics are recomputed from the numbers beside them; and counts in
-    different blocks must reconcile.
+    """Check a report against itself. Each of the H1-H5 blocks is rebuilt
+    with the builder ``run_analysis`` used: H1, H3 and H4 from their counts,
+    H2 from each test's sample sizes, U and tie term, and H5 from each
+    test's group sizes, doubled rank sums and tie term. Counts and sample
+    sizes in different blocks must reconcile, and a tie term must be one
+    that a sample of its size can have.
 
     Returns one ``"path: reported x, recomputed y"`` line per failed check,
     naming the first dotted path where the two differ (``*`` stands for
-    every index); empty means the report is consistent. What needs the raw
-    samples is left out: the score medians, the Mann-Whitney z under ties
-    and the Kruskal-Wallis H, beyond the identities that tie them to the
-    reported ranks and sizes.
+    every index); empty means the report is consistent. Only the score
+    medians are left out, since they need the raw scores.
     """
     problems: list[str] = []
 
@@ -606,6 +616,20 @@ def recompute_check(report: dict) -> list[str]:
         found = _first_difference(reported, recomputed, path)
         if found:
             problems.append(found)
+
+    def tested(path: str, big_n, **sizes) -> dict:
+        """The rank test at ``path``, once its ``sizes`` are checked against the
+        counts and its tie term T = sum(t^3 - t) against those a sample of
+        ``big_n`` values can have (T one off moves z or H under ``_REL_TOL``)."""
+        block = reduce(getitem, path.split("."), report)
+        for key, expected in sizes.items():
+            check(f"{path}.{key}", block[key], expected)
+        ties = block["ties"]
+        if type(ties) is not int or not 0 <= ties <= big_n**3 - big_n or ties % 6:
+            problems.append(
+                f"{path}.ties: reported {ties!r:.80}, not the tie term of any {big_n} values"
+            )
+        return block
 
     desc = report["descriptives"]
     n, generic, group_counts = desc["analyzed_tweets"], desc["generic_count"], desc["group_counts"]
@@ -640,17 +664,9 @@ def recompute_check(report: dict) -> list[str]:
 
     check("h1", report["h1"], _h1_block(generic, n - generic))
 
-    h2 = report["h2"]
-    for metric in () if "skipped" in h2 else ("likes", "retweets"):
-        res, at = h2[metric], f"h2.{metric}"
-        n1, n2 = res["n1"], res["n2"]
-        check(f"{at}.n1", n1, generic)
-        check(f"{at}.n2", n2, n - generic)
-        check(f"{at}.u2", res["u2"], n1 * n2 - res["u1"])
-        check(f"{at}.mean_rank_a", res["mean_rank_a"], (res["u1"] + n1 * (n1 + 1) / 2) / n1)
-        check(f"{at}.mean_rank_b", res["mean_rank_b"], (res["u2"] + n2 * (n2 + 1) / 2) / n2)
-        check(f"{at}.p", res["p"], two_sided_p(res["z"]))
-        check(f"{at}.r", res["r"], abs(res["z"]) / math.sqrt(n1 + n2))
+    check("h2", report["h2"], _h2_block(generic, n - generic, lambda metric: tested(
+        f"h2.{metric}", n, n1=generic, n2=n - generic,
+    )))
 
     for g in GROUPS:
         c = h3_counts[g]
@@ -661,31 +677,13 @@ def recompute_check(report: dict) -> list[str]:
               h3_counts[g]["generic"])
     check("h4", h4, _h4_block(h4_cells))
 
-    k = len(GROUPS)
-    n_pairs = k * (k - 1) // 2  # Dunn's Bonferroni factor
     sizes = {
         "generic": [h3_counts[g]["generic"] for g in GROUPS],
         "generic_negative": h4_cells[H4_ROWS.index("negative")],
     }
-    for subset, expected_sizes in sizes.items():
-        sub = report["h5"][subset]
-        for metric in () if "skipped" in sub else ("likes", "retweets"):
-            res, at = sub[metric], f"h5.{subset}.{metric}"
-            h, group_sizes = res["h"], res["group_sizes"]
-            big_n = sum(group_sizes)
-            check(f"{at}.groups", res["groups"], list(GROUPS))
-            check(f"{at}.df", res["df"], k - 1)
-            check(f"{at}.group_sizes", group_sizes, expected_sizes)
-            check(f"{at}.p", res["p"], chi_square_sf(max(h, 0.0), k - 1))
-            check(f"{at}.epsilon2", res["epsilon2"], h / (big_n - 1))
-            check(f"{at}.mean_ranks", sum(s * r for s, r in zip(group_sizes, res["mean_ranks"])),
-                  big_n * (big_n + 1) / 2)
-            if "posthoc" in res:
-                z = res["posthoc"]["z"]
-                check(f"{at}.posthoc.adjustment", res["posthoc"]["adjustment"], "bonferroni")
-                check(f"{at}.posthoc.z", z, [[-zji for zji in column] for column in zip(*z)])
-                check(f"{at}.posthoc.p", res["posthoc"]["p"],
-                      [[min(1.0, two_sided_p(zij) * n_pairs) for zij in row] for row in z])
+    check("h5", report["h5"], _h5_block(sizes, lambda subset, metric: tested(
+        f"h5.{subset}.{metric}", sum(sizes[subset]), group_sizes=sizes[subset],
+    )))
     return problems
 
 

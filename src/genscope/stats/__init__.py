@@ -19,6 +19,8 @@ _EXPORTS = {
     "KruskalWallisResult": "rank_tests",
     "MannWhitneyResult": "rank_tests",
     "kruskal_wallis": "rank_tests",
+    "kruskal_wallis_from_ranks": "rank_tests",
+    "mann_whitney_from_u": "rank_tests",
     "mann_whitney_u": "rank_tests",
     "chi_square_sf": "special",
     "erfc": "special",

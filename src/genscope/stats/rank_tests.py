@@ -2,7 +2,9 @@
 
 Both tests rank the pooled data with midranks and use the asymptotic
 normal / chi-square approximations without continuity correction, which
-makes the k=2 Kruskal-Wallis H equal the squared Mann-Whitney z.
+makes the k=2 Kruskal-Wallis H equal the squared Mann-Whitney z. Each
+test ranks the pooled samples once, then is a function of the sizes, the
+rank sums and the tie term alone, so a report can be rebuilt from those.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ class MannWhitneyResult:
     z: float
     p: float
     r: float  # rank-biserial effect size |z| / sqrt(N)
+    ties: int  # the tie term T = sum(t^3 - t) over the pooled tie groups
     degenerate: bool = False
 
 
@@ -46,36 +49,41 @@ class KruskalWallisResult:
     epsilon2: float
     mean_ranks: tuple[float, ...]
     group_sizes: tuple[int, ...]
+    rank_sums_x2: tuple[int, ...]  # twice each group's rank sum, a whole number
+    ties: int  # the tie term T = sum(t^3 - t) over the pooled tie groups
     posthoc: DunnResult | None = None  # None when degenerate
     degenerate: bool = False
+
+
+def _pooled_ranks(samples) -> tuple[list[int], int]:
+    """Rank the pooled samples: twice each sample's midrank sum and the tie
+    term, both exact integers."""
+    ranks, ties = ranks_and_ties(np.concatenate(samples))
+    cuts = np.cumsum([s.size for s in samples])[:-1]
+    return [int(2 * part.sum()) for part in np.split(ranks, cuts)], ties
 
 
 def mann_whitney_u(sample_a, sample_b) -> MannWhitneyResult:
     """Two-sided Mann-Whitney U test on two independent samples."""
     a = as_float_array(sample_a, "sample_a")
     b = as_float_array(sample_b, "sample_b")
-    n1, n2 = a.size, b.size
-    n = n1 + n2
+    (r1_x2, _), ties = _pooled_ranks([a, b])
+    return mann_whitney_from_u(a.size, b.size, r1_x2 / 2 - a.size * (a.size + 1) / 2.0, ties)
 
-    ranks, ties = ranks_and_ties(np.concatenate([a, b]))
-    r1 = float(ranks[:n1].sum())
-    r2 = float(ranks[n1:].sum())
-    u1 = r1 - n1 * (n1 + 1) / 2.0
+
+def mann_whitney_from_u(n1: int, n2: int, u1, ties: int) -> MannWhitneyResult:
+    """The Mann-Whitney test from the sample sizes, the first sample's U and
+    the tie term."""
+    n = n1 + n2
     u2 = n1 * n2 - u1
     var = n1 * n2 / 12.0 * ((n + 1) - ties / (n * (n - 1)))
-
-    if var <= 0.0:
-        return MannWhitneyResult(
-            u1=u1, u2=u2, n1=n1, n2=n2,
-            mean_rank_a=r1 / n1, mean_rank_b=r2 / n2,
-            z=0.0, p=1.0, r=0.0, degenerate=True,
-        )
-
-    z = (u1 - n1 * n2 / 2.0) / math.sqrt(var)
+    degenerate = var <= 0.0
+    z = 0.0 if degenerate else (u1 - n1 * n2 / 2.0) / math.sqrt(var)
     return MannWhitneyResult(
         u1=u1, u2=u2, n1=n1, n2=n2,
-        mean_rank_a=r1 / n1, mean_rank_b=r2 / n2,
-        z=z, p=two_sided_p(z), r=abs(z) / math.sqrt(n),
+        mean_rank_a=(u1 + n1 * (n1 + 1) / 2.0) / n1,
+        mean_rank_b=(u2 + n2 * (n2 + 1) / 2.0) / n2,
+        z=z, p=two_sided_p(z), r=abs(z) / math.sqrt(n), ties=ties, degenerate=degenerate,
     )
 
 
@@ -85,37 +93,32 @@ def kruskal_wallis(groups) -> KruskalWallisResult:
     if len(groups) < 2:
         raise InputError("kruskal_wallis needs at least 2 groups")
     samples = [as_float_array(g, f"group {i}") for i, g in enumerate(groups)]
-    sizes = tuple(s.size for s in samples)
-    ranks, ties = ranks_and_ties(np.concatenate(samples))
-    n, k = ranks.size, len(samples)
+    rank_sums_x2, ties = _pooled_ranks(samples)
+    return kruskal_wallis_from_ranks([s.size for s in samples], rank_sums_x2, ties)
 
-    rank_sums = [float(r.sum()) for r in np.split(ranks, np.cumsum(sizes)[:-1])]
+
+def kruskal_wallis_from_ranks(sizes, rank_sums_x2, ties: int) -> KruskalWallisResult:
+    """The Kruskal-Wallis test, with Dunn's post-hoc, from the group sizes,
+    twice each group's rank sum and the tie term."""
+    n, k = sum(sizes), len(sizes)
+    rank_sums = [rs_x2 / 2 for rs_x2 in rank_sums_x2]
     mean_ranks = tuple(rs / sz for rs, sz in zip(rank_sums, sizes))
-
     correction = 1.0 - ties / (n**3 - n)
-    if correction <= 0.0:
-        return KruskalWallisResult(
-            h=0.0, df=k - 1, p=1.0, epsilon2=0.0,
-            mean_ranks=mean_ranks, group_sizes=sizes, degenerate=True,
-        )
-
-    h_raw = 12.0 / (n * (n + 1)) * sum(
-        rs * rs / sz for rs, sz in zip(rank_sums, sizes)
-    ) - 3.0 * (n + 1)
-    h = h_raw / correction
+    degenerate = correction <= 0.0
+    h = 0.0 if degenerate else (
+        12.0 / (n * (n + 1)) * sum(rs * rs / sz for rs, sz in zip(rank_sums, sizes))
+        - 3.0 * (n + 1)
+    ) / correction
 
     return KruskalWallisResult(
-        h=h,
-        df=k - 1,
-        p=chi_square_sf(max(h, 0.0), k - 1),
-        epsilon2=h / (n - 1),
-        mean_ranks=mean_ranks,
-        group_sizes=sizes,
-        posthoc=_dunn(sizes, mean_ranks, ties),
+        h=h, df=k - 1, p=chi_square_sf(max(h, 0.0), k - 1), epsilon2=h / (n - 1),
+        mean_ranks=mean_ranks, group_sizes=tuple(sizes), rank_sums_x2=tuple(rank_sums_x2),
+        ties=ties, posthoc=None if degenerate else _dunn(sizes, mean_ranks, ties),
+        degenerate=degenerate,
     )
 
 
-def _dunn(sizes, mean_ranks, ties: float) -> DunnResult:
+def _dunn(sizes, mean_ranks, ties: int) -> DunnResult:
     """Dunn's pairwise z tests on the pooled midranks behind ``mean_ranks``.
 
     Bonferroni adjustment: each two-sided p is multiplied by the number
@@ -130,10 +133,7 @@ def _dunn(sizes, mean_ranks, ties: float) -> DunnResult:
     for i in range(k):
         for j in range(i + 1, k):
             var = base_var * (1.0 / sizes[i] + 1.0 / sizes[j])
-            if var <= 0.0:
-                zij = 0.0
-            else:
-                zij = (mean_ranks[i] - mean_ranks[j]) / math.sqrt(var)
+            zij = 0.0 if var <= 0.0 else (mean_ranks[i] - mean_ranks[j]) / math.sqrt(var)
             z[i, j], z[j, i] = zij, -zij
             p[i, j] = p[j, i] = min(1.0, two_sided_p(zij) * n_pairs)
     return DunnResult(z=z, p=p)

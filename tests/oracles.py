@@ -343,14 +343,14 @@ def midranks_oracle(values):
     order = np.argsort(arr, kind="stable")
     sorted_vals = arr[order]
     ranks = np.empty(arr.size, dtype=float)
-    ties = 0.0
+    ties = 0
     i = 0
     while i < arr.size:
         j = i
         while j + 1 < arr.size and sorted_vals[j + 1] == sorted_vals[i]:
             j += 1
         ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        t = float(j - i + 1)
+        t = j - i + 1
         ties += t**3 - t
         i = j + 1
     return ranks, ties

@@ -58,6 +58,7 @@ from genscope.corpus import (
 from genscope.errors import InputError, SchemaError
 from genscope.parts import byte_ranges
 from genscope.reporting import emit_report, render_csv, render_markdown
+from genscope.stats import chi_square_sf, two_sided_p
 from genscope.synth import generate_corpus, generate_training_texts
 
 from corpora import write_jsonl
@@ -225,9 +226,6 @@ class TestRunAnalysis:
         )),
         "ingest.rejected",
         *(f"descriptives.score_medians.{g}.{m}" for g in GROUPS for m in ("all", "generic")),
-        *(f"h2.{metric}.degenerate" for metric in ("likes", "retweets")),
-        *(f"h5.{subset}.{metric}.degenerate"
-          for subset in ("generic", "generic_negative") for metric in ("likes", "retweets")),
     }
 
     def test_every_leaf_is_checked(self, bundled_report):
@@ -246,9 +244,87 @@ class TestRunAnalysis:
             if not recompute_check(report):
                 silent.append(".".join(map(str, path)))
             parent[path[-1]] = value
-        assert len(self.UNCHECKED_LEAVES) == 22
+        assert len(self.UNCHECKED_LEAVES) == 16
         assert set(silent) <= self.UNCHECKED_LEAVES
         assert recompute_check(report) == []
+
+    @staticmethod
+    def _scaled_h2_z(report):
+        res = report["h2"]["likes"]
+        res["z"] *= 1.5
+        res["p"] = two_sided_p(res["z"])
+        res["r"] = abs(res["z"]) / math.sqrt(res["n1"] + res["n2"])
+
+    @staticmethod
+    def _scaled_h5_h(report):
+        res = report["h5"]["generic"]["likes"]
+        res["h"] *= 1.5
+        res["p"] = chi_square_sf(res["h"], res["df"])
+        res["epsilon2"] = res["h"] / (sum(res["group_sizes"]) - 1)
+
+    @staticmethod
+    def _add_one(*path):
+        def edit(report):
+            node = report
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] += 1
+        return edit
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (_scaled_h2_z, "h2.likes.z"),
+            (_scaled_h5_h, "h5.generic.likes.h"),
+            (_add_one("h2", "retweets", "ties"), "h2.retweets.ties"),
+            (_add_one("h5", "generic_negative", "likes", "ties"), "h5.generic_negative.likes.ties"),
+            (_add_one("h5", "generic", "retweets", "rank_sums_x2", 1),
+             "h5.generic.retweets.h"),
+            (_add_one("h2", "likes", "u1"), "h2.likes.u2"),
+        ],
+        ids=["h2-z-p-r", "h5-h-p-eps2", "h2-ties", "h5-ties", "h5-rank-sum", "h2-u1"],
+    )
+    def test_edit_consistent_with_its_identities_is_caught(self, bundled_report, edit, problem):
+        # each edit keeps p, r and epsilon2 in step with z or H, or moves z
+        # by less than the tolerance; the rebuilt block still differs
+        report = json.loads(json.dumps(bundled_report))
+        edit(report)
+        assert recompute_check(report)[0].split(":")[0] == problem
+
+    @pytest.mark.parametrize(
+        "ties", [-6, 7, 1728**3 - 1728 + 6, 6.0, True],
+        ids=["negative", "not-a-multiple-of-6", "above-n-cubed", "float", "bool"],
+    )
+    def test_tie_term_no_sample_has_is_caught(self, bundled_report, ties):
+        report = json.loads(json.dumps(bundled_report))
+        report["h2"]["likes"]["ties"] = ties
+        assert recompute_check(report)[0] == (
+            f"h2.likes.ties: reported {ties!r}, not the tie term of any 1728 values"
+        )
+
+    def test_all_tied_samples_rebuild_as_degenerate(self, tmp_path):
+        # every like and retweet 0: T = N^3 - N, and both tests degenerate
+        rows = [
+            {"id": f"t{i}", "text": text, "like_count": 0, "retweet_count": 0, "lang": "en"}
+            for i, text in enumerate(
+                [f"{term} are awful" for term in ("democrats", "trans people", "white men")] * 3
+                + ["democrats blocked the bill", "white men voted today"]
+            )
+        ]
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(rows, path)
+        report = json.loads(json.dumps(run_analysis(AnalysisConfig(corpus=str(path)))))
+        n = report["descriptives"]["analyzed_tweets"]
+        assert report["h2"]["likes"]["degenerate"] is True
+        assert report["h2"]["likes"]["ties"] == n**3 - n
+        assert report["h5"]["generic"]["likes"]["degenerate"] is True
+        assert "posthoc" not in report["h5"]["generic"]["likes"]
+        assert recompute_check(report) == []
+        report["h2"]["likes"]["degenerate"] = False
+        report["h5"]["generic"]["likes"]["ties"] -= 6
+        assert [p.split(":")[0] for p in recompute_check(report)] == [
+            "h2.likes.degenerate", "h5.generic.likes",  # posthoc is back
+        ]
 
     @pytest.mark.parametrize(
         "newline, final, blank",
@@ -378,7 +454,7 @@ class TestDeterminism:
     # sha256 of the bundled corpus's report.json with provenance.corpus set
     # to its file name: every count, statistic and histogram, to the byte.
     # A change that means to move a number, or tool_version, updates it.
-    GOLDEN_REPORT_SHA256 = "1f5363938f2d7efadf398c7f44878f26dc907816b45822734069dbdf72922a39"
+    GOLDEN_REPORT_SHA256 = "5197239d16cc214f64c03848af853bc6d67bf8ce4c8f2d8fc42fe4da6b12a091"
 
     def test_bundled_report_json_matches_golden_hash(self, bundled_report, tmp_path):
         report = copy.deepcopy(bundled_report)

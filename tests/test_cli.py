@@ -246,7 +246,7 @@ class TestTrainEvalClassify:
     # generate_training_texts(n=300, seed=5); every score, to the byte.
     GOLDEN_MODEL_MODE_SHA256 = {
         "model": "2b06790cd834572445c23d2c166533e59b3179ce1f6b2dd23b0ef08e0d4d2779",
-        "report": "b9d2dcead1cc3b4b999f5eb931a4bc831bb96c488915096a8d20f35b48c8c7f9",
+        "report": "328a5417998b5fbc702b13e0086a1471b8f0c5de4ab130f78d9ad7ffb0f8d85a",
         "scores": "959ab62b362b27a3cd1856066e9acd2b839788ab1a75d9e6af9ebf01047a4956",
     }
 
@@ -442,6 +442,23 @@ class TestMalformedJson:
         hists["x" * 300] = hists["overall"]
         bad = tmp_path / "bad.json"
         argv = ["report", "--report", "{bad}", "--out", "o"]
+        stderr = self._run_exit_2(argv, bad, json.dumps(report), tmp_path)
+        assert stderr.startswith(f"error: {bad}: not a genscope report")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fmt", ["markdown", "csv"])
+    def test_report_without_the_rank_tests_sufficient_statistics(
+        self, small_corpus, tmp_path, capsys, fmt
+    ):
+        # a report from before the rank tests carried their tie terms and
+        # rank sums: recompute_check cannot rebuild H2 and H5 from it
+        assert main(["analyze", "--corpus", str(small_corpus), "--out", str(tmp_path / "a")]) == 0
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        for res in (*report["h2"].values(), *report["h5"]["generic"].values()):
+            del res["ties"]
+            res.pop("rank_sums_x2", None)
+        bad = tmp_path / "bad.json"
+        argv = ["report", "--report", "{bad}", "--format", fmt, "--out", "o"]
         stderr = self._run_exit_2(argv, bad, json.dumps(report), tmp_path)
         assert stderr.startswith(f"error: {bad}: not a genscope report")
         assert not (tmp_path / "o").exists()

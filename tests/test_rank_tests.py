@@ -10,9 +10,14 @@ from hypothesis import given, settings, strategies as st
 import genscope.stats.rank_tests
 from genscope.analysis import _median
 from genscope.errors import InputError
-from genscope.stats import kruskal_wallis, mann_whitney_u
+from genscope.stats import (
+    kruskal_wallis,
+    kruskal_wallis_from_ranks,
+    mann_whitney_from_u,
+    mann_whitney_u,
+)
 
-from oracles import mann_whitney_u_bruteforce
+from oracles import mann_whitney_u_bruteforce, midranks_oracle
 
 
 class TestMannWhitney:
@@ -201,3 +206,28 @@ class TestSampleOrder:
     def test_median(self, data, values):
         moved = data.draw(st.permutations(values))
         assert _median(np.array(moved, dtype=float)) == _median(np.array(values, dtype=float))
+
+
+class TestSufficientStatistics:
+    """A test is a function of its sizes, rank sums and tie term: rebuilt
+    from those numbers alone it agrees with the test on the samples to the
+    bit, and the numbers are those of the midrank oracle."""
+
+    @ORDER_SETTINGS
+    @given(small_ints, small_ints)
+    def test_mann_whitney(self, a, b):
+        res = mann_whitney_u(a, b)
+        ranks, ties = midranks_oracle(a + b)
+        assert (res.u1, res.ties) == (ranks[: len(a)].sum() - len(a) * (len(a) + 1) / 2, ties)
+        assert fields_of(mann_whitney_from_u(res.n1, res.n2, res.u1, res.ties)) == fields_of(res)
+
+    @ORDER_SETTINGS
+    @given(st.lists(small_ints, min_size=2, max_size=4))
+    def test_kruskal_wallis(self, groups):
+        res = kruskal_wallis(groups)
+        ranks, ties = midranks_oracle(sum(groups, []))
+        cuts = np.cumsum([len(g) for g in groups])[:-1]
+        assert res.rank_sums_x2 == tuple(int(2 * r.sum()) for r in np.split(ranks, cuts))
+        assert all(type(x) is int for x in res.rank_sums_x2) and res.ties == ties
+        rebuilt = kruskal_wallis_from_ranks(res.group_sizes, res.rank_sums_x2, res.ties)
+        assert fields_of(rebuilt) == fields_of(res)

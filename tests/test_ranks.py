@@ -51,6 +51,16 @@ def test_tie_term():
     assert ranks_and_ties(np.array([1.0, 2, 3]))[1] == 0.0
 
 
+def test_tie_term_is_an_exact_integer_past_2_to_the_53():
+    # one tie group of t = 300,002: t^3 - t is above 2^53 and not a
+    # multiple of 4, so no float holds it (and t = 2^21 would overflow
+    # int64's t^3)
+    t = 300_002
+    ties = ranks_and_ties(np.zeros(t))[1]
+    assert type(ties) is int
+    assert ties == t**3 - t != float(ties)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(VALUES)
 @example([3.0])
@@ -63,4 +73,4 @@ def test_ranks_and_tie_term_match_the_loop_oracle_bit_for_bit(values):
     assert ranks.dtype == np.float64
     assert ranks.tobytes() == want_ranks.tobytes()
     assert rank_with_ties(values).tobytes() == want_ranks.tobytes()
-    assert ties == want_ties
+    assert type(ties) is int and ties == want_ties
