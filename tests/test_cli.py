@@ -1,5 +1,6 @@
 """Subcommand flows and exit codes, driven through main(argv)."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -35,6 +36,52 @@ from genscope.synth import generate_corpus, generate_training_texts
 from corpora import write_jsonl
 
 BUNDLED_CORPUS = str(resources.files("genscope.data") / "synthetic_corpus.jsonl")
+
+
+def _sha256_of_stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def train_eval_digests() -> dict:
+    """In the working directory: sha256 of train's and eval's stdout and of
+    the model file, training on generate_training_texts(n=400, seed=7) for
+    60 epochs."""
+    texts, labels = generate_training_texts(n=400, seed=7)
+    write_jsonl(({"text": t, "label": l} for t, l in zip(texts, labels)), "labeled.jsonl")
+    digests = {
+        name: _sha256_of_stdout(argv)
+        for name, argv in (
+            ("train", ["train", "--labeled", "labeled.jsonl", "--model-out", "model.txt",
+                       "--epochs", "60"]),
+            ("eval", ["eval", "--labeled", "labeled.jsonl", "--model", "model.txt"]),
+        )
+    }
+    digests["model"] = hashlib.sha256(Path("model.txt").read_bytes()).hexdigest()
+    return digests
+
+
+def model_mode_digests() -> dict:
+    """In the working directory: sha256 of the model trained on
+    generate_training_texts(n=300, seed=5), and of analyze --model's
+    report.json and classify's scores.jsonl on the bundled corpus."""
+    Path("corpus.jsonl").write_bytes(Path(BUNDLED_CORPUS).read_bytes())
+    texts, labels = generate_training_texts(n=300, seed=5)
+    write_jsonl(({"text": t, "label": l} for t, l in zip(texts, labels)), "labeled.jsonl")
+    for argv in (
+        ["train", "--labeled", "labeled.jsonl", "--model-out", "model.txt", "--epochs", "40"],
+        ["analyze", "--corpus", "corpus.jsonl", "--model", "model.txt", "--out", "a"],
+        ["classify", "--corpus", "corpus.jsonl", "--model", "model.txt", "--out", "c"],
+    ):
+        _sha256_of_stdout(argv)
+    return {
+        name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for name, path in (
+            ("model", "model.txt"), ("report", "a/report.json"), ("scores", "c/scores.jsonl"),
+        )
+    }
 
 
 @pytest.fixture
@@ -226,20 +273,9 @@ class TestTrainEvalClassify:
         "model": "9bfe30ca8d68f31594d83641ef2f250005e6ed0fc482a33365d14ff65c738087",
     }
 
-    def test_train_and_eval_match_golden_hashes(self, tmp_path, monkeypatch, capsys):
+    def test_train_and_eval_match_golden_hashes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # train prints the model path
-        texts, labels = generate_training_texts(n=400, seed=7)
-        write_jsonl(({"text": t, "label": l} for t, l in zip(texts, labels)), "labeled.jsonl")
-        digests = {}
-        for name, argv in (
-            ("train", ["train", "--labeled", "labeled.jsonl", "--model-out", "model.txt",
-                       "--epochs", "60"]),
-            ("eval", ["eval", "--labeled", "labeled.jsonl", "--model", "model.txt"]),
-        ):
-            assert main(argv) == 0
-            digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        digests["model"] = hashlib.sha256(Path("model.txt").read_bytes()).hexdigest()
-        assert digests == self.GOLDEN_TRAIN_SHA256
+        assert train_eval_digests() == self.GOLDEN_TRAIN_SHA256
 
     # sha256 of model mode's outputs on the bundled corpus: analyze --model's
     # report.json and classify's scores.jsonl, with a model trained on
@@ -250,25 +286,9 @@ class TestTrainEvalClassify:
         "scores": "959ab62b362b27a3cd1856066e9acd2b839788ab1a75d9e6af9ebf01047a4956",
     }
 
-    def test_model_mode_matches_golden_hashes(self, tmp_path, monkeypatch, capsys):
+    def test_model_mode_matches_golden_hashes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # report.json names the corpus path
-        Path("corpus.jsonl").write_bytes(Path(BUNDLED_CORPUS).read_bytes())
-        texts, labels = generate_training_texts(n=300, seed=5)
-        write_jsonl(({"text": t, "label": l} for t, l in zip(texts, labels)), "labeled.jsonl")
-        for argv in (
-            ["train", "--labeled", "labeled.jsonl", "--model-out", "model.txt", "--epochs", "40"],
-            ["analyze", "--corpus", "corpus.jsonl", "--model", "model.txt", "--out", "a"],
-            ["classify", "--corpus", "corpus.jsonl", "--model", "model.txt", "--out", "c"],
-        ):
-            assert main(argv) == 0
-        capsys.readouterr()
-        digests = {
-            name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
-            for name, path in (
-                ("model", "model.txt"), ("report", "a/report.json"), ("scores", "c/scores.jsonl"),
-            )
-        }
-        assert digests == self.GOLDEN_MODEL_MODE_SHA256
+        assert model_mode_digests() == self.GOLDEN_MODEL_MODE_SHA256
 
     def _one_word_model(self, tmp_path):
         """Weight 3.0 on "zebra", bias 0.7: texts without "zebra" score sigmoid(0.7)."""
