@@ -33,14 +33,33 @@ DEFAULT_MIN_COUNT = 2
 ETA_FLOOR = 1e-12
 
 
+# exp(x) = 2^k exp(r) with k = rint(x / ln 2): ln 2 in a high part whose
+# product with any such k is exact and a low part (Cody and Waite), and
+# exp(r), |r| <= ln(2)/2, by its degree-12 Taylor polynomial in Horner form
+_LN2_HI = 6.93147180369123816490e-01  # 0x3FE62E42FEE00000
+_LN2_LO = 1.90821492927058770002e-10
+_EXP_TAYLOR = [1.0 / math.factorial(i) for i in range(12, -1, -1)]
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """``exp`` of a float array with x <= 0 from IEEE adds, multiplies and
+    ``ldexp`` alone, each rounded on its own at every SIMD width, so its
+    bits do not depend on the CPU (``np.exp`` has AVX-512 kernels whose
+    last bits differ from the AVX2 and baseline ones). Within 2 ulp of
+    ``math.exp``; below -745 it underflows to 0, as ``np.exp`` does."""
+    x = np.maximum(x, -750.0)  # -inf too; NaN stays NaN
+    k = np.nan_to_num(np.rint(x / _LN2_HI))
+    r = (x - k * _LN2_HI) - k * _LN2_LO
+    poly = np.full_like(r, _EXP_TAYLOR[0])
+    for c in _EXP_TAYLOR[1:]:
+        poly = poly * r + c
+    return np.ldexp(poly, k.astype(np.int64))
+
+
 def sigmoid(z):
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    ez = _exp(-np.abs(z))  # exp(-z) where z >= 0, else exp(z)
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def _as_features(features):

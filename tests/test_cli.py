@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -270,7 +271,7 @@ class TestTrainEvalClassify:
     GOLDEN_TRAIN_SHA256 = {
         "train": "19501e52f352c367949765b6fd297b9124bda3fe26637d8402db52c41b439138",
         "eval": "c3fadfdc5436df2aa41afeccb546718627bac510f996272415657710891c0e1a",
-        "model": "9bfe30ca8d68f31594d83641ef2f250005e6ed0fc482a33365d14ff65c738087",
+        "model": "55c4c8198d12286c067c519fca8cdce531b1720c5cfc644096931e9f1c2c176d",
     }
 
     def test_train_and_eval_match_golden_hashes(self, tmp_path, monkeypatch):
@@ -281,14 +282,41 @@ class TestTrainEvalClassify:
     # report.json and classify's scores.jsonl, with a model trained on
     # generate_training_texts(n=300, seed=5); every score, to the byte.
     GOLDEN_MODEL_MODE_SHA256 = {
-        "model": "2b06790cd834572445c23d2c166533e59b3179ce1f6b2dd23b0ef08e0d4d2779",
+        "model": "cb17f9bd152b16c321d47920eae89ba1fd500c39d17b0999e98a3978110e782c",
         "report": "328a5417998b5fbc702b13e0086a1471b8f0c5de4ab130f78d9ad7ffb0f8d85a",
-        "scores": "959ab62b362b27a3cd1856066e9acd2b839788ab1a75d9e6af9ebf01047a4956",
+        "scores": "3c88616f37c0ccd668eb84c1223bfeed1864a65097e137ee388e698f35e2fa01",
     }
 
     def test_model_mode_matches_golden_hashes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # report.json names the corpus path
         assert model_mode_digests() == self.GOLDEN_MODEL_MODE_SHA256
+
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64"),
+        reason="numpy's CPU dispatch levels are those of x86-64",
+    )
+    def test_golden_pipelines_do_not_depend_on_numpy_cpu_dispatch(self, tmp_path):
+        # numpy's AVX-512 exp and log differ in the last bits from its
+        # baseline ones; the two pipelines' outputs must not
+        code = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); import test_cli; "
+            "print(json.dumps([test_cli.train_eval_digests(), test_cli.model_mode_digests()]))"
+        )
+        outputs = []
+        for features in (None, "X86_V2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(genscope.__file__).parents[1]))
+            env.pop("NPY_ENABLE_CPU_FEATURES", None)
+            if features:
+                env["NPY_ENABLE_CPU_FEATURES"] = features
+            where = tmp_path / (features or "default")
+            where.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(Path(__file__).parent)],
+                cwd=where, env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def _one_word_model(self, tmp_path):
         """Weight 3.0 on "zebra", bias 0.7: texts without "zebra" score sigmoid(0.7)."""
