@@ -66,8 +66,8 @@ def parse_query(text: str) -> QueryAst:
     def error(message: str, pos: int) -> QuerySyntaxError:
         return QuerySyntaxError(message, len(text[:pos].encode("utf-8")))
 
-    if "\n" in text.strip():
-        raise error("query must be a single line", text.index("\n"))
+    if "\n" in text.strip():  # the first newline after the leading whitespace
+        raise error("query must be a single line", text.index("\n", len(text) - len(text.lstrip())))
     found = list(_TOKEN_RE.finditer(text))
     # the tokens and their starts; an empty token marks the end of the text
     words = [m.group() for m in found] + [""]
