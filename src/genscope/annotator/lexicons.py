@@ -15,7 +15,14 @@ from .normalize import load_abbreviations
 
 
 def load_wordlist(path) -> frozenset[str]:
-    return frozenset(line.lower() for _, line in content_lines(path))
+    """One word per line; ``#`` comments. A line holding a space or a tab
+    is a SchemaError: a word list entry is one token."""
+    words = set()
+    for line_number, line in content_lines(path):
+        if " " in line or "\t" in line:
+            raise SchemaError(f"{path}:{line_number}: expected one word, not {line!r}")
+        words.add(line.lower())
+    return frozenset(words)
 
 
 @dataclass

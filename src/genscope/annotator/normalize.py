@@ -36,7 +36,7 @@ from typing import NamedTuple
 from ..classifier.features import _EMOJI_RE, LEXER_RE
 from ..classifier.features import EMOJI_TOKEN as EMOJI
 from ..classifier.features import URL_TOKEN as URL
-from ..errors import content_lines
+from ..errors import SchemaError, content_lines
 
 # the norms of tokens that are not words
 BLANK = "BLANK"
@@ -109,12 +109,14 @@ class WordTable:
 
 def load_abbreviations(path) -> dict[str, str]:
     """``token<TAB>expansion`` per line; ``#`` comments. Expansions may
-    contain spaces and become several tokens."""
+    contain spaces and become several tokens; a line without a tab, or
+    with nothing on one side of it, is a SchemaError."""
     table: dict[str, str] = {}
-    for _, line in content_lines(path):
-        token, _, expansion = line.partition("\t")
-        if token and expansion:
-            table[token.strip().lower()] = expansion.strip().lower()
+    for line_number, line in content_lines(path):
+        token, _, expansion = (side.strip() for side in line.partition("\t"))
+        if not token or not expansion:
+            raise SchemaError(f"{path}:{line_number}: expected 'token<TAB>expansion'")
+        table[token.lower()] = expansion.lower()
     return table
 
 

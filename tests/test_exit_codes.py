@@ -34,10 +34,11 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genscope.annotator import load_abbreviations, load_wordlist
+from genscope.annotator import RuleLexicons, load_abbreviations, load_wordlist
 from genscope.classifier import GenericityClassifier, dumps_model, save_model
 import genscope.parts
 from genscope.cli import main
+from genscope.errors import SchemaError
 from genscope.parts import byte_ranges
 from genscope.reporting import REPORT_BLOCKS
 from genscope.synth import generate_corpus, generate_training_texts
@@ -634,6 +635,32 @@ def test_rule_word_lists_keep_each_line_whole(tmp_path, sep):
     assert load_wordlist(path) == {f"a{sep}b", "c", "d"}
     path.write_text(f"x{sep}y\tex{sep}pand\nz\tzed\n", encoding="utf-8")
     assert load_abbreviations(path) == {f"x{sep}y": f"ex{sep}pand", "z": "zed"}
+
+
+@pytest.mark.parametrize(
+    "line", ["lol", "lol\t", "\tlaughing out loud", "lol \t  # a comment"],
+    ids=["no-tab", "no-expansion", "no-token", "blank-expansion"],
+)
+def test_abbreviation_line_without_both_sides_is_rejected(tmp_path, line):
+    path = tmp_path / "abbreviations.tsv"
+    path.write_text(f"# abbreviations\nimo\tin my opinion\n{line}\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as caught:
+        load_abbreviations(path)
+    assert str(caught.value) == f"{path}:3: expected 'token<TAB>expansion'"
+
+
+@pytest.mark.parametrize("line", ["white men", "white\tmen"], ids=["space", "tab"])
+def test_word_list_line_of_two_words_is_rejected(tmp_path, line):
+    path = tmp_path / "words.txt"
+    path.write_text(f"# words\nmen\n\n{line}  # two\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as caught:
+        load_wordlist(path)
+    assert str(caught.value) == f"{path}:4: expected one word, not {line!r}"
+
+
+def test_every_bundled_word_list_and_abbreviation_table_loads():
+    lexicons = RuleLexicons.default()
+    assert lexicons.abbreviations and lexicons.group_nouns
 
 
 @pytest.mark.parametrize(
