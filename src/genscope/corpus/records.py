@@ -13,7 +13,6 @@ one-time warning.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import logging
@@ -335,6 +334,8 @@ def ingest(path, on_block, query: QueryAst | None = None, end: int | None = None
     as from one read of the whole file, and each part's ``kept`` is set
     before the next is asked for.
     """
+    import hashlib  # here, so that commands that ingest nothing never map libcrypto
+
     admission = _Admission(query)
     digest = hashlib.sha256()
     with _open_corpus(path) as raw:

@@ -38,7 +38,7 @@ ANALYSIS_STACK = (
 )
 # the modules of the stack that only analyze's pass runs
 PASS_ONLY = ("genscope.corpus.query", "genscope.parts")
-LAZY_LAYERS = (*ANALYSIS_STACK, "genscope.annotator", "genscope.labeling")
+LAZY_LAYERS = (*ANALYSIS_STACK, "genscope.annotator", "genscope.labeling", "_hashlib")
 
 
 @pytest.fixture(scope="module")
@@ -74,20 +74,21 @@ class TestLayersPerCommand:
     compiled by analyze, report and reproduce alone (report and reproduce
     without the query parser and ``parts``, and the query parser also by
     ``ingest --query``), the rule annotator by annotate, label and
-    annotator-mode analyze, and the labeling session by label."""
+    annotator-mode analyze, the labeling session by label, and OpenSSL's
+    ``_hashlib`` by the commands that read a corpus, for its sha256."""
 
     LOADS = {
-        "ingest": [],
-        "ingest --query": ["genscope.corpus.query"],
-        "annotate": ["genscope.annotator"],
+        "ingest": ["_hashlib"],
+        "ingest --query": ["genscope.corpus.query", "_hashlib"],
+        "annotate": ["genscope.annotator", "_hashlib"],
         "train": [],
         "eval": [],
-        "classify": [],
-        "analyze": [*ANALYSIS_STACK, "genscope.annotator"],
-        "analyze --model": [*ANALYSIS_STACK],
+        "classify": ["_hashlib"],
+        "analyze": [*ANALYSIS_STACK, "genscope.annotator", "_hashlib"],
+        "analyze --model": [*ANALYSIS_STACK, "_hashlib"],
         "report": [m for m in ANALYSIS_STACK if m not in PASS_ONLY],
         "reproduce": [m for m in ANALYSIS_STACK if m not in (*PASS_ONLY, "genscope.reporting")],
-        "label": ["genscope.annotator", "genscope.labeling"],
+        "label": ["genscope.annotator", "genscope.labeling", "_hashlib"],
     }
 
     def test_commands_load_the_annotator_only_where_it_runs(self, tmp_path, inputs):
