@@ -12,7 +12,7 @@ batch: each of those steps runs over a whole block before the next
 starts, a block's kept tweets are scored by one model call, and every
 tweet's partition bucket is kept as one byte, counted once at the end.
 ``recompute_check`` rebuilds the H1/H3/H4 blocks from their counts and
-checks every other statistic against the numbers beside it, and
+the H2/H5 blocks from their tests' sizes, rank sums and tie terms, and
 ``reproduce_published`` rebuilds the same blocks from the published
 counts for the ``reproduce`` subcommand's checks.
 
@@ -404,11 +404,7 @@ def run_analysis(config: AnalysisConfig) -> dict:
     negative = rows["sentiments"] == SENTIMENTS.index("negative")
     within = {"generic": is_generic, "generic_negative": is_generic & negative}
     report["h5"] = _h5_block(
-        {
-            "generic": tally[:, 1].sum(axis=1).tolist(),
-            "generic_negative": h4_cells[H4_ROWS.index("negative")],
-        },
-        lambda subset, metric: vars(kruskal_wallis(
+        tally[:, 1].sum(axis=1).tolist(), h4_cells, lambda subset, metric, _: vars(kruskal_wallis(
             [rows[metric][within[subset] & (rows["group"] == i)] for i in range(len(GROUPS))]
         )),
     )
@@ -543,21 +539,24 @@ def _h4_block(cells) -> dict:
     return block
 
 
-def _h5_block(sizes: dict, tested) -> dict:
+def _h5_block(generic_sizes: list[int], h4_cells, tested) -> dict:
     """Kruskal-Wallis tests across the groups of the generic tweets' likes
-    and retweets, and of the generic negative tweets', where each subset's
-    group ``sizes`` are all positive. Each is rebuilt from
-    ``tested(subset, metric)``, the test's fields or its report block: its
-    group sizes, doubled rank sums and tie term."""
+    and retweets, and of the generic negative tweets' (H4's negative row),
+    where a subset's group sizes are all positive. Each is rebuilt from
+    ``tested(subset, metric, group_sizes)``, the test's fields or its report
+    block: its group sizes, doubled rank sums and tie term."""
     stats = itemgetter("group_sizes", "rank_sums_x2", "ties")
     block: dict = {}
-    for subset, group_sizes in sizes.items():
+    for subset, group_sizes in (
+        ("generic", generic_sizes),
+        ("generic_negative", h4_cells[H4_ROWS.index("negative")]),
+    ):
         if not all(group_sizes):
             block[subset] = {"skipped": "empty generic stratum in at least one group"}
             continue
         sub: dict = {}
         for metric in ("likes", "retweets"):
-            result = _as_json(kruskal_wallis_from_ranks(*stats(tested(subset, metric))))
+            result = _as_json(kruskal_wallis_from_ranks(*stats(tested(subset, metric, group_sizes))))
             result["groups"] = list(GROUPS)
             if "posthoc" in result:
                 result["posthoc"]["adjustment"] = "bonferroni"
@@ -600,10 +599,9 @@ def _keys(node):
 def recompute_check(report: dict) -> list[str]:
     """Check a report against itself. Each of the H1-H5 blocks is rebuilt
     with the builder ``run_analysis`` used: H1, H3 and H4 from their counts,
-    H2 from each test's sample sizes, U and tie term, and H5 from each
-    test's group sizes, doubled rank sums and tie term. Counts and sample
-    sizes in different blocks must reconcile, and a tie term must be one
-    that a sample of its size can have.
+    H2 and H5 from each test's sizes, U or doubled rank sums, and tie term.
+    Counts and sizes in different blocks must reconcile, and rank sums and
+    tie terms must be ones that samples of those sizes can have.
 
     Returns one ``"path: reported x, recomputed y"`` line per failed check,
     naming the first dotted path where the two differ (``*`` stands for
@@ -619,11 +617,15 @@ def recompute_check(report: dict) -> list[str]:
 
     def tested(path: str, big_n, **sizes) -> dict:
         """The rank test at ``path``, once its ``sizes`` are checked against the
-        counts and its tie term T = sum(t^3 - t) against those a sample of
-        ``big_n`` values can have (T one off moves z or H under ``_REL_TOL``)."""
+        counts, any rank sums against the ranks 1..N of its groups, and its tie
+        term T = sum(t^3 - t) against those of ``big_n`` values (T one off
+        moves z or H under ``_REL_TOL``)."""
         block = reduce(getitem, path.split("."), report)
         for key, expected in sizes.items():
             check(f"{path}.{key}", block[key], expected)
+        if "rank_sums_x2" in block:
+            ranked = sum(block["group_sizes"])
+            check(f"{path}.rank_sums_x2", sum(block["rank_sums_x2"]), ranked * (ranked + 1))
         ties = block["ties"]
         if type(ties) is not int or not 0 <= ties <= big_n**3 - big_n or ties % 6:
             problems.append(
@@ -677,13 +679,10 @@ def recompute_check(report: dict) -> list[str]:
               h3_counts[g]["generic"])
     check("h4", h4, _h4_block(h4_cells))
 
-    sizes = {
-        "generic": [h3_counts[g]["generic"] for g in GROUPS],
-        "generic_negative": h4_cells[H4_ROWS.index("negative")],
-    }
-    check("h5", report["h5"], _h5_block(sizes, lambda subset, metric: tested(
-        f"h5.{subset}.{metric}", sum(sizes[subset]), group_sizes=sizes[subset],
-    )))
+    check("h5", report["h5"], _h5_block(
+        [h3_counts[g]["generic"] for g in GROUPS], h4_cells,
+        lambda subset, metric, sizes: tested(f"h5.{subset}.{metric}", sum(sizes), group_sizes=sizes),
+    ))
     return problems
 
 

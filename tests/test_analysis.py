@@ -28,6 +28,7 @@ import genscope.corpus.records
 import genscope.parts
 from genscope.analysis import (
     AnalysisConfig,
+    _h5_block,
     _histogram,
     _median,
     load_published_tables,
@@ -263,6 +264,16 @@ class TestRunAnalysis:
         res["epsilon2"] = res["h"] / (sum(res["group_sizes"]) - 1)
 
     @staticmethod
+    def _moved_rank_sums(report):
+        # every number rebuilt from rank sums whose total is not 1 + ... + N
+        h5 = report["h5"]
+        h5["generic"]["likes"]["rank_sums_x2"][0] += 2
+        report["h5"] = _h5_block(
+            h5["generic"]["likes"]["group_sizes"], report["h4"]["sentiment_by_group"]["cells"],
+            lambda subset, metric, _: h5[subset][metric],
+        )
+
+    @staticmethod
     def _add_one(*path):
         def edit(report):
             node = report
@@ -279,14 +290,16 @@ class TestRunAnalysis:
             (_add_one("h2", "retweets", "ties"), "h2.retweets.ties"),
             (_add_one("h5", "generic_negative", "likes", "ties"), "h5.generic_negative.likes.ties"),
             (_add_one("h5", "generic", "retweets", "rank_sums_x2", 1),
-             "h5.generic.retweets.h"),
+             "h5.generic.retweets.rank_sums_x2"),
+            (_moved_rank_sums, "h5.generic.likes.rank_sums_x2"),
             (_add_one("h2", "likes", "u1"), "h2.likes.u2"),
         ],
-        ids=["h2-z-p-r", "h5-h-p-eps2", "h2-ties", "h5-ties", "h5-rank-sum", "h2-u1"],
+        ids=["h2-z-p-r", "h5-h-p-eps2", "h2-ties", "h5-ties", "h5-rank-sum",
+             "h5-rank-sum-total", "h2-u1"],
     )
     def test_edit_consistent_with_its_identities_is_caught(self, bundled_report, edit, problem):
         # each edit keeps p, r and epsilon2 in step with z or H, or moves z
-        # by less than the tolerance; the rebuilt block still differs
+        # by less than the tolerance; it is still reported
         report = json.loads(json.dumps(bundled_report))
         edit(report)
         assert recompute_check(report)[0].split(":")[0] == problem

@@ -34,7 +34,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genscope.annotator import RuleLexicons, load_abbreviations, load_wordlist
+from genscope.annotator import load_abbreviations, load_wordlist
 from genscope.classifier import GenericityClassifier, dumps_model, save_model
 import genscope.parts
 from genscope.cli import main
@@ -656,11 +656,6 @@ def test_word_list_line_of_two_words_is_rejected(tmp_path, line):
     with pytest.raises(SchemaError) as caught:
         load_wordlist(path)
     assert str(caught.value) == f"{path}:4: expected one word, not {line!r}"
-
-
-def test_every_bundled_word_list_and_abbreviation_table_loads():
-    lexicons = RuleLexicons.default()
-    assert lexicons.abbreviations and lexicons.group_nouns
 
 
 @pytest.mark.parametrize(
