@@ -332,7 +332,7 @@ def run_analysis(config: AnalysisConfig) -> dict:
     """
     # loaded here, so that report and reproduce never compile them
     from .corpus.query import load_query
-    from .parts import byte_ranges, forked
+    from .parts import ANALYZE_FLOOR, byte_ranges, forked
 
     corpus_path = Path(config.corpus)
     query = load_query(config.query) if config.query else load_query(bundled("default_query.txt"))
@@ -342,7 +342,7 @@ def run_analysis(config: AnalysisConfig) -> dict:
         raise SchemaError(f"group lexicon does not cover query terms: {missing}")
 
     pipeline = _Pipeline(config, query, lexicon)
-    (_, end), *later = byte_ranges(corpus_path)
+    (_, end), *later = byte_ranges(corpus_path, ANALYZE_FLOOR)
     with forked(partial(pipeline.run_part, corpus_path, query), later) as children:
 
         def received():
@@ -596,6 +596,11 @@ def _keys(node):
     return node.keys() if isinstance(node, dict) else range(len(node))
 
 
+class _SkippedTest(Exception):
+    """A rank test's block says it was skipped, but its samples are not
+    empty."""
+
+
 def recompute_check(report: dict) -> list[str]:
     """Check a report against itself. Each of the H1-H5 blocks is rebuilt
     with the builder ``run_analysis`` used: H1, H3 and H4 from their counts,
@@ -617,12 +622,27 @@ def recompute_check(report: dict) -> list[str]:
 
     def tested(path: str, big_n, **sizes) -> dict:
         """The rank test at ``path``, once its ``sizes`` are checked against the
-        counts, any rank sums against the ranks 1..N of its groups, and its tie
-        term T = sum(t^3 - t) against those of ``big_n`` values (T one off
-        moves z or H under ``_REL_TOL``)."""
-        block = reduce(getitem, path.split("."), report)
+        counts, any U against the range a sample of those sizes has, any rank
+        sums against the ranks 1..N of its groups, and its tie term
+        T = sum(t^3 - t) against those of ``big_n`` values (T one off moves z
+        or H under ``_REL_TOL``). A test whose block says it was skipped
+        raises ``_SkippedTest``: the counts give it samples."""
+        *outer, metric = path.split(".")
+        parent = reduce(getitem, outer, report)
+        if "skipped" in parent:
+            raise _SkippedTest(
+                f"{'.'.join(outer)}: reported {parent!r:.80}, recomputed a test of its samples"
+            )
+        block = parent[metric]
         for key, expected in sizes.items():
             check(f"{path}.{key}", block[key], expected)
+        if "u1" in block:
+            u1, n1, n2 = block["u1"], sizes["n1"], sizes["n2"]
+            if type(u1) not in (int, float) or not 0 <= u1 <= n1 * n2 or (2 * u1) % 1:
+                problems.append(
+                    f"{path}.u1: reported {u1!r:.80}, not the U of any samples of "
+                    f"{n1} and {n2} values"
+                )
         if "rank_sums_x2" in block:
             ranked = sum(block["group_sizes"])
             check(f"{path}.rank_sums_x2", sum(block["rank_sums_x2"]), ranked * (ranked + 1))
@@ -632,6 +652,13 @@ def recompute_check(report: dict) -> list[str]:
                 f"{path}.ties: reported {ties!r:.80}, not the tie term of any {big_n} values"
             )
         return block
+
+    def check_tests(name: str, rebuild) -> None:
+        """Check the H2 or H5 block ``name`` against ``rebuild()``."""
+        try:
+            check(name, report[name], rebuild())
+        except _SkippedTest as exc:
+            problems.append(str(exc))
 
     desc = report["descriptives"]
     n, generic, group_counts = desc["analyzed_tweets"], desc["generic_count"], desc["group_counts"]
@@ -666,7 +693,7 @@ def recompute_check(report: dict) -> list[str]:
 
     check("h1", report["h1"], _h1_block(generic, n - generic))
 
-    check("h2", report["h2"], _h2_block(generic, n - generic, lambda metric: tested(
+    check_tests("h2", lambda: _h2_block(generic, n - generic, lambda metric: tested(
         f"h2.{metric}", n, n1=generic, n2=n - generic,
     )))
 
@@ -679,7 +706,7 @@ def recompute_check(report: dict) -> list[str]:
               h3_counts[g]["generic"])
     check("h4", h4, _h4_block(h4_cells))
 
-    check("h5", report["h5"], _h5_block(
+    check_tests("h5", lambda: _h5_block(
         [h3_counts[g]["generic"] for g in GROUPS], h4_cells,
         lambda subset, metric, sizes: tested(f"h5.{subset}.{metric}", sum(sizes), group_sizes=sizes),
     ))

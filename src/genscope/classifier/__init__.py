@@ -7,6 +7,7 @@ from .features import (
     bow_matrix,
     build_vocab,
     csr_from_columns,
+    token_ids,
     tokenize,
     vectorize_bow,
     EMOJI_TOKEN,
@@ -31,6 +32,7 @@ __all__ = [
     "bow_matrix",
     "build_vocab",
     "csr_from_columns",
+    "token_ids",
     "tokenize",
     "vectorize_bow",
     "EMOJI_TOKEN",

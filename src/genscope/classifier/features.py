@@ -110,24 +110,57 @@ def check_min_count(min_count) -> None:
         raise InputError("min_count must be >= 1")
 
 
-def _count_vocab(token_lists, min_count: int):
-    """One pass over the token lists: their vocabulary, the vocabulary
-    column of every token in order (-1 for a token that did not make it)
-    and the end offset of each list in that sequence.
+@dataclass
+class TokenIds:
+    """Token lists counted into ids in the order their tokens were first
+    seen: ``tokens`` holds each distinct token at its id, ``ids`` the id of
+    every token in order and ``ends`` the end offset of each list in
+    ``ids``. One part of a corpus, such as one byte range of a file, for
+    ``_count_vocab`` to merge with the others in order."""
 
-    Tokens get provisional ids in first-seen order and are counted with one
-    ``np.bincount``; tokens seen at least min_count times are then ranked
-    by descending count, ties broken lexicographically, so the mapping is
-    deterministic. No token list is kept.
-    """
-    check_min_count(min_count)
+    tokens: list[str]
+    ids: array
+    ends: array
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+
+def token_ids(texts) -> TokenIds:
+    """Tokenize each text once and count its tokens into first-seen ids."""
+    return _first_seen_ids(map(tokenize, texts))
+
+
+def _first_seen_ids(token_lists) -> TokenIds:
+    """Count the token lists into first-seen ids; no token list is kept."""
     ids: dict[str, int] = {}
     flat, ends = array("i"), array("q")
     for tokens in token_lists:
         for token in tokens:
             flat.append(ids.setdefault(token, len(ids)))
         ends.append(len(flat))
-    flat = np.frombuffer(flat, dtype=np.intc)
+    return TokenIds(list(ids), flat, ends)
+
+
+def _count_vocab(parts, min_count: int):
+    """The vocabulary of the ``TokenIds`` parts of a corpus, in order, the
+    vocabulary column of every token in order (-1 for a token that did not
+    make it) and the end offset of each list in that sequence.
+
+    Each part's ids are mapped into the first-seen ids of the parts as one
+    corpus, and every token is counted with one ``np.bincount``; tokens seen
+    at least min_count times are then ranked by descending count, ties
+    broken lexicographically, so the mapping is deterministic.
+    """
+    check_min_count(min_count)
+    ids: dict[str, int] = {}
+    flats, ends, offset = [], [], 0
+    for part in parts:
+        merged = np.array([ids.setdefault(t, len(ids)) for t in part.tokens], dtype=np.intc)
+        flats.append(merged[np.frombuffer(part.ids, dtype=np.intc)])
+        ends.append(np.frombuffer(part.ends, dtype=np.int64) + offset)
+        offset += len(part.ids)
+    flat = np.concatenate(flats)
     counts = np.bincount(flat, minlength=len(ids)).tolist()
     kept = sorted((-c, t) for t, c in zip(ids, counts) if c >= min_count)
     if not kept:
@@ -138,7 +171,7 @@ def _count_vocab(token_lists, min_count: int):
         index={t: i for i, (_, t) in enumerate(kept)}, min_count=min_count
     )
     columns = np.array([vocab.index.get(t, -1) for t in ids], dtype=np.intc)
-    return vocab, columns[flat], np.frombuffer(ends, dtype=np.int64)
+    return vocab, columns[flat], np.concatenate(ends)
 
 
 def build_vocab(token_lists, min_count: int = 1) -> Vocabulary:
@@ -147,7 +180,8 @@ def build_vocab(token_lists, min_count: int = 1) -> Vocabulary:
     Indices are assigned by descending frequency, ties broken
     lexicographically, so the mapping is deterministic.
     """
-    return _count_vocab(token_lists, min_count)[0]
+    check_min_count(min_count)  # before any token is read
+    return _count_vocab([_first_seen_ids(token_lists)], min_count)[0]
 
 
 def vectorize_bow(tokens, vocab: Vocabulary) -> list[tuple[int, int]]:
@@ -281,6 +315,8 @@ class BagOfWordsVectorizer:
     ``fit_transform`` tokenizes each text once: it counts token ids, ranks
     the vocabulary, then maps the ids to columns, as scikit-learn's
     ``CountVectorizer`` does; its matrix equals ``fit`` then ``transform``.
+    It is the one-part case of ``fit_transform_ids``, which takes a corpus
+    already counted in parts.
     """
 
     def __init__(self, min_count: int = 2):
@@ -295,7 +331,11 @@ class BagOfWordsVectorizer:
         return bow_matrix(map(tokenize, texts), self.vocabulary_)
 
     def fit_transform(self, texts) -> CsrMatrix:
-        self.vocabulary_, columns, ends = _count_vocab(
-            map(tokenize, texts), self.min_count
-        )
+        check_min_count(self.min_count)  # before any text is read
+        return self.fit_transform_ids([token_ids(texts)])
+
+    def fit_transform_ids(self, parts) -> CsrMatrix:
+        """``fit_transform`` of the texts that ``token_ids`` counted into
+        ``parts``, one row per text, in order."""
+        self.vocabulary_, columns, ends = _count_vocab(parts, self.min_count)
         return csr_from_columns(columns, ends, self.vocabulary_.size)

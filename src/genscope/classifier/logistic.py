@@ -20,7 +20,14 @@ from ..base import (
     check_threshold,
 )
 from ..errors import InputError, TrainingError
-from .features import BagOfWordsVectorizer, CsrMatrix, Vocabulary, bow_matrix, check_min_count
+from .features import (
+    BagOfWordsVectorizer,
+    CsrMatrix,
+    Vocabulary,
+    bow_matrix,
+    check_min_count,
+    token_ids,
+)
 
 DEFAULT_LEARNING_RATE = 0.1
 DEFAULT_EPOCHS = 500
@@ -257,22 +264,22 @@ class GenericityClassifier:
         self.threshold = threshold
 
     def fit(self, texts, labels):
-        self._fit(texts, labels)
+        self._fit([token_ids(texts)], labels)
         return self
 
-    def fit_predict_proba(self, texts, labels) -> np.ndarray:
-        """Fit, then score the training texts with the feature matrix that
+    def fit_predict_proba(self, parts, labels) -> np.ndarray:
+        """Fit on the training texts as ``token_ids`` counted them into
+        ``parts``, in order, then score them with the feature matrix that
         training built, without vectorizing them again."""
-        x = self._fit(texts, labels)
+        x = self._fit(parts, labels)
         return predict_score(self.model_, x)
 
-    def _fit(self, texts, labels) -> CsrMatrix:
+    def _fit(self, parts, labels) -> CsrMatrix:
         """Learn ``vectorizer_`` and ``model_``; returns the training matrix."""
-        texts = list(texts)
         y = check_binary_labels(labels)
-        check_consistent_length(texts, y)
+        check_consistent_length(range(sum(map(len, parts))), y)
         self.vectorizer_ = BagOfWordsVectorizer(min_count=self.min_count)
-        x = self.vectorizer_.fit_transform(texts)
+        x = self.vectorizer_.fit_transform_ids(parts)
         self.model_ = train_logistic(
             x,
             y,

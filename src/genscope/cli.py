@@ -3,6 +3,13 @@
 Subcommands: ingest, annotate, train, eval, classify, analyze, report,
 label, reproduce. Exit codes: 0 success, 1 usage error, 2 data/schema
 error, 3 reproduction-suite failure, 130 interrupted (Ctrl-C).
+
+``analyze`` and ``train`` run on every usable CPU: each cuts its input
+file into byte ranges with ``parts.byte_ranges``, where every range gets
+its floor of bytes (``parts.ANALYZE_FLOOR`` for the corpus,
+``parts.TRAIN_FLOOR`` for the labeled file), and works on each range
+after the first in a child forked by ``parts.forked``. Both merge the
+ranges in file order, so their output is that of one process.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import gc
 import json
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +33,7 @@ from .classifier import (
     predict_score,  # unused here; the benchmark tracer wraps it
     save_model,
     score_tokens,
+    token_ids,
     tokenize,
     vectorize_bow,  # unused here; the benchmark tracer wraps it
 )
@@ -142,9 +151,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_labeled(path):
-    texts, labels = [], []
-    for line_number, obj in read_jsonl(path):
+def _labeled_texts(path, labels: bytearray, start: int = 0, end: int | None = None):
+    """Each text of the labeled file's lines from byte ``start`` up to byte
+    ``end``, as ``read_jsonl`` reads them, with its label appended to
+    ``labels`` as one byte."""
+    for line_number, obj in read_jsonl(path, start, end):
         if not (
             isinstance(obj, dict)
             and isinstance(obj.get("text"), str)
@@ -153,11 +164,15 @@ def _read_labeled(path):
             raise GenscopeError(
                 f"{path}:{line_number}: need 'text' and binary 'label'"
             )
-        texts.append(obj["text"])
-        labels.append(obj["label"])
-    if not texts:
-        raise GenscopeError(f"{path}: no labeled examples")
-    return texts, labels
+        labels.append(obj["label"] == 1)
+        yield obj["text"]
+
+
+def _counted_range(path, start: int, end: int | None):
+    """The token ids (``token_ids``) and the labels, one byte each, of the
+    labeled file's bytes ``start`` to ``end``: train's work on a range."""
+    labels = bytearray()
+    return token_ids(_labeled_texts(path, labels, start, end)), labels
 
 
 def _cmd_ingest(args) -> int:
@@ -214,6 +229,8 @@ def _cmd_annotate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from .parts import TRAIN_FLOOR, byte_ranges, forked
+
     clf = GenericityClassifier(  # checks the flags before the file is read
         min_count=args.min_count,
         learning_rate=args.learning_rate,
@@ -222,11 +239,20 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         threshold=args.threshold,
     )
-    texts, labels = _read_labeled(args.labeled)
-    scores = clf.fit_predict_proba(texts, labels)
+    # this process counts the first range while a child counts each later
+    # one; the first range's error is raised first, then each child's in order
+    (_, end), *later = byte_ranges(args.labeled, TRAIN_FLOOR)
+    with forked(partial(_counted_range, args.labeled), later) as children:
+        counted = [_counted_range(args.labeled, 0, end)]
+        counted += (child.receive() for child in children)
+    parts = [ids for ids, _ in counted]
+    labels = np.frombuffer(b"".join(labels for _, labels in counted), dtype=np.uint8)
+    if not labels.size:
+        raise GenscopeError(f"{args.labeled}: no labeled examples")
+    scores = clf.fit_predict_proba(parts, labels)
     save_model(clf.model_, args.model_out)
     metrics = evaluate(scores, labels, threshold=clf.threshold)
-    print(f"trained on {len(texts)} examples, vocab size {clf.model_.vocab.size}")
+    print(f"trained on {labels.size} examples, vocab size {clf.model_.vocab.size}")
     print(f"final loss: {clf.model_.loss_history[-1]:.6f}")
     print(f"train {metrics.summary()}")
     print(f"wrote {args.model_out}")
@@ -236,7 +262,10 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     if args.threshold is not None:
         check_threshold(args.threshold)
-    texts, labels = _read_labeled(args.labeled)
+    labels = bytearray()
+    texts = list(_labeled_texts(args.labeled, labels))
+    if not texts:
+        raise GenscopeError(f"{args.labeled}: no labeled examples")
     model = load_bow_model(args.model)
     scores = score_tokens(model, map(tokenize, texts))
     tau = args.threshold if args.threshold is not None else model.threshold

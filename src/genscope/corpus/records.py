@@ -25,7 +25,7 @@ from itertools import accumulate, islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..errors import SchemaError, naming_decode_errors
+from ..errors import SchemaError, naming_decode_errors, not_utf8
 
 if TYPE_CHECKING:  # annotations only, so reading records never loads the query parser
     from .query import QueryAst
@@ -383,22 +383,62 @@ def read_part(path, start: int, end: int | None, on_block, query: QueryAst | Non
     return part
 
 
-def read_jsonl(path):
-    """Yield (line_number, object) pairs from a JSON Lines file.
+# bytes of whole lines that read_jsonl decodes at once
+TEXT_BLOCK = 1 << 20
 
-    A line that is not valid JSON raises SchemaError naming the file and
-    line.
+
+def _whole_lines(raw, limit: int | None):
+    """The next ``limit`` bytes of ``raw`` (all of them when None) in blocks
+    of about ``TEXT_BLOCK`` bytes, each but the last ending just after a
+    ``\\n``, so that no block splits a line or a ``\\r\\n``."""
+    with io.BufferedReader(_RangeReader(raw, limit)) as stream:
+        while block := stream.read(TEXT_BLOCK):
+            yield block + stream.readline()
+
+
+def _line_ends(data: bytes) -> int:
+    """How many lines end in ``data``, where ``\\r\\n``, ``\\r`` and
+    ``\\n`` each end one."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
+def read_jsonl(path, start: int = 0, end: int | None = None):
+    """Yield ``(line_number, object)`` pairs from the lines of a JSON Lines
+    file from byte ``start``, which begins a line, up to byte ``end`` (the
+    end of the file when None). Lines end at ``\\r\\n``, ``\\r`` or
+    ``\\n``, as ``open``'s universal newlines split them, and are numbered
+    from the first line of the file.
+
+    A line that is not valid JSON, or not UTF-8, raises SchemaError naming
+    the file and line; where there are several, the first in the file. The
+    bytes are decoded a block of lines at a time, and a block that is not
+    UTF-8 has its lines before the bad one read first.
     """
-    with naming_decode_errors(path), open(path, encoding="utf-8") as stream:
-        for line_number, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb", buffering=0) as raw:
+        line_number = sum(map(_line_ends, _whole_lines(raw, start))) if start else 0
+        for block in _whole_lines(raw, None if end is None else end - start):
             try:
-                obj = parse_json_line(line)
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{line_number}: {exc}") from None
-            yield line_number, obj
+                text, error = block.decode("utf-8"), None
+            except UnicodeDecodeError as exc:  # decode the lines before the bad one
+                error = exc
+                line_start = max(block.rfind(b"\n", 0, exc.start), block.rfind(b"\r", 0, exc.start))
+                text = block[: line_start + 1].decode("utf-8")
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            lines = text.split("\n")
+            for line_number, line in enumerate(lines, start=line_number + 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = parse_json_line(line)
+                except ValueError as exc:
+                    raise SchemaError(f"{path}:{line_number}: {exc}") from None
+                yield line_number, obj
+            # the last item is the rest after the block's last line end
+            line_number -= 1
+            if error is not None:
+                raise not_utf8(path, line_number + 1, block, error)
 
 
 @contextmanager

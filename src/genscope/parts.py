@@ -1,7 +1,9 @@
 """Byte ranges of a file, and work on each range in a forked process.
 
 ``byte_ranges`` cuts a large regular file into one range per usable CPU,
-each ending just after a ``\\n`` byte, so that every range starts a line.
+each ending just after a ``\\n`` byte, so that every range starts a line,
+and each holding at least its caller's floor of bytes: ``ANALYZE_FLOOR``
+for ``analyze``'s corpus, ``TRAIN_FLOOR`` for ``train``'s labeled file.
 ``forked`` runs a function over every range given to it, each in a child
 process of its own made with ``os.fork``: the child sends the function's
 result back through a pipe as a pickle, and leaves with ``os._exit``. The
@@ -18,13 +20,22 @@ import stat
 import threading
 from contextlib import contextmanager
 
-# A file is cut only where every range gets at least this many bytes:
-# below it, forking, sending the results back and merging them cost more
-# than the range saves. On a shared 2-vCPU KVM host (Intel Xeon), two
-# ranges began to pay at a corpus of under 1 MiB when the second vCPU was
-# free, and not below 2 MiB when it was busy; at 6 MiB they paid in either
-# state.
-PART_FLOOR = 1 << 20
+# A file is cut only where every range gets at least its caller's floor of
+# bytes: below it, forking, sending the results back and merging them cost
+# more than the range saves.
+#
+# analyze's corpus. On a shared 2-vCPU KVM host (Intel Xeon), two ranges
+# began to pay at a corpus of under 1 MiB when the second vCPU was free, and
+# not below 2 MiB when it was busy; at 6 MiB they paid in either state.
+ANALYZE_FLOOR = 1 << 20
+# train's labeled file, whose ranges are only read, checked, tokenized and
+# counted. On the same host, on the benchmark's seed-1 labeled texts, timed
+# from the start of a fresh train process to its gradient descent: with the
+# second vCPU free, two ranges won 12 to 16 of 16 runs at each size from
+# 193 KB up, and took 36.2 against 51.5 ms at 385 KB (medians); with it
+# busy, they lost 6 to 10 ms at each size up to 615 KB and broke even at
+# 768 KB (10 runs each). So a file is cut from 384 KiB.
+TRAIN_FLOOR = 192 << 10
 
 
 def usable_cpus() -> int:
@@ -37,22 +48,22 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def byte_ranges(path) -> list[tuple[int, int | None]]:
+def byte_ranges(path, floor: int) -> list[tuple[int, int | None]]:
     """``(start, end)`` byte ranges that cover the file at ``path`` in
     order, at most one per usable CPU; the last one's end is None, the end
-    of the file. Every range holds at least ``PART_FLOOR`` bytes, and each
+    of the file. Every range holds at least ``floor`` bytes, and each
     but the last ends just after a ``\\n``. A file that is not regular, is
     too small, or has no ``\\n`` to cut after is one range."""
     try:
         info = os.stat(path)
-        parts = min(usable_cpus(), info.st_size // PART_FLOOR) if stat.S_ISREG(info.st_mode) else 1
+        parts = min(usable_cpus(), info.st_size // floor) if stat.S_ISREG(info.st_mode) else 1
         starts = [0]
         if parts > 1:
             with open(path, "rb") as stream:
                 for i in range(1, parts):
-                    at = max(info.st_size * i // parts, starts[-1] + PART_FLOOR)
+                    at = max(info.st_size * i // parts, starts[-1] + floor)
                     cut = _after_newline(stream, at)
-                    if cut is None or info.st_size - cut < PART_FLOOR:
+                    if cut is None or info.st_size - cut < floor:
                         break
                     starts.append(cut)
     except OSError:  # the reader reports it

@@ -14,7 +14,9 @@ import struct
 import threading
 import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from functools import reduce
 from importlib import resources
+from operator import getitem
 from pathlib import Path
 from unittest import mock
 
@@ -28,6 +30,7 @@ import genscope.corpus.records
 import genscope.parts
 from genscope.analysis import (
     AnalysisConfig,
+    _h2_block,
     _h5_block,
     _histogram,
     _median,
@@ -314,6 +317,41 @@ class TestRunAnalysis:
         assert recompute_check(report)[0] == (
             f"h2.likes.ties: reported {ties!r}, not the tie term of any 1728 values"
         )
+
+    @pytest.mark.parametrize("u1", [-1000 - 671 * 1057, 465087.75, 671 * 1057 + 0.5, True],
+                             ids=["negative", "quarter", "above-n1-n2", "bool"])
+    def test_u_no_sample_has_is_caught(self, bundled_report, u1):
+        # the block rebuilt from the edited U, so that only the range check
+        # can catch it
+        report = json.loads(json.dumps(bundled_report))
+        h2 = report["h2"]
+        assert (h2["likes"]["n1"], h2["likes"]["n2"]) == (671, 1057)
+        h2["likes"]["u1"] = u1
+        report["h2"] = json.loads(json.dumps(_h2_block(671, 1057, h2.get)))
+        assert recompute_check(report)[0] == (
+            f"h2.likes.u1: reported {u1!r}, not the U of any samples of 671 and 1057 values"
+        )
+
+    @pytest.mark.parametrize("u1", [0, 0.5, 671 * 1057, 465087.0])
+    def test_u_a_sample_has_passes(self, bundled_report, u1):
+        report = json.loads(json.dumps(bundled_report))
+        h2 = report["h2"]
+        h2["likes"]["u1"] = u1
+        report["h2"] = json.loads(json.dumps(_h2_block(671, 1057, h2.get)))
+        assert recompute_check(report) == []
+
+    @pytest.mark.parametrize("path, skipped", [
+        ("h2", "empty generic stratum"),
+        ("h5.generic", "empty generic stratum in at least one group"),
+        ("h5.generic_negative", "empty generic stratum in at least one group"),
+    ])
+    def test_a_test_skipped_on_samples_is_caught(self, bundled_report, path, skipped):
+        report = json.loads(json.dumps(bundled_report))
+        *outer, last = path.split(".")
+        reduce(getitem, outer, report)[last] = {"skipped": skipped}
+        assert recompute_check(report) == [
+            f"{path}: reported {{'skipped': {skipped!r}}}, recomputed a test of its samples"
+        ]
 
     def test_all_tied_samples_rebuild_as_degenerate(self, tmp_path):
         # every like and retweet 0: T = N^3 - N, and both tests degenerate
@@ -853,8 +891,13 @@ class TestSinglePass:
 def _cut(cpus: int, floor: int = 1):
     """Cut corpora into at most ``cpus`` ranges of at least ``floor`` bytes."""
     with mock.patch.object(genscope.parts, "usable_cpus", lambda: cpus), \
-            mock.patch.object(genscope.parts, "PART_FLOOR", floor):
+            mock.patch.object(genscope.parts, "ANALYZE_FLOOR", floor):
         yield
+
+
+def _corpus_ranges(path):
+    """The byte ranges ``analyze`` cuts the corpus at ``path`` into."""
+    return byte_ranges(path, genscope.parts.ANALYZE_FLOOR)
 
 
 def _analyze(argv, out, cpus: int, floor: int = 1):
@@ -905,7 +948,7 @@ class TestParts:
         one = _analyze(argv, tmp_path / "one", 1)
         cut = _analyze(argv, tmp_path / "cut", cpus, floor)
         with _cut(cpus, floor):
-            assert len(byte_ranges(argv[argv.index("--corpus") + 1])) == (parts or cpus)
+            assert len(_corpus_ranges(argv[argv.index("--corpus") + 1])) == (parts or cpus)
         assert cut == one
         return one
 
@@ -981,7 +1024,7 @@ class TestParts:
         cuts = [[s] for s in starts] + [[a, b] for a in starts[::3] for b in starts if b > a]
         for cut in cuts:
             ranges = list(zip([0, *cut], [*cut, None]))
-            monkeypatch.setattr(genscope.parts, "byte_ranges", lambda path: ranges)
+            monkeypatch.setattr(genscope.parts, "byte_ranges", lambda path, floor: ranges)
             assert _analyze(["analyze", "--corpus", crafted], tmp_path / "cut", 2) == one, cut
 
     @pytest.mark.parametrize("cpus", [2, 3, 4])
@@ -1032,7 +1075,7 @@ class TestParts:
         lines[500] = lines[500].replace(b'"text": "', b'"text": "\xff')
         path.write_bytes(b"".join(lines))
         with _cut(2):
-            (_, end), _ = byte_ranges(path)
+            (_, end), _ = _corpus_ranges(path)
         assert sum(map(len, lines[:500])) >= end
         code, report, stderr = self._same_as_one_part(["analyze", "--corpus", path], tmp_path, 2)
         assert code == 2
@@ -1107,7 +1150,7 @@ class TestParts:
                 for cut in [i + 1 for i in range(len(data)) if data[i] == ord("\n")]:
                     with monkeypatch.context() as patched:
                         patched.setattr(genscope.parts, "byte_ranges",
-                                        lambda path: [(0, cut), (cut, None)])
+                                        lambda path, floor: [(0, cut), (cut, None)])
                         run(corpus, 2)
         for corpus in (BUNDLED_CORPUS, crafted, mixed):
             first = runs[corpus][0]
@@ -1137,7 +1180,7 @@ class TestParts:
 
         monkeypatch.setattr(genscope.analysis, "ingest", interrupted)
         with _cut(4), pytest.raises(KeyboardInterrupt):
-            assert len(byte_ranges(path)) == 4
+            assert len(_corpus_ranges(path)) == 4
             run_analysis(AnalysisConfig(corpus=str(path)))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -1147,8 +1190,8 @@ class TestByteRanges:
     def _ranges(self, tmp_path, data: bytes, cpus: int, floor: int):
         path = tmp_path / "file"
         path.write_bytes(data)
-        with _cut(cpus, floor):
-            return byte_ranges(path)
+        with _cut(cpus):
+            return byte_ranges(path, floor)
 
     def test_ranges_start_lines_and_cover_the_file(self, tmp_path):
         data = b"".join(b"x" * (i % 7) + b"\n" for i in range(200))
@@ -1184,5 +1227,5 @@ class TestByteRanges:
     def test_a_pipe_or_a_missing_file_is_one_range(self, tmp_path):
         os.mkfifo(tmp_path / "fifo")
         with _cut(2):
-            assert byte_ranges(tmp_path / "fifo") == [(0, None)]
-            assert byte_ranges(tmp_path / "missing") == [(0, None)]
+            assert _corpus_ranges(tmp_path / "fifo") == [(0, None)]
+            assert _corpus_ranges(tmp_path / "missing") == [(0, None)]

@@ -1,8 +1,10 @@
 """Subcommand flows and exit codes, driven through main(argv)."""
 
+import bisect
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -12,6 +14,7 @@ import warnings
 import zlib
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ import genscope
 import genscope.classifier.logistic
 import genscope.corpus.records
 import genscope.labeling
+import genscope.parts
 from genscope.analysis import load_published_tables
 from genscope.classifier import (
     GenericityModel,
@@ -31,6 +35,7 @@ from genscope.classifier import (
 )
 from genscope.cli import build_parser, main
 from genscope.labeling import LabelSessionResult
+from genscope.parts import byte_ranges
 from genscope.reporting import REPORT_BLOCKS
 from genscope.synth import generate_corpus, generate_training_texts
 
@@ -444,6 +449,178 @@ class TestTrainEvalClassify:
         assert not out.exists()
 
 
+# ---------------------------------------------------------------------------
+# train's labeled file cut into byte ranges, one per usable CPU
+
+
+@contextlib.contextmanager
+def _cut_labeled(cpus: int, floor: int = 1):
+    """Cut labeled files into at most ``cpus`` ranges of at least ``floor`` bytes."""
+    with mock.patch.object(genscope.parts, "usable_cpus", lambda: cpus), \
+            mock.patch.object(genscope.parts, "TRAIN_FLOOR", floor):
+        yield
+
+
+def _train(labeled, model):
+    """``train`` on ``labeled`` in this process: the exit code, stdout,
+    stderr and the bytes of the model file (None where none is written)."""
+    model.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    argv = ["train", "--labeled", str(labeled), "--model-out", str(model),
+            "--min-count", "1", "--epochs", "5"]
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue(), model.read_bytes() if model.exists() else None
+
+
+def _line_starts(data: bytes) -> list[int]:
+    """The offset of each line but the first, where ``\\r\\n``, ``\\r``
+    and ``\\n`` each end a line."""
+    return [i + 1 for i, byte in enumerate(data[:-1])
+            if byte == ord("\n") or (byte == ord("\r") and data[i + 1] != ord("\n"))]
+
+
+def _cuts(starts: list[int], most: int):
+    """Every set of one or two of ``starts``, and sets of three from every
+    third start on, up to ``most`` cuts."""
+    for n in range(1, most + 1):
+        pool = starts if n < 3 else starts[::3]
+        yield from ([c, *rest] for c in pool for rest in
+                    itertools.combinations([s for s in starts if s > c], n - 1))
+
+
+class TestTrainRanges:
+    """``train`` cuts a labeled file into one byte range per usable CPU once
+    each range gets ``TRAIN_FLOOR`` bytes, counts every range but the first
+    in a forked child and merges them in file order: the exit code, stdout,
+    stderr and model file are those of the one-range run."""
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_golden_hashes(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.chdir(tmp_path)
+        with _cut_labeled(cpus):
+            assert train_eval_digests() == TestTrainEvalClassify.GOLDEN_TRAIN_SHA256
+            assert len(byte_ranges("labeled.jsonl", genscope.parts.TRAIN_FLOOR)) == cpus
+
+    # blank and whitespace-only lines, a byte order mark and U+2028 inside
+    # texts, an empty text, labels written as floats and booleans, and an
+    # indented line
+    CRAFTED = [
+        '{"text": "democrats are loud and proud", "label": 1}',
+        "",
+        '{"label": 0, "text": "the bill passed today"}',
+        "   ",
+        '{"text": "\ufeffwomen are strong", "label": 1}',
+        '{"text": "", "label": 0}',
+        '\t{"text": "liberals are loud \u2028 and kind", "label": 1.0}',
+        '{"text": "it rained on the march \U0001F525 https://t.co/x", "label": false}',
+        '{"text": "trans people are kind", "label": true}',
+        '{"text": "democrats voted today", "label": 0.0}',
+    ]
+
+    @pytest.fixture
+    def crafted(self, tmp_path):
+        """The crafted lines with ``\\r\\n``, ``\\n`` and ``\\r`` line
+        ends in turn, and no final one."""
+        ends = itertools.cycle(["\r\n", "\n", "\r"])
+        text = "".join(line + next(ends) for line in self.CRAFTED[:-1]) + self.CRAFTED[-1]
+        path = tmp_path / "crafted.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    def test_every_cut_of_the_crafted_file(self, tmp_path, crafted, monkeypatch):
+        model = tmp_path / "model.txt"
+        one = _train(crafted, model)
+        assert one[0] == 0 and one[1].startswith("trained on 8 examples, vocab size ")
+        for cut in _cuts(_line_starts(crafted.read_bytes()), 3):
+            ranges = list(zip([0, *cut], [*cut, None]))
+            monkeypatch.setattr(genscope.parts, "byte_ranges", lambda path, floor: ranges)
+            assert _train(crafted, model) == one, cut
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_crafted_file_cut_by_byte_ranges(self, tmp_path, crafted, cpus):
+        model = tmp_path / "model.txt"
+        one = _train(crafted, model)
+        with _cut_labeled(cpus):
+            assert len(byte_ranges(crafted, 1)) == cpus
+            assert _train(crafted, model) == one
+
+    def test_a_cr_only_file_is_one_range(self, tmp_path):
+        path, model = tmp_path / "cr.jsonl", tmp_path / "model.txt"
+        path.write_text("\r".join(self.CRAFTED) + "\r", encoding="utf-8", newline="")
+        one = _train(path, model)
+        with _cut_labeled(2):
+            assert byte_ranges(path, 1) == [(0, None)]
+            assert _train(path, model) == one
+        assert one[0] == 0
+
+    # a bad line of each kind, and the error it gives
+    BAD = {
+        "json": (b"{", "invalid JSON: Expecting property name enclosed in double quotes"),
+        "label": (b'{"text": "x", "label": 2}', "need 'text' and binary 'label'"),
+        "utf8": (b'{"text": "\xff", "label": 1}', "not UTF-8: invalid start byte (byte 0xff)"),
+        "bom": ('\ufeff{"text": "x", "label": 1}'.encode(),
+                "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    }
+
+    @pytest.mark.parametrize("first, second", [
+        ("json", "utf8"), ("utf8", "json"), ("label", "bom"), ("bom", "label"), ("utf8", "utf8"),
+    ])
+    def test_the_first_bad_line_wins_at_every_cut(self, tmp_path, monkeypatch, first, second):
+        # the second bad line is in the same block of bytes as the first,
+        # and in the same range or a later one
+        lines = [json.dumps({"text": f"text {i}", "label": i % 2}).encode() for i in range(8)]
+        lines[2], lines[5] = self.BAD[first][0], self.BAD[second][0]
+        path, model = tmp_path / "bad.jsonl", tmp_path / "model.txt"
+        path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        one = _train(path, model)
+        assert one == (2, "", f"error: {path}:3: {self.BAD[first][1]}\n", None)
+        for cut in _cuts(_line_starts(path.read_bytes()), 2):
+            ranges = list(zip([0, *cut], [*cut, None]))
+            monkeypatch.setattr(genscope.parts, "byte_ranges", lambda path, floor: ranges)
+            assert _train(path, model) == one, cut
+        assert _unreaped() == []
+
+    def test_files_under_the_floor_fork_nothing(self, tmp_path, monkeypatch):
+        # with two usable CPUs, train forks once the file holds twice the
+        # floor; eval never does
+        texts, labels = generate_training_texts(n=8000, seed=5)
+        lines = [(json.dumps({"text": t, "label": l}) + "\n").encode()
+                 for t, l in zip(texts, labels)]
+        under = bisect.bisect(list(itertools.accumulate(map(len, lines))),
+                              2 * genscope.parts.TRAIN_FLOOR - 1)
+        small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
+        small.write_bytes(b"".join(lines[:under]))
+        large.write_bytes(b"".join(lines))
+        assert small.stat().st_size < 2 * genscope.parts.TRAIN_FLOOR
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(genscope.parts, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        model = tmp_path / "model.txt"
+        assert _train(small, model)[0] == 0
+        assert forks == []
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["eval", "--labeled", str(large), "--model", str(model)]) == 0
+        assert forks == []
+        assert len(byte_ranges(large, genscope.parts.TRAIN_FLOOR)) == 2
+        assert _train(large, model)[0] == 0
+        assert forks == [1]
+
+
+def _unreaped() -> list:
+    """A child process not yet reaped, if there is one."""
+    try:
+        return [os.waitpid(-1, os.WNOHANG)]
+    except ChildProcessError:
+        return []
+
+
 class TestMalformedJson:
     """Malformed JSON in an input file exits 2 with one error line."""
 
@@ -521,6 +698,24 @@ class TestMalformedJson:
         assert stderr.startswith(
             f"error: {bad}: inconsistent report: h3.political_vs_gender.chi_square.p: "
         )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("block", ["h2", "h5"])
+    def test_report_with_a_test_skipped_on_samples(self, tmp_path, capsys, block):
+        # the bundled report with a rank test said to be skipped while its
+        # counts hold both strata: inconsistent, not unreadable
+        argv = ["analyze", "--corpus", BUNDLED_CORPUS, "--out", str(tmp_path / "a")]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        if block == "h2":
+            path, report["h2"] = "h2", {"skipped": "empty generic stratum"}
+        else:
+            path = "h5.generic"
+            report["h5"]["generic"] = {"skipped": "empty generic stratum in at least one group"}
+        bad = tmp_path / "bad.json"
+        argv = ["report", "--report", "{bad}", "--out", "o"]
+        stderr = self._run_exit_2(argv, bad, json.dumps(report), tmp_path)
+        assert stderr.startswith(f"error: {bad}: inconsistent report: {path}: reported ")
         assert not (tmp_path / "o").exists()
 
     def test_model_with_malformed_field(self, labeled_file, tmp_path):

@@ -431,6 +431,67 @@ class TestDeepNesting:
         assert _existing_ids(path) == ({"t1"}, False)
 
 
+class TestReadJsonl:
+    """``read_jsonl`` reads the lines of a byte range that starts a line,
+    numbered from the file's first line, a block of bytes at a time; of
+    several bad lines, the first in the file is the error, whatever the
+    block size and the range."""
+
+    # with \r\n, \n and \r line ends in turn, and no final one
+    LINES = [b'{"a": 1}', b"", b"  ", b'{"b": "\xc3\xa9"}', b"[1, 2]", b'"x\xe2\x80\xa8y"',
+             b'\t{"c": null}']
+    ENDS = [b"\r\n", b"\n", b"\r"]
+
+    @staticmethod
+    def _write(tmp_path, lines) -> tuple:
+        data = b"".join(line + TestReadJsonl.ENDS[i % 3] for i, line in enumerate(lines[:-1]))
+        data += lines[-1]
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(data)
+        starts = [i + 1 for i, byte in enumerate(data[:-1])
+                  if byte == ord("\n") or (byte == ord("\r") and data[i + 1] != ord("\n"))]
+        return path, starts
+
+    @pytest.mark.parametrize("block", [1, 5, 1 << 20])
+    def test_ranges_join_to_the_whole(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(genscope.corpus.records, "TEXT_BLOCK", block)
+        path, starts = self._write(tmp_path, self.LINES)
+        whole = list(read_jsonl(path))
+        assert whole == [(1, {"a": 1}), (4, {"b": "é"}), (5, [1, 2]), (6, "x\u2028y"),
+                         (7, {"c": None})]
+        for a in starts:
+            assert list(read_jsonl(path, 0, a)) + list(read_jsonl(path, a)) == whole
+            for b in (s for s in starts if s > a):
+                got = [*read_jsonl(path, 0, a), *read_jsonl(path, a, b), *read_jsonl(path, b)]
+                assert got == whole
+
+    BAD = {
+        "json": (b"{", "invalid JSON: Expecting property name enclosed in double quotes"),
+        "utf8": (b'{"a": "\xff"}', "not UTF-8: invalid start byte (byte 0xff)"),
+        "cut": (b'{"a": "\xe2\x82', "not UTF-8: invalid continuation byte (byte 0xe2)"),
+    }
+
+    @pytest.mark.parametrize("block", [1, 5, 1 << 20])
+    @pytest.mark.parametrize("first, second", [("json", "utf8"), ("utf8", "json"),
+                                               ("utf8", "cut"), ("cut", "json")])
+    def test_the_first_bad_line_wins(self, tmp_path, monkeypatch, block, first, second):
+        monkeypatch.setattr(genscope.corpus.records, "TEXT_BLOCK", block)
+        lines = [b'{"a": 1}'] * 6
+        lines[1], lines[3] = self.BAD[first][0], self.BAD[second][0]
+        path, starts = self._write(tmp_path, lines)
+        for start, line_number, kind in ((0, 2, first), (starts[2], 4, second)):
+            with pytest.raises(SchemaError) as raised:
+                list(read_jsonl(path, start))
+            assert str(raised.value) == f"{path}:{line_number}: {self.BAD[kind][1]}"
+
+    def test_a_cut_character_ends_the_file(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(b'{"a": 1}\n{"a": "\xe2\x82')
+        with pytest.raises(SchemaError) as raised:
+            list(read_jsonl(path))
+        assert str(raised.value) == f"{path}:2: not UTF-8: unexpected end of data (byte 0xe2)"
+
+
 class TestMatchGroups:
     def test_political_keyword(self):
         got = match_groups(TERMS, tokenize("Democrats glorify the killing of the unborn."))

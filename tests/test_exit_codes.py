@@ -700,21 +700,23 @@ def test_integer_of_over_4300_digits(workdir, command):
 
 
 @pytest.mark.parametrize("newline", ["\r", "\r\n", "\n"], ids=["cr", "crlf", "lf"])
-@pytest.mark.parametrize("command", ["ingest", "train", "analyze"])
-def test_line_numbers_count_every_line_end(workdir, command, newline):
+@pytest.mark.parametrize("command", ["ingest", "train", "eval", "analyze"])
+def test_line_numbers_count_every_line_end(workdir, model_file, command, newline):
     # the readers split lines at \r\n, \r and \n alike, and so does the
     # line number of a byte that is not UTF-8, or of JSON that is invalid
     labeled = json.dumps({"text": "democrats are loud", "label": 1})
-    good = [labeled] * 2 if command == "train" else [json.dumps(r) for r in RECORDS[:2]]
+    reads_labels = command in ("train", "eval")
+    good = [labeled] * 2 if reads_labels else [json.dumps(r) for r in RECORDS[:2]]
     path, out = workdir / f"newlines_{command}.jsonl", workdir / f"newlines_{command}_out"
     argv = {
         "ingest": ["ingest", "--corpus", str(path), "--out", str(out)],
         "train": ["train", "--labeled", str(path), "--model-out", str(out / "model.txt")],
+        "eval": ["eval", "--labeled", str(path), "--model", str(model_file)],
         "analyze": ["analyze", "--corpus", str(path), "--out", str(out)],
     }[command]
     for third, message in ((b'{"id": "z", "text": "\xff"}', "not UTF-8: invalid start byte (byte 0xff)"),
                            (b"{", "invalid JSON: Expecting property name enclosed in double quotes")):
-        if command != "train" and third == b"{":
+        if not reads_labels and third == b"{":
             continue  # a corpus line of invalid JSON is counted, not an error
         lines = [line.encode() for line in good] + [third, b"[]"]
         path.write_bytes(newline.encode().join(lines) + newline.encode())
@@ -726,20 +728,30 @@ def test_line_numbers_count_every_line_end(workdir, command, newline):
 
 # command -> (module, stage) that a Ctrl-C interrupts, and the stage calls
 # that run first: in analyze the corpus is cut in two ranges and a block
-# fills first, in classify a block of 256 tweets is written first, and
-# ingest writes (label keeps) a few tweets
+# fills first, in classify a block of 256 tweets is written first, ingest
+# writes (label keeps) a few tweets, and train cuts its labeled file in two
+# ranges and tokenizes a few texts of the first
 INTERRUPTED = {
     "analyze": ("genscope.analysis", "partition", 5),
     "classify": ("genscope.classifier.logistic", "predict_score", 1),
     "ingest": ("genscope.corpus.records", "_parse_record", 5),
     "label": ("genscope.corpus.records", "_parse_record", 5),
+    "train": ("genscope.classifier.features", "tokenize", 5),
 }
 
 
 @pytest.mark.parametrize("command", list(INTERRUPTED))
 def test_ctrl_c_exits_130_on_one_line(workdir, model_file, monkeypatch, command):
-    corpus = workdir / "corpus_interrupted.jsonl"
-    write_jsonl(generate_corpus(n=600, seed=11), corpus)
+    out = workdir / "interrupted" / command
+    if command == "train":
+        path = workdir / "labeled_interrupted.jsonl"
+        texts, labels = generate_training_texts(n=600, seed=11)
+        write_jsonl(({"text": t, "label": l} for t, l in zip(texts, labels)), path)
+        argv = ["train", "--labeled", str(path), "--model-out", str(out)]
+    else:
+        path = workdir / "corpus_interrupted.jsonl"
+        write_jsonl(generate_corpus(n=600, seed=11), path)
+        argv = [command, "--corpus", str(path), "--out", str(out)]
     module, name, runs = INTERRUPTED[command]
     module = importlib.import_module(module)
     stage, calls = getattr(module, name), []
@@ -752,10 +764,9 @@ def test_ctrl_c_exits_130_on_one_line(workdir, model_file, monkeypatch, command)
 
     monkeypatch.setattr(module, name, interrupted)
     monkeypatch.setattr(genscope.parts, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(genscope.parts, "PART_FLOOR", 1)
-    assert len(byte_ranges(corpus)) == 2
-    out = workdir / "interrupted" / command
-    argv = [command, "--corpus", str(corpus), "--out", str(out)]
+    monkeypatch.setattr(genscope.parts, "ANALYZE_FLOOR", 1)
+    monkeypatch.setattr(genscope.parts, "TRAIN_FLOOR", 1)
+    assert len(byte_ranges(path, 1)) == 2
     if command == "classify":
         argv += ["--model", str(model_file)]
     stderr = io.StringIO()

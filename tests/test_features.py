@@ -21,6 +21,7 @@ from genscope.classifier import (
     predict_score,
     save_model,
     score_tokens,
+    token_ids,
     tokenize,
     vectorize_bow,
 )
@@ -143,6 +144,30 @@ class TestOnePass:
         again = v.transform(texts)
         for name in ("indptr", "indices", "data", "rows"):
             assert getattr(again, name).tolist() == getattr(x, name).tolist()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        texts=st.lists(TEXTS, max_size=12),
+        cuts=st.lists(st.integers(0, 12), max_size=3),
+        min_count=st.integers(1, 3),
+    )
+    def test_parts_merge_to_the_whole(self, texts, cuts, min_count):
+        # texts counted in consecutive parts, some of them empty, give the
+        # vocabulary and CSR of the texts counted as one
+        bounds = [0, *sorted(min(c, len(texts)) for c in cuts), len(texts)]
+        parts = [token_ids(texts[a:b]) for a, b in zip(bounds, bounds[1:])]
+        whole, cut = BagOfWordsVectorizer(min_count), BagOfWordsVectorizer(min_count)
+        try:
+            expected = whole.fit_transform(texts)
+        except InputError as exc:
+            with pytest.raises(InputError, match=str(exc)):
+                cut.fit_transform_ids(parts)
+            return
+        got = cut.fit_transform_ids(parts)
+        assert list(cut.vocabulary_.index.items()) == list(whole.vocabulary_.index.items())
+        for name in ("indptr", "indices", "data", "rows"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert (a.dtype, a.tolist()) == (b.dtype, b.tolist()), name
 
     def test_classifier_fit_tokenizes_each_text_once(self, monkeypatch):
         seen = []

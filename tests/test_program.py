@@ -33,12 +33,11 @@ BUNDLED_QUERY = str(resources.files("genscope.data") / "default_query.txt")
 # the modules that only analyze, report and reproduce run
 ANALYSIS_STACK = (
     "genscope.analysis", "genscope.corpus.groups", "genscope.corpus.query",
-    "genscope.parts", "genscope.reporting", "genscope.sentiment",
+    "genscope.reporting", "genscope.sentiment",
     "genscope.stats.contingency", "genscope.stats.rank_tests", "genscope.stats.special",
 )
-# the modules of the stack that only analyze's pass runs
-PASS_ONLY = ("genscope.corpus.query", "genscope.parts")
-LAZY_LAYERS = (*ANALYSIS_STACK, "genscope.annotator", "genscope.labeling", "_hashlib")
+LAZY_LAYERS = (*ANALYSIS_STACK, "genscope.parts", "genscope.annotator", "genscope.labeling",
+               "_hashlib")
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +71,9 @@ def run_python(code: str, *args: str, cwd, stdin: str = "") -> subprocess.Comple
 class TestLayersPerCommand:
     """A command loads only the layers it runs: the analysis stack is
     compiled by analyze, report and reproduce alone (report and reproduce
-    without the query parser and ``parts``, and the query parser also by
-    ``ingest --query``), the rule annotator by annotate, label and
+    without the query parser, which ``ingest --query`` also loads),
+    ``parts`` by the two commands that cut their file into byte ranges,
+    analyze and train, the rule annotator by annotate, label and
     annotator-mode analyze, the labeling session by label, and OpenSSL's
     ``_hashlib`` by the commands that read a corpus, for its sha256."""
 
@@ -81,13 +81,14 @@ class TestLayersPerCommand:
         "ingest": ["_hashlib"],
         "ingest --query": ["genscope.corpus.query", "_hashlib"],
         "annotate": ["genscope.annotator", "_hashlib"],
-        "train": [],
+        "train": ["genscope.parts"],
         "eval": [],
         "classify": ["_hashlib"],
-        "analyze": [*ANALYSIS_STACK, "genscope.annotator", "_hashlib"],
-        "analyze --model": [*ANALYSIS_STACK, "_hashlib"],
-        "report": [m for m in ANALYSIS_STACK if m not in PASS_ONLY],
-        "reproduce": [m for m in ANALYSIS_STACK if m not in (*PASS_ONLY, "genscope.reporting")],
+        "analyze": [*ANALYSIS_STACK, "genscope.parts", "genscope.annotator", "_hashlib"],
+        "analyze --model": [*ANALYSIS_STACK, "genscope.parts", "_hashlib"],
+        "report": [m for m in ANALYSIS_STACK if m != "genscope.corpus.query"],
+        "reproduce": [m for m in ANALYSIS_STACK
+                      if m not in ("genscope.corpus.query", "genscope.reporting")],
         "label": ["genscope.annotator", "genscope.labeling", "_hashlib"],
     }
 
@@ -225,11 +226,16 @@ class TestExitPath:
         stdin.close()
 
     @pytest.fixture
-    def two_ranges(self, inputs, monkeypatch):
-        """``analyze`` cuts its corpus into two ranges and forks a child."""
-        data = Path(inputs["corpus"]).read_bytes()
-        cut = data.index(b"\n", len(data) // 2) + 1
-        monkeypatch.setattr(genscope.parts, "byte_ranges", lambda path: [(0, cut), (cut, None)])
+    def two_ranges(self, monkeypatch):
+        """``analyze`` and ``train`` cut their input file into two ranges
+        and fork a child."""
+
+        def halves(path, floor):
+            data = Path(path).read_bytes()
+            cut = data.index(b"\n", len(data) // 2) + 1
+            return [(0, cut), (cut, None)]
+
+        monkeypatch.setattr(genscope.parts, "byte_ranges", halves)
 
     @pytest.mark.parametrize("command", [
         "ingest", "annotate", "classify", "train", "eval", "label", "analyze",
