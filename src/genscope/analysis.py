@@ -63,7 +63,7 @@ from .corpus import (
     partition,
     read_part,
 )
-from .errors import InputError, SchemaError, bundled, content_lines, read_lines
+from .errors import InputError, Lines, SchemaError, bundled, content_lines
 from .sentiment import (
     SENTIMENTS,
     SentimentProvider,
@@ -791,9 +791,8 @@ def load_published_tables(path=None) -> dict[str, float]:
     """
     path = Path(path) if path else bundled("published_tables.csv")
     values: dict[str, float] = {}
-    for line_number, raw in enumerate(read_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.lower() == "key,value":
+    for line_number, line in Lines(path).numbered():
+        if line.startswith("#") or line.lower() == "key,value":
             continue
         key, _, value = line.partition(",")
         key, value = key.strip(), value.strip()

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import InputError, ModelFormatError
+from ..errors import InputError, Lines, ModelFormatError
 from .features import Vocabulary
 from .logistic import GenericityModel
 
@@ -171,10 +171,7 @@ def loads_model(text: str) -> GenericityModel:
 
 
 def load_model(path) -> GenericityModel:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise ModelFormatError(f"{path}: not UTF-8 text") from None
+    text = Lines(path).text()
     try:
         return loads_model(text)
     except ModelFormatError as exc:

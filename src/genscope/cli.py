@@ -2,7 +2,8 @@
 
 Subcommands: ingest, annotate, train, eval, classify, analyze, report,
 label, reproduce. Exit codes: 0 success, 1 usage error, 2 data/schema
-error, 3 reproduction-suite failure, 130 interrupted (Ctrl-C).
+error, 3 reproduction-suite failure, 130 interrupted (Ctrl-C). Every input
+file is read through ``errors.Lines``, which names a bad line's path and line.
 
 ``analyze`` and ``train`` run on every usable CPU: each cuts its input
 file into byte ranges with ``parts.byte_ranges``, where every range gets
@@ -45,8 +46,8 @@ from .classifier.logistic import (
     DEFAULT_SEED,
     DEFAULT_THRESHOLD,
 )
-from .corpus.records import ingest, jsonl_writer, read_jsonl
-from .errors import GenscopeError, InputError, SchemaError
+from .corpus.records import ingest, json_values, jsonl_writer
+from .errors import GenscopeError, InputError, Lines, SchemaError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,17 +154,15 @@ def build_parser() -> _Parser:
 
 def _labeled_texts(path, labels: bytearray, start: int = 0, end: int | None = None):
     """Each text of the labeled file's lines from byte ``start`` up to byte
-    ``end``, as ``read_jsonl`` reads them, with its label appended to
-    ``labels`` as one byte."""
-    for line_number, obj in read_jsonl(path, start, end):
+    ``end``, with its label appended to ``labels`` as one byte."""
+    lines = Lines(path, start, end)
+    for obj in json_values(lines):
         if not (
             isinstance(obj, dict)
             and isinstance(obj.get("text"), str)
             and obj.get("label") in (0, 1)
         ):
-            raise GenscopeError(
-                f"{path}:{line_number}: need 'text' and binary 'label'"
-            )
+            raise GenscopeError(f"{path}:{lines.number}: need 'text' and binary 'label'")
         labels.append(obj["label"] == 1)
         yield obj["text"]
 
@@ -334,11 +333,12 @@ def _cmd_analyze(args) -> int:
 def _cmd_report(args) -> int:
     from .reporting import REPORT_BLOCKS, render_markdown
 
+    text = Lines(args.report).text()
     try:
-        report = json.loads(Path(args.report).read_text(encoding="utf-8"))
+        report = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{args.report}:{exc.lineno}: invalid JSON: {exc.msg}") from None
-    except ValueError as exc:  # not UTF-8, or an integer too long to convert
+    except ValueError as exc:  # an integer too long to convert
         raise SchemaError(f"{args.report}: {exc}") from None
     not_a_report = SchemaError(
         f"{args.report}: not a genscope report (need a JSON object with "

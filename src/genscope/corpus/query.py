@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..errors import QuerySyntaxError, naming_decode_errors
+from ..errors import Lines, QuerySyntaxError
 
 DIRECTIVES = ("has:links", "has:mentions", "is:retweet", "is:reply", "is:nullcast")
 
@@ -125,8 +125,7 @@ def parse_query(text: str) -> QueryAst:
 def load_query(path) -> QueryAst:
     """The query in file ``path``; a syntax error names the file and the
     query's line, with the byte offset into the query."""
-    with naming_decode_errors(path), open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = Lines(path).text()
     try:
         return parse_query(text.strip())
     except QuerySyntaxError as exc:

@@ -1,5 +1,7 @@
 """Tweet records and JSON Lines ingestion.
 
+Every JSON Lines file is read through ``errors.Lines``, which splits,
+strips and numbers its lines and names a line that is not UTF-8.
 ``ingest`` and ``read_part`` hand the records they pass on in blocks of
 up to ``BLOCK``, in file order: the one batch of every corpus command.
 The corpus format is JSON Lines, one object per tweet with keys ``id``,
@@ -13,7 +15,6 @@ one-time warning.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import re
@@ -25,7 +26,7 @@ from itertools import accumulate, islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..errors import SchemaError, naming_decode_errors, not_utf8
+from ..errors import Lines, SchemaError
 
 if TYPE_CHECKING:  # annotations only, so reading records never loads the query parser
     from .query import QueryAst
@@ -79,38 +80,6 @@ class IngestReport:
     @property
     def rejected_count(self) -> int:
         return self.rejected.total()
-
-
-class _RangeReader(io.RawIOBase):
-    """A raw binary reader over the next ``limit`` bytes of ``raw`` (all
-    of them when None) that hashes every byte it hands out into ``digest``
-    when one is given, so a text stream over it hashes the bytes in the
-    one read that parses them. Closing it leaves ``raw`` open."""
-
-    def __init__(self, raw, limit: int | None = None, digest=None):
-        self.raw = raw
-        self.limit = limit
-        self.digest = digest
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        if self.limit is not None:
-            buffer = memoryview(buffer)[: self.limit]
-        n = self.raw.readinto(buffer)
-        if n:
-            if self.limit is not None:
-                self.limit -= n
-            if self.digest is not None:
-                self.digest.update(memoryview(buffer)[:n])
-        return n
-
-
-def _lines(raw, limit: int | None = None, digest=None):
-    """A text stream over the next ``limit`` bytes of ``raw``, with the
-    same universal-newline split and strict UTF-8 as ``open(path)``."""
-    return io.TextIOWrapper(io.BufferedReader(_RangeReader(raw, limit, digest)), encoding="utf-8")
 
 
 # one decoder for every line, called without json.loads' two wrappers
@@ -211,16 +180,13 @@ def _check_count(value, key: str) -> None:
         raise ValueError("count above 2**53")
 
 
-def _judged_records(stream, rejected: Counter, directives):
-    """``(tweet, verdict, lacked)`` for each schema-valid line of
-    ``stream``: the index of the first of ``directives`` (``_Admission``'s)
-    that rejects it, or -1, and the mask of the fields it lacks among the
-    directives it reaches. Every other line but a blank one is counted in
-    ``rejected`` by reason."""
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
+def _judged_records(lines: Lines, rejected: Counter, directives):
+    """``(tweet, verdict, lacked)`` for each schema-valid one of ``lines``:
+    the index of the first of ``directives`` (``_Admission``'s) that
+    rejects it, or -1, and the mask of the fields it lacks among the
+    directives it reaches. Every other line is counted in ``rejected`` by
+    reason."""
+    for line in lines:
         try:
             obj = parse_json_line(line)
             tweet = _parse_record(obj)
@@ -238,9 +204,9 @@ def _judged_records(stream, rejected: Counter, directives):
         yield tweet, verdict, lacked
 
 
-def _open_corpus(path):
+def _corpus_lines(path, start: int, end: int | None, digest=None) -> Lines:
     try:
-        return open(path, "rb", buffering=0)
+        return Lines(path, start, end, digest)
     except OSError as exc:
         raise SchemaError(f"cannot read corpus: {exc}") from exc
 
@@ -338,16 +304,17 @@ def ingest(path, on_block, query: QueryAst | None = None, end: int | None = None
 
     admission = _Admission(query)
     digest = hashlib.sha256()
-    with _open_corpus(path) as raw:
-        with naming_decode_errors(path), _lines(raw, end, digest) as stream:
-            admit = admission.admit
-            records = _judged_records(stream, admission.report.rejected, admission.directives)
-            accepted = (tweet for tweet, verdict, lacked in records
-                        if admit(tweet.id, verdict, lacked))
-            while block := list(islice(accepted, BLOCK)):
-                on_block(block)
-        while chunk := raw.read(1 << 20):  # the bytes of the later ranges
-            digest.update(chunk)
+    lines = _corpus_lines(path, 0, end, digest)
+    admit = admission.admit
+    records = _judged_records(lines, admission.report.rejected, admission.directives)
+    accepted = (tweet for tweet, verdict, lacked in records if admit(tweet.id, verdict, lacked))
+    while block := list(islice(accepted, BLOCK)):
+        on_block(block)
+    if end is not None:
+        with open(path, "rb") as rest:  # the bytes of the later ranges
+            rest.seek(end)
+            while chunk := rest.read(1 << 20):
+                digest.update(chunk)
     for part in later:
         admission.replay(part)
     admission.report.sha256 = digest.hexdigest()
@@ -364,81 +331,39 @@ def read_part(path, start: int, end: int | None, on_block, query: QueryAst | Non
     part = PartRecords()
     ids = []
 
-    def handed(stream):
-        for tweet, verdict, lacked in _judged_records(stream, part.rejected, directives):
+    def handed(lines):
+        for tweet, verdict, lacked in _judged_records(lines, part.rejected, directives):
             ids.append(tweet.id)
             part.verdicts.append(verdict)
             part.lacked.append(lacked)
             if verdict < 0:
                 yield tweet
 
-    with _open_corpus(path) as raw:
-        raw.seek(start)
-        with naming_decode_errors(path), _lines(raw, None if end is None else end - start) as stream:
-            tweets = handed(stream)
-            while block := list(islice(tweets, BLOCK)):
-                on_block(block)
+    tweets = handed(_corpus_lines(path, start, end))
+    while block := list(islice(tweets, BLOCK)):
+        on_block(block)
     part.ids = "".join(ids)
     part.id_ends = array("q", accumulate(map(len, ids)))
     return part
 
 
-# bytes of whole lines that read_jsonl decodes at once
-TEXT_BLOCK = 1 << 20
-
-
-def _whole_lines(raw, limit: int | None):
-    """The next ``limit`` bytes of ``raw`` (all of them when None) in blocks
-    of about ``TEXT_BLOCK`` bytes, each but the last ending just after a
-    ``\\n``, so that no block splits a line or a ``\\r\\n``."""
-    with io.BufferedReader(_RangeReader(raw, limit)) as stream:
-        while block := stream.read(TEXT_BLOCK):
-            yield block + stream.readline()
-
-
-def _line_ends(data: bytes) -> int:
-    """How many lines end in ``data``, where ``\\r\\n``, ``\\r`` and
-    ``\\n`` each end one."""
-    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+def json_values(lines: Lines):
+    """The JSON value of each of ``lines``; a line that is not JSON is a
+    SchemaError naming it."""
+    for line in lines:
+        try:
+            yield parse_json_line(line)
+        except ValueError as exc:
+            raise SchemaError(f"{lines.path}:{lines.number}: {exc}") from None
 
 
 def read_jsonl(path, start: int = 0, end: int | None = None):
-    """Yield ``(line_number, object)`` pairs from the lines of a JSON Lines
-    file from byte ``start``, which begins a line, up to byte ``end`` (the
-    end of the file when None). Lines end at ``\\r\\n``, ``\\r`` or
-    ``\\n``, as ``open``'s universal newlines split them, and are numbered
-    from the first line of the file.
-
-    A line that is not valid JSON, or not UTF-8, raises SchemaError naming
-    the file and line; where there are several, the first in the file. The
-    bytes are decoded a block of lines at a time, and a block that is not
-    UTF-8 has its lines before the bad one read first.
-    """
-    with open(path, "rb", buffering=0) as raw:
-        line_number = sum(map(_line_ends, _whole_lines(raw, start))) if start else 0
-        for block in _whole_lines(raw, None if end is None else end - start):
-            try:
-                text, error = block.decode("utf-8"), None
-            except UnicodeDecodeError as exc:  # decode the lines before the bad one
-                error = exc
-                line_start = max(block.rfind(b"\n", 0, exc.start), block.rfind(b"\r", 0, exc.start))
-                text = block[: line_start + 1].decode("utf-8")
-            if "\r" in text:
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
-            lines = text.split("\n")
-            for line_number, line in enumerate(lines, start=line_number + 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = parse_json_line(line)
-                except ValueError as exc:
-                    raise SchemaError(f"{path}:{line_number}: {exc}") from None
-                yield line_number, obj
-            # the last item is the rest after the block's last line end
-            line_number -= 1
-            if error is not None:
-                raise not_utf8(path, line_number + 1, block, error)
+    """``(line_number, value)`` for each line of the JSON Lines file at
+    ``path`` from byte ``start``, which begins a line, up to byte ``end``
+    (the end of the file when None), as ``Lines`` reads and numbers them;
+    a line that is not JSON, or not UTF-8, is a SchemaError naming it."""
+    lines = Lines(path, start, end)
+    return ((lines.number, value) for value in json_values(lines))
 
 
 @contextmanager

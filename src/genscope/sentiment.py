@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .classifier.features import tokenize  # unused here; the benchmark tracer wraps it
 from .corpus.records import parse_json_line
-from .errors import InputError, SchemaError, bundled, content_lines, naming_decode_errors
+from .errors import InputError, Lines, SchemaError, bundled, content_lines
 
 logger = logging.getLogger(__name__)
 
@@ -123,33 +123,27 @@ def load_external_labels(path) -> ExternalLabelReport:
     """JSON Lines of ``{"id": ..., "sentiment": ...}``; bad lines are
     collected per line, duplicates rejected."""
     report = ExternalLabelReport()
-    with naming_decode_errors(path), open(path, encoding="utf-8") as stream:
-        for line_number, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = parse_json_line(line)
-            except ValueError as exc:
-                report.rejected.append((line_number, str(exc)))
-                continue
-            if not isinstance(obj, dict):
-                report.rejected.append((line_number, "record must be a JSON object"))
-                continue
-            tweet_id = obj.get("id")
-            sentiment = obj.get("sentiment")
-            if not isinstance(tweet_id, str) or not tweet_id:
-                report.rejected.append((line_number, "missing id"))
-                continue
-            if sentiment not in SENTIMENTS:
-                report.rejected.append(
-                    (line_number, f"unknown sentiment {sentiment!r}")
-                )
-                continue
-            if tweet_id in report.labels:
-                report.rejected.append((line_number, "duplicate id"))
-                continue
-            report.labels[tweet_id] = LABELS[sentiment, "external"]
+    for line_number, line in Lines(path).numbered():
+        try:
+            obj = parse_json_line(line)
+        except ValueError as exc:
+            report.rejected.append((line_number, str(exc)))
+            continue
+        if not isinstance(obj, dict):
+            report.rejected.append((line_number, "record must be a JSON object"))
+            continue
+        tweet_id = obj.get("id")
+        sentiment = obj.get("sentiment")
+        if not isinstance(tweet_id, str) or not tweet_id:
+            report.rejected.append((line_number, "missing id"))
+            continue
+        if sentiment not in SENTIMENTS:
+            report.rejected.append((line_number, f"unknown sentiment {sentiment!r}"))
+            continue
+        if tweet_id in report.labels:
+            report.rejected.append((line_number, "duplicate id"))
+            continue
+        report.labels[tweet_id] = LABELS[sentiment, "external"]
     return report
 
 

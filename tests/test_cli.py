@@ -22,6 +22,7 @@ import pytest
 import genscope
 import genscope.classifier.logistic
 import genscope.corpus.records
+import genscope.errors
 import genscope.labeling
 import genscope.parts
 from genscope.analysis import load_published_tables
@@ -613,6 +614,22 @@ class TestTrainRanges:
         assert forks == [1]
 
 
+def test_clean_ranges_never_count_their_prefix(tmp_path, monkeypatch, small_corpus, labeled_file):
+    # the lines before a later range are counted only to name a bad line
+    # in it: a clean analyze and train in two ranges never count them
+    def counted(path, offset):
+        raise AssertionError(f"counted the line ends of the {offset} bytes before a range")
+
+    monkeypatch.setattr(genscope.errors, "_line_ends_before", counted)
+    monkeypatch.setattr(genscope.parts, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(genscope.parts, "ANALYZE_FLOOR", 1)
+    monkeypatch.setattr(genscope.parts, "TRAIN_FLOOR", 1)
+    assert len(byte_ranges(small_corpus, 1)) == len(byte_ranges(labeled_file, 1)) == 2
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["analyze", "--corpus", str(small_corpus), "--out", str(tmp_path / "a")]) == 0
+    assert _train(labeled_file, tmp_path / "model.txt")[0] == 0
+
+
 def _unreaped() -> list:
     """A child process not yet reaped, if there is one."""
     try:
@@ -787,8 +804,13 @@ class TestMalformedText:
             ("--valence-lexicon", b"caf\xe9\t0.5\n"),
             ("--config", b"corpus = corpus.jsonl\n# caf\xe9\n"),
             ("--tables", b"key,value\n# caf\xe9\n"),
+            ("--report", b'{"h1":\n  "caf\xe9"}\n'),
+            ("--model", b"GENERICITY-MODEL v1\n# caf\xe9\n"),
+            ("--external-sentiment", b'{"id": "1", "sentiment": "positive"}\n{"id": "caf\xe9"}\n'),
+            ("--labeled", b'{"text": "a", "label": 1}\n{"text": "caf\xe9", "label": 0}\n'),
         ],
-        ids=["corpus", "query", "group-lexicon", "valence-lexicon", "config", "tables"],
+        ids=["corpus", "query", "group-lexicon", "valence-lexicon", "config", "tables", "report",
+             "model", "external-sentiment", "labeled"],
     )
     def test_input_not_utf8(self, small_corpus, flag, content, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -797,11 +819,27 @@ class TestMalformedText:
             argv = ["ingest", "--corpus", bad]
         elif flag == "--tables":
             argv = ["reproduce", "--tables", bad]
+        elif flag == "--report":
+            argv = ["report", "--report", bad]
+        elif flag == "--labeled":
+            argv = ["train", "--labeled", bad, "--model-out", "m.txt"]
         else:
             argv = ["analyze", "--corpus", small_corpus, flag, bad, "--out", "o"]
         line = self._error_line(argv, tmp_path)
         number = content[: content.index(b"\xe9")].count(b"\n") + 1
         assert line == f"error: {bad}:{number}: not UTF-8: invalid continuation byte (byte 0xe9)"
+
+    @pytest.mark.parametrize("command", ["eval", "classify", "analyze"])
+    def test_model_not_utf8(self, small_corpus, labeled_file, tmp_path, command):
+        bad = tmp_path / "model.txt"
+        bad.write_bytes(b"GENERICITY-MODEL v1\r\nfeature_kind bow\r\n# caf\xe9\r\n")
+        argv = {
+            "eval": ["eval", "--labeled", labeled_file, "--model", bad],
+            "classify": ["classify", "--corpus", small_corpus, "--model", bad, "--out", "o"],
+            "analyze": ["analyze", "--corpus", small_corpus, "--model", bad, "--out", "o"],
+        }[command]
+        line = self._error_line(argv, tmp_path)
+        assert line == f"error: {bad}:3: not UTF-8: invalid continuation byte (byte 0xe9)"
 
     def test_external_sentiment_line_not_an_object(self, small_corpus, tmp_path):
         labels = tmp_path / "labels.jsonl"

@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
 import json
 import logging
+import os
 import random
+import re
 import sys
+from collections import Counter
 from importlib import resources
 from itertools import accumulate, compress
 
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import genscope.corpus.records
+import genscope.errors
 from genscope.analysis import AnalysisConfig, run_analysis
 from genscope.classifier import tokenize
 from genscope.corpus import (
@@ -29,6 +34,7 @@ from genscope.labeling import _existing_ids
 from genscope.sentiment import load_external_labels
 
 from corpora import write_jsonl
+from test_exit_codes import NOT_LINE_ENDS
 
 
 def _ingest(tmp_path, lines, query=None):
@@ -53,6 +59,18 @@ def _record(i, text="hello democrats", **kw):
     }
     base.update(kw)
     return base
+
+
+def _any_record(i) -> bytes:
+    """A JSON line that every JSON Lines reader takes: a tweet, an external
+    label and a JSON value."""
+    return json.dumps({**_record(i), "sentiment": "positive"}).encode()
+
+
+def _ingested(path) -> tuple:
+    """The reasons ``ingest`` rejected lines for, and the ids it accepted."""
+    tweets = []
+    return ingest(path, tweets.extend).rejected, [tweet.id for tweet in tweets]
 
 
 def _partition_counts(tmp_path, records, query):
@@ -432,10 +450,10 @@ class TestDeepNesting:
 
 
 class TestReadJsonl:
-    """``read_jsonl`` reads the lines of a byte range that starts a line,
-    numbered from the file's first line, a block of bytes at a time; of
-    several bad lines, the first in the file is the error, whatever the
-    block size and the range."""
+    """``read_jsonl``, and every reader of ``errors.Lines``, reads the
+    lines of a byte range that starts a line, numbered from the file's
+    first line, a block of bytes at a time; of several bad lines, the first
+    in the file is the error, whatever the block size and the range."""
 
     # with \r\n, \n and \r line ends in turn, and no final one
     LINES = [b'{"a": 1}', b"", b"  ", b'{"b": "\xc3\xa9"}', b"[1, 2]", b'"x\xe2\x80\xa8y"',
@@ -454,7 +472,7 @@ class TestReadJsonl:
 
     @pytest.mark.parametrize("block", [1, 5, 1 << 20])
     def test_ranges_join_to_the_whole(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(genscope.corpus.records, "TEXT_BLOCK", block)
+        monkeypatch.setattr(genscope.errors, "TEXT_BLOCK", block)
         path, starts = self._write(tmp_path, self.LINES)
         whole = list(read_jsonl(path))
         assert whole == [(1, {"a": 1}), (4, {"b": "é"}), (5, [1, 2]), (6, "x\u2028y"),
@@ -475,7 +493,7 @@ class TestReadJsonl:
     @pytest.mark.parametrize("first, second", [("json", "utf8"), ("utf8", "json"),
                                                ("utf8", "cut"), ("cut", "json")])
     def test_the_first_bad_line_wins(self, tmp_path, monkeypatch, block, first, second):
-        monkeypatch.setattr(genscope.corpus.records, "TEXT_BLOCK", block)
+        monkeypatch.setattr(genscope.errors, "TEXT_BLOCK", block)
         lines = [b'{"a": 1}'] * 6
         lines[1], lines[3] = self.BAD[first][0], self.BAD[second][0]
         path, starts = self._write(tmp_path, lines)
@@ -490,6 +508,117 @@ class TestReadJsonl:
         with pytest.raises(SchemaError) as raised:
             list(read_jsonl(path))
         assert str(raised.value) == f"{path}:2: not UTF-8: unexpected end of data (byte 0xe2)"
+
+    # Crafted files and what every reader makes of them: the line and id
+    # of each record, the line and reason of each line that is not JSON,
+    # and the line and error of the first line that is not UTF-8, if any.
+    BOM = "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    CRAFTED = {
+        # each character at which str.splitlines ends a line, leading and
+        # ending a line, with \r\n, \n and \r line ends in turn
+        "line-ends": (
+            [_any_record(1), b"", b" \t", _any_record(2),
+             *(c.encode() + _any_record(3 + i) + c.encode() for i, c in enumerate(NOT_LINE_ENDS)),
+             b"{", _any_record(11)],
+            [(1, "1"), (4, "2"), *((5 + i, str(3 + i)) for i in range(8)), (14, "11")],
+            [(13, "invalid JSON: Expecting property name enclosed in double quotes")],
+            None,
+        ),
+        "bom": (
+            [b"\xef\xbb\xbf" + _any_record(1), _any_record(2), b"\xef\xbb\xbf" + _any_record(3)],
+            [(2, "2")], [(1, BOM), (3, BOM)], None,
+        ),
+        "cut-at-the-end": (
+            [_any_record(1), _any_record(2), b'{"id": "\xe2\x82'],
+            [(1, "1"), (2, "2")], [], (3, "not UTF-8: unexpected end of data (byte 0xe2)"),
+        ),
+        # a bad byte that starts a block of 1 byte and one of 5, and one
+        # right after the 5 bytes a block of 5 reads before its line end
+        "bad-first-byte": (
+            [_any_record(1), b'\xff{"id": "x"}', b"{", _any_record(2)],
+            [(1, "1")], [(3, "invalid JSON: Expecting property name enclosed in double quotes")],
+            (2, "not UTF-8: invalid start byte (byte 0xff)"),
+        ),
+        "bad-fifth-byte": (
+            [_any_record(1), b"", b'{"id\xff": 1}', _any_record(2)],
+            [(1, "1")], [], (3, "not UTF-8: invalid start byte (byte 0xff)"),
+        ),
+        "cut-before-a-cr": (
+            [_any_record(1), b"", b'{"id": "\xe2\x82', _any_record(2)],
+            [(1, "1")], [], (3, "not UTF-8: invalid continuation byte (byte 0xe2)"),
+        ),
+    }
+
+    @pytest.fixture(params=list(CRAFTED))
+    def crafted(self, request, tmp_path) -> tuple:
+        """The file, its line starts and what every reader makes of it."""
+        lines, records, not_json, error = self.CRAFTED[request.param]
+        path, starts = self._write(tmp_path, lines)
+        return path, starts, records, not_json, error
+
+    @pytest.mark.parametrize("read", [
+        lambda path: list(read_jsonl(path)),
+        lambda path: _ingested(path),
+        lambda path: vars(load_external_labels(path)),
+        lambda path: genscope.errors.Lines(path).text(),
+    ], ids=["read_jsonl", "ingest", "external-labels", "text"])
+    def test_a_pipe_reads_as_its_file(self, tmp_path, read):
+        path, _ = self._write(tmp_path, [_any_record(1), b"", _any_record(2), b"[1]"])
+        pipe, write = os.pipe()
+        with open(write, "wb") as stream:
+            stream.write(path.read_bytes())
+        try:
+            assert read(f"/dev/fd/{pipe}") == read(path)
+        finally:
+            os.close(pipe)
+
+    @pytest.mark.parametrize("block", [1, 5, 1 << 20])
+    def test_every_reader_reads_the_crafted_files(self, monkeypatch, crafted, block):
+        monkeypatch.setattr(genscope.errors, "TEXT_BLOCK", block)
+        monkeypatch.setattr(genscope.corpus.records, "BLOCK", 1)
+        path, starts, records, not_json, error = crafted
+        bad = error and f"{path}:{error[0]}: {error[1]}"
+
+        # read_jsonl stops at the first line that is not JSON or not UTF-8
+        first = min([*not_json, *([error] if error else [])], default=None)
+        stop = first[0] if first else float("inf")
+        got = []
+        with pytest.raises(SchemaError) if first else contextlib.nullcontext() as raised:
+            got.extend((n, obj["id"]) for n, obj in read_jsonl(path))
+        assert got == [r for r in records if r[0] < stop]
+        if first:
+            assert str(raised.value) == f"{path}:{first[0]}: {first[1]}"
+
+        # load_external_labels rejects a line that is not JSON, and stops at
+        # one that is not UTF-8
+        if error:
+            with pytest.raises(SchemaError, match=re.escape(bad)):
+                load_external_labels(path)
+        else:
+            report = load_external_labels(path)
+            assert list(report.labels) == [i for _, i in records]
+            assert report.rejected == not_json
+
+        # ingest, alone and with read_part reading from each line on, counts
+        # a line that is not JSON and stops at one that is not UTF-8, once it
+        # has handed on the records before it
+        before = [i for n, i in records if not error or n < error[0]]
+        rejected = Counter(reason for n, reason in not_json if not error or n < error[0])
+        for cut in (None, *starts):
+            ids = []
+
+            def on_block(block):
+                ids.extend(tweet.id for tweet in block)
+
+            later = (read_part(path, cut, None, on_block, None) for _ in range(cut is not None))
+            if error:
+                with pytest.raises(SchemaError, match=re.escape(bad)):
+                    ingest(path, on_block, end=cut, later=later)
+            else:
+                report = ingest(path, on_block, end=cut, later=later)
+                assert report.rejected == rejected
+                assert report.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+            assert ids == before, cut
 
 
 class TestMatchGroups:
