@@ -1,32 +1,35 @@
 """One lexer scan per text: the word list and the rule engine's clauses.
 
-``normalize`` runs ``LEXER_RE.findall`` over a text once and resolves
-each surface it returns with one dict lookup. It returns the word list
-that ``tokenize`` gives (what partition, sentiment and bag-of-words
-features read) and the text's clauses. A clause is two parallel lists,
-each token's norm and its flag bits, plus the index of its first token
-among the text's tokens. A word's norm is its lowercased form, with
-common tweet abbreviations expanded through a shipped, editable table,
-so "White ppl be like __" normalizes to [white, people, be, like,
-BLANK]. Every other token's norm is its kind: URL, EMOJI, BLANK, a
-question mark closing a question clause, or the punctuation the
-elliptical rules care about (colon, equals, comma, quote). Clause breaks
-happen at sentence punctuation, newlines, and dashes that the grammar
-marks as breaking.
+``normalize`` splits a text into lines and each line on whitespace, and
+looks each chunk up in the ``WordTable``; ``LEXER_RE.findall`` runs only
+on a chunk the table lacks, and resolves each surface it returns with one
+dict lookup. It returns the word list that ``tokenize`` gives (what
+partition, sentiment and bag-of-words features read) and the text's
+clauses. A clause is two parallel lists, each token's norm and its flag
+bits, plus the index of its first token among the text's tokens. A
+word's norm is its lowercased form, with common tweet abbreviations
+expanded through a shipped, editable table, so "White ppl be like __"
+normalizes to [white, people, be, like, BLANK]. Every other token's norm
+is its kind: URL, EMOJI, BLANK, a question mark closing a question
+clause, or the punctuation the elliptical rules care about (colon,
+equals, comma, quote). Clause breaks happen at sentence punctuation,
+newlines, and dashes that the grammar marks as breaking.
 
 Word surfaces resolve through the ``WordTable``; the closed set of marks
 (punctuation and quotes) through a fixed dict and clause breaks through a
-fixed set; URLs, emoji and blanks by rule, and never cached, since real
-tweet URLs are unique. No token's character span is kept: ``token_spans``
-finds them with one ``finditer`` of the same pattern, for the rare reader
-of a verdict's ``subject_span``; both walks number tokens through one
-helper, ``_surface_entry``.
+fixed set; URLs, emoji and blanks by rule. Neither a URL nor a chunk that
+holds one is cached, since real tweet URLs are unique. No token's
+character span is kept: ``token_spans`` finds them with one ``finditer``
+of the same pattern over the whole text, for the rare reader of a
+verdict's ``subject_span``; both walks number tokens through one helper,
+``_surface_entry``.
 
 A ``WordTable`` does the work per word type rather than per occurrence:
 each raw surface is folded and expanded once, and each norm gets its
 flag bits (present verb, group noun, ...) once, the way spaCy keeps
-lexical flags on its ``Lexeme``. Every word token carries ``WORD`` plus
-its type's bits; every other token carries 0.
+lexical flags on its ``Lexeme``; each chunk, the way spaCy's tokenizer
+caches each whitespace-separated substring, is lexed once. Every word
+token carries ``WORD`` plus its type's bits; every other token carries 0.
 """
 
 from __future__ import annotations
@@ -75,12 +78,15 @@ class Clause(NamedTuple):
 class WordTable:
     """Per-vocabulary word cache: each raw word surface maps once to its
     folded form and the norms and flag bits of the tokens it expands to,
-    and each norm to the flag bits of ``classify`` (0 without one).
+    each norm to the flag bits of ``classify`` (0 without one), and each
+    whitespace-free chunk of text to its ``(words, norms, flags)`` run, or
+    to a list of runs and clause breaks (``_chunk_entry``).
 
-    Both dicts grow only with the distinct surfaces and norms seen, never
-    per text. ``abbreviations`` and ``classify`` must not change once the
-    table is in use. Threads may share a table: a race at worst computes
-    one entry twice, to the same value.
+    The dicts grow only with the distinct surfaces, norms and chunks seen,
+    never per text; a chunk that holds a URL is not stored.
+    ``abbreviations`` and ``classify`` must not change once the table is in
+    use. Threads may share a table: a race at worst computes one entry
+    twice, to the same value.
     """
 
     def __init__(self, abbreviations: dict[str, str] | None = None, classify=None):
@@ -88,6 +94,7 @@ class WordTable:
         self.classify = classify
         self.surfaces: dict[str, tuple[str, tuple[str, ...], tuple[int, ...]]] = {}
         self.flags: dict[str, int] = {}
+        self.chunks: dict[str, tuple | list] = {}
 
     def word_flags(self, norm: str) -> int:
         flags = self.flags.get(norm)
@@ -139,44 +146,79 @@ def _surface_entry(surface: str, table: WordTable):
     return table.entry(surface)
 
 
+def _chunk_entry(chunk: str, table: WordTable):
+    """The entry of a whitespace-free chunk of text, from one
+    ``LEXER_RE.findall``: the run ``(words, norms, flags)`` of its tokens,
+    or, where it holds a clause break, a list of the runs with each break's
+    surface between them. Stored in ``table.chunks`` unless it holds a
+    URL."""
+    surfaces = table.surfaces
+    entry: list = []
+    words: list[str] = []
+    norms: list[str] = []
+    flags: list[int] = []
+    for surface in LEXER_RE.findall(chunk):
+        token = surfaces.get(surface) or _surface_entry(surface, table)
+        if token is None:  # a clause break
+            entry += [(tuple(words), tuple(norms), tuple(flags)), surface]
+            words, norms, flags = [], [], []
+            continue
+        if token[0] is not None:
+            words.append(token[0])
+        norms += token[1]
+        flags += token[2]
+    run = (tuple(words), tuple(norms), tuple(flags))
+    entry = [*entry, run] if entry else run
+    if URL not in words:  # a URL ends its chunk; no word folds to upper case
+        table.chunks[chunk] = entry
+    return entry
+
+
 def normalize(text: str, table: WordTable | None = None) -> tuple[list[str], list[Clause]]:
-    """The word list and the clauses of ``text``, from one lexer scan.
+    """The word list and the clauses of ``text``.
 
     The word list equals ``tokenize(text)``. Word tokens take their norms
     and flags from ``table`` (a fresh one, with no abbreviations, by
-    default); an expanded word gives several tokens. No clause is empty."""
+    default); an expanded word gives several tokens. No clause is empty.
+
+    The text is split into lines, each line closing a clause (``\\n`` is
+    the one whitespace token), and each line on whitespace; each chunk's
+    entry comes from ``table.chunks``, and ``_chunk_entry`` scans only a
+    chunk the table lacks. ``tokenize`` says why that is one scan of the
+    whole text."""
     if table is None:
         table = WordTable()
-    surfaces = table.surfaces
+    chunks = table.chunks
     words: list[str] = []
     clauses: list[Clause] = []
     norms: list[str] = []
     flags: list[int] = []
     start = 0
-    for surface in LEXER_RE.findall(text or ""):
-        entry = surfaces.get(surface) or _surface_entry(surface, table)
-        if entry is None:  # a clause break
-            if norms:
-                # mark question clauses so the interrogative logic can see them
-                if surface == QUESTION:
-                    norms.append(QUESTION)
-                    flags.append(0)
-                clauses.append(Clause(norms, flags, start))
-                start += len(norms)
-                norms, flags = [], []
-            continue
-        word, word_norms, word_flags = entry
-        if word is not None:
-            words.append(word)
-        if len(word_norms) == 1:
-            norms.append(word_norms[0])
-            flags.append(word_flags[0])
-        else:
-            norms.extend(word_norms)
-            flags.extend(word_flags)
-
-    if norms:
-        clauses.append(Clause(norms, flags, start))
+    for line in (text or "").split("\n"):
+        for chunk in line.split():
+            entry = chunks.get(chunk) or _chunk_entry(chunk, table)
+            if type(entry) is tuple:  # one run, with no clause break
+                words += entry[0]
+                norms += entry[1]
+                flags += entry[2]
+                continue
+            for item in entry:
+                if type(item) is tuple:
+                    words += item[0]
+                    norms += item[1]
+                    flags += item[2]
+                elif norms:  # a clause break
+                    # mark question clauses so the interrogative logic can see them
+                    if item == QUESTION:
+                        norms.append(QUESTION)
+                        flags.append(0)
+                    clauses.append(Clause(norms, flags, start))
+                    start += len(norms)
+                    norms, flags = [], []
+        if norms:  # the line's end breaks the clause
+            clauses.append(Clause(norms, flags, start))
+            start += len(norms)
+            norms, flags = [], []
     return words, clauses
 
 

@@ -52,7 +52,7 @@ _TOKEN_KINDS = ("url", "emoji", "word")
 # but ``hyphen``, so ``findall`` gives each match's surface, or "" for a
 # hyphen run. No alternative starts with whitespace other than a newline,
 # so the leading guard skips a space in one test instead of eight failed
-# alternatives.
+# alternatives, where ``token_spans`` scans a whole text.
 LEXER_RE = re.compile(
     r"(?=\S|\n)(?:("
     + "|".join(p for kind, p in _KINDS if kind != "hyphen")
@@ -60,28 +60,45 @@ LEXER_RE = re.compile(
     + dict(_KINDS)["hyphen"]
     + ")"
 )
-# The token kinds only, for ``tokenize``. The kinds left out consume only
-# characters that cannot start a token kind (``_``, clause breaks, dashes,
-# punctuation), so both patterns find the same tokens.
-TOKEN_RE = re.compile(
-    r"(?=\S)(?:" + "|".join(p for kind, p in _KINDS if kind in _TOKEN_KINDS) + ")"
-)
+# The token kinds only, for ``tokenize``, which scans whitespace-free
+# chunks. The kinds left out consume only characters that cannot start a
+# token kind (``_``, clause breaks, dashes, punctuation), so both patterns
+# find the same tokens.
+TOKEN_RE = re.compile("|".join(p for kind, p in _KINDS if kind in _TOKEN_KINDS))
 
 
-def tokenize(text: str) -> list[str]:
+def tokenize(text: str, chunks: dict[str, tuple[str, ...]] | None = None) -> list[str]:
     """Lowercased word tokens with URLs and emoji mapped to class tokens.
     The annotator's ``normalize`` gives the same list from the walk that
     also builds its clauses.
 
-    One ``findall`` finds the tokens. A URL is the only token that can hold
-    ``.`` or ``:``, and an emoji is one character of the emoji class (a
-    word that starts with one loses to the emoji alternative)."""
-    return [
-        URL_TOKEN if "." in t or ":" in t
-        else EMOJI_TOKEN if len(t) == 1 and _EMOJI_RE.match(t)
-        else t.lower().replace("’", "'")
-        for t in TOKEN_RE.findall(text or "")
-    ]
+    The text is split on whitespace, and each chunk's tokens come from
+    ``chunks`` (a fresh dict by default), which the caller keeps for a
+    whole run: ``TOKEN_RE.findall`` runs only on a chunk the dict lacks.
+    No match holds whitespace, and the one rule that reads context, the
+    breaking dash's, takes whitespace and a string edge alike as a
+    boundary, so the tokens are those of one scan of the whole text. A
+    chunk with a URL is never stored, since real tweet URLs are unique.
+
+    A URL is the only token that can hold ``.`` or ``:``, and an emoji is
+    one character of the emoji class (a word that starts with one loses to
+    the emoji alternative)."""
+    if chunks is None:
+        chunks = {}
+    tokens: list[str] = []
+    for chunk in (text or "").split():
+        run = chunks.get(chunk)
+        if run is None:
+            run = tuple(
+                URL_TOKEN if "." in t or ":" in t
+                else EMOJI_TOKEN if len(t) == 1 and _EMOJI_RE.match(t)
+                else t.lower().replace("’", "'")
+                for t in TOKEN_RE.findall(chunk)
+            )
+            if URL_TOKEN not in run:  # no word folds to upper case
+                chunks[chunk] = run
+        tokens += run
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -127,8 +144,9 @@ class TokenIds:
 
 
 def token_ids(texts) -> TokenIds:
-    """Tokenize each text once and count its tokens into first-seen ids."""
-    return _first_seen_ids(map(tokenize, texts))
+    """Tokenize each text once, through one chunk dict, and count its
+    tokens into first-seen ids."""
+    return _first_seen_ids(map(tokenize, texts, repeat({})))
 
 
 def _first_seen_ids(token_lists) -> TokenIds:
@@ -323,12 +341,12 @@ class BagOfWordsVectorizer:
         self.min_count = min_count
 
     def fit(self, texts):
-        self.vocabulary_ = build_vocab(map(tokenize, texts), self.min_count)
+        self.vocabulary_ = build_vocab(map(tokenize, texts, repeat({})), self.min_count)
         return self
 
     def transform(self, texts) -> CsrMatrix:
         check_fitted(self, "vocabulary_")
-        return bow_matrix(map(tokenize, texts), self.vocabulary_)
+        return bow_matrix(map(tokenize, texts, repeat({})), self.vocabulary_)
 
     def fit_transform(self, texts) -> CsrMatrix:
         check_min_count(self.min_count)  # before any text is read

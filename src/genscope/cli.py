@@ -21,6 +21,7 @@ import json
 import sys
 from collections import Counter
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -244,11 +245,13 @@ def _cmd_train(args) -> int:
     with forked(partial(_counted_range, args.labeled), later) as children:
         counted = [_counted_range(args.labeled, 0, end)]
         counted += (child.receive() for child in children)
-    parts = [ids for ids, _ in counted]
-    labels = np.frombuffer(b"".join(labels for _, labels in counted), dtype=np.uint8)
-    if not labels.size:
-        raise GenscopeError(f"{args.labeled}: no labeled examples")
-    scores = clf.fit_predict_proba(parts, labels)
+        parts = [ids for ids, _ in counted]
+        labels = np.frombuffer(b"".join(labels for _, labels in counted), dtype=np.uint8)
+        if not labels.size:
+            raise GenscopeError(f"{args.labeled}: no labeled examples")
+        # the children exit while the descent runs, so leaving the block
+        # reaps them without waiting
+        scores = clf.fit_predict_proba(parts, labels)
     save_model(clf.model_, args.model_out)
     metrics = evaluate(scores, labels, threshold=clf.threshold)
     print(f"trained on {labels.size} examples, vocab size {clf.model_.vocab.size}")
@@ -266,7 +269,7 @@ def _cmd_eval(args) -> int:
     if not texts:
         raise GenscopeError(f"{args.labeled}: no labeled examples")
     model = load_bow_model(args.model)
-    scores = score_tokens(model, map(tokenize, texts))
+    scores = score_tokens(model, map(tokenize, texts, repeat({})))
     tau = args.threshold if args.threshold is not None else model.threshold
     metrics = evaluate(scores, labels, threshold=tau)
     print(metrics.summary())
@@ -283,11 +286,12 @@ def _cmd_classify(args) -> int:
     model = load_bow_model(args.model)
     tau = args.threshold if args.threshold is not None else model.threshold
     path = Path(args.out or "out") / "scores.jsonl"
+    chunks: dict[str, tuple[str, ...]] = {}  # tokenize's, for every block
     with jsonl_writer(path) as write:
 
         def write_scores(tweets):
             # a block's tweets, scored in one call
-            scores = score_tokens(model, [tokenize(tweet.text) for tweet in tweets])
+            scores = score_tokens(model, [tokenize(tweet.text, chunks) for tweet in tweets])
             write({"id": tweet.id, "score": score,
                    "label": "generic" if score >= tau else "non_generic"}
                   for tweet, score in zip(tweets, scores))

@@ -13,6 +13,7 @@ import shutil
 import struct
 import threading
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from functools import reduce
 from importlib import resources
@@ -66,7 +67,7 @@ from genscope.stats import chi_square_sf, two_sided_p
 from genscope.synth import generate_corpus, generate_training_texts
 
 from corpora import write_jsonl
-from oracles import histogram_oracle, stack_features_oracle
+from oracles import histogram_oracle, stack_features_oracle, tokenize_oracle
 
 BUNDLED_CORPUS = resources.files("genscope.data") / "synthetic_corpus.jsonl"
 PUBLISHED_TABLES = resources.files("genscope.data") / "published_tables.csv"
@@ -735,8 +736,10 @@ class TestSinglePass:
 
     def test_lex_once_per_tweet_that_passes_lang(self, monkeypatch, tmp_path):
         # annotator mode scans LEXER_RE in normalize; model mode scans
-        # TOKEN_RE in tokenize. Neither calls finditer, which only the span
-        # of a verdict's subject needs.
+        # TOKEN_RE in tokenize. Each scans the whitespace-free chunks of the
+        # lang-passing tweets: a distinct chunk once per run, and a chunk
+        # with a URL, which is never cached, once per occurrence. Neither
+        # calls finditer, which only the span of a verdict's subject needs.
         texts = []
 
         class CountingLexer:
@@ -753,18 +756,33 @@ class TestSinglePass:
             ("genscope.annotator.normalize", "LEXER_RE", LEXER_RE),
         ):
             monkeypatch.setattr(importlib.import_module(module), name, CountingLexer(pattern))
+        # the bundled corpus, with a URL, alone or after a word and a colon,
+        # on every seventh tweet; the same URL chunk recurs
+        records = [json.loads(line) for line in BUNDLED_CORPUS.read_text("utf-8").splitlines()]
+        urls = ["https://t.co/a", "see:www.x.com/b", "https://t.co/a?", "http://t.co/\nc"]
+        for i, record in enumerate(records[::7]):
+            record["text"] += f" {urls[i % len(urls)]}"
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(records, corpus)
         query = load_query(resources.files("genscope.data") / "default_query.txt")
         tweets = []
-        ingest(str(BUNDLED_CORPUS), tweets.extend, query)
-        want = [t.text for t in tweets if lang_matches(t.lang, query.lang)]
+        ingest(str(corpus), tweets.extend, query)
+        chunks = Counter(
+            chunk for t in tweets if lang_matches(t.lang, query.lang) for chunk in t.text.split()
+        )
+        want = Counter({
+            chunk: n if "URL" in tokenize_oracle(chunk) else 1 for chunk, n in chunks.items()
+        })
+        assert chunks["https://t.co/a"] == want["https://t.co/a"] > 1
+        assert chunks["the"] > want["the"] == 1
         train, labels = generate_training_texts(n=300, seed=5)
         save_model(GenericityClassifier(min_count=1, epochs=5).fit(train, labels).model_,
                    tmp_path / "model.txt")
         for model in (None, str(tmp_path / "model.txt")):  # annotator, then model mode
             texts.clear()
-            report = run_analysis(AnalysisConfig(corpus=str(BUNDLED_CORPUS), model=model))
+            report = run_analysis(AnalysisConfig(corpus=str(corpus), model=model))
             assert len(tweets) == report["ingest"]["accepted"]
-            assert texts == want
+            assert Counter(texts) == want
 
     def test_peak_memory_does_not_grow_per_line(self, tmp_path):
         # what stays alive per input line is its id in ingest's set and four

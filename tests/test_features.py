@@ -172,9 +172,9 @@ class TestOnePass:
     def test_classifier_fit_tokenizes_each_text_once(self, monkeypatch):
         seen = []
 
-        def counting_tokenize(text):
+        def counting_tokenize(text, chunks=None):
             seen.append(text)
-            return tokenize(text)
+            return tokenize(text, chunks)
 
         monkeypatch.setattr(features, "tokenize", counting_tokenize)
         texts, labels = generate_training_texts(n=60, seed=3)

@@ -6,8 +6,11 @@ prefixes in both cases, characters on both sides of each emoji range
 apostrophes inside and outside words, clause breaks, punctuation,
 abbreviation keys and a few characters no alternative matches.
 
-``normalize`` runs on a fresh word table and twice on one annotator's
-shared table, so the second pass finds every word surface cached. Its
+Both lexers split a text on whitespace and scan each chunk apart.
+``tokenize`` runs on a fresh chunk dict and on one dict shared by every
+text of this module. ``normalize`` runs on a fresh word table and twice
+on one annotator's shared table, so the second pass finds every word
+surface and chunk cached. Its
 word list must equal ``tokenize(text)``; each clause token's norm, kind
 (``word`` when the ``WORD`` flag is set, else the norm itself) and span
 (from ``token_spans``) must equal the oracle's, and each word's flags must
@@ -46,7 +49,13 @@ EDGES = ["x -b", "x- b", "- x", "x -", "a-—b", "a —-b", "ppl –u", "HTTPS:/
          "x\t-\ty", "x\t-y", "x-\ty", "x\n-\ny", "x\n--", "--\nx", "\n-\n", "a.-.b",
          "x\u00a0-\u00a0y", "x\u00a0-y", "x\u2003--\u3000y", "x\u200b-\u200by",
          "x\u00a0-", "-\u00a0x", "\t-", "-\t", "x -\u00a0", "x\u200b-", "-\u200bx",
-         "ppl\t-—\tu", "x —- y", "x-—-y", "__-__", "x:-", "-?", "x -?", "http://a - b"]
+         "ppl\t-—\tu", "x —- y", "x-—-y", "__-__", "x:-", "-?", "x -?", "http://a - b",
+         # line ends: \r\n, blank lines, and newlines that lead or end the text
+         "x\r\ny", "x?\r\n-\r\ny", "x\n\ny", "x.\n\n?y", "\nx", "\n\nx", "x\n", "x?\n\n",
+         "\r\n", "\n\n", "\n?\n", "\r\nx -\r\n",
+         # dash runs at a chunk's edge, beside a break or a mark in the chunk
+         "x -- y", "x --y", "x-- y", "x -. y", "x .- y", "x ?-- y", "x --? y", "x :- y",
+         "x -: y", "x ‘- y", "x -__ y", "\U0001F600-", "-\U0001F600", "www.x -"]
 
 texts = st.lists(
     st.sampled_from(PIECES) | st.characters(codec="utf-8"), max_size=40
@@ -57,8 +66,14 @@ ABBREVIATIONS = ANNOTATOR.lexicons.abbreviations
 GOLD = Path(__file__).parent / "data" / "annotator_gold"
 
 
+# tokenize's chunk dict, shared by every text of this module
+CHUNKS: dict[str, tuple[str, ...]] = {}
+
+
 def check_tokenize(text):
-    assert tokenize(text) == tokenize_oracle(text)
+    expected = tokenize_oracle(text)
+    assert tokenize(text) == expected
+    assert tokenize(text, CHUNKS) == expected
 
 
 def check_normalize(text):
@@ -122,15 +137,21 @@ def test_table_holds_each_surface_and_norm_once():
 
 
 def test_urls_emoji_and_marks_leave_the_table_as_it_was():
+    # a URL's chunk is never stored; an emoji's or a mark's is, once
     table = RuleAnnotator(ANNOTATOR.lexicons).words  # a fresh, empty table
-    marks = " ".join([*"'\":=,“”.!?;", "\n", "__", "___", "-", "--", "—", "–-", "a-b"])
+    chunks = {}  # tokenize's
+    marks = " ".join(
+        [*"'\":=,“”.!?;", "\n", "__", "___", "-", "--", "—", "–-", "a-b", "\U0001F600"]
+    )
     normalize(marks, table)
-    before = (len(table.surfaces), len(table.flags))
-    assert before == (2, 2)  # the words a and b
+    tokenize(marks, chunks)
+    before = (len(table.surfaces), len(table.flags), len(table.chunks), len(chunks))
+    assert before == (2, 2, 19, 19)  # the words a and b; every chunk
     for i in range(10_000):
-        text = f"https://t.co/{i} www.x{i}.com/\U0001F600 \U0001F600 {marks}"
+        text = f"https://t.co/{i} www.x{i}.com/\U0001F600 -http://{i} “www.{i}” {marks}"
         normalize(text, table)
-    assert (len(table.surfaces), len(table.flags)) == before
+        tokenize(text, chunks)
+    assert (len(table.surfaces), len(table.flags), len(table.chunks), len(chunks)) == before
 
 
 def test_whitespace_guard_drops_no_match():
@@ -158,13 +179,25 @@ boundary_texts = st.lists(
 ).map("".join)
 
 
+@pytest.mark.parametrize("space", [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()])
+def test_every_whitespace_character_separates_chunks(space):
+    # str.split's separators (str.isspace) are the characters \s matches,
+    # so each one ends a chunk as it ends a match, and bounds a breaking
+    # dash run
+    assert space in SPACES
+    assert len(SPACES) == 29
+    text = space.join(["", "x", "-", "y—", "--z", "a-", "www.a", "b?", "__", "c", "-", ""])
+    check_tokenize(text)
+    check_normalize(text)
+
+
 def check_token_pattern(text):
     # the kinds that make no token are those whose surfaces start with a
     # character no token kind starts with; a hyphen run's surface is ""
     kept = [s for s in LEXER_RE.findall(text) if s and s[0] not in NO_TOKEN_STARTS]
     assert TOKEN_RE.findall(text) == kept
     tokens = tokenize_oracle(text)
-    assert tokenize(text) == tokens
+    assert tokenize(text) == tokenize(text, CHUNKS) == tokens
     assert normalize(text, ANNOTATOR.words)[0] == tokens
 
 
