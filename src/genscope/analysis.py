@@ -243,7 +243,6 @@ class _Pipeline:
         self.model = self.annotator = None
         if config.model:
             self.model = load_bow_model(config.model)
-            self.chunks: dict[str, tuple[str, ...]] = {}  # tokenize's, for the whole run
         else:
             from .annotator import RuleAnnotator, normalize  # model mode never loads it
 
@@ -270,8 +269,7 @@ class _Pipeline:
             lexed = [normalize(t.text, table) if ok else ([], []) for t, ok in zip(tweets, passes)]
             tokens = [words for words, _ in lexed]
         else:
-            chunks = self.chunks
-            tokens = [tokenize(t.text, chunks) if ok else [] for t, ok in zip(tweets, passes)]
+            tokens = [tokenize(t.text) if ok else [] for t, ok in zip(tweets, passes)]
         terms = self.terms
         codes = [_BUCKET_CODES[partition(terms, words)] for words in tokens]
         self.buckets.extend(codes)

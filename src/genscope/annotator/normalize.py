@@ -18,7 +18,8 @@ newlines, and dashes that the grammar marks as breaking.
 Word surfaces resolve through the ``WordTable``; the closed set of marks
 (punctuation and quotes) through a fixed dict and clause breaks through a
 fixed set; URLs, emoji and blanks by rule. Neither a URL nor a chunk that
-holds one is cached, since real tweet URLs are unique. No token's
+holds one is cached, since real tweet URLs are unique, and the table keeps
+at most ``MAX_CHUNKS`` chunks, the first it meets. No token's
 character span is kept: ``token_spans`` finds them with one ``finditer``
 of the same pattern over the whole text, for the rare reader of a
 verdict's ``subject_span``; both walks number tokens through one helper,
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..classifier.features import _EMOJI_RE, LEXER_RE
+from ..classifier.features import _EMOJI_RE, LEXER_RE, MAX_CHUNKS
 from ..classifier.features import EMOJI_TOKEN as EMOJI
 from ..classifier.features import URL_TOKEN as URL
 from ..errors import SchemaError, content_lines
@@ -52,19 +53,19 @@ QUOTE = '"'
 WORD = 1 << 16  # on every word token's flags; a classify function's bits sit below it
 
 # entries, as ``WordTable.entry`` gives them, of the tokens that no table holds
-_URL_ENTRY = (URL, (URL,), (0,))
-_EMOJI_ENTRY = (EMOJI, (EMOJI,), (0,))
-_BLANK_ENTRY = (None, (BLANK,), (0,))  # a blank is no entry in the word list
+_URL_ENTRY = ((URL,), (URL,), (0,))
+_EMOJI_ENTRY = ((EMOJI,), (EMOJI,), (0,))
+_BLANK_ENTRY = ((), (BLANK,), (0,))  # a blank is no entry in the word list
 # The entry of each mark surface: the closed set of punctuation and quotes,
 # and "" (a hyphen run), which makes no token. Standalone apostrophes act
 # as quotes (intra-word ones are part of the word).
 _MARKS = {
-    surface: (None, (norm,), (0,))
+    surface: ((), (norm,), (0,))
     for surface, norm in {
         ":": COLON, "=": EQUALS, ",": COMMA, '"': QUOTE, "“": QUOTE, "”": QUOTE, "'": QUOTE,
     }.items()
 }
-_MARKS[""] = (None, (), ())
+_MARKS[""] = ((), (), ())
 _BREAKS = frozenset([QUESTION, ".", "!", ";", "\n"])
 _DASHES = "-—–"  # any other surface that starts with one is a breaking dash run
 
@@ -77,13 +78,16 @@ class Clause(NamedTuple):
 
 class WordTable:
     """Per-vocabulary word cache: each raw word surface maps once to its
-    folded form and the norms and flag bits of the tokens it expands to,
-    each norm to the flag bits of ``classify`` (0 without one), and each
-    whitespace-free chunk of text to its ``(words, norms, flags)`` run, or
-    to a list of runs and clause breaks (``_chunk_entry``).
+    run ``(words, norms, flags)``: its folded form, the one entry it adds
+    to the word list, and the norms and flag bits of the tokens it expands
+    to. Each norm maps to the flag bits of ``classify`` (0 without one),
+    and each whitespace-free chunk of text to the run of its one token or
+    to the runs of its tokens and the clause breaks between them
+    (``_chunk_entry``).
 
     The dicts grow only with the distinct surfaces, norms and chunks seen,
-    never per text; a chunk that holds a URL is not stored.
+    never per text. ``chunks`` keeps the first ``MAX_CHUNKS`` chunks met,
+    and none that holds a URL.
     ``abbreviations`` and ``classify`` must not change once the table is in
     use. Threads may share a table: a race at worst computes one entry
     twice, to the same value.
@@ -92,7 +96,7 @@ class WordTable:
     def __init__(self, abbreviations: dict[str, str] | None = None, classify=None):
         self.abbreviations = abbreviations or {}
         self.classify = classify
-        self.surfaces: dict[str, tuple[str, tuple[str, ...], tuple[int, ...]]] = {}
+        self.surfaces: dict[str, tuple[tuple[str], tuple[str, ...], tuple[int, ...]]] = {}
         self.flags: dict[str, int] = {}
         self.chunks: dict[str, tuple | list] = {}
 
@@ -102,15 +106,15 @@ class WordTable:
             flags = self.flags[norm] = self.classify(norm) if self.classify else 0
         return flags
 
-    def entry(self, surface: str) -> tuple[str, tuple[str, ...], tuple[int, ...]]:
-        """A raw word surface's folded form (its entry in the word list)
-        and the norms and flags of the tokens it expands to."""
+    def entry(self, surface: str) -> tuple[tuple[str], tuple[str, ...], tuple[int, ...]]:
+        """A raw word surface's run: its folded form (its entry in the word
+        list) and the norms and flags of the tokens it expands to."""
         entry = self.surfaces.get(surface)
         if entry is None:
             folded = surface.lower().replace("’", "'")
             norms = tuple(self.abbreviations.get(folded, folded).split())
             flags = tuple(self.word_flags(norm) | WORD for norm in norms)
-            entry = self.surfaces[surface] = (folded, norms, flags)
+            entry = self.surfaces[surface] = ((folded,), norms, flags)
         return entry
 
 
@@ -146,30 +150,18 @@ def _surface_entry(surface: str, table: WordTable):
     return table.entry(surface)
 
 
-def _chunk_entry(chunk: str, table: WordTable):
+def _chunk_entry(chunk: str, table: WordTable) -> tuple | list:
     """The entry of a whitespace-free chunk of text, from one
-    ``LEXER_RE.findall``: the run ``(words, norms, flags)`` of its tokens,
-    or, where it holds a clause break, a list of the runs with each break's
-    surface between them. Stored in ``table.chunks`` unless it holds a
-    URL."""
+    ``LEXER_RE.findall``: the run of its one token, or the list of its
+    tokens' runs with each clause break's surface among them. Stored in
+    ``table.chunks`` unless it holds a URL or the table is full."""
     surfaces = table.surfaces
-    entry: list = []
-    words: list[str] = []
-    norms: list[str] = []
-    flags: list[int] = []
+    items: list = []
     for surface in LEXER_RE.findall(chunk):
-        token = surfaces.get(surface) or _surface_entry(surface, table)
-        if token is None:  # a clause break
-            entry += [(tuple(words), tuple(norms), tuple(flags)), surface]
-            words, norms, flags = [], [], []
-            continue
-        if token[0] is not None:
-            words.append(token[0])
-        norms += token[1]
-        flags += token[2]
-    run = (tuple(words), tuple(norms), tuple(flags))
-    entry = [*entry, run] if entry else run
-    if URL not in words:  # a URL ends its chunk; no word folds to upper case
+        run = surfaces.get(surface) or _surface_entry(surface, table)
+        items.append(surface if run is None else run)  # None: a clause break
+    entry = items[0] if len(items) == 1 and type(items[0]) is tuple else items
+    if _URL_ENTRY not in items and len(table.chunks) < MAX_CHUNKS:
         table.chunks[chunk] = entry
     return entry
 
@@ -196,8 +188,10 @@ def normalize(text: str, table: WordTable | None = None) -> tuple[list[str], lis
     start = 0
     for line in (text or "").split("\n"):
         for chunk in line.split():
-            entry = chunks.get(chunk) or _chunk_entry(chunk, table)
-            if type(entry) is tuple:  # one run, with no clause break
+            entry = chunks.get(chunk)
+            if entry is None:
+                entry = _chunk_entry(chunk, table)
+            if type(entry) is tuple:  # one token's run
                 words += entry[0]
                 norms += entry[1]
                 flags += entry[2]

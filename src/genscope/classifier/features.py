@@ -67,35 +67,43 @@ LEXER_RE = re.compile(
 TOKEN_RE = re.compile("|".join(p for kind, p in _KINDS if kind in _TOKEN_KINDS))
 
 
-def tokenize(text: str, chunks: dict[str, tuple[str, ...]] | None = None) -> list[str]:
+# ``tokenize``'s cache: each whitespace-free chunk it has scanned maps to
+# its tokens. An entry depends on its chunk alone, so every caller in a
+# process shares the one dict, as ``re`` shares its compiled patterns. It
+# keeps the first ``MAX_CHUNKS`` chunks met, and never one holding a URL,
+# since real tweet URLs are unique; a chunk it lacks is scanned again.
+MAX_CHUNKS = 1 << 14
+_CHUNKS: dict[str, tuple[str, ...]] = {}
+
+
+def tokenize(text: str) -> list[str]:
     """Lowercased word tokens with URLs and emoji mapped to class tokens.
     The annotator's ``normalize`` gives the same list from the walk that
     also builds its clauses.
 
     The text is split on whitespace, and each chunk's tokens come from
-    ``chunks`` (a fresh dict by default), which the caller keeps for a
-    whole run: ``TOKEN_RE.findall`` runs only on a chunk the dict lacks.
-    No match holds whitespace, and the one rule that reads context, the
-    breaking dash's, takes whitespace and a string edge alike as a
-    boundary, so the tokens are those of one scan of the whole text. A
-    chunk with a URL is never stored, since real tweet URLs are unique.
+    the module's chunk cache: ``TOKEN_RE.findall`` runs only on a chunk
+    the cache lacks. No match holds whitespace, and the one rule that
+    reads context, the breaking dash's, takes whitespace and a string edge
+    alike as a boundary, so the tokens are those of one scan of the whole
+    text.
 
     A URL is the only token that can hold ``.`` or ``:``, and an emoji is
     one character of the emoji class (a word that starts with one loses to
     the emoji alternative)."""
-    if chunks is None:
-        chunks = {}
+    chunks = _CHUNKS
     tokens: list[str] = []
     for chunk in (text or "").split():
         run = chunks.get(chunk)
         if run is None:
-            run = tuple(
+            run = tuple([
                 URL_TOKEN if "." in t or ":" in t
                 else EMOJI_TOKEN if len(t) == 1 and _EMOJI_RE.match(t)
                 else t.lower().replace("’", "'")
                 for t in TOKEN_RE.findall(chunk)
-            )
-            if URL_TOKEN not in run:  # no word folds to upper case
+            ])
+            # no word folds to upper case
+            if URL_TOKEN not in run and len(chunks) < MAX_CHUNKS:
                 chunks[chunk] = run
         tokens += run
     return tokens
@@ -144,9 +152,8 @@ class TokenIds:
 
 
 def token_ids(texts) -> TokenIds:
-    """Tokenize each text once, through one chunk dict, and count its
-    tokens into first-seen ids."""
-    return _first_seen_ids(map(tokenize, texts, repeat({})))
+    """Tokenize each text once and count its tokens into first-seen ids."""
+    return _first_seen_ids(map(tokenize, texts))
 
 
 def _first_seen_ids(token_lists) -> TokenIds:
@@ -341,12 +348,12 @@ class BagOfWordsVectorizer:
         self.min_count = min_count
 
     def fit(self, texts):
-        self.vocabulary_ = build_vocab(map(tokenize, texts, repeat({})), self.min_count)
+        self.vocabulary_ = build_vocab(map(tokenize, texts), self.min_count)
         return self
 
     def transform(self, texts) -> CsrMatrix:
         check_fitted(self, "vocabulary_")
-        return bow_matrix(map(tokenize, texts, repeat({})), self.vocabulary_)
+        return bow_matrix(map(tokenize, texts), self.vocabulary_)
 
     def fit_transform(self, texts) -> CsrMatrix:
         check_min_count(self.min_count)  # before any text is read

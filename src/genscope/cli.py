@@ -21,7 +21,6 @@ import json
 import sys
 from collections import Counter
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -269,7 +268,7 @@ def _cmd_eval(args) -> int:
     if not texts:
         raise GenscopeError(f"{args.labeled}: no labeled examples")
     model = load_bow_model(args.model)
-    scores = score_tokens(model, map(tokenize, texts, repeat({})))
+    scores = score_tokens(model, map(tokenize, texts))
     tau = args.threshold if args.threshold is not None else model.threshold
     metrics = evaluate(scores, labels, threshold=tau)
     print(metrics.summary())
@@ -286,12 +285,11 @@ def _cmd_classify(args) -> int:
     model = load_bow_model(args.model)
     tau = args.threshold if args.threshold is not None else model.threshold
     path = Path(args.out or "out") / "scores.jsonl"
-    chunks: dict[str, tuple[str, ...]] = {}  # tokenize's, for every block
     with jsonl_writer(path) as write:
 
         def write_scores(tweets):
             # a block's tweets, scored in one call
-            scores = score_tokens(model, [tokenize(tweet.text, chunks) for tweet in tweets])
+            scores = score_tokens(model, [tokenize(tweet.text) for tweet in tweets])
             write({"id": tweet.id, "score": score,
                    "label": "generic" if score >= tau else "non_generic"}
                   for tweet, score in zip(tweets, scores))

@@ -737,7 +737,8 @@ class TestSinglePass:
     def test_lex_once_per_tweet_that_passes_lang(self, monkeypatch, tmp_path):
         # annotator mode scans LEXER_RE in normalize; model mode scans
         # TOKEN_RE in tokenize. Each scans the whitespace-free chunks of the
-        # lang-passing tweets: a distinct chunk once per run, and a chunk
+        # lang-passing tweets: a distinct chunk once per run (its table, or
+        # tokenize's process-wide cache emptied before the run), and a chunk
         # with a URL, which is never cached, once per occurrence. Neither
         # calls finditer, which only the span of a verdict's subject needs.
         texts = []
@@ -780,6 +781,7 @@ class TestSinglePass:
                    tmp_path / "model.txt")
         for model in (None, str(tmp_path / "model.txt")):  # annotator, then model mode
             texts.clear()
+            monkeypatch.setattr("genscope.classifier.features._CHUNKS", {})  # empty
             report = run_analysis(AnalysisConfig(corpus=str(corpus), model=model))
             assert len(tweets) == report["ingest"]["accepted"]
             assert Counter(texts) == want

@@ -172,9 +172,9 @@ class TestOnePass:
     def test_classifier_fit_tokenizes_each_text_once(self, monkeypatch):
         seen = []
 
-        def counting_tokenize(text, chunks=None):
+        def counting_tokenize(text):
             seen.append(text)
-            return tokenize(text, chunks)
+            return tokenize(text)
 
         monkeypatch.setattr(features, "tokenize", counting_tokenize)
         texts, labels = generate_training_texts(n=60, seed=3)

@@ -7,10 +7,11 @@ apostrophes inside and outside words, clause breaks, punctuation,
 abbreviation keys and a few characters no alternative matches.
 
 Both lexers split a text on whitespace and scan each chunk apart.
-``tokenize`` runs on a fresh chunk dict and on one dict shared by every
-text of this module. ``normalize`` runs on a fresh word table and twice
-on one annotator's shared table, so the second pass finds every word
-surface and chunk cached. Its
+``tokenize`` runs twice on each text, the second time finding its chunks
+in the module's chunk cache, which every text of this module shares.
+``normalize`` runs on a fresh word table and twice on one annotator's
+shared table, so the second pass finds every word surface and chunk
+cached. Its
 word list must equal ``tokenize(text)``; each clause token's norm, kind
 (``word`` when the ``WORD`` flag is set, else the norm itself) and span
 (from ``token_spans``) must equal the oracle's, and each word's flags must
@@ -26,8 +27,8 @@ from hypothesis import given, settings, strategies as st
 
 from genscope.annotator import RuleAnnotator, WordTable, normalize
 from genscope.annotator.normalize import WORD, token_spans
-from genscope.classifier import tokenize
-from genscope.classifier.features import LEXER_RE, TOKEN_RE
+from genscope.classifier import features, tokenize
+from genscope.classifier.features import LEXER_RE, MAX_CHUNKS, TOKEN_RE
 from oracles import normalize_oracle, tokenize_oracle
 
 PIECES = [
@@ -66,14 +67,19 @@ ABBREVIATIONS = ANNOTATOR.lexicons.abbreviations
 GOLD = Path(__file__).parent / "data" / "annotator_gold"
 
 
-# tokenize's chunk dict, shared by every text of this module
-CHUNKS: dict[str, tuple[str, ...]] = {}
+@pytest.fixture(autouse=True, scope="module")
+def chunk_cache():
+    # tokenize's chunk cache, empty at the start of this module, so that
+    # what other modules tokenized neither fills it nor counts here
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(features, "_CHUNKS", {})
+        yield
 
 
 def check_tokenize(text):
     expected = tokenize_oracle(text)
     assert tokenize(text) == expected
-    assert tokenize(text, CHUNKS) == expected
+    assert tokenize(text) == expected  # from the chunk cache
 
 
 def check_normalize(text):
@@ -136,22 +142,43 @@ def test_table_holds_each_surface_and_norm_once():
     assert (len(table.surfaces), len(table.flags)) == (len(surfaces), len(norms))
 
 
-def test_urls_emoji_and_marks_leave_the_table_as_it_was():
+def test_urls_emoji_and_marks_leave_the_table_as_it_was(monkeypatch):
     # a URL's chunk is never stored; an emoji's or a mark's is, once
     table = RuleAnnotator(ANNOTATOR.lexicons).words  # a fresh, empty table
-    chunks = {}  # tokenize's
+    monkeypatch.setattr(features, "_CHUNKS", {})  # tokenize's, empty
     marks = " ".join(
         [*"'\":=,“”.!?;", "\n", "__", "___", "-", "--", "—", "–-", "a-b", "\U0001F600"]
     )
     normalize(marks, table)
-    tokenize(marks, chunks)
-    before = (len(table.surfaces), len(table.flags), len(table.chunks), len(chunks))
+    tokenize(marks)
+    before = (len(table.surfaces), len(table.flags), len(table.chunks), len(features._CHUNKS))
     assert before == (2, 2, 19, 19)  # the words a and b; every chunk
     for i in range(10_000):
         text = f"https://t.co/{i} www.x{i}.com/\U0001F600 -http://{i} “www.{i}” {marks}"
         normalize(text, table)
-        tokenize(text, chunks)
-    assert (len(table.surfaces), len(table.flags), len(table.chunks), len(chunks)) == before
+        tokenize(text)
+    after = (len(table.surfaces), len(table.flags), len(table.chunks), len(features._CHUNKS))
+    assert after == before
+
+
+def test_chunk_caches_keep_at_most_max_chunks(monkeypatch):
+    # 10^5 distinct chunks, some with a clause break inside; past the cap
+    # a chunk is scanned again, to what a fresh table and cache give
+    table = RuleAnnotator(ANNOTATOR.lexicons).words  # a fresh, empty table
+    monkeypatch.setattr(features, "_CHUNKS", {})  # tokenize's, empty
+    texts = [" ".join(f"u{i}v{j}" if j % 3 else f"u{i}.v{j}?" for j in range(10))
+             for i in range(10_000)]
+    for text in texts:
+        normalize(text, table)
+        tokenize(text)
+    assert len(table.chunks) == len(features._CHUNKS) == MAX_CHUNKS < 10**5
+    for text in [*texts[:3], *texts[-3:]]:
+        fresh = RuleAnnotator(ANNOTATOR.lexicons).words
+        assert normalize(text, table) == normalize(text, fresh)
+        assert normalize(text, table)[0] == tokenize(text) == tokenize_oracle(text)
+        assert [c.norms for c in normalize(text, fresh)[1]] == [
+            [norm for norm, *_ in clause] for clause in normalize_oracle(text, ABBREVIATIONS)
+        ]
 
 
 def test_whitespace_guard_drops_no_match():
@@ -197,7 +224,7 @@ def check_token_pattern(text):
     kept = [s for s in LEXER_RE.findall(text) if s and s[0] not in NO_TOKEN_STARTS]
     assert TOKEN_RE.findall(text) == kept
     tokens = tokenize_oracle(text)
-    assert tokenize(text) == tokenize(text, CHUNKS) == tokens
+    assert tokenize(text) == tokenize(text) == tokens
     assert normalize(text, ANNOTATOR.words)[0] == tokens
 
 
