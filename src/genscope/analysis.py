@@ -281,11 +281,10 @@ class _Pipeline:
                       for i in kept]
         else:
             scores = score_tokens(self.model, [tokens[i] for i in kept]) if kept else []
-        label = self.provider.label
         rows = self.rows
         rows["scores"].extend(scores)
         rows["sentiments"].extend(
-            [SENTIMENTS.index(label(tweets[i].id, tokens[i]).value) for i in kept]
+            self.provider.codes([tweets[i].id for i in kept], [tokens[i] for i in kept])
         )
         rows["likes"].extend([tweets[i].like_count for i in kept])
         rows["retweets"].extend([tweets[i].retweet_count for i in kept])
@@ -308,7 +307,7 @@ class _Pipeline:
             column.frombytes(np.asarray(rows[name])[keep].tobytes())
 
 
-def _external_labels(path) -> dict:
+def _external_labels(path):
     if not path:
         return {}
     loaded = load_external_labels(path)

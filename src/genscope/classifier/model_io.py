@@ -64,9 +64,11 @@ def save_model(model: GenericityModel, path) -> None:
     Path(path).write_text(dumps_model(model), encoding="utf-8", newline="\n")
 
 
-def _parse(kind, text: str, what: str):
+def _parse(kind, text: str, what: str, line: str | None = None):
     """``kind(text)`` for ``int`` or ``float``; a value that does not parse,
-    or a float that is not finite, is a ModelFormatError naming ``what``."""
+    or a float that is not finite, is a ModelFormatError naming ``what``,
+    and ``line`` if given. The message is built only then: a model has a
+    vocab and a weight line per feature."""
     try:
         value = kind(text)
     except ValueError:
@@ -75,6 +77,8 @@ def _parse(kind, text: str, what: str):
         if kind is int or math.isfinite(value):
             return value
     expected = "an integer" if kind is int else "a finite number"
+    if line is not None:
+        what = f"{what} {line!r}"
     raise ModelFormatError(f"{what}: {text!r} is not {expected}")
 
 
@@ -132,7 +136,7 @@ def loads_model(text: str) -> GenericityModel:
     i += 1
     while i < len(lines) and lines[i] != "[weights]":
         token, _, idx = lines[i].rpartition(" ")
-        vocab_index[token] = _parse(int, idx, f"vocab line {lines[i]!r}")
+        vocab_index[token] = _parse(int, idx, "vocab line", lines[i])
         i += 1
     if i == len(lines):
         raise ModelFormatError("missing [weights] section")
@@ -147,8 +151,8 @@ def loads_model(text: str) -> GenericityModel:
     indices, values = [], []
     for line in weight_lines:
         idx, _, value = line.partition(" ")
-        indices.append(_parse(int, idx, f"weight line {line!r}"))
-        values.append(_parse(float, value, f"weight line {line!r}"))
+        indices.append(_parse(int, idx, "weight line", line))
+        values.append(_parse(float, value, "weight line", line))
     _check_permutation(indices, dimension, "[weights]")
     weights = np.zeros(dimension)
     weights[np.asarray(indices, dtype=np.intp)] = values

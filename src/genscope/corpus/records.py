@@ -22,7 +22,7 @@ from array import array
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -58,6 +58,11 @@ MAX_EXACT_COUNT = 2**53
 # 500 ms with no blocks; model mode took 297-302 ms from 32 to 4,096,
 # against 305-330 ms with no blocks.
 BLOCK = 256
+
+# Accepted ids that ``ingest`` keeps in a set before it folds them into its
+# IdTable, which holds about 26 bytes per id plus the id's bytes against
+# the set's 80 to 90.
+FOLD = 4096
 
 
 @dataclass
@@ -181,7 +186,7 @@ def _check_count(value, key: str) -> None:
 
 
 def _judged_records(lines: Lines, rejected: Counter, directives):
-    """``(tweet, verdict, lacked)`` for each schema-valid one of ``lines``:
+    """``(id, verdict, lacked, tweet)`` for each schema-valid one of ``lines``:
     the index of the first of ``directives`` (``_Admission``'s) that
     rejects it, or -1, and the mask of the fields it lacks among the
     directives it reaches. Every other line is counted in ``rejected`` by
@@ -201,7 +206,24 @@ def _judged_records(lines: Lines, rejected: Counter, directives):
                     break
             else:
                 lacked |= bit
-        yield tweet, verdict, lacked
+        yield tweet.id, verdict, lacked, tweet
+
+
+def _in_blocks(records):
+    """The iterator ``records`` in lists of up to ``BLOCK``. An error raised
+    while a list is filled is raised once the list, cut short there, has
+    been handed out, as when ``records`` is read one at a time."""
+    while True:
+        block = []
+        try:
+            block.extend(islice(records, BLOCK))
+        except Exception:
+            if block:
+                yield block
+            raise
+        if not block:
+            return
+        yield block
 
 
 def _corpus_lines(path, start: int, end: int | None, digest=None) -> Lines:
@@ -232,9 +254,12 @@ class _Admission:
     """What ``ingest`` does with each schema-valid record, in file order:
     the id check, then the query's directives, made once. A directive's
     field is warned about the first time a record that reaches the
-    directive lacks it."""
+    directive lacks it. The accepted ids are in ``recent``, a set, until
+    it holds ``FOLD`` of them; then they fold into ``ids``, an IdTable."""
 
     def __init__(self, query: QueryAst | None):
+        from .ids import IdTable  # here, so that commands that ingest nothing never load it
+
         operators = query.operators if query is not None else ()
         self.unwarned: dict[str, str] = {}
         for op in operators:
@@ -250,11 +275,13 @@ class _Admission:
         ]
         self.reasons = [f"filtered by {op.render()}" for op in unique]
         self.report = IngestReport()
-        self.seen_ids: set[str] = set()
+        self.ids = IdTable()
+        self.recent: set[str] = set()
 
-    def admit(self, tweet_id: str, verdict: int, lacked: int) -> bool:
-        """Whether the record is accepted; counts it either way."""
-        if tweet_id in self.seen_ids:
+    def admit(self, tweet_id: str, verdict: int, lacked: int, known: bool) -> bool:
+        """Whether the record is accepted, given whether ``ids`` holds its
+        id; counts it either way."""
+        if known or tweet_id in self.recent:
             self.report.rejected["duplicate id"] += 1
             return False
         if lacked:
@@ -267,19 +294,32 @@ class _Admission:
         if verdict >= 0:
             self.report.rejected[self.reasons[verdict]] += 1
             return False
-        self.seen_ids.add(tweet_id)
+        self.recent.add(tweet_id)
         self.report.accepted_count += 1
         return True
+
+    def admitted(self, block: list) -> list[bool]:
+        """Whether each of ``block``'s records, ``(id, verdict, lacked,
+        ...)`` tuples in file order, is accepted. Their ids are looked up in
+        ``ids`` at once, and then the records are admitted in order; last,
+        ``recent`` folds into ``ids`` if it holds ``FOLD`` ids."""
+        known = (self.ids.find([record[0] for record in block]) >= 0).tolist()
+        admit = self.admit
+        accepted = [admit(r[0], r[1], r[2], old) for r, old in zip(block, known)]
+        if len(self.recent) >= FOLD:
+            self.ids.extend(self.recent)
+            self.recent.clear()
+        return accepted
 
     def replay(self, part: PartRecords) -> None:
         """Judge a later range's records as if they had been read here."""
         self.report.rejected.update(part.rejected)
-        ids, start = part.ids, 0
-        for end, verdict, lacked in zip(part.id_ends, part.verdicts, part.lacked):
-            accepted = self.admit(ids[start:end], verdict, lacked)
-            if verdict < 0:  # handed on
-                part.kept.append(accepted)
-            start = end
+        ids, ends = part.ids, part.id_ends
+        keys = (ids[start:end] for start, end in zip(chain((0,), ends), ends))
+        for block in _in_blocks(zip(keys, part.verdicts, part.lacked)):
+            # a record a directive rejects was not handed on
+            part.kept.extend(ok for (_, verdict, _), ok in zip(block, self.admitted(block))
+                             if verdict < 0)
 
 
 def ingest(path, on_block, query: QueryAst | None = None, end: int | None = None,
@@ -305,16 +345,18 @@ def ingest(path, on_block, query: QueryAst | None = None, end: int | None = None
     admission = _Admission(query)
     digest = hashlib.sha256()
     lines = _corpus_lines(path, 0, end, digest)
-    admit = admission.admit
     records = _judged_records(lines, admission.report.rejected, admission.directives)
-    accepted = (tweet for tweet, verdict, lacked in records if admit(tweet.id, verdict, lacked))
-    while block := list(islice(accepted, BLOCK)):
-        on_block(block)
+    for block in _in_blocks(records):
+        if tweets := [record[3] for record, ok in zip(block, admission.admitted(block)) if ok]:
+            on_block(tweets)
     if end is not None:
         with open(path, "rb") as rest:  # the bytes of the later ranges
             rest.seek(end)
-            while chunk := rest.read(1 << 20):
-                digest.update(chunk)
+            # one buffer for every read, so no two chunks are alive at once
+            buffer = bytearray(1 << 16)
+            view = memoryview(buffer)
+            while size := rest.readinto(buffer):
+                digest.update(view[:size])
     for part in later:
         admission.replay(part)
     admission.report.sha256 = digest.hexdigest()
@@ -332,8 +374,8 @@ def read_part(path, start: int, end: int | None, on_block, query: QueryAst | Non
     ids = []
 
     def handed(lines):
-        for tweet, verdict, lacked in _judged_records(lines, part.rejected, directives):
-            ids.append(tweet.id)
+        for tweet_id, verdict, lacked, tweet in _judged_records(lines, part.rejected, directives):
+            ids.append(tweet_id)
             part.verdicts.append(verdict)
             part.lacked.append(lacked)
             if verdict < 0:

@@ -14,7 +14,9 @@ from the library code paths it checks:
   one ``np.unique`` and one ``np.searchsorted`` replaced,
 * the two-pass bag-of-words vectorizer (count a vocabulary, then count
   each text's columns) that one counting pass replaced, and the per-row
-  CSR stacking that ``csr_from_columns`` is checked against.
+  CSR stacking that ``csr_from_columns`` is checked against, and
+* the external-label loader that kept a dict of every label, which the
+  id table of ``load_external_labels`` replaced.
 
 Keep this module free of imports from ``genscope`` so the oracles cannot
 accidentally share code with the implementations under test.
@@ -414,3 +416,30 @@ def stack_features_oracle(rows, n_cols):
         rows=np.array(row_of, dtype=np.intp),
         shape=(len(indptr) - 1, n_cols),
     )
+
+
+def external_labels_oracle(numbered_lines, parse):
+    """The external labels of ``(line number, line)`` pairs, a dict of id
+    to sentiment in file order, and the rejected ``(line number, reason)``
+    pairs in line order; ``parse`` turns a line into its JSON value or
+    raises a ValueError that reads as a reason."""
+    labels, rejected = {}, []
+    for number, line in numbered_lines:
+        try:
+            obj = parse(line)
+        except ValueError as exc:
+            rejected.append((number, str(exc)))
+            continue
+        if not isinstance(obj, dict):
+            rejected.append((number, "record must be a JSON object"))
+            continue
+        tweet_id, sentiment = obj.get("id"), obj.get("sentiment")
+        if not isinstance(tweet_id, str) or not tweet_id:
+            rejected.append((number, "missing id"))
+        elif sentiment not in ("negative", "neutral", "positive"):
+            rejected.append((number, f"unknown sentiment {sentiment!r}"))
+        elif tweet_id in labels:
+            rejected.append((number, "duplicate id"))
+        else:
+            labels[tweet_id] = sentiment
+    return labels, rejected
